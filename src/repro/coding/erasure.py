@@ -15,12 +15,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.exceptions import DecodingError
 from repro.gf.lagrange import lagrange_interpolate
-from repro.gf.matrix_cache import cached_interpolation_matrix, cached_vandermonde
-from repro.gf.polynomial import Poly
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.reed_solomon import DecodingResult, ReedSolomonCode
 
@@ -77,72 +73,6 @@ class ErasureDecoder:
             codeword=codeword,
             error_positions=error_positions,
         )
-
-    def decode_batch(
-        self, received_rows: Sequence[Sequence[int | None]]
-    ) -> list[DecodingResult]:
-        """Decode many erased words at once with cached decode matrices.
-
-        Rows are grouped by erasure pattern; for each pattern the candidate
-        polynomial of every row in the group comes from one cached
-        interpolation-matrix product over the first ``K`` survivors and is
-        verified against all survivors with one cached re-encode product.
-        Rows whose survivors are not consistent (errors present) fall back to
-        the scalar :meth:`decode_with_erasures`, so every returned result is
-        bit-identical to the scalar path — including raising the same
-        :class:`DecodingError` for undecodable rows.
-        """
-        patterns: dict[tuple[int, ...], list[int]] = {}
-        rows: list[list[int | None]] = []
-        for index, row in enumerate(received_rows):
-            row = list(row)
-            if len(row) != self.code.length:
-                raise DecodingError(
-                    f"received word length {len(row)} does not match code length "
-                    f"{self.code.length}"
-                )
-            rows.append(row)
-            pattern = tuple(i for i, v in enumerate(row) if v is None)
-            patterns.setdefault(pattern, []).append(index)
-
-        results: list[DecodingResult | None] = [None] * len(rows)
-        dimension = self.code.dimension
-        for pattern, indices in patterns.items():
-            present = [i for i in range(self.code.length) if i not in pattern]
-            if len(present) < dimension:
-                # Reproduce the scalar error (row order does not matter: every
-                # row in this group fails identically).
-                self.decode_with_erasures(rows[indices[0]])
-            pivot = present[:dimension]
-            pivot_points = tuple(
-                int(self.code.evaluation_points[i]) for i in pivot
-            )
-            inverse = cached_interpolation_matrix(self.field, pivot_points)
-            encoding = cached_vandermonde(
-                self.field, self.code.points_key, dimension
-            )
-            group = self.field.array(
-                [[rows[r][i] for i in pivot] for r in indices]
-            )
-            coeffs = self.field.matmul(group, inverse.T)
-            reencoded = self.field.matmul(coeffs, encoding.T)
-            received = self.field.array(
-                [[rows[r][i] for i in present] for r in indices]
-            )
-            consistent_rows = np.all(
-                reencoded[:, present] == received, axis=1
-            )
-            for position, row_index in enumerate(indices):
-                row = rows[row_index]
-                if consistent_rows[position]:
-                    results[row_index] = DecodingResult(
-                        polynomial=Poly(self.field, coeffs[position]),
-                        codeword=reencoded[position].copy(),
-                        error_positions=(),
-                    )
-                else:
-                    results[row_index] = self.decode_with_erasures(row)
-        return [result for result in results if result is not None]
 
     def decode_erasures_only(self, received: Sequence[int | None]) -> DecodingResult:
         """Decode assuming every present symbol is correct (pure erasures).

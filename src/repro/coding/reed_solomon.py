@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.exceptions import DecodingError, FieldError
 from repro.gf.field import Field
-from repro.gf.matrix_cache import cached_interpolation_matrix, cached_vandermonde
+from repro.gf.matrix_cache import cached_vandermonde
 from repro.gf.polynomial import Poly
 
 
@@ -114,7 +114,7 @@ class ReedSolomonCode:
             )
         return self.encode_polynomial(Poly(self.field, coeffs))
 
-    # -- batched paths (cached-matrix pipeline) ----------------------------------------
+    # -- matrix view (cached-matrix pipeline) ------------------------------------------
     @property
     def points_key(self) -> tuple[int, ...]:
         """The evaluation points as a hashable tuple (matrix-cache key part)."""
@@ -124,63 +124,6 @@ class ReedSolomonCode:
     def encoding_matrix(self) -> np.ndarray:
         """The cached ``n x k`` Vandermonde encoding matrix ``V[i, j] = x_i**j``."""
         return cached_vandermonde(self.field, self.points_key, self.dimension)
-
-    def encode_batch(self, messages: np.ndarray) -> np.ndarray:
-        """Encode ``B`` coefficient vectors at once: ``(B, k) -> (B, n)``.
-
-        One ``GF(p)`` matrix–matrix product with the cached encoding matrix
-        replaces ``B`` Horner evaluations; the output rows are bit-identical
-        to ``encode(messages[b])``.
-        """
-        arr = self.field.array(messages)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2 or arr.shape[1] != self.dimension:
-            raise FieldError(
-                f"expected a (batch, {self.dimension}) message array, got {arr.shape}"
-            )
-        return self.field.matmul(arr, self.encoding_matrix.T)
-
-    def decode_batch(self, words: np.ndarray) -> list[DecodingResult]:
-        """Decode ``B`` received words at once: ``(B, n) -> B`` results.
-
-        Clean rows (exact codewords — the overwhelmingly common case of the
-        batched round pipeline) are decoded with two cached matrix products:
-        candidate coefficients from the first ``k`` positions, then a
-        re-encode to verify all ``n``.  Rows that fail verification fall back
-        to the scalar Berlekamp–Welch decoder, so the per-row results are
-        always bit-identical to the scalar path.
-        """
-        arr = self.field.array(words)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2 or arr.shape[1] != self.length:
-            raise FieldError(
-                f"expected a (batch, {self.length}) received array, got {arr.shape}"
-            )
-        pivot_points = self.points_key[: self.dimension]
-        inverse = cached_interpolation_matrix(self.field, pivot_points)
-        coeffs = self.field.matmul(arr[:, : self.dimension], inverse.T)
-        reencoded = self.field.matmul(coeffs, self.encoding_matrix.T)
-        clean = np.all(reencoded == arr, axis=1)
-        fallback = None
-        results: list[DecodingResult] = []
-        for row in range(arr.shape[0]):
-            if clean[row]:
-                results.append(
-                    DecodingResult(
-                        polynomial=Poly(self.field, coeffs[row]),
-                        codeword=reencoded[row].copy(),
-                        error_positions=(),
-                    )
-                )
-            else:
-                if fallback is None:
-                    from repro.coding.berlekamp_welch import BerlekampWelchDecoder
-
-                    fallback = BerlekampWelchDecoder(self)
-                results.append(fallback.decode(arr[row]))
-        return results
 
     # -- helpers shared by decoders -------------------------------------------------------
     def check_received_length(self, received: Sequence[int]) -> np.ndarray:

@@ -27,132 +27,43 @@ leader's signature plus the echo step.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.exceptions import ConsensusError, LivenessError
-from repro.consensus.command_pool import CommandPool, SubmittedCommand
+from repro.exceptions import ConsensusError
+from repro.consensus.command_pool import SubmittedCommand
 from repro.consensus.interface import ConsensusDecision, ConsensusProtocol
-from repro.net.byzantine import (
-    ByzantineBehavior,
-    EquivocatingBehavior,
-    HonestBehavior,
-    SilentBehavior,
-    DelayingBehavior,
-)
 from repro.net.message import Message, MessageKind
-from repro.net.network import SimulatedNetwork
-from repro.rng import default_stream
 
 
 class AuthenticatedBroadcastConsensus(ConsensusProtocol):
-    """Signed leader-broadcast consensus (synchronous model).
+    """Signed leader-broadcast consensus (synchronous model)."""
 
-    Parameters
-    ----------
-    network:
-        The simulated network all nodes are registered on.
-    node_ids:
-        Ordered list of the ``N`` compute node identifiers.
-    pool:
-        The shared pool of client-submitted commands (clients broadcast to
-        every node, so all honest nodes hold the same pool contents).
-    behaviors:
-        Mapping from node id to its :class:`ByzantineBehavior`; missing nodes
-        are honest.
-    """
-
-    def __init__(
-        self,
-        network: SimulatedNetwork,
-        node_ids: list[str],
-        pool: CommandPool,
-        behaviors: dict[str, ByzantineBehavior] | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if not node_ids:
-            raise ConsensusError("consensus needs at least one node")
-        self.network = network
-        self.node_ids = list(node_ids)
-        self.pool = pool
-        self.behaviors = dict(behaviors or {})
-        self.rng = rng if rng is not None else default_stream()
-        for node_id in self.node_ids:
-            self.network.register(node_id)
+    _views_exhausted_text = (
+        "no view with an honest leader within {max_views} attempts "
+        "(more faults than nodes?)"
+    )
 
     # -- protocol properties ------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return len(self.node_ids)
-
     @property
     def fault_tolerance(self) -> int:
         """Consistency holds for any ``b < N`` with signatures (Table 2 row 1)."""
         return self.num_nodes - 1
 
-    def behavior_of(self, node_id: str) -> ByzantineBehavior:
-        return self.behaviors.get(node_id, HonestBehavior())
+    @property
+    def max_views(self) -> int:
+        """Leaders rotate and ``b < N``: ``N`` views always reach an honest one."""
+        return self.num_nodes
 
-    def honest_nodes(self) -> list[str]:
-        return [n for n in self.node_ids if not self.behavior_of(n).is_faulty]
+    def _forged_payload(self, payload: dict) -> dict:
+        # Default Byzantine leader: propose a command nobody submitted.
+        bogus = dict(payload)
+        bogus["commands"] = [[int(v) + 7 for v in row] for row in payload["commands"]]
+        bogus["clients"] = ["client:forged"] * len(payload["clients"])
+        return bogus
 
-    def leader_for(self, round_index: int, view: int) -> str:
-        return self.node_ids[(round_index + view) % self.num_nodes]
-
-    # -- one round -------------------------------------------------------------------
-    def decide_round(self, round_index: int) -> dict[str, ConsensusDecision]:
-        selected = self.pool.peek_round()
-        if any(entry is None for entry in selected):
-            raise LivenessError(
-                "every state machine needs at least one pending client command"
-            )
-        max_views = self.num_nodes
-        for view in range(max_views):
-            leader = self.leader_for(round_index, view)
-            decisions = self._attempt_view(round_index, view, leader, selected)
-            if decisions:
-                # Remove the decided commands from the pool exactly once.
-                sample = next(iter(decisions.values()))
-                for k, entry in enumerate(sample.selected):
-                    self.pool.mark_executed(k, entry)
-                return decisions
-        raise ConsensusError(
-            f"no view with an honest leader within {max_views} attempts "
-            "(more faults than nodes?)"
-        )
-
-    # -- vectorised message plane ------------------------------------------------------
-    # ConsensusProtocol.decide_rounds drives batches of rounds through this
-    # path by default: each propose/echo phase is dispatched and tallied as a
-    # struct-of-arrays PhaseBatch instead of per-copy messages.  decide_round
-    # above stays the event-driven reference oracle; decisions, rng stream,
-    # counters and delivery log are bit-identical between the two.
-    def _decide_round_vectorised(
-        self, round_index: int, plane
-    ) -> dict[str, ConsensusDecision]:
-        selected = self.pool.peek_round()
-        if any(entry is None for entry in selected):
-            raise LivenessError(
-                "every state machine needs at least one pending client command"
-            )
-        # Validity consults the pool, which only changes between rounds
-        # (mark_executed), so the memo must not outlive this round.
-        validity: dict[int, bool] = {}
-        max_views = self.num_nodes
-        for view in range(max_views):
-            leader = self.leader_for(round_index, view)
-            decisions = self._attempt_view_vectorised(
-                round_index, view, leader, selected, plane, validity
-            )
-            if decisions:
-                sample = next(iter(decisions.values()))
-                for k, entry in enumerate(sample.selected):
-                    self.pool.mark_executed(k, entry)
-                return decisions
-        raise ConsensusError(
-            f"no view with an honest leader within {max_views} attempts "
-            "(more faults than nodes?)"
-        )
-
+    # -- one view on the vectorised message plane ----------------------------------------
+    # Each propose/echo phase is dispatched and tallied as a struct-of-arrays
+    # PhaseBatch instead of per-copy messages.  _attempt_view below stays the
+    # event-driven reference oracle; decisions, rng stream, counters and
+    # delivery log are bit-identical between the two.
     def _attempt_view_vectorised(
         self,
         round_index: int,
@@ -162,17 +73,7 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
         plane,
         validity: dict[int, bool],
     ) -> dict[str, ConsensusDecision]:
-        behavior = self.behavior_of(leader)
-        broadcasts, sends = self._propose_actions(
-            round_index, view, leader, behavior, selected
-        )
-        # Equivocation stays on the scalar path: targeted sends go through
-        # the scheduler (consuming the rng exactly as the oracle does) and
-        # surface at collection as stragglers.
-        for message in sends:
-            self.network.send(message)
-        refs = [plane.register(message.payload) for message in broadcasts]
-        batch = plane.broadcast_phase(broadcasts, refs)
+        batch = self._propose_on_plane(round_index, view, leader, selected, plane)
         proposals = plane.collect_phase(
             batch, MessageKind.CONSENSUS_PROPOSAL, round_index
         )
@@ -219,7 +120,10 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
                 key = plane.content_key(ref, self._payload_key)
                 if key not in seen:
                     seen[key] = ref
+            seen_refs = set(seen.values())
             for message, ref in echoes.messages_for(j):
+                if ref in seen_refs:
+                    continue  # an echo of a payload already seen adds nothing
                 if message.metadata.get("view") != view:
                     continue
                 if message.metadata.get("leader") != leader:
@@ -227,6 +131,7 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
                 key = plane.content_key(ref, self._payload_key)
                 if key not in seen:
                     seen[key] = ref
+                    seen_refs.add(ref)
             valid_refs = [
                 ref for ref in seen.values() if self._ref_valid(ref, plane, validity)
             ]
@@ -247,13 +152,6 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
             raise ConsensusError("honest nodes decided different command vectors")
         return decisions
 
-    def _ref_valid(self, ref: int, plane, validity: dict[int, bool]) -> bool:
-        cached = validity.get(ref)
-        if cached is None:
-            cached = self._is_valid_proposal(plane.payload(ref))
-            validity[ref] = cached
-        return cached
-
     # -- internals ----------------------------------------------------------------------
     def _attempt_view(
         self,
@@ -262,8 +160,7 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
         leader: str,
         selected: list[SubmittedCommand],
     ) -> dict[str, ConsensusDecision]:
-        leader_behavior = self.behavior_of(leader)
-        self._leader_propose(round_index, view, leader, leader_behavior, selected)
+        self._propose(round_index, view, leader, selected)
         # Step 1 timeout: collect the leader's proposal at every node.
         received = self.network.collect_all(
             self.node_ids, kind=MessageKind.CONSENSUS_PROPOSAL, round_index=round_index
@@ -310,92 +207,6 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
             raise ConsensusError("honest nodes decided different command vectors")
         return decisions
 
-    def _leader_propose(
-        self,
-        round_index: int,
-        view: int,
-        leader: str,
-        behavior: ByzantineBehavior,
-        selected: list[SubmittedCommand],
-    ) -> None:
-        broadcasts, sends = self._propose_actions(
-            round_index, view, leader, behavior, selected
-        )
-        for message in sends:
-            self.network.send(message)
-        for message in broadcasts:
-            self.network.broadcast(message, recipients=self.node_ids)
-
-    def _propose_actions(
-        self,
-        round_index: int,
-        view: int,
-        leader: str,
-        behavior: ByzantineBehavior,
-        selected: list[SubmittedCommand],
-    ) -> tuple[list[Message], list[Message]]:
-        """The leader's propose step as ``(broadcasts, targeted sends)``.
-
-        Shared by the event-driven oracle and the vectorised plane so the
-        two paths dispatch identical messages by construction; a behavior
-        either broadcasts or equivocates via sends, never both.
-        """
-        honest_payload = self._payload_from_selection(selected)
-        if not behavior.is_faulty:
-            proposal = Message(
-                sender=leader,
-                recipient="*",
-                kind=MessageKind.CONSENSUS_PROPOSAL,
-                round_index=round_index,
-                payload=honest_payload,
-                metadata={"view": view},
-            )
-            return [proposal], []
-        if isinstance(behavior, (SilentBehavior, DelayingBehavior)):
-            return [], []  # no proposal this view
-        if isinstance(behavior, EquivocatingBehavior):
-            # Different (still validly signed) proposals to different halves.
-            midpoint = self.num_nodes // 2
-            alt_payload = dict(honest_payload)
-            alt_payload["commands"] = [
-                [int(v) + 1 for v in row] for row in honest_payload["commands"]
-            ]
-            sends = [
-                Message(
-                    sender=leader,
-                    recipient=node_id,
-                    kind=MessageKind.CONSENSUS_PROPOSAL,
-                    round_index=round_index,
-                    payload=honest_payload if index < midpoint else alt_payload,
-                    metadata={"view": view},
-                )
-                for index, node_id in enumerate(self.node_ids)
-            ]
-            return [], sends
-        # Default Byzantine leader: propose a command nobody submitted.
-        bogus = dict(honest_payload)
-        bogus["commands"] = [[int(v) + 7 for v in row] for row in honest_payload["commands"]]
-        bogus["clients"] = ["client:forged"] * len(honest_payload["clients"])
-        proposal = Message(
-            sender=leader,
-            recipient="*",
-            kind=MessageKind.CONSENSUS_PROPOSAL,
-            round_index=round_index,
-            payload=bogus,
-            metadata={"view": view},
-        )
-        return [proposal], []
-
-    @staticmethod
-    def _payload_from_selection(selected: list[SubmittedCommand]) -> dict:
-        # Sequences ride along so the decided entries can be removed from the
-        # pool keyed on their unique submission sequence (mark_executed).
-        return {
-            "commands": [list(entry.command) for entry in selected],
-            "clients": [entry.client_id for entry in selected],
-            "sequences": [entry.sequence for entry in selected],
-        }
-
     def _distinct_proposals(
         self, view: int, leader: str, direct: list[Message], echoes: list[Message]
     ) -> list[dict]:
@@ -421,50 +232,4 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
         return (
             tuple(tuple(int(v) for v in row) for row in payload["commands"]),
             tuple(int(v) for v in payload.get("sequences") or ()),
-        )
-
-    def _is_valid_proposal(self, payload: dict) -> bool:
-        commands = payload.get("commands")
-        clients = payload.get("clients")
-        sequences = payload.get("sequences")
-        if not commands or not clients or len(commands) != self.pool.num_machines:
-            return False
-        if not sequences or len(sequences) != len(commands):
-            return False
-        for k, (command, client, sequence) in enumerate(
-            zip(commands, clients, sequences)
-        ):
-            if not self.pool.was_submitted(k, command, client):
-                return False
-            # Bind the (unsigned) sequence back to a pending pool entry so a
-            # forged sequence invalidates the proposal here instead of
-            # derailing mark_executed after the decision.
-            if not self.pool.matches_pending(k, command, client, sequence):
-                return False
-        return True
-
-    def _decision_from_payload(
-        self, round_index: int, view: int, leader: str, payload: dict
-    ) -> ConsensusDecision:
-        commands = np.array(payload["commands"], dtype=np.int64)
-        clients = list(payload["clients"])
-        # A payload missing its sequences (a pre-redesign or forged proposal)
-        # yields sentinel -1 entries, which mark_executed rejects loudly.
-        sequences = list(payload.get("sequences") or [-1] * len(clients))
-        selected = [
-            SubmittedCommand(
-                machine_index=k,
-                client_id=clients[k],
-                command=tuple(int(v) for v in commands[k]),
-                sequence=int(sequences[k]),
-            )
-            for k in range(commands.shape[0])
-        ]
-        return ConsensusDecision(
-            round_index=round_index,
-            commands=commands,
-            clients=clients,
-            selected=selected,
-            leader=leader,
-            view=view,
         )

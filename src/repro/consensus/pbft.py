@@ -27,25 +27,25 @@ prepared certificates across views is unnecessary for safety in this setting.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
-from repro.exceptions import ConsensusError, LivenessError
+from repro.exceptions import ConsensusError
 from repro.consensus.command_pool import CommandPool, SubmittedCommand
 from repro.consensus.interface import ConsensusDecision, ConsensusProtocol
-from repro.net.byzantine import (
-    ByzantineBehavior,
-    EquivocatingBehavior,
-    HonestBehavior,
-    SilentBehavior,
-    DelayingBehavior,
-)
+from repro.net.byzantine import ByzantineBehavior
 from repro.net.message import Message, MessageKind
 from repro.net.network import SimulatedNetwork
-from repro.rng import default_stream
 
 
 class PBFTConsensus(ConsensusProtocol):
     """Three-phase PBFT over the simulated (partially synchronous) network."""
+
+    _views_exhausted_text = (
+        "PBFT failed to decide round {round_index} within {max_views} views "
+        "(network may not have stabilised or too many faults)"
+    )
 
     def __init__(
         self,
@@ -59,21 +59,11 @@ class PBFTConsensus(ConsensusProtocol):
     ) -> None:
         if len(node_ids) < 4:
             raise ConsensusError("PBFT needs at least 4 nodes (N >= 3b + 1 with b >= 1)")
-        self.network = network
-        self.node_ids = list(node_ids)
-        self.pool = pool
-        self.behaviors = dict(behaviors or {})
-        self.rng = rng if rng is not None else default_stream()
+        super().__init__(network, node_ids, pool, behaviors, rng)
         self.max_views = int(max_views)
         self.view_timeout = view_timeout
-        for node_id in self.node_ids:
-            self.network.register(node_id)
 
     # -- protocol properties --------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return len(self.node_ids)
-
     @property
     def fault_tolerance(self) -> int:
         """PBFT tolerates ``f = floor((N - 1) / 3)`` Byzantine nodes."""
@@ -83,68 +73,20 @@ class PBFTConsensus(ConsensusProtocol):
     def quorum(self) -> int:
         return 2 * self.fault_tolerance + 1
 
-    def behavior_of(self, node_id: str) -> ByzantineBehavior:
-        return self.behaviors.get(node_id, HonestBehavior())
+    #: PBFT's name for a view's leader.
+    primary_for = ConsensusProtocol.leader_for
 
-    def honest_nodes(self) -> list[str]:
-        return [n for n in self.node_ids if not self.behavior_of(n).is_faulty]
+    def _forged_payload(self, payload: dict) -> dict:
+        bogus = dict(payload)
+        bogus["clients"] = ["client:forged"] * len(payload["clients"])
+        return bogus
 
-    def primary_for(self, round_index: int, view: int) -> str:
-        return self.node_ids[(round_index + view) % self.num_nodes]
-
-    # -- one round --------------------------------------------------------------------
-    def decide_round(self, round_index: int) -> dict[str, ConsensusDecision]:
-        selected = self.pool.peek_round()
-        if any(entry is None for entry in selected):
-            raise LivenessError(
-                "every state machine needs at least one pending client command"
-            )
-        for view in range(self.max_views):
-            primary = self.primary_for(round_index, view)
-            decisions = self._attempt_view(round_index, view, primary, selected)
-            if decisions:
-                sample = next(iter(decisions.values()))
-                for k, entry in enumerate(sample.selected):
-                    self.pool.mark_executed(k, entry)
-                return decisions
-        raise ConsensusError(
-            f"PBFT failed to decide round {round_index} within {self.max_views} views "
-            "(network may not have stabilised or too many faults)"
-        )
-
-    # -- vectorised message plane ------------------------------------------------------
-    # ConsensusProtocol.decide_rounds drives batches of rounds through this
-    # path by default: each pre-prepare/prepare/commit phase is dispatched
-    # and quorum-tallied as a struct-of-arrays PhaseBatch instead of per-copy
-    # messages and mailbox drains.  decide_round above stays the event-driven
-    # reference oracle; decisions, rng stream, counters and delivery log are
+    # -- one view on the vectorised message plane ----------------------------------------
+    # Each pre-prepare/prepare/commit phase is dispatched and quorum-tallied
+    # as a struct-of-arrays PhaseBatch instead of per-copy messages and
+    # mailbox drains.  _attempt_view below stays the event-driven reference
+    # oracle; decisions, rng stream, counters and delivery log are
     # bit-identical between the two.
-    def _decide_round_vectorised(
-        self, round_index: int, plane
-    ) -> dict[str, ConsensusDecision]:
-        selected = self.pool.peek_round()
-        if any(entry is None for entry in selected):
-            raise LivenessError(
-                "every state machine needs at least one pending client command"
-            )
-        # Validity consults the pool, which only changes between rounds
-        # (mark_executed), so the memo must not outlive this round.
-        validity: dict[int, bool] = {}
-        for view in range(self.max_views):
-            primary = self.primary_for(round_index, view)
-            decisions = self._attempt_view_vectorised(
-                round_index, view, primary, selected, plane, validity
-            )
-            if decisions:
-                sample = next(iter(decisions.values()))
-                for k, entry in enumerate(sample.selected):
-                    self.pool.mark_executed(k, entry)
-                return decisions
-        raise ConsensusError(
-            f"PBFT failed to decide round {round_index} within {self.max_views} views "
-            "(network may not have stabilised or too many faults)"
-        )
-
     def _attempt_view_vectorised(
         self,
         round_index: int,
@@ -155,19 +97,7 @@ class PBFTConsensus(ConsensusProtocol):
         validity: dict[int, bool],
     ) -> dict[str, ConsensusDecision]:
         timeout = self.view_timeout or self.network.delay_model.synchronous_bound
-        payload = {
-            "commands": [list(entry.command) for entry in selected],
-            "clients": [entry.client_id for entry in selected],
-            "sequences": [entry.sequence for entry in selected],
-        }
-        broadcasts, sends = self._pre_prepare_actions(round_index, view, primary, payload)
-        # Equivocation stays on the scalar path: targeted sends go through
-        # the scheduler (consuming the rng exactly as the oracle does) and
-        # surface at collection as stragglers.
-        for message in sends:
-            self.network.send(message)
-        refs = [plane.register(message.payload) for message in broadcasts]
-        batch = plane.broadcast_phase(broadcasts, refs)
+        batch = self._propose_on_plane(round_index, view, primary, selected, plane)
         pre_prepares = plane.collect_phase(
             batch, MessageKind.CONSENSUS_PROPOSAL, round_index, timeout
         )
@@ -298,13 +228,6 @@ class PBFTConsensus(ConsensusProtocol):
             vote_cache[digest] = vote_payload
         return vote_payload
 
-    def _ref_valid(self, ref: int, plane, validity: dict[int, bool]) -> bool:
-        cached = validity.get(ref)
-        if cached is None:
-            cached = self._is_valid_proposal(plane.payload(ref))
-            validity[ref] = cached
-        return cached
-
     # -- internals ----------------------------------------------------------------------
     def _attempt_view(
         self,
@@ -314,16 +237,7 @@ class PBFTConsensus(ConsensusProtocol):
         selected: list[SubmittedCommand],
     ) -> dict[str, ConsensusDecision]:
         timeout = self.view_timeout or self.network.delay_model.synchronous_bound
-        # Sequences ride along so the decided entries can be removed from the
-        # pool keyed on their unique submission sequence (mark_executed);
-        # they are covered by the digest and bound to pending pool entries by
-        # the validity check, so they cannot be forged or equivocated on.
-        payload = {
-            "commands": [list(entry.command) for entry in selected],
-            "clients": [entry.client_id for entry in selected],
-            "sequences": [entry.sequence for entry in selected],
-        }
-        self._primary_pre_prepare(round_index, view, primary, payload)
+        self._propose(round_index, view, primary, selected)
         pre_prepares = self.network.collect_all(
             self.node_ids,
             kind=MessageKind.CONSENSUS_PROPOSAL,
@@ -411,89 +325,8 @@ class PBFTConsensus(ConsensusProtocol):
             return {}
         return decisions
 
-    def _primary_pre_prepare(
-        self, round_index: int, view: int, primary: str, payload: dict
-    ) -> None:
-        broadcasts, sends = self._pre_prepare_actions(round_index, view, primary, payload)
-        for message in sends:
-            self.network.send(message)
-        for message in broadcasts:
-            self.network.broadcast(message, recipients=self.node_ids)
-
-    def _pre_prepare_actions(
-        self, round_index: int, view: int, primary: str, payload: dict
-    ) -> tuple[list[Message], list[Message]]:
-        """The primary's pre-prepare step as ``(broadcasts, targeted sends)``.
-
-        Shared by the event-driven oracle and the vectorised plane so the
-        two paths dispatch identical messages by construction; a behavior
-        either broadcasts or equivocates via sends, never both.
-        """
-        behavior = self.behavior_of(primary)
-        if not behavior.is_faulty:
-            message = Message(
-                sender=primary,
-                recipient="*",
-                kind=MessageKind.CONSENSUS_PROPOSAL,
-                round_index=round_index,
-                payload=payload,
-                metadata={"view": view},
-            )
-            return [message], []
-        if isinstance(behavior, (SilentBehavior, DelayingBehavior)):
-            return [], []
-        if isinstance(behavior, EquivocatingBehavior):
-            alt = dict(payload)
-            alt["commands"] = [[int(v) + 1 for v in row] for row in payload["commands"]]
-            midpoint = self.num_nodes // 2
-            sends = [
-                Message(
-                    sender=primary,
-                    recipient=node_id,
-                    kind=MessageKind.CONSENSUS_PROPOSAL,
-                    round_index=round_index,
-                    payload=payload if index < midpoint else alt,
-                    metadata={"view": view},
-                )
-                for index, node_id in enumerate(self.node_ids)
-            ]
-            return [], sends
-        bogus = dict(payload)
-        bogus["clients"] = ["client:forged"] * len(payload["clients"])
-        message = Message(
-            sender=primary,
-            recipient="*",
-            kind=MessageKind.CONSENSUS_PROPOSAL,
-            round_index=round_index,
-            payload=bogus,
-            metadata={"view": view},
-        )
-        return [message], []
-
-    def _is_valid_proposal(self, payload: dict) -> bool:
-        commands = payload.get("commands")
-        clients = payload.get("clients")
-        sequences = payload.get("sequences")
-        if not commands or not clients or len(commands) != self.pool.num_machines:
-            return False
-        if not sequences or len(sequences) != len(commands):
-            return False
-        for k, (command, client, sequence) in enumerate(
-            zip(commands, clients, sequences)
-        ):
-            if not self.pool.was_submitted(k, command, client):
-                return False
-            # Bind the (unsigned) sequence back to a pending pool entry so a
-            # forged sequence invalidates the pre-prepare here instead of
-            # derailing mark_executed after the decision.
-            if not self.pool.matches_pending(k, command, client, sequence):
-                return False
-        return True
-
     @staticmethod
     def _digest(payload: dict) -> str:
-        import hashlib
-
         canonical = repr(
             (
                 tuple(tuple(int(v) for v in row) for row in payload["commands"]),
@@ -502,29 +335,3 @@ class PBFTConsensus(ConsensusProtocol):
             )
         ).encode()
         return hashlib.sha256(canonical).hexdigest()
-
-    def _decision_from_payload(
-        self, round_index: int, view: int, primary: str, payload: dict
-    ) -> ConsensusDecision:
-        commands = np.array(payload["commands"], dtype=np.int64)
-        clients = list(payload["clients"])
-        # A payload missing its sequences (a pre-redesign or forged proposal)
-        # yields sentinel -1 entries, which mark_executed rejects loudly.
-        sequences = list(payload.get("sequences") or [-1] * len(clients))
-        selected = [
-            SubmittedCommand(
-                machine_index=k,
-                client_id=clients[k],
-                command=tuple(int(v) for v in commands[k]),
-                sequence=int(sequences[k]),
-            )
-            for k in range(commands.shape[0])
-        ]
-        return ConsensusDecision(
-            round_index=round_index,
-            commands=commands,
-            clients=clients,
-            selected=selected,
-            leader=primary,
-            view=view,
-        )

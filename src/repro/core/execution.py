@@ -46,18 +46,18 @@ class _SpeculativeRound:
     speculative decode was based on; ``faulty_rows`` caches the Byzantine
     nodes' transformed rows so a rollback replay re-uses them instead of
     re-drawing from the rng stream (which would desynchronise it from the
-    batched path and break bit-identity).
+    batched path and break bit-identity).  ``ops`` is the per-node tally up
+    to and including the speculative refresh; ``pivot_entry`` the
+    :meth:`CodedExecutionEngine._pipeline_pivot_cache` entry speculated on.
     """
 
     batch_index: int
     coded_commands: np.ndarray
     matrix: np.ndarray
     faulty_rows: dict
-    pivot: list
-    reference_states: np.ndarray
-    reference_outputs: np.ndarray
-    base_ops: dict
-    spec_ops: int
+    reference: np.ndarray
+    ops: np.ndarray
+    pivot_entry: tuple
 
 
 class CodedExecutionEngine(BatchExecutionMixin):
@@ -100,26 +100,37 @@ class CodedExecutionEngine(BatchExecutionMixin):
         )
         # Reference (true) states; shape (K, state_dim).
         self.states = np.tile(machine.initial_state, (config.num_machines, 1))
-        coded_states = self.encoder.encode(self.states)
-        self.nodes: list[CSMNode] = []
-        for index, node_id in enumerate(self.node_ids):
-            behavior = self.behaviors.get(node_id, HonestBehavior())
-            self.nodes.append(
-                CSMNode(
-                    node_id=node_id,
-                    node_index=index,
-                    field=self.field,
-                    transition=machine.transition,
-                    coefficient_row=self.scheme.coefficient_row(index),
-                    initial_coded_state=coded_states[index],
-                    behavior=behavior,
-                )
+        # The one resident copy of the coded states, shape (N, state_dim):
+        # row i *is* node i's storage (CodedStateStore adopts the canonical
+        # row it is given), so the stacked rounds evaluate and refresh the
+        # bank directly while the scalar per-node path reads and writes the
+        # same memory.
+        self._bank = self.encoder.encode(self.states)
+        self.nodes: list[CSMNode] = [
+            CSMNode(
+                node_id=node_id,
+                node_index=index,
+                field=self.field,
+                transition=machine.transition,
+                coefficient_row=self.scheme.coefficient_row(index),
+                initial_coded_state=self._bank[index],
+                behavior=self.behaviors.get(node_id, HonestBehavior()),
             )
+            for index, node_id in enumerate(self.node_ids)
+        ]
         self.round_index = 0
         # Node indices caught reporting erroneous results; the batched decode
         # fast path avoids picking these as interpolation pivots (see
         # CodedResultDecoder.decode_fast).
         self._suspects: set[int] = set()
+        # pivot -> entry of _pipeline_pivot_cache.
+        self._fused_refresh_cache: dict[tuple, tuple] = {}
+        # Rollback anchors of the pipelined call in flight: its first round
+        # index, the bank entering it, and the decoded states of the last
+        # resolved round that refreshed (None until one has).
+        self._pipeline_round_base = 0
+        self._pipeline_initial_bank: np.ndarray | None = None
+        self._pipeline_resolved_refresh: np.ndarray | None = None
         # When True, a round that fails verification (or fails to decode)
         # advances *nothing*: the reference states stay put and honest nodes
         # keep their coded states, so resubmitting the same commands is
@@ -182,7 +193,7 @@ class CodedExecutionEngine(BatchExecutionMixin):
         for node in self.nodes:
             coded_command = node.encode_command(commands_arr)
             true_results[node.node_index] = node.execute_coded(coded_command)
-        return self._complete_round(commands_arr, true_results, batched=False)
+        return self._complete_round(commands_arr, true_results)
 
     def execute_rounds(self, commands_batch: np.ndarray) -> list[RoundResult]:
         """Run a batch of ``B`` rounds through the cached-matrix pipeline.
@@ -228,12 +239,22 @@ class CodedExecutionEngine(BatchExecutionMixin):
         coded_commands = self.encoder.encode_batch(batch_arr)
         results: list[RoundResult] = []
         for b in range(batch_arr.shape[0]):
-            commands_arr = batch_arr[b]
-            self._prime_round_counters()
-            true_results = self._coded_step_all_nodes(coded_commands[b])
-            results.append(
-                self._complete_round(commands_arr, true_results, batched=True)
+            ops = self._round_ops()
+            true_results = self._coded_step(coded_commands[b], ops)
+            next_states, reference = self._reference_round(batch_arr[b])
+            faulty_rows = self._draw_faulty_rows(true_results)
+            result = self._resolve_round(
+                self.round_index,
+                self._reported(true_results, faulty_rows),
+                reference,
+                ops,
             )
+            # The true machines move on regardless — unless the round is
+            # frozen for retry.
+            if "state_frozen" not in result.diagnostics:
+                self.states = next_states
+            self.round_index += 1
+            results.append(result)
         return results
 
     # -- speculative pipelined execution -------------------------------------------------
@@ -302,35 +323,25 @@ class CodedExecutionEngine(BatchExecutionMixin):
         num_rounds = batch_arr.shape[0]
         results: list[RoundResult | None] = [None] * num_rounds
         window: list[_SpeculativeRound] = []
-        # The contiguous coded-state bank the speculative rounds advance;
-        # node storage is synchronised once, when the call completes.
-        self._pipeline_honest_nodes = self.honest_nodes()
-        self._pipeline_honest_idx = np.array(
-            [node.node_index for node in self._pipeline_honest_nodes], dtype=np.intp
-        )
-        self._pipeline_bank = np.stack(
-            [node.storage.coded_state for node in self.nodes]
-        )
-        # Rollback anchors: the honest coded states entering this call, then
-        # the decoded states of the last resolved round that refreshed.
+        # Rollback anchors: the coded states entering this call, then the
+        # decoded states of the last resolved round that refreshed.
         self._pipeline_round_base = self.round_index
-        self._pipeline_initial_bank = self._pipeline_bank.copy()
+        self._pipeline_initial_bank = self._bank.copy()
         self._pipeline_resolved_refresh = None
         window_target = 1
         pivot_cache: tuple | None = None
+        state_dim = self.machine.state_dim
         for b in range(num_rounds):
-            commands_arr = batch_arr[b]
-            self._prime_round_counters()
-            true_results = self._coded_step_from_bank(coded_commands[b])
-            reference_states, reference_outputs = self._reference_step(commands_arr)
-            self.states = reference_states
-            matrix, faulty_rows = self._pipeline_reported(true_results)
+            ops = self._round_ops()
+            true_results = self._coded_step(coded_commands[b], ops)
+            self.states, reference = self._reference_round(batch_arr[b])
+            faulty_rows = self._draw_faulty_rows(true_results)
             if any(row is None for row in faulty_rows.values()):
                 # Partial presence: flush speculation, then resolve this
                 # round inline through the erasure-capable decode.  If the
                 # flush rolled back, this round's honest results were
                 # computed on the mis-speculated bank: recompute them on the
-                # repaired states (the counters re-charge exactly as a
+                # repaired states (the tally re-charges exactly as a
                 # replay does; Byzantine rows and the rng stream come from
                 # the cache, so no draw is repeated).
                 window_target, rolled_back = self._resolve_pipeline_window(
@@ -338,43 +349,31 @@ class CodedExecutionEngine(BatchExecutionMixin):
                 )
                 pivot_cache = None
                 if rolled_back:
-                    self._prime_round_counters()
-                    true_results = self._coded_step_from_bank(coded_commands[b])
-                    matrix = true_results
-                reported = [
-                    faulty_rows[i] if i in faulty_rows else matrix[i]
-                    for i in range(self.num_nodes)
-                ]
-                results[b] = self._pipeline_resolve_round(
-                    b, reported, reference_states, reference_outputs, "inline"
+                    ops = self._round_ops()
+                    true_results = self._coded_step(coded_commands[b], ops)
+                results[b] = self._resolve_round(
+                    self._pipeline_round_base + b,
+                    self._reported(true_results, faulty_rows),
+                    reference,
+                    ops,
+                    "inline",
                 )
                 continue
+            matrix = self._reported(true_results, faulty_rows)
             if pivot_cache is None:
                 pivot_cache = self._pipeline_pivot_cache()
-            pivot, fused_refresh, spec_ops = pivot_cache
+            pivot, fused_refresh = pivot_cache[:2]
             # Fused speculative decode + refresh: ``(C @ T_omega) @ sub`` is
             # the same canonical product as refreshing from the interpolated
-            # candidate states, in one matrix multiply; ``spec_ops`` charges
-            # the interpolation the fusion absorbed.
-            coded = self.field.matmul(
-                fused_refresh, matrix[pivot, : self.machine.state_dim]
+            # candidate states, in one matrix multiply; the entry's
+            # ``spec_ops`` charges the interpolation the fusion absorbed.
+            self._refresh_honest_states(
+                self.field.matmul(fused_refresh, matrix[pivot, :state_dim])
             )
-            idx = self._pipeline_honest_idx
-            self._pipeline_bank[idx] = coded[idx]
-            self._charge_refresh(self._pipeline_honest_nodes)
+            self._charge_refresh(ops)
             window.append(
                 _SpeculativeRound(
-                    batch_index=b,
-                    coded_commands=coded_commands[b],
-                    matrix=matrix,
-                    faulty_rows=faulty_rows,
-                    pivot=pivot,
-                    reference_states=reference_states,
-                    reference_outputs=reference_outputs,
-                    base_ops={
-                        node.node_id: node.counter.total for node in self.nodes
-                    },
-                    spec_ops=spec_ops,
+                    b, coded_commands[b], matrix, faulty_rows, reference, ops, pivot_cache
                 )
             )
             if len(window) >= min(window_target, verify_window):
@@ -385,51 +384,8 @@ class CodedExecutionEngine(BatchExecutionMixin):
                     pivot_cache = None  # suspects may have shifted the pivot
                 window_target = next_target
         self._resolve_pipeline_window(window, results, window_target, verify_window)
-        # Synchronise node storage with the bank the call advanced (faulty
-        # nodes never refresh, so only honest rows can have moved).  Every
-        # round that decoded refreshed the bank once, so the storage round
-        # counter advances exactly as the batched path's per-round replace.
-        refreshes = sum(
-            1 for result in results if not result.diagnostics["decoding_failed"]
-        )
-        if refreshes:
-            for node in self._pipeline_honest_nodes:
-                # An explicit copy: installing a view of the bank would leave
-                # every honest store aliasing one shared array.
-                node.storage.install_canonical(
-                    self._pipeline_bank[node.node_index].copy(),
-                    rounds=refreshes,
-                )
         self.round_index = self._pipeline_round_base + num_rounds
         return results
-
-    def _pipeline_reported(
-        self, true_results: np.ndarray
-    ) -> tuple[np.ndarray, dict]:
-        """The reported-result matrix with honest rows taken from the stack.
-
-        Byzantine transforms run in node order so the rng stream is consumed
-        exactly as in :meth:`_reported_results`; the transformed rows are
-        returned separately (``None`` marks silence/delay) so a rollback
-        replay can re-use them without re-drawing.
-        """
-        faulty_rows: dict[int, np.ndarray | None] = {}
-        if self.num_faulty == 0:
-            return true_results, faulty_rows
-        matrix = true_results.copy()
-        for node in self.nodes:
-            if not node.is_faulty:
-                continue
-            value = node.report_result(
-                true_results[node.node_index], self.rng, recipient=None
-            )
-            if value is None or node.behavior.delays_message():
-                faulty_rows[node.node_index] = None
-            else:
-                row = self.field.array(value).reshape(-1)
-                faulty_rows[node.node_index] = row
-                matrix[node.node_index] = row
-        return matrix, faulty_rows
 
     def _resolve_pipeline_window(
         self,
@@ -451,8 +407,7 @@ class CodedExecutionEngine(BatchExecutionMixin):
         if not window:
             return window_target, False
         state_dim = self.machine.state_dim
-        pivot = window[0].pivot
-        to_all, to_omegas, _ = self.decoder.pivot_matrices(pivot)
+        pivot, _fused, spec_ops, to_all, to_omegas = window[0].pivot_entry
         stacked = (
             window[0].matrix
             if len(window) == 1
@@ -476,260 +431,204 @@ class CodedExecutionEngine(BatchExecutionMixin):
             columns = slice(offset * width, (offset + 1) * width)
             self._suspects.update(error_nodes)
             candidate = np.ascontiguousarray(candidates[:, columns])
-            decoded_states = candidate[:, :state_dim]
-            reference_results = np.concatenate(
-                [entry.reference_states, entry.reference_outputs], axis=1
+            results[entry.batch_index] = self._round_result(
+                self._pipeline_round_base + entry.batch_index,
+                candidate,
+                error_nodes,
+                bool(np.array_equal(candidate, entry.reference)),
+                entry.ops,
+                spec_ops + verify_share,
+                {"batched": True, "pipelined": True, "speculation": "confirmed"},
             )
-            decode_ops = entry.spec_ops + verify_share
-            ops_per_node = {
-                node.node_id: entry.base_ops[node.node_id]
-                + (decode_ops if not node.is_faulty else 0)
-                for node in self.nodes
-            }
-            results[entry.batch_index] = RoundResult(
-                round_index=self._pipeline_round_base + entry.batch_index,
-                outputs=candidate[:, state_dim:],
-                states=decoded_states.copy(),
-                correct=bool(np.array_equal(candidate, reference_results)),
-                ops_per_node=ops_per_node,
-                diagnostics={
-                    "error_nodes": error_nodes,
-                    "num_faulty": self.num_faulty,
-                    "decoding_failed": False,
-                    "decode_ops": decode_ops,
-                    "batched": True,
-                    "pipelined": True,
-                    "speculation": "confirmed",
-                },
-            )
-            self._pipeline_resolved_refresh = decoded_states
+            for node in self.honest_nodes():
+                node.storage.note_refresh()
+            self._pipeline_resolved_refresh = candidate[:, :state_dim]
         if rollback_at is None:
             window.clear()
             return min(window_target * 2, verify_window), False
         # Rollback: the offending round decodes through the scalar-capable
         # path (repairing or restoring honest state), then the invalidated
-        # suffix re-executes deterministically on the repaired states.
+        # suffix re-executes deterministically on the repaired states:
+        # honest results are recomputed (their speculative inputs were
+        # wrong) while Byzantine rows come from the speculation-time cache,
+        # so no rng draw is repeated and the reported matrix matches the
+        # batched path's.
         entry = window[rollback_at]
-        results[entry.batch_index] = self._pipeline_resolve_round(
-            entry.batch_index,
+        results[entry.batch_index] = self._resolve_round(
+            self._pipeline_round_base + entry.batch_index,
             entry.matrix,
-            entry.reference_states,
-            entry.reference_outputs,
+            entry.reference,
+            entry.ops,
             "rollback",
-            base_ops=entry.base_ops,
         )
         for entry in window[rollback_at + 1 :]:
-            results[entry.batch_index] = self._pipeline_replay_round(entry)
+            ops = self._round_ops()
+            true_results = self._coded_step(entry.coded_commands, ops)
+            results[entry.batch_index] = self._resolve_round(
+                self._pipeline_round_base + entry.batch_index,
+                self._reported(true_results, entry.faulty_rows),
+                entry.reference,
+                ops,
+                "replayed",
+            )
         window.clear()
         return 1, True
 
-    def _pipeline_replay_round(self, entry: _SpeculativeRound) -> RoundResult:
-        """Re-execute one invalidated round on the repaired honest states.
-
-        Honest results are recomputed (their speculative inputs were wrong);
-        Byzantine rows come from the speculation-time cache, so no rng draw
-        is repeated and the reported matrix matches the batched path's.
-        """
-        self._prime_round_counters()
-        true_results = self._coded_step_from_bank(entry.coded_commands)
-        matrix = true_results.copy()
-        for index, row in entry.faulty_rows.items():
-            matrix[index] = row
-        return self._pipeline_resolve_round(
-            entry.batch_index,
-            matrix,
-            entry.reference_states,
-            entry.reference_outputs,
-            "replayed",
-        )
-
-    def _pipeline_resolve_round(
+    def _resolve_round(
         self,
-        batch_index: int,
-        reported,
-        reference_states: np.ndarray,
-        reference_outputs: np.ndarray,
-        speculation: str,
-        base_ops: dict | None = None,
+        round_index: int,
+        reported: "np.ndarray | list[np.ndarray | None]",
+        reference: np.ndarray,
+        ops: np.ndarray,
+        speculation: str | None = None,
     ) -> RoundResult:
-        """Non-speculative completion of one pipelined round.
+        """Steps 3-5 of one stacked round: decode, settle honest state, account.
 
-        Shared by inline partial-presence rounds, rollback rounds and
-        replayed suffix rounds: decode through the suspect-learning fast
-        path, settle honest state (refresh on success, restore to the last
-        verified checkpoint when a rollback round fails to decode) and
-        account the round exactly as :meth:`_complete_round` would.
+        The one non-speculative round completion: every batched round
+        (``speculation=None``) and the pipelined driver's inline
+        partial-presence, rollback and replayed rounds decode through the
+        suspect-learning fast path and have every honest node install its
+        refreshed row.  ``ops`` is the round's per-node tally so far.  A
+        rollback round's speculative refresh already charged ``chi_i`` (so
+        repairing the installed values must not charge it twice) and, when
+        it fails to decode, the last verified checkpoint is restored instead.
         """
+        extras: dict = {"batched": True}
+        if speculation is not None:
+            extras.update(pipelined=True, speculation=speculation)
         decode_counter = OperationCounter()
-        diagnostics: dict = {}
         self.field.attach_counter(decode_counter)
         try:
             decoded = self.decoder.decode_fast(reported, self._suspects)
-            decoding_failed = False
         except DecodingError as exc:
             decoded = None
-            decoding_failed = True
-            diagnostics["decoding_error"] = str(exc)
+            extras["decoding_error"] = str(exc)
         finally:
             self.field.attach_counter(None)
-        reference_results = np.concatenate(
-            [reference_states, reference_outputs], axis=1
-        )
-        correct = False
-        decoded_states = reference_states  # fallback for book-keeping on failure
-        accepted_outputs = np.zeros_like(reference_outputs)
-        error_nodes: tuple[int, ...] = ()
-        if not decoding_failed:
-            error_nodes = decoded.error_nodes
-            decoded_states = decoded.outputs[:, : self.machine.state_dim]
-            accepted_outputs = decoded.outputs[:, self.machine.state_dim :]
-            correct = bool(np.array_equal(decoded.outputs, reference_results))
-            # A rollback round's speculative refresh already charged chi_i;
-            # repairing the installed values must not charge it twice.
-            self._refresh_honest_states_fast(
-                decoded_states, charge=(speculation != "rollback")
-            )
-            self._pipeline_resolved_refresh = decoded_states
+        state_dim = self.machine.state_dim
+        if decoded is None:
+            # The true states stand in for book-keeping; no output is accepted.
+            outputs = np.zeros_like(reference)
+            outputs[:, :state_dim] = reference[:, :state_dim]
+            error_nodes: tuple[int, ...] = ()
+        else:
+            outputs, error_nodes = decoded.outputs, decoded.error_nodes
+        correct = decoded is not None and bool(np.array_equal(outputs, reference))
+        if self.freeze_on_failure and not correct:
+            # A frozen round (retry mode, verification or decode failed)
+            # must not advance anything — neither the honest coded states
+            # (a refresh from a wrong decode would desynchronise them from
+            # the frozen reference) nor the reference states — so the same
+            # commands can be re-driven later against identical state.
+            extras["state_frozen"] = True
+        elif decoded is not None:
+            self._install_decoded_states(outputs[:, :state_dim])
+            if speculation != "rollback":
+                self._charge_refresh(ops)
+            if speculation is not None:
+                self._pipeline_resolved_refresh = outputs[:, :state_dim]
         elif speculation == "rollback":
-            self._pipeline_restore_honest_states()
-        if base_ops is None:
-            base_ops = {node.node_id: node.counter.total for node in self.nodes}
-        ops_per_node = {}
-        for node in self.nodes:
-            ops = base_ops[node.node_id]
-            if not node.is_faulty and not decoding_failed:
-                ops += decode_counter.total
-            ops_per_node[node.node_id] = ops
-        diagnostics.update(
-            {
+            self._restore_honest_states()
+        return self._round_result(
+            round_index,
+            outputs,
+            error_nodes,
+            correct,
+            ops,
+            decode_counter.total,
+            extras,
+            decoding_failed=decoded is None,
+        )
+
+    def _round_result(
+        self,
+        round_index: int,
+        decoded_outputs: np.ndarray,
+        error_nodes: tuple[int, ...],
+        correct: bool,
+        ops: np.ndarray,
+        decode_ops: int,
+        extras: dict,
+        decoding_failed: bool = False,
+    ) -> RoundResult:
+        """The record of one stacked round.
+
+        Every honest node performs the (identical) decoding, so a decode
+        that succeeded is charged to each of them on top of the round's
+        per-node tally ``ops``.
+        """
+        state_dim = self.machine.state_dim
+        if not decoding_failed:
+            ops[self._honest_rows()] += decode_ops
+        return RoundResult(
+            round_index=round_index,
+            outputs=decoded_outputs[:, state_dim:],
+            states=decoded_outputs[:, :state_dim].copy(),
+            correct=correct,
+            ops_per_node={
+                node.node_id: total for node, total in zip(self.nodes, ops.tolist())
+            },
+            diagnostics={
                 "error_nodes": tuple(error_nodes),
                 "num_faulty": self.num_faulty,
                 "decoding_failed": decoding_failed,
-                "decode_ops": decode_counter.total,
-                "batched": True,
-                "pipelined": True,
-                "speculation": speculation,
-            }
-        )
-        return RoundResult(
-            round_index=self._pipeline_round_base + batch_index,
-            outputs=accepted_outputs,
-            states=decoded_states.copy(),
-            correct=correct,
-            ops_per_node=ops_per_node,
-            diagnostics=diagnostics,
+                "decode_ops": decode_ops,
+                **extras,
+            },
         )
 
     def _pipeline_pivot_cache(self) -> tuple:
-        """``(pivot, C @ T_omega_states, spec_ops)`` for the current suspects.
+        """``(pivot, C @ T_omega, spec_ops, T_all, T_omega)`` for the current suspects.
 
         The fused matrix maps pivot rows straight to refreshed coded states;
         it is memoised per pivot (suspect churn across a run touches only a
-        handful of pivots).  ``spec_ops`` is the operation count of the
-        candidate-state interpolation the fusion absorbs — the cost each
+        handful of pivots) beside the two transfer matrices the window
+        verification multiplies by.  ``spec_ops`` is the operation count of
+        the candidate-state interpolation the fusion absorbs — the cost each
         speculative round charges as its decode share.
         """
         pivot = self.decoder.pivot_rows(list(range(self.num_nodes)), self._suspects)
         key = tuple(pivot)
-        cache = getattr(self, "_fused_refresh_cache", None)
-        if cache is None:
-            cache = self._fused_refresh_cache = {}
-        entry = cache.get(key)
+        entry = self._fused_refresh_cache.get(key)
         if entry is None:
-            _to_all, to_omegas, _ = self.decoder.pivot_matrices(pivot)
+            to_all, to_omegas, _ = self.decoder.pivot_matrices(pivot)
             fused = self.field.matmul(self.scheme.coefficient_matrix, to_omegas)
             dimension = self.decoder.code.dimension
             state_dim = self.machine.state_dim
             spec_ops = self.num_machines * dimension * state_dim + (
                 self.num_machines * max(dimension - 1, 0) * state_dim
             )
-            entry = cache[key] = (pivot, fused, spec_ops)
+            entry = self._fused_refresh_cache[key] = (
+                pivot, fused, spec_ops, to_all, to_omegas
+            )
         return entry
 
-    def _prime_round_counters(self) -> None:
-        """Reset every node's counter and charge the ``rho_i`` encode cost.
+    def _round_ops(self) -> np.ndarray:
+        """A stacked round's per-node operation tally, opened with ``rho_i``.
 
-        The per-node cost model of forming the coded command — shared by the
-        batched round loop, the speculative rounds, and every replay, so the
-        encode charging formula lives in exactly one place.
+        Every node is charged the ``K`` multiplications and ``K - 1``
+        additions per command component of forming its own coded command —
+        the one place the encode charging formula lives for the batched
+        round loop, the speculative rounds and every replay.  The stacked
+        paths tally in this vector; ``CSMNode.counter`` belongs to the
+        scalar reference path.
         """
-        cmd_dim = self.machine.command_dim
-        mul = cmd_dim * self.num_machines
-        add = cmd_dim * (self.num_machines - 1)
-        for node in self.nodes:
-            node.reset_counter()
-            node.counter.mul(mul)
-            node.counter.add(add)
+        encode = self.machine.command_dim * (2 * self.num_machines - 1)
+        return np.full(self.num_nodes, encode, dtype=np.int64)
 
-    def _charge_refresh(self, nodes) -> None:
-        """Charge each node the per-round ``chi_i`` re-encoding cost."""
-        state_dim = self.machine.state_dim
-        mul = state_dim * self.num_machines
-        add = state_dim * (self.num_machines - 1)
-        for node in nodes:
-            node.counter.mul(mul)
-            node.counter.add(add)
+    def _honest_rows(self) -> list[int]:
+        return [node.node_index for node in self.nodes if not node.is_faulty]
 
-    def _coded_step_from_bank(self, coded_commands: np.ndarray) -> np.ndarray:
-        """The stacked coded transition, read from the pipeline's state bank.
-
-        Identical to :meth:`_coded_step_all_nodes` (values and per-node
-        charges) except the coded states come from the contiguous bank the
-        speculative refresh maintains, instead of per-node storage copies.
-        """
-        step_counter = OperationCounter()
-        self.field.attach_counter(step_counter)
-        try:
-            true_results = self.machine.transition.evaluate_result_vectors(
-                self._pipeline_bank, coded_commands
-            )
-        finally:
-            self.field.attach_counter(None)
-        share_add = step_counter.additions // self.num_nodes
-        share_mul = step_counter.multiplications // self.num_nodes
-        for node in self.nodes:
-            node.counter.add(share_add)
-            node.counter.mul(share_mul)
-        return true_results
-
-    def _refresh_honest_states_fast(
-        self, decoded_states: np.ndarray, charge: bool = True
-    ) -> None:
-        """Pipelined honest-state refresh on the contiguous bank.
-
-        Produces coded rows bit-identical to
-        :meth:`_update_honest_states_batched` (same canonical ``C @ S``
-        product) and charges the same per-node ``chi_i`` cost when
-        ``charge``; rollback restores pass ``charge=False`` because the
-        batched path never performed — or charged — the undone refresh.
-        """
-        coded = self.field.matmul(self.scheme.coefficient_matrix, decoded_states)
-        idx = self._pipeline_honest_idx
-        self._pipeline_bank[idx] = coded[idx]
-        if charge:
-            self._charge_refresh(self._pipeline_honest_nodes)
-
-    def _pipeline_restore_honest_states(self) -> None:
-        """Roll honest coded states back to the last verified checkpoint."""
-        if self._pipeline_resolved_refresh is not None:
-            self._refresh_honest_states_fast(
-                self._pipeline_resolved_refresh, charge=False
-            )
-            return
-        idx = self._pipeline_honest_idx
-        self._pipeline_bank[idx] = self._pipeline_initial_bank[idx]
-
-    def _coded_step_all_nodes(self, coded_commands: np.ndarray) -> np.ndarray:
+    def _coded_step(self, coded_commands: np.ndarray, ops: np.ndarray) -> np.ndarray:
         """Evaluate every node's coded transition in one stacked pass.
 
-        Stacks all ``N`` coded states (faulty nodes keep computing on their —
-        possibly stale — stored state, exactly as in the scalar path) against
-        the round's coded commands and evaluates each component polynomial
-        once over the whole ``(N, arity)`` assignment matrix.  The values are
+        Evaluates each component polynomial once over the whole bank (faulty
+        nodes keep computing on their — possibly stale — row, exactly as in
+        the scalar path) against the round's coded commands.  The values are
         bit-identical to ``N`` per-node :meth:`CSMNode.execute_coded` calls;
-        every node is charged its exact per-node share of the counted field
-        operations, which equals the scalar per-node cost because vectorised
-        field ops count one scalar operation per element.
+        every node's entry of ``ops`` is charged its exact per-node share of
+        the counted field operations, which equals the scalar per-node cost
+        because vectorised field ops count one scalar operation per element.
         """
         batch_eval = getattr(self.machine.transition, "evaluate_result_vectors", None)
         if batch_eval is None:
@@ -739,23 +638,101 @@ class CodedExecutionEngine(BatchExecutionMixin):
                 (self.num_nodes, self.machine.transition.result_dim), dtype=np.int64
             )
             for node in self.nodes:
+                node.reset_counter()
                 true_results[node.node_index] = node.execute_coded(
                     coded_commands[node.node_index]
                 )
+                ops[node.node_index] += node.counter.total
             return true_results
-        coded_states = np.stack([node.storage.coded_state for node in self.nodes])
         step_counter = OperationCounter()
         self.field.attach_counter(step_counter)
         try:
-            true_results = batch_eval(coded_states, coded_commands)
+            true_results = batch_eval(self._bank, coded_commands)
         finally:
             self.field.attach_counter(None)
-        share_add = step_counter.additions // self.num_nodes
-        share_mul = step_counter.multiplications // self.num_nodes
-        for node in self.nodes:
-            node.counter.add(share_add)
-            node.counter.mul(share_mul)
+        ops += step_counter.additions // self.num_nodes
+        ops += step_counter.multiplications // self.num_nodes
         return true_results
+
+    def _draw_faulty_rows(self, true_results: np.ndarray) -> dict:
+        """What each Byzantine node reports this round (``None``: nothing).
+
+        Only the sparse set of faulty nodes runs its behaviour transform —
+        in node order, so the rng stream is consumed exactly as in the
+        scalar path's dense loop (honest transforms never draw from it and
+        never delay).  The rows are kept apart from the honest stack so a
+        rollback replay can re-use them without re-drawing.
+        """
+        faulty_rows: dict[int, np.ndarray | None] = {}
+        for node in self.nodes:
+            if not node.is_faulty:
+                continue
+            value = node.report_result(
+                true_results[node.node_index], self.rng, recipient=None
+            )
+            if value is None or node.behavior.delays_message():
+                faulty_rows[node.node_index] = None
+            else:
+                faulty_rows[node.node_index] = self.field.array(value).reshape(-1)
+        return faulty_rows
+
+    def _reported(
+        self, true_results: np.ndarray, faulty_rows: dict
+    ) -> "np.ndarray | list[np.ndarray | None]":
+        """The round as the network sees it: honest rows from the stack,
+        Byzantine rows over them — a matrix at full presence, else a list
+        with ``None`` at the missing senders."""
+        if not faulty_rows:
+            return true_results
+        if any(row is None for row in faulty_rows.values()):
+            return [
+                faulty_rows[i] if i in faulty_rows else true_results[i]
+                for i in range(self.num_nodes)
+            ]
+        matrix = true_results.copy()
+        for index, row in faulty_rows.items():
+            matrix[index] = row
+        return matrix
+
+    def _encode_states(self, decoded_states: np.ndarray) -> np.ndarray:
+        """``C @ decoded_states``: all ``N`` next coded states at once."""
+        return self.field.matmul(self.scheme.coefficient_matrix, decoded_states)
+
+    def _install_decoded_states(self, decoded_states: np.ndarray) -> None:
+        """Step 4 of a resolved round: ``chi_i`` of equation (1) at every honest node.
+
+        ``C @ decoded_states`` yields all ``N`` next coded states in one
+        product; each honest node then installs its own row through the node
+        API — validated, written in place into its row of the bank, and
+        counted as one round by its store — the per-node protocol step of
+        the scalar reference.
+        """
+        coded = self._encode_states(decoded_states)
+        for node in self.honest_nodes():
+            node.install_coded_state(coded[node.node_index])
+
+    def _refresh_honest_states(self, coded: np.ndarray) -> None:
+        """Write the honest rows of ``coded`` (``(N, state_dim)``) into the bank.
+
+        The engine-level bulk write speculation needs and the protocol does
+        not have: the fused speculative advance and the checkpoint restore.
+        The stores count nothing here; a speculated round is counted when it
+        is confirmed.
+        """
+        rows = self._honest_rows()
+        self._bank[rows] = coded[rows]
+
+    def _charge_refresh(self, ops: np.ndarray) -> None:
+        """Each honest node pays the ``chi_i`` re-encoding a refresh replaces."""
+        ops[self._honest_rows()] += self.machine.state_dim * (2 * self.num_machines - 1)
+
+    def _restore_honest_states(self) -> None:
+        """Roll honest coded states back to the last verified checkpoint."""
+        if self._pipeline_resolved_refresh is None:
+            checkpoint = self._pipeline_initial_bank
+        else:
+            checkpoint = self._encode_states(self._pipeline_resolved_refresh)
+        self._refresh_honest_states(checkpoint)
 
     def _check_commands(self, commands: np.ndarray) -> np.ndarray:
         commands_arr = self.field.array(commands)
@@ -767,9 +744,9 @@ class CodedExecutionEngine(BatchExecutionMixin):
         return commands_arr
 
     def _complete_round(
-        self, commands_arr: np.ndarray, true_results: np.ndarray, batched: bool
+        self, commands_arr: np.ndarray, true_results: np.ndarray
     ) -> RoundResult:
-        """Steps 3-5 shared by the scalar and batched paths: decode, update, account."""
+        """Steps 3-5 of the scalar reference round: decode, update, account."""
         # Reference execution (ground truth used only for verification).
         reference_states, reference_outputs = self._reference_step(commands_arr)
         reference_results = np.concatenate([reference_states, reference_outputs], axis=1)
@@ -778,14 +755,9 @@ class CodedExecutionEngine(BatchExecutionMixin):
         decode_counter = OperationCounter()
         diagnostics: dict = {}
         try:
-            if batched:
-                decoded_outputs, error_nodes = self._decode_phase_fast(
-                    true_results, decode_counter
-                )
-            else:
-                decoded_outputs, error_nodes = self._decode_phase(
-                    true_results, decode_counter, diagnostics
-                )
+            decoded_outputs, error_nodes = self._decode_phase(
+                true_results, decode_counter, diagnostics
+            )
             decoding_failed = False
         except DecodingError as exc:
             decoded_outputs = None
@@ -812,23 +784,18 @@ class CodedExecutionEngine(BatchExecutionMixin):
 
         # Step 4: honest nodes refresh their coded states from the decoded states.
         if not decoding_failed and not frozen:
-            if batched:
-                self._update_honest_states_batched(decoded_states)
-            else:
-                for node in self.honest_nodes():
-                    node.update_coded_state(decoded_states)
+            for node in self.honest_nodes():
+                node.update_coded_state(decoded_states)
 
         # Operation accounting: every honest node performs the (identical)
-        # decoding, so the decode cost is charged to each of them.
+        # decoding, so the decode cost is charged to each of them (per-node
+        # decode counters were already merged inside _decode_phase).
         ops_per_node: dict[str, int] = {}
         for node in self.nodes:
             ops = node.counter.total
             if not node.is_faulty and not decoding_failed:
                 ops += decode_counter.total if not self.decode_at_every_node else 0
             ops_per_node[node.node_id] = ops
-        if self.decode_at_every_node:
-            # per-node decode counters were already merged inside _decode_phase
-            pass
 
         # Advance the reference state (the true machines move on regardless
         # — unless the round is frozen for retry).
@@ -843,7 +810,7 @@ class CodedExecutionEngine(BatchExecutionMixin):
                 "num_faulty": self.num_faulty,
                 "decoding_failed": decoding_failed,
                 "decode_ops": decode_counter.total,
-                "batched": batched,
+                "batched": False,
             }
         )
         return RoundResult(
@@ -855,20 +822,6 @@ class CodedExecutionEngine(BatchExecutionMixin):
             diagnostics=diagnostics,
         )
 
-    def _update_honest_states_batched(self, decoded_states: np.ndarray) -> None:
-        """Refresh every honest node's coded state with one matrix product.
-
-        ``C @ decoded_states`` yields all ``N`` next coded states at once;
-        each honest node installs its own row and is charged the operations
-        of the per-node re-encoding it replaces (``chi_i`` of equation (1)).
-        """
-        coded = self.field.matmul(self.scheme.coefficient_matrix, decoded_states)
-        state_dim = self.machine.state_dim
-        for node in self.honest_nodes():
-            node.storage.replace(coded[node.node_index])
-            node.counter.mul(state_dim * self.num_machines)
-            node.counter.add(state_dim * (self.num_machines - 1))
-
     # -- internals ----------------------------------------------------------------------------
     def _reference_step(self, commands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # One vectorised pass over the K reference machines; StateMachine
@@ -876,25 +829,18 @@ class CodedExecutionEngine(BatchExecutionMixin):
         # surface, so the values match the per-machine loop bit for bit.
         return self.machine.step_batch(self.states, commands)
 
-    def _reported_results(
-        self,
-        true_results: np.ndarray,
-        recipient: str | None,
-        skip_honest_transform: bool = False,
-    ) -> list[np.ndarray | None]:
-        """The per-sender results as seen by ``recipient`` (or by 'the network').
+    def _reference_round(self, commands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ground truth for one stacked round: the next true states, and the
+        ``(K, result_dim)`` matrix a correct decode must equal."""
+        states, outputs = self._reference_step(commands)
+        return states, np.concatenate([states, outputs], axis=1)
 
-        With ``skip_honest_transform`` (the batched pipeline), honest nodes'
-        rows are taken straight from the stacked result matrix and only the
-        sparse set of faulty nodes runs its behaviour transform — in node
-        order, so the rng stream is consumed exactly as in the dense loop
-        (honest transforms never draw from it and never delay).
-        """
+    def _reported_results(
+        self, true_results: np.ndarray, recipient: str | None
+    ) -> list[np.ndarray | None]:
+        """The per-sender results as seen by ``recipient`` (or by 'the network')."""
         reported: list[np.ndarray | None] = []
         for node in self.nodes:
-            if skip_honest_transform and not node.is_faulty:
-                reported.append(true_results[node.node_index])
-                continue
             value = node.report_result(
                 true_results[node.node_index], self.rng, recipient=recipient
             )
@@ -923,25 +869,6 @@ class CodedExecutionEngine(BatchExecutionMixin):
             else:
                 stacked = np.vstack([entry for entry in reported])
                 decoded = self.decoder.decode(stacked)
-        finally:
-            self.field.attach_counter(None)
-        return decoded.outputs, decoded.error_nodes
-
-    def _decode_phase_fast(
-        self, true_results: np.ndarray, decode_counter: OperationCounter
-    ) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Batched-pipeline decode: cached matrices + persistent suspect set."""
-        reported = self._reported_results(
-            true_results, recipient=None, skip_honest_transform=True
-        )
-        self.field.attach_counter(decode_counter)
-        try:
-            if any(entry is None for entry in reported):
-                decoded = self.decoder.decode_fast(reported, self._suspects)
-            else:
-                decoded = self.decoder.decode_fast(
-                    np.vstack(reported), self._suspects
-                )
         finally:
             self.field.attach_counter(None)
         return decoded.outputs, decoded.error_nodes

@@ -26,7 +26,7 @@ from repro.consensus.interface import ConsensusDecision
 from repro.consensus.command_pool import CommandPool
 from repro.consensus.pbft import PBFTConsensus
 from repro.machine.interface import StateMachine
-from repro.net.byzantine import ByzantineBehavior
+from repro.net.byzantine import ByzantineBehavior, HonestBehavior
 from repro.net.latency import PartiallySynchronousDelay, SynchronousDelay
 from repro.net.network import SimulatedNetwork
 from repro.rounds import ProtocolRound, RoundProtocol
@@ -194,7 +194,7 @@ class CSMProtocol(RoundProtocol):
             from repro.service import CSMService
 
             return CSMService.run_lockstep(self, command_batches)
-        return self._run_rounds_fast(command_batches, client_rounds, pipelined=False)
+        return self._run_rounds_fast(command_batches, client_rounds)
 
     def run_rounds_pipelined(
         self,
@@ -232,33 +232,23 @@ class CSMProtocol(RoundProtocol):
                 )
             finally:
                 self.pipeline_verify_window = saved_window
-        return self._run_rounds_fast(
-            command_batches,
-            client_rounds,
-            pipelined=True,
-            verify_window=verify_window,
-        )
+        return self._run_rounds_fast(command_batches, client_rounds, verify_window)
 
     def _run_rounds_fast(
         self,
         command_batches: Sequence[np.ndarray],
         client_rounds: Sequence[Sequence[str]],
-        pipelined: bool,
-        verify_window: int = 16,
+        verify_window: int | None = None,
     ) -> list[ProtocolRound]:
-        """Consensus + execution shared by the batched and pipelined drivers."""
-        # Canonicalise every batch before any consensus runs: a malformed
-        # batch must fail fast, not discard earlier rounds the consensus
-        # already decided (shape validation is pure, so this cannot perturb
-        # the pool history the bit-identity guarantee depends on).
-        batches = [self.pool.canonical_round(batch) for batch in command_batches]
+        """Consensus + execution shared by the batched and pipelined drivers
+        (pipelined when a ``verify_window`` is given)."""
+        # Canonicalised before any consensus runs: a malformed batch must
+        # fail fast, not discard earlier rounds the consensus already decided
+        # (shape validation is pure, so this cannot perturb the pool history
+        # the bit-identity guarantee depends on).
+        batches, client_rounds = self._canonical_batches(command_batches, client_rounds)
         if not batches:
             return []
-        if len(client_rounds) != len(batches):
-            raise ConfigurationError(
-                f"{len(batches)} command rounds but {len(client_rounds)} client "
-                "rounds"
-            )
         first_round = len(self.history)
         per_round_decisions = self.consensus.decide_rounds(
             first_round,
@@ -269,16 +259,22 @@ class CSMProtocol(RoundProtocol):
         )
         samples = [self._select_decision(d) for d in per_round_decisions]
         commands_matrix = np.stack([sample.commands for sample in samples])
-        if pipelined:
+        if verify_window is None:
+            results = self.engine.execute_rounds(commands_matrix)
+        else:
             results = self.engine.execute_rounds_pipelined(
                 commands_matrix, verify_window=verify_window
             )
-        else:
-            results = self.engine.execute_rounds(commands_matrix)
         return [
             self._record_round(sample.commands, sample.clients, result, sample.view)
             for sample, result in zip(samples, results)
         ]
+
+    def _canonical_round(self, commands: np.ndarray) -> np.ndarray:
+        # Shaped by the pool and left unreduced: the commands travel through
+        # the pool and consensus exactly as the clients sent them, and the
+        # decided vector is what the history records.
+        return self.pool.canonical_round(commands)
 
     def _select_decision(
         self, decisions: dict[str, ConsensusDecision]
@@ -329,8 +325,6 @@ class CSMProtocol(RoundProtocol):
         """
         node = self.engine.node_by_id(node_id)  # validates the id
         if behavior is None:
-            from repro.net.byzantine import HonestBehavior
-
             self.behaviors.pop(node_id, None)
             self.consensus.behaviors.pop(node_id, None)
             self.engine.behaviors.pop(node_id, None)
@@ -359,10 +353,7 @@ class CSMProtocol(RoundProtocol):
         interesting adversary).  Literal node ids pass through validated.
         """
         if target == "@primary":
-            primary_for = getattr(self.consensus, "primary_for", None)
-            if primary_for is None:
-                primary_for = self.consensus.leader_for
-            return primary_for(round_index, 0)
+            return self.consensus.leader_for(round_index, 0)
         if target.startswith("@"):
             raise ConfigurationError(
                 f"adaptive fault target {target!r} is not supported by "

@@ -20,9 +20,27 @@ class CodedStateStore:
     """Storage of one node's coded state across rounds."""
 
     def __init__(self, field: Field, node_index: int, coded_state: np.ndarray) -> None:
+        """Hold ``coded_state``; a canonical ``int64`` vector is adopted, not copied.
+
+        The execution engine hands each node a row of its resident
+        ``(N, state_dim)`` coded-state bank.  Every update below writes in
+        place, so the bank and the per-node stores are one copy of the coded
+        states: the engine's stacked rounds read the bank directly, its
+        speculation writes it in bulk (:meth:`note_refresh` on confirmation),
+        resolved rounds go through :meth:`replace` and the scalar path through
+        :meth:`update_from_decoded`, and none ever synchronises with another.
+        Any other input is stored as a canonical copy.
+        """
         self.field = field
         self.node_index = int(node_index)
-        self._coded_state = field.array(coded_state).reshape(-1)
+        canonical = field.array(coded_state).reshape(-1)
+        adopt = (
+            isinstance(coded_state, np.ndarray)
+            and coded_state.dtype == np.int64
+            and coded_state.ndim == 1
+            and np.array_equal(coded_state, canonical)
+        )
+        self._coded_state = coded_state if adopt else canonical
         self._round = 0
 
     # -- accessors -----------------------------------------------------------------
@@ -45,19 +63,10 @@ class CodedStateStore:
         return self.state_dim
 
     # -- updates ----------------------------------------------------------------------
-    def install_canonical(self, coded_state: np.ndarray, rounds: int = 1) -> None:
-        """Install an already-canonical coded state without re-validation.
-
-        Trusted fast path for the speculative execution pipeline, whose rows
-        come straight out of a canonical ``GF(p)`` matrix product; the public
-        :meth:`replace` stays the validating entry point for everything else.
-        ``rounds`` is how many per-round refreshes this install represents —
-        the pipeline synchronises storage once per call, so it passes the
-        call's refresh count to keep :attr:`round_index` in step with the
-        batched path's one-:meth:`replace`-per-refresh accounting.
-        """
-        self._coded_state = coded_state
-        self._round += int(rounds)
+    def note_refresh(self) -> None:
+        """Count a confirmed speculative round, whose refresh the engine had
+        already written straight into the bank."""
+        self._round += 1
 
     def replace(self, coded_state: np.ndarray) -> None:
         """Install a new coded state (delegated-worker update path)."""
@@ -66,7 +75,7 @@ class CodedStateStore:
             raise ConfigurationError(
                 f"coded state dimension changed from {self.state_dim} to {new_state.shape[0]}"
             )
-        self._coded_state = new_state
+        self._coded_state[:] = new_state
         self._round += 1
 
     def update_from_decoded(
@@ -94,5 +103,5 @@ class CodedStateStore:
         new_state = np.zeros(self.state_dim, dtype=np.int64)
         for component in range(self.state_dim):
             new_state[component] = self.field.dot(row, states[:, component])
-        self._coded_state = new_state
+        self._coded_state[:] = new_state
         self._round += 1

@@ -128,12 +128,9 @@ class DelegationRoundProtocol(RoundProtocol):
         command_batches: Sequence[np.ndarray],
         client_rounds: Sequence[Sequence[str]] | None = None,
     ) -> list[ProtocolRound]:
-        rounds = [self._canonical_round(commands) for commands in command_batches]
-        if client_rounds is not None and len(client_rounds) != len(rounds):
-            raise ConfigurationError(
-                f"got {len(client_rounds)} client rounds for {len(rounds)} "
-                "command rounds"
-            )
+        rounds, client_rounds = self._canonical_batches(command_batches, client_rounds)
+        if not rounds:
+            return []
         # One election (a single rng permutation draw) serves the whole batch
         # — unless a round convicts its worker, which bans the cheater and
         # re-elects mid-batch so the batch's remaining rounds (and any later
@@ -143,10 +140,7 @@ class DelegationRoundProtocol(RoundProtocol):
         self.current_worker = committee.worker
         records: list[ProtocolRound] = []
         for index, commands in enumerate(rounds):
-            if client_rounds is None:
-                clients = [f"client:{k}" for k in range(self.num_machines)]
-            else:
-                clients = [str(c) for c in client_rounds[index]]
+            clients = [str(c) for c in client_rounds[index]]
             record = self._execute_round(commands, clients, committee)
             records.append(record)
             if record.result.diagnostics.get("confirmed_fraud"):
@@ -181,17 +175,6 @@ class DelegationRoundProtocol(RoundProtocol):
         return target
 
     # -- internals ---------------------------------------------------------------------
-    def _canonical_round(self, commands: np.ndarray) -> np.ndarray:
-        arr = self.machine.field.array(commands)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, self.machine.command_dim)
-        if arr.shape != (self.num_machines, self.machine.command_dim):
-            raise ConfigurationError(
-                f"round commands have shape {arr.shape}, expected "
-                f"({self.num_machines}, {self.machine.command_dim})"
-            )
-        return arr
-
     def _execute_round(
         self,
         commands: np.ndarray,

@@ -256,30 +256,6 @@ class CodedResultDecoder:
             cached_interpolation_matrix(self.field, pivot_points),
         )
 
-    def _full_presence_matrix(self, entry) -> np.ndarray | None:
-        """Canonicalise one round to an ``(N, width)`` matrix, or ``None``.
-
-        ``None`` means the entry is not a well-formed full-presence round
-        (missing results, ragged widths, wrong node count); such rounds are
-        delegated to :meth:`decode_fast`, which reproduces the exact scalar
-        semantics — including the exact error it would raise.
-        """
-        num_nodes = self.scheme.num_nodes
-        if isinstance(entry, np.ndarray):
-            matrix = self.field.array(entry)
-            if matrix.ndim == 1:
-                matrix = matrix.reshape(-1, 1)
-            if matrix.ndim != 2 or matrix.shape[0] != num_nodes:
-                return None
-            return matrix
-        if len(entry) != num_nodes or any(row is None for row in entry):
-            return None
-        rows = [self.field.array(row).reshape(-1) for row in entry]
-        width = rows[0].shape[0]
-        if any(row.shape[0] != width for row in rows):
-            return None
-        return np.vstack(rows)
-
     def stacked_verification(
         self, stacked: np.ndarray, reencoded: np.ndarray, width: int
     ) -> tuple[list[tuple[int, ...]], int | None]:
@@ -292,12 +268,13 @@ class CodedResultDecoder:
         the first round with an over-budget component (``None`` when the
         whole run confirmed).  This is the acceptance rule of
         :meth:`decode_fast` — ``2e <= present - dimension``, the uniqueness
-        radius — factored out so the stacked :meth:`decode_batch` and the
-        execution engine's speculative window resolution share one
-        implementation of it.
+        radius — factored out for the execution engine's speculative window
+        resolution.
         """
         budget = stacked.shape[0] - self.code.dimension
         mismatch = reencoded != stacked
+        if not mismatch.any():  # fault-free run: every round confirms clean
+            return [()] * (stacked.shape[1] // width), None
         errors_per_column = mismatch.sum(axis=0)
         confirmed: list[tuple[int, ...]] = []
         for offset in range(stacked.shape[1] // width):
@@ -308,122 +285,24 @@ class CodedResultDecoder:
             confirmed.append(tuple(int(i) for i in rows))
         return confirmed, None
 
-    def _charge_fast_path(self, width: int) -> None:
-        """Charge one round's fast-path decode cost to the attached counter.
-
-        The stacked verification computes its three matrix products for many
-        rounds in one call each; charging the per-round equivalents here
-        keeps the operation counts bit-identical to a :meth:`decode_fast`
-        loop, which performs the same products one round at a time.
-        """
-        dimension = self.code.dimension
-        rows = self.scheme.num_nodes + self.scheme.num_machines + dimension
-        self.field._count_mul(rows * dimension * width)
-        self.field._count_add(rows * max(dimension - 1, 0) * width)
-
     def decode_batch(
         self,
         rounds: "np.ndarray | list[np.ndarray | list[np.ndarray | None]]",
         suspects: set[int] | None = None,
     ) -> list[DecodedRound]:
-        """Decode a batch of rounds with the verification matmul stacked.
+        """Decode a batch of rounds: :meth:`decode_fast`, round by round.
 
         ``rounds`` is a ``(B, N, result_dim)`` array (full presence) or a list
         whose entries are per-round result matrices / ``None``-marked lists
         (partially synchronous rounds).  A single ``suspects`` set is threaded
         through the whole batch, so a persistent fault pattern costs one
         scalar decode in total rather than one per component per round.
-
-        Consecutive full-presence rounds share the suspect-derived pivot (a
-        fast-path round can only add suspects *beyond* the pivot prefix, so
-        the pivot cannot drift until a round leaves the fast path), which
-        lets the candidate interpolation, the re-encoding verification and
-        the coefficient recovery each run as **one** stacked matrix product
-        for the whole run instead of one per round.  A round with a
-        component past the error budget falls back to :meth:`decode_fast`
-        (updating ``suspects``) and the remaining rounds re-group around the
-        new pivot.  Results *and* charged operation counts are bit-identical
-        to calling :meth:`decode_fast` round by round.
         """
         if suspects is None:
             suspects = set()
-        if isinstance(rounds, np.ndarray):
-            if rounds.ndim == 2:
-                rounds = rounds[None, :, :]
-            entries = [rounds[b] for b in range(rounds.shape[0])]
-        else:
-            entries = list(rounds)
-        results: list[DecodedRound | None] = [None] * len(entries)
-        index = 0
-        while index < len(entries):
-            matrix = self._full_presence_matrix(entries[index])
-            if matrix is None:
-                results[index] = self.decode_fast(entries[index], suspects)
-                index += 1
-                continue
-            run = [matrix]
-            while index + len(run) < len(entries):
-                nxt = self._full_presence_matrix(entries[index + len(run)])
-                if nxt is None or nxt.shape[1] != matrix.shape[1]:
-                    break
-                run.append(nxt)
-            index = self._decode_stacked_run(run, index, suspects, results)
-        return results
-
-    def _decode_stacked_run(
-        self,
-        matrices: list[np.ndarray],
-        first_index: int,
-        suspects: set[int],
-        results: "list[DecodedRound | None]",
-    ) -> int:
-        """Decode a run of full-presence rounds with stacked verification.
-
-        Accepts the maximal confirmed prefix of the run; the first round
-        with an over-budget component is resolved by :meth:`decode_fast`
-        and the caller re-groups from the round after it.  Returns the index
-        of the first round left undecoded.
-        """
-        num_nodes = self.scheme.num_nodes
-        pivot = self.pivot_rows(list(range(num_nodes)), suspects)
-        to_all, to_omegas, to_coeffs = self.pivot_matrices(pivot)
-        stacked = matrices[0] if len(matrices) == 1 else np.hstack(matrices)
-        sub = stacked[pivot, :]
-        # The stacked products are computed uncounted; each confirmed round
-        # is charged its exact per-round fast-path equivalent instead, so
-        # counts match the sequential loop even when a mid-run fallback
-        # forces later rounds to be re-verified under a new pivot.
-        saved_counter = self.field.counter
-        self.field.attach_counter(None)
-        try:
-            reencoded = self.field.matmul(to_all, sub)
-            outputs_all = self.field.matmul(to_omegas, sub)
-            coeffs_all = self.field.matmul(to_coeffs, sub)
-        finally:
-            self.field.attach_counter(saved_counter)
-        width = matrices[0].shape[1]
-        confirmed, rollback_at = self.stacked_verification(stacked, reencoded, width)
-        for offset, error_nodes in enumerate(confirmed):
-            columns = slice(offset * width, (offset + 1) * width)
-            self._charge_fast_path(width)
-            suspects.update(error_nodes)
-            results[first_index + offset] = DecodedRound(
-                outputs=np.ascontiguousarray(outputs_all[:, columns]),
-                polynomials=[
-                    Poly(self.field, coeffs_all[:, c])
-                    for c in range(columns.start, columns.stop)
-                ],
-                error_nodes=error_nodes,
-            )
-        if rollback_at is None:
-            return first_index + len(matrices)
-        # Fast path inconclusive for some component (errors among the
-        # pivots, or genuinely past the radius): the scalar-path decode
-        # decides, exactly as in the sequential loop.
-        results[first_index + rollback_at] = self.decode_fast(
-            matrices[rollback_at], suspects
-        )
-        return first_index + rollback_at + 1
+        if isinstance(rounds, np.ndarray) and rounds.ndim == 2:
+            rounds = rounds[None, :, :]
+        return [self.decode_fast(entry, suspects) for entry in rounds]
 
     def decode_partial(
         self, coded_results: list[np.ndarray | None]

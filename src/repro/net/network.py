@@ -235,10 +235,6 @@ class NetworkFaultState:
 class SimulatedNetwork:
     """Fully connected message-passing network with signed messages."""
 
-    #: The vectorised message plane (:class:`MessagePlane`) can run on top of
-    #: this network: phase dispatch and collection are available.
-    supports_phase_batches = True
-
     def __init__(
         self,
         delay_model: DelayModel | None = None,

@@ -66,31 +66,11 @@ BatchExecutionMixin` surface (``machine``, ``num_machines``,
         client (the service's session ids); without it the legacy
         ``client:k`` labels are used.
         """
-        batches = [self._canonical_round(batch) for batch in command_batches]
+        batches, client_rounds = self._canonical_batches(command_batches, client_rounds)
         if not batches:
             return []
-        if client_rounds is None:
-            client_rounds = [
-                [f"client:{k}" for k in range(self.num_machines)]
-                for _ in batches
-            ]
-        if len(client_rounds) != len(batches):
-            raise ConfigurationError(
-                f"{len(batches)} command rounds but {len(client_rounds)} client "
-                "rounds"
-            )
         results = self.engine.execute_rounds(np.stack(batches))
         return [
             self._record_round(commands, clients, result)
             for commands, clients, result in zip(batches, client_rounds, results)
         ]
-
-    def _canonical_round(self, commands: np.ndarray) -> np.ndarray:
-        """Validate one round to ``(K, command_dim)`` via the engine's check."""
-        arr = self.engine._validate_batch(commands)
-        if arr.shape[0] != 1:
-            raise ConfigurationError(
-                f"expected one round of shape ({self.num_machines}, "
-                f"{self.machine.command_dim}), got a batch of {arr.shape[0]} rounds"
-            )
-        return arr[0]

@@ -29,6 +29,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
     from repro.machine.interface import StateMachine
     from repro.replication.base import RoundResult
@@ -89,6 +91,49 @@ class RoundProtocol(ABC):
         legacy ``client:k`` labels.  Returns the appended
         :class:`ProtocolRound` records.
         """
+
+    def _canonical_batches(
+        self,
+        command_batches: Sequence[np.ndarray],
+        client_rounds: Sequence[Sequence[str]] | None,
+    ) -> tuple[list[np.ndarray], Sequence[Sequence[str]]]:
+        """Validate a run of rounds before any of them executes.
+
+        Every batch is shaped by :meth:`_canonical_round` first, so a
+        malformed batch anywhere in the run fails fast instead of leaving
+        earlier rounds decided or half-recorded.  Without ``client_rounds``
+        every round gets the legacy ``client:k`` labels.  An empty run comes
+        back as ``([], ...)``: backends return ``[]`` on it before touching
+        any state (no election, no consensus, no rng draw).
+        """
+        batches = [self._canonical_round(batch) for batch in command_batches]
+        if client_rounds is None:
+            labels = [f"client:{k}" for k in range(self.num_machines)]
+            client_rounds = [labels] * len(batches)
+        elif len(client_rounds) != len(batches):
+            raise ConfigurationError(
+                f"{len(batches)} command rounds but {len(client_rounds)} client "
+                "rounds"
+            )
+        return batches, client_rounds
+
+    def _canonical_round(self, commands: np.ndarray) -> np.ndarray:
+        """One round as a field-canonical ``(K, command_dim)`` array.
+
+        A flat array of exactly ``K * command_dim`` elements is accepted as
+        the row-major round, and so is a batch of one, ``(1, K, command_dim)``.
+        """
+        arr = self.machine.field.array(commands)
+        expected = (self.num_machines, self.machine.command_dim)
+        if arr.size == expected[0] * expected[1] and (
+            arr.ndim == 1 or (arr.ndim == 3 and arr.shape[0] == 1)
+        ):
+            arr = arr.reshape(expected)
+        if arr.shape != expected:
+            raise ConfigurationError(
+                f"round commands have shape {arr.shape}, expected {expected}"
+            )
+        return arr
 
     def run_rounds_pipelined(
         self,

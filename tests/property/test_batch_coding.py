@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.erasure import ErasureDecoder, puncture
-from repro.coding.radius import max_errors_correctable
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.exceptions import DecodingError
 from repro.gf.prime_field import PrimeField
@@ -38,32 +36,6 @@ def _code(field: PrimeField, length: int, dimension: int) -> ReedSolomonCode:
 
 
 class TestEncodeBatch:
-    @relaxed
-    @given(
-        field_index=st.integers(0, len(FIELDS) - 1),
-        length=st.integers(4, 16),
-        data=st.data(),
-    )
-    def test_encode_batch_matches_scalar_encode(self, field_index, length, data):
-        field = FIELDS[field_index]
-        dimension = data.draw(st.integers(1, length), label="dimension")
-        batch = data.draw(st.integers(1, 7), label="batch")
-        messages = np.array(
-            [
-                [
-                    data.draw(st.integers(0, min(field.order, 10**6) - 1))
-                    for _ in range(dimension)
-                ]
-                for _ in range(batch)
-            ],
-            dtype=np.int64,
-        )
-        code = _code(field, length, dimension)
-        encoded = code.encode_batch(messages)
-        assert encoded.shape == (batch, length)
-        for row in range(batch):
-            np.testing.assert_array_equal(encoded[row], code.encode(messages[row]))
-
     @relaxed
     @given(
         field_index=st.integers(0, len(FIELDS) - 1),
@@ -99,80 +71,7 @@ class TestEncodeBatch:
             )
 
 
-class TestDecodeBatchAtRadiusBoundary:
-    @relaxed
-    @given(
-        field_index=st.integers(0, len(FIELDS) - 1),
-        length=st.integers(6, 14),
-        data=st.data(),
-    )
-    def test_decode_batch_matches_berlekamp_welch(self, field_index, length, data):
-        """Error counts drawn up to the exact radius ``floor((n - k) / 2)``."""
-        field = FIELDS[field_index]
-        dimension = data.draw(st.integers(1, length - 2), label="dimension")
-        code = _code(field, length, dimension)
-        radius = max_errors_correctable(length, dimension)
-        assert radius == code.correction_radius
-        batch = data.draw(st.integers(1, 6), label="batch")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
-        words = np.zeros((batch, length), dtype=np.int64)
-        for row in range(batch):
-            message = rng.integers(0, field.order, size=dimension)
-            word = code.encode(message)
-            # Include the boundary itself: exactly `radius` errors.
-            num_errors = int(rng.integers(0, radius + 1))
-            positions = rng.choice(length, size=num_errors, replace=False)
-            for position in positions:
-                offset = int(rng.integers(1, field.order))
-                word[position] = field.add(int(word[position]), offset)
-            words[row] = word
-        scalar = BerlekampWelchDecoder(code)
-        batched = code.decode_batch(words)
-        for row in range(batch):
-            expected = scalar.decode(words[row])
-            assert batched[row].polynomial == expected.polynomial
-            np.testing.assert_array_equal(batched[row].codeword, expected.codeword)
-            assert batched[row].error_positions == expected.error_positions
-
-    @relaxed
-    @given(
-        field_index=st.integers(0, len(FIELDS) - 1),
-        length=st.integers(6, 14),
-        data=st.data(),
-    )
-    def test_erasure_decode_batch_matches_scalar(self, field_index, length, data):
-        """Erasure/error mixes sat on ``2e <= survivors - K`` exactly."""
-        field = FIELDS[field_index]
-        dimension = data.draw(st.integers(1, length - 2), label="dimension")
-        code = _code(field, length, dimension)
-        decoder = ErasureDecoder(code)
-        batch = data.draw(st.integers(1, 6), label="batch")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
-        rows = []
-        for _ in range(batch):
-            message = rng.integers(0, field.order, size=dimension)
-            word = code.encode(message)
-            max_erasures = length - dimension
-            num_erasures = int(rng.integers(0, max_erasures + 1))
-            erased = rng.choice(length, size=num_erasures, replace=False)
-            survivors = length - num_erasures
-            # The exact budget: 2e <= survivors - K.
-            num_errors = (survivors - dimension) // 2
-            error_candidates = [i for i in range(length) if i not in set(erased)]
-            error_positions = rng.choice(
-                error_candidates, size=num_errors, replace=False
-            )
-            for position in error_positions:
-                offset = int(rng.integers(1, field.order))
-                word[position] = field.add(int(word[position]), offset)
-            rows.append(puncture(word, erased))
-        batched = decoder.decode_batch(rows)
-        for row_values, result in zip(rows, batched):
-            expected = decoder.decode_with_erasures(row_values)
-            assert result.polynomial == expected.polynomial
-            np.testing.assert_array_equal(result.codeword, expected.codeword)
-            assert result.error_positions == expected.error_positions
-
+class TestErasureRadiusBoundary:
     def test_erasure_failure_reports_budget(self):
         """One error past the radius: the DecodingError names the budget."""
         field = PrimeField(257)
@@ -284,80 +183,10 @@ class TestDecodeFastAgainstScalarRounds:
             observed.update(fast.error_nodes)
         assert observed <= suspects
 
-
-class TestStackedDecodeBatch:
-    """The stacked verification path must be a bit-exact drop-in for the
-    sequential ``decode_fast`` loop — same outputs, polynomials, error
-    nodes, learnt suspects *and charged operation counts* — across fault
-    onset, persistent faults and mixed partial-presence rounds."""
-
-    @relaxed
-    @given(
-        field_index=st.integers(0, len(FIELDS) - 1),
-        num_machines=st.integers(1, 4),
-        batch=st.integers(1, 8),
-        result_dim=st.integers(1, 3),
-        data=st.data(),
-    )
-    def test_matches_decode_fast_loop_bit_identically(
-        self, field_index, num_machines, batch, result_dim, data
-    ):
-        from repro.gf.field import OperationCounter
-
-        field = FIELDS[field_index]
-        num_nodes = num_machines + data.draw(st.integers(3, 8), label="extra")
-        scheme = LagrangeScheme(field, num_machines, num_nodes)
-        decoder = CodedResultDecoder(scheme, transition_degree=1)
-        dimension = decoder.code.dimension
-        radius = decoder.code.correction_radius
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="seed"))
-        num_bad = int(rng.integers(0, radius + 1))
-        bad = [int(i) for i in rng.choice(num_nodes, size=num_bad, replace=False)]
-        onset = data.draw(st.integers(0, batch), label="onset")
-        silence_some = data.draw(st.booleans(), label="silence") and num_bad == 0
-        rounds = []
-        for b in range(batch):
-            coeffs = rng.integers(0, field.order, size=(dimension, result_dim))
-            results = field.matmul(decoder.code.encoding_matrix, coeffs)
-            if b >= onset:
-                for node in bad:
-                    results[node] = rng.integers(0, field.order, size=result_dim)
-            if silence_some and b % 2 == 1 and num_nodes - dimension >= 1:
-                # Mix partial-presence rounds into the run: these must be
-                # delegated to decode_fast and split the stacked runs.
-                rounds.append(
-                    [None if i == num_nodes - 1 else results[i] for i in range(num_nodes)]
-                )
-            else:
-                rounds.append(results)
-
-        loop_suspects: set[int] = set()
-        loop_counter = OperationCounter()
-        field.attach_counter(loop_counter)
-        loop = [decoder.decode_fast(entry, loop_suspects) for entry in rounds]
-        field.attach_counter(None)
-
-        batch_suspects: set[int] = set()
-        batch_counter = OperationCounter()
-        field.attach_counter(batch_counter)
-        stacked = decoder.decode_batch(rounds, batch_suspects)
-        field.attach_counter(None)
-
-        assert loop_suspects == batch_suspects
-        assert loop_counter.snapshot() == batch_counter.snapshot()
-        for a, b in zip(loop, stacked):
-            np.testing.assert_array_equal(a.outputs, b.outputs)
-            assert a.error_nodes == b.error_nodes
-            assert len(a.polynomials) == len(b.polynomials)
-            for p, q in zip(a.polynomials, b.polynomials):
-                np.testing.assert_array_equal(
-                    p.coefficient_array(), q.coefficient_array()
-                )
-
-    def test_stacked_run_splits_on_fault_onset(self):
-        """A mid-batch onset must fall back for the onset round only, then
-        re-group: later rounds keep decoding through the fast path with the
-        offender excluded from the pivot."""
+    def test_decode_batch_mid_batch_fault_onset(self):
+        """A mid-batch onset falls back to the scalar decoder for the onset
+        round only: later rounds keep decoding through the fast path with
+        the offender excluded from the pivot."""
         field = FIELDS[-1]
         scheme = LagrangeScheme(field, 3, 12)
         decoder = CodedResultDecoder(scheme, transition_degree=1)

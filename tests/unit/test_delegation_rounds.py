@@ -184,6 +184,49 @@ class TestValidation:
                 _commands(machine, 2), client_rounds=[["a"] * NUM_MACHINES]
             )
 
+    def test_shared_canonicaliser_accepted_shapes_and_client_labels(self, machine):
+        """Inputs each backend took before the shared canonicaliser: a flat
+        round, a batch of one ``(1, K, command_dim)`` (what
+        ``ReplicationProtocol`` let through the engine's batch check), and
+        client ids of any type, recorded here as strings."""
+        (batch,) = _commands(machine, 1)
+        shaped = _protocol(machine)._canonical_round(batch)
+        for alias in (batch.reshape(-1), batch[None, :, :]):
+            assert np.array_equal(_protocol(machine)._canonical_round(alias), shaped)
+        with pytest.raises(ConfigurationError):
+            _protocol(machine)._canonical_round(np.stack([batch, batch]))
+        (record,) = _protocol(machine).run_rounds_batched(
+            [batch], client_rounds=[list(range(NUM_MACHINES))]
+        )
+        assert record.clients == [str(k) for k in range(NUM_MACHINES)]
+        assert _protocol(machine).run_rounds_batched([batch])[0].clients == [
+            f"client:{k}" for k in range(NUM_MACHINES)
+        ]
+
+
+class TestEmptyBatch:
+    def test_empty_batch_elects_nobody_and_draws_nothing(self, machine):
+        """An empty run must be a no-op like on the other backends: electing
+        a committee first would burn a permutation draw and shift every later
+        committee away from an identically seeded protocol's."""
+        commands = _commands(machine, 3)
+        touched, untouched = _protocol(machine), _protocol(machine)
+        assert touched.run_rounds_batched([]) == []
+        assert touched.current_worker is None
+        assert touched.history == []
+        assert (
+            touched.rng.bit_generator.state == untouched.rng.bit_generator.state
+        )
+        workers = []
+        for protocol in (touched, untouched):
+            seen = []
+            for batch in commands:
+                protocol.run_rounds_batched([batch])
+                seen.append(protocol.current_worker)
+            workers.append(seen)
+        assert workers[0] == workers[1]
+        assert len(set(workers[0])) > 1  # the draws really do pick different workers
+
 
 class TestServiceIntegration:
     def _drive(self, machine, rounds=2, **kwargs):
