@@ -27,9 +27,11 @@ leader's signature plus the echo step.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.exceptions import ConsensusError
 from repro.consensus.command_pool import SubmittedCommand
-from repro.consensus.interface import ConsensusDecision, ConsensusProtocol
+from repro.consensus.interface import ConsensusDecision, ConsensusProtocol, PlaneRounds
 from repro.net.message import Message, MessageKind
 
 
@@ -70,87 +72,79 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
         view: int,
         leader: str,
         selected: list[SubmittedCommand],
-        plane,
-        validity: dict[int, bool],
+        on_plane: PlaneRounds,
     ) -> dict[str, ConsensusDecision]:
+        plane, honest = on_plane.plane, on_plane.honest
         batch = self._propose_on_plane(round_index, view, leader, selected, plane)
         proposals = plane.collect_phase(
             batch, MessageKind.CONSENSUS_PROPOSAL, round_index
         )
+
+        def in_view(message: Message) -> bool:
+            return message.metadata.get("view") == view
+
         # Step 2: every honest node echoes what it received, in node order —
         # one batched phase instead of per-node broadcasts.
-        echo_templates: list[Message] = []
-        echo_refs: list[int] = []
-        for j, node_id in enumerate(self.node_ids):
-            if self.behavior_of(node_id).is_faulty:
-                continue
-            for message, ref in proposals.messages_for(j):
-                if message.metadata.get("view") != view:
-                    continue
-                echo_templates.append(
-                    Message(
-                        sender=node_id,
-                        recipient="*",
-                        kind=MessageKind.CONSENSUS_VOTE,
-                        round_index=round_index,
-                        payload=message.payload,
-                        metadata={
-                            "view": view,
-                            "leader_signature": message.signature,
-                            "leader": message.sender,
-                        },
-                    )
-                )
-                echo_refs.append(ref)
+        received = proposals.sightings(proposals.actions(view), in_view, honest)
+        node_ids = self.node_ids
+        echo_templates = [
+            Message(
+                sender=node_ids[j],
+                recipient="*",
+                kind=MessageKind.CONSENSUS_VOTE,
+                round_index=round_index,
+                payload=message.payload,
+                metadata={
+                    "view": view,
+                    "leader_signature": message.signature,
+                    "leader": message.sender,
+                },
+            )
+            for j, message, _ in received
+        ]
+        echo_refs = [ref for _, _, ref in received]
         echo_batch = plane.broadcast_phase(echo_templates, echo_refs)
         echoes = plane.collect_phase(
             echo_batch, MessageKind.CONSENSUS_VOTE, round_index
         )
-        # Step 3: decision at each honest node, deduplicating proposals by
-        # memoised content key instead of re-tupling payloads per node.
-        decisions: dict[str, ConsensusDecision] = {}
-        decisions_by_ref: dict[int, ConsensusDecision] = {}
-        for j, node_id in enumerate(self.node_ids):
-            if self.behavior_of(node_id).is_faulty:
-                continue
-            seen: dict[tuple, int] = {}
-            for message, ref in proposals.messages_for(j):
-                if message.sender != leader or message.metadata.get("view") != view:
-                    continue
-                key = plane.content_key(ref, self._payload_key)
-                if key not in seen:
-                    seen[key] = ref
-            seen_refs = set(seen.values())
-            for message, ref in echoes.messages_for(j):
-                if ref in seen_refs:
-                    continue  # an echo of a payload already seen adds nothing
-                if message.metadata.get("view") != view:
-                    continue
-                if message.metadata.get("leader") != leader:
-                    continue
-                key = plane.content_key(ref, self._payload_key)
-                if key not in seen:
-                    seen[key] = ref
-                    seen_refs.add(ref)
-            valid_refs = [
-                ref for ref in seen.values() if self._ref_valid(ref, plane, validity)
-            ]
-            if len(valid_refs) != 1:
-                return {}
-            ref = valid_refs[0]
-            decision = decisions_by_ref.get(ref)
-            if decision is None:
-                decision = self._decision_from_payload(
-                    round_index, view, leader, plane.payload(ref)
-                )
-                decisions_by_ref[ref] = decision
-            decisions[node_id] = decision
-        if not decisions:
+        # Step 3: the distinct proposals each node holds — the leader's own
+        # copies first, then what the echoes relayed — as one first-seen ref
+        # per content key and node.
+        seen = proposals.first_refs(
+            proposals.actions(view, sender=plane.node_index[leader]),
+            self._payload_key,
+            lambda m: m.sender == leader and in_view(m),
+        )
+        relays_leader = [message.sender == leader for _, message, _ in received]
+        seen = echoes.first_refs(
+            echoes.actions(view) & np.array(relays_leader, dtype=bool),
+            self._payload_key,
+            lambda m: in_view(m) and m.metadata.get("leader") == leader,
+            seen,
+        )
+        if not seen or not on_plane.honest_ids:
             return {}
-        tuples = {d.command_tuple() for d in decisions.values()}
-        if len(tuples) != 1:
+        held = np.array(list(seen.values()))  # (distinct proposals, N) refs
+        valid = np.zeros(held.shape, dtype=bool)
+        for ref in dict.fromkeys(held[held >= 0].tolist()):
+            if self._ref_valid(ref, on_plane):
+                valid |= held == ref
+        if (valid.sum(axis=0)[honest] != 1).any():
+            # zero proposals (silent leader) or several (equivocation) at
+            # some honest node: it votes for a view change.
+            return {}
+        decided = np.where(valid, held, 0).sum(axis=0)[honest].tolist()
+        by_ref = {
+            ref: self._decision_from_payload(
+                round_index, view, leader, plane.payload(ref)
+            )
+            for ref in sorted(set(decided))
+        }
+        if len({d.command_tuple() for d in by_ref.values()}) != 1:
             raise ConsensusError("honest nodes decided different command vectors")
-        return decisions
+        return {
+            node_id: by_ref[ref] for node_id, ref in zip(on_plane.honest_ids, decided)
+        }
 
     # -- internals ----------------------------------------------------------------------
     def _attempt_view(

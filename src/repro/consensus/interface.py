@@ -19,10 +19,10 @@ import numpy as np
 from repro.consensus.command_pool import CommandPool, SubmittedCommand
 from repro.exceptions import ConsensusError, LivenessError
 from repro.net.byzantine import (
+    HONEST,
     ByzantineBehavior,
     DelayingBehavior,
     EquivocatingBehavior,
-    HonestBehavior,
     SilentBehavior,
 )
 from repro.net.message import Message, MessageKind, PhaseBatch
@@ -68,11 +68,27 @@ class ConsensusDecision:
         """
         cached = self.__dict__.get("_command_tuple")
         if cached is None:
-            cached = tuple(
-                tuple(int(v) for v in row) for row in np.asarray(self.commands)
-            )
+            cached = tuple(map(tuple, np.asarray(self.commands).tolist()))
             self.__dict__["_command_tuple"] = cached
         return cached
+
+
+@dataclass
+class PlaneRounds:
+    """What one :meth:`ConsensusProtocol.decide_rounds` call holds fixed on the plane.
+
+    The fault plane only swaps behaviours between calls, so who is honest is
+    read once per call instead of once per node per phase.
+    """
+
+    plane: MessagePlane
+    #: ``(N,)`` bool, in node order — the nodes that follow the protocol.
+    honest: np.ndarray
+    #: The same nodes as ids, in node order.
+    honest_ids: list[str]
+    #: Payload ref -> proposal validity.  Validity consults the pool, which
+    #: changes between rounds (``mark_executed``), so each round starts empty.
+    validity: dict[int, bool] = field(default_factory=dict)
 
 
 class ConsensusProtocol(ABC):
@@ -150,7 +166,7 @@ class ConsensusProtocol(ABC):
         """Maximum number of Byzantine nodes the protocol tolerates."""
 
     def behavior_of(self, node_id: str) -> ByzantineBehavior:
-        return self.behaviors.get(node_id, HonestBehavior())
+        return self.behaviors.get(node_id, HONEST)
 
     def honest_nodes(self) -> list[str]:
         return [n for n in self.node_ids if not self.behavior_of(n).is_faulty]
@@ -175,30 +191,32 @@ class ConsensusProtocol(ABC):
         return self._decide_round(round_index, None)
 
     def _decide_round(
-        self, round_index: int, plane: MessagePlane | None
+        self, round_index: int, on_plane: PlaneRounds | None
     ) -> dict[str, ConsensusDecision]:
-        """Try views until one decides — on ``plane``, or event-driven without."""
+        """Try views until one decides — on the plane, or event-driven without."""
         selected = self.pool.peek_round()
         if any(entry is None for entry in selected):
             raise LivenessError(
                 "every state machine needs at least one pending client command"
             )
-        # Validity consults the pool, which only changes between rounds
-        # (mark_executed), so the plane's memo must not outlive this round.
-        validity: dict[int, bool] = {}
+        if on_plane is not None:
+            on_plane.validity.clear()
         for view in range(self.max_views):
             leader = self.leader_for(round_index, view)
-            if plane is None:
+            if on_plane is None:
                 decisions = self._attempt_view(round_index, view, leader, selected)
             else:
                 decisions = self._attempt_view_vectorised(
-                    round_index, view, leader, selected, plane, validity
+                    round_index, view, leader, selected, on_plane
                 )
             if decisions:
                 # Remove the decided commands from the pool exactly once.
                 sample = next(iter(decisions.values()))
                 for k, entry in enumerate(sample.selected):
                     self.pool.mark_executed(k, entry)
+                # Copies of this round still in a mailbox (late ones, losing
+                # views') can never be collected again: drop the dead letters.
+                self.network.discard_through(round_index, self.node_ids)
                 return decisions
         raise ConsensusError(
             self._views_exhausted_text.format(
@@ -242,18 +260,25 @@ class ConsensusProtocol(ABC):
         submit-then-:meth:`decide_round` sequential loop.
         """
         if self.use_vectorised_plane and not self.network.faults.active:
-            plane = MessagePlane(self.network, self.node_ids)
+            honest = [not self.behavior_of(n).is_faulty for n in self.node_ids]
+            on_plane = PlaneRounds(
+                plane=MessagePlane(self.network, self.node_ids),
+                honest=np.array(honest, dtype=bool),
+                honest_ids=[n for n, ok in zip(self.node_ids, honest) if ok],
+            )
             delivery = nullcontext()
         else:
             self.fast_path_disabled += count
-            plane = None
+            on_plane = None
             delivery = self.network.bulk_delivery()
         decisions = []
         with delivery:
             for offset in range(count):
                 if prepare_round is not None:
                     prepare_round(offset)
-                decisions.append(self._decide_round(first_round_index + offset, plane))
+                decisions.append(
+                    self._decide_round(first_round_index + offset, on_plane)
+                )
         return decisions
 
     # -- one view: the two implementations each protocol supplies -------------------------
@@ -274,8 +299,7 @@ class ConsensusProtocol(ABC):
         view: int,
         leader: str,
         selected: list[SubmittedCommand],
-        plane: MessagePlane,
-        validity: dict[int, bool],
+        on_plane: PlaneRounds,
     ) -> dict[str, ConsensusDecision]:
         """The same view on the message plane; bit-identical to the oracle."""
 
@@ -384,11 +408,11 @@ class ConsensusProtocol(ABC):
                 return False
         return True
 
-    def _ref_valid(self, ref: int, plane: MessagePlane, validity: dict[int, bool]) -> bool:
-        cached = validity.get(ref)
+    def _ref_valid(self, ref: int, on_plane: PlaneRounds) -> bool:
+        cached = on_plane.validity.get(ref)
         if cached is None:
-            cached = self._is_valid_proposal(plane.payload(ref))
-            validity[ref] = cached
+            cached = self._is_valid_proposal(on_plane.plane.payload(ref))
+            on_plane.validity[ref] = cached
         return cached
 
     def _decision_from_payload(
@@ -403,10 +427,10 @@ class ConsensusProtocol(ABC):
             SubmittedCommand(
                 machine_index=k,
                 client_id=clients[k],
-                command=tuple(int(v) for v in commands[k]),
+                command=tuple(row),
                 sequence=int(sequences[k]),
             )
-            for k in range(commands.shape[0])
+            for k, row in enumerate(commands.tolist())
         ]
         return ConsensusDecision(
             round_index=round_index,

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.exceptions import ConsensusError
 from repro.consensus.command_pool import CommandPool, SubmittedCommand
-from repro.consensus.interface import ConsensusDecision, ConsensusProtocol
+from repro.consensus.interface import ConsensusDecision, ConsensusProtocol, PlaneRounds
 from repro.net.byzantine import ByzantineBehavior
 from repro.net.message import Message, MessageKind
 from repro.net.network import SimulatedNetwork
@@ -93,139 +93,103 @@ class PBFTConsensus(ConsensusProtocol):
         view: int,
         primary: str,
         selected: list[SubmittedCommand],
-        plane,
-        validity: dict[int, bool],
+        on_plane: PlaneRounds,
     ) -> dict[str, ConsensusDecision]:
+        plane, honest = on_plane.plane, on_plane.honest
         timeout = self.view_timeout or self.network.delay_model.synchronous_bound
+        quorum = self.quorum
         batch = self._propose_on_plane(round_index, view, primary, selected, plane)
         pre_prepares = plane.collect_phase(
             batch, MessageKind.CONSENSUS_PROPOSAL, round_index, timeout
         )
+
+        def from_primary(message: Message) -> bool:
+            return message.sender == primary and message.metadata.get("view") == view
+
         # Prepare phase: honest nodes vote for the digest they received from
-        # the primary, provided the proposal is valid — one batched phase.
-        accepted: dict[int, int] = {}  # node index -> accepted payload ref
-        vote_ref_of: dict[int, int] = {}  # node index -> its vote-payload ref
-        prepare_templates: list[Message] = []
-        prepare_refs: list[int] = []
-        for j, node_id in enumerate(self.node_ids):
-            if self.behavior_of(node_id).is_faulty:
-                continue
-            matching = [
-                (message, ref)
-                for message, ref in pre_prepares.messages_for(j)
-                if message.sender == primary and message.metadata.get("view") == view
-            ]
-            if len(matching) != 1:
-                continue  # silent or equivocating primary: no prepare vote
-            _, ref = matching[0]
-            if not self._ref_valid(ref, plane, validity):
-                continue
-            accepted[j] = ref
-            vote_payload = self._vote_payload_for(ref, plane)
-            vote_ref_of[j] = plane.register(vote_payload)
-            prepare_templates.append(
+        # the primary, provided the proposal is valid.  A node that saw zero
+        # or several pre-prepares (silent or equivocating primary) casts no
+        # vote; one that saw exactly one holds exactly one digest below.
+        sent_by_primary = pre_prepares.actions(view, sender=plane.node_index[primary])
+        heard_once = honest & (
+            pre_prepares.match_counts(sent_by_primary, from_primary) == 1
+        )
+        accepted = np.full(self.num_nodes, -1)  # node -> accepted proposal ref
+        vote_ref = np.full(self.num_nodes, -1)  # node -> its vote-payload ref
+        held = pre_prepares.first_refs(sent_by_primary, self._digest, from_primary)
+        for digest, refs in held.items():
+            for ref in np.unique(refs[heard_once & (refs >= 0)]).tolist():
+                if self._ref_valid(ref, on_plane):
+                    voters = heard_once & (refs == ref)
+                    accepted[voters] = ref
+                    vote_ref[voters] = plane.register(self._vote_payload(digest, plane))
+
+        def vote_phase(kind: MessageKind, voters: np.ndarray) -> np.ndarray:
+            # One batched phase of the voters' votes, then who saw a quorum
+            # of votes matching their own: a column sum per distinct digest
+            # replaces the per-node supporter-set scan.
+            refs = vote_ref[voters].tolist()
+            templates = [
                 Message(
-                    sender=node_id,
+                    sender=self.node_ids[j],
                     recipient="*",
-                    kind=MessageKind.CONSENSUS_PREPARE,
+                    kind=kind,
                     round_index=round_index,
-                    payload=vote_payload,
+                    payload=plane.payload(ref),
                     metadata={"view": view},
                 )
+                for j, ref in zip(np.nonzero(voters)[0].tolist(), refs)
+            ]
+            votes = plane.collect_phase(
+                plane.broadcast_phase(templates, refs), kind, round_index, timeout
             )
-            prepare_refs.append(vote_ref_of[j])
-        prepare_batch = plane.broadcast_phase(prepare_templates, prepare_refs)
-        prepares = plane.collect_phase(
-            prepare_batch, MessageKind.CONSENSUS_PREPARE, round_index, timeout
-        )
-        # Commit phase: a column sum per distinct digest replaces the
-        # per-node supporter-set scan.
-        prepare_counts = self._quorum_counts(prepares, view, vote_ref_of, plane)
-        commit_templates: list[Message] = []
-        commit_refs: list[int] = []
-        for j, node_id in enumerate(self.node_ids):
-            if self.behavior_of(node_id).is_faulty:
-                continue
-            if j not in accepted:
-                continue
-            if int(prepare_counts[vote_ref_of[j]][j]) >= self.quorum:
-                commit_templates.append(
-                    Message(
-                        sender=node_id,
-                        recipient="*",
-                        kind=MessageKind.CONSENSUS_COMMIT,
-                        round_index=round_index,
-                        payload=plane.payload(vote_ref_of[j]),
-                        metadata={"view": view},
-                    )
+            reached = np.zeros(self.num_nodes, dtype=bool)
+            for ref in np.unique(vote_ref[vote_ref >= 0]).tolist():
+                digest = plane.payload(ref)["digest"]
+                counts = votes.supporter_counts(
+                    view,
+                    ref,
+                    lambda m, d=digest: (
+                        m.metadata.get("view") == view and m.payload.get("digest") == d
+                    ),
                 )
-                commit_refs.append(vote_ref_of[j])
-        commit_batch = plane.broadcast_phase(commit_templates, commit_refs)
-        commits = plane.collect_phase(
-            commit_batch, MessageKind.CONSENSUS_COMMIT, round_index, timeout
-        )
-        commit_counts = self._quorum_counts(commits, view, vote_ref_of, plane)
-        decisions: dict[str, ConsensusDecision] = {}
-        decisions_by_ref: dict[int, ConsensusDecision] = {}
-        for j, node_id in enumerate(self.node_ids):
-            if self.behavior_of(node_id).is_faulty:
-                continue
-            if j not in accepted:
-                continue
-            if int(commit_counts[vote_ref_of[j]][j]) >= self.quorum:
-                ref = accepted[j]
-                decision = decisions_by_ref.get(ref)
-                if decision is None:
-                    decision = self._decision_from_payload(
-                        round_index, view, primary, plane.payload(ref)
-                    )
-                    decisions_by_ref[ref] = decision
-                decisions[node_id] = decision
-        if not decisions:
+                reached |= (vote_ref == ref) & (counts >= quorum)
+            return reached
+
+        prepared = vote_phase(MessageKind.CONSENSUS_PREPARE, vote_ref >= 0)
+        committed = vote_phase(MessageKind.CONSENSUS_COMMIT, prepared)
+        if not committed.any():
             return {}
-        tuples = {d.command_tuple() for d in decisions.values()}
-        if len(tuples) != 1:
+        by_ref = {
+            ref: self._decision_from_payload(
+                round_index, view, primary, plane.payload(ref)
+            )
+            for ref in np.unique(accepted[committed]).tolist()
+        }
+        if len({d.command_tuple() for d in by_ref.values()}) != 1:
             raise ConsensusError("PBFT safety violation: conflicting decisions")
         # A view only "succeeds" for the round when every honest node decided;
         # otherwise the stragglers would need the (simplified-away) checkpoint
         # sync, so we conservatively run another view for everyone.
-        if set(decisions) != set(self.honest_nodes()):
+        if not committed[honest].all():
             return {}
-        return decisions
+        return {
+            node_id: by_ref[ref]
+            for node_id, ref in zip(on_plane.honest_ids, accepted[honest].tolist())
+        }
 
-    def _quorum_counts(
-        self, phase_view, view: int, vote_ref_of: dict[int, int], plane
-    ) -> dict[int, "np.ndarray"]:
-        """Per-node supporter counts for each distinct vote-payload ref."""
-        counts: dict[int, np.ndarray] = {}
-        for vote_ref in sorted(set(vote_ref_of.values())):
-            digest = plane.payload(vote_ref)["digest"]
-            counts[vote_ref] = phase_view.supporter_counts(
-                view,
-                vote_ref,
-                lambda m, d=digest: (
-                    m.metadata.get("view") == view and m.payload.get("digest") == d
-                ),
-            )
-        return counts
+    @staticmethod
+    def _vote_payload(digest: str, plane) -> dict:
+        """The interned ``{"digest": ...}`` vote payload for a proposal digest.
 
-    def _vote_payload_for(self, ref: int, plane) -> dict:
-        """The interned ``{"digest": ...}`` vote payload for a proposal ref.
-
-        One shared dict per digest means the signing normalisation and the
+        One shared dict per digest means the canonical signed bytes and the
         batch payload-ref column collapse across all voters; the oracle
         builds a fresh but content-equal dict per vote, so signatures match.
         """
-        digest_cache = plane.scratch.setdefault("pbft_digest_by_ref", {})
-        digest = digest_cache.get(ref)
-        if digest is None:
-            digest = self._digest(plane.payload(ref))
-            digest_cache[ref] = digest
         vote_cache = plane.scratch.setdefault("pbft_vote_payloads", {})
         vote_payload = vote_cache.get(digest)
         if vote_payload is None:
-            vote_payload = {"digest": digest}
-            vote_cache[digest] = vote_payload
+            vote_payload = vote_cache[digest] = {"digest": digest}
         return vote_payload
 
     # -- internals ----------------------------------------------------------------------

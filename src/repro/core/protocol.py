@@ -298,7 +298,11 @@ class CSMProtocol(RoundProtocol):
         reference = (chosen.command_tuple(), tuple(chosen.clients))
         for node_id in honest_ids[1:]:
             other = decisions[node_id]
-            if (other.command_tuple(), tuple(other.clients)) != reference:
+            # The plane hands every node that decided alike the same object.
+            if other is not chosen and (
+                other.command_tuple(),
+                tuple(other.clients),
+            ) != reference:
                 raise ConsensusError(
                     f"honest nodes {honest_ids[0]} and {node_id} decided different "
                     "command vectors — consensus safety violated"

@@ -68,6 +68,11 @@ class HonestBehavior(ByzantineBehavior):
         return False
 
 
+#: The behaviour of every node nobody configured otherwise.  Stateless, so
+#: one instance serves all lookups.
+HONEST = HonestBehavior()
+
+
 class CorruptResultBehavior(ByzantineBehavior):
     """Adds a fixed non-zero offset to every reported component."""
 

@@ -82,6 +82,19 @@ class Message:
             _normalise(self.payload),
         )
 
+    def signing_head(self) -> bytes:
+        """The signed bytes that precede the payload.
+
+        ``signing_head() + canonical_payload(payload)`` is byte-equal to
+        ``repr(signing_view()).encode()``: the repr of a tuple is its
+        elements' reprs joined by ``", "``, and UTF-8 encoding distributes
+        over concatenation.  Splitting it here lets the payload's share be
+        computed once per distinct payload (:class:`PayloadTable`).
+        """
+        return (
+            f"({self.sender!r}, {self.kind._value_!r}, {int(self.round_index)!r}, "
+        ).encode()
+
     def with_recipient(self, recipient: str) -> "Message":
         """Copy of this message addressed to a specific recipient."""
         return Message(
@@ -152,16 +165,58 @@ class PhaseBatch:
         return mask
 
 
+class PayloadTable:
+    """Payload objects interned by identity, with their canonical signed bytes.
+
+    A consensus phase shares one payload object across a whole broadcast (and
+    across the echo/prepare/commit votes for it), so everything that is a
+    pure function of the payload's content is computed once per *ref* — the
+    small integer :meth:`intern` hands out — instead of once per copy.  The
+    table keeps every interned object alive, so an ``id`` cannot be reused
+    (and alias another payload's entry) while the table exists.  Payloads
+    are treated as immutable once interned.
+    """
+
+    def __init__(self) -> None:
+        self.payloads: list[Any] = []
+        self._ref_by_id: dict[int, int] = {}
+        self._canonical: dict[int, bytes] = {}
+
+    def __len__(self) -> int:
+        return len(self.payloads)
+
+    def intern(self, payload: Any) -> int:
+        """The ref of ``payload``, registering the object on first sight."""
+        ref = self._ref_by_id.get(id(payload))
+        if ref is None:
+            ref = len(self.payloads)
+            self.payloads.append(payload)
+            self._ref_by_id[id(payload)] = ref
+        return ref
+
+    def canonical_of(self, payload: Any) -> bytes:
+        """:func:`canonical_payload` of ``payload``, computed once per ref."""
+        ref = self.intern(payload)
+        data = self._canonical.get(ref)
+        if data is None:
+            data = self._canonical[ref] = canonical_payload(payload)
+        return data
+
+
+def canonical_payload(payload: Any) -> bytes:
+    """The payload's share of the signed bytes (see :meth:`Message.signing_head`)."""
+    return f"{_normalise(payload)!r})".encode()
+
+
 def _normalise(value: Any) -> Any:
     """Convert payloads into hashable, deterministic structures for signing."""
-    import numpy as np
-
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.shape, tuple(int(v) for v in value.reshape(-1)))
+    # Leaves first: they are most of any payload (bool is an int).
+    if isinstance(value, (int, str, float)) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return tuple([_normalise(v) for v in value])
     if isinstance(value, dict):
         return tuple(sorted((str(k), _normalise(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_normalise(v) for v in value)
-    if isinstance(value, (int, str, bool, float)) or value is None:
-        return value
+    if isinstance(value, np.ndarray):
+        return ("ndarray", value.shape, tuple(int(v) for v in value.reshape(-1)))
     return str(value)

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.net.latency import DelayModel, SynchronousDelay
-from repro.net.message import Message, MessageKind, PhaseBatch
+from repro.net.message import Message, MessageKind, PayloadTable, PhaseBatch
 from repro.net.signatures import KeyRegistry
 from repro.net.simulator import EventScheduler
 from repro.rng import default_stream
@@ -435,6 +436,20 @@ class SimulatedNetwork:
             out[recipient] = self._mailboxes[recipient].drain(kind, round_index, deadline)
         return out
 
+    def discard_through(self, round_index: int, recipients: Iterable[str]) -> None:
+        """Drop the ``recipients``' mailbox entries of rounds ``<= round_index``.
+
+        Collection filters on the round being decided, so a copy that lands
+        after its round closed would otherwise sit in the mailbox — and be
+        re-scanned by every later drain — for the rest of the run.
+        """
+        for recipient in recipients:
+            box = self._mailboxes[recipient]
+            if box.messages:
+                box.messages = [
+                    entry for entry in box.messages if entry[1].round_index > round_index
+                ]
+
     def flush(self) -> None:
         """Deliver every in-flight message (used between experiments)."""
         self.scheduler.run_until_idle()
@@ -458,9 +473,18 @@ class PhaseView:
     Pairs the phase's :class:`~repro.net.message.PhaseBatch` (with a per-copy
     visibility mask) with the *stragglers* drained from the real mailboxes —
     late copies of earlier phases and targeted (equivocation) sends, which
-    still flow through the event scheduler.  Protocols read it either as
-    per-node message streams (:meth:`messages_for`) or as vectorised quorum
-    tallies (:meth:`supporter_counts`).
+    still flow through the event scheduler.  Every node's view is the batch
+    actions visible to it in action (dispatch) order, then its stragglers in
+    mailbox order — within every filter the protocols apply (sender / view /
+    leader) the order the event-driven collect would have produced.
+
+    Protocols read the view through array queries that answer for all nodes
+    at once: each is a handful of reductions over the ``(A, N)`` visibility
+    grid selected by an ``(A,)`` action mask (:meth:`actions`), and walks
+    messages one by one only for the nodes that actually drained stragglers,
+    with ``straggler_match`` standing in for the mask.  :meth:`messages_for`
+    is the literal per-node walk the queries are defined (and tested)
+    against.
     """
 
     def __init__(
@@ -471,26 +495,112 @@ class PhaseView:
         stragglers: list[list[Message]],
     ) -> None:
         self.plane = plane
-        self.batch = batch
-        self.visible = visible  # (A, N) bool, aligned with batch
         self.stragglers = stragglers  # one list per node, in node order
         self.has_stragglers = any(stragglers)
+        num_nodes = len(plane.node_ids)
+        if batch is None or visible is None:
+            # An empty phase reads as zero actions, so no query special-cases it.
+            no_actions = np.empty(0, dtype=np.int64)
+            self.templates: list[Message] = []
+            self.senders = self.views = self.payload_ref = no_actions
+            self.visible = np.empty((0, num_nodes), dtype=bool)
+        else:
+            self.templates = batch.templates
+            self.senders = batch.sender_index
+            self.views = batch.views
+            self.payload_ref = batch.payload_ref
+            self.visible = visible  # (A, N) bool, aligned with batch
+
+    def actions(self, view: int, sender: int | None = None) -> np.ndarray:
+        """``(A,)`` mask of the batch actions sent in ``view`` (by ``sender``)."""
+        mask = self.views == view
+        if sender is not None:
+            mask &= self.senders == sender
+        return mask
 
     def messages_for(self, node_index: int) -> Iterator[tuple[Message, int]]:
-        """Yield ``(message, payload_ref)`` visible at ``node_index``.
-
-        Batch copies come first in action (dispatch) order, then the node's
-        drained stragglers in mailbox order.  Within every filter the
-        protocols apply (sender / view / leader), this matches the order the
-        event-driven collect would have produced.
-        """
-        if self.batch is not None and self.visible is not None:
-            templates = self.batch.templates
-            refs = self.batch.payload_ref
-            for a in np.nonzero(self.visible[:, node_index])[0]:
-                yield templates[a], int(refs[a])
+        """Yield ``(message, payload_ref)`` visible at ``node_index``."""
+        for a in np.nonzero(self.visible[:, node_index])[0]:
+            yield self.templates[a], int(self.payload_ref[a])
         for message in self.stragglers[node_index]:
             yield message, self.plane.register(message.payload)
+
+    def sightings(
+        self, action_mask: np.ndarray, straggler_match, nodes: np.ndarray
+    ) -> list[tuple[int, Message, int]]:
+        """Every matching ``(node index, message, payload_ref)``, node-major.
+
+        Restricted to the nodes set in the ``(N,)`` mask ``nodes``; each
+        node's sightings come in :meth:`messages_for` order.
+        """
+        hits = self.visible & action_mask[:, None] & nodes
+        node_of, action_of = np.nonzero(hits.T)  # row-major over (N, A): node-major
+        refs = self.payload_ref.tolist()
+        out = [
+            (j, self.templates[a], refs[a])
+            for j, a in zip(node_of.tolist(), action_of.tolist())
+        ]
+        if self.has_stragglers:
+            for j in np.nonzero(nodes)[0].tolist():
+                for message in self.stragglers[j]:
+                    if straggler_match(message):
+                        out.append((j, message, self.plane.register(message.payload)))
+            # Stable: a node's batch copies stay ahead of its stragglers.
+            out.sort(key=itemgetter(0))
+        return out
+
+    def match_counts(self, action_mask: np.ndarray, straggler_match) -> np.ndarray:
+        """``(N,)`` — how many matching messages each node saw."""
+        counts = self.visible[action_mask].sum(axis=0, dtype=np.int64)
+        if self.has_stragglers:
+            for j, messages in enumerate(self.stragglers):
+                counts[j] += sum(1 for m in messages if straggler_match(m))
+        return counts
+
+    def first_refs(
+        self,
+        action_mask: np.ndarray,
+        key_fn,
+        straggler_match,
+        seen: dict[Any, np.ndarray] | None = None,
+    ) -> dict[Any, np.ndarray]:
+        """Per node, the distinct payloads it saw: the first ref of each content key.
+
+        Returns ``{content key: (N,) refs}``: for each ``key_fn`` value among
+        the matching messages, the payload ref of the *first* matching
+        message with that content each node saw (``-1`` where it saw none) —
+        two refs whose contents collide under ``key_fn`` are one payload to
+        the protocol, represented at each node by whichever it met first.
+        ``seen`` chains phases: pass the result of an earlier phase's query
+        and this phase only fills what that one left unseen, which is the
+        first-seen order of walking the earlier phase's messages first.
+        """
+        seen = {} if seen is None else seen
+        plane = self.plane
+        by_key: dict[Any, np.ndarray] = {}  # content key -> (A,) mask of its actions
+        for ref in dict.fromkeys(self.payload_ref[action_mask].tolist()):
+            key = plane.content_key(ref, key_fn)
+            selected = action_mask & (self.payload_ref == ref)
+            by_key[key] = by_key[key] | selected if key in by_key else selected
+        for key, selected in by_key.items():
+            hits = self.visible & selected[:, None]
+            first = hits.argmax(axis=0)  # first matching action; 0 when none
+            refs = np.where(hits.any(axis=0), self.payload_ref[first], -1)
+            earlier = seen.get(key)
+            seen[key] = refs if earlier is None else np.where(earlier >= 0, earlier, refs)
+        if self.has_stragglers:
+            for j, messages in enumerate(self.stragglers):
+                for message in messages:
+                    if not straggler_match(message):
+                        continue
+                    ref = plane.register(message.payload)
+                    key = plane.content_key(ref, key_fn)
+                    refs = seen.get(key)
+                    if refs is None:
+                        refs = seen[key] = np.full(len(self.stragglers), -1)
+                    if refs[j] < 0:
+                        refs[j] = ref
+        return seen
 
     def supporter_counts(
         self, view: int, payload_ref: int, straggler_match
@@ -502,15 +612,8 @@ class PhaseView:
         nodes fall back to exact sender-set semantics, so the counts equal
         the oracle's ``len({m.sender for m in received if ...})``.
         """
-        num_nodes = len(self.plane.node_ids)
-        action_mask = None
-        if self.batch is not None and self.batch.num_actions:
-            action_mask = (self.batch.views == view) & (
-                self.batch.payload_ref == payload_ref
-            )
-            counts = self.visible[action_mask].sum(axis=0).astype(np.int64)
-        else:
-            counts = np.zeros(num_nodes, dtype=np.int64)
+        action_mask = self.actions(view) & (self.payload_ref == payload_ref)
+        counts = self.visible[action_mask].sum(axis=0, dtype=np.int64)
         if not self.has_stragglers:
             return counts
         for j, messages in enumerate(self.stragglers):
@@ -519,10 +622,10 @@ class PhaseView:
             extra = {m.sender for m in messages if straggler_match(m)}
             if not extra:
                 continue
-            base: set[str] = set()
-            if action_mask is not None:
-                for a in np.nonzero(action_mask & self.visible[:, j])[0]:
-                    base.add(self.batch.templates[a].sender)
+            base = {
+                self.templates[a].sender
+                for a in np.nonzero(action_mask & self.visible[:, j])[0]
+            }
             counts[j] = len(base | extra)
         return counts
 
@@ -531,8 +634,8 @@ class MessagePlane:
     """Vectorised dispatch/collect surface over a :class:`SimulatedNetwork`.
 
     One plane serves one batch of consensus rounds: it owns the payload
-    table (payload object -> small integer ref) and the signing
-    normalisation cache that let a whole phase — up to ``N`` broadcasts,
+    table (payload object -> small integer ref, and the canonical signed
+    bytes per ref) that lets a whole phase — up to ``N`` broadcasts,
     ``N x N`` copies — be signed, verified, delayed and tallied as columns
     instead of objects.  Everything observable (rng stream, counters,
     delivery log, mailbox residue, simulated time) is bit-identical to
@@ -548,15 +651,10 @@ class MessagePlane:
         self.network = network
         self.node_ids = list(node_ids)
         self.node_index = {node_id: j for j, node_id in enumerate(self.node_ids)}
-        self.payloads: list[Any] = []
-        self._ref_by_id: dict[int, int] = {}
+        self.table = PayloadTable()
         self._content_keys: dict[int, Any] = {}
-        # id(payload) -> normalised signing view; shared with KeyRegistry
-        # batch operations.  Safe because the payload table above keeps every
-        # cached payload object alive for the plane's lifetime.
-        self.norm_cache: dict[int, Any] = {}
         # Free-form per-plane storage for protocol-level memoisation (interned
-        # vote payloads, digests per ref, ...).  Content-derived values only:
+        # vote payloads, ...).  Content-derived values only:
         # the plane outlives a single round, so anything depending on mutable
         # protocol state (e.g. pool-backed validity) must not live here.
         self.scratch: dict[Any, Any] = {}
@@ -564,21 +662,20 @@ class MessagePlane:
     # -- payload table ------------------------------------------------------------
     def register(self, payload: Any) -> int:
         """Intern ``payload`` (by identity) and return its table ref."""
-        ref = self._ref_by_id.get(id(payload))
-        if ref is None:
-            ref = len(self.payloads)
-            self.payloads.append(payload)
-            self._ref_by_id[id(payload)] = ref
-        return ref
+        return self.table.intern(payload)
 
     def payload(self, ref: int) -> Any:
-        return self.payloads[ref]
+        return self.table.payloads[ref]
 
     def content_key(self, ref: int, key_fn) -> Any:
-        """``key_fn(payload)`` memoised per ref (payloads are immutable)."""
+        """``key_fn(payload)`` memoised per ref (payloads are immutable).
+
+        The memo is keyed on the ref alone: a plane serves one protocol, which
+        names its payloads' content with one ``key_fn``.
+        """
         key = self._content_keys.get(ref)
         if key is None:
-            key = key_fn(self.payloads[ref])
+            key = key_fn(self.table.payloads[ref])
             self._content_keys[ref] = key
         return key
 
@@ -595,24 +692,25 @@ class MessagePlane:
         (appended compactly), but no per-copy message objects or mailbox
         pushes — in-window copies are tallied straight off the batch arrays
         at collection.
+
+        Each action is MAC-signed with its sender's key and MAC-verified
+        against its claimed sender's; the phase shares only the canonical
+        bytes of each distinct payload, through the plane's table — which
+        interns, by identity, whatever payload object each template carries
+        at that moment, registered before or not.
         """
         if not templates:
             return None
         net = self.network
-        net.keys.sign_batch(templates, self.norm_cache)
-        valid = np.array(net.keys.verify_batch(templates, self.norm_cache), dtype=bool)
+        net.keys.sign_batch(templates, self.table)
+        verdicts = net.keys.verify_batch(templates, self.table)
         now = net.scheduler.now
         num_actions = len(templates)
         num_nodes = len(self.node_ids)
-        sender_index = np.fromiter(
-            (self.node_index[m.sender] for m in templates),
-            dtype=np.int64,
-            count=num_actions,
-        )
-        views = np.fromiter(
-            (int(m.metadata.get("view", -1)) for m in templates),
-            dtype=np.int64,
-            count=num_actions,
+        node_index = self.node_index
+        sender_index = np.array([node_index[m.sender] for m in templates], dtype=np.int64)
+        views = np.array(
+            [int(m.metadata.get("view", -1)) for m in templates], dtype=np.int64
         )
         delivery_time = np.full((num_actions, num_nodes), now, dtype=float)
         self_mask = np.zeros((num_actions, num_nodes), dtype=bool)
@@ -630,13 +728,11 @@ class MessagePlane:
             sender_index=sender_index,
             views=views,
             payload_ref=np.asarray(payload_refs, dtype=np.int64),
-            valid=valid,
+            valid=np.array(verdicts, dtype=bool),
             delivery_time=delivery_time,
         )
         net.messages_sent += num_actions * (num_nodes - 1)
-        invalid = int(num_actions - int(valid.sum()))
-        if invalid:
-            net.rejected_signatures += invalid * (num_nodes - 1)
+        net.rejected_signatures += verdicts.count(False) * (num_nodes - 1)
         net.delivery_log.append_phase(_PhaseLogEntry(batch, self.node_ids))
         return batch
 
@@ -667,8 +763,8 @@ class MessagePlane:
             self_mask = batch.self_mask()
             in_window = batch.delivery_time <= deadline
             visible = (self_mask | batch.valid[:, None]) & in_window
-            late = batch.valid[:, None] & ~in_window & ~self_mask
-            if late.any():
+            if not in_window.all():
+                late = batch.valid[:, None] & ~in_window & ~self_mask
                 for a, j in zip(*np.nonzero(late)):
                     node_id = self.node_ids[j]
                     net._mailboxes[node_id].push(

@@ -64,6 +64,32 @@ class TestDecisionSelection:
         with pytest.raises(ConsensusError, match="different"):
             protocol._select_decision(decisions)
 
+    def test_shared_decision_object_is_compared_once(self, big_field):
+        # The plane hands all honest nodes one decision object; distinct but
+        # equal objects (the oracle's shape) must still be compared, and agree.
+        protocol = _protocol(big_field)
+        compared = []
+
+        class Counted(ConsensusDecision):
+            def command_tuple(self):
+                compared.append(self)
+                return super().command_tuple()
+
+        def counted():
+            return Counted(
+                round_index=0,
+                commands=np.array([[5], [6]], dtype=np.int64),
+                clients=["client:0", "client:1"],
+            )
+
+        shared = counted()
+        chosen = protocol._select_decision({f"node-{i}": shared for i in range(4)})
+        assert chosen is shared and len(compared) == 1
+        compared.clear()
+        distinct = {f"node-{i}": counted() for i in range(4)}
+        assert protocol._select_decision(distinct) is distinct["node-0"]
+        assert len(compared) == 4
+
     def test_no_honest_decision_raises(self, big_field):
         protocol = _protocol(
             big_field, behaviors={"node-0": CorruptResultBehavior()}

@@ -20,6 +20,7 @@ must not move a single message or rng draw.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import CSMConfig
@@ -103,6 +104,9 @@ def _assert_parity(oracle, plane, oracle_records, plane_records, num_rounds):
         assert a.message.recipient == b.message.recipient
         assert a.message.kind == b.message.kind
         assert a.message.round_index == b.message.round_index
+        assert a.message.signature == b.message.signature
+        assert a.message.payload == b.message.payload
+        assert a.message.metadata == b.message.metadata
         assert a.send_time == b.send_time
         assert a.delivery_time == b.delivery_time
         assert a.delivered == b.delivered
@@ -249,3 +253,60 @@ class TestConsensusPlaneBitIdentity:
         assert len(one_by_one.network.delivery_log) == len(
             single_call.network.delivery_log
         )
+
+
+#: Leader misbehaviours, by what the leader of a view does with its proposal:
+#: sends conflicting payloads to the two halves, broadcasts a forged one
+#: (PBFT's forgery changes the clients only, so its content key collides
+#: with the honest payload's), says nothing, or says it too late.
+LEADER_BEHAVIORS = {
+    "equivocating": EquivocatingBehavior,
+    "forged-payload": RandomGarbageBehavior,
+    "silent": SilentBehavior,
+    "delaying": DelayingBehavior,
+}
+
+
+class TestFaultyLeadersAtScale:
+    """The array tallies at N=32, where the hypothesis cases above stop at 12."""
+
+    @pytest.mark.parametrize("partially_synchronous", [False, True], ids=["bcast", "pbft"])
+    @pytest.mark.parametrize("leader_behavior", sorted(LEADER_BEHAVIORS))
+    def test_plane_matches_oracle_under_faulty_leaders(
+        self, leader_behavior, partially_synchronous
+    ):
+        num_nodes, num_rounds = 32, 3
+        machine = bank_account_machine(FIELD, num_accounts=2)
+        config = _valid_config(num_nodes, 3, machine.degree, partially_synchronous)
+        command_rng = np.random.default_rng(17)
+        batches = [
+            command_rng.integers(
+                1, 1000, size=(config.num_machines, machine.command_dim)
+            )
+            for _ in range(num_rounds)
+        ]
+
+        def build(vectorised):
+            # node-0..2 lead views 0..2 of round 0 (three view changes in a
+            # row); rounds 1 and 2 start under node-1 and node-2.
+            behaviors = {
+                f"node-{index}": LEADER_BEHAVIORS[leader_behavior]()
+                for index in range(3)
+            }
+            return CSMProtocol(
+                config,
+                machine,
+                behaviors,
+                rng=np.random.default_rng(5),
+                vectorised_consensus=vectorised,
+            )
+
+        oracle, plane = build(False), build(True)
+        oracle_records = oracle.run_rounds_batched(batches)
+        plane_records = plane.run_rounds_batched(batches)
+        _assert_parity(oracle, plane, oracle_records, plane_records, num_rounds)
+        # The faulty leaders cost views — except a broadcast equivocator, whose
+        # two payloads reach everyone through the echoes and only one is valid.
+        if partially_synchronous or leader_behavior != "equivocating":
+            assert plane_records[0].consensus_views >= 3
+            assert plane_records[2].consensus_views >= 1

@@ -215,6 +215,14 @@ class TestAuthenticatedBroadcast:
         with pytest.raises(LivenessError):
             protocol.decide_round(0)
 
+    def test_unconfigured_nodes_share_one_honest_behavior(self):
+        behaviors = {"node-0": SilentBehavior()}
+        protocol, _ = _sync_setup(4, 1, behaviors)
+        assert protocol.behavior_of("node-1") is protocol.behavior_of("node-2")
+        assert not protocol.behavior_of("node-1").is_faulty
+        assert protocol.behavior_of("node-0") is behaviors["node-0"]
+        assert protocol.honest_nodes() == ["node-1", "node-2", "node-3"]
+
     def test_fault_tolerance_property(self):
         protocol, _ = _sync_setup(7, 1)
         assert protocol.fault_tolerance == 6
@@ -337,3 +345,213 @@ class TestDecideRounds:
         # processed, yet both rounds decided.
         assert protocol.network.scheduler.processed_events == 0
         assert not protocol.network._bulk_delivery  # flag restored on exit
+
+
+class _ClientForgingEquivocator(AuthenticatedBroadcastConsensus):
+    """An equivocating leader whose second payload differs in the clients only.
+
+    Commands and sequences — the proposal's content key — are the honest
+    ones, so the forged payload *collides* with the honest payload: a node
+    holds whichever of the two it saw first, and only the honest one is
+    valid.
+    """
+
+    def _proposal_actions(self, round_index, view, leader, selected):
+        broadcasts, sends = super()._proposal_actions(round_index, view, leader, selected)
+        forged = {}
+        for message in sends[len(sends) // 2 :]:
+            forged.setdefault(
+                id(message.payload),
+                dict(
+                    self._payload_from_selection(selected),
+                    clients=["client:forged"] * len(selected),
+                ),
+            )
+            message.payload = forged[id(message.payload)]
+        return broadcasts, sends
+
+
+class TestPlaneTalliesAgainstOracle:
+    def _pair(self, num_nodes, behaviors):
+        protocols = []
+        for _ in range(2):
+            rng = np.random.default_rng(4)
+            network = SimulatedNetwork(delay_model=SynchronousDelay(), rng=rng)
+            pool = CommandPool(num_machines=2)
+            for r in range(2):
+                for k in range(2):
+                    pool.submit(k, f"client:{k}", [10 * r + k + 1])
+            protocols.append(
+                _ClientForgingEquivocator(
+                    network, [f"node-{i}" for i in range(num_nodes)], pool, behaviors, rng
+                )
+            )
+        return protocols
+
+    def test_colliding_content_keys_resolve_first_seen_like_the_oracle(self):
+        behaviors = {"node-0": EquivocatingBehavior()}
+        oracle, plane = self._pair(8, behaviors)
+        with oracle.network.bulk_delivery():
+            oracle_decisions = [oracle.decide_round(r) for r in range(2)]
+        plane_decisions = plane.decide_rounds(0, 2)
+        for orc, vec in zip(oracle_decisions, plane_decisions):
+            assert list(orc) == list(vec)
+            for node_id in orc:
+                assert orc[node_id].command_tuple() == vec[node_id].command_tuple()
+                assert orc[node_id].clients == vec[node_id].clients
+                assert orc[node_id].view == vec[node_id].view
+        # The second half holds the forged payload first and the colliding
+        # honest echo adds nothing, so it sees no valid proposal: view change.
+        assert plane_decisions[0]["node-1"].view == 1
+        assert plane_decisions[0]["node-1"].clients == ["client:0", "client:1"]
+        assert oracle.network.messages_sent == plane.network.messages_sent
+        assert (
+            oracle.rng.bit_generator.state["state"]
+            == plane.rng.bit_generator.state["state"]
+        )
+        for a, b in zip(oracle.network.delivery_log, plane.network.delivery_log):
+            assert (a.message.sender, a.message.recipient) == (
+                b.message.sender,
+                b.message.recipient,
+            )
+            assert a.message.signature == b.message.signature
+            assert a.message.payload == b.message.payload
+            assert a.delivery_time == b.delivery_time
+
+
+class _CountingHash:
+    """A hashlib object that counts finished MACs (one ``hexdigest`` each)."""
+
+    macs = 0
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def copy(self):
+        return _CountingHash(self._inner.copy())
+
+    def update(self, data):
+        self._inner.update(data)
+
+    def digest(self):
+        return self._inner.digest()
+
+    def hexdigest(self):
+        _CountingHash.macs += 1
+        return self._inner.hexdigest()
+
+
+class TestRoundComplexityPin:
+    """A fault-free plane round costs O(N) MACs and O(1) canonicalisations.
+
+    Counted, not timed: the hash constructor the registry keys its MAC states
+    from and the payload normaliser are patched with counting stand-ins.
+    """
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        import hashlib
+
+        from repro.net import message, signatures
+
+        counts = {"canonicalisations": 0, "depth": 0}
+        normalise = message._normalise
+
+        def counting_normalise(value):
+            # _normalise recurses through the module global, i.e. through
+            # this wrapper: only depth-0 calls are whole payloads.
+            if counts["depth"] == 0:
+                counts["canonicalisations"] += 1
+            counts["depth"] += 1
+            try:
+                return normalise(value)
+            finally:
+                counts["depth"] -= 1
+
+        monkeypatch.setattr(message, "_normalise", counting_normalise)
+        monkeypatch.setattr(
+            signatures, "sha256", lambda data=b"": _CountingHash(hashlib.sha256(data))
+        )
+        monkeypatch.setattr(_CountingHash, "macs", 0)
+        return counts
+
+    def _decide_one_round(self, protocol, counters):
+        # Keys (and their MAC states) were issued through the patched
+        # constructor at set-up; count the round alone.
+        counters["canonicalisations"] = 0
+        _CountingHash.macs = 0
+        (decisions,) = protocol.decide_rounds(0, 1)
+        assert len(decisions) == protocol.num_nodes
+        assert {d.view for d in decisions.values()} == {0}
+        assert protocol.fast_path_disabled == 0
+        return counters["canonicalisations"], _CountingHash.macs
+
+    def test_broadcast_round_n32_k9(self, counters):
+        protocol, _ = _sync_setup(32, 9)
+        # One proposal and N echoes, each signed once and verified once; all
+        # of them carry the one proposal payload.
+        assert self._decide_one_round(protocol, counters) == (1, 2 * (32 + 1))
+        assert protocol.network.messages_sent == (32 + 1) * 31
+
+    def test_pbft_round_n16(self, counters):
+        protocol = _pbft_setup(16, 4, gst=0.0)
+        # One pre-prepare, N prepares, N commits; the proposal payload and the
+        # one vote payload the prepares and commits share.
+        assert self._decide_one_round(protocol, counters) == (2, 2 * (2 * 16 + 1))
+        assert protocol.network.messages_sent == (2 * 16 + 1) * 15
+
+
+class TestDeadLetters:
+    """Copies that land after their round was decided must not pile up."""
+
+    def _run(self, monkeypatch=None):
+        if monkeypatch is not None:  # the behaviour before the fix
+            monkeypatch.setattr(
+                SimulatedNetwork, "discard_through", lambda self, *args: None
+            )
+        protocol = _pbft_setup(7, 2, gst=4.0, seed=1)
+        _submit_rounds(protocol.pool, 2, 4)
+        decisions = protocol.decide_rounds(0, 4)
+        return protocol, decisions
+
+    def test_no_mailbox_keeps_a_decided_round(self, monkeypatch):
+        protocol, decisions = self._run()
+        assert max(d.view for d in decisions[0].values()) >= 1  # pre-GST view changes
+        for box in protocol.network._mailboxes.values():
+            assert [m.round_index for _, m in box.messages if m.round_index <= 3] == []
+        leaky, leaky_decisions = self._run(monkeypatch)
+        stale = sum(len(box.messages) for box in leaky.network._mailboxes.values())
+        assert stale > 0  # the run does produce dead letters when nothing drops them
+        # Dropping them is unobservable: nothing could ever have collected them.
+        for kept, leaked in zip(decisions, leaky_decisions):
+            assert list(kept) == list(leaked)
+            for node_id in kept:
+                assert kept[node_id].command_tuple() == leaked[node_id].command_tuple()
+                assert kept[node_id].view == leaked[node_id].view
+        assert (
+            protocol.rng.bit_generator.state["state"]
+            == leaky.rng.bit_generator.state["state"]
+        )
+        assert protocol.network.messages_sent == leaky.network.messages_sent
+        assert protocol.network.rejected_signatures == leaky.network.rejected_signatures
+        assert protocol.network.now == leaky.network.now
+        assert len(protocol.network.delivery_log) == len(leaky.network.delivery_log)
+        for a, b in zip(protocol.network.delivery_log, leaky.network.delivery_log):
+            assert (a.message.sender, a.message.recipient, a.message.signature) == (
+                b.message.sender,
+                b.message.recipient,
+                b.message.signature,
+            )
+            assert (a.send_time, a.delivery_time, a.delivered) == (
+                b.send_time,
+                b.delivery_time,
+                b.delivered,
+            )
+
+    def test_oracle_drops_them_too(self):
+        protocol = _pbft_setup(7, 2, gst=4.0, seed=1)
+        _submit_rounds(protocol.pool, 2, 4)
+        protocol.use_vectorised_plane = False
+        protocol.decide_rounds(0, 4)
+        for box in protocol.network._mailboxes.values():
+            assert [m.round_index for _, m in box.messages if m.round_index <= 3] == []

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.net.latency import PartiallySynchronousDelay, SynchronousDelay
-from repro.net.message import Message, MessageKind
-from repro.net.network import DeliveryRecord, MessagePlane, SimulatedNetwork
+from repro.net.message import Message, MessageKind, PayloadTable, PhaseBatch
+from repro.net.network import DeliveryRecord, MessagePlane, PhaseView, SimulatedNetwork
 from repro.net.signatures import KeyRegistry
 
 
@@ -84,27 +84,32 @@ class TestBatchSignatures:
         batch = [_message(f"node-{i}", payloads[i]) for i in range(4)]
         for message in scalar:
             scalar_keys.sign(message)
-        batch_keys.sign_batch(batch, norm_cache={})
+        batch_keys.sign_batch(batch, PayloadTable())
         for a, b in zip(scalar, batch):
             assert a.signature == b.signature
-        assert all(batch_keys.verify_batch(batch, norm_cache={}))
+        assert all(batch_keys.verify_batch(batch, PayloadTable()))
 
     def test_verify_batch_flags_tampered_message(self):
         keys = KeyRegistry()
+        table = PayloadTable()
         messages = [_message(f"node-{i}", {"value": i}) for i in range(3)]
-        keys.sign_batch(messages)
+        keys.sign_batch(messages, table)
+        # The table keeps the replaced object alive, so the new payload cannot
+        # alias its entry: it is interned afresh and the MAC no longer matches.
         messages[1].payload = {"value": 99}
+        assert keys.verify_batch(messages, table) == [True, False, True]
         assert keys.verify_batch(messages) == [True, False, True]
 
-    def test_norm_cache_is_shared_between_sign_and_verify(self):
+    def test_table_is_shared_between_sign_and_verify(self):
         keys = KeyRegistry()
-        cache: dict = {}
+        table = PayloadTable()
         payload = {"commands": [1, 2, 3]}
         messages = [_message(f"node-{i}", payload) for i in range(3)]
-        keys.sign_batch(messages, cache)
-        # One shared payload object -> one normalisation entry.
-        assert len(cache) == 1
-        assert keys.verify_batch(messages, cache) == [True, True, True]
+        keys.sign_batch(messages, table)
+        # One shared payload object -> one table entry.
+        assert len(table) == 1
+        assert keys.verify_batch(messages, table) == [True, True, True]
+        assert len(table) == 1
 
 
 def _network(seed=9, num_nodes=5, delay=None):
@@ -292,3 +297,138 @@ class TestFastPathCounter:
                 session.submit(k, batch[k])
         service.drain()
         assert service.consensus_fast_path_disabled == 2
+
+
+def _random_phase(rng, plane, pool, num_actions):
+    """A random phase: batch columns, visibility grid and per-node stragglers.
+
+    Payloads come from ``pool`` — several objects per content key ``p["k"]``,
+    so refs collide under the key — and straggler payloads may also be fresh
+    objects the table has never seen.
+    """
+    node_ids = plane.node_ids
+    num_nodes = len(node_ids)
+
+    def message(payload):
+        return Message(
+            sender=node_ids[rng.integers(num_nodes)],
+            recipient="*",
+            kind=MessageKind.CONSENSUS_VOTE,
+            round_index=0,
+            payload=payload,
+            metadata={
+                "view": int(rng.integers(2)),
+                "leader": node_ids[rng.integers(min(2, num_nodes))],
+            },
+        )
+
+    templates = [message(pool[rng.integers(len(pool))]) for _ in range(num_actions)]
+    batch = None
+    visible = None
+    if templates:
+        batch = PhaseBatch(
+            kind=MessageKind.CONSENSUS_VOTE,
+            round_index=0,
+            send_time=0.0,
+            templates=templates,
+            sender_index=np.array([plane.node_index[m.sender] for m in templates]),
+            views=np.array([m.metadata["view"] for m in templates]),
+            payload_ref=np.array([plane.register(m.payload) for m in templates]),
+            valid=np.ones(num_actions, dtype=bool),
+            delivery_time=np.zeros((num_actions, num_nodes)),
+        )
+        visible = rng.random((num_actions, num_nodes)) < 0.6
+    stragglers = []
+    for _ in range(num_nodes):
+        count = int(rng.integers(3)) if rng.random() < 0.4 else 0
+        stragglers.append(
+            [
+                message(
+                    pool[rng.integers(len(pool))]
+                    if rng.random() < 0.5
+                    else {"k": int(rng.integers(3)), "fresh": True}
+                )
+                for _ in range(count)
+            ]
+        )
+    return PhaseView(plane, batch, visible, stragglers)
+
+
+class TestPhaseViewQueries:
+    """The array queries against the literal per-node ``messages_for`` walk."""
+
+    @staticmethod
+    def _key(payload):
+        return payload["k"]
+
+    def _walk_first_refs(self, view, node, match, seen):
+        """What the per-node loops did: first ref per content key, in walk order."""
+        for message, ref in view.messages_for(node):
+            if match(message):
+                seen.setdefault(view.plane.content_key(ref, self._key), ref)
+        return seen
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_queries_match_the_per_node_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        num_nodes = int(rng.integers(2, 8))
+        net, node_ids = _network(num_nodes=num_nodes)
+        plane = MessagePlane(net, node_ids)
+        # Keys 0..2, up to three distinct payload objects per key.
+        pool = [{"k": k, "salt": s} for k in range(3) for s in range(int(rng.integers(1, 4)))]
+        first = _random_phase(rng, plane, pool, int(rng.integers(0, 3)))
+        second = _random_phase(rng, plane, pool, int(rng.integers(0, 9)))
+        view_number = int(rng.integers(2))
+        leader = node_ids[0]
+
+        def match(m):
+            return m.metadata["view"] == view_number and m.metadata["leader"] == leader
+
+        def mask(view):
+            return np.array([match(m) for m in view.templates], dtype=bool)
+
+        nodes = rng.random(num_nodes) < 0.7
+        chained = second.first_refs(
+            mask(second), self._key, match, first.first_refs(mask(first), self._key, match)
+        )
+        alone = second.first_refs(mask(second), self._key, match)
+        counts = second.match_counts(mask(second), match)
+        sightings = second.sightings(mask(second), match, nodes)
+        expected_sightings = []
+        for j in range(num_nodes):
+            walked = self._walk_first_refs(second, j, match, {})
+            assert {k: int(r[j]) for k, r in alone.items() if r[j] >= 0} == walked
+            walked = self._walk_first_refs(
+                second, j, match, self._walk_first_refs(first, j, match, {})
+            )
+            assert {k: int(r[j]) for k, r in chained.items() if r[j] >= 0} == walked
+            matching = [(m, ref) for m, ref in second.messages_for(j) if match(m)]
+            assert counts[j] == len(matching)
+            if nodes[j]:
+                expected_sightings += [(j, id(m), ref) for m, ref in matching]
+        assert [(j, id(m), ref) for j, m, ref in sightings] == expected_sightings
+        # actions() is the mask the protocols build their filters from.
+        in_view = [m.metadata["view"] == view_number for m in second.templates]
+        assert second.actions(view_number).tolist() == in_view
+        by_first_node = [
+            ok and m.sender == node_ids[0] for ok, m in zip(in_view, second.templates)
+        ]
+        assert second.actions(view_number, sender=0).tolist() == by_first_node
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_supporter_counts_match_sender_sets(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        num_nodes = int(rng.integers(2, 8))
+        net, node_ids = _network(num_nodes=num_nodes)
+        plane = MessagePlane(net, node_ids)
+        pool = [{"k": k, "salt": 0} for k in range(2)]
+        view = _random_phase(rng, plane, pool, int(rng.integers(0, 9)))
+        ref = plane.register(pool[0])
+
+        def match(m):
+            return m.metadata["view"] == 1 and m.payload is pool[0]
+
+        counts = view.supporter_counts(1, ref, match)
+        for j in range(num_nodes):
+            senders = {m.sender for m, r in view.messages_for(j) if match(m)}
+            assert counts[j] == len(senders)
