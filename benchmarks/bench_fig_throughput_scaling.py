@@ -5,35 +5,16 @@ compares the distributed-coding path (every node decodes) against the
 delegated path (single worker, INTERMIX verification) and the paper's
 quasilinear model curve ``N log^2 N log log N``.  The measured rows run
 through the batched cached-matrix pipeline by default
-(``throughput_rows(batched=...)`` flips back to the scalar protocol), and
-``test_batched_pipeline_speedup_bit_identical`` checks the pipeline contract:
-identical outputs, >= 3x wall-clock at the largest configuration.
+(``throughput_rows(batched=...)`` flips back to the scalar protocol); the
+batched path must charge far fewer decode operations per round.
 
-The speculative decode/execute overlap has its own gates:
-``test_pipelined_speedup_bit_identical`` pins ``execute_rounds_pipelined``
-at >= 1.5x the batched commands/sec on the fault-free largest
-configuration (bit-identical results), and
-``test_pipelined_graceful_under_persistent_faults`` bounds the degradation
-under a persistent 20% fault load at <= ~1.1x.  ``--pipelined`` smoke-runs
-the protocol/service sweeps through the pipelined mode, ``--traffic``
-enables the open-loop QoS benchmarks (weighted-fair slot shares, bounded
-queues, logical-tick latency percentiles), and ``--json PATH`` writes the
-``BENCH_throughput.json`` perf-trajectory artifact (now including the
-traffic percentiles and their gateable p99/p50 ratios).
+These are operation counts and model curves, the paper's own metric.
+Wall-clock serving throughput and latency are measured end to end by
+``benchmarks/e2e`` (``BENCHMARK.json``).
 """
 
-import time
-
-import numpy as np
-
 from repro.analysis.complexity import quasilinear_coding_cost
-from repro.analysis.metrics import csm_supported_machines
-from repro.core.config import CSMConfig
-from repro.core.execution import CodedExecutionEngine
-from repro.core.protocol import CSMProtocol
 from repro.experiments import scaling
-from repro.machine.library import bank_account_machine
-from repro.net.byzantine import RandomGarbageBehavior
 
 
 def test_throughput_rows_distributed_vs_delegated(benchmark):
@@ -67,879 +48,6 @@ def test_batched_amortises_ops_vs_scalar(benchmark):
     batched, scalar = benchmark(both)
     for fast, slow in zip(batched, scalar):
         assert fast["distributed_ops_per_node"] < slow["distributed_ops_per_node"] / 5
-
-
-def _build_engine(field, machine, num_nodes, num_machines, num_faults, seed):
-    node_ids = [f"node-{i}" for i in range(num_nodes)]
-    behaviors = {node_ids[i]: RandomGarbageBehavior() for i in range(num_faults)}
-    config = CSMConfig(
-        field=field,
-        num_nodes=num_nodes,
-        num_machines=num_machines,
-        degree=machine.degree,
-        num_faults=num_faults,
-    )
-    return CodedExecutionEngine(
-        config, machine, node_ids, behaviors, np.random.default_rng(seed)
-    )
-
-
-def test_batched_pipeline_speedup_bit_identical(field):
-    """Largest configuration: batched >= 3x faster, outputs bit-identical.
-
-    Both engines start from the same seed, face the same Byzantine nodes and
-    consume the random stream in the same order, so every round's outputs,
-    states, correctness flag and flagged error nodes must match exactly; the
-    batch path only amortises the encode/decode linear algebra.
-    """
-    machine = bank_account_machine(field, num_accounts=2)
-    num_nodes = 32  # the largest network size of this figure
-    fault_fraction = 0.2
-    num_faults = int(fault_fraction * num_nodes)
-    num_machines = csm_supported_machines(num_nodes, fault_fraction, machine.degree)
-    num_rounds = 8
-    commands = np.random.default_rng(7).integers(
-        1, 1000, size=(num_rounds, num_machines, machine.command_dim)
-    )
-
-    # Min over a few attempts: the ~6x architectural gap leaves a wide margin
-    # over the 3x floor, and the minimum filters transient scheduler noise on
-    # shared CI runners.
-    scalar_time = float("inf")
-    batch_time = float("inf")
-    for attempt in range(3):
-        scalar_engine = _build_engine(
-            field, machine, num_nodes, num_machines, num_faults, seed=1
-        )
-        start = time.perf_counter()
-        scalar_results = [scalar_engine.execute_round(c) for c in commands]
-        scalar_time = min(scalar_time, time.perf_counter() - start)
-
-        batch_engine = _build_engine(
-            field, machine, num_nodes, num_machines, num_faults, seed=1
-        )
-        start = time.perf_counter()
-        batch_results = batch_engine.execute_rounds(commands)
-        batch_time = min(batch_time, time.perf_counter() - start)
-
-    for scalar_round, batch_round in zip(scalar_results, batch_results):
-        assert np.array_equal(scalar_round.outputs, batch_round.outputs)
-        assert np.array_equal(scalar_round.states, batch_round.states)
-        assert scalar_round.correct == batch_round.correct
-        assert (
-            scalar_round.diagnostics["error_nodes"]
-            == batch_round.diagnostics["error_nodes"]
-        )
-    assert scalar_round.correct  # the configuration is inside the bound
-    speedup = scalar_time / batch_time
-    assert speedup >= 3.0, (
-        f"batched pipeline speedup {speedup:.1f}x below the 3x floor "
-        f"(scalar {scalar_time:.3f}s, batched {batch_time:.3f}s)"
-    )
-
-
-def test_protocol_rows_end_to_end(
-    benchmark, batched_protocol, service_mode, pipelined_mode, consensus_oracle_mode
-):
-    """Full-protocol sweep (consensus + network + execution) stays correct.
-
-    With ``--service`` the sweep submits the traffic through CSMService
-    sessions and lets the round scheduler drive the batches; with
-    ``--batched-protocol`` it runs through ``CSMProtocol.run_rounds_batched``;
-    with ``--pipelined`` the execution phase runs through the speculative
-    decode/execute pipeline (combinable with ``--service``); without any,
-    the sequential loop.  ``--consensus-oracle`` additionally pins the
-    event-driven consensus reference path instead of the vectorised message
-    plane (CI smoke-runs both).  In every mode each round must decode and
-    deliver (no failed rounds), and the ``consensus_plane`` /
-    ``fast_path_disabled`` row fields must agree with the requested path.
-    """
-    rows = benchmark(
-        scaling.protocol_rows,
-        network_sizes=(8, 12),
-        rounds=3,
-        batched_protocol=batched_protocol,
-        service=service_mode,
-        pipelined=pipelined_mode,
-        vectorised_consensus=not consensus_oracle_mode,
-    )
-    if service_mode:
-        expected_mode = "service-pipelined" if pipelined_mode else "service"
-    elif pipelined_mode:
-        expected_mode = "pipelined"
-    elif batched_protocol:
-        expected_mode = "batched"
-    else:
-        expected_mode = "sequential"
-    batched_driver = service_mode or pipelined_mode or batched_protocol
-    for row in rows:
-        assert row["failed_rounds"] == 0
-        assert row["throughput"] > 0
-        assert row["mode"] == expected_mode
-        if consensus_oracle_mode:
-            assert row["consensus_plane"] == "oracle"
-            # The sequential run_round loop never *requests* the batch fast
-            # path, so only the batched drivers count fallback rounds.
-            if batched_driver:
-                assert row["fast_path_disabled"] == 3
-        else:
-            assert row["consensus_plane"] == "vectorised"
-            assert row["fast_path_disabled"] == 0
-
-
-def test_pipelined_rows_execution_phase(benchmark):
-    """The speculative-pipeline sweep stays bit-identical and delivers.
-
-    ``scaling.pipelined_rows`` runs the same fault-free command stream
-    through the batched and the pipelined execution paths; every size must
-    come out bit-identical with zero failed rounds in both modes.
-    """
-    rows = benchmark(scaling.pipelined_rows, network_sizes=(8, 16), rounds=8)
-    modes = {row["mode"] for row in rows}
-    assert modes == {"batched", "pipelined"}
-    for row in rows:
-        assert row["identical"]
-        assert row["failed_rounds"] == 0
-        assert row["commands_per_sec"] > 0
-        assert row["throughput"] > 0
-
-
-def test_pipelined_speedup_bit_identical(field):
-    """Largest configuration, fault-free: pipelined >= 1.5x, bit-identical.
-
-    The batched path pays a full suspect-learning decode on every round's
-    critical path; the pipelined path advances state from the pivot-only
-    speculative interpolation and verifies whole windows with one stacked
-    re-encode product.  At ``N = 32`` fault-free the architectural gap is
-    ~1.8x, so the 1.5x floor (min over a few attempts, same filter as the
-    other speedup tests) leaves margin for noisy shared runners — while
-    outputs, states, correctness flags and flagged error nodes must match
-    the batched results exactly.
-    """
-    machine = bank_account_machine(field, num_accounts=2)
-    num_nodes = 32  # the largest network size of this figure
-    num_machines = csm_supported_machines(num_nodes, 0.2, machine.degree)
-    num_rounds = 32
-    commands = np.random.default_rng(7).integers(
-        1, 1000, size=(num_rounds, num_machines, machine.command_dim)
-    )
-
-    batched_time = float("inf")
-    pipelined_time = float("inf")
-    for attempt in range(3):
-        batched_engine = _build_engine(
-            field, machine, num_nodes, num_machines, num_faults=0, seed=1
-        )
-        start = time.perf_counter()
-        batched_results = batched_engine.execute_rounds(commands)
-        batched_time = min(batched_time, time.perf_counter() - start)
-
-        pipelined_engine = _build_engine(
-            field, machine, num_nodes, num_machines, num_faults=0, seed=1
-        )
-        start = time.perf_counter()
-        pipelined_results = pipelined_engine.execute_rounds_pipelined(commands)
-        pipelined_time = min(pipelined_time, time.perf_counter() - start)
-
-    for batched_round, pipelined_round in zip(batched_results, pipelined_results):
-        assert np.array_equal(batched_round.outputs, pipelined_round.outputs)
-        assert np.array_equal(batched_round.states, pipelined_round.states)
-        assert batched_round.correct == pipelined_round.correct
-        assert (
-            batched_round.diagnostics["error_nodes"]
-            == pipelined_round.diagnostics["error_nodes"]
-        )
-    assert pipelined_round.correct  # fault-free: every round verifies
-    speedup = batched_time / pipelined_time
-    assert speedup >= 1.5, (
-        f"pipelined speedup {speedup:.2f}x below the 1.5x floor "
-        f"(batched {batched_time:.3f}s, pipelined {pipelined_time:.3f}s)"
-    )
-
-
-def test_pipelined_graceful_under_persistent_faults(field):
-    """Persistent faults: the pipeline degrades gracefully (<= ~1.1x slower).
-
-    With 20% of the nodes emitting garbage every round — and sitting in the
-    decoder's initial pivot, the worst placement — the first window rolls
-    back, the suspect set is learnt, and every later window confirms.  The
-    pipelined wall-clock must stay within 10% of the batched path (it is
-    typically *faster*, since confirmed windows still skip per-round
-    decodes), and the results must remain bit-identical.
-    """
-    machine = bank_account_machine(field, num_accounts=2)
-    num_nodes = 32
-    fault_fraction = 0.2
-    num_faults = int(fault_fraction * num_nodes)
-    num_machines = csm_supported_machines(num_nodes, fault_fraction, machine.degree)
-    num_rounds = 32
-    commands = np.random.default_rng(7).integers(
-        1, 1000, size=(num_rounds, num_machines, machine.command_dim)
-    )
-
-    batched_time = float("inf")
-    pipelined_time = float("inf")
-    for attempt in range(3):
-        batched_engine = _build_engine(
-            field, machine, num_nodes, num_machines, num_faults, seed=1
-        )
-        start = time.perf_counter()
-        batched_results = batched_engine.execute_rounds(commands)
-        batched_time = min(batched_time, time.perf_counter() - start)
-
-        pipelined_engine = _build_engine(
-            field, machine, num_nodes, num_machines, num_faults, seed=1
-        )
-        start = time.perf_counter()
-        pipelined_results = pipelined_engine.execute_rounds_pipelined(commands)
-        pipelined_time = min(pipelined_time, time.perf_counter() - start)
-
-    for batched_round, pipelined_round in zip(batched_results, pipelined_results):
-        assert np.array_equal(batched_round.outputs, pipelined_round.outputs)
-        assert batched_round.correct == pipelined_round.correct
-    assert pipelined_round.correct  # inside the decoding bound
-    ratio = pipelined_time / batched_time
-    assert ratio <= 1.10, (
-        f"pipelined path {ratio:.2f}x the batched wall-clock under persistent "
-        f"faults (pipelined {pipelined_time:.3f}s, batched {batched_time:.3f}s) "
-        "— exceeds the graceful-degradation budget"
-    )
-
-
-def test_service_rows_ragged_traffic(benchmark):
-    """The ragged-traffic service sweep executes every ticket it accepts."""
-    rows = benchmark(
-        scaling.service_rows, network_sizes=(8, 12), rounds=3, fill_probability=0.5
-    )
-    for row in rows:
-        assert row["failed"] == 0
-        assert row["executed"] == row["tickets"]
-        # Ragged traffic means some slots were padding, yet throughput holds.
-        assert row["rounds_run"] >= 1
-        assert row["throughput"] > 0
-
-
-def _build_protocol(
-    field, machine, num_nodes, num_machines, num_faults, seed, vectorised=True
-):
-    config = CSMConfig(
-        field=field,
-        num_nodes=num_nodes,
-        num_machines=num_machines,
-        degree=machine.degree,
-        num_faults=num_faults,
-    )
-    # Faults on the highest node indices keep round 0's leader honest, so the
-    # two drivers spend their time in steady-state rounds, not view changes.
-    behaviors = {
-        f"node-{num_nodes - 1 - i}": RandomGarbageBehavior() for i in range(num_faults)
-    }
-    return CSMProtocol(
-        config,
-        machine,
-        behaviors,
-        rng=np.random.default_rng(seed),
-        vectorised_consensus=vectorised,
-    )
-
-
-def test_batched_protocol_speedup_bit_identical(field):
-    """Largest configuration: batched protocol >= 2x faster, history identical.
-
-    Unlike ``test_batched_pipeline_speedup_bit_identical`` (engine only),
-    this drives the *whole* protocol — client submission, consensus,
-    simulated network, coded execution, verified delivery — so the 2x floor
-    covers the consensus/network amortisation (``decide_rounds`` over
-    ``SimulatedNetwork.deliver_all``) on top of the execution pipeline.
-    """
-    machine = bank_account_machine(field, num_accounts=2)
-    num_nodes = 32  # the largest network size of this figure
-    fault_fraction = 0.2
-    num_faults = int(fault_fraction * num_nodes)
-    num_machines = csm_supported_machines(num_nodes, fault_fraction, machine.degree)
-    num_rounds = 8
-    command_rng = np.random.default_rng(7)
-    batches = [
-        command_rng.integers(1, 1000, size=(num_machines, machine.command_dim))
-        for _ in range(num_rounds)
-    ]
-
-    sequential_time = float("inf")
-    batched_time = float("inf")
-    for attempt in range(3):
-        sequential = _build_protocol(
-            field, machine, num_nodes, num_machines, num_faults, seed=1
-        )
-        start = time.perf_counter()
-        sequential_records = sequential.run_rounds(batches)
-        sequential_time = min(sequential_time, time.perf_counter() - start)
-
-        batched = _build_protocol(
-            field, machine, num_nodes, num_machines, num_faults, seed=1
-        )
-        start = time.perf_counter()
-        batched_records = batched.run_rounds_batched(batches)
-        batched_time = min(batched_time, time.perf_counter() - start)
-
-    for seq, bat in zip(sequential_records, batched_records):
-        assert np.array_equal(seq.commands, bat.commands)
-        assert seq.clients == bat.clients
-        assert seq.consensus_views == bat.consensus_views
-        assert np.array_equal(seq.result.outputs, bat.result.outputs)
-        assert np.array_equal(seq.result.states, bat.result.states)
-        assert seq.result.correct == bat.result.correct
-        assert (
-            seq.result.diagnostics["error_nodes"]
-            == bat.result.diagnostics["error_nodes"]
-        )
-    assert sequential.all_rounds_correct  # configuration inside the decoding bound
-    assert batched.all_rounds_correct
-    speedup = sequential_time / batched_time
-    assert speedup >= 2.0, (
-        f"batched protocol speedup {speedup:.1f}x below the 2x floor "
-        f"(sequential {sequential_time:.3f}s, batched {batched_time:.3f}s)"
-    )
-
-
-def test_vectorised_consensus_speedup_bit_identical(field):
-    """Largest configuration: message plane >= 3x the oracle, history identical.
-
-    Both protocols share the seed, the Byzantine placement and the command
-    stream; the only difference is ``vectorised_consensus``.  The recorded
-    round history (commands, clients, views, outputs, states, correctness),
-    the network counters (``messages_sent``, ``rejected_signatures``) and
-    the full delivery log must match field-for-field — the message plane is
-    a pure reorganisation of the same sends.  The architectural gap at
-    ``N = 32`` is ~6-7x end-to-end (the consensus phase alone is faster
-    still), so the 3x floor leaves margin for noisy shared runners; min
-    over a few attempts filters transient scheduler stalls.
-    """
-    machine = bank_account_machine(field, num_accounts=2)
-    num_nodes = 32  # the largest network size of this figure
-    fault_fraction = 0.2
-    num_faults = int(fault_fraction * num_nodes)
-    num_machines = csm_supported_machines(num_nodes, fault_fraction, machine.degree)
-    num_rounds = 8
-    command_rng = np.random.default_rng(7)
-    batches = [
-        command_rng.integers(1, 1000, size=(num_machines, machine.command_dim))
-        for _ in range(num_rounds)
-    ]
-
-    oracle_time = float("inf")
-    plane_time = float("inf")
-    for attempt in range(3):
-        oracle = _build_protocol(
-            field, machine, num_nodes, num_machines, num_faults, seed=1,
-            vectorised=False,
-        )
-        start = time.perf_counter()
-        oracle_records = oracle.run_rounds_batched(batches)
-        oracle_time = min(oracle_time, time.perf_counter() - start)
-
-        plane = _build_protocol(
-            field, machine, num_nodes, num_machines, num_faults, seed=1,
-            vectorised=True,
-        )
-        start = time.perf_counter()
-        plane_records = plane.run_rounds_batched(batches)
-        plane_time = min(plane_time, time.perf_counter() - start)
-
-    for orc, vec in zip(oracle_records, plane_records):
-        assert np.array_equal(orc.commands, vec.commands)
-        assert orc.clients == vec.clients
-        assert orc.consensus_views == vec.consensus_views
-        assert np.array_equal(orc.result.outputs, vec.result.outputs)
-        assert np.array_equal(orc.result.states, vec.result.states)
-        assert orc.result.correct == vec.result.correct
-    assert oracle.all_rounds_correct and plane.all_rounds_correct
-    # Counter and delivery-log parity: the plane performed *the same sends*.
-    assert oracle.network.messages_sent == plane.network.messages_sent
-    assert oracle.network.rejected_signatures == plane.network.rejected_signatures
-    assert len(oracle.network.delivery_log) == len(plane.network.delivery_log)
-    for a, b in zip(oracle.network.delivery_log, plane.network.delivery_log):
-        assert (
-            a.message.sender, a.message.recipient, a.send_time,
-            a.delivery_time, a.delivered,
-        ) == (
-            b.message.sender, b.message.recipient, b.send_time,
-            b.delivery_time, b.delivered,
-        )
-    # The fallback counter proves which path each protocol actually took.
-    assert oracle.consensus_fast_path_disabled == num_rounds
-    assert plane.consensus_fast_path_disabled == 0
-    speedup = oracle_time / plane_time
-    assert speedup >= 3.0, (
-        f"vectorised consensus speedup {speedup:.1f}x below the 3x floor "
-        f"(oracle {oracle_time:.3f}s, vectorised {plane_time:.3f}s)"
-    )
-
-
-def test_consensus_rows_plane_vs_oracle(benchmark):
-    """Consensus micro-sweep smoke at N=16: both paths run, counters agree.
-
-    ``scaling.consensus_rows`` times the consensus phase alone, once with
-    the vectorised message plane and once pinned to the event-driven
-    oracle, for each network size.  CI smoke-runs this with the plane both
-    enabled and disabled at ``N = 16``; the ``fast_path_disabled`` counter
-    must confirm which path each row took, and both paths must decide
-    every round (a view-0 decision with the fault placement used here).
-    """
-    rows = benchmark(scaling.consensus_rows, network_sizes=(16,), rounds=4)
-    by_plane = {row["consensus_plane"]: row for row in rows}
-    assert set(by_plane) == {"vectorised", "oracle"}
-    assert by_plane["vectorised"]["fast_path_disabled"] == 0
-    assert by_plane["oracle"]["fast_path_disabled"] == 4
-    for row in rows:
-        assert row["decisions_per_sec"] > 0
-        assert row["first_round_view"] == 0
-
-
-def test_consensus_only_micro_benchmark(consensus_only_mode):
-    """``--consensus-only``: decisions/sec and the consensus/execution gap.
-
-    The acceptance criterion of the message-plane refactor: at ``N = 32``
-    the consensus phase used to dominate coded execution by an order of
-    magnitude (the event-driven oracle measures ~20x here); the vectorised
-    plane must close that to <= 10x (measured ~2x) while deciding at least
-    3x more rounds per second than the oracle.
-    """
-    import pytest
-
-    if not consensus_only_mode:
-        pytest.skip("pass --consensus-only to run the consensus micro-benchmark")
-
-    best: dict[str, dict] = {}
-    for attempt in range(3):
-        rows = scaling.consensus_rows(network_sizes=(32,), rounds=8)
-        for row in rows:
-            plane = row["consensus_plane"]
-            if plane not in best or row["wall_seconds"] < best[plane]["wall_seconds"]:
-                best[plane] = row
-    vectorised, oracle = best["vectorised"], best["oracle"]
-    assert vectorised["fast_path_disabled"] == 0
-    assert oracle["fast_path_disabled"] == 8
-    gap = vectorised["consensus_over_execution"]
-    assert gap <= 10.0, (
-        f"vectorised consensus still costs {gap:.1f}x the execution phase at "
-        "N=32 — the message plane failed to close the consensus gap"
-    )
-    speedup = vectorised["decisions_per_sec"] / oracle["decisions_per_sec"]
-    assert speedup >= 3.0, (
-        f"vectorised consensus decides only {speedup:.1f}x the oracle's "
-        "rounds/sec at N=32, below the 3x floor"
-    )
-
-
-def test_service_scheduler_parity_bit_identical(field):
-    """Largest configuration: the session/ticket service costs ≤ 10% extra.
-
-    The scheduler adds a pure-Python planning pass per batch (ingress pool
-    dequeue + ticket resolution) on top of ``run_rounds_batched``; at the
-    figure's largest configuration that overhead must stay within 10% of the
-    batched-protocol wall-clock, and the recorded round history must remain
-    bit-identical (same commands, same ``client:k`` attribution, same
-    outputs/states/correctness).
-    """
-    from repro.service import CSMService, TicketState
-
-    machine = bank_account_machine(field, num_accounts=2)
-    num_nodes = 32  # the largest network size of this figure
-    fault_fraction = 0.2
-    num_faults = int(fault_fraction * num_nodes)
-    num_machines = csm_supported_machines(num_nodes, fault_fraction, machine.degree)
-    num_rounds = 8
-    command_rng = np.random.default_rng(7)
-    batches = [
-        command_rng.integers(1, 1000, size=(num_machines, machine.command_dim))
-        for _ in range(num_rounds)
-    ]
-
-    def run_service(protocol):
-        service = CSMService(
-            protocol, max_batch_rounds=num_rounds, min_fill=num_machines
-        )
-        sessions = [
-            service.connect(f"client:{k}") for k in range(num_machines)
-        ]
-        for batch in batches:
-            for k in range(num_machines):
-                sessions[k].submit(k, batch[k])
-        service.drain()
-        return service
-
-    # Min over a few attempts filters transient scheduler noise on shared CI
-    # runners; the overhead being compared is microseconds of pure Python
-    # against milliseconds of consensus simulation, so 10% is a wide margin.
-    batched_time = float("inf")
-    service_time = float("inf")
-    for attempt in range(3):
-        batched = _build_protocol(
-            field, machine, num_nodes, num_machines, num_faults, seed=1
-        )
-        start = time.perf_counter()
-        batched_records = batched.run_rounds_batched(batches)
-        batched_time = min(batched_time, time.perf_counter() - start)
-
-        served = _build_protocol(
-            field, machine, num_nodes, num_machines, num_faults, seed=1
-        )
-        start = time.perf_counter()
-        service = run_service(served)
-        service_time = min(service_time, time.perf_counter() - start)
-
-    service_records = served.history
-    assert len(batched_records) == len(service_records) == num_rounds
-    for bat, srv in zip(batched_records, service_records):
-        assert np.array_equal(bat.commands, srv.commands)
-        assert bat.clients == srv.clients
-        assert bat.consensus_views == srv.consensus_views
-        assert np.array_equal(bat.result.outputs, srv.result.outputs)
-        assert np.array_equal(bat.result.states, srv.result.states)
-        assert bat.result.correct == srv.result.correct
-    assert batched.all_rounds_correct and served.all_rounds_correct
-    assert all(t.state is TicketState.EXECUTED for t in service.tickets())
-    ratio = service_time / batched_time
-    assert ratio <= 1.10, (
-        f"service-scheduled path {ratio:.2f}x the batched-protocol wall-clock "
-        f"(service {service_time:.3f}s, batched {batched_time:.3f}s) — "
-        "exceeds the 10% scheduling-overhead budget"
-    )
-
-
-def test_sharded_rows_end_to_end(benchmark, shard_count):
-    """Sharded serving sweep: every ticket executes in both modes.
-
-    CI smoke-runs this with ``--shards 2``; every row (unsharded and
-    sharded) must execute all submitted commands with no failed rounds,
-    and the sharded mode must run each shard's own round sequence
-    (``rounds_run`` counts the union of per-shard rounds).
-    """
-    rows = benchmark(
-        scaling.sharded_rows, network_sizes=(8, 12), rounds=3, shards=shard_count
-    )
-    modes = {row["mode"] for row in rows}
-    assert "unsharded" in modes and f"sharded:{shard_count}" in modes
-    for row in rows:
-        assert row["failed"] == 0 and row["failed_rounds"] == 0
-        assert row["executed"] == row["tickets"] == row["K_total"] * 3
-        assert row["commands_per_sec"] > 0
-        assert row["throughput"] > 0
-
-
-def test_sharded_service_higher_commands_per_sec(field):
-    """Largest configuration: two shards beat one consensus instance.
-
-    Per-shard consensus runs over ``N/2`` nodes, so each shard round costs
-    roughly a quarter of the unsharded round's consensus messages while the
-    two shards together decide nearly the same number of commands — the
-    executed-command rate at ``N = 32`` must come out strictly higher
-    sharded than unsharded.  Min elapsed per mode over a few attempts
-    (the same filter the other speedup tests use) discards transient
-    scheduler noise on shared CI runners.
-
-    The comparison pins the event-driven consensus oracle: it measures the
-    *sharding* axis (message complexity per round), which only dominates
-    the wall-clock when consensus does.  The vectorised message plane
-    compresses the consensus share enough that at ``N = 32`` the two
-    sequential shard drives no longer pay for themselves — that regime is
-    covered by ``test_sharded_rows_end_to_end`` (correctness in both
-    deployments), and the concurrent-shard backend the sharding roadmap
-    item targets is what would reopen the gap with the plane on.
-    """
-    unsharded_time = float("inf")
-    sharded_time = float("inf")
-    unsharded_cmds = sharded_cmds = 0
-    for attempt in range(3):
-        rows = scaling.sharded_rows(
-            network_sizes=(32,), rounds=8, shards=2, vectorised_consensus=False
-        )
-        by_mode = {row["mode"]: row for row in rows}
-        unsharded = by_mode["unsharded"]
-        sharded = by_mode["sharded:2"]
-        assert unsharded["failed"] == sharded["failed"] == 0
-        unsharded_time = min(unsharded_time, unsharded["wall_seconds"])
-        unsharded_cmds = unsharded["executed"]
-        sharded_time = min(sharded_time, sharded["wall_seconds"])
-        sharded_cmds = sharded["executed"]
-    ratio = (sharded_cmds / sharded_time) / (unsharded_cmds / unsharded_time)
-    assert ratio > 1.0, (
-        f"sharded commands/sec only {ratio:.2f}x the unsharded service "
-        "at N=32 — sharding failed to open the concurrent-consensus axis"
-    )
-
-
-def _run_traffic_scenario(
-    field,
-    num_nodes,
-    ticks,
-    num_sessions=8,
-    rate=2.0,
-    seed=9,
-    weighted=True,
-):
-    """One deterministic open-loop Poisson run under a saturating QoS policy.
-
-    Capacity is pinned to one round per tick (``max_batch_rounds=1``, ``K``
-    slots) against an offered load of ``rate * num_sessions`` commands per
-    tick, so the run saturates; the per-session cap and the admission
-    watermark bound the backlog, and session ``traffic:0`` carries stride
-    weight 2.  Everything downstream — throttle decisions, latency
-    percentiles in logical ticks, per-session slot counts — is a pure
-    function of ``(num_nodes, ticks, num_sessions, rate, seed)``.
-    """
-    from repro.rng import default_stream
-    from repro.service import CSMService, OpenLoopDriver, PoissonProcess, QosPolicy
-
-    machine = bank_account_machine(field, num_accounts=2)
-    num_faults = int(0.2 * num_nodes)
-    num_machines = max(
-        csm_supported_machines(num_nodes, 0.2, machine.degree) // 2, 1
-    )
-    protocol = _build_protocol(
-        field, machine, num_nodes, num_machines, num_faults, seed=1
-    )
-    qos = QosPolicy(
-        max_session_pending=16,
-        admission_watermark=8 * num_machines,
-        selection="weighted_fair" if weighted else "fifo",
-        session_weights={"traffic:0": 2} if weighted else {},
-    )
-    service = CSMService(protocol, max_batch_rounds=1, qos=qos)
-    driver = OpenLoopDriver(
-        service,
-        PoissonProcess(rate=rate),
-        num_sessions=num_sessions,
-        rng=default_stream(seed),
-    )
-    report = driver.run(ticks, drain=False)
-    return service, qos, report
-
-
-def test_traffic_rows_smoke(benchmark, traffic_mode):
-    """``--traffic``: small open-loop Poisson/bursty sweep at N=16.
-
-    The CI smoke for the traffic harness: both arrival processes run over
-    the experiment sweep's QoS configuration, every accepted ticket
-    resolves, and the logical-tick latency percentiles are populated.
-    """
-    import pytest
-
-    if not traffic_mode:
-        pytest.skip("pass --traffic to run the open-loop traffic benchmarks")
-
-    rows = benchmark(
-        scaling.traffic_rows, network_sizes=(16,), ticks=16, num_sessions=8
-    )
-    assert {row["process"] for row in rows} == {"poisson", "bursty"}
-    for row in rows:
-        assert row["submitted"] > 0
-        # drained run: everything accepted was eventually delivered
-        assert row["executed"] == row["submitted"] - row["throttled"]
-        assert row["p50_commit"] is not None and row["p50_commit"] >= 1
-        assert row["p99_commit"] >= row["p50_commit"]
-        assert row["p99_execute"] >= row["p50_execute"] >= row["p50_commit"]
-
-
-def test_traffic_qos_fairness_and_backpressure(field, traffic_mode):
-    """``--traffic`` at N=32: weighted shares, bounded queues, percentiles.
-
-    The acceptance gate of the QoS subsystem, on a saturating open-loop
-    Poisson workload:
-
-    * **Weighted fair selection** — the stride-weight-2 session receives
-      ~2x the delivered slots of the mean weight-1 session (measured 1.9x;
-      the run is deterministic, the band allows seed-level variation only).
-    * **Bounded queues** — the ingress backlog never exceeds the admission
-      watermark nor the summed per-session caps, and both throttle causes
-      fire and are reported with machine-readable reasons.
-    * **Latency accounting** — p50/p99 commit and execute latency are
-      populated, in logical ticks, with p99 >= p50 >= 1.
-    """
-    import pytest
-
-    from repro.service import ThrottleReason, TicketState
-
-    if not traffic_mode:
-        pytest.skip("pass --traffic to run the open-loop traffic benchmarks")
-
-    num_sessions = 8
-    service, qos, report = _run_traffic_scenario(
-        field, num_nodes=32, ticks=30, num_sessions=num_sessions
-    )
-
-    # Weighted fair selection: ~2x slots for the weight-2 session.
-    shares = report.executed_by_session
-    weighted = shares["traffic:0"]
-    others = [count for name, count in shares.items() if name != "traffic:0"]
-    assert min(others) > 0
-    ratio = weighted / (sum(others) / len(others))
-    assert 1.6 <= ratio <= 2.4, (
-        f"weight-2 session received {ratio:.2f}x the mean weight-1 slots, "
-        "outside the ~2x weighted-fair band"
-    )
-
-    # Bounded queues: backlog capped by watermark and per-session caps.
-    assert qos.admission_watermark is not None
-    assert report.max_pending <= qos.admission_watermark
-    assert report.max_pending <= num_sessions * qos.max_session_pending
-    assert report.throttled_session > 0 and report.throttled_admission > 0
-    assert report.throttled == report.throttled_session + report.throttled_admission
-    throttled = [
-        t for t in service.tickets() if t.state is TicketState.THROTTLED
-    ]
-    assert len(throttled) == report.throttled
-    assert all(
-        t.throttle_reason
-        in (ThrottleReason.SESSION_QUEUE_FULL, ThrottleReason.ADMISSION_SHED)
-        for t in throttled
-    )
-
-    # Latency percentiles in logical ticks.
-    for key in ("commit_latency", "execute_latency"):
-        percentiles = getattr(report, key)
-        assert percentiles["p50"] is not None and percentiles["p50"] >= 1
-        assert percentiles["p99"] >= percentiles["p50"]
-
-
-def test_throughput_json_artifact(json_artifact_path, shard_count):
-    """Write the ``BENCH_throughput.json`` perf-trajectory artifact.
-
-    Enabled by ``--json PATH``: runs a quick sweep of every serving mode and
-    records the executed-commands-per-second rate (plus the paper-metric
-    throughput) per mode, with the generating configuration, so CI can
-    archive one comparable artifact per PR.
-    """
-    import json
-
-    import pytest
-
-    if json_artifact_path is None:
-        pytest.skip("pass --json PATH to write the throughput artifact")
-
-    engine_rows = scaling.pipelined_rows(network_sizes=(16, 32), rounds=16)
-    consensus_rows = scaling.consensus_rows(network_sizes=(16, 32), rounds=8)
-    protocol_batched = scaling.protocol_rows(
-        network_sizes=(8, 12), rounds=3, batched_protocol=True
-    )
-    protocol_pipelined = scaling.protocol_rows(
-        network_sizes=(8, 12), rounds=3, pipelined=True
-    )
-    service_rows = scaling.service_rows(network_sizes=(8, 12), rounds=3)
-    sharded_rows = scaling.sharded_rows(
-        network_sizes=(8, 12), rounds=3, shards=shard_count
-    )
-    # Open-loop latency percentiles are logical-tick counts — deterministic,
-    # so the p99/p50 ratios below are gateable across machines.
-    from repro.gf.prime_field import PrimeField
-
-    _, _, traffic_report = _run_traffic_scenario(
-        PrimeField(), num_nodes=32, ticks=30
-    )
-
-    def rate(rows, key="commands_per_sec"):
-        return {str(row.get("N")): row.get(key) for row in rows}
-
-    largest = max(row["N"] for row in engine_rows)
-    per_mode = {
-        mode: [row for row in engine_rows if row["mode"] == mode]
-        for mode in ("batched", "pipelined")
-    }
-    artifact = {
-        "artifact": "BENCH_throughput",
-        "config": {
-            "engine_sweep": {"network_sizes": [16, 32], "rounds": 16},
-            "consensus_sweep": {"network_sizes": [16, 32], "rounds": 8},
-            "protocol_sweep": {"network_sizes": [8, 12], "rounds": 3},
-            "shards": shard_count,
-        },
-        "modes": {
-            "engine-batched": rate(per_mode["batched"]),
-            "engine-pipelined": rate(per_mode["pipelined"]),
-            "consensus-vectorised": {
-                str(row["N"]): row["decisions_per_sec"]
-                for row in consensus_rows
-                if row["consensus_plane"] == "vectorised"
-            },
-            "consensus-oracle": {
-                str(row["N"]): row["decisions_per_sec"]
-                for row in consensus_rows
-                if row["consensus_plane"] == "oracle"
-            },
-            "protocol-batched": rate(protocol_batched, key="throughput"),
-            "protocol-pipelined": rate(protocol_pipelined, key="throughput"),
-            "service": rate(service_rows, key="throughput"),
-            "sharded": {
-                f"{row['mode']}@{row['N']}": row["commands_per_sec"]
-                for row in sharded_rows
-            },
-        },
-        "pipelined_speedup_at_largest": (
-            next(
-                row["commands_per_sec"]
-                for row in per_mode["pipelined"]
-                if row["N"] == largest
-            )
-            / next(
-                row["commands_per_sec"]
-                for row in per_mode["batched"]
-                if row["N"] == largest
-            )
-        ),
-        "consensus_speedup_at_largest": (
-            next(
-                row["decisions_per_sec"]
-                for row in consensus_rows
-                if row["N"] == 32 and row["consensus_plane"] == "vectorised"
-            )
-            / next(
-                row["decisions_per_sec"]
-                for row in consensus_rows
-                if row["N"] == 32 and row["consensus_plane"] == "oracle"
-            )
-        ),
-        "consensus_over_execution_at_largest": next(
-            row["consensus_over_execution"]
-            for row in consensus_rows
-            if row["N"] == 32 and row["consensus_plane"] == "vectorised"
-        ),
-        "traffic": {
-            "N": 32,
-            "ticks": traffic_report.ticks,
-            "sessions": traffic_report.num_sessions,
-            "submitted": traffic_report.submitted,
-            "executed": traffic_report.executed,
-            "throttled": traffic_report.throttled,
-            "max_pending": traffic_report.max_pending,
-            "p50_commit": traffic_report.commit_latency["p50"],
-            "p99_commit": traffic_report.commit_latency["p99"],
-            "p50_execute": traffic_report.execute_latency["p50"],
-            "p99_execute": traffic_report.execute_latency["p99"],
-        },
-        "traffic_p99_over_p50_commit": (
-            traffic_report.commit_latency["p99"]
-            / traffic_report.commit_latency["p50"]
-        ),
-        "traffic_p99_over_p50_execute": (
-            traffic_report.execute_latency["p99"]
-            / traffic_report.execute_latency["p50"]
-        ),
-        "rows": {
-            "engine": engine_rows,
-            "consensus": consensus_rows,
-            "protocol_batched": protocol_batched,
-            "protocol_pipelined": protocol_pipelined,
-            "service": service_rows,
-            "sharded": sharded_rows,
-        },
-    }
-    for row in engine_rows:
-        assert row["identical"]
-    for row in consensus_rows:
-        expected = 0 if row["consensus_plane"] == "vectorised" else row["rounds"]
-        assert row["fast_path_disabled"] == expected
-    with open(json_artifact_path, "w") as handle:
-        json.dump(artifact, handle, indent=2, default=float)
 
 
 def test_quasilinear_model_curve_shape(benchmark):

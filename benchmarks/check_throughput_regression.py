@@ -1,42 +1,32 @@
 #!/usr/bin/env python
 """CI regression gate for the ``BENCH_*.json`` perf artifacts.
 
-Compares a freshly generated artifact against the committed baseline at the
+Compares a freshly generated artifact against its committed baseline at the
 repository root and fails (exit 1) when a tracked metric regresses by more
 than the tolerance (default 15%).
 
-Two classes of metric are gated differently:
+Every baseline describes what is gated under a top-level ``"gate"`` key —
+``{"deterministic_modes": [...], "wall_clock_modes": [...],
+"ratio_metrics": [[key, "min"|"max"], ...]}``:
 
-* **Deterministic throughput** (``protocol-batched``, ``protocol-pipelined``,
-  ``service`` — the paper metric, commands per unit per-node field
-  operation): a pure function of the protocol configuration, so it is
-  compared *raw* across machines.  Any drop beyond tolerance means the
-  protocol is doing more field operations per delivered command than the
-  baseline run did.
-* **Wall-clock rates** (``engine-*`` commands/sec, ``consensus-*``
-  decisions/sec, ``sharded``): machine-dependent, so by default only the
-  *self-normalised* ratios recorded inside each artifact are compared —
-  ``pipelined_speedup_at_largest``, ``consensus_speedup_at_largest`` (both
-  must not shrink beyond tolerance), ``consensus_over_execution_at_largest``
-  and the open-loop tail-latency shapes ``traffic_p99_over_p50_commit`` /
-  ``traffic_p99_over_p50_execute`` (none may grow beyond tolerance; the
-  latency ratios are logical-tick counts, deterministic per scenario).
-  Pass ``--raw`` to additionally gate the absolute rates when both
-  artifacts were produced on the same machine.
+* **Deterministic modes** hold per-configuration values that are pure
+  functions of the protocol configuration (operation counts, not
+  wall-clock), so they are compared *raw* across machines and must not fall
+  more than the tolerance below the baseline.
+* **Wall-clock modes** are machine-dependent rates: gated only under
+  ``--raw``, when both artifacts were produced on the same machine.
+* **Ratio metrics** are self-normalised ratios recorded inside the
+  artifact; ``"min"`` means the current value must not fall more than the
+  tolerance below the baseline, ``"max"`` that it must not rise more than
+  the tolerance above it.
 
-An artifact may carry its own gate metadata under a top-level ``"gate"``
-key — ``{"deterministic_modes": [...], "wall_clock_modes": [...],
-"ratio_metrics": [[key, "min"|"max"], ...]}`` — in which case those lists
-replace the built-in tuples below (which describe the original
-``BENCH_throughput.json`` schema and remain the fallback for artifacts
-without a ``gate`` block).  This is how ``BENCH_delegation.json``,
-``BENCH_intermix.json`` and ``BENCH_boolean.json`` reuse this gate without
-it having to know their schemas.
+A baseline without a ``"gate"`` block is rejected (exit 2): the gate does
+not guess a schema.
 
 Usage::
 
     python benchmarks/check_throughput_regression.py CURRENT.json \
-        [--baseline BENCH_throughput.json] [--tolerance 0.15] [--raw]
+        --baseline BENCH_<name>.json [--tolerance 0.15] [--raw]
 """
 
 from __future__ import annotations
@@ -44,35 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-
-# Modes whose per-N values are deterministic functions of the configuration
-# (operation counts, not wall-clock) and therefore comparable across machines.
-DETERMINISTIC_MODES = ("protocol-batched", "protocol-pipelined", "service")
-
-# Modes whose per-N values are wall-clock rates: gated only under --raw.
-WALL_CLOCK_MODES = (
-    "engine-batched",
-    "engine-pipelined",
-    "consensus-vectorised",
-    "consensus-oracle",
-    "sharded",
-)
-
-# Self-normalised ratios: (key, direction) where direction "min" means the
-# current value must not fall more than tolerance below baseline and "max"
-# means it must not rise more than tolerance above it.
-RATIO_METRICS = (
-    ("pipelined_speedup_at_largest", "min"),
-    ("consensus_speedup_at_largest", "min"),
-    ("consensus_over_execution_at_largest", "max"),
-    # Open-loop tail-latency shape: p99/p50 in logical scheduler ticks — a
-    # deterministic function of the traffic scenario, so comparable across
-    # machines.  A rise means the tail got disproportionately worse (a QoS
-    # or scheduling regression) even if the medians moved together.
-    ("traffic_p99_over_p50_commit", "max"),
-    ("traffic_p99_over_p50_execute", "max"),
-)
 
 
 def _compare_value(name, baseline, current, tolerance, direction, failures):
@@ -95,15 +56,12 @@ def _compare_value(name, baseline, current, tolerance, direction, failures):
 
 
 def gate_config(artifact: dict) -> tuple[tuple, tuple, tuple]:
-    """The (deterministic, wall-clock, ratio) gate lists for an artifact.
-
-    Self-describing artifacts carry them under ``"gate"``; artifacts
-    without one (the original ``BENCH_throughput.json``) use the built-in
-    tuples.
-    """
+    """The (deterministic, wall-clock, ratio) gate lists an artifact declares."""
     gate = artifact.get("gate")
     if not isinstance(gate, dict):
-        return DETERMINISTIC_MODES, WALL_CLOCK_MODES, RATIO_METRICS
+        raise ValueError(
+            f"baseline {artifact.get('artifact', '(unnamed)')!r} has no \"gate\" block"
+        )
     return (
         tuple(gate.get("deterministic_modes", ())),
         tuple(gate.get("wall_clock_modes", ())),
@@ -139,11 +97,11 @@ def compare(baseline: dict, current: dict, tolerance: float, raw: bool) -> list[
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("current", help="freshly generated BENCH_throughput.json")
+    parser.add_argument("current", help="freshly generated BENCH_*.json artifact")
     parser.add_argument(
         "--baseline",
-        default=str(Path(__file__).resolve().parent.parent / "BENCH_throughput.json"),
-        help="committed baseline artifact (default: repo root)",
+        required=True,
+        help="committed baseline artifact (BENCH_*.json at the repo root)",
     )
     parser.add_argument(
         "--tolerance",
@@ -166,14 +124,18 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.current) as handle:
         current = json.load(handle)
 
+    try:
+        deterministic, wall_clock, ratios = gate_config(baseline)
+    except ValueError as exc:
+        print(f"{args.baseline}: {exc}; nothing to gate against", file=sys.stderr)
+        return 2
     failures = compare(baseline, current, args.tolerance, args.raw)
-    name = baseline.get("artifact", "throughput")
+    name = baseline.get("artifact", "benchmark")
     if failures:
         print(f"{name} REGRESSION GATE FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    deterministic, wall_clock, ratios = gate_config(baseline)
     checked = len(deterministic) + len(ratios) + (
         len(wall_clock) if args.raw else 0
     )

@@ -94,7 +94,7 @@ def main() -> None:
     # where shard_backend(shard_index, shard_machines) returns a CSMProtocol
     # sized for that shard.  Tickets, sequences and the merged reporting view
     # read exactly as above; see the README's "Sharded serving" section and
-    # repro.experiments.scaling.sharded_rows for the measured speedup.
+    # the sharded4_pbft_n64 workload of benchmarks/e2e for what it measures.
 
     # Delegated verification (Section 6.2): the same service surface can run
     # with ALL coding work handed to one untrusted worker per batch, merely

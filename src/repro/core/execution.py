@@ -487,8 +487,8 @@ class CodedExecutionEngine(BatchExecutionMixin):
         The one non-speculative round completion: every batched round
         (``speculation=None``) and the pipelined driver's inline
         partial-presence, rollback and replayed rounds decode through the
-        suspect-learning fast path and have every honest node install its
-        refreshed row.  ``ops`` is the round's per-node tally so far.  A
+        suspect-learning fast path and refresh every honest row of the bank
+        in one write.  ``ops`` is the round's per-node tally so far.  A
         rollback round's speculative refresh already charged ``chi_i`` (so
         repairing the installed values must not charge it twice) and, when
         it fails to decode, the last verified checkpoint is restored instead.
@@ -522,7 +522,9 @@ class CodedExecutionEngine(BatchExecutionMixin):
             # commands can be re-driven later against identical state.
             extras["state_frozen"] = True
         elif decoded is not None:
-            self._install_decoded_states(outputs[:, :state_dim])
+            self._refresh_honest_states(self._encode_states(outputs[:, :state_dim]))
+            for node in self.honest_nodes():
+                node.storage.note_refresh()
             if speculation != "rollback":
                 self._charge_refresh(ops)
             if speculation is not None:
@@ -698,26 +700,15 @@ class CodedExecutionEngine(BatchExecutionMixin):
         """``C @ decoded_states``: all ``N`` next coded states at once."""
         return self.field.matmul(self.scheme.coefficient_matrix, decoded_states)
 
-    def _install_decoded_states(self, decoded_states: np.ndarray) -> None:
-        """Step 4 of a resolved round: ``chi_i`` of equation (1) at every honest node.
-
-        ``C @ decoded_states`` yields all ``N`` next coded states in one
-        product; each honest node then installs its own row through the node
-        API — validated, written in place into its row of the bank, and
-        counted as one round by its store — the per-node protocol step of
-        the scalar reference.
-        """
-        coded = self._encode_states(decoded_states)
-        for node in self.honest_nodes():
-            node.install_coded_state(coded[node.node_index])
-
     def _refresh_honest_states(self, coded: np.ndarray) -> None:
         """Write the honest rows of ``coded`` (``(N, state_dim)``) into the bank.
 
-        The engine-level bulk write speculation needs and the protocol does
-        not have: the fused speculative advance and the checkpoint restore.
-        The stores count nothing here; a speculated round is counted when it
-        is confirmed.
+        Step 4 (``chi_i`` of equation (1)) at every honest node at once: the
+        bank rows *are* the nodes' stores, so one write refreshes them all.
+        It serves resolved rounds, the fused speculative advance and the
+        checkpoint restore alike.  The stores count nothing here; a round is
+        counted (:meth:`~repro.core.storage.CodedStateStore.note_refresh`)
+        once it is resolved or its speculation confirmed.
         """
         rows = self._honest_rows()
         self._bank[rows] = coded[rows]

@@ -119,10 +119,6 @@ class CSMNode:
         finally:
             self.field.attach_counter(None)
 
-    def install_coded_state(self, coded_state: np.ndarray) -> None:
-        """Delegated update path: accept a coded state computed by the worker."""
-        self.storage.replace(coded_state)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"CSMNode(id={self.node_id!r}, index={self.node_index}, "

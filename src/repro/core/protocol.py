@@ -95,9 +95,6 @@ class CSMProtocol(RoundProtocol):
         # B rounds) sees exactly the same draws as the sequential
         # round-by-round interleaving — the basis of the bit-identity
         # guarantee of :meth:`run_rounds_batched`.
-        #: Verification-window depth run_rounds_pipelined uses when the call
-        #: does not pass one explicitly (services configure it here).
-        self.pipeline_verify_window = 16
         engine_rng = derived_stream(self.rng)
         self.engine = CodedExecutionEngine(
             config,
@@ -176,31 +173,21 @@ class CSMProtocol(RoundProtocol):
 
         ``client_rounds[b][k]`` names the client submitting machine ``k``'s
         command in round ``b`` — the session/ticket service passes its real
-        client identities here.  Without it, this call is the **legacy
-        lockstep wrapper**: it routes through
-        :meth:`~repro.service.service.CSMService.run_lockstep`, which
-        reproduces the historical ``client:k`` labels, so the recorded
+        client identities here.  Without it every round carries the
+        historical ``client:k`` labels, so the recorded
         :class:`ProtocolRound` history (commands, clients, consensus views,
         outputs, states, correctness flags, flagged error nodes) stays
         bit-identical to calling :meth:`run_rounds` on an
         identically-constructed protocol; only the operation/message
         *counts* drop, which is precisely what the batch buys.
         """
-        if client_rounds is None:
-            # Deferred import: repro.service drives this protocol and would
-            # otherwise import-cycle with this module.  run_lockstep
-            # canonicalises every batch before submitting anything, so the
-            # fail-fast contract holds without validating twice here.
-            from repro.service import CSMService
-
-            return CSMService.run_lockstep(self, command_batches)
         return self._run_rounds_fast(command_batches, client_rounds)
 
     def run_rounds_pipelined(
         self,
         command_batches: Sequence[np.ndarray],
         client_rounds: Sequence[Sequence[str]] | None = None,
-        verify_window: int | None = None,
+        verify_window: int = 16,
     ) -> list[ProtocolRound]:
         """Run ``B`` rounds with the speculative decode/execute pipeline.
 
@@ -214,34 +201,19 @@ class CSMProtocol(RoundProtocol):
         delivered outputs and the failed-round accounting are bit-identical
         to the batched path (property-tested, including mid-batch fault
         onset); only the execution-phase operation counts drop.
-
-        ``verify_window`` defaults to :attr:`pipeline_verify_window`; the
-        legacy no-client form honours an explicit value by pinning that
-        attribute for the duration of the lockstep drive.
+        ``client_rounds`` is as in :meth:`run_rounds_batched`.
         """
-        if verify_window is None:
-            verify_window = self.pipeline_verify_window
-        if client_rounds is None:
-            from repro.service import CSMService
-
-            saved_window = self.pipeline_verify_window
-            self.pipeline_verify_window = verify_window
-            try:
-                return CSMService.run_lockstep(
-                    self, command_batches, pipeline=True
-                )
-            finally:
-                self.pipeline_verify_window = saved_window
         return self._run_rounds_fast(command_batches, client_rounds, verify_window)
 
     def _run_rounds_fast(
         self,
         command_batches: Sequence[np.ndarray],
-        client_rounds: Sequence[Sequence[str]],
+        client_rounds: Sequence[Sequence[str]] | None,
         verify_window: int | None = None,
     ) -> list[ProtocolRound]:
         """Consensus + execution shared by the batched and pipelined drivers
-        (pipelined when a ``verify_window`` is given)."""
+        (pipelined when a ``verify_window`` is given; ``client:k`` labels
+        when ``client_rounds`` is ``None``)."""
         # Canonicalised before any consensus runs: a malformed batch must
         # fail fast, not discard earlier rounds the consensus already decided
         # (shape validation is pure, so this cannot perturb the pool history

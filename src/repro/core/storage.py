@@ -4,7 +4,7 @@ Each CSM node stores exactly one coded state vector ``S~_i(t)`` whose size
 equals a single machine's state (this is what gives ``gamma = K``).  The
 store keeps the vector, knows how to refresh it after a round — either by
 re-encoding the decoded next states locally (``chi_i`` in the paper, eq. (1))
-or by accepting a coded state pushed by the delegated worker — and records a
+or by accepting a coded state transferred on resync — and records a
 small amount of history for the audit tests.
 """
 
@@ -25,9 +25,9 @@ class CodedStateStore:
         The execution engine hands each node a row of its resident
         ``(N, state_dim)`` coded-state bank.  Every update below writes in
         place, so the bank and the per-node stores are one copy of the coded
-        states: the engine's stacked rounds read the bank directly, its
-        speculation writes it in bulk (:meth:`note_refresh` on confirmation),
-        resolved rounds go through :meth:`replace` and the scalar path through
+        states: the engine's stacked rounds read the bank directly and
+        refresh it in bulk (:meth:`note_refresh` counts the round), state
+        transfer goes through :meth:`replace` and the scalar path through
         :meth:`update_from_decoded`, and none ever synchronises with another.
         Any other input is stored as a canonical copy.
         """
@@ -64,12 +64,11 @@ class CodedStateStore:
 
     # -- updates ----------------------------------------------------------------------
     def note_refresh(self) -> None:
-        """Count a confirmed speculative round, whose refresh the engine had
-        already written straight into the bank."""
+        """Count a round whose refresh the engine wrote straight into the bank."""
         self._round += 1
 
     def replace(self, coded_state: np.ndarray) -> None:
-        """Install a new coded state (delegated-worker update path)."""
+        """Install a new coded state (state transfer on resync)."""
         new_state = self.field.array(coded_state).reshape(-1)
         if new_state.shape[0] != self.state_dim:
             raise ConfigurationError(

@@ -5,36 +5,6 @@ from __future__ import annotations
 from typing import Iterable
 
 
-def consensus_diagnostics(backend) -> dict:
-    """Consensus-plane health fields for an experiment row.
-
-    ``backend`` is anything with the :class:`~repro.rounds.RoundProtocol`
-    reporting surface (a protocol, a service, or the sharded façade).
-    Returns two row fields:
-
-    * ``consensus_plane`` — ``"vectorised"`` when the message-plane fast
-      path is enabled, ``"oracle"`` when the event-driven reference path is
-      pinned, ``"n/a"`` for backends without a consensus layer;
-    * ``fast_path_disabled`` — how many rounds actually fell back to the
-      sequential oracle.  A non-zero count under ``consensus_plane ==
-      "vectorised"`` is the silent-fallback signal the rows exist to
-      surface: the run *asked* for the fast path but did not get it.
-    """
-    consensus = getattr(backend, "consensus", None)
-    if consensus is None:
-        plane = "n/a"
-    elif getattr(consensus, "use_vectorised_plane", False):
-        plane = "vectorised"
-    else:
-        plane = "oracle"
-    return {
-        "consensus_plane": plane,
-        "fast_path_disabled": int(
-            getattr(backend, "consensus_fast_path_disabled", 0)
-        ),
-    }
-
-
 def format_table(rows: Iterable[dict], columns: list[str] | None = None) -> str:
     """Render dict rows as a fixed-width text table."""
     rows = list(rows)

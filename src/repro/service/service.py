@@ -34,8 +34,6 @@ the open-loop traffic harness (:mod:`repro.service.traffic`).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.consensus.command_pool import CommandPool, SequenceAllocator
@@ -401,53 +399,6 @@ SequenceAllocator` for the ingress pool — the sharded façade passes one
                     "retry backlog cannot wait out its backoff on a shared "
                     "clock; drain through the owning facade instead"
                 )
-        return records
-
-    # -- legacy lockstep wrapper --------------------------------------------------------
-    @classmethod
-    def run_lockstep(
-        cls,
-        backend: RoundProtocol,
-        command_batches: Sequence[np.ndarray],
-        client_prefix: str = "client",
-        pipeline: bool = False,
-    ) -> list[ProtocolRound]:
-        """Drive pre-grouped one-command-per-machine rounds through a service.
-
-        This is the compatibility shape of the pre-service API
-        (``submit_round_of_commands`` + ``run_rounds_batched``): batch ``b``
-        row ``k`` is submitted by session ``{client_prefix}:{k}`` and the
-        scheduler — pinned to full rounds — reproduces exactly one round per
-        batch, in order, with the legacy client labels.  ``pipeline`` routes
-        the drive through the backend's speculative pipelined path (same
-        history, lower execution cost).
-        """
-        if not len(command_batches):
-            return []
-        service = cls(
-            backend,
-            max_batch_rounds=len(command_batches),
-            min_fill=backend.num_machines,
-            pipeline=pipeline,
-        )
-        # Canonicalise every batch before any submission: a malformed batch
-        # must fail fast, before consensus sees any of the rounds.
-        batches = [
-            service.pool.canonical_round(batch) for batch in command_batches
-        ]
-        sessions = [
-            service.connect(f"{client_prefix}:{k}")
-            for k in range(backend.num_machines)
-        ]
-        for batch in batches:
-            for k, session in enumerate(sessions):
-                session.submit(k, batch[k])
-        records = service.drive()
-        if len(records) != len(batches):  # pragma: no cover - defensive
-            raise ServiceError(
-                f"lockstep drive produced {len(records)} rounds for "
-                f"{len(batches)} batches"
-            )
         return records
 
     # -- internals ----------------------------------------------------------------------

@@ -296,3 +296,48 @@ class TestBatchedProtocolAgainstByzantineExecution:
                 state, _ = machine.step(state, batch[k])
             assert protocol.engine.states[k].tolist() == state.tolist()
         assert records[-1].round_index == 2
+
+
+_LOCKSTEP_WITHOUT_SERVICE = """
+import sys
+
+import numpy as np
+
+from repro.core.protocol import CSMProtocol
+from repro.core.config import CSMConfig
+from repro.gf.prime_field import PrimeField
+from repro.machine.library import bank_account_machine
+
+field = PrimeField()
+machine = bank_account_machine(field, num_accounts=2)
+config = CSMConfig(field, num_nodes=8, num_machines=2, degree=1, num_faults=1)
+batches = [np.array([[1, 2], [3, 4]]), np.array([[5, 6], [7, 8]])]
+for run in ("run_rounds_batched", "run_rounds_pipelined"):
+    protocol = CSMProtocol(config, machine, rng=np.random.default_rng(0))
+    records = getattr(protocol, run)(batches)
+    assert len(records) == 2 and protocol.all_rounds_correct, run
+print(sorted(name for name in sys.modules if name.startswith("repro.service")))
+"""
+
+
+class TestLockstepDriversStayInCore:
+    def test_no_client_drivers_never_import_the_service_layer(self):
+        """``repro.core`` drives its own lockstep rounds: the serving layer
+        sits above it and is never loaded by a batched or pipelined run."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-c", _LOCKSTEP_WITHOUT_SERVICE],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"

@@ -27,10 +27,13 @@ from repro.net.signatures import KeyRegistry
 relaxed = settings(max_examples=60, deadline=None)
 
 # Quotes, backslashes and non-ASCII letters exercise repr()'s escaping and the
-# UTF-8 encoding; st.text() never draws lone surrogates, which no str.encode()
-# accepts on either side of the refactor.
+# UTF-8 encoding.  Lone surrogates (category Cs) are excluded: an identity
+# holding one has no UTF-8 encoding, so KeyRegistry.register raises on it.
 texts = st.text(
-    alphabet=st.one_of(st.sampled_from("'\"\\ \n,()"), st.characters()), max_size=12
+    alphabet=st.one_of(
+        st.sampled_from("'\"\\ \n,()"), st.characters(exclude_categories=("Cs",))
+    ),
+    max_size=12,
 )
 leaves = st.one_of(
     st.none(),

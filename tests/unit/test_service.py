@@ -425,15 +425,15 @@ class TestPipelineFlag:
         assert ticket.state is TicketState.EXECUTED
 
     def test_run_lockstep_pipeline_matches_default(self, big_field):
+        """The no-client lockstep drivers: pipelined history equals batched."""
         rng = np.random.default_rng(11)
         batches = [rng.integers(1, 1000, size=(3, 2)) for _ in range(3)]
-        batched = CSMService.run_lockstep(_csm_protocol(big_field), batches)
-        pipelined = CSMService.run_lockstep(
-            _csm_protocol(big_field), batches, pipeline=True
-        )
+        batched = _csm_protocol(big_field).run_rounds_batched(batches)
+        pipelined = _csm_protocol(big_field).run_rounds_pipelined(batches)
+        assert len(batched) == len(pipelined) == 3
         for bat, pip in zip(batched, pipelined):
             np.testing.assert_array_equal(bat.commands, pip.commands)
-            assert bat.clients == pip.clients
+            assert bat.clients == pip.clients == [f"client:{k}" for k in range(3)]
             np.testing.assert_array_equal(bat.result.outputs, pip.result.outputs)
             assert bat.result.correct == pip.result.correct
 

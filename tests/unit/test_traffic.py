@@ -5,22 +5,28 @@ determinism of the :class:`~repro.service.traffic.PoissonProcess` and
 :class:`~repro.service.traffic.BurstyProcess` arrival models, and the
 :class:`~repro.service.traffic.OpenLoopDriver` — seed reproducibility,
 ticket bookkeeping, logical-tick latency stamping and the report invariants
-the benchmarks rely on.
+the benchmarks rely on — and the QoS policy under a saturating load
+(weighted-fair slot shares, bounded backlog, both throttle causes).
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.metrics import csm_supported_machines
 from repro.core.config import CSMConfig
 from repro.core.protocol import CSMProtocol
 from repro.exceptions import ConfigurationError
 from repro.machine.library import bank_account_machine
+from repro.net.byzantine import RandomGarbageBehavior
 from repro.rng import default_stream
 from repro.service import (
     BurstyProcess,
     CSMService,
     OpenLoopDriver,
     PoissonProcess,
+    QosPolicy,
+    ThrottleReason,
+    TicketState,
     latency_percentiles,
 )
 
@@ -147,23 +153,24 @@ class TestOpenLoopDriver:
         assert reports[0] == reports[1]
 
     def test_report_accounts_for_every_ticket(self, big_field):
-        driver = OpenLoopDriver(
-            _service(big_field),
+        for process in (
             PoissonProcess(2.0),
-            num_sessions=4,
-            rng=default_stream(2),
-        )
-        report = driver.run(ticks=5)
-        assert report.submitted > 0
-        assert report.submitted == (
-            report.executed + report.failed + report.pending + report.throttled
-        )
-        # Drained run with no QoS: everything submitted was delivered.
-        assert report.pending == 0
-        assert report.throttled == 0
-        assert report.executed == report.submitted
-        assert sum(report.executed_by_session.values()) == report.executed
-        assert report.ticks == 5
+            BurstyProcess(on_rate=4.0, p_on_off=0.25, p_off_on=0.5),
+        ):
+            driver = OpenLoopDriver(
+                _service(big_field), process, num_sessions=4, rng=default_stream(2)
+            )
+            report = driver.run(ticks=5)
+            assert report.submitted > 0
+            assert report.submitted == (
+                report.executed + report.failed + report.pending + report.throttled
+            )
+            # Drained run with no QoS: everything submitted was delivered.
+            assert report.pending == 0
+            assert report.throttled == 0
+            assert report.executed == report.submitted
+            assert sum(report.executed_by_session.values()) == report.executed
+            assert report.ticks == 5
 
     def test_latencies_are_logical_ticks(self, big_field):
         driver = OpenLoopDriver(
@@ -195,3 +202,64 @@ class TestOpenLoopDriver:
         report = driver.run(ticks=6, drain=False)
         assert report.max_pending > 3
         assert report.pending > 0
+
+
+class TestQosUnderSaturation:
+    def test_weighted_fairness_backpressure_and_percentiles(self, big_field):
+        """N=32 under a saturating open-loop Poisson load and a live QoS policy.
+
+        Capacity is one round (``K`` slots) per tick against ``2 * 8``
+        offered commands per tick, so the per-session cap and the admission
+        watermark must bound the backlog; session ``traffic:0`` carries
+        stride weight 2.  Deterministic: every value below is a function of
+        the seeds, so the bands only allow for seed-level variation.
+        """
+        machine = bank_account_machine(big_field, num_accounts=2)
+        num_nodes, num_sessions = 32, 8
+        num_faults = int(0.2 * num_nodes)
+        num_machines = csm_supported_machines(num_nodes, 0.2, machine.degree) // 2
+        config = CSMConfig(
+            field=big_field,
+            num_nodes=num_nodes,
+            num_machines=num_machines,
+            degree=machine.degree,
+            num_faults=num_faults,
+        )
+        behaviors = {
+            f"node-{num_nodes - 1 - i}": RandomGarbageBehavior() for i in range(num_faults)
+        }
+        protocol = CSMProtocol(config, machine, behaviors, rng=np.random.default_rng(1))
+        qos = QosPolicy(
+            max_session_pending=16,
+            admission_watermark=8 * num_machines,
+            selection="weighted_fair",
+            session_weights={"traffic:0": 2},
+        )
+        service = CSMService(protocol, max_batch_rounds=1, qos=qos)
+        driver = OpenLoopDriver(
+            service, PoissonProcess(rate=2.0), num_sessions=num_sessions, rng=default_stream(9)
+        )
+        report = driver.run(30, drain=False)
+
+        # Weighted fair selection: ~2x the slots of the mean weight-1 session.
+        shares = report.executed_by_session
+        others = [count for name, count in shares.items() if name != "traffic:0"]
+        assert min(others) > 0
+        assert 1.6 <= shares["traffic:0"] / (sum(others) / len(others)) <= 2.4
+
+        # Bounded queues: both throttle causes fire and are classified.
+        assert report.max_pending <= qos.admission_watermark
+        assert report.max_pending <= num_sessions * qos.max_session_pending
+        assert report.throttled_session > 0 and report.throttled_admission > 0
+        assert report.throttled == report.throttled_session + report.throttled_admission
+        throttled = [t for t in service.tickets() if t.state is TicketState.THROTTLED]
+        assert len(throttled) == report.throttled
+        assert {t.throttle_reason for t in throttled} == {
+            ThrottleReason.SESSION_QUEUE_FULL,
+            ThrottleReason.ADMISSION_SHED,
+        }
+
+        # Latency percentiles in logical ticks.
+        for percentiles in (report.commit_latency, report.execute_latency):
+            assert percentiles["p50"] is not None and percentiles["p50"] >= 1
+            assert percentiles["p99"] >= percentiles["p50"]
