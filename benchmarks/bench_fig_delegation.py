@@ -6,17 +6,14 @@ cost stays flat, and a cheating worker is always rejected.
 
 With ``--delegation`` the suite additionally drives the full
 :class:`~repro.intermix.rounds.DelegationRoundProtocol` workload —
-delegated encode, coded execute, fast verified decode, delegated state
-update — and gates the batched INTERMIX path: bit-identical history to the
-scalar oracle and at least a 3x rounds/sec speedup at the largest
-configuration.  ``--json PATH`` writes the ``BENCH_delegation.json``
-perf-trajectory artifact (self-describing gate metadata included).
+delegated encode, coded execute, verified decode, delegated state update —
+honest and with every worker cheating.  Its operation counts are pinned
+end to end by the ``delegated_n32`` workload of ``benchmarks/e2e``.
 """
 
 import numpy as np
 import pytest
 
-from repro.exceptions import VerificationError
 from repro.experiments import scaling
 from repro.gf.prime_field import PrimeField
 from repro.intermix.delegation import DelegatedCodingService
@@ -25,10 +22,6 @@ from repro.intermix.worker import WorkerStrategy
 from repro.lcc.scheme import LagrangeScheme
 from repro.machine.library import bank_account_machine
 from repro.rng import default_stream, derived_stream
-
-# The largest delegated-round configuration: the ISSUE-level speedup floor
-# (>= 3x batched over scalar) is defined at this size.
-LARGEST = {"num_nodes": 32, "num_machines": 8, "rounds": 16}
 
 
 def _delegated_encode_costs(field, network_sizes):
@@ -90,11 +83,11 @@ def test_cheating_delegated_decoder_rejected(benchmark, field, rng):
             rng=default_stream(2),
             corrupt_decoder_workers=set(node_ids),
         )
-        with pytest.raises(VerificationError):
-            service.decode_results_verified(coded)
-        return True
+        _, report = service.decode_results_verified_fast(coded)
+        return report
 
-    assert benchmark(run_with_cheater)
+    report = benchmark(run_with_cheater)
+    assert report.accepted is False
 
 
 # ---------------------------------------------------------------------------
@@ -109,78 +102,17 @@ def _round_commands(num_machines, command_dim, rounds, seed=0):
     ]
 
 
-def _histories_identical(a, b):
-    return all(
-        np.array_equal(x.result.outputs, y.result.outputs)
-        and np.array_equal(x.result.states, y.result.states)
-        and x.result.correct == y.result.correct
-        and x.result.ops_per_node == y.result.ops_per_node
-        for x, y in zip(a.history, b.history)
-    )
-
-
 def test_delegation_rows_end_to_end(benchmark, delegation_mode):
-    """The delegation sweep: both modes run, agree, and nothing fails."""
+    """The delegation sweep: one row per size, and nothing fails."""
     if not delegation_mode:
         pytest.skip("pass --delegation to run the delegated-round benchmarks")
 
     rows = benchmark(scaling.delegation_rows, network_sizes=(8, 16), rounds=3)
-    assert {row["mode"] for row in rows} == {"batched", "scalar"}
+    assert [row["N"] for row in rows] == [8, 16]
     for row in rows:
-        assert row["identical"]
         assert row["failed_rounds"] == 0
         assert row["rounds_per_sec"] > 0
         assert row["throughput"] > 0
-    # The paper metric is mode-independent: op counts are bit-identical.
-    by_n = {}
-    for row in rows:
-        by_n.setdefault(row["N"], set()).add(row["throughput"])
-    assert all(len(values) == 1 for values in by_n.values())
-
-
-def test_delegated_rounds_speedup_and_bit_identity(benchmark, delegation_mode):
-    """>= 3x batched-over-scalar rounds/sec at the largest configuration.
-
-    Timing takes the best of three attempts per mode (scheduler-noise
-    floor); bit-identity of the recorded histories is asserted on every
-    attempt, so the speedup never comes at the price of divergence.
-    """
-    if not delegation_mode:
-        pytest.skip("pass --delegation to run the delegated-round benchmarks")
-    import time
-
-    num_nodes = LARGEST["num_nodes"]
-    num_machines = LARGEST["num_machines"]
-    rounds = LARGEST["rounds"]
-    machine = bank_account_machine(PrimeField(), 2)
-    commands = _round_commands(num_machines, machine.command_dim, rounds)
-
-    def measure():
-        timings = {"batched": float("inf"), "scalar": float("inf")}
-        for _ in range(3):
-            protocols = {}
-            for mode, batched in (("batched", True), ("scalar", False)):
-                protocol = DelegationRoundProtocol(
-                    machine,
-                    num_machines,
-                    [f"node-{i}" for i in range(num_nodes)],
-                    rng=default_stream(5),
-                    batched=batched,
-                )
-                start = time.perf_counter()
-                protocol.run_rounds_batched(commands)
-                timings[mode] = min(timings[mode], time.perf_counter() - start)
-                protocols[mode] = protocol
-            assert _histories_identical(protocols["batched"], protocols["scalar"])
-            assert protocols["batched"].failed_rounds == 0
-        return timings
-
-    timings = benchmark(measure)
-    speedup = timings["scalar"] / timings["batched"]
-    assert speedup >= 3.0, (
-        f"batched delegated rounds only {speedup:.2f}x faster than the "
-        f"scalar oracle at N={num_nodes}, K={num_machines} (floor: 3x)"
-    )
 
 
 def test_delegation_fraud_voids_every_round(benchmark, delegation_mode):
@@ -199,7 +131,6 @@ def test_delegation_fraud_voids_every_round(benchmark, delegation_mode):
             node_ids,
             rng=default_stream(7),
             worker_strategies={n: WorkerStrategy.CORRUPT_RESULT for n in node_ids},
-            batched=True,
         )
         protocol.run_rounds_batched(commands)
         return protocol
@@ -211,68 +142,3 @@ def test_delegation_fraud_voids_every_round(benchmark, delegation_mode):
         assert record.result.diagnostics["confirmed_fraud"]
         assert not record.result.outputs.any()
     assert protocol.delivered_outputs == {}
-
-
-def test_delegation_json_artifact(json_artifact_path, delegation_mode):
-    """Write the ``BENCH_delegation.json`` perf-trajectory artifact.
-
-    Enabled by ``--json PATH`` together with ``--delegation``.  The artifact
-    is self-describing for the regression gate: its ``gate`` block names the
-    deterministic modes (paper-metric throughput — raw-comparable across
-    machines), the wall-clock modes (rounds/sec, ``--raw`` only) and the
-    self-normalised ratio metrics (the batched speedup, clamped so machine
-    jitter far above the floor does not churn the baseline).
-    """
-    import json
-
-    if json_artifact_path is None or not delegation_mode:
-        pytest.skip("pass --delegation --json PATH to write the artifact")
-
-    rows = scaling.delegation_rows(network_sizes=(8, 16, 32), rounds=8)
-    assert all(row["identical"] for row in rows)
-    largest = max(row["N"] for row in rows)
-
-    def rate(mode, key):
-        return {
-            str(row["N"]): row[key] for row in rows if row["mode"] == mode
-        }
-
-    speedup = next(
-        row["rounds_per_sec"] for row in rows
-        if row["N"] == largest and row["mode"] == "batched"
-    ) / next(
-        row["rounds_per_sec"] for row in rows
-        if row["N"] == largest and row["mode"] == "scalar"
-    )
-    artifact = {
-        "artifact": "BENCH_delegation",
-        "config": {
-            "network_sizes": [8, 16, 32],
-            "rounds": 8,
-            "machine": "bank_account(2)",
-            "speedup_floor": 3.0,
-            "speedup_cap": 6.0,
-        },
-        "gate": {
-            "deterministic_modes": ["delegation-throughput"],
-            "wall_clock_modes": ["delegation-batched", "delegation-scalar"],
-            "ratio_metrics": [["delegation_speedup_at_largest", "min"]],
-        },
-        "modes": {
-            # Paper metric (commands per unit per-node field operation):
-            # a pure function of the configuration, raw-gated.
-            "delegation-throughput": rate("batched", "throughput"),
-            # Wall-clock rates: machine-dependent, gated only under --raw.
-            "delegation-batched": rate("batched", "rounds_per_sec"),
-            "delegation-scalar": rate("scalar", "rounds_per_sec"),
-        },
-        # Clamped at 2x the acceptance floor: the measured ratio sits far
-        # above 3x, so gating the raw value would make the baseline churn
-        # with machine load; the clamp gates "still comfortably above the
-        # floor" instead.
-        "delegation_speedup_at_largest": min(speedup, 6.0),
-        "rows": rows,
-    }
-    assert artifact["delegation_speedup_at_largest"] >= 3.0
-    with open(json_artifact_path, "w") as handle:
-        json.dump(artifact, handle, indent=2, default=float)

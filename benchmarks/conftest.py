@@ -31,9 +31,8 @@ def pytest_addoption(parser):
         default=False,
         help=(
             "Enable the delegated-verification round benchmarks "
-            "(scaling.delegation_rows: DelegationRoundProtocol batched vs "
-            "scalar INTERMIX, including the >= 3x batched-speedup and "
-            "bit-identity gate at the largest configuration)."
+            "(scaling.delegation_rows and DelegationRoundProtocol rounds, "
+            "honest and with every worker cheating)."
         ),
     )
 

@@ -50,9 +50,6 @@ class SubmittedCommand:
     command: tuple[int, ...]
     sequence: int
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.command, dtype=np.int64)
-
 
 @dataclass
 class CommandPool:

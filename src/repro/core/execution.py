@@ -70,7 +70,6 @@ class CodedExecutionEngine(BatchExecutionMixin):
         node_ids: list[str] | None = None,
         behaviors: dict[str, ByzantineBehavior] | None = None,
         rng: np.random.Generator | None = None,
-        decoder: str = "berlekamp-welch",
         decode_at_every_node: bool = False,
     ) -> None:
         if machine.degree != config.degree:
@@ -95,9 +94,7 @@ class CodedExecutionEngine(BatchExecutionMixin):
             self.field, config.num_machines, config.num_nodes
         )
         self.encoder = CodedStateEncoder(self.scheme)
-        self.decoder = CodedResultDecoder(
-            self.scheme, transition_degree=config.degree, decoder=decoder
-        )
+        self.decoder = CodedResultDecoder(self.scheme, transition_degree=config.degree)
         # Reference (true) states; shape (K, state_dim).
         self.states = np.tile(machine.initial_state, (config.num_machines, 1))
         # The one resident copy of the coded states, shape (N, state_dim):

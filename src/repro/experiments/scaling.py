@@ -12,8 +12,8 @@ Two sweeps are produced:
   model curve (the Section 6.3 claim behind
   ``lambda = Theta(N / log^2 N log log N)``).
 
-``delegation_rows`` adds the delegated-verification rounds behind the
-second sweep's delegated path: batched INTERMIX against its scalar oracle.
+``delegation_rows`` runs the delegated-verification rounds behind the second
+sweep's delegated path, every coding operation INTERMIX-verified.
 Wall-clock serving throughput and latency of the deployed stack are
 measured end to end by ``benchmarks/e2e``, not here.
 """
@@ -146,18 +146,14 @@ def delegation_rows(
     rounds: int = 8,
     failure_probability: float = 1e-6,
 ) -> list[dict]:
-    """Delegated-verification rounds: batched INTERMIX versus the scalar oracle.
+    """Delegated-verification rounds, one row per network size.
 
-    For each network size the *same* command stream runs twice through
-    identically-seeded :class:`~repro.intermix.rounds.DelegationRoundProtocol`
-    backends — mode ``"batched"`` verifies every delegated coding operation
-    through :meth:`IntermixProtocol.run_batch` (one stacked matrix product
-    shared by the worker and all auditors), mode ``"scalar"`` pins the
-    column-at-a-time reference oracle.  Rows report delegated rounds and
-    commands per wall-clock second, the paper-metric throughput, and
-    ``identical`` — whether the two modes produced bit-identical
-    outputs/states/operation counts (the property the benchmark suite gates
-    on, alongside the batched-mode speedup).
+    Each size runs a fixed command stream through a
+    :class:`~repro.intermix.rounds.DelegationRoundProtocol`, which verifies
+    every delegated coding operation through
+    :meth:`IntermixProtocol.run_batch` (one stacked matrix product shared by
+    the worker and all auditors).  Rows report delegated rounds and commands
+    per wall-clock second and the paper-metric throughput.
     """
     from repro.intermix.committee import required_committee_size
     from repro.intermix.rounds import DelegationRoundProtocol
@@ -171,50 +167,33 @@ def delegation_rows(
         commands = default_stream(seed).integers(
             1, 1000, size=(rounds, k, machine.command_dim)
         )
-        per_mode: dict[str, DelegationRoundProtocol] = {}
-        timings: dict[str, float] = {}
-        for mode, batched in (("batched", True), ("scalar", False)):
-            protocol = DelegationRoundProtocol(
-                machine,
-                k,
-                [f"node-{i}" for i in range(num_nodes)],
-                fault_fraction=fault_fraction,
-                rng=default_stream(seed),
-                failure_probability=failure_probability,
-                batched=batched,
-            )
-            start = wall_clock()
-            protocol.run_rounds_batched(list(commands))
-            timings[mode] = wall_clock() - start
-            per_mode[mode] = protocol
-        identical = all(
-            np.array_equal(a.result.outputs, b.result.outputs)
-            and np.array_equal(a.result.states, b.result.states)
-            and a.result.correct == b.result.correct
-            and a.result.ops_per_node == b.result.ops_per_node
-            for a, b in zip(per_mode["batched"].history, per_mode["scalar"].history)
+        protocol = DelegationRoundProtocol(
+            machine,
+            k,
+            [f"node-{i}" for i in range(num_nodes)],
+            fault_fraction=fault_fraction,
+            rng=default_stream(seed),
+            failure_probability=failure_probability,
         )
-        for mode in ("batched", "scalar"):
-            protocol = per_mode[mode]
-            elapsed = timings[mode]
-            failed = protocol.failed_rounds
-            rows.append(
-                {
-                    "N": num_nodes,
-                    "K": k,
-                    "J": committee_size,
-                    "rounds": rounds,
-                    "mode": mode,
-                    "rounds_per_sec": rounds / elapsed if elapsed else 0.0,
-                    "commands_per_sec": k * (rounds - failed) / elapsed
-                    if elapsed
-                    else 0.0,
-                    "throughput": protocol.measured_throughput(),
-                    "failed_rounds": failed,
-                    "identical": identical,
-                    "wall_seconds": elapsed,
-                }
-            )
+        start = wall_clock()
+        protocol.run_rounds_batched(list(commands))
+        elapsed = wall_clock() - start
+        failed = protocol.failed_rounds
+        rows.append(
+            {
+                "N": num_nodes,
+                "K": k,
+                "J": committee_size,
+                "rounds": rounds,
+                "rounds_per_sec": rounds / elapsed if elapsed else 0.0,
+                "commands_per_sec": k * (rounds - failed) / elapsed
+                if elapsed
+                else 0.0,
+                "throughput": protocol.measured_throughput(),
+                "failed_rounds": failed,
+                "wall_seconds": elapsed,
+            }
+        )
     return rows
 
 
@@ -238,7 +217,7 @@ def main() -> None:  # pragma: no cover - exercised via CLI
     print("Throughput scaling (Section 6.3): distributed vs delegated coding")
     print(format_table(result["throughput"]))
     print()
-    print("Delegated-verification rounds: batched INTERMIX vs scalar oracle")
+    print("Delegated-verification rounds (INTERMIX-verified coding)")
     print(format_table(result["delegation"]))
 
 

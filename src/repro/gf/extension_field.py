@@ -76,10 +76,6 @@ class BinaryExtensionField(Field):
     def degree(self) -> int:
         return self._m
 
-    @property
-    def modulus_polynomial(self) -> int:
-        return self._modulus_poly
-
     # -- element handling ---------------------------------------------------------
     def element(self, value: int) -> int:
         return int(value) & (self._order - 1)

@@ -133,9 +133,6 @@ class Field(ABC):
     def array(self, values: "Iterable[int] | np.ndarray") -> np.ndarray:
         """Return a canonical numpy array of field elements."""
 
-    def is_element(self, value: int) -> bool:
-        return 0 <= int(value) < self.order
-
     # -- arithmetic ---------------------------------------------------------
     @abstractmethod
     def add(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:

@@ -8,7 +8,6 @@ representatives below ``2**31``, the product of two elements fits in a signed
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -242,9 +241,3 @@ class PrimeField(Field):
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"PrimeField(p={self._p})"
-
-
-@lru_cache(maxsize=None)
-def default_field() -> PrimeField:
-    """Shared default field instance (``GF(2**31 - 1)``) without a counter."""
-    return PrimeField(DEFAULT_PRIME)

@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import DecodingError, VerificationError
+from repro.exceptions import DecodingError
 from repro.gf.field import Field, OperationCounter
 from repro.gf.vandermonde import vandermonde_matrix
 from repro.lcc.decoder import CodedResultDecoder
 from repro.lcc.scheme import LagrangeScheme
-from repro.intermix.committee import Committee, CommitteeElection
+from repro.intermix.committee import Committee
 from repro.intermix.protocol import IntermixProtocol, VerificationOutcome
 from repro.intermix.worker import WorkerStrategy
 from repro.rng import default_stream
@@ -120,14 +120,14 @@ class DelegatedCodingService:
         values: np.ndarray,
         committee: Committee | None = None,
         operation: str = "encode-commands",
-        batched: bool = False,
     ) -> tuple[np.ndarray, DelegatedRoundReport]:
-        """Compute ``C @ values`` at the worker, one INTERMIX run per component.
+        """Compute ``C @ values`` at the worker, verified as one INTERMIX batch.
 
-        With ``batched=True`` the per-component runs collapse into one
-        :meth:`~repro.intermix.protocol.IntermixProtocol.run_batch` (a single
-        stacked matrix product for the worker and every auditor); the report
-        is bit-identical to the scalar loop.
+        Every component column goes through a single
+        :meth:`~repro.intermix.protocol.IntermixProtocol.run_batch` (one
+        stacked matrix product for the worker and every auditor).  The
+        state-update path is the same product with the decoded next states
+        in place of the commands (``operation="update-states"``).
         """
         committee = committee or self.elect_committee()
         arr = self.field.array(values)
@@ -139,7 +139,7 @@ class DelegatedCodingService:
             operation=operation, accepted=True, worker_id=committee.worker
         )
         for component, outcome in enumerate(
-            self._run_components(matrix, arr, committee, batched)
+            self.intermix.run_batch(matrix, arr, committee=committee)
         ):
             self._merge_outcome(report, outcome)
             if not outcome.accepted or outcome.result is None:
@@ -148,121 +148,26 @@ class DelegatedCodingService:
             coded[:, component] = outcome.result
         return coded, report
 
-    def update_coded_states_verified(
-        self,
-        decoded_next_states: np.ndarray,
-        committee: Committee | None = None,
-        batched: bool = False,
-    ) -> tuple[np.ndarray, DelegatedRoundReport]:
-        """The state-update path: same verified product with the new states."""
-        return self.encode_vectors_verified(
-            decoded_next_states,
-            committee=committee,
-            operation="update-states",
-            batched=batched,
-        )
-
     # -- operation 3: decoding results ----------------------------------------------------------
-    def decode_results_verified(
-        self,
-        coded_results: np.ndarray,
-        committee: Committee | None = None,
-    ) -> tuple[np.ndarray, DelegatedRoundReport]:
-        """Decode the round's coded results at the worker and verify eqs. (8)/(9).
-
-        Returns the ``(K, result_dim)`` decoded outputs and the audit report.
-        Raises :class:`DecodingError` if even an honest decode is impossible
-        (too many errors); a *dishonest* worker is detected and reported as
-        ``accepted=False`` instead.
-        """
-        committee = committee or self.elect_committee()
-        results = self.field.array(coded_results)
-        if results.ndim == 1:
-            results = results.reshape(-1, 1)
-        report = DelegatedRoundReport(
-            operation="decode-results", accepted=True, worker_id=committee.worker
-        )
-        composite_degree = self.scheme.composite_degree(self.transition_degree)
-        num_coefficients = composite_degree + 1
-        agreement_threshold = (self.scheme.num_nodes + composite_degree + 1 + 1) // 2
-        outputs = np.zeros(
-            (self.scheme.num_machines, results.shape[1]), dtype=np.int64
-        )
-        worker_counter = OperationCounter()
-        worker_is_corrupt = committee.worker in self.corrupt_decoder_workers
-        for component in range(results.shape[1]):
-            # Worker-side decode (operation-counted).
-            self.field.attach_counter(worker_counter)
-            try:
-                decoded = self._decode_component(results[:, component])
-            finally:
-                self.field.attach_counter(None)
-            coefficients = decoded.polynomial.coefficient_array(num_coefficients)
-            if worker_is_corrupt:
-                coefficients = coefficients.copy()
-                coefficients[0] = self.field.add(int(coefficients[0]), 1)
-            agreement_set = [
-                i for i in range(self.scheme.num_nodes)
-                if i not in decoded.error_positions
-            ]
-            if len(agreement_set) < agreement_threshold:
-                raise DecodingError(
-                    f"agreement set of size {len(agreement_set)} below the "
-                    f"threshold {agreement_threshold}"
-                )
-            # Equation (9): the received results on tau match V_tau @ b.
-            tau_points = [self.scheme.alphas[i] for i in agreement_set]
-            tau_matrix = vandermonde_matrix(self.field, tau_points, num_coefficients)
-            outcome9 = self.intermix.run(tau_matrix, coefficients, committee=committee)
-            self._merge_outcome(report, outcome9)
-            if outcome9.accepted and outcome9.result is not None:
-                received_tau = results[agreement_set, component]
-                if not np.array_equal(
-                    self.field.array(outcome9.result), self.field.array(received_tau)
-                ):
-                    # Every auditor holds the broadcast results, so a mismatch
-                    # against the claimed evaluations is a public, O(1)-checkable
-                    # accusation per position.
-                    report.accepted = False
-            else:
-                report.accepted = False
-            # Equation (8): evaluate the decoded polynomial at the omegas.
-            omega_matrix = self._omega_matrix(num_coefficients)
-            outcome8 = self.intermix.run(omega_matrix, coefficients, committee=committee)
-            self._merge_outcome(report, outcome8)
-            if outcome8.accepted and outcome8.result is not None:
-                outputs[:, component] = outcome8.result
-            else:
-                report.accepted = False
-        report.worker_operations += worker_counter.total
-        if not report.accepted:
-            raise VerificationError(
-                f"delegated decoding by worker '{committee.worker}' failed verification"
-            )
-        return outputs, report
-
     def decode_results_verified_fast(
         self,
         coded_results: np.ndarray,
         committee: Committee | None = None,
-        batched: bool = True,
     ) -> tuple[np.ndarray, DelegatedRoundReport]:
-        """Decode one round's coded results through the cached fast-path decoder.
+        """Decode one round's coded results at the worker and verify eqs. (9)/(8).
 
-        The modern counterpart of :meth:`decode_results_verified`: the worker
-        decodes via :meth:`~repro.lcc.decoder.CodedResultDecoder.decode_fast`
-        (cached-matrix interpolation + re-encode verification instead of one
-        Berlekamp–Welch system per component), the agreement set is the
-        complement of the decoder's confirmed error nodes, and the eq. (9) /
-        eq. (8) verifications run once across *all* components —
-        as one :meth:`~repro.intermix.protocol.IntermixProtocol.run_batch`
-        each when ``batched``, or as the bit-identical scalar loop otherwise.
+        The worker decodes via :meth:`~repro.lcc.decoder.CodedResultDecoder.decode_fast`
+        (cached-matrix interpolation + re-encode verification), the agreement
+        set is the complement of the decoder's confirmed error nodes, and the
+        eq. (9) / eq. (8) verifications each run once across *all* components
+        as one :meth:`~repro.intermix.protocol.IntermixProtocol.run_batch`.
 
-        Unlike :meth:`decode_results_verified` this never raises on a
-        cheating worker: ``report.accepted`` carries the verdict, so round
-        drivers can record the failed round (and its operation counts)
-        instead of unwinding.  :class:`~repro.exceptions.DecodingError` is
-        still raised when even an honest decode is impossible.
+        Returns the ``(K, result_dim)`` decoded outputs and the audit report.
+        A cheating worker never raises: ``report.accepted`` carries the
+        verdict, so round drivers can record the failed round (and its
+        operation counts) instead of unwinding.
+        :class:`~repro.exceptions.DecodingError` is raised only when even an
+        honest decode is impossible.
         """
         committee = committee or self.elect_committee()
         results = self.field.array(coded_results)
@@ -301,7 +206,7 @@ class DelegatedCodingService:
             (self.scheme.num_machines, results.shape[1]), dtype=np.int64
         )
         for component, outcome9 in enumerate(
-            self._run_components(tau_matrix, coefficients, committee, batched)
+            self.intermix.run_batch(tau_matrix, coefficients, committee=committee)
         ):
             self._merge_outcome(report, outcome9)
             if outcome9.accepted and outcome9.result is not None:
@@ -315,7 +220,7 @@ class DelegatedCodingService:
         # Equation (8): evaluate the decoded polynomials at the omegas.
         omega_matrix = self._omega_matrix(num_coefficients)
         for component, outcome8 in enumerate(
-            self._run_components(omega_matrix, coefficients, committee, batched)
+            self.intermix.run_batch(omega_matrix, coefficients, committee=committee)
         ):
             self._merge_outcome(report, outcome8)
             if outcome8.accepted and outcome8.result is not None:
@@ -326,26 +231,6 @@ class DelegatedCodingService:
         return outputs, report
 
     # -- internals ----------------------------------------------------------------------------------
-    def _run_components(
-        self,
-        matrix: np.ndarray,
-        columns: np.ndarray,
-        committee: Committee,
-        batched: bool,
-    ) -> list[VerificationOutcome]:
-        """Verify ``matrix @ columns[:, c]`` for every component column."""
-        if batched:
-            return self.intermix.run_batch(matrix, columns, committee=committee)
-        return [
-            self.intermix.run(matrix, columns[:, c], committee=committee)
-            for c in range(columns.shape[1])
-        ]
-
-    def _decode_component(self, column: np.ndarray):
-        from repro.coding.berlekamp_welch import BerlekampWelchDecoder
-
-        return BerlekampWelchDecoder(self._decoder.code).decode(column)
-
     def _omega_matrix(self, num_coefficients: int) -> np.ndarray:
         if num_coefficients not in self._omega_matrix_cache:
             self._omega_matrix_cache[num_coefficients] = vandermonde_matrix(

@@ -14,12 +14,10 @@ service (:mod:`repro.service`) can serve like any other.  One round is:
 4. **update** — the decoded next states are re-encoded at the worker
    (INTERMIX-verified), refreshing the coded states for the next round.
 
-A committee is elected once per batch and reused across its rounds.  With
-``batched=True`` (the default) every INTERMIX verification inside a round
-runs through :meth:`~repro.intermix.protocol.IntermixProtocol.run_batch` —
-one stacked matrix product for the worker and all auditors per operation —
-and the recorded history is bit-identical to ``batched=False``, which drives
-the scalar :meth:`~repro.intermix.protocol.IntermixProtocol.run` oracle.
+A committee is elected once per batch and reused across its rounds; every
+INTERMIX verification inside a round runs through
+:meth:`~repro.intermix.protocol.IntermixProtocol.run_batch` — one stacked
+matrix product for the worker and all auditors per operation.
 
 A round whose verification confirms fraud is recorded with
 ``correct=False`` and ``diagnostics["confirmed_fraud"]=True``: no output is
@@ -65,11 +63,6 @@ class DelegationRoundProtocol(RoundProtocol):
         Deterministic stream for committee election and cheating workers.
     worker_strategies / corrupt_decoder_workers / dishonest_auditors:
         Adversary configuration, passed through to the delegation service.
-    batched:
-        ``True`` routes every INTERMIX verification through the stacked
-        :meth:`~repro.intermix.protocol.IntermixProtocol.run_batch` path;
-        ``False`` pins the scalar reference oracle.  Histories are
-        bit-identical either way.
     """
 
     def __init__(
@@ -83,7 +76,6 @@ class DelegationRoundProtocol(RoundProtocol):
         corrupt_decoder_workers: set[str] | None = None,
         dishonest_auditors: set[str] | None = None,
         failure_probability: float = 1e-6,
-        batched: bool = True,
     ) -> None:
         if num_machines < 1:
             raise ConfigurationError(
@@ -92,7 +84,6 @@ class DelegationRoundProtocol(RoundProtocol):
         self.machine = machine
         self.node_ids = [str(node) for node in node_ids]
         self.rng = rng if rng is not None else default_stream()
-        self.batched = bool(batched)
         self.scheme = LagrangeScheme(machine.field, num_machines, len(self.node_ids))
         self.delegation = DelegatedCodingService(
             self.scheme,
@@ -185,7 +176,7 @@ class DelegationRoundProtocol(RoundProtocol):
         outputs = np.zeros((self.num_machines, self.machine.output_dim), dtype=np.int64)
         next_states = np.zeros((self.num_machines, state_dim), dtype=np.int64)
         coded_commands, report = self.delegation.encode_vectors_verified(
-            commands, committee=committee, batched=self.batched
+            commands, committee=committee
         )
         if report.accepted:
             next_coded, output_coded = self.machine.step_batch(
@@ -193,15 +184,15 @@ class DelegationRoundProtocol(RoundProtocol):
             )
             stacked = np.concatenate([next_coded, output_coded], axis=1)
             decoded, decode_report = self.delegation.decode_results_verified_fast(
-                stacked, committee=committee, batched=self.batched
+                stacked, committee=committee
             )
             report.merge(decode_report)
             if report.accepted:
                 next_states = decoded[:, :state_dim]
                 outputs = decoded[:, state_dim:]
                 new_coded_states, update_report = (
-                    self.delegation.update_coded_states_verified(
-                        next_states, committee=committee, batched=self.batched
+                    self.delegation.encode_vectors_verified(
+                        next_states, committee=committee, operation="update-states"
                     )
                 )
                 report.merge(update_report)
@@ -220,7 +211,6 @@ class DelegationRoundProtocol(RoundProtocol):
             ops_per_node=self._ops_per_node(report),
             diagnostics={
                 "scheme": "delegated",
-                "batched": self.batched,
                 "worker": committee.worker,
                 "confirmed_fraud": not report.accepted,
                 "rejected_operations": sum(

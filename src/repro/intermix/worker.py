@@ -71,7 +71,6 @@ class Worker:
         self.query_log: list[QueryRecord] = []
         self._matrix: np.ndarray | None = None
         self._vector: np.ndarray | None = None
-        self._claimed: np.ndarray | None = None
         # For the consistent liar: remembered claims per (row, start, stop).
         self._claims: dict[tuple[int, int, int], int] = {}
 
@@ -88,7 +87,6 @@ class Worker:
                 f"matrix {self._matrix.shape} and vector {self._vector.shape} mismatch"
             )
         if self.strategy is WorkerStrategy.SILENT:
-            self._claimed = None
             return None
         self.field.attach_counter(self.counter)
         try:
@@ -120,7 +118,6 @@ class Worker:
                 f"matrix {self._matrix.shape} and vector {self._vector.shape} mismatch"
             )
         if self.strategy is WorkerStrategy.SILENT:
-            self._claimed = None
             return None
         self.counter.mul(multiplications)
         self.counter.add(additions)
@@ -129,21 +126,15 @@ class Worker:
     def _finish_compute(self, true_product: np.ndarray) -> np.ndarray:
         """Apply the (possibly cheating) broadcast strategy to the true product."""
         if self.strategy is WorkerStrategy.HONEST:
-            self._claimed = true_product
             return true_product.copy()
         # Cheating strategies corrupt at least one output row.
         corrupted = true_product.copy()
         victim = int(self.rng.integers(0, corrupted.shape[0]))
         corrupted[victim] = self.field.add(int(corrupted[victim]), 1)
-        self._claimed = corrupted
         self._claims.clear()
         for row in range(corrupted.shape[0]):
             self._claims[(row, 0, self._vector.shape[0])] = int(corrupted[row])
         return corrupted.copy()
-
-    @property
-    def claimed_result(self) -> np.ndarray | None:
-        return None if self._claimed is None else self._claimed.copy()
 
     @property
     def vector_length(self) -> int | None:
@@ -239,7 +230,3 @@ class Worker:
     @property
     def operations(self) -> int:
         return self.counter.total
-
-    @property
-    def queries_answered(self) -> int:
-        return len(self.query_log)

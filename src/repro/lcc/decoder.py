@@ -21,7 +21,6 @@ import numpy as np
 from repro.exceptions import DecodingError, FieldError
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.erasure import ErasureDecoder
-from repro.coding.gao import GaoDecoder
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.gf.matrix_cache import cached_interpolation_matrix, cached_transfer_matrix
 from repro.gf.polynomial import Poly
@@ -56,28 +55,20 @@ class CodedResultDecoder:
         self,
         scheme: LagrangeScheme,
         transition_degree: int,
-        decoder: str = "berlekamp-welch",
     ) -> None:
         if transition_degree < 1:
             raise FieldError(
                 f"transition degree must be at least 1, got {transition_degree}"
             )
-        if decoder not in ("berlekamp-welch", "gao"):
-            raise FieldError(f"unknown decoder '{decoder}'")
         self.scheme = scheme
         self.field = scheme.field
         self.transition_degree = int(transition_degree)
-        self.decoder_kind = decoder
         self.code = ReedSolomonCode(
             scheme.field,
             scheme.alphas,
             scheme.decoding_dimension(transition_degree),
         )
-        self._error_decoder = (
-            BerlekampWelchDecoder(self.code)
-            if decoder == "berlekamp-welch"
-            else GaoDecoder(self.code)
-        )
+        self._error_decoder = BerlekampWelchDecoder(self.code)
         self._erasure_decoder = ErasureDecoder(self.code)
 
     # -- public API -------------------------------------------------------------------

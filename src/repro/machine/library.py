@@ -28,10 +28,6 @@ def _variable(field: Field, arity: int, index: int) -> MultivariatePolynomial:
     return MultivariatePolynomial.variable(field, arity, index)
 
 
-def _constant(field: Field, arity: int, value: int) -> MultivariatePolynomial:
-    return MultivariatePolynomial.constant(field, arity, value)
-
-
 def bank_account_machine(
     field: Field, num_accounts: int = 4, name: str = "bank-ledger"
 ) -> StateMachine:

@@ -455,9 +455,6 @@ class SimulatedNetwork:
         self.scheduler.run_until_idle()
 
     # -- statistics ------------------------------------------------------------------
-    def delivered_within(self, deadline: float) -> int:
-        return sum(1 for r in self.delivery_log if r.delivered and r.delivery_time <= deadline)
-
     def stats(self) -> dict[str, float]:
         return {
             "messages_sent": self.messages_sent,

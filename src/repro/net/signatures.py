@@ -67,9 +67,6 @@ class KeyRegistry:
             )
         return self._keys[node_id]
 
-    def known_identities(self) -> list[str]:
-        return sorted(self._keys)
-
     # -- signing ------------------------------------------------------------------
     def sign(self, message: Message) -> Message:
         """Sign a message in place (and return it) using the sender's key."""

@@ -41,11 +41,6 @@ class OutputCollector:
     def add_response(self, node_id: str, output: np.ndarray) -> None:
         self.responses[str(node_id)] = tuple(int(v) for v in np.asarray(output).reshape(-1))
 
-    def add_responses(self, responses: dict[str, np.ndarray]) -> None:
-        """Record a whole round of candidate outputs at once (batched path)."""
-        for node_id, output in responses.items():
-            self.add_response(node_id, output)
-
     def accept_with_threshold(self, threshold: int) -> tuple[int, ...] | None:
         """Return the unique value supported by at least ``threshold`` nodes.
 

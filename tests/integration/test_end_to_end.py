@@ -145,7 +145,7 @@ class TestDelegatedCSMRound:
         results[0] = (results[0] + 13) % big_field.order
         results[8] = (results[8] + 13) % big_field.order
 
-        decoded, report_d = service.decode_results_verified(results, committee)
+        decoded, report_d = service.decode_results_verified_fast(results, committee)
         assert report_d.accepted
         expected = np.zeros_like(decoded)
         for k in range(num_machines):

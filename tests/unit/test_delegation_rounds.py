@@ -103,23 +103,6 @@ class TestHonestRounds:
         assert set(protocol.delivered_outputs) == {"a", "b", "c", "d"}
         assert protocol.failed_deliveries == {}
 
-    def test_batched_and_scalar_histories_bit_identical(self, machine):
-        commands = _commands(machine, 3)
-        histories = {}
-        for batched in (True, False):
-            protocol = _protocol(machine, batched=batched)
-            protocol.run_rounds_batched(commands)
-            histories[batched] = protocol
-        for a, b in zip(histories[True].history, histories[False].history):
-            assert np.array_equal(a.result.outputs, b.result.outputs)
-            assert np.array_equal(a.result.states, b.result.states)
-            assert a.result.correct == b.result.correct
-            assert a.result.ops_per_node == b.result.ops_per_node
-        assert (
-            histories[True].rng.bit_generator.state
-            == histories[False].rng.bit_generator.state
-        )
-
     def test_dishonest_auditor_alone_cannot_void_a_round(self, machine):
         protocol = _protocol(machine, dishonest_auditors=set(_node_ids()))
         (record,) = protocol.run_rounds_batched(_commands(machine, 1))

@@ -176,17 +176,6 @@ class TestDecoder:
         assert np.array_equal(decoded.outputs, self._expected(states, commands, polys))
         assert set(decoded.error_nodes) == {5, 6, 7}
 
-    def test_gao_backend_matches(self, scheme, workload):
-        states, commands, polys = workload
-        results = self._coded_results(scheme, states, commands, polys)
-        bw = CodedResultDecoder(scheme, transition_degree=2, decoder="berlekamp-welch")
-        gao = CodedResultDecoder(scheme, transition_degree=2, decoder="gao")
-        assert np.array_equal(bw.decode(results).outputs, gao.decode(results).outputs)
-
-    def test_unknown_decoder_rejected(self, scheme):
-        with pytest.raises(FieldError):
-            CodedResultDecoder(scheme, transition_degree=1, decoder="viterbi")
-
     def test_wrong_result_count_rejected(self, scheme):
         decoder = CodedResultDecoder(scheme, transition_degree=1)
         with pytest.raises(DecodingError):
