@@ -64,7 +64,7 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
     # Each propose/echo phase is dispatched and tallied as a struct-of-arrays
     # PhaseBatch instead of per-copy messages.  _attempt_view below stays the
     # event-driven reference oracle; decisions, rng stream, counters and
-    # delivery log are bit-identical between the two.
+    # per-copy deliveries are bit-identical between the two.
     def _attempt_view_vectorised(
         self,
         round_index: int,

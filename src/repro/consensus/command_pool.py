@@ -66,7 +66,6 @@ class CommandPool:
     num_machines: int
     sequence_source: SequenceAllocator | None = None
     _queues: list[deque[SubmittedCommand]] = field(default_factory=list)
-    _history: set[tuple[int, tuple[int, ...], str]] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if self.num_machines < 1:
@@ -89,7 +88,6 @@ class CommandPool:
             sequence=self.sequence_source.allocate(),
         )
         self._queues[machine_index].append(entry)
-        self._history.add((entry.machine_index, entry.command, entry.client_id))
         return entry
 
     def canonical_round(self, commands: np.ndarray) -> np.ndarray:
@@ -210,14 +208,6 @@ class CommandPool:
             "an unknown command"
         )
 
-    def was_submitted(self, machine_index: int, command: Iterable[int], client_id: str) -> bool:
-        """Validity check: was this command really submitted by this client?"""
-        return (
-            int(machine_index),
-            tuple(int(v) for v in command),
-            str(client_id),
-        ) in self._history
-
     def matches_pending(
         self,
         machine_index: int,
@@ -233,7 +223,9 @@ class CommandPool:
         its command/client match.  This keeps a Byzantine leader from
         forging sequences onto otherwise-valid payloads — such a proposal is
         simply invalid (view change) instead of surfacing later as a
-        :class:`ConsensusError` from :meth:`mark_executed`.
+        :class:`ConsensusError` from :meth:`mark_executed`.  A pending match
+        also proves this client submitted this command, so the pool keeps no
+        record of entries once they leave it.
         """
         self._check_machine(machine_index)
         seq = int(sequence)

@@ -186,7 +186,7 @@ class ConsensusProtocol(ABC):
 
         This event-driven, per-copy path is the *reference oracle* for the
         vectorised plane: ``decide_rounds`` must produce bit-identical
-        decisions, rng consumption, counters and delivery log.
+        decisions, rng consumption, counters and per-copy deliveries.
         """
         return self._decide_round(round_index, None)
 
@@ -251,12 +251,12 @@ class ConsensusProtocol(ABC):
         decided; batched drivers use it to submit that round's client
         commands.  Submitting lazily (rather than all rounds up front)
         matters for bit-identity: the validity check consults the pool's
-        submission history, so commands of *future* rounds must not be
+        pending entries, so commands of *future* rounds must not be
         visible yet — an equivocating leader's forged payload could otherwise
         coincide with a later round's real command and pass validation that
         the sequential path would reject.  The returned per-round decision
         maps — and the rng/delay stream, message/signature counters and
-        delivery log — are bit-identical to the
+        per-copy deliveries — are bit-identical to the
         submit-then-:meth:`decide_round` sequential loop.
         """
         if self.use_vectorised_plane and not self.network.faults.active:
@@ -396,17 +396,15 @@ class ConsensusProtocol(ABC):
             return False
         if not sequences or len(sequences) != len(commands):
             return False
-        for k, (command, client, sequence) in enumerate(
-            zip(commands, clients, sequences)
-        ):
-            if not self.pool.was_submitted(k, command, client):
-                return False
-            # Bind the (unsigned) sequence back to a pending pool entry so a
-            # forged sequence invalidates the proposal here instead of
-            # derailing mark_executed after the decision.
-            if not self.pool.matches_pending(k, command, client, sequence):
-                return False
-        return True
+        # Bind every row, (unsigned) sequence included, to a pending pool
+        # entry: a forged sequence invalidates the proposal here instead of
+        # derailing mark_executed after the decision.
+        return all(
+            self.pool.matches_pending(k, command, client, sequence)
+            for k, (command, client, sequence) in enumerate(
+                zip(commands, clients, sequences)
+            )
+        )
 
     def _ref_valid(self, ref: int, on_plane: PlaneRounds) -> bool:
         cached = on_plane.validity.get(ref)

@@ -84,8 +84,8 @@ class CSMProtocol(RoundProtocol):
             )
         # ``vectorised_consensus`` selects the message-plane fast path for
         # batched/pipelined round drivers (decisions, rng stream, counters
-        # and delivery log are bit-identical either way); False pins the
-        # event-driven oracle, which then advances
+        # and per-copy deliveries are bit-identical either way); False pins
+        # the event-driven oracle, which then advances
         # ``consensus_fast_path_disabled`` for observability.
         self.consensus.use_vectorised_plane = bool(vectorised_consensus)
         # The execution phase draws its randomness (Byzantine result
@@ -132,10 +132,6 @@ class CSMProtocol(RoundProtocol):
     def _submit_round(self, commands: np.ndarray, clients: Sequence[str]) -> None:
         """Submit one round of commands under explicit client identities."""
         arr = self.pool.canonical_round(commands)
-        if len(clients) != arr.shape[0]:
-            raise ConfigurationError(
-                f"round of {arr.shape[0]} commands but {len(clients)} client ids"
-            )
         for k in range(arr.shape[0]):
             self.submit_command(k, clients[k], arr[k])
 
@@ -214,10 +210,10 @@ class CSMProtocol(RoundProtocol):
         """Consensus + execution shared by the batched and pipelined drivers
         (pipelined when a ``verify_window`` is given; ``client:k`` labels
         when ``client_rounds`` is ``None``)."""
-        # Canonicalised before any consensus runs: a malformed batch must
-        # fail fast, not discard earlier rounds the consensus already decided
-        # (shape validation is pure, so this cannot perturb the pool history
-        # the bit-identity guarantee depends on).
+        # Canonicalised before any consensus runs: a malformed batch or
+        # client round must fail fast, not discard earlier rounds the
+        # consensus already decided (validation is pure, so this cannot
+        # perturb the pool the bit-identity guarantee depends on).
         batches, client_rounds = self._canonical_batches(command_batches, client_rounds)
         if not batches:
             return []
@@ -342,7 +338,3 @@ class CSMProtocol(RoundProtocol):
     def freeze_failed_rounds(self) -> None:
         """Make failed rounds leave all state unadvanced (retry support)."""
         self.engine.freeze_on_failure = True
-
-    # Round recording, verified-only delivery and the reporting surface
-    # (``all_rounds_correct``, ``failed_rounds``, ``measured_throughput``)
-    # are inherited from RoundProtocol — shared with the replication facade.

@@ -168,8 +168,6 @@ class CodedResultDecoder:
             )
         budget = len(present) - dimension
         present_arr = np.array(present, dtype=np.int64)
-        all_points = tuple(int(a) for a in self.scheme.alphas)
-        omega_points = tuple(int(w) for w in self.scheme.omegas)
 
         pivot: list[int] | None = None
         reencoded = candidate_outputs = candidate_coeffs = None
@@ -178,15 +176,8 @@ class CodedResultDecoder:
         outputs = np.zeros((self.scheme.num_machines, matrix.shape[1]), dtype=np.int64)
         for component in range(matrix.shape[1]):
             if pivot is None:
-                pivot = [i for i in present if i not in suspects][:dimension]
-                if len(pivot) < dimension:
-                    pivot = present[:dimension]
-                pivot_points = tuple(int(self.scheme.alphas[i]) for i in pivot)
-                to_all = cached_transfer_matrix(self.field, pivot_points, all_points)
-                to_omegas = cached_transfer_matrix(
-                    self.field, pivot_points, omega_points
-                )
-                to_coeffs = cached_interpolation_matrix(self.field, pivot_points)
+                pivot = self.pivot_rows(present, suspects)
+                to_all, to_omegas, to_coeffs = self.pivot_matrices(pivot)
                 sub = matrix[pivot, :]
                 reencoded = self.field.matmul(to_all, sub)
                 candidate_outputs = self.field.matmul(to_omegas, sub)
@@ -224,9 +215,9 @@ class CodedResultDecoder:
         """The interpolation pivot the fast path derives from ``suspects``.
 
         First ``dimension`` present non-suspect rows, falling back to the
-        first ``dimension`` present rows when too few remain — exactly the
-        rule :meth:`decode_fast` applies, factored out so the speculative
-        execution pipeline picks bit-identical pivots.
+        first ``dimension`` present rows when too few remain.  The one copy
+        of the rule: :meth:`decode_fast` and the speculative execution
+        pipeline both call it, so they pick bit-identical pivots.
         """
         dimension = self.code.dimension
         pivot = [i for i in present if i not in suspects][:dimension]

@@ -2,7 +2,7 @@
 
 Every performance PR in this repository is certified by *bit-identity*
 oracles — identical rng streams, identical :class:`~repro.gf.field.
-OperationCounter` charges, identical delivery logs.  Those invariants are
+OperationCounter` charges, identical per-copy deliveries.  Those invariants are
 easy to break silently: an ambient ``np.random.default_rng(0)`` fallback, a
 stray ``time.time()`` in a hot path, or a GF fast path that forgets to
 charge the counter only surfaces when a property suite happens to catch it.

@@ -12,6 +12,11 @@ Protocol layers interact with it through three operations:
 
 Messages whose signatures do not verify are dropped and counted, modelling
 the "impersonation is easily detectable" clause of the fault model.
+
+The network keeps counters (``messages_sent``, ``rejected_signatures``,
+``faults.dropped_messages``), not a journal: a :class:`DeliveryRecord` is the
+value a send returns, and nothing keeps it once the copy is delivered.
+Memory therefore stays flat however many rounds run.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -32,100 +37,12 @@ from repro.rng import default_stream
 
 @dataclass
 class DeliveryRecord:
-    """Book-keeping entry for one attempted message delivery."""
+    """One attempted message delivery, as returned by a send."""
 
     message: Message
     send_time: float
     delivery_time: float
     delivered: bool = True
-
-
-@dataclass
-class _PhaseLogEntry:
-    """A whole :class:`PhaseBatch` standing in for its per-copy records.
-
-    The vectorised plane appends one of these per phase instead of
-    ``A * (N - 1)`` :class:`DeliveryRecord` objects; :meth:`materialise`
-    expands it — in exactly the order ``deliver_all`` would have appended —
-    when somebody actually reads the log.
-    """
-
-    batch: PhaseBatch
-    node_ids: list[str]
-
-    @property
-    def count(self) -> int:
-        return self.batch.num_actions * max(len(self.node_ids) - 1, 0)
-
-    def materialise(self) -> list[DeliveryRecord]:
-        batch = self.batch
-        out: list[DeliveryRecord] = []
-        for a, message in enumerate(batch.templates):
-            sender = int(batch.sender_index[a])
-            delivered = bool(batch.valid[a])
-            times = batch.delivery_time[a]
-            for j, node_id in enumerate(self.node_ids):
-                if j == sender:
-                    continue  # own copy never hits the log (as in broadcast)
-                out.append(
-                    DeliveryRecord(
-                        message.with_recipient(node_id),
-                        batch.send_time,
-                        float(times[j]),
-                        delivered=delivered,
-                    )
-                )
-        return out
-
-
-class DeliveryLog(Sequence):
-    """Append-only delivery journal that holds phase batches compactly.
-
-    Scalar paths append :class:`DeliveryRecord` objects as before; the
-    vectorised message plane appends whole phases, which are expanded to
-    records lazily the first time the log is read.  Interleaving is
-    preserved: entries expand in append order, so the flat view is
-    bit-identical (field for field) to the record sequence the event-driven
-    and bulk paths would have produced.
-    """
-
-    def __init__(self) -> None:
-        self._entries: list[DeliveryRecord | _PhaseLogEntry] = []
-        self._flat: list[DeliveryRecord] | None = []
-
-    def append(self, record: DeliveryRecord) -> None:
-        self._entries.append(record)
-        if self._flat is not None:
-            self._flat.append(record)
-
-    def append_phase(self, entry: _PhaseLogEntry) -> None:
-        self._entries.append(entry)
-        self._flat = None
-
-    def _materialise(self) -> list[DeliveryRecord]:
-        if self._flat is None:
-            flat: list[DeliveryRecord] = []
-            for entry in self._entries:
-                if isinstance(entry, DeliveryRecord):
-                    flat.append(entry)
-                else:
-                    flat.extend(entry.materialise())
-            self._flat = flat
-        return self._flat
-
-    def __len__(self) -> int:
-        if self._flat is not None:
-            return len(self._flat)
-        return sum(
-            1 if isinstance(entry, DeliveryRecord) else entry.count
-            for entry in self._entries
-        )
-
-    def __iter__(self) -> Iterator[DeliveryRecord]:
-        return iter(self._materialise())
-
-    def __getitem__(self, index):
-        return self._materialise()[index]
 
 
 @dataclass
@@ -247,7 +164,6 @@ class SimulatedNetwork:
         self.keys = key_registry or KeyRegistry()
         self.scheduler = EventScheduler()
         self._mailboxes: dict[str, _Mailbox] = {}
-        self.delivery_log: DeliveryLog = DeliveryLog()
         self.rejected_signatures = 0
         self.messages_sent = 0
         self._bulk_delivery = False
@@ -287,7 +203,6 @@ class SimulatedNetwork:
             delivery_time += self.faults.extra_delay
             dropped = self.faults.should_drop(message.sender, message.recipient)
         record = DeliveryRecord(message, send_time, delivery_time, delivered=not dropped)
-        self.delivery_log.append(record)
         self.messages_sent += 1
         if dropped:
             self.faults.dropped_messages += 1
@@ -372,7 +287,6 @@ class SimulatedNetwork:
             record = DeliveryRecord(
                 copy, now, delivery_time, delivered=valid and not dropped
             )
-            self.delivery_log.append(record)
             self.messages_sent += 1
             if not valid:
                 self.rejected_signatures += 1
@@ -635,9 +549,9 @@ class MessagePlane:
     bytes per ref) that lets a whole phase — up to ``N`` broadcasts,
     ``N x N`` copies — be signed, verified, delayed and tallied as columns
     instead of objects.  Everything observable (rng stream, counters,
-    delivery log, mailbox residue, simulated time) is bit-identical to
-    routing the same broadcasts through :meth:`SimulatedNetwork.deliver_all`
-    and :meth:`SimulatedNetwork.collect_all`.
+    per-copy delivery times and verdicts, mailbox residue, simulated time)
+    is bit-identical to routing the same broadcasts through
+    :meth:`SimulatedNetwork.deliver_all` and :meth:`SimulatedNetwork.collect_all`.
 
     Targeted sends (the equivocation path) do not go through the plane:
     Byzantine senders keep calling :meth:`SimulatedNetwork.send`, whose
@@ -685,10 +599,11 @@ class MessagePlane:
         Equivalent to calling ``deliver_all(template, self.node_ids)`` for
         each template in order: same rng draws (one per non-self copy, in
         action-major recipient order), same ``messages_sent`` /
-        ``rejected_signatures`` accounting, same delivery-log records
-        (appended compactly), but no per-copy message objects or mailbox
-        pushes — in-window copies are tallied straight off the batch arrays
-        at collection.
+        ``rejected_signatures`` accounting, and the batch carries every
+        copy's delivery time and verdict (what ``deliver_all`` returns as
+        records), but no per-copy message objects or mailbox pushes —
+        in-window copies are tallied straight off the batch arrays at
+        collection.
 
         Each action is MAC-signed with its sender's key and MAC-verified
         against its claimed sender's; the phase shares only the canonical
@@ -730,7 +645,6 @@ class MessagePlane:
         )
         net.messages_sent += num_actions * (num_nodes - 1)
         net.rejected_signatures += verdicts.count(False) * (num_nodes - 1)
-        net.delivery_log.append_phase(_PhaseLogEntry(batch, self.node_ids))
         return batch
 
     # -- phase collection ---------------------------------------------------------

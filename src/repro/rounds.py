@@ -9,10 +9,9 @@ parts ``CSMProtocol`` and :mod:`repro.replication.base` used to duplicate:
 
 * :class:`ProtocolRound` — the per-round history record (consensus decision
   plus execution result);
-* verified output delivery (outputs of a round that failed verification are
-  never handed to clients; the failure is recorded instead);
-* the reporting helpers (``all_rounds_correct``, ``failed_rounds``,
-  ``measured_throughput``).
+* :class:`RoundHistory` — the reports read off the history, shared with the
+  service's merged history; a round that failed verification is reported as
+  failed, never as delivered.
 
 Backends implement :meth:`RoundProtocol.run_rounds_batched`, which accepts
 ``B`` pre-grouped rounds of exactly one command per machine, plus (new in
@@ -51,26 +50,92 @@ class ProtocolRound:
         return self.result.correct
 
 
-class RoundProtocol(ABC):
+class RoundHistory:
+    """Reports over a list of :class:`ProtocolRound` records.
+
+    Every member is read off :attr:`history` when asked; nothing is stored
+    beside it.  Each round is charged at ``len(record.clients)`` — the
+    commands it carried, one per machine (``K``, or a shard's ``K_s`` in a
+    sharded service's merged history).
+    """
+
+    history: Sequence[ProtocolRound]
+
+    @property
+    def all_rounds_correct(self) -> bool:
+        return all(record.correct for record in self.history)
+
+    @property
+    def failed_rounds(self) -> int:
+        """Number of completed rounds whose verification failed."""
+        return sum(1 for record in self.history if not record.correct)
+
+    @property
+    def delivered_outputs(self) -> dict[str, list[np.ndarray]]:
+        """Per-client outputs (copies) of the verified rounds, in round order."""
+        delivered: dict[str, list[np.ndarray]] = {}
+        for record in self.history:
+            if record.correct:
+                for k, client_id in enumerate(record.clients):
+                    delivered.setdefault(client_id, []).append(
+                        record.result.outputs[k].copy()
+                    )
+        return delivered
+
+    @property
+    def failed_deliveries(self) -> dict[str, list[int]]:
+        """Per-client indices of the rounds whose verification failed.
+
+        A failed round must not hand unverified values to clients; it is
+        reported here so clients can observe the gap and resubmit.
+        """
+        failed: dict[str, list[int]] = {}
+        for record in self.history:
+            if not record.correct:
+                for client_id in record.clients:
+                    failed.setdefault(client_id, []).append(record.round_index)
+        return failed
+
+    def measured_throughput(self) -> float:
+        """Average commands per unit per-node operation across completed rounds.
+
+        A round that failed verification delivered *zero* commands to the
+        clients, so it contributes ``0.0`` to the mean — not the throughput
+        its operation count would have bought had it verified.  (Averaging
+        failed rounds at their would-be throughput inflated the measure
+        exactly when faults bite, disagreeing with the measurement harness,
+        which keeps failed rounds in the operation denominator but never in
+        the delivered-command numerator.)  Verified rounds with a non-finite
+        throughput (degenerate zero-operation rounds) are excluded; if no
+        round contributed at all the result is ``0.0`` — never ``inf``,
+        which would poison downstream averages.
+        """
+        throughputs: list[float] = []
+        for record in self.history:
+            if not record.correct:
+                throughputs.append(0.0)
+                continue
+            value = record.result.throughput(len(record.clients))
+            if np.isfinite(value):
+                throughputs.append(value)
+        return float(np.mean(throughputs)) if throughputs else 0.0
+
+
+class RoundProtocol(RoundHistory, ABC):
     """A backend that executes pre-grouped rounds of one command per machine.
 
     Subclasses must set :attr:`machine` (the template
     :class:`~repro.machine.interface.StateMachine`), call
     :meth:`_init_round_state` during construction, and implement
-    :meth:`num_machines` and :meth:`run_rounds_batched`.  Everything a client
-    of the round history needs — verified delivery, failure book-keeping and
-    the throughput report — is shared here.
+    :meth:`num_machines` and :meth:`run_rounds_batched`.  Every report a
+    client of the round history needs comes from :class:`RoundHistory`.
     """
 
     machine: StateMachine
 
     def _init_round_state(self) -> None:
-        """Initialise the shared history/delivery state (call from __init__)."""
+        """Initialise the round history (call from __init__)."""
         self.history: list[ProtocolRound] = []
-        self.delivered_outputs: dict[str, list[np.ndarray]] = {}
-        # Rounds whose verification failed never reach the clients; they are
-        # recorded here (client id -> failed round indices) instead.
-        self.failed_deliveries: dict[str, list[int]] = {}
 
     # -- backend surface ----------------------------------------------------------------
     @property
@@ -102,7 +167,8 @@ class RoundProtocol(ABC):
         Every batch is shaped by :meth:`_canonical_round` first, so a
         malformed batch anywhere in the run fails fast instead of leaving
         earlier rounds decided or half-recorded.  Without ``client_rounds``
-        every round gets the legacy ``client:k`` labels.  An empty run comes
+        every round gets the legacy ``client:k`` labels; with them, every
+        client round must name exactly ``K`` clients.  An empty run comes
         back as ``([], ...)``: backends return ``[]`` on it before touching
         any state (no election, no consensus, no rng draw).
         """
@@ -115,6 +181,12 @@ class RoundProtocol(ABC):
                 f"{len(batches)} command rounds but {len(client_rounds)} client "
                 "rounds"
             )
+        for b, clients in enumerate(client_rounds):
+            if len(clients) != self.num_machines:
+                raise ConfigurationError(
+                    f"client round {b} names {len(clients)} clients for "
+                    f"{self.num_machines} machines"
+                )
         return batches, client_rounds
 
     def _canonical_round(self, commands: np.ndarray) -> np.ndarray:
@@ -164,7 +236,7 @@ class RoundProtocol(ABC):
         replication baselines never fail verification).
         """
 
-    # -- shared history/delivery --------------------------------------------------------
+    # -- shared history -----------------------------------------------------------------
     def _record_round(
         self,
         commands: np.ndarray,
@@ -172,7 +244,7 @@ class RoundProtocol(ABC):
         result: RoundResult,
         view: int = 0,
     ) -> ProtocolRound:
-        """Append the round record and deliver (only) verified outputs."""
+        """Append the round record to the history."""
         record = ProtocolRound(
             round_index=len(self.history),
             commands=commands,
@@ -181,18 +253,6 @@ class RoundProtocol(ABC):
             consensus_views=view,
         )
         self.history.append(record)
-        if result.correct:
-            for k, client_id in enumerate(record.clients):
-                self.delivered_outputs.setdefault(client_id, []).append(
-                    result.outputs[k].copy()
-                )
-        else:
-            # A failed round must not hand unverified values to clients; it
-            # is recorded so clients can observe the gap and resubmit.
-            for client_id in record.clients:
-                self.failed_deliveries.setdefault(client_id, []).append(
-                    record.round_index
-                )
         return record
 
     # -- reporting ----------------------------------------------------------------------
@@ -209,38 +269,3 @@ ConsensusProtocol` surface its ``fast_path_disabled`` counter here (rounds
         """
         consensus = getattr(self, "consensus", None)
         return int(getattr(consensus, "fast_path_disabled", 0))
-
-    @property
-    def all_rounds_correct(self) -> bool:
-        return all(record.correct for record in self.history)
-
-    @property
-    def failed_rounds(self) -> int:
-        """Number of completed rounds whose verification failed."""
-        return sum(1 for record in self.history if not record.correct)
-
-    def measured_throughput(self) -> float:
-        """Average commands per unit per-node operation across completed rounds.
-
-        A round that failed verification delivered *zero* commands to the
-        clients, so it contributes ``0.0`` to the mean — not the throughput
-        its operation count would have bought had it verified.  (Averaging
-        failed rounds at their would-be throughput inflated the measure
-        exactly when faults bite, disagreeing with the measurement harness,
-        which keeps failed rounds in the operation denominator but never in
-        the delivered-command numerator.)  Verified rounds with a non-finite
-        throughput (degenerate zero-operation rounds) are excluded; if no
-        round contributed at all the result is ``0.0`` — never ``inf``,
-        which would poison downstream averages.
-        """
-        if not self.history:
-            return 0.0
-        throughputs: list[float] = []
-        for record in self.history:
-            if not record.correct:
-                throughputs.append(0.0)
-                continue
-            value = record.result.throughput(self.num_machines)
-            if np.isfinite(value):
-                throughputs.append(value)
-        return float(np.mean(throughputs)) if throughputs else 0.0

@@ -23,7 +23,7 @@ production shape on top of the session/ticket API:
 
 A default-constructed ``QosPolicy()`` is **disabled**: it imposes no cap,
 no watermark and FIFO selection, and the service's behaviour — history,
-delivery log, ticket outcomes, rng stream — is bit-identical to running
+message counters, ticket outcomes, rng stream — is bit-identical to running
 with no policy at all (property-tested).
 
 The policy object is a frozen *configuration*; the stateful selector that

@@ -52,7 +52,7 @@ import numpy as np
 from repro.consensus.command_pool import CommandPool, SequenceAllocator
 from repro.exceptions import ConfigurationError, ConsensusError, ServiceError
 from repro.faults import FaultInjector, FaultReport, FaultSchedule
-from repro.rounds import ProtocolRound, RoundProtocol
+from repro.rounds import ProtocolRound, RoundHistory, RoundProtocol
 from repro.service.qos import QosPolicy
 from repro.service.retry import RetryPolicy
 from repro.service.scheduler import RoundScheduler, ScheduledRound
@@ -88,13 +88,11 @@ class ShardedRound(ProtocolRound):
 
     ``round_index`` is the *global* index (position in the merged history);
     ``shard_index`` / ``shard_round_index`` locate the underlying record in
-    its shard, and ``shard_num_machines`` carries the shard's ``K_s`` so the
-    merged throughput report charges each round at its own width.
+    its shard.
     """
 
     shard_index: int = 0
     shard_round_index: int = 0
-    shard_num_machines: int = 0
 
 
 class ClientSession:
@@ -165,7 +163,7 @@ class _Shard:
         }
 
 
-class CSMService:
+class CSMService(RoundHistory):
     """Serves ragged client traffic over a round-driving backend.
 
     Parameters
@@ -481,61 +479,13 @@ class CSMService:
         return records
 
     # -- merged reporting ---------------------------------------------------------------
-    @property
-    def all_rounds_correct(self) -> bool:
-        return all(record.correct for record in self.history)
-
-    @property
-    def failed_rounds(self) -> int:
-        """Completed rounds (any shard) whose verification failed."""
-        return sum(1 for record in self.history if not record.correct)
-
+    # The RoundHistory reports read the merged history: global round indices,
+    # each round charged at its own shard's width.
     @property
     def consensus_fast_path_disabled(self) -> int:
         """Backend rounds decided on a consensus slow path, over every shard
         (see :attr:`repro.rounds.RoundProtocol.consensus_fast_path_disabled`)."""
         return sum(shard.backend.consensus_fast_path_disabled for shard in self.shards)
-
-    @property
-    def delivered_outputs(self) -> dict[str, list[np.ndarray]]:
-        """Per-client delivered outputs, in global round order."""
-        merged: dict[str, list[np.ndarray]] = {}
-        for record in self.history:
-            if record.correct:
-                for k, client_id in enumerate(record.clients):
-                    merged.setdefault(client_id, []).append(
-                        record.result.outputs[k].copy()
-                    )
-        return merged
-
-    @property
-    def failed_deliveries(self) -> dict[str, list[int]]:
-        """Per-client failed rounds, keyed by *global* round indices."""
-        merged: dict[str, list[int]] = {}
-        for record in self.history:
-            if not record.correct:
-                for client_id in record.clients:
-                    merged.setdefault(client_id, []).append(record.round_index)
-        return merged
-
-    def measured_throughput(self) -> float:
-        """Merged commands-per-op mean over the global history.
-
-        Same semantics as :meth:`repro.rounds.RoundProtocol.\
-measured_throughput` — failed rounds contribute ``0.0``, degenerate
-        zero-operation verified rounds are excluded — except each round is
-        charged at its own shard's width ``K_s``, since that is how many
-        commands the round carried.
-        """
-        throughputs: list[float] = []
-        for record in self.history:
-            if not record.correct:
-                throughputs.append(0.0)
-                continue
-            value = record.result.throughput(record.shard_num_machines)
-            if np.isfinite(value):
-                throughputs.append(value)
-        return float(np.mean(throughputs)) if throughputs else 0.0
 
     # -- submission ---------------------------------------------------------------------
     def _route(self, machine_index: int) -> tuple[_Shard, int]:
@@ -832,7 +782,6 @@ measured_throughput` — failed rounds contribute ``0.0``, degenerate
                 consensus_views=record.consensus_views,
                 shard_index=shard.index,
                 shard_round_index=record.round_index,
-                shard_num_machines=shard.backend.num_machines,
             )
             for i, record in enumerate(records)
         ]

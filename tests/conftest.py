@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.gf.prime_field import PrimeField
 from repro.gf.extension_field import BinaryExtensionField
+from repro.net.message import PhaseBatch
+from repro.net.network import DeliveryRecord, MessagePlane, SimulatedNetwork
 
 # Tier-1 gives the same answer twice: every property test draws a fixed,
 # derandomised example sequence and no example database replays old
@@ -37,3 +42,73 @@ def gf256() -> BinaryExtensionField:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def _phase_records(batch: PhaseBatch, node_ids: list[str]) -> list[DeliveryRecord]:
+    """One phase's non-self copies, in the order ``deliver_all`` returns them."""
+    out: list[DeliveryRecord] = []
+    for a, message in enumerate(batch.templates):
+        sender = int(batch.sender_index[a])
+        delivered = bool(batch.valid[a])
+        times = batch.delivery_time[a]
+        for j, node_id in enumerate(node_ids):
+            if j == sender:
+                continue  # own copy never hits the log (as in broadcast)
+            out.append(
+                DeliveryRecord(
+                    message.with_recipient(node_id),
+                    batch.send_time,
+                    float(times[j]),
+                    delivered=delivered,
+                )
+            )
+    return out
+
+
+@contextmanager
+def _recording_deliveries() -> Iterator[list[DeliveryRecord]]:
+    log: list[DeliveryRecord] = []
+    send = SimulatedNetwork.send
+    deliver_all = SimulatedNetwork.deliver_all
+    broadcast_phase = MessagePlane.broadcast_phase
+
+    def recording_send(self, message, sign=True):
+        record = send(self, message, sign)
+        log.append(record)
+        return record
+
+    def recording_deliver_all(self, message, recipients=None, sign=True):
+        records = deliver_all(self, message, recipients, sign)
+        log.extend(r for r in records if r.message.recipient != message.sender)
+        return records
+
+    def recording_broadcast_phase(self, templates, payload_refs):
+        batch = broadcast_phase(self, templates, payload_refs)
+        if batch is not None:
+            log.extend(_phase_records(batch, self.node_ids))
+        return batch
+
+    SimulatedNetwork.send = recording_send
+    SimulatedNetwork.deliver_all = recording_deliver_all
+    MessagePlane.broadcast_phase = recording_broadcast_phase
+    try:
+        yield log
+    finally:
+        SimulatedNetwork.send = send
+        SimulatedNetwork.deliver_all = deliver_all
+        MessagePlane.broadcast_phase = broadcast_phase
+
+
+@pytest.fixture(scope="session")
+def record_deliveries():
+    """Context-manager factory: every attempted copy sent inside the block.
+
+    ``with record_deliveries() as log:`` appends one
+    :class:`~repro.net.network.DeliveryRecord` per non-self copy that any
+    network dispatches in the block — scheduled sends, bulk deliveries and
+    message-plane phases alike, in dispatch order — so two runs that must
+    make the same sends can be compared copy for copy.  The network itself
+    keeps only counters; ``len(log)`` equals the ``messages_sent`` the block
+    added.  Session-scoped so Hypothesis tests can take it.
+    """
+    return _recording_deliveries

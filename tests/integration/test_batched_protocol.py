@@ -147,6 +147,23 @@ class TestVerifiedDelivery:
         assert protocol.history == []
         assert protocol.pool.total_pending() == 0  # nothing was submitted
 
+    def test_short_client_round_fails_before_any_consensus(self, big_field):
+        """A client round naming fewer than ``K`` clients fails fast as well:
+        it must not raise only after round 0 was decided and left the pool,
+        which lost round 0 from both the history and the pool."""
+        protocol = _protocol(big_field, num_machines=2)
+        batches = [np.array([1, 2]), np.array([3, 4])]
+        with pytest.raises(ConfigurationError, match="client round 1 names 1 clients"):
+            protocol.run_rounds_batched(batches, client_rounds=[["a", "b"], ["c"]])
+        assert protocol.history == []
+        assert protocol.pool.total_pending() == 0
+        assert protocol.pool.sequence_source.issued == 0  # nothing was submitted
+        assert protocol.network.messages_sent == 0  # no consensus ran
+        records = protocol.run_rounds_batched(
+            batches, client_rounds=[["a", "b"], ["c", "d"]]
+        )
+        assert [r.clients for r in records] == [["a", "b"], ["c", "d"]]
+
 
 class TestMeasuredThroughput:
     def test_degenerate_history_yields_zero_not_inf(self, big_field):
@@ -244,8 +261,8 @@ class TestLazySubmissionBitIdentity:
     def test_equivocating_leader_cannot_validate_future_round_commands(self, big_field):
         """An equivocating round-0 leader whose forged payload happens to equal
         round 1's real command must not see it as valid: the batched driver
-        submits each round's commands lazily, so the pool's validity history
-        during round t matches the sequential loop exactly.  (Submitting all
+        submits each round's commands lazily, so the pool's pending entries
+        during round t match the sequential loop exactly.  (Submitting all
         rounds up front would make both proposals valid in round 0, forcing a
         view change the sequential path does not take.)"""
         machine = bank_account_machine(big_field, num_accounts=1)

@@ -12,7 +12,8 @@ on:
 * the recorded round history (commands, clients, consensus views, outputs);
 * the shared rng stream (both generators end in the same state);
 * the network counters (``messages_sent``, ``rejected_signatures``);
-* the full delivery log, field for field;
+* every per-copy delivery, field for field (recorded by the
+  ``record_deliveries`` fixture);
 
 across batch-window boundaries too: deciding the same rounds one call at a
 time (``B = 1``) or in one call wider than the round count (``B > rounds``)
@@ -78,7 +79,9 @@ def _run_windowed(protocol, batches, window):
     return records
 
 
-def _assert_parity(oracle, plane, oracle_records, plane_records, num_rounds):
+def _assert_parity(
+    oracle, plane, oracle_records, plane_records, num_rounds, oracle_log, plane_log
+):
     assert len(oracle_records) == len(plane_records) == num_rounds
     for orc, vec in zip(oracle_records, plane_records):
         assert orc.round_index == vec.round_index
@@ -96,9 +99,7 @@ def _assert_parity(oracle, plane, oracle_records, plane_records, num_rounds):
     assert oracle.network.messages_sent == plane.network.messages_sent
     assert oracle.network.rejected_signatures == plane.network.rejected_signatures
     assert oracle.network.now == plane.network.now
-    oracle_log = oracle.network.delivery_log
-    plane_log = plane.network.delivery_log
-    assert len(oracle_log) == len(plane_log)
+    assert len(oracle_log) == len(plane_log) == plane.network.messages_sent
     for a, b in zip(oracle_log, plane_log):
         assert a.message.sender == b.message.sender
         assert a.message.recipient == b.message.recipient
@@ -118,7 +119,7 @@ def _assert_parity(oracle, plane, oracle_records, plane_records, num_rounds):
 class TestConsensusPlaneBitIdentity:
     @relaxed
     @given(data=st.data())
-    def test_plane_matches_oracle(self, data):
+    def test_plane_matches_oracle(self, data, record_deliveries):
         partially_synchronous = data.draw(st.booleans(), label="psync")
         num_nodes = data.draw(st.sampled_from([6, 9, 10, 12]), label="N")
         machine = bank_account_machine(FIELD, num_accounts=2)
@@ -179,13 +180,17 @@ class TestConsensusPlaneBitIdentity:
             rng=np.random.default_rng(5),
             vectorised_consensus=True,
         )
-        oracle_records = _run_windowed(oracle, batches, window)
-        plane_records = _run_windowed(plane, batches, window)
-        _assert_parity(oracle, plane, oracle_records, plane_records, num_rounds)
+        with record_deliveries() as oracle_log:
+            oracle_records = _run_windowed(oracle, batches, window)
+        with record_deliveries() as plane_log:
+            plane_records = _run_windowed(plane, batches, window)
+        _assert_parity(
+            oracle, plane, oracle_records, plane_records, num_rounds, oracle_log, plane_log
+        )
 
     @relaxed
     @given(data=st.data())
-    def test_window_boundaries_do_not_move_messages(self, data):
+    def test_window_boundaries_do_not_move_messages(self, data, record_deliveries):
         """B=1 versus B>rounds on the *same* plane path stays bit-identical."""
         partially_synchronous = data.draw(st.booleans(), label="psync")
         num_nodes = data.draw(st.sampled_from([6, 10]), label="N")
@@ -232,10 +237,10 @@ class TestConsensusPlaneBitIdentity:
 
         one_by_one = build()
         single_call = build()
-        narrow_records = _run_windowed(one_by_one, batches, window=1)
-        wide_records = _run_windowed(
-            single_call, batches, window=num_rounds + 5
-        )
+        with record_deliveries() as narrow_log:
+            narrow_records = _run_windowed(one_by_one, batches, window=1)
+        with record_deliveries() as wide_log:
+            wide_records = _run_windowed(single_call, batches, window=num_rounds + 5)
         assert len(narrow_records) == len(wide_records) == num_rounds
         for a, b in zip(narrow_records, wide_records):
             assert np.array_equal(a.commands, b.commands)
@@ -250,9 +255,11 @@ class TestConsensusPlaneBitIdentity:
             one_by_one.network.rejected_signatures
             == single_call.network.rejected_signatures
         )
-        assert len(one_by_one.network.delivery_log) == len(
-            single_call.network.delivery_log
-        )
+
+        def copies(log):
+            return [(r.message.sender, r.message.recipient, r.delivery_time) for r in log]
+
+        assert copies(narrow_log) == copies(wide_log)
 
 
 #: Leader misbehaviours, by what the leader of a view does with its proposal:
@@ -273,7 +280,7 @@ class TestFaultyLeadersAtScale:
     @pytest.mark.parametrize("partially_synchronous", [False, True], ids=["bcast", "pbft"])
     @pytest.mark.parametrize("leader_behavior", sorted(LEADER_BEHAVIORS))
     def test_plane_matches_oracle_under_faulty_leaders(
-        self, leader_behavior, partially_synchronous
+        self, leader_behavior, partially_synchronous, record_deliveries
     ):
         num_nodes, num_rounds = 32, 3
         machine = bank_account_machine(FIELD, num_accounts=2)
@@ -302,9 +309,13 @@ class TestFaultyLeadersAtScale:
             )
 
         oracle, plane = build(False), build(True)
-        oracle_records = oracle.run_rounds_batched(batches)
-        plane_records = plane.run_rounds_batched(batches)
-        _assert_parity(oracle, plane, oracle_records, plane_records, num_rounds)
+        with record_deliveries() as oracle_log:
+            oracle_records = oracle.run_rounds_batched(batches)
+        with record_deliveries() as plane_log:
+            plane_records = plane.run_rounds_batched(batches)
+        _assert_parity(
+            oracle, plane, oracle_records, plane_records, num_rounds, oracle_log, plane_log
+        )
         # The faulty leaders cost views — except a broadcast equivocator, whose
         # two payloads reach everyone through the echoes and only one is valid.
         if partially_synchronous or leader_behavior != "equivocating":

@@ -196,7 +196,9 @@ class TestForgedBroadcastOnThePlane:
         num_nodes=st.integers(2, 9),
         data=st.data(),
     )
-    def test_forged_action_is_rejected_everywhere_but_at_its_sender(self, num_nodes, data):
+    def test_forged_action_is_rejected_everywhere_but_at_its_sender(
+        self, num_nodes, data, record_deliveries
+    ):
         node_ids = [f"node-{i}" for i in range(num_nodes)]
         victim = data.draw(st.sampled_from(node_ids), label="victim")
         attacker = data.draw(
@@ -218,7 +220,8 @@ class TestForgedBroadcastOnThePlane:
             _message(node_id, MessageKind.CONSENSUS_VOTE, 4, payload)
             for node_id in node_ids
         ]
-        batch = plane.broadcast_phase(templates, [ref] * num_nodes)
+        with record_deliveries() as deliveries:
+            batch = plane.broadcast_phase(templates, [ref] * num_nodes)
         victim_index = node_ids.index(victim)
         assert batch.valid.tolist() == [n != victim for n in node_ids]
         assert network.rejected_signatures == num_nodes - 1
@@ -228,6 +231,6 @@ class TestForgedBroadcastOnThePlane:
         assert seen_forged.tolist() == [n == victim for n in node_ids]
         honest_rows = np.delete(view.visible, victim_index, axis=0)
         assert honest_rows.all()
-        # The log records the forged copies as undelivered, like deliver_all.
-        delivered = [r.delivered for r in network.delivery_log if r.message.sender == victim]
+        # The forged copies are recorded as undelivered, like deliver_all's.
+        delivered = [r.delivered for r in deliveries if r.message.sender == victim]
         assert delivered == [False] * (num_nodes - 1)

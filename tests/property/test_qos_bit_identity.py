@@ -6,7 +6,7 @@ stamping) — so its *disabled* configuration must be provably inert: for any
 ragged submission trace, a service built with ``qos=None``, one built with a
 default-constructed ``QosPolicy()`` and one running an explicit
 :class:`~repro.service.qos.FifoSelection` selector must produce bit-identical
-round histories, ticket outcomes, delivery logs and backend rng streams.
+round histories, ticket outcomes, message counts and backend rng streams.
 The same holds for the sharded façade.  This is the contract that lets the
 rest of the repository's bit-identity oracles survive the QoS layer.
 """
@@ -162,7 +162,7 @@ class TestDisabledQosBitIdentity:
                         client: [tuple(int(v) for v in out) for out in outputs]
                         for client, outputs in protocol.delivered_outputs.items()
                     },
-                    len(protocol.network.delivery_log),
+                    protocol.network.messages_sent,
                     _rng_state(protocol),
                 )
             )

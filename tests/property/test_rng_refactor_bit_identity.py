@@ -11,7 +11,8 @@ The ``GOLDEN_DIGESTS`` below were captured from the tree *before* the
 refactor (commit 206fd96) by hashing every observable of a fixed-seed
 ``CSMProtocol`` run: the round history (commands, clients, views, outputs,
 states, per-node operation counts), the delivered/failed output maps, the
-network counters and clock, the field-wise delivery log, and the final
+network counters and clock, every per-copy delivery field by field (fed
+through the ``record_deliveries`` fixture, in dispatch order), and the final
 consensus rng state.  If any rng stream moved, these digests move.
 """
 
@@ -79,10 +80,11 @@ def _build_protocol(partially_synchronous):
     return protocol, batches
 
 
-def compute_scenario_digest(partially_synchronous):
+def compute_scenario_digest(partially_synchronous, record_deliveries):
     """Run the fixed-seed scenario and hash every bit-identity observable."""
     protocol, batches = _build_protocol(partially_synchronous)
-    records = protocol.run_rounds_batched(batches)
+    with record_deliveries() as deliveries:
+        records = protocol.run_rounds_batched(batches)
     h = hashlib.sha256()
 
     def feed(*parts):
@@ -109,7 +111,7 @@ def compute_scenario_digest(partially_synchronous):
         protocol.network.rejected_signatures,
         protocol.network.now,
     )
-    for entry in protocol.network.delivery_log:
+    for entry in deliveries:
         feed(
             entry.message.sender,
             entry.message.recipient,
@@ -124,14 +126,16 @@ def compute_scenario_digest(partially_synchronous):
 
 
 class TestRngRefactorBitIdentity:
-    def test_sync_scenario_matches_pre_refactor_digest(self):
-        assert compute_scenario_digest(False) == GOLDEN_DIGESTS["sync"]
+    def test_sync_scenario_matches_pre_refactor_digest(self, record_deliveries):
+        assert compute_scenario_digest(False, record_deliveries) == GOLDEN_DIGESTS["sync"]
 
-    def test_psync_scenario_matches_pre_refactor_digest(self):
-        assert compute_scenario_digest(True) == GOLDEN_DIGESTS["psync"]
+    def test_psync_scenario_matches_pre_refactor_digest(self, record_deliveries):
+        assert compute_scenario_digest(True, record_deliveries) == GOLDEN_DIGESTS["psync"]
 
-    def test_two_runs_same_seed_identical(self):
+    def test_two_runs_same_seed_identical(self, record_deliveries):
         # Self-consistency: a fresh protocol with the same seeds reproduces
         # the identical digest (guards ambient nondeterminism, not just the
         # refactor delta).
-        assert compute_scenario_digest(False) == compute_scenario_digest(False)
+        assert compute_scenario_digest(False, record_deliveries) == compute_scenario_digest(
+            False, record_deliveries
+        )

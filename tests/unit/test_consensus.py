@@ -109,13 +109,6 @@ class TestCommandPool:
         assert pool.dequeue_next(1) is None
         assert pool.pending_machines() == 1
 
-    def test_validity_history(self):
-        pool = CommandPool(num_machines=1)
-        pool.submit(0, "alice", [7])
-        assert pool.was_submitted(0, [7], "alice")
-        assert not pool.was_submitted(0, [8], "alice")
-        assert not pool.was_submitted(0, [7], "mallory")
-
     def test_matches_pending_binds_sequences(self):
         pool = CommandPool(num_machines=1)
         entry = pool.submit(0, "alice", [7])
@@ -124,7 +117,7 @@ class TestCommandPool:
         assert not pool.matches_pending(0, [8], "alice", entry.sequence)
         assert not pool.matches_pending(0, [7], "mallory", entry.sequence)
         pool.dequeue_next(0)
-        # No longer pending: the binding (unlike was_submitted) expires.
+        # No longer pending: the binding expires with the entry.
         assert not pool.matches_pending(0, [7], "alice", entry.sequence)
 
     def test_machine_index_validation(self):
@@ -173,10 +166,11 @@ class TestAuthenticatedBroadcast:
 
     def test_validity_decided_commands_were_submitted(self):
         protocol, pool = _sync_setup(4, 2)
+        submitted = pool.peek_round()
         decisions = protocol.decide_round(0)
-        decision = decisions["node-0"]
-        for k, entry in enumerate(decision.selected):
-            assert pool.was_submitted(k, entry.command, entry.client_id)
+        # The decision is exactly the entries the setup submitted: same
+        # command, client and sequence per machine.
+        assert decisions["node-0"].selected == submitted
 
     def test_silent_leader_triggers_view_change(self):
         behaviors = {"node-0": SilentBehavior()}
@@ -199,12 +193,12 @@ class TestAuthenticatedBroadcast:
     def test_leader_proposing_unsubmitted_command_rejected(self):
         behaviors = {"node-0": RandomGarbageBehavior()}
         protocol, pool = _sync_setup(5, 2, behaviors)
+        submitted = pool.peek_round()
         decisions = protocol.decide_round(0)
         decision = next(iter(decisions.values()))
         assert decision.view >= 1
-        for k, entry in enumerate(decision.selected):
-            assert pool.was_submitted(k, entry.command, entry.client_id) or True
-            # decided commands are the honest (originally submitted) ones
+        # decided commands are the honest (originally submitted) ones
+        assert decision.selected == submitted
         assert decision.commands.tolist() == [[10], [20]]
 
     def test_requires_pending_commands(self):
@@ -388,12 +382,15 @@ class TestPlaneTalliesAgainstOracle:
             )
         return protocols
 
-    def test_colliding_content_keys_resolve_first_seen_like_the_oracle(self):
+    def test_colliding_content_keys_resolve_first_seen_like_the_oracle(
+        self, record_deliveries
+    ):
         behaviors = {"node-0": EquivocatingBehavior()}
         oracle, plane = self._pair(8, behaviors)
-        with oracle.network.bulk_delivery():
+        with record_deliveries() as oracle_log, oracle.network.bulk_delivery():
             oracle_decisions = [oracle.decide_round(r) for r in range(2)]
-        plane_decisions = plane.decide_rounds(0, 2)
+        with record_deliveries() as plane_log:
+            plane_decisions = plane.decide_rounds(0, 2)
         for orc, vec in zip(oracle_decisions, plane_decisions):
             assert list(orc) == list(vec)
             for node_id in orc:
@@ -409,7 +406,8 @@ class TestPlaneTalliesAgainstOracle:
             oracle.rng.bit_generator.state["state"]
             == plane.rng.bit_generator.state["state"]
         )
-        for a, b in zip(oracle.network.delivery_log, plane.network.delivery_log):
+        assert len(oracle_log) == len(plane_log) == plane.network.messages_sent
+        for a, b in zip(oracle_log, plane_log):
             assert (a.message.sender, a.message.recipient) == (
                 b.message.sender,
                 b.message.recipient,
@@ -514,12 +512,14 @@ class TestDeadLetters:
         decisions = protocol.decide_rounds(0, 4)
         return protocol, decisions
 
-    def test_no_mailbox_keeps_a_decided_round(self, monkeypatch):
-        protocol, decisions = self._run()
+    def test_no_mailbox_keeps_a_decided_round(self, monkeypatch, record_deliveries):
+        with record_deliveries() as kept_log:
+            protocol, decisions = self._run()
         assert max(d.view for d in decisions[0].values()) >= 1  # pre-GST view changes
         for box in protocol.network._mailboxes.values():
             assert [m.round_index for _, m in box.messages if m.round_index <= 3] == []
-        leaky, leaky_decisions = self._run(monkeypatch)
+        with record_deliveries() as leaked_log:
+            leaky, leaky_decisions = self._run(monkeypatch)
         stale = sum(len(box.messages) for box in leaky.network._mailboxes.values())
         assert stale > 0  # the run does produce dead letters when nothing drops them
         # Dropping them is unobservable: nothing could ever have collected them.
@@ -535,8 +535,8 @@ class TestDeadLetters:
         assert protocol.network.messages_sent == leaky.network.messages_sent
         assert protocol.network.rejected_signatures == leaky.network.rejected_signatures
         assert protocol.network.now == leaky.network.now
-        assert len(protocol.network.delivery_log) == len(leaky.network.delivery_log)
-        for a, b in zip(protocol.network.delivery_log, leaky.network.delivery_log):
+        assert len(kept_log) == len(leaked_log) == leaky.network.messages_sent
+        for a, b in zip(kept_log, leaked_log):
             assert (a.message.sender, a.message.recipient, a.message.signature) == (
                 b.message.sender,
                 b.message.recipient,

@@ -167,6 +167,16 @@ class TestValidation:
                 _commands(machine, 2), client_rounds=[["a"] * NUM_MACHINES]
             )
 
+    @pytest.mark.parametrize("width", [NUM_MACHINES - 1, NUM_MACHINES + 1])
+    def test_rejects_client_round_of_the_wrong_width(self, machine, width):
+        protocol = _protocol(machine)
+        with pytest.raises(ConfigurationError, match=f"names {width} clients"):
+            protocol.run_rounds_batched(
+                _commands(machine, 1), client_rounds=[["a"] * width]
+            )
+        assert protocol.history == []
+        assert protocol.current_worker is None  # no committee was elected
+
     def test_shared_canonicaliser_accepted_shapes_and_client_labels(self, machine):
         """Inputs each backend took before the shared canonicaliser: a flat
         round, a batch of one ``(1, K, command_dim)`` (what

@@ -4,8 +4,9 @@ The plane's correctness contract is *bit-identity with the scalar paths*:
 ``DelayModel.sample_delays`` must consume the rng stream exactly as repeated
 ``sample_delay`` calls, ``KeyRegistry.sign_batch``/``verify_batch`` must
 produce the signatures the scalar ``sign``/``verify`` would, and
-``MessagePlane.broadcast_phase`` must leave the network (counters, delivery
-log, rng, collected messages) in the state ``deliver_all`` would have.
+``MessagePlane.broadcast_phase`` must leave the network (counters, rng,
+collected messages) in the state ``deliver_all`` would have, having made the
+same per-copy deliveries.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 from repro.net.latency import PartiallySynchronousDelay, SynchronousDelay
 from repro.net.message import Message, MessageKind, PayloadTable, PhaseBatch
-from repro.net.network import DeliveryRecord, MessagePlane, PhaseView, SimulatedNetwork
+from repro.net.network import MessagePlane, PhaseView, SimulatedNetwork
 from repro.net.signatures import KeyRegistry
 
 
@@ -129,13 +130,14 @@ class TestMessagePlaneParity:
             for node_id, payload in zip(node_ids, payloads)
         ]
 
-    def test_broadcast_phase_matches_deliver_all(self):
+    def test_broadcast_phase_matches_deliver_all(self, record_deliveries):
         scalar_net, node_ids = _network()
         plane_net, _ = _network()
         payloads = [{"commands": [i]} for i in range(3)]
 
-        for template in self._templates(node_ids[:3], payloads):
-            scalar_net.deliver_all(template, node_ids)
+        with record_deliveries() as scalar_log:
+            for template in self._templates(node_ids[:3], payloads):
+                scalar_net.deliver_all(template, node_ids)
         scalar_collected = scalar_net.collect_all(
             node_ids, MessageKind.CONSENSUS_PROPOSAL, 3
         )
@@ -143,7 +145,8 @@ class TestMessagePlaneParity:
         plane = MessagePlane(plane_net, node_ids)
         templates = self._templates(node_ids[:3], payloads)
         refs = [plane.register(t.payload) for t in templates]
-        batch = plane.broadcast_phase(templates, refs)
+        with record_deliveries() as plane_log:
+            batch = plane.broadcast_phase(templates, refs)
         view = plane.collect_phase(batch, MessageKind.CONSENSUS_PROPOSAL, 3)
 
         # Same sends: counters, rng stream and simulated clock agree.
@@ -154,10 +157,9 @@ class TestMessagePlaneParity:
             == plane_net.rng.bit_generator.state["state"]
         )
         assert scalar_net.scheduler.now == plane_net.scheduler.now
-        # Field-identical delivery log, in the same order.
-        assert len(scalar_net.delivery_log) == len(plane_net.delivery_log)
-        for a, b in zip(scalar_net.delivery_log, plane_net.delivery_log):
-            assert isinstance(b, DeliveryRecord)
+        # Field-identical per-copy deliveries, in the same order.
+        assert len(scalar_log) == len(plane_log) == plane_net.messages_sent
+        for a, b in zip(scalar_log, plane_log):
             assert a.message.sender == b.message.sender
             assert a.message.recipient == b.message.recipient
             assert a.send_time == b.send_time
@@ -182,7 +184,6 @@ class TestMessagePlaneParity:
         batch = plane.broadcast_phase([], [])
         assert batch is None
         assert net.messages_sent == 0
-        assert len(net.delivery_log) == 0
         assert net.rng.bit_generator.state["state"] == state_before
         # Collecting an empty phase still advances the window clock, exactly
         # as a scalar collect over no messages would.
@@ -215,30 +216,6 @@ class TestMessagePlaneParity:
         assert plane.content_key(ref, key_fn) == (4, 5)
         assert plane.content_key(ref, key_fn) == (4, 5)
         assert len(calls) == 1
-
-
-class TestDeliveryLogLaziness:
-    def test_scalar_appends_behave_like_a_list(self):
-        net, node_ids = _network()
-        message = _message("node-0", {"value": 1})
-        message.recipient = "node-1"
-        net.send(message)
-        assert len(net.delivery_log) == 1
-        assert net.delivery_log[0].message.sender == "node-0"
-        assert [r.message.recipient for r in net.delivery_log] == ["node-1"]
-
-    def test_phase_entries_expand_without_per_copy_appends(self):
-        net, node_ids = _network()
-        plane = MessagePlane(net, node_ids)
-        templates = [_message("node-0", {"commands": [1]})]
-        plane.broadcast_phase(templates, [plane.register(templates[0].payload)])
-        # One broadcast to N nodes: N-1 non-self copies in the log.
-        assert len(net.delivery_log) == len(node_ids) - 1
-        recipients = [r.message.recipient for r in net.delivery_log]
-        assert recipients == [n for n in node_ids if n != "node-0"]
-        # Indexing and slicing work across the materialised view.
-        assert net.delivery_log[-1].message.sender == "node-0"
-        assert all(r.delivered for r in net.delivery_log)
 
 
 class TestFastPathCounter:

@@ -192,17 +192,19 @@ class TestSimulatedNetwork:
         assert stats["messages_sent"] == 1
         assert stats["rejected_signatures"] == 0
 
-    def test_deliver_all_matches_broadcast(self):
+    def test_deliver_all_matches_broadcast(self, record_deliveries):
         """Bulk delivery: same recipients, payloads and delivery times as
         broadcast (it samples delays from the same rng in the same order),
         without creating scheduler events."""
         scheduled = self._network()
         bulk = self._network()
         message = Message("a", "*", MessageKind.CONSENSUS_PROPOSAL, 0, {"v": 1})
-        scheduled.broadcast(
-            Message("a", "*", MessageKind.CONSENSUS_PROPOSAL, 0, {"v": 1})
-        )
-        records = bulk.deliver_all(message)
+        with record_deliveries() as scheduled_log:
+            scheduled.broadcast(
+                Message("a", "*", MessageKind.CONSENSUS_PROPOSAL, 0, {"v": 1})
+            )
+        with record_deliveries() as bulk_log:
+            records = bulk.deliver_all(message)
         assert bulk.scheduler.pending == 0
         assert scheduled.scheduler.pending > 0
         received_scheduled = scheduled.collect_all(["a", "b", "c"])
@@ -212,8 +214,8 @@ class TestSimulatedNetwork:
                 m.payload for m in received_bulk[node]
             ]
         # identical delay draws -> identical delivery times
-        assert [r.delivery_time for r in scheduled.delivery_log] == [
-            r.delivery_time for r in bulk.delivery_log
+        assert [r.delivery_time for r in scheduled_log] == [
+            r.delivery_time for r in bulk_log
         ]
         assert scheduled.messages_sent == bulk.messages_sent == len(records) - 1
 

@@ -342,6 +342,18 @@ class TestReplicationFacade:
             )
         assert facade.run_rounds_batched([]) == []
 
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_facade_rejects_client_rounds_of_the_wrong_width(self, big_field, width):
+        # K = 3: a short round used to drop the unnamed machines' outputs
+        # silently, a long one to raise IndexError after the round was recorded.
+        facade = _replication_backend(big_field)
+        with pytest.raises(ConfigurationError, match=f"names {width} clients for 3"):
+            facade.run_rounds_batched(
+                [np.ones((3, 2))], client_rounds=[["a", "b", "c", "d"][:width]]
+            )
+        assert facade.history == []
+        assert facade.engine.round_index == 0  # nothing executed
+
 
 class TestNoopCommands:
     def test_library_machines_declare_identity_noops(self, big_field):

@@ -260,7 +260,8 @@ class TestMergedReporting:
         service.drain()
         per_round = []
         for record in service.history:
-            per_round.append(record.result.throughput(record.shard_num_machines))
+            width = service.shards[record.shard_index].backend.num_machines
+            per_round.append(record.result.throughput(width))
         assert service.measured_throughput() == pytest.approx(
             float(np.mean(per_round))
         )
