@@ -63,7 +63,7 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
     # -- one view on the vectorised message plane ----------------------------------------
     # Each propose/echo phase is dispatched and tallied as a struct-of-arrays
     # PhaseBatch instead of per-copy messages.  _attempt_view below stays the
-    # event-driven reference oracle; decisions, rng stream, counters and
+    # per-copy reference oracle; decisions, rng stream, counters and
     # per-copy deliveries are bit-identical between the two.
     def _attempt_view_vectorised(
         self,

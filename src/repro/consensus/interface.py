@@ -10,7 +10,6 @@ used by tests to verify the validity / consistency properties.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -100,9 +99,10 @@ class ConsensusProtocol(ABC):
     leader — honest or Byzantine — puts on the wire, proposal validity and
     the decision record.  A protocol supplies its fault tolerance, its view
     budget, how a default-Byzantine leader forges a proposal, and the two
-    bodies of one view: :meth:`_attempt_view` (event-driven, per-copy — the
-    reference oracle) and :meth:`_attempt_view_vectorised` (one
-    struct-of-arrays batch per phase on the message plane).
+    bodies of one view: :meth:`_attempt_view` (per-copy — the reference
+    oracle, and the path under a live link fault) and
+    :meth:`_attempt_view_vectorised` (one struct-of-arrays batch per phase
+    on the message plane).
 
     Parameters
     ----------
@@ -118,16 +118,9 @@ class ConsensusProtocol(ABC):
         are honest.
     """
 
-    #: When True (the default) :meth:`decide_rounds` drives each round through
-    #: the vectorised message plane — phase batches, one-shot batch
-    #: signing/verification and array quorum tallies.  Set False to force the
-    #: event-driven reference oracle.
-    use_vectorised_plane: bool = True
-
-    #: Rounds :meth:`decide_rounds` decided on the slow path (the sequential
-    #: oracle under bulk delivery) because the vectorised plane was disabled
-    #: or a link fault was live.  Previously this fallback was silent; the
-    #: counter makes a disabled fast path observable in experiment reports.
+    #: Rounds :meth:`decide_rounds` decided on the slow path (the per-copy
+    #: oracle) because a link fault was live.  The counter makes the slow
+    #: path observable in experiment reports.
     fast_path_disabled: int = 0
 
     #: Views a round may try before :meth:`decide_round` gives up.
@@ -184,8 +177,10 @@ class ConsensusProtocol(ABC):
         the paper's consistency property by asserting all returned decisions
         have equal :meth:`ConsensusDecision.command_tuple`.
 
-        This event-driven, per-copy path is the *reference oracle* for the
-        vectorised plane: ``decide_rounds`` must produce bit-identical
+        This per-copy path — every message through ``send``/``broadcast`` and
+        a mailbox drain — is the *reference oracle* for the vectorised
+        plane, and the path :meth:`decide_rounds` takes under a live link
+        fault: on the plane ``decide_rounds`` must produce bit-identical
         decisions, rng consumption, counters and per-copy deliveries.
         """
         return self._decide_round(round_index, None)
@@ -193,7 +188,7 @@ class ConsensusProtocol(ABC):
     def _decide_round(
         self, round_index: int, on_plane: PlaneRounds | None
     ) -> dict[str, ConsensusDecision]:
-        """Try views until one decides — on the plane, or event-driven without."""
+        """Try views until one decides — on the plane, or per copy without."""
         selected = self.pool.peek_round()
         if any(entry is None for entry in selected):
             raise LivenessError(
@@ -238,13 +233,12 @@ class ConsensusProtocol(ABC):
         plane** (:class:`~repro.net.network.MessagePlane`): one
         struct-of-arrays batch per phase, batch signing/verification, one
         vectorised delay draw per phase and array quorum tallies instead of
-        per-copy messages and mailbox drains.  When the plane is disabled
-        via :attr:`use_vectorised_plane`, or a link-fault state (drops,
-        partitions, added latency from the fault-injection plane — honoured
-        only by the scalar send/deliver paths) is live, the rounds take the
-        sequential oracle under bulk delivery — which is bit-identical to
-        the plane anyway, and heals back to the fast path when the fault
-        state clears — and :attr:`fast_path_disabled` is advanced by
+        per-copy messages and mailbox drains.  While a link-fault state
+        (drops, partitions, added latency from the fault-injection plane —
+        honoured only by ``send``/``broadcast``) is live, the rounds take the
+        per-copy oracle :meth:`decide_round` instead — bit-identical to the
+        plane where both apply, and healing back to the fast path when the
+        fault state clears — and :attr:`fast_path_disabled` is advanced by
         ``count`` so the slow path is observable instead of silent.
 
         ``prepare_round(offset)`` is invoked immediately before each round is
@@ -259,26 +253,21 @@ class ConsensusProtocol(ABC):
         per-copy deliveries — are bit-identical to the
         submit-then-:meth:`decide_round` sequential loop.
         """
-        if self.use_vectorised_plane and not self.network.faults.active:
+        if self.network.faults.active:
+            self.fast_path_disabled += count
+            on_plane = None
+        else:
             honest = [not self.behavior_of(n).is_faulty for n in self.node_ids]
             on_plane = PlaneRounds(
                 plane=MessagePlane(self.network, self.node_ids),
                 honest=np.array(honest, dtype=bool),
                 honest_ids=[n for n, ok in zip(self.node_ids, honest) if ok],
             )
-            delivery = nullcontext()
-        else:
-            self.fast_path_disabled += count
-            on_plane = None
-            delivery = self.network.bulk_delivery()
         decisions = []
-        with delivery:
-            for offset in range(count):
-                if prepare_round is not None:
-                    prepare_round(offset)
-                decisions.append(
-                    self._decide_round(first_round_index + offset, on_plane)
-                )
+        for offset in range(count):
+            if prepare_round is not None:
+                prepare_round(offset)
+            decisions.append(self._decide_round(first_round_index + offset, on_plane))
         return decisions
 
     # -- one view: the two implementations each protocol supplies -------------------------
@@ -290,7 +279,7 @@ class ConsensusProtocol(ABC):
         leader: str,
         selected: list[SubmittedCommand],
     ) -> dict[str, ConsensusDecision]:
-        """One view, event-driven; ``{}`` when the view fails to decide."""
+        """One view, per copy; ``{}`` when the view fails to decide."""
 
     @abstractmethod
     def _attempt_view_vectorised(
@@ -325,7 +314,7 @@ class ConsensusProtocol(ABC):
     ) -> tuple[list[Message], list[Message]]:
         """The leader's proposal step as ``(broadcasts, targeted sends)``.
 
-        Shared by the event-driven oracle and the vectorised plane so the
+        Shared by the per-copy oracle and the vectorised plane so the
         two paths dispatch identical messages by construction; a behavior
         either broadcasts or equivocates via sends, never both.
         """
@@ -377,9 +366,9 @@ class ConsensusProtocol(ABC):
     ) -> PhaseBatch:
         """Dispatch the leader's proposal as one phase batch.
 
-        Equivocation stays on the scalar path: targeted sends go through the
-        scheduler (consuming the rng exactly as the oracle does) and surface
-        at collection as stragglers.
+        Equivocation stays on the scalar path: targeted sends go through
+        ``network.send`` (consuming the rng exactly as the oracle does) and
+        surface at collection as stragglers.
         """
         broadcasts, sends = self._proposal_actions(round_index, view, leader, selected)
         for message in sends:

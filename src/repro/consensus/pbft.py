@@ -84,7 +84,7 @@ class PBFTConsensus(ConsensusProtocol):
     # -- one view on the vectorised message plane ----------------------------------------
     # Each pre-prepare/prepare/commit phase is dispatched and quorum-tallied
     # as a struct-of-arrays PhaseBatch instead of per-copy messages and
-    # mailbox drains.  _attempt_view below stays the event-driven reference
+    # mailbox drains.  _attempt_view below stays the per-copy reference
     # oracle; decisions, rng stream, counters and per-copy deliveries are
     # bit-identical between the two.
     def _attempt_view_vectorised(

@@ -56,7 +56,6 @@ class CSMProtocol(RoundProtocol):
         rng: np.random.Generator | None = None,
         network: SimulatedNetwork | None = None,
         decode_at_every_node: bool = False,
-        vectorised_consensus: bool = True,
     ) -> None:
         self.config = config
         self.machine = machine
@@ -82,12 +81,6 @@ class CSMProtocol(RoundProtocol):
             self.consensus = AuthenticatedBroadcastConsensus(
                 self.network, self.node_ids, self.pool, self.behaviors, self.rng
             )
-        # ``vectorised_consensus`` selects the message-plane fast path for
-        # batched/pipelined round drivers (decisions, rng stream, counters
-        # and per-copy deliveries are bit-identical either way); False pins
-        # the event-driven oracle, which then advances
-        # ``consensus_fast_path_disabled`` for observability.
-        self.consensus.use_vectorised_plane = bool(vectorised_consensus)
         # The execution phase draws its randomness (Byzantine result
         # transforms) from a dedicated stream seeded off the protocol rng.
         # The consensus/network layer keeps consuming ``self.rng`` directly,
@@ -160,12 +153,13 @@ class CSMProtocol(RoundProtocol):
         """Run ``B`` full rounds through the batched pipeline.
 
         The batched path decides all ``B`` rounds through the consensus
-        protocol's :meth:`decide_rounds` fast path (broadcast delivery
-        amortised via :meth:`SimulatedNetwork.deliver_all`; each round's
-        commands are submitted just before its consensus round, exactly as
-        clients would), and feeds the agreed command matrix straight into
-        :meth:`CodedExecutionEngine.execute_rounds` — one encode matrix
-        product and suspect-learning decode for the whole batch.
+        protocol's :meth:`decide_rounds` (each phase one batch on the
+        vectorised message plane, or per copy while a link fault is live;
+        each round's commands are submitted just before its consensus round,
+        exactly as clients would), and feeds the agreed command matrix
+        straight into :meth:`CodedExecutionEngine.execute_rounds` — one
+        encode matrix product and suspect-learning decode for the whole
+        batch.
 
         ``client_rounds[b][k]`` names the client submitting machine ``k``'s
         command in round ``b`` — the session/ticket service passes its real

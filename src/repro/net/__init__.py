@@ -7,12 +7,12 @@ authenticated (signed) messages and one of two timing models:
 * **partially synchronous** — unbounded delay until an unknown global
   stabilisation time (GST), synchronous afterwards.
 
-This package provides a discrete-event simulator with both delay models,
-signed messages (simulated authentication: forging another node's signature
-is detectable, exactly the "authenticated Byzantine fault" assumption), node
-mailboxes, and a library of Byzantine behaviours that the protocol layers
-inject into faulty nodes (wrong results, silence, equivocation, delays,
-consensus misbehaviour).
+This package provides a simulated network with both delay models, signed
+messages (simulated authentication: forging another node's signature is
+detectable, exactly the "authenticated Byzantine fault" assumption), node
+mailboxes holding each copy under its delivery time, and a library of
+Byzantine behaviours that the protocol layers inject into faulty nodes
+(wrong results, silence, equivocation, delays, consensus misbehaviour).
 """
 
 from repro.net.message import Message, MessageKind
@@ -22,7 +22,6 @@ from repro.net.latency import (
     SynchronousDelay,
     PartiallySynchronousDelay,
 )
-from repro.net.simulator import EventScheduler
 from repro.net.network import SimulatedNetwork, DeliveryRecord
 from repro.net.byzantine import (
     ByzantineBehavior,
@@ -43,7 +42,6 @@ __all__ = [
     "DelayModel",
     "SynchronousDelay",
     "PartiallySynchronousDelay",
-    "EventScheduler",
     "SimulatedNetwork",
     "DeliveryRecord",
     "ByzantineBehavior",

@@ -19,9 +19,6 @@ import numpy as np
 class MessageKind(str, Enum):
     """Tags identifying the protocol phase a message belongs to."""
 
-    # Client traffic
-    CLIENT_COMMAND = "client-command"
-    CLIENT_RESPONSE = "client-response"
     # Consensus phase
     CONSENSUS_PROPOSAL = "consensus-proposal"
     CONSENSUS_VOTE = "consensus-vote"
@@ -29,12 +26,6 @@ class MessageKind(str, Enum):
     CONSENSUS_COMMIT = "consensus-commit"
     # Execution phase
     CODED_RESULT = "coded-result"
-    REPLICA_RESULT = "replica-result"
-    # INTERMIX / delegation
-    WORKER_RESULT = "worker-result"
-    AUDIT_QUERY = "audit-query"
-    AUDIT_RESPONSE = "audit-response"
-    AUDIT_VERDICT = "audit-verdict"
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """The simulated fully-connected network.
 
-The network owns the event scheduler, the delay model and the key registry.
+The network owns the simulated clock, the delay model and the key registry.
 Protocol layers interact with it through three operations:
 
 * :meth:`SimulatedNetwork.send` — sign and dispatch a message to one node;
@@ -10,6 +10,11 @@ Protocol layers interact with it through three operations:
 * :meth:`SimulatedNetwork.collect` — advance simulated time by a timeout and
   return the (signature-verified) messages a node received in that window.
 
+Every copy is settled when it is sent: its MAC is verified, its delay drawn,
+the link faults applied and the counters updated, and a surviving copy is
+pushed into its recipient's mailbox stamped with its delivery time.  A
+collection window only returns copies stamped at or before its deadline, so
+whether a message arrived before the receiver's timeout is one comparison.
 Messages whose signatures do not verify are dropped and counted, modelling
 the "impersonation is easily detectable" clause of the fault model.
 
@@ -21,7 +26,6 @@ Memory therefore stays flat however many rounds run.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Iterable, Iterator
@@ -31,7 +35,6 @@ import numpy as np
 from repro.net.latency import DelayModel, SynchronousDelay
 from repro.net.message import Message, MessageKind, PayloadTable, PhaseBatch
 from repro.net.signatures import KeyRegistry
-from repro.net.simulator import EventScheduler
 from repro.rng import default_stream
 
 
@@ -162,11 +165,11 @@ class SimulatedNetwork:
         self.delay_model = delay_model or SynchronousDelay()
         self.rng = rng if rng is not None else default_stream()
         self.keys = key_registry or KeyRegistry()
-        self.scheduler = EventScheduler()
+        #: Simulated time; each collection window moves it to its deadline.
+        self.now = 0.0
         self._mailboxes: dict[str, _Mailbox] = {}
         self.rejected_signatures = 0
         self.messages_sent = 0
-        self._bulk_delivery = False
         #: Link-fault switchboard; inactive by default (bit-identical path).
         self.faults = NetworkFaultState()
 
@@ -182,136 +185,96 @@ class SimulatedNetwork:
     def participants(self) -> list[str]:
         return sorted(self._mailboxes)
 
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
+    def _mailbox(self, recipient: str) -> _Mailbox:
+        mailbox = self._mailboxes.get(recipient)
+        if mailbox is None:
+            raise KeyError(f"unknown recipient '{recipient}'")
+        return mailbox
 
     # -- sending -----------------------------------------------------------------
     def send(self, message: Message, sign: bool = True) -> DeliveryRecord:
         """Sign (unless pre-signed) and dispatch a message to its recipient."""
-        if message.recipient not in self._mailboxes:
-            raise KeyError(f"unknown recipient '{message.recipient}'")
+        self._mailbox(message.recipient)
         if sign or message.signature is None:
             self.keys.sign(message)
-        send_time = self.scheduler.now
-        delay = self.delay_model.sample_delay(send_time, self.rng)
-        delivery_time = send_time + delay
-        # Fault state applies *after* the rng draw, so (de)activating faults
-        # never shifts the delay stream.
-        dropped = False
-        if self.faults.active:
-            delivery_time += self.faults.extra_delay
-            dropped = self.faults.should_drop(message.sender, message.recipient)
-        record = DeliveryRecord(message, send_time, delivery_time, delivered=not dropped)
-        self.messages_sent += 1
-        if dropped:
-            self.faults.dropped_messages += 1
-            return record
-
-        def deliver() -> None:
-            if not self.keys.verify(message):
-                self.rejected_signatures += 1
-                record.delivered = False
-                return
-            self._mailboxes[message.recipient].push(delivery_time, message)
-
-        self.scheduler.schedule_at(delivery_time, deliver, label=message.kind.value)
-        return record
+        valid = self.keys.verify(message)
+        delay = self.delay_model.sample_delay(self.now, self.rng)
+        return self._deliver(message, valid, self.now + delay)
 
     def broadcast(
         self, message: Message, recipients: Iterable[str] | None = None, sign: bool = True
     ) -> list[DeliveryRecord]:
-        """Send a copy of the message to every registered participant.
+        """Send a copy of the message to every recipient (default: every participant).
 
         A single signature covers all copies (the recipient is not part of
-        the signed view), so this models a true broadcast.  Byzantine
-        equivocation is modelled by *not* using this helper and calling
-        :meth:`send` with different payloads per recipient instead.
+        the signed view), so this models a true broadcast: it is signed once
+        and verified once.  The sender's own copy lands at once without a
+        delay draw; the other copies draw their delays, in recipient order,
+        in one :meth:`DelayModel.sample_delays` call.  Every recipient is
+        checked before anything is signed or drawn, so an unknown one leaves
+        no trace.  Byzantine equivocation is modelled by *not* using this
+        helper and calling :meth:`send` with different payloads per recipient
+        instead.
         """
-        if sign or message.signature is None:
-            self.keys.sign(message)
         targets = list(recipients) if recipients is not None else self.participants
-        if self._bulk_delivery:
-            return self.deliver_all(message, targets, sign=False)
-        records = []
         for recipient in targets:
-            if recipient == message.sender:
-                # A node "delivers" its own broadcast immediately; model that
-                # as a zero-delay send so it also lands in its mailbox.
-                copy = message.with_recipient(recipient)
-                self._mailboxes[recipient].push(self.scheduler.now, copy)
-                records.append(
-                    DeliveryRecord(copy, self.scheduler.now, self.scheduler.now)
-                )
-                continue
-            records.append(self.send(message.with_recipient(recipient), sign=False))
-        return records
-
-    def deliver_all(
-        self, message: Message, recipients: Iterable[str] | None = None, sign: bool = True
-    ) -> list[DeliveryRecord]:
-        """Bulk broadcast: deliver one copy per recipient without the scheduler.
-
-        Behaviourally equivalent to :meth:`broadcast`, but built for batched
-        round drivers: per-recipient delays are sampled in the same order and
-        from the same rng stream as ``broadcast`` (so the delivery times — and
-        everything downstream of the shared generator — are bit-identical),
-        while each copy is pushed straight into its recipient's mailbox at its
-        delivery time instead of being wrapped in a scheduled event, and the
-        signature is verified once for the whole broadcast instead of once per
-        copy.  :meth:`_Mailbox.drain` filters on delivery time, so copies
-        "arriving" after a collection deadline stay invisible until the clock
-        passes them, exactly as with scheduled delivery.
-        """
+            self._mailbox(recipient)
         if sign or message.signature is None:
             self.keys.sign(message)
         valid = self.keys.verify(message)
-        targets = list(recipients) if recipients is not None else self.participants
-        now = self.scheduler.now
+        now = self.now
+        num_others = sum(1 for recipient in targets if recipient != message.sender)
+        delivery_times = iter(
+            (now + self.delay_model.sample_delays(now, self.rng, num_others)).tolist()
+        )
         records = []
         for recipient in targets:
-            mailbox = self._mailboxes.get(recipient)
-            if mailbox is None:
-                raise KeyError(f"unknown recipient '{recipient}'")
             copy = message.with_recipient(recipient)
             if recipient == message.sender:
-                # Own broadcast copy: zero delay, no rng draw (as in broadcast).
-                mailbox.push(now, copy)
+                self._mailboxes[recipient].push(now, copy)
                 records.append(DeliveryRecord(copy, now, now))
-                continue
-            delivery_time = now + self.delay_model.sample_delay(now, self.rng)
-            dropped = False
-            if self.faults.active:
-                delivery_time += self.faults.extra_delay
-                dropped = self.faults.should_drop(message.sender, recipient)
-            record = DeliveryRecord(
-                copy, now, delivery_time, delivered=valid and not dropped
-            )
-            self.messages_sent += 1
-            if not valid:
-                self.rejected_signatures += 1
-            elif dropped:
-                self.faults.dropped_messages += 1
             else:
-                mailbox.push(delivery_time, copy)
-            records.append(record)
+                records.append(self._deliver(copy, valid, next(delivery_times)))
         return records
 
-    @contextmanager
-    def bulk_delivery(self) -> Iterator["SimulatedNetwork"]:
-        """Route every :meth:`broadcast` through :meth:`deliver_all` in scope.
+    def _deliver(self, copy: Message, valid: bool, delivery_time: float) -> DeliveryRecord:
+        """Settle one sent copy: count it, then reject, drop or deliver it.
 
-        Point-to-point :meth:`send` (the equivocation path) is unaffected, so
-        Byzantine senders consume the rng stream exactly as without bulk mode.
+        The verdict comes first — a copy whose MAC did not verify is rejected
+        whatever the links say — then the link faults, which apply *after*
+        the delay draw so (de)activating them never shifts the rng stream.
+        A surviving copy is pushed into the mailbox stamped with its delivery
+        time; :meth:`_Mailbox.drain` keeps it invisible until a collection
+        deadline passes that time.
         """
-        previous = self._bulk_delivery
-        self._bulk_delivery = True
-        try:
-            yield self
-        finally:
-            self._bulk_delivery = previous
+        self.messages_sent += 1
+        dropped = False
+        if self.faults.active:
+            delivery_time += self.faults.extra_delay
+            dropped = self.faults.should_drop(copy.sender, copy.recipient)
+        if not valid:
+            self.rejected_signatures += 1
+        elif dropped:
+            self.faults.dropped_messages += 1
+        else:
+            self._mailboxes[copy.recipient].push(delivery_time, copy)
+        return DeliveryRecord(
+            copy, self.now, delivery_time, delivered=valid and not dropped
+        )
 
     # -- receiving -----------------------------------------------------------------
+    def _close_window(self, timeout: float | None) -> float:
+        """Move the clock to the end of a collection window; return its deadline.
+
+        With ``timeout=None`` the window is the synchronous bound of the delay
+        model — the standard "wait one maximum delay" round structure.  The
+        clock never moves backwards.
+        """
+        window = self.delay_model.synchronous_bound if timeout is None else float(timeout)
+        deadline = self.now + window
+        self.now = max(self.now, deadline)
+        return deadline
+
     def collect(
         self,
         recipient: str,
@@ -319,17 +282,9 @@ class SimulatedNetwork:
         round_index: int | None = None,
         timeout: float | None = None,
     ) -> list[Message]:
-        """Advance time by ``timeout`` and return matching delivered messages.
-
-        With ``timeout=None`` the synchronous bound of the delay model is
-        used — the standard "wait one maximum delay" round structure.
-        """
-        if recipient not in self._mailboxes:
-            raise KeyError(f"unknown recipient '{recipient}'")
-        window = self.delay_model.synchronous_bound if timeout is None else float(timeout)
-        deadline = self.scheduler.now + window
-        self.scheduler.run_until(deadline)
-        return self._mailboxes[recipient].drain(kind, round_index, deadline)
+        """Advance time by ``timeout`` and return matching delivered messages."""
+        mailbox = self._mailbox(recipient)
+        return mailbox.drain(kind, round_index, self._close_window(timeout))
 
     def collect_all(
         self,
@@ -339,16 +294,12 @@ class SimulatedNetwork:
         timeout: float | None = None,
     ) -> dict[str, list[Message]]:
         """Collect for many recipients over a single shared timeout window."""
-        recipients = list(recipients)
-        window = self.delay_model.synchronous_bound if timeout is None else float(timeout)
-        deadline = self.scheduler.now + window
-        self.scheduler.run_until(deadline)
-        out: dict[str, list[Message]] = {}
-        for recipient in recipients:
-            if recipient not in self._mailboxes:
-                raise KeyError(f"unknown recipient '{recipient}'")
-            out[recipient] = self._mailboxes[recipient].drain(kind, round_index, deadline)
-        return out
+        mailboxes = {recipient: self._mailbox(recipient) for recipient in recipients}
+        deadline = self._close_window(timeout)
+        return {
+            recipient: mailbox.drain(kind, round_index, deadline)
+            for recipient, mailbox in mailboxes.items()
+        }
 
     def discard_through(self, round_index: int, recipients: Iterable[str]) -> None:
         """Drop the ``recipients``' mailbox entries of rounds ``<= round_index``.
@@ -364,17 +315,12 @@ class SimulatedNetwork:
                     entry for entry in box.messages if entry[1].round_index > round_index
                 ]
 
-    def flush(self) -> None:
-        """Deliver every in-flight message (used between experiments)."""
-        self.scheduler.run_until_idle()
-
     # -- statistics ------------------------------------------------------------------
     def stats(self) -> dict[str, float]:
         return {
             "messages_sent": self.messages_sent,
             "rejected_signatures": self.rejected_signatures,
-            "simulated_time": self.scheduler.now,
-            "processed_events": self.scheduler.processed_events,
+            "simulated_time": self.now,
         }
 
 
@@ -384,10 +330,10 @@ class PhaseView:
     Pairs the phase's :class:`~repro.net.message.PhaseBatch` (with a per-copy
     visibility mask) with the *stragglers* drained from the real mailboxes —
     late copies of earlier phases and targeted (equivocation) sends, which
-    still flow through the event scheduler.  Every node's view is the batch
+    go through :meth:`SimulatedNetwork.send`.  Every node's view is the batch
     actions visible to it in action (dispatch) order, then its stragglers in
     mailbox order — within every filter the protocols apply (sender / view /
-    leader) the order the event-driven collect would have produced.
+    leader) the order the per-copy collect would have produced.
 
     Protocols read the view through array queries that answer for all nodes
     at once: each is a handful of reductions over the ``(A, N)`` visibility
@@ -551,11 +497,11 @@ class MessagePlane:
     instead of objects.  Everything observable (rng stream, counters,
     per-copy delivery times and verdicts, mailbox residue, simulated time)
     is bit-identical to routing the same broadcasts through
-    :meth:`SimulatedNetwork.deliver_all` and :meth:`SimulatedNetwork.collect_all`.
+    :meth:`SimulatedNetwork.broadcast` and :meth:`SimulatedNetwork.collect_all`.
 
     Targeted sends (the equivocation path) do not go through the plane:
     Byzantine senders keep calling :meth:`SimulatedNetwork.send`, whose
-    scheduled deliveries surface here as collection *stragglers*.
+    copies surface here as collection *stragglers*.
     """
 
     def __init__(self, network: SimulatedNetwork, node_ids: list[str]) -> None:
@@ -596,11 +542,11 @@ class MessagePlane:
     ) -> PhaseBatch | None:
         """Sign, verify and dispatch one phase of broadcasts as a batch.
 
-        Equivalent to calling ``deliver_all(template, self.node_ids)`` for
-        each template in order: same rng draws (one per non-self copy, in
+        Equivalent to calling ``network.broadcast(template, self.node_ids)``
+        for each template in order: same rng draws (one per non-self copy, in
         action-major recipient order), same ``messages_sent`` /
         ``rejected_signatures`` accounting, and the batch carries every
-        copy's delivery time and verdict (what ``deliver_all`` returns as
+        copy's delivery time and verdict (what ``broadcast`` returns as
         records), but no per-copy message objects or mailbox pushes —
         in-window copies are tallied straight off the batch arrays at
         collection.
@@ -616,7 +562,7 @@ class MessagePlane:
         net = self.network
         net.keys.sign_batch(templates, self.table)
         verdicts = net.keys.verify_batch(templates, self.table)
-        now = net.scheduler.now
+        now = net.now
         num_actions = len(templates)
         num_nodes = len(self.node_ids)
         node_index = self.node_index
@@ -659,16 +605,13 @@ class MessagePlane:
 
         In-window batch copies become a visibility mask (no mailbox round
         trip); copies landing *after* the deadline are pushed into the real
-        mailboxes — before the scheduler runs, exactly where ``deliver_all``
-        would have put them — so later windows drain them as usual.  The
+        mailboxes, stamped with their delivery times exactly as ``broadcast``
+        would have put them, so later windows drain them as usual.  The
         node's own copy is visible even for an invalid broadcast, matching
-        the unconditional self-push of the scalar paths.
+        the unconditional self-push of ``broadcast``.
         """
         net = self.network
-        window = (
-            net.delay_model.synchronous_bound if timeout is None else float(timeout)
-        )
-        deadline = net.scheduler.now + window
+        deadline = net._close_window(timeout)
         visible = None
         if batch is not None and batch.num_actions:
             self_mask = batch.self_mask()
@@ -682,7 +625,6 @@ class MessagePlane:
                         float(batch.delivery_time[a, j]),
                         batch.templates[a].with_recipient(node_id),
                     )
-        net.scheduler.run_until(deadline)
         stragglers: list[list[Message]] = []
         for node_id in self.node_ids:
             box = net._mailboxes[node_id]

@@ -263,9 +263,10 @@ class RoundProtocol(RoundHistory, ABC):
         Backends driven by a :class:`~repro.consensus.interface.\
 ConsensusProtocol` surface its ``fast_path_disabled`` counter here (rounds
         that fell back from the vectorised message plane to the sequential
-        oracle); backends without a consensus layer report ``0``.  Experiment
-        reports include the value so a silently disabled fast path shows up
-        in the rows instead of only in the wall-clock.
+        oracle under a live link fault); backends without a consensus layer
+        report ``0``.  Experiment reports include the value so a silently
+        disabled fast path shows up in the rows instead of only in the
+        wall-clock.
         """
         consensus = getattr(self, "consensus", None)
         return int(getattr(consensus, "fast_path_disabled", 0))

@@ -45,7 +45,7 @@ def rng() -> np.random.Generator:
 
 
 def _phase_records(batch: PhaseBatch, node_ids: list[str]) -> list[DeliveryRecord]:
-    """One phase's non-self copies, in the order ``deliver_all`` returns them."""
+    """One phase's non-self copies, in the order ``broadcast`` returns them."""
     out: list[DeliveryRecord] = []
     for a, message in enumerate(batch.templates):
         sender = int(batch.sender_index[a])
@@ -69,7 +69,7 @@ def _phase_records(batch: PhaseBatch, node_ids: list[str]) -> list[DeliveryRecor
 def _recording_deliveries() -> Iterator[list[DeliveryRecord]]:
     log: list[DeliveryRecord] = []
     send = SimulatedNetwork.send
-    deliver_all = SimulatedNetwork.deliver_all
+    broadcast = SimulatedNetwork.broadcast
     broadcast_phase = MessagePlane.broadcast_phase
 
     def recording_send(self, message, sign=True):
@@ -77,8 +77,8 @@ def _recording_deliveries() -> Iterator[list[DeliveryRecord]]:
         log.append(record)
         return record
 
-    def recording_deliver_all(self, message, recipients=None, sign=True):
-        records = deliver_all(self, message, recipients, sign)
+    def recording_broadcast(self, message, recipients=None, sign=True):
+        records = broadcast(self, message, recipients, sign)
         log.extend(r for r in records if r.message.recipient != message.sender)
         return records
 
@@ -89,13 +89,13 @@ def _recording_deliveries() -> Iterator[list[DeliveryRecord]]:
         return batch
 
     SimulatedNetwork.send = recording_send
-    SimulatedNetwork.deliver_all = recording_deliver_all
+    SimulatedNetwork.broadcast = recording_broadcast
     MessagePlane.broadcast_phase = recording_broadcast_phase
     try:
         yield log
     finally:
         SimulatedNetwork.send = send
-        SimulatedNetwork.deliver_all = deliver_all
+        SimulatedNetwork.broadcast = broadcast
         MessagePlane.broadcast_phase = broadcast_phase
 
 
@@ -105,10 +105,38 @@ def record_deliveries():
 
     ``with record_deliveries() as log:`` appends one
     :class:`~repro.net.network.DeliveryRecord` per non-self copy that any
-    network dispatches in the block — scheduled sends, bulk deliveries and
-    message-plane phases alike, in dispatch order — so two runs that must
+    network dispatches in the block — sends, broadcasts and message-plane
+    phases alike, in dispatch order — so two runs that must
     make the same sends can be compared copy for copy.  The network itself
     keeps only counters; ``len(log)`` equals the ``messages_sent`` the block
     added.  Session-scoped so Hypothesis tests can take it.
     """
     return _recording_deliveries
+
+
+def _pin_oracle(protocol):
+    consensus = protocol.consensus
+
+    def decide_rounds(first_round_index, count, prepare_round=None):
+        decisions = []
+        for offset in range(count):
+            if prepare_round is not None:
+                prepare_round(offset)
+            decisions.append(consensus.decide_round(first_round_index + offset))
+        return decisions
+
+    consensus.decide_rounds = decide_rounds
+    return protocol
+
+
+@pytest.fixture(scope="session")
+def pin_oracle():
+    """``pin_oracle(protocol)``: that protocol decides every round per copy.
+
+    Replaces the one protocol's ``consensus.decide_rounds`` (an instance
+    attribute, so no other protocol is touched) with the submit-then-
+    :meth:`~repro.consensus.interface.ConsensusProtocol.decide_round` loop —
+    the reference oracle the message plane must match bit for bit.  Returns
+    the protocol.  Session-scoped so Hypothesis tests can take it.
+    """
+    return _pin_oracle

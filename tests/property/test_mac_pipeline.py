@@ -231,6 +231,6 @@ class TestForgedBroadcastOnThePlane:
         assert seen_forged.tolist() == [n == victim for n in node_ids]
         honest_rows = np.delete(view.visible, victim_index, axis=0)
         assert honest_rows.all()
-        # The forged copies are recorded as undelivered, like deliver_all's.
+        # The forged copies are recorded as undelivered, like broadcast's.
         delivered = [r.delivered for r in deliveries if r.message.sender == victim]
         assert delivered == [False] * (num_nodes - 1)

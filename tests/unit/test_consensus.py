@@ -331,15 +331,6 @@ class TestDecideRounds:
                 )
                 assert seq_round[node_id].view == bat_round[node_id].view
 
-    def test_decide_rounds_uses_bulk_delivery(self):
-        protocol, pool = _sync_setup(4, 1)
-        _submit_rounds(pool, 1, 2)
-        protocol.decide_rounds(0, 2)
-        # Bulk delivery bypasses the scheduler entirely: no event was ever
-        # processed, yet both rounds decided.
-        assert protocol.network.scheduler.processed_events == 0
-        assert not protocol.network._bulk_delivery  # flag restored on exit
-
 
 class _ClientForgingEquivocator(AuthenticatedBroadcastConsensus):
     """An equivocating leader whose second payload differs in the clients only.
@@ -387,7 +378,7 @@ class TestPlaneTalliesAgainstOracle:
     ):
         behaviors = {"node-0": EquivocatingBehavior()}
         oracle, plane = self._pair(8, behaviors)
-        with record_deliveries() as oracle_log, oracle.network.bulk_delivery():
+        with record_deliveries() as oracle_log:
             oracle_decisions = [oracle.decide_round(r) for r in range(2)]
         with record_deliveries() as plane_log:
             plane_decisions = plane.decide_rounds(0, 2)
@@ -551,7 +542,7 @@ class TestDeadLetters:
     def test_oracle_drops_them_too(self):
         protocol = _pbft_setup(7, 2, gst=4.0, seed=1)
         _submit_rounds(protocol.pool, 2, 4)
-        protocol.use_vectorised_plane = False
-        protocol.decide_rounds(0, 4)
+        for round_index in range(4):
+            protocol.decide_round(round_index)
         for box in protocol.network._mailboxes.values():
             assert [m.round_index for _, m in box.messages if m.round_index <= 3] == []

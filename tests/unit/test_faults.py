@@ -218,8 +218,7 @@ class TestNetworkFaultState:
         )
         assert not record.delivered
         assert network.faults.dropped_messages == 1
-        network.scheduler.run_until(record.delivery_time + 1.0)
-        assert network.collect("node-1") == []
+        assert network.collect("node-1", timeout=record.delivery_time + 1.0) == []
 
     def test_extra_delay_applies_after_the_rng_draw(self):
         plain = SimulatedNetwork(rng=default_stream(5))

@@ -5,8 +5,8 @@ The plane's correctness contract is *bit-identity with the scalar paths*:
 ``sample_delay`` calls, ``KeyRegistry.sign_batch``/``verify_batch`` must
 produce the signatures the scalar ``sign``/``verify`` would, and
 ``MessagePlane.broadcast_phase`` must leave the network (counters, rng,
-collected messages) in the state ``deliver_all`` would have, having made the
-same per-copy deliveries.
+collected messages) in the state ``SimulatedNetwork.broadcast`` would have,
+having made the same per-copy deliveries.
 """
 
 import numpy as np
@@ -131,13 +131,14 @@ class TestMessagePlaneParity:
         ]
 
     def test_broadcast_phase_matches_deliver_all(self, record_deliveries):
+        """One phase batch makes the sends of one ``broadcast`` per template."""
         scalar_net, node_ids = _network()
         plane_net, _ = _network()
         payloads = [{"commands": [i]} for i in range(3)]
 
         with record_deliveries() as scalar_log:
             for template in self._templates(node_ids[:3], payloads):
-                scalar_net.deliver_all(template, node_ids)
+                scalar_net.broadcast(template, node_ids)
         scalar_collected = scalar_net.collect_all(
             node_ids, MessageKind.CONSENSUS_PROPOSAL, 3
         )
@@ -156,7 +157,7 @@ class TestMessagePlaneParity:
             scalar_net.rng.bit_generator.state["state"]
             == plane_net.rng.bit_generator.state["state"]
         )
-        assert scalar_net.scheduler.now == plane_net.scheduler.now
+        assert scalar_net.now == plane_net.now
         # Field-identical per-copy deliveries, in the same order.
         assert len(scalar_log) == len(plane_log) == plane_net.messages_sent
         for a, b in zip(scalar_log, plane_log):
@@ -188,7 +189,7 @@ class TestMessagePlaneParity:
         # Collecting an empty phase still advances the window clock, exactly
         # as a scalar collect over no messages would.
         view = plane.collect_phase(batch, MessageKind.CONSENSUS_PROPOSAL, 0)
-        assert net.scheduler.now == net.delay_model.synchronous_bound
+        assert net.now == net.delay_model.synchronous_bound
         for j in range(len(node_ids)):
             assert list(view.messages_for(j)) == []
 
@@ -219,7 +220,9 @@ class TestMessagePlaneParity:
 
 
 class TestFastPathCounter:
-    def _protocol(self, vectorised):
+    """Rounds decided under a live link fault take the oracle, and count."""
+
+    def _protocol(self, dropped_link=False):
         from repro.core.config import CSMConfig
         from repro.core.protocol import CSMProtocol
         from repro.gf.prime_field import PrimeField
@@ -230,40 +233,39 @@ class TestFastPathCounter:
         config = CSMConfig(
             field, num_nodes=6, num_machines=2, degree=machine.degree, num_faults=0
         )
-        return CSMProtocol(
-            config,
-            machine,
-            rng=np.random.default_rng(1),
-            vectorised_consensus=vectorised,
-        ), machine
+        protocol = CSMProtocol(config, machine, rng=np.random.default_rng(1))
+        if dropped_link:
+            protocol.network.faults.dropped_links.add(("node-0", "node-1"))
+        return protocol, machine
+
+    @staticmethod
+    def _batches(machine):
+        return [
+            np.random.default_rng(2).integers(1, 100, size=(2, machine.command_dim))
+            for _ in range(3)
+        ]
 
     def test_disabled_plane_counts_fallback_rounds(self):
-        protocol, machine = self._protocol(vectorised=False)
-        batches = [
-            np.random.default_rng(2).integers(
-                1, 100, size=(2, machine.command_dim)
-            )
-            for _ in range(3)
-        ]
-        protocol.run_rounds_batched(batches)
+        protocol, machine = self._protocol(dropped_link=True)
+        protocol.run_rounds_batched(self._batches(machine))
         assert protocol.consensus.fast_path_disabled == 3
         assert protocol.consensus_fast_path_disabled == 3
+        assert protocol.network.faults.dropped_messages > 0
+        # Healing the link heals the fast path: later rounds do not count.
+        protocol.network.faults.clear()
+        protocol.run_rounds_batched(self._batches(machine))
+        assert protocol.consensus_fast_path_disabled == 3
+        assert protocol.all_rounds_correct
 
     def test_enabled_plane_never_counts(self):
-        protocol, machine = self._protocol(vectorised=True)
-        batches = [
-            np.random.default_rng(2).integers(
-                1, 100, size=(2, machine.command_dim)
-            )
-            for _ in range(3)
-        ]
-        protocol.run_rounds_batched(batches)
+        protocol, machine = self._protocol()
+        protocol.run_rounds_batched(self._batches(machine))
         assert protocol.consensus_fast_path_disabled == 0
 
     def test_service_surfaces_backend_counter(self):
         from repro.service import CSMService
 
-        protocol, machine = self._protocol(vectorised=False)
+        protocol, machine = self._protocol(dropped_link=True)
         service = CSMService(protocol, max_batch_rounds=2, min_fill=2)
         sessions = [service.connect(f"client:{k}") for k in range(2)]
         commands = np.random.default_rng(4).integers(

@@ -1,5 +1,5 @@
 """Unit tests for the network substrate: messages, signatures, delay models,
-the event scheduler, the simulated network, and the Byzantine behaviours."""
+the simulated network, and the Byzantine behaviours."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from repro.net.latency import PartiallySynchronousDelay, SynchronousDelay
 from repro.net.message import Message, MessageKind
 from repro.net.network import SimulatedNetwork
 from repro.net.signatures import KeyRegistry
-from repro.net.simulator import EventScheduler
 
 
 class TestMessagesAndSignatures:
@@ -98,44 +97,6 @@ class TestDelayModels:
         assert model.is_synchronous_at(10.0)
 
 
-class TestEventScheduler:
-    def test_events_processed_in_time_order(self):
-        scheduler = EventScheduler()
-        seen = []
-        scheduler.schedule(2.0, lambda: seen.append("late"))
-        scheduler.schedule(1.0, lambda: seen.append("early"))
-        scheduler.run_until_idle()
-        assert seen == ["early", "late"]
-        assert scheduler.now == 2.0
-
-    def test_run_until_only_processes_due_events(self):
-        scheduler = EventScheduler()
-        seen = []
-        scheduler.schedule(1.0, lambda: seen.append(1))
-        scheduler.schedule(5.0, lambda: seen.append(5))
-        scheduler.run_until(2.0)
-        assert seen == [1]
-        assert scheduler.pending == 1
-
-    def test_cannot_schedule_in_the_past(self):
-        scheduler = EventScheduler()
-        scheduler.advance_to(5.0)
-        with pytest.raises(ValueError):
-            scheduler.schedule(-1.0, lambda: None)
-        with pytest.raises(ValueError):
-            scheduler.schedule_at(1.0, lambda: None)
-
-    def test_run_until_idle_event_cap(self):
-        scheduler = EventScheduler()
-
-        def reschedule():
-            scheduler.schedule(1.0, reschedule)
-
-        scheduler.schedule(0.0, reschedule)
-        with pytest.raises(RuntimeError):
-            scheduler.run_until_idle(max_events=50)
-
-
 class TestSimulatedNetwork:
     def _network(self):
         network = SimulatedNetwork(
@@ -159,7 +120,7 @@ class TestSimulatedNetwork:
         network = self._network()
         network.send(Message("a", "b", MessageKind.CODED_RESULT, 0, 1))
         network.send(Message("a", "b", MessageKind.CODED_RESULT, 1, 2))
-        network.send(Message("a", "b", MessageKind.CLIENT_COMMAND, 0, 3))
+        network.send(Message("a", "b", MessageKind.CONSENSUS_VOTE, 0, 3))
         received = network.collect("b", kind=MessageKind.CODED_RESULT, round_index=0)
         assert [m.payload for m in received] == [1]
 
@@ -187,70 +148,77 @@ class TestSimulatedNetwork:
     def test_stats(self):
         network = self._network()
         network.send(Message("a", "b", MessageKind.CODED_RESULT, 0, 1))
-        network.flush()
         stats = network.stats()
         assert stats["messages_sent"] == 1
         assert stats["rejected_signatures"] == 0
 
-    def test_deliver_all_matches_broadcast(self, record_deliveries):
-        """Bulk delivery: same recipients, payloads and delivery times as
-        broadcast (it samples delays from the same rng in the same order),
-        without creating scheduler events."""
-        scheduled = self._network()
-        bulk = self._network()
-        message = Message("a", "*", MessageKind.CONSENSUS_PROPOSAL, 0, {"v": 1})
-        with record_deliveries() as scheduled_log:
-            scheduled.broadcast(
-                Message("a", "*", MessageKind.CONSENSUS_PROPOSAL, 0, {"v": 1})
-            )
-        with record_deliveries() as bulk_log:
-            records = bulk.deliver_all(message)
-        assert bulk.scheduler.pending == 0
-        assert scheduled.scheduler.pending > 0
-        received_scheduled = scheduled.collect_all(["a", "b", "c"])
-        received_bulk = bulk.collect_all(["a", "b", "c"])
-        for node in ("a", "b", "c"):
-            assert [m.payload for m in received_scheduled[node]] == [
-                m.payload for m in received_bulk[node]
-            ]
-        # identical delay draws -> identical delivery times
-        assert [r.delivery_time for r in scheduled_log] == [
-            r.delivery_time for r in bulk_log
-        ]
-        assert scheduled.messages_sent == bulk.messages_sent == len(records) - 1
-
     def test_deliver_all_respects_collection_deadline(self):
+        """A broadcast copy stays invisible until a deadline passes its delivery time."""
         network = SimulatedNetwork(
             delay_model=SynchronousDelay(max_delay=5.0, min_delay=4.0),
             rng=np.random.default_rng(0),
         )
         for node in ("a", "b"):
             network.register(node)
-        network.deliver_all(Message("a", "*", MessageKind.CODED_RESULT, 0, 1), ["b"])
+        network.broadcast(Message("a", "*", MessageKind.CODED_RESULT, 0, 1), ["b"])
         # Delay is at least 4.0: a 1.0-window collect must not see the copy...
         assert network.collect("b", timeout=1.0) == []
         # ...but a later collect past the delivery time must.
         assert len(network.collect("b", timeout=5.0)) == 1
 
     def test_deliver_all_drops_forged_messages(self):
+        """A forged broadcast reaches nobody, and every copy counts as rejected."""
         network = self._network()
         forged = network.keys.sign_as(
             Message("a", "*", MessageKind.CODED_RESULT, 0, 1), "c"
         )
-        network.deliver_all(forged, ["a", "b"], sign=False)
+        network.broadcast(forged, ["a", "b"], sign=False)
         assert network.collect("a") == [] and network.collect("b") == []
         assert network.rejected_signatures == 2
 
-    def test_bulk_delivery_context_reroutes_broadcast(self):
+    def test_send_settles_its_verdict_when_it_is_sent(self):
         network = self._network()
-        with network.bulk_delivery():
-            network.broadcast(Message("a", "*", MessageKind.CONSENSUS_VOTE, 0, "e"))
-            assert network.scheduler.pending == 0
-        # Outside the context, broadcast schedules events again.
-        network.broadcast(Message("a", "*", MessageKind.CONSENSUS_VOTE, 0, "e"))
-        assert network.scheduler.pending > 0
-        received = network.collect_all(["a", "b", "c"], kind=MessageKind.CONSENSUS_VOTE)
-        assert all(len(msgs) == 2 for msgs in received.values())
+        forged = network.keys.sign_as(
+            Message("a", "b", MessageKind.CODED_RESULT, 0, 1), "c"
+        )
+        record = network.send(forged, sign=False)
+        # No collection has run yet: the verdict is already in.
+        assert not record.delivered
+        assert network.rejected_signatures == 1
+        assert network.messages_sent == 1
+
+    def test_forged_copy_on_a_dropped_link_counts_alike_through_send_and_broadcast(self):
+        counts = {}
+        for path in ("send", "broadcast"):
+            network = self._network()
+            network.faults.dropped_links.add(("c", "b"))
+            forged = network.keys.sign_as(
+                Message("a", "b", MessageKind.CODED_RESULT, 0, 1), "c"
+            )
+            if path == "send":
+                record = network.send(forged, sign=False)
+            else:
+                (record,) = network.broadcast(forged, ["b"], sign=False)
+            assert not record.delivered
+            counts[path] = (
+                network.messages_sent,
+                network.rejected_signatures,
+                network.faults.dropped_messages,
+            )
+        # The verdict comes before the link faults on both paths.
+        assert counts == {"send": (1, 1, 0), "broadcast": (1, 1, 0)}
+
+    def test_broadcast_to_an_unknown_recipient_leaves_no_trace(self):
+        network = self._network()
+        rng_state = network.rng.bit_generator.state
+        message = Message("a", "*", MessageKind.CONSENSUS_PROPOSAL, 0, "p")
+        with pytest.raises(KeyError):
+            network.broadcast(message, ["a", "b", "zzz"])
+        assert network.rng.bit_generator.state == rng_state
+        assert (network.messages_sent, network.rejected_signatures) == (0, 0)
+        assert message.signature is None
+        received = network.collect_all(["a", "b", "c"], timeout=100.0)
+        assert all(messages == [] for messages in received.values())
 
 
 class TestByzantineBehaviors:
