@@ -14,8 +14,9 @@ are provided, matching the two network models:
 
 Both decide, per round, on a vector of input commands — one per state
 machine — drawn from the :class:`~repro.consensus.command_pool.CommandPool`
-of client submissions, and both report which client submitted each decided
-command so outputs can be routed back.
+of client submissions, one consensus instance deciding a whole block of
+rounds, and both report which client submitted each decided command so
+outputs can be routed back.
 """
 
 from repro.consensus.command_pool import CommandPool, SubmittedCommand

@@ -7,10 +7,13 @@ the network.  With the protection of digital signatures, the consistency
 requirement can be satisfied for an arbitrary number b < N of malicious
 nodes.").
 
-The implementation is a two-step signed broadcast with leader rotation:
+The implementation is a two-step signed broadcast with leader rotation.  One
+instance — one view at a time — decides a whole *block* of consecutive
+rounds:
 
-1. **Propose** — the round's leader signs and broadcasts a proposal carrying
-   one command per state machine (selected FIFO from the client pool).
+1. **Propose** — the block's leader signs and broadcasts one proposal
+   carrying, for every round of the block, one command per state machine
+   (selected FIFO from the client pool).
 2. **Echo** — every node re-broadcasts the leader-signed proposal(s) it
    received, so after one extra synchronous step all honest nodes have seen
    every proposal any honest node has seen.
@@ -18,18 +21,17 @@ The implementation is a two-step signed broadcast with leader rotation:
    proposal; if it observed zero or conflicting proposals (a silent or
    equivocating leader) it moves to the next view, whose leader is the next
    node in round-robin order.  Because leaders rotate and ``b < N``, at most
-   ``b`` view changes are needed before an honest leader decides the round.
+   ``b`` view changes are needed before an honest leader decides the block.
 
-Validity is enforced by checking each proposed command against the pool of
-client submissions; consistency follows from the unforgeability of the
-leader's signature plus the echo step.
+Validity is enforced by binding each proposed row to its position in the
+pool of client submissions; consistency follows from the unforgeability of
+the leader's signature plus the echo step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import ConsensusError
 from repro.consensus.command_pool import SubmittedCommand
 from repro.consensus.interface import ConsensusDecision, ConsensusProtocol, PlaneRounds
 from repro.net.message import Message, MessageKind
@@ -61,10 +63,11 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
         return bogus
 
     # -- one view on the vectorised message plane ----------------------------------------
-    # Each propose/echo phase is dispatched and tallied as a struct-of-arrays
-    # PhaseBatch instead of per-copy messages.  _attempt_view below stays the
-    # per-copy reference oracle; decisions, rng stream, counters and
-    # per-copy deliveries are bit-identical between the two.
+    # Each propose/echo phase of the block's instance is dispatched and
+    # tallied as a struct-of-arrays PhaseBatch instead of per-copy messages.
+    # _attempt_view below stays the per-copy reference oracle; decisions, rng
+    # stream, counters and per-copy deliveries are bit-identical between the
+    # two.
     def _attempt_view_vectorised(
         self,
         round_index: int,
@@ -72,7 +75,7 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
         leader: str,
         selected: list[SubmittedCommand],
         on_plane: PlaneRounds,
-    ) -> dict[str, ConsensusDecision]:
+    ) -> list[dict[str, ConsensusDecision]]:
         plane, honest = on_plane.plane, on_plane.honest
         batch = self._propose_on_plane(round_index, view, leader, selected, plane)
         proposals = plane.collect_phase(
@@ -122,28 +125,24 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
             seen,
         )
         if not seen or not on_plane.honest_ids:
-            return {}
+            return []
         held = np.array(list(seen.values()))  # (distinct proposals, N) refs
         valid = np.zeros(held.shape, dtype=bool)
         for ref in dict.fromkeys(held[held >= 0].tolist()):
-            if self._ref_valid(ref, on_plane):
+            if self._ref_valid(ref, selected, on_plane):
                 valid |= held == ref
         if (valid.sum(axis=0)[honest] != 1).any():
             # zero proposals (silent leader) or several (equivocation) at
             # some honest node: it votes for a view change.
-            return {}
+            return []
         decided = np.where(valid, held, 0).sum(axis=0)[honest].tolist()
-        by_ref = {
-            ref: self._decision_from_payload(
-                round_index, view, leader, plane.payload(ref)
-            )
-            for ref in sorted(set(decided))
-        }
-        if len({d.command_tuple() for d in by_ref.values()}) != 1:
-            raise ConsensusError("honest nodes decided different command vectors")
-        return {
-            node_id: by_ref[ref] for node_id, ref in zip(on_plane.honest_ids, decided)
-        }
+        return self._decisions(
+            round_index,
+            view,
+            leader,
+            selected,
+            zip(on_plane.honest_ids, map(plane.payload, decided)),
+        )
 
     # -- internals ----------------------------------------------------------------------
     def _attempt_view(
@@ -152,7 +151,7 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
         view: int,
         leader: str,
         selected: list[SubmittedCommand],
-    ) -> dict[str, ConsensusDecision]:
+    ) -> list[dict[str, ConsensusDecision]]:
         self._propose(round_index, view, leader, selected)
         # Step 1 timeout: collect the leader's proposal at every node.
         received = self.network.collect_all(
@@ -179,26 +178,20 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
             self.node_ids, kind=MessageKind.CONSENSUS_VOTE, round_index=round_index
         )
         # Step 3: decision at each honest node.
-        decisions: dict[str, ConsensusDecision] = {}
+        decided: list[tuple[str, dict]] = []
         for node_id in self.honest_nodes():
             proposals = self._distinct_proposals(
                 view, leader, received.get(node_id, []), echoes.get(node_id, [])
             )
-            valid = [p for p in proposals if self._is_valid_proposal(p)]
+            valid = [p for p in proposals if self._is_valid_proposal(p, selected)]
             if len(valid) != 1:
                 # zero proposals (silent leader) or several (equivocation):
                 # the node votes for a view change.
-                return {}
-            decisions[node_id] = self._decision_from_payload(
-                round_index, view, leader, valid[0]
-            )
-        if not decisions:
-            return {}
-        # Consistency sanity check (should always hold for honest nodes).
-        tuples = {d.command_tuple() for d in decisions.values()}
-        if len(tuples) != 1:
-            raise ConsensusError("honest nodes decided different command vectors")
-        return decisions
+                return []
+            decided.append((node_id, valid[0]))
+        if not decided:
+            return []
+        return self._decisions(round_index, view, leader, selected, decided)
 
     def _distinct_proposals(
         self, view: int, leader: str, direct: list[Message], echoes: list[Message]

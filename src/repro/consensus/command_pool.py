@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, ConsensusError
+from repro.exceptions import ConfigurationError, ConsensusError, LivenessError
 
 
 class SequenceAllocator:
@@ -129,9 +130,22 @@ class CommandPool:
         queue = self._queues[machine_index]
         return queue[0] if queue else None
 
-    def peek_round(self) -> list[SubmittedCommand | None]:
-        """Next command for every machine (``None`` where the pool is empty)."""
-        return [self.peek_next(k) for k in range(self.num_machines)]
+    def peek_block(self, count: int) -> list[SubmittedCommand]:
+        """The first ``count`` pending entries of every machine, round-major.
+
+        Entry ``b * num_machines + k`` is machine ``k``'s ``b``-th pending
+        entry: the block an honest leader proposes for ``count`` consecutive
+        rounds, and the positions consensus validity binds a proposal to.
+        Raises :class:`LivenessError` when a machine holds fewer than
+        ``count`` entries.
+        """
+        columns = [list(islice(queue, count)) for queue in self._queues]
+        if any(len(column) < count for column in columns):
+            raise LivenessError(
+                f"every state machine needs {count} pending client command(s) "
+                "to decide a block"
+            )
+        return [entry for row in zip(*columns) for entry in row]
 
     def dequeue_next(self, machine_index: int) -> SubmittedCommand | None:
         """Pop and return the FIFO-next command for ``machine_index``.
@@ -207,34 +221,6 @@ class CommandPool:
             f"{machine_index} is not pending in the pool — consensus decided "
             "an unknown command"
         )
-
-    def matches_pending(
-        self,
-        machine_index: int,
-        command: Iterable[int],
-        client_id: str,
-        sequence: int,
-    ) -> bool:
-        """Validity check: does this exact entry currently sit in the pool?
-
-        Proposal sequences are not covered by signatures or digests, so
-        consensus validity must bind them back to the pool: a proposal entry
-        is only valid when a *pending* entry with that sequence exists and
-        its command/client match.  This keeps a Byzantine leader from
-        forging sequences onto otherwise-valid payloads — such a proposal is
-        simply invalid (view change) instead of surfacing later as a
-        :class:`ConsensusError` from :meth:`mark_executed`.  A pending match
-        also proves this client submitted this command, so the pool keeps no
-        record of entries once they leave it.
-        """
-        self._check_machine(machine_index)
-        seq = int(sequence)
-        for entry in self._queues[machine_index]:
-            if entry.sequence == seq:
-                return entry.command == tuple(
-                    int(v) for v in command
-                ) and entry.client_id == str(client_id)
-        return False
 
     def pending(self, machine_index: int) -> int:
         self._check_machine(machine_index)

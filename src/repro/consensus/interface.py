@@ -1,22 +1,24 @@
 """Common consensus-protocol interface and the decision record.
 
 The execution phases (replicated or coded) only need two things from
-consensus: the agreed command vector ``(X_1(t), ..., X_K(t))`` for the round
-and the identity of the client that submitted each command.  Both protocols
-return a :class:`ConsensusDecision` carrying exactly that, plus diagnostics
-used by tests to verify the validity / consistency properties.
+consensus: the agreed command vector ``(X_1(t), ..., X_K(t))`` for each round
+and the identity of the client that submitted each command.  One consensus
+instance decides a *block* of consecutive rounds (PBFT's request batching);
+both protocols return one :class:`ConsensusDecision` per round of the block
+carrying exactly that, plus diagnostics used by tests to verify the validity
+/ consistency properties.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Iterable
 
 import numpy as np
 
 from repro.consensus.command_pool import CommandPool, SubmittedCommand
-from repro.exceptions import ConsensusError, LivenessError
+from repro.exceptions import ConsensusError
 from repro.net.byzantine import (
     HONEST,
     ByzantineBehavior,
@@ -31,7 +33,7 @@ from repro.rng import default_stream
 
 @dataclass
 class ConsensusDecision:
-    """The outcome of one consensus round at one (honest) node.
+    """The outcome of one round of a decided block at one (honest) node.
 
     Attributes
     ----------
@@ -44,9 +46,9 @@ class ConsensusDecision:
     selected:
         The underlying :class:`SubmittedCommand` objects.
     leader:
-        The node that acted as leader/primary for the round.
+        The node that acted as leader/primary for the block.
     view:
-        The view number in which the decision was reached (0 unless the
+        The view number in which the block was decided (0 unless the
         initial leader misbehaved and a view change occurred).
     """
 
@@ -85,24 +87,24 @@ class PlaneRounds:
     honest: np.ndarray
     #: The same nodes as ids, in node order.
     honest_ids: list[str]
-    #: Payload ref -> proposal validity.  Validity consults the pool, which
-    #: changes between rounds (``mark_executed``), so each round starts empty.
+    #: Payload ref -> proposal validity against the one block the call
+    #: decides (the pool only changes once that block is decided).
     validity: dict[int, bool] = field(default_factory=dict)
 
 
 class ConsensusProtocol(ABC):
-    """A protocol that the honest nodes run to agree on the round's commands.
+    """A protocol that the honest nodes run to agree on a block of rounds' commands.
 
     Everything the two protocols share lives here: the node/pool/behaviour
-    plumbing, round-robin leader rotation, the round driver (peek the pool,
-    try views until one decides, mark the decision executed), the proposal a
-    leader — honest or Byzantine — puts on the wire, proposal validity and
-    the decision record.  A protocol supplies its fault tolerance, its view
-    budget, how a default-Byzantine leader forges a proposal, and the two
-    bodies of one view: :meth:`_attempt_view` (per-copy — the reference
-    oracle, and the path under a live link fault) and
-    :meth:`_attempt_view_vectorised` (one struct-of-arrays batch per phase
-    on the message plane).
+    plumbing, round-robin leader rotation, the block driver (peek the pool,
+    try views until one decides the block, mark its entries executed), the
+    proposal a leader — honest or Byzantine — puts on the wire, proposal
+    validity and the decision records.  A protocol supplies its fault
+    tolerance, its view budget, how a default-Byzantine leader forges a
+    proposal, and the two bodies of one view: :meth:`_attempt_view`
+    (per-copy — the reference oracle, and the path under a live link fault)
+    and :meth:`_attempt_view_vectorised` (one struct-of-arrays batch per
+    phase on the message plane).
 
     Parameters
     ----------
@@ -123,11 +125,12 @@ class ConsensusProtocol(ABC):
     #: path observable in experiment reports.
     fast_path_disabled: int = 0
 
-    #: Views a round may try before :meth:`decide_round` gives up.
+    #: Views a block may try before the driver gives up.
     max_views: int
 
     #: ``ConsensusError`` text when ``max_views`` views all failed
-    #: (formatted with ``round_index`` and ``max_views``).
+    #: (formatted with the block's first ``round_index``, its ``count`` of
+    #: rounds and ``max_views``).
     _views_exhausted_text: str
 
     def __init__(
@@ -168,9 +171,9 @@ class ConsensusProtocol(ABC):
         """The node leading ``view`` of ``round_index`` (round-robin rotation)."""
         return self.node_ids[(round_index + view) % self.num_nodes]
 
-    # -- round drivers ------------------------------------------------------------------
+    # -- block drivers ------------------------------------------------------------------
     def decide_round(self, round_index: int) -> dict[str, ConsensusDecision]:
-        """Run one round of consensus.
+        """Run consensus on a block of one round, per copy.
 
         Returns a mapping from *honest* node id to that node's decision.
         Byzantine nodes do not produce meaningful decisions.  Tests check
@@ -180,78 +183,37 @@ class ConsensusProtocol(ABC):
         This per-copy path — every message through ``send``/``broadcast`` and
         a mailbox drain — is the *reference oracle* for the vectorised
         plane, and the path :meth:`decide_rounds` takes under a live link
-        fault: on the plane ``decide_rounds`` must produce bit-identical
-        decisions, rng consumption, counters and per-copy deliveries.
+        fault.
         """
-        return self._decide_round(round_index, None)
-
-    def _decide_round(
-        self, round_index: int, on_plane: PlaneRounds | None
-    ) -> dict[str, ConsensusDecision]:
-        """Try views until one decides — on the plane, or per copy without."""
-        selected = self.pool.peek_round()
-        if any(entry is None for entry in selected):
-            raise LivenessError(
-                "every state machine needs at least one pending client command"
-            )
-        if on_plane is not None:
-            on_plane.validity.clear()
-        for view in range(self.max_views):
-            leader = self.leader_for(round_index, view)
-            if on_plane is None:
-                decisions = self._attempt_view(round_index, view, leader, selected)
-            else:
-                decisions = self._attempt_view_vectorised(
-                    round_index, view, leader, selected, on_plane
-                )
-            if decisions:
-                # Remove the decided commands from the pool exactly once.
-                sample = next(iter(decisions.values()))
-                for k, entry in enumerate(sample.selected):
-                    self.pool.mark_executed(k, entry)
-                # Copies of this round still in a mailbox (late ones, losing
-                # views') can never be collected again: drop the dead letters.
-                self.network.discard_through(round_index, self.node_ids)
-                return decisions
-        raise ConsensusError(
-            self._views_exhausted_text.format(
-                round_index=round_index, max_views=self.max_views
-            )
-        )
+        return self._decide_block(round_index, 1, None)[0]
 
     def decide_rounds(
-        self,
-        first_round_index: int,
-        count: int,
-        prepare_round: "Callable[[int], None] | None" = None,
+        self, first_round_index: int, count: int
     ) -> list[dict[str, ConsensusDecision]]:
-        """Decide ``count`` consecutive rounds starting at ``first_round_index``.
+        """Decide the block of ``count`` rounds starting at ``first_round_index``.
 
-        Rounds are always decided in order — the command-pool selection for
-        round ``t + 1`` depends on round ``t``'s decision being marked
-        executed — but each round's phases run on the **vectorised message
-        plane** (:class:`~repro.net.network.MessagePlane`): one
-        struct-of-arrays batch per phase, batch signing/verification, one
-        vectorised delay draw per phase and array quorum tallies instead of
-        per-copy messages and mailbox drains.  While a link-fault state
-        (drops, partitions, added latency from the fault-injection plane —
-        honoured only by ``send``/``broadcast``) is live, the rounds take the
-        per-copy oracle :meth:`decide_round` instead — bit-identical to the
-        plane where both apply, and healing back to the fast path when the
-        fault state clears — and :attr:`fast_path_disabled` is advanced by
-        ``count`` so the slow path is observable instead of silent.
+        One consensus instance decides the whole block (PBFT's request
+        batching): the leader of ``leader_for(first_round_index, view)``
+        proposes the first ``count`` pending entries of every machine, and
+        one digest, one vote payload and one signature per action cover all
+        ``count`` rounds; a failed view fails the whole block.  Every client
+        command of the block must already sit in the pool — validity binds
+        each row to its pool *position*, so later rounds' entries cannot
+        stand in for earlier ones.  The result is one decision map per round,
+        in round order, every decision carrying the block's view.
 
-        ``prepare_round(offset)`` is invoked immediately before each round is
-        decided; batched drivers use it to submit that round's client
-        commands.  Submitting lazily (rather than all rounds up front)
-        matters for bit-identity: the validity check consults the pool's
-        pending entries, so commands of *future* rounds must not be
-        visible yet — an equivocating leader's forged payload could otherwise
-        coincide with a later round's real command and pass validation that
-        the sequential path would reject.  The returned per-round decision
-        maps — and the rng/delay stream, message/signature counters and
-        per-copy deliveries — are bit-identical to the
-        submit-then-:meth:`decide_round` sequential loop.
+        The phases run on the **vectorised message plane**
+        (:class:`~repro.net.network.MessagePlane`): one struct-of-arrays
+        batch per phase, batch signing/verification, one vectorised delay
+        draw per phase and array quorum tallies instead of per-copy messages
+        and mailbox drains.  While a link-fault state (drops, partitions,
+        added latency from the fault-injection plane — honoured only by
+        ``send``/``broadcast``) is live, the block takes the per-copy oracle
+        instead — bit-identical to the plane on the same block (decisions,
+        rng stream, counters, per-copy deliveries), and healing back to the
+        fast path when the fault state clears — and
+        :attr:`fast_path_disabled` is advanced by ``count`` so the slow path
+        is observable instead of silent.
         """
         if self.network.faults.active:
             self.fast_path_disabled += count
@@ -263,14 +225,40 @@ class ConsensusProtocol(ABC):
                 honest=np.array(honest, dtype=bool),
                 honest_ids=[n for n, ok in zip(self.node_ids, honest) if ok],
             )
-        decisions = []
-        for offset in range(count):
-            if prepare_round is not None:
-                prepare_round(offset)
-            decisions.append(self._decide_round(first_round_index + offset, on_plane))
-        return decisions
+        return self._decide_block(first_round_index, count, on_plane)
+
+    def _decide_block(
+        self, round_index: int, count: int, on_plane: PlaneRounds | None
+    ) -> list[dict[str, ConsensusDecision]]:
+        """Try views until one decides the block — on the plane, or per copy without."""
+        selected = self.pool.peek_block(count)
+        for view in range(self.max_views):
+            leader = self.leader_for(round_index, view)
+            if on_plane is None:
+                decisions = self._attempt_view(round_index, view, leader, selected)
+            else:
+                decisions = self._attempt_view_vectorised(
+                    round_index, view, leader, selected, on_plane
+                )
+            if decisions:
+                # Remove the decided commands from the pool exactly once.
+                for round_decisions in decisions:
+                    for entry in next(iter(round_decisions.values())).selected:
+                        self.pool.mark_executed(entry.machine_index, entry)
+                # Copies of this block still in a mailbox (late ones, losing
+                # views') can never be collected again: drop the dead letters.
+                self.network.discard_through(round_index + count - 1, self.node_ids)
+                return decisions
+        raise ConsensusError(
+            self._views_exhausted_text.format(
+                round_index=round_index, count=count, max_views=self.max_views
+            )
+        )
 
     # -- one view: the two implementations each protocol supplies -------------------------
+    # Both bodies decide the block whose first round is ``round_index`` and
+    # whose pending entries are ``selected`` (round-major, see peek_block);
+    # every message of the instance carries ``round_index``.
     @abstractmethod
     def _attempt_view(
         self,
@@ -278,8 +266,8 @@ class ConsensusProtocol(ABC):
         view: int,
         leader: str,
         selected: list[SubmittedCommand],
-    ) -> dict[str, ConsensusDecision]:
-        """One view, per copy; ``{}`` when the view fails to decide."""
+    ) -> list[dict[str, ConsensusDecision]]:
+        """One view, per copy; per-round decision maps, ``[]`` when it fails."""
 
     @abstractmethod
     def _attempt_view_vectorised(
@@ -289,16 +277,16 @@ class ConsensusProtocol(ABC):
         leader: str,
         selected: list[SubmittedCommand],
         on_plane: PlaneRounds,
-    ) -> dict[str, ConsensusDecision]:
+    ) -> list[dict[str, ConsensusDecision]]:
         """The same view on the message plane; bit-identical to the oracle."""
 
     # -- the leader's proposal ------------------------------------------------------------
     @staticmethod
     def _payload_from_selection(selected: list[SubmittedCommand]) -> dict:
-        # Sequences ride along so the decided entries can be removed from the
-        # pool keyed on their unique submission sequence (mark_executed);
-        # the validity check binds them to pending pool entries, so they
-        # cannot be forged or equivocated on.
+        # One row per block entry, round-major.  Sequences ride along so the
+        # decided entries can be removed from the pool keyed on their unique
+        # submission sequence (mark_executed); the validity check binds them
+        # to pool positions, so they cannot be forged or equivocated on.
         return {
             "commands": [list(entry.command) for entry in selected],
             "clients": [entry.client_id for entry in selected],
@@ -376,54 +364,85 @@ class ConsensusProtocol(ABC):
         refs = [plane.register(message.payload) for message in broadcasts]
         return plane.broadcast_phase(broadcasts, refs)
 
-    # -- validity and the decision record ------------------------------------------------
-    def _is_valid_proposal(self, payload: dict) -> bool:
+    # -- validity and the decision records -----------------------------------------------
+    @staticmethod
+    def _is_valid_proposal(payload: dict, selected: list[SubmittedCommand]) -> bool:
+        """Validity binds by position.
+
+        Row ``(b, k)`` of a block proposal (entry ``b * K + k``) must be
+        machine ``k``'s ``b``-th pending entry — :meth:`CommandPool.peek_block`
+        order — with the same sequence, command and client.  Sequences are
+        not covered by digests, so this is what keeps a leader from forging,
+        repeating or reordering them, or from promoting a later round's
+        genuine entry into an earlier slot: such a proposal is invalid (a
+        view change) instead of derailing ``mark_executed`` after the
+        decision.  A match also proves the client submitted the command, so
+        the pool keeps no record of entries once they leave it.
+        """
         commands = payload.get("commands")
         clients = payload.get("clients")
         sequences = payload.get("sequences")
-        if not commands or not clients or len(commands) != self.pool.num_machines:
+        if commands is None or clients is None or sequences is None:
             return False
-        if not sequences or len(sequences) != len(commands):
+        if not len(commands) == len(clients) == len(sequences) == len(selected):
             return False
-        # Bind every row, (unsigned) sequence included, to a pending pool
-        # entry: a forged sequence invalidates the proposal here instead of
-        # derailing mark_executed after the decision.
         return all(
-            self.pool.matches_pending(k, command, client, sequence)
-            for k, (command, client, sequence) in enumerate(
-                zip(commands, clients, sequences)
+            sequence == entry.sequence
+            and client == entry.client_id
+            and tuple(command) == entry.command
+            for entry, command, client, sequence in zip(
+                selected, commands, clients, sequences
             )
         )
 
-    def _ref_valid(self, ref: int, on_plane: PlaneRounds) -> bool:
+    def _ref_valid(
+        self, ref: int, selected: list[SubmittedCommand], on_plane: PlaneRounds
+    ) -> bool:
         cached = on_plane.validity.get(ref)
         if cached is None:
-            cached = self._is_valid_proposal(on_plane.plane.payload(ref))
+            cached = self._is_valid_proposal(on_plane.plane.payload(ref), selected)
             on_plane.validity[ref] = cached
         return cached
 
-    def _decision_from_payload(
-        self, round_index: int, view: int, leader: str, payload: dict
-    ) -> ConsensusDecision:
-        commands = np.array(payload["commands"], dtype=np.int64)
-        clients = list(payload["clients"])
-        # A payload missing its sequences (a pre-redesign or forged proposal)
-        # yields sentinel -1 entries, which mark_executed rejects loudly.
-        sequences = list(payload.get("sequences") or [-1] * len(clients))
-        selected = [
-            SubmittedCommand(
-                machine_index=k,
-                client_id=clients[k],
-                command=tuple(row),
-                sequence=int(sequences[k]),
-            )
-            for k, row in enumerate(commands.tolist())
+    def _decisions(
+        self,
+        round_index: int,
+        view: int,
+        leader: str,
+        selected: list[SubmittedCommand],
+        decided: Iterable[tuple[str, dict]],
+    ) -> list[dict[str, ConsensusDecision]]:
+        """Per round of the block, each node's decision from the payload it decided.
+
+        ``decided`` yields ``(node id, valid block payload)`` in node order.
+        Nodes that decided the same payload object share one decision object
+        per round; honest nodes holding blocks with different commands raise
+        :class:`ConsensusError`.
+        """
+        width = self.pool.num_machines
+        by_payload: dict[int, list[ConsensusDecision]] = {}
+        per_node: dict[str, list[ConsensusDecision]] = {}
+        for node_id, payload in decided:
+            block = by_payload.get(id(payload))
+            if block is None:
+                commands = np.array(payload["commands"], dtype=np.int64)
+                block = by_payload[id(payload)] = [
+                    ConsensusDecision(
+                        round_index=round_index + b,
+                        commands=commands[start : start + width],
+                        clients=list(payload["clients"][start : start + width]),
+                        # Validity bound every row to its pending entry: the
+                        # decided entries are the pool's own.
+                        selected=selected[start : start + width],
+                        leader=leader,
+                        view=view,
+                    )
+                    for b, start in enumerate(range(0, len(selected), width))
+                ]
+            per_node[node_id] = block
+        if len({tuple(d.command_tuple() for d in b) for b in by_payload.values()}) > 1:
+            raise ConsensusError("honest nodes decided different command vectors")
+        return [
+            {node_id: block[b] for node_id, block in per_node.items()}
+            for b in range(len(selected) // width)
         ]
-        return ConsensusDecision(
-            round_index=round_index,
-            commands=commands,
-            clients=clients,
-            selected=selected,
-            leader=leader,
-            view=view,
-        )

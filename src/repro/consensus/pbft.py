@@ -2,10 +2,11 @@
 
 The paper employs PBFT in the partially synchronous setting, which requires
 ``N >= 3b + 1`` nodes.  The implementation here follows the classic
-three-phase structure:
+three-phase structure, with PBFT's request batching: one instance — one view
+at a time — decides a whole *block* of consecutive rounds, under one digest:
 
 1. **Pre-prepare** — the view's primary signs and broadcasts the proposed
-   command vector.
+   block: for every round of it, one command vector.
 2. **Prepare** — every honest node that received a valid pre-prepare
    broadcasts a prepare vote for its digest.
 3. **Commit** — a node that collects ``2f + 1`` matching prepares broadcasts
@@ -13,14 +14,15 @@ three-phase structure:
 
 If a view fails to decide within its timeout (silent or equivocating primary,
 or the network has not reached GST yet), all honest nodes move to the next
-view with the next primary in round-robin order.  After GST and with an
-honest primary, a view always decides — which is the paper's liveness
-argument.  Safety (no two honest nodes decide differently) comes from the
-quorum intersection of any two ``2f + 1`` subsets of ``3f + 1`` nodes.
+view with the next primary in round-robin order; the failed view fails the
+whole block.  After GST and with an honest primary, a view always decides —
+which is the paper's liveness argument.  Safety (no two honest nodes decide
+differently) comes from the quorum intersection of any two ``2f + 1`` subsets
+of ``3f + 1`` nodes.
 
-The view-change subprotocol is simplified: because every round decides a
-fresh, independent command vector and no honest node ever decides in a failed
-view (deciding requires ``2f + 1`` commits, impossible when the primary
+The view-change subprotocol is simplified: because every block decides fresh,
+independent command vectors and no honest node ever decides in a failed view
+(deciding requires ``2f + 1`` commits, impossible when the primary
 equivocates between at most ``f`` faulty supporters per branch), carrying
 prepared certificates across views is unnecessary for safety in this setting.
 """
@@ -43,8 +45,9 @@ class PBFTConsensus(ConsensusProtocol):
     """Three-phase PBFT over the simulated (partially synchronous) network."""
 
     _views_exhausted_text = (
-        "PBFT failed to decide round {round_index} within {max_views} views "
-        "(network may not have stabilised or too many faults)"
+        "PBFT failed to decide round {round_index} (first of a block of "
+        "{count}) within {max_views} views (network may not have stabilised "
+        "or too many faults)"
     )
 
     def __init__(
@@ -82,11 +85,11 @@ class PBFTConsensus(ConsensusProtocol):
         return bogus
 
     # -- one view on the vectorised message plane ----------------------------------------
-    # Each pre-prepare/prepare/commit phase is dispatched and quorum-tallied
-    # as a struct-of-arrays PhaseBatch instead of per-copy messages and
-    # mailbox drains.  _attempt_view below stays the per-copy reference
-    # oracle; decisions, rng stream, counters and per-copy deliveries are
-    # bit-identical between the two.
+    # Each pre-prepare/prepare/commit phase of the block's instance is
+    # dispatched and quorum-tallied as a struct-of-arrays PhaseBatch instead
+    # of per-copy messages and mailbox drains.  _attempt_view below stays the
+    # per-copy reference oracle; decisions, rng stream, counters and per-copy
+    # deliveries are bit-identical between the two.
     def _attempt_view_vectorised(
         self,
         round_index: int,
@@ -94,7 +97,7 @@ class PBFTConsensus(ConsensusProtocol):
         primary: str,
         selected: list[SubmittedCommand],
         on_plane: PlaneRounds,
-    ) -> dict[str, ConsensusDecision]:
+    ) -> list[dict[str, ConsensusDecision]]:
         plane, honest = on_plane.plane, on_plane.honest
         timeout = self.view_timeout or self.network.delay_model.synchronous_bound
         quorum = self.quorum
@@ -119,7 +122,7 @@ class PBFTConsensus(ConsensusProtocol):
         held = pre_prepares.first_refs(sent_by_primary, self._digest, from_primary)
         for digest, refs in held.items():
             for ref in np.unique(refs[heard_once & (refs >= 0)]).tolist():
-                if self._ref_valid(ref, on_plane):
+                if self._ref_valid(ref, selected, on_plane):
                     voters = heard_once & (refs == ref)
                     accepted[voters] = ref
                     vote_ref[voters] = plane.register(self._vote_payload(digest, plane))
@@ -159,24 +162,23 @@ class PBFTConsensus(ConsensusProtocol):
         prepared = vote_phase(MessageKind.CONSENSUS_PREPARE, vote_ref >= 0)
         committed = vote_phase(MessageKind.CONSENSUS_COMMIT, prepared)
         if not committed.any():
-            return {}
-        by_ref = {
-            ref: self._decision_from_payload(
-                round_index, view, primary, plane.payload(ref)
-            )
-            for ref in np.unique(accepted[committed]).tolist()
-        }
-        if len({d.command_tuple() for d in by_ref.values()}) != 1:
-            raise ConsensusError("PBFT safety violation: conflicting decisions")
-        # A view only "succeeds" for the round when every honest node decided;
+            return []
+        decisions = self._decisions(
+            round_index,
+            view,
+            primary,
+            selected,
+            (
+                (self.node_ids[j], plane.payload(accepted[j]))
+                for j in np.nonzero(committed)[0].tolist()
+            ),
+        )
+        # A view only "succeeds" for the block when every honest node decided;
         # otherwise the stragglers would need the (simplified-away) checkpoint
         # sync, so we conservatively run another view for everyone.
         if not committed[honest].all():
-            return {}
-        return {
-            node_id: by_ref[ref]
-            for node_id, ref in zip(on_plane.honest_ids, accepted[honest].tolist())
-        }
+            return []
+        return decisions
 
     @staticmethod
     def _vote_payload(digest: str, plane) -> dict:
@@ -199,7 +201,7 @@ class PBFTConsensus(ConsensusProtocol):
         view: int,
         primary: str,
         selected: list[SubmittedCommand],
-    ) -> dict[str, ConsensusDecision]:
+    ) -> list[dict[str, ConsensusDecision]]:
         timeout = self.view_timeout or self.network.delay_model.synchronous_bound
         self._propose(round_index, view, primary, selected)
         pre_prepares = self.network.collect_all(
@@ -219,7 +221,7 @@ class PBFTConsensus(ConsensusProtocol):
             if len(proposals) != 1:
                 continue  # silent or equivocating primary: no prepare vote
             proposal_payload = proposals[0].payload
-            if not self._is_valid_proposal(proposal_payload):
+            if not self._is_valid_proposal(proposal_payload, selected):
                 continue
             accepted_payloads[node_id] = proposal_payload
             vote = Message(
@@ -263,7 +265,7 @@ class PBFTConsensus(ConsensusProtocol):
             round_index=round_index,
             timeout=timeout,
         )
-        decisions: dict[str, ConsensusDecision] = {}
+        decided: list[tuple[str, dict]] = []
         for node_id in self.honest_nodes():
             if node_id not in accepted_payloads:
                 continue
@@ -274,19 +276,15 @@ class PBFTConsensus(ConsensusProtocol):
                 if m.metadata.get("view") == view and m.payload.get("digest") == digest
             }
             if len(supporting) >= self.quorum:
-                decisions[node_id] = self._decision_from_payload(
-                    round_index, view, primary, accepted_payloads[node_id]
-                )
-        if not decisions:
-            return {}
-        tuples = {d.command_tuple() for d in decisions.values()}
-        if len(tuples) != 1:
-            raise ConsensusError("PBFT safety violation: conflicting decisions")
-        # A view only "succeeds" for the round when every honest node decided;
+                decided.append((node_id, accepted_payloads[node_id]))
+        if not decided:
+            return []
+        decisions = self._decisions(round_index, view, primary, selected, decided)
+        # A view only "succeeds" for the block when every honest node decided;
         # otherwise the stragglers would need the (simplified-away) checkpoint
         # sync, so we conservatively run another view for everyone.
-        if set(decisions) != set(self.honest_nodes()):
-            return {}
+        if len(decided) != len(self.honest_nodes()):
+            return []
         return decisions
 
     @staticmethod

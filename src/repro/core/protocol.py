@@ -84,10 +84,10 @@ class CSMProtocol(RoundProtocol):
         # The execution phase draws its randomness (Byzantine result
         # transforms) from a dedicated stream seeded off the protocol rng.
         # The consensus/network layer keeps consuming ``self.rng`` directly,
-        # so the batched driver (consensus for B rounds, then execution for
-        # B rounds) sees exactly the same draws as the sequential
-        # round-by-round interleaving — the basis of the bit-identity
-        # guarantee of :meth:`run_rounds_batched`.
+        # so the execution draws do not depend on how many consensus
+        # instances decided the rounds (one block for B rounds in the batched
+        # driver, one per round in the sequential loop) — the basis of the
+        # bit-identity guarantee of :meth:`run_rounds_batched`.
         engine_rng = derived_stream(self.rng)
         self.engine = CodedExecutionEngine(
             config,
@@ -152,11 +152,11 @@ class CSMProtocol(RoundProtocol):
     ) -> list[ProtocolRound]:
         """Run ``B`` full rounds through the batched pipeline.
 
-        The batched path decides all ``B`` rounds through the consensus
-        protocol's :meth:`decide_rounds` (each phase one batch on the
-        vectorised message plane, or per copy while a link fault is live;
-        each round's commands are submitted just before its consensus round,
-        exactly as clients would), and feeds the agreed command matrix
+        The batched path submits all ``B`` rounds' commands, then decides
+        them as one block through the consensus protocol's
+        :meth:`decide_rounds` — one consensus instance for the whole batch
+        (each phase one batch on the vectorised message plane, or per copy
+        while a link fault is live) — and feeds the agreed command matrix
         straight into :meth:`CodedExecutionEngine.execute_rounds` — one
         encode matrix product and suspect-learning decode for the whole
         batch.
@@ -165,11 +165,13 @@ class CSMProtocol(RoundProtocol):
         command in round ``b`` — the session/ticket service passes its real
         client identities here.  Without it every round carries the
         historical ``client:k`` labels, so the recorded
-        :class:`ProtocolRound` history (commands, clients, consensus views,
-        outputs, states, correctness flags, flagged error nodes) stays
-        bit-identical to calling :meth:`run_rounds` on an
-        identically-constructed protocol; only the operation/message
-        *counts* drop, which is precisely what the batch buys.
+        :class:`ProtocolRound` history (commands, clients, outputs, states,
+        correctness flags, flagged error nodes) stays bit-identical to
+        calling :meth:`run_rounds` on an identically-constructed protocol.
+        Only consensus-side records differ: the block decides in one view
+        where :meth:`run_rounds` runs one instance per round, so consensus
+        views and message counts move, and the execution-phase operation
+        counts drop, which is precisely what the batch buys.
         """
         return self._run_rounds_fast(command_batches, client_rounds)
 
@@ -211,13 +213,13 @@ class CSMProtocol(RoundProtocol):
         batches, client_rounds = self._canonical_batches(command_batches, client_rounds)
         if not batches:
             return []
-        first_round = len(self.history)
+        # Every round is submitted before the block is decided: validity binds
+        # each proposed row to its pool position, so a later round's entries
+        # cannot stand in for an earlier round's.
+        for batch, clients in zip(batches, client_rounds):
+            self._submit_round(batch, clients)
         per_round_decisions = self.consensus.decide_rounds(
-            first_round,
-            len(batches),
-            prepare_round=lambda offset: self._submit_round(
-                batches[offset], client_rounds[offset]
-            ),
+            len(self.history), len(batches)
         )
         samples = [self._select_decision(d) for d in per_round_decisions]
         commands_matrix = np.stack([sample.commands for sample in samples])

@@ -115,15 +115,10 @@ def record_deliveries():
 
 
 def _pin_oracle(protocol):
-    consensus = protocol.consensus
+    consensus = getattr(protocol, "consensus", protocol)
 
-    def decide_rounds(first_round_index, count, prepare_round=None):
-        decisions = []
-        for offset in range(count):
-            if prepare_round is not None:
-                prepare_round(offset)
-            decisions.append(consensus.decide_round(first_round_index + offset))
-        return decisions
+    def decide_rounds(first_round_index, count):
+        return consensus._decide_block(first_round_index, count, None)
 
     consensus.decide_rounds = decide_rounds
     return protocol
@@ -131,12 +126,13 @@ def _pin_oracle(protocol):
 
 @pytest.fixture(scope="session")
 def pin_oracle():
-    """``pin_oracle(protocol)``: that protocol decides every round per copy.
+    """``pin_oracle(protocol)``: that protocol decides every block per copy.
 
-    Replaces the one protocol's ``consensus.decide_rounds`` (an instance
-    attribute, so no other protocol is touched) with the submit-then-
-    :meth:`~repro.consensus.interface.ConsensusProtocol.decide_round` loop —
-    the reference oracle the message plane must match bit for bit.  Returns
-    the protocol.  Session-scoped so Hypothesis tests can take it.
+    ``protocol`` is a round protocol with a ``consensus`` or a consensus
+    protocol itself.  Replaces that one consensus protocol's
+    ``decide_rounds`` (an instance attribute, so no other protocol is
+    touched) with the per-copy driver on the *same block* — the reference
+    oracle the message plane must match bit for bit.  Returns the protocol.
+    Session-scoped so Hypothesis tests can take it.
     """
     return _pin_oracle

@@ -1,12 +1,14 @@
 """Property tests for the batched protocol round path.
 
 :meth:`CSMProtocol.run_rounds_batched` takes a different route through every
-layer — consensus rounds decided through ``decide_rounds`` over the network's
-bulk delivery path, coded execution through the cached-matrix
-``execute_rounds`` pipeline with the stacked transition step — yet the
-recorded :class:`ProtocolRound` history must agree *bit for bit* with the
-sequential ``run_round`` loop, across both network models and arbitrary
-admissible Byzantine fault patterns.
+layer — the whole batch decided by one consensus instance through
+``decide_rounds`` on the message plane, coded execution through the
+cached-matrix ``execute_rounds`` pipeline with the stacked transition step —
+yet the recorded :class:`ProtocolRound` history must agree *bit for bit* with
+the sequential ``run_round`` loop (one instance per round), across both
+network models and arbitrary admissible Byzantine fault patterns, in
+everything but the consensus side: views and message counts depend on how
+many instances ran.
 """
 
 import numpy as np
@@ -60,7 +62,7 @@ def _largest_valid_config(
 class TestBatchedProtocolBitIdentity:
     @relaxed
     @given(data=st.data())
-    def test_history_matches_sequential_loop(self, data, record_deliveries):
+    def test_history_matches_sequential_loop(self, data):
         partially_synchronous = data.draw(st.booleans(), label="psync")
         num_nodes = data.draw(st.sampled_from([6, 9, 10, 12]), label="N")
         quadratic = data.draw(st.booleans(), label="quadratic")
@@ -104,17 +106,14 @@ class TestBatchedProtocolBitIdentity:
         batched = CSMProtocol(
             config, machine, dict(behaviors), rng=np.random.default_rng(5)
         )
-        with record_deliveries() as seq_log:
-            sequential_records = sequential.run_rounds(batches)
-        with record_deliveries() as bat_log:
-            batched_records = batched.run_rounds_batched(batches)
+        sequential_records = sequential.run_rounds(batches)
+        batched_records = batched.run_rounds_batched(batches)
 
         assert len(sequential_records) == len(batched_records) == num_rounds
         for seq, bat in zip(sequential_records, batched_records):
             assert seq.round_index == bat.round_index
             assert np.array_equal(seq.commands, bat.commands)
             assert seq.clients == bat.clients
-            assert seq.consensus_views == bat.consensus_views
             assert np.array_equal(seq.result.outputs, bat.result.outputs)
             assert np.array_equal(seq.result.states, bat.result.states)
             assert seq.result.correct == bat.result.correct
@@ -131,23 +130,8 @@ class TestBatchedProtocolBitIdentity:
         assert sequential.failed_deliveries == batched.failed_deliveries
         assert sequential.failed_rounds == batched.failed_rounds
         # Operation counts (and hence throughput) intentionally differ: the
-        # batched decode amortisation is the whole point of the pipeline.
-        # Message-plane parity: the batched path (vectorised consensus) must
-        # perform *the same sends* as the sequential oracle — identical
-        # message/signature counters and field-identical per-copy deliveries.
-        assert sequential.network.messages_sent == batched.network.messages_sent
-        assert (
-            sequential.network.rejected_signatures
-            == batched.network.rejected_signatures
-        )
-        assert len(seq_log) == len(bat_log) == batched.network.messages_sent
-        for a, b in zip(seq_log, bat_log):
-            assert a.message.sender == b.message.sender
-            assert a.message.recipient == b.message.recipient
-            assert a.message.kind == b.message.kind
-            assert a.message.round_index == b.message.round_index
-            assert a.send_time == b.send_time
-            assert a.delivery_time == b.delivery_time
-            assert a.delivered == b.delivered
+        # batched decode amortisation is the whole point of the pipeline, and
+        # one consensus instance per batch instead of per round is the point
+        # of the block.
         # The batched driver must have taken the vectorised plane throughout.
         assert batched.consensus_fast_path_disabled == 0

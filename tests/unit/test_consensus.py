@@ -109,16 +109,26 @@ class TestCommandPool:
         assert pool.dequeue_next(1) is None
         assert pool.pending_machines() == 1
 
-    def test_matches_pending_binds_sequences(self):
-        pool = CommandPool(num_machines=1)
-        entry = pool.submit(0, "alice", [7])
-        assert pool.matches_pending(0, [7], "alice", entry.sequence)
-        assert not pool.matches_pending(0, [7], "alice", entry.sequence + 1)
-        assert not pool.matches_pending(0, [8], "alice", entry.sequence)
-        assert not pool.matches_pending(0, [7], "mallory", entry.sequence)
-        pool.dequeue_next(0)
-        # No longer pending: the binding expires with the entry.
-        assert not pool.matches_pending(0, [7], "alice", entry.sequence)
+    def test_peek_block_is_round_major(self):
+        pool = CommandPool(num_machines=2)
+        a0 = pool.submit(0, "alice", [1])
+        a1 = pool.submit(0, "alice", [2])
+        pool.submit(0, "alice", [3])
+        b0 = pool.submit(1, "bob", [4])
+        b1 = pool.submit(1, "bob", [5])
+        # Entry b * K + k is machine k's b-th pending entry; deeper entries
+        # stay out of the block, and peeking removes nothing.
+        assert pool.peek_block(2) == [a0, b0, a1, b1]
+        assert pool.peek_block(1) == [a0, b0]
+        assert pool.total_pending() == 5
+
+    def test_peek_block_needs_count_entries_per_machine(self):
+        pool = CommandPool(num_machines=2)
+        pool.submit(0, "alice", [1])
+        pool.submit(0, "alice", [2])
+        pool.submit(1, "bob", [3])
+        with pytest.raises(LivenessError):
+            pool.peek_block(2)
 
     def test_machine_index_validation(self):
         pool = CommandPool(num_machines=1)
@@ -128,14 +138,16 @@ class TestCommandPool:
             CommandPool(num_machines=0)
 
 
-def _sync_setup(num_nodes, num_machines, behaviors=None, seed=0):
+def _sync_setup(
+    num_nodes, num_machines, behaviors=None, seed=0, cls=AuthenticatedBroadcastConsensus
+):
     rng = np.random.default_rng(seed)
     network = SimulatedNetwork(delay_model=SynchronousDelay(), rng=rng)
     node_ids = [f"node-{i}" for i in range(num_nodes)]
     pool = CommandPool(num_machines=num_machines)
     for k in range(num_machines):
         pool.submit(k, f"client:{k}", [10 * (k + 1)])
-    protocol = AuthenticatedBroadcastConsensus(network, node_ids, pool, behaviors, rng)
+    protocol = cls(network, node_ids, pool, behaviors, rng)
     return protocol, pool
 
 
@@ -155,18 +167,21 @@ class TestAuthenticatedBroadcast:
         # steer which pool entries get removed, and honest nodes view-change
         # instead of crashing in mark_executed after deciding it.
         protocol, pool = _sync_setup(4, 2)
-        selected = pool.peek_round()
+        selected = pool.peek_block(1)
         genuine = protocol._payload_from_selection(selected)
-        assert protocol._is_valid_proposal(genuine)
+        assert protocol._is_valid_proposal(genuine, selected)
         forged = dict(genuine)
         forged["sequences"] = [s + 100 for s in genuine["sequences"]]
-        assert not protocol._is_valid_proposal(forged)
+        assert not protocol._is_valid_proposal(forged, selected)
         stripped = {k: v for k, v in genuine.items() if k != "sequences"}
-        assert not protocol._is_valid_proposal(stripped)
+        assert not protocol._is_valid_proposal(stripped, selected)
+        assert not protocol._is_valid_proposal(
+            dict(genuine, clients=["client:1", "client:0"]), selected
+        )
 
     def test_validity_decided_commands_were_submitted(self):
         protocol, pool = _sync_setup(4, 2)
-        submitted = pool.peek_round()
+        submitted = pool.peek_block(1)
         decisions = protocol.decide_round(0)
         # The decision is exactly the entries the setup submitted: same
         # command, client and sequence per machine.
@@ -193,7 +208,7 @@ class TestAuthenticatedBroadcast:
     def test_leader_proposing_unsubmitted_command_rejected(self):
         behaviors = {"node-0": RandomGarbageBehavior()}
         protocol, pool = _sync_setup(5, 2, behaviors)
-        submitted = pool.peek_round()
+        submitted = pool.peek_block(1)
         decisions = protocol.decide_round(0)
         decision = next(iter(decisions.values()))
         assert decision.view >= 1
@@ -228,7 +243,9 @@ class TestAuthenticatedBroadcast:
             )
 
 
-def _pbft_setup(num_nodes, num_machines, behaviors=None, seed=0, gst=0.0):
+def _pbft_setup(
+    num_nodes, num_machines, behaviors=None, seed=0, gst=0.0, cls=PBFTConsensus
+):
     rng = np.random.default_rng(seed)
     network = SimulatedNetwork(
         delay_model=PartiallySynchronousDelay(gst=gst, max_delay=1.0, pre_gst_extra=5.0),
@@ -238,7 +255,7 @@ def _pbft_setup(num_nodes, num_machines, behaviors=None, seed=0, gst=0.0):
     pool = CommandPool(num_machines=num_machines)
     for k in range(num_machines):
         pool.submit(k, f"client:{k}", [5 * (k + 1)])
-    protocol = PBFTConsensus(network, node_ids, pool, behaviors, rng, max_views=64)
+    protocol = cls(network, node_ids, pool, behaviors, rng, max_views=64)
     return protocol
 
 
@@ -293,8 +310,23 @@ def _submit_rounds(pool, num_machines, rounds):
             pool.submit(k, f"client:{k}", [100 * r + k])
 
 
+def _assert_same_decided_commands(seq_decisions, bat_decisions):
+    """Equal per round in everything but the consensus side (view, leader)."""
+    assert len(seq_decisions) == len(bat_decisions)
+    for round_index, (seq_round, bat_round) in enumerate(
+        zip(seq_decisions, bat_decisions)
+    ):
+        assert list(seq_round) == list(bat_round)
+        for node_id in seq_round:
+            seq, bat = seq_round[node_id], bat_round[node_id]
+            assert seq.round_index == bat.round_index == round_index
+            assert seq.command_tuple() == bat.command_tuple()
+            assert seq.clients == bat.clients
+            assert seq.selected == bat.selected
+
+
 class TestDecideRounds:
-    """The batched ``decide_rounds`` path must match sequential decisions."""
+    """One block instance decides what a per-round loop decides, in fewer views."""
 
     def test_broadcast_decide_rounds_matches_sequential(self):
         behaviors = {"node-0": SilentBehavior()}  # force a view change in round 0
@@ -304,15 +336,7 @@ class TestDecideRounds:
         _submit_rounds(bat_pool, 2, 3)
         seq_decisions = [sequential.decide_round(r) for r in range(3)]
         bat_decisions = batched.decide_rounds(0, 3)
-        for seq_round, bat_round in zip(seq_decisions, bat_decisions):
-            assert set(seq_round) == set(bat_round)
-            for node_id in seq_round:
-                assert (
-                    seq_round[node_id].command_tuple()
-                    == bat_round[node_id].command_tuple()
-                )
-                assert seq_round[node_id].view == bat_round[node_id].view
-                assert seq_round[node_id].leader == bat_round[node_id].leader
+        _assert_same_decided_commands(seq_decisions, bat_decisions)
         assert seq_pool.total_pending() == bat_pool.total_pending() == 0
 
     def test_pbft_decide_rounds_matches_sequential(self):
@@ -322,14 +346,123 @@ class TestDecideRounds:
         _submit_rounds(batched.pool, 2, 2)
         seq_decisions = [sequential.decide_round(r) for r in range(2)]
         bat_decisions = batched.decide_rounds(0, 2)
-        for seq_round, bat_round in zip(seq_decisions, bat_decisions):
-            assert set(seq_round) == set(bat_round)
-            for node_id in seq_round:
-                assert (
-                    seq_round[node_id].command_tuple()
-                    == bat_round[node_id].command_tuple()
-                )
-                assert seq_round[node_id].view == bat_round[node_id].view
+        _assert_same_decided_commands(seq_decisions, bat_decisions)
+        assert sequential.pool.total_pending() == batched.pool.total_pending() == 0
+
+    @pytest.mark.parametrize("setup", ["bcast", "pbft"])
+    def test_silent_block_leader_costs_one_view_for_every_round(self, setup):
+        behaviors = {"node-0": SilentBehavior()}
+        if setup == "bcast":
+            protocol, pool = _sync_setup(5, 2, behaviors)
+        else:
+            protocol = _pbft_setup(5, 2, behaviors, gst=0.0)
+            pool = protocol.pool
+        _submit_rounds(pool, 2, 4)
+        block = pool.peek_block(4)
+        decisions = protocol.decide_rounds(0, 4)
+        assert len(decisions) == 4
+        for round_index, round_decisions in enumerate(decisions):
+            assert set(round_decisions) == {f"node-{i}" for i in range(1, 5)}
+            for decision in round_decisions.values():
+                assert decision.round_index == round_index
+                assert (decision.view, decision.leader) == (1, "node-1")
+                assert decision.selected == block[2 * round_index : 2 * round_index + 2]
+        assert pool.total_pending() == 0
+
+
+_PAYLOAD_KEYS = ("commands", "clients", "sequences")
+
+
+def _rows(payload):
+    return [list(row) for row in zip(*(payload[key] for key in _PAYLOAD_KEYS))]
+
+
+def _payload(rows):
+    return {key: [row[i] for row in rows] for i, key in enumerate(_PAYLOAD_KEYS)}
+
+
+def _entry_row(entry):
+    return [list(entry.command), entry.client_id, entry.sequence]
+
+
+def _swap(rows, a, b):
+    rows[a], rows[b] = rows[b], rows[a]
+    return rows
+
+
+#: Block-leader proposals for a block of two rounds over K = 2 machines (row
+#: ``b * 2 + k`` is machine k's b-th pending entry) whose every row is still
+#: a genuine, pending submission — only its position is wrong.
+BLOCK_TAMPERS = {
+    "sequence_repeated_in_two_rows": lambda pool, rows: rows[:2] + rows[:1] + rows[3:],
+    "two_rows_of_one_machine_swapped": lambda pool, rows: _swap(rows, 0, 2),
+    "one_row_short": lambda pool, rows: rows[:-1],
+    "one_row_long": lambda pool, rows: rows + [_entry_row(pool.peek_block(3)[4])],
+}
+
+
+def _tampering_leader(cls, tamper):
+    """``cls`` whose default-Byzantine leader proposes ``tamper`` of the honest block."""
+
+    class TamperingLeader(cls):
+        def _forged_payload(self, payload):
+            return _payload(tamper(self.pool, _rows(payload)))
+
+    return TamperingLeader
+
+
+def _tampered_block(setup, tamper, rounds, path, pin_oracle):
+    """node-0 leads the block at round 0 and tampers; decide ``rounds - 1`` rounds."""
+    behaviors = {"node-0": RandomGarbageBehavior()}
+    if setup == "bcast":
+        protocol, pool = _sync_setup(
+            5, 2, behaviors, cls=_tampering_leader(AuthenticatedBroadcastConsensus, tamper)
+        )
+    else:
+        protocol = _pbft_setup(
+            4, 2, behaviors, cls=_tampering_leader(PBFTConsensus, tamper)
+        )
+        pool = protocol.pool
+    _submit_rounds(pool, 2, rounds)
+    count = rounds - 1
+    block = pool.peek_block(count)
+    if path == "oracle":
+        pin_oracle(protocol)
+    decisions = protocol.decide_rounds(0, count)
+    assert len(decisions) == count
+    for round_index, round_decisions in enumerate(decisions):
+        assert round_decisions
+        for decision in round_decisions.values():
+            # The tampered view failed; the next leader decided the genuine block.
+            assert (decision.view, decision.leader) == (1, "node-1")
+            assert decision.selected == block[2 * round_index : 2 * round_index + 2]
+    assert pool.total_pending() == 2  # the round left out of the block
+
+
+@pytest.mark.parametrize("path", ["plane", "oracle"])
+@pytest.mark.parametrize("setup", ["bcast", "pbft"])
+class TestBlockValidity:
+    """Validity binds every row of a block to its pool position.
+
+    A proposal built from genuine pending entries in the wrong places is
+    invalid — a view change — never a ``ConsensusError`` out of
+    ``mark_executed`` after the decision.
+    """
+
+    @pytest.mark.parametrize("tamper", sorted(BLOCK_TAMPERS))
+    def test_misplaced_rows_cost_a_view(self, setup, path, tamper, pin_oracle):
+        _tampered_block(setup, BLOCK_TAMPERS[tamper], 3, path, pin_oracle)
+
+    def test_forged_payload_coinciding_with_a_later_rounds_command(
+        self, setup, path, pin_oracle
+    ):
+        # Every round is submitted before its block is decided, so round 1's
+        # real commands are pending while round 0 is decided alone: a leader
+        # proposing them for round 0 must not pass validity.
+        def later_round(pool, rows):
+            return [_entry_row(entry) for entry in pool.peek_block(2)[2:]]
+
+        _tampered_block(setup, later_round, 2, path, pin_oracle)
 
 
 class _ClientForgingEquivocator(AuthenticatedBroadcastConsensus):
@@ -374,12 +507,13 @@ class TestPlaneTalliesAgainstOracle:
         return protocols
 
     def test_colliding_content_keys_resolve_first_seen_like_the_oracle(
-        self, record_deliveries
+        self, record_deliveries, pin_oracle
     ):
         behaviors = {"node-0": EquivocatingBehavior()}
         oracle, plane = self._pair(8, behaviors)
+        pin_oracle(oracle)
         with record_deliveries() as oracle_log:
-            oracle_decisions = [oracle.decide_round(r) for r in range(2)]
+            oracle_decisions = oracle.decide_rounds(0, 2)
         with record_deliveries() as plane_log:
             plane_decisions = plane.decide_rounds(0, 2)
         for orc, vec in zip(oracle_decisions, plane_decisions):
@@ -431,7 +565,9 @@ class _CountingHash:
 
 
 class TestRoundComplexityPin:
-    """A fault-free plane round costs O(N) MACs and O(1) canonicalisations.
+    """A fault-free plane block costs O(N) MACs and O(1) canonicalisations.
+
+    A block of eight rounds costs exactly what a block of one does.
 
     Counted, not timed: the hash constructor the registry keys its MAC states
     from and the payload normaliser are patched with counting stand-ins.
@@ -464,30 +600,47 @@ class TestRoundComplexityPin:
         monkeypatch.setattr(_CountingHash, "macs", 0)
         return counts
 
-    def _decide_one_round(self, protocol, counters):
+    def _decide_block(self, protocol, counters, count):
         # Keys (and their MAC states) were issued through the patched
-        # constructor at set-up; count the round alone.
+        # constructor at set-up; count the block alone.
         counters["canonicalisations"] = 0
         _CountingHash.macs = 0
-        (decisions,) = protocol.decide_rounds(0, 1)
-        assert len(decisions) == protocol.num_nodes
-        assert {d.view for d in decisions.values()} == {0}
+        decisions = protocol.decide_rounds(0, count)
+        assert len(decisions) == count
+        for round_decisions in decisions:
+            assert len(round_decisions) == protocol.num_nodes
+            assert {d.view for d in round_decisions.values()} == {0}
         assert protocol.fast_path_disabled == 0
+        assert protocol.pool.total_pending() == 0
         return counters["canonicalisations"], _CountingHash.macs
 
-    def test_broadcast_round_n32_k9(self, counters):
-        protocol, _ = _sync_setup(32, 9)
+    def _broadcast_n32_k9(self, counters, count):
+        protocol, pool = _sync_setup(32, 9)
+        _submit_rounds(pool, 9, count)
         # One proposal and N echoes, each signed once and verified once; all
-        # of them carry the one proposal payload.
-        assert self._decide_one_round(protocol, counters) == (1, 2 * (32 + 1))
+        # of them carry the one block payload, however many rounds it holds.
+        assert self._decide_block(protocol, counters, count) == (1, 2 * (32 + 1))
         assert protocol.network.messages_sent == (32 + 1) * 31
 
-    def test_pbft_round_n16(self, counters):
+    def _pbft_n16(self, counters, count):
         protocol = _pbft_setup(16, 4, gst=0.0)
-        # One pre-prepare, N prepares, N commits; the proposal payload and the
+        _submit_rounds(protocol.pool, 4, count)
+        # One pre-prepare, N prepares, N commits; the block payload and the
         # one vote payload the prepares and commits share.
-        assert self._decide_one_round(protocol, counters) == (2, 2 * (2 * 16 + 1))
+        assert self._decide_block(protocol, counters, count) == (2, 2 * (2 * 16 + 1))
         assert protocol.network.messages_sent == (2 * 16 + 1) * 15
+
+    def test_broadcast_round_n32_k9(self, counters):
+        self._broadcast_n32_k9(counters, 1)
+
+    def test_broadcast_block_of_eight_costs_one_round_n32_k9(self, counters):
+        self._broadcast_n32_k9(counters, 8)
+
+    def test_pbft_round_n16(self, counters):
+        self._pbft_n16(counters, 1)
+
+    def test_pbft_block_of_eight_costs_one_round_n16(self, counters):
+        self._pbft_n16(counters, 8)
 
 
 class TestDeadLetters:
