@@ -20,8 +20,7 @@ from repro.core.config import CSMConfig
 from repro.core.execution import CodedExecutionEngine
 from repro.machine.interface import StateMachine
 from repro.net.byzantine import ByzantineBehavior, RandomGarbageBehavior
-from repro.replication.full import FullReplicationSMR
-from repro.replication.partial import PartialReplicationSMR
+from repro.replication.engine import FullReplicationSMR, PartialReplicationSMR
 from repro.rng import default_stream
 
 

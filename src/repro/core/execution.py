@@ -31,11 +31,11 @@ from repro.lcc.decoder import CodedResultDecoder
 from repro.lcc.encoder import CodedStateEncoder
 from repro.lcc.scheme import LagrangeScheme
 from repro.machine.interface import StateMachine
-from repro.net.byzantine import ByzantineBehavior, HonestBehavior
-from repro.replication.base import BatchExecutionMixin, RoundResult
+from repro.net.byzantine import ByzantineBehavior, HonestBehavior, faulty_reports
 from repro.core.config import CSMConfig
 from repro.core.node import CSMNode
 from repro.rng import default_stream
+from repro.rounds import RoundResult, command_batch
 
 
 @dataclass
@@ -60,7 +60,7 @@ class _SpeculativeRound:
     pivot_entry: tuple
 
 
-class CodedExecutionEngine(BatchExecutionMixin):
+class CodedExecutionEngine:
     """Executes CSM rounds over an in-memory bank of nodes."""
 
     def __init__(
@@ -225,7 +225,7 @@ class CodedExecutionEngine(BatchExecutionMixin):
         exactly like any other command — ragged traffic costs nothing extra
         in this pipeline.
         """
-        batch_arr = self._validate_batch(commands_batch)
+        batch_arr = command_batch(self.machine, self.num_machines, commands_batch)
         if self.decode_at_every_node:
             return [self.execute_round(batch_arr[b]) for b in range(batch_arr.shape[0])]
         # Stage 1: encode every round's commands in one matrix product.  The
@@ -307,7 +307,7 @@ class CodedExecutionEngine(BatchExecutionMixin):
             raise ConfigurationError(
                 f"verify_window must be positive, got {verify_window}"
             )
-        batch_arr = self._validate_batch(commands_batch)
+        batch_arr = command_batch(self.machine, self.num_machines, commands_batch)
         batch_eval = getattr(self.machine.transition, "evaluate_result_vectors", None)
         if self.decode_at_every_node or batch_eval is None or self.freeze_on_failure:
             # Per-recipient decoding models equivocation, non-polynomial
@@ -653,27 +653,22 @@ class CodedExecutionEngine(BatchExecutionMixin):
         ops += step_counter.multiplications // self.num_nodes
         return true_results
 
-    def _draw_faulty_rows(self, true_results: np.ndarray) -> dict:
+    def _draw_faulty_rows(
+        self, true_results: np.ndarray, recipient: str | None = None
+    ) -> dict:
         """What each Byzantine node reports this round (``None``: nothing).
 
-        Only the sparse set of faulty nodes runs its behaviour transform —
-        in node order, so the rng stream is consumed exactly as in the
-        scalar path's dense loop (honest transforms never draw from it and
-        never delay).  The rows are kept apart from the honest stack so a
-        rollback replay can re-use them without re-drawing.
+        The shared fault-report rule (:func:`~repro.net.byzantine.\
+faulty_reports`) over one row per node, in node order.  The rows are kept
+        apart from the honest stack so a rollback replay can re-use them
+        without re-drawing.
         """
-        faulty_rows: dict[int, np.ndarray | None] = {}
-        for node in self.nodes:
-            if not node.is_faulty:
-                continue
-            value = node.report_result(
-                true_results[node.node_index], self.rng, recipient=None
-            )
-            if value is None or node.behavior.delays_message():
-                faulty_rows[node.node_index] = None
-            else:
-                faulty_rows[node.node_index] = self.field.array(value).reshape(-1)
-        return faulty_rows
+        senders = [
+            (node.node_index, node.node_id, node.behavior)
+            for node in self.nodes
+            if node.is_faulty
+        ]
+        return faulty_reports(self.field, senders, true_results, self.rng, recipient)
 
     def _reported(
         self, true_results: np.ndarray, faulty_rows: dict
@@ -827,16 +822,8 @@ class CodedExecutionEngine(BatchExecutionMixin):
         self, true_results: np.ndarray, recipient: str | None
     ) -> list[np.ndarray | None]:
         """The per-sender results as seen by ``recipient`` (or by 'the network')."""
-        reported: list[np.ndarray | None] = []
-        for node in self.nodes:
-            value = node.report_result(
-                true_results[node.node_index], self.rng, recipient=recipient
-            )
-            if value is None or node.behavior.delays_message():
-                reported.append(None)
-            else:
-                reported.append(self.field.array(value).reshape(-1))
-        return reported
+        faulty_rows = self._draw_faulty_rows(true_results, recipient)
+        return [faulty_rows.get(i, true_results[i]) for i in range(self.num_nodes)]
 
     def _decode_phase(
         self,

@@ -100,17 +100,6 @@ class CSMNode:
             self.field.attach_counter(None)
         return result
 
-    def report_result(
-        self,
-        true_result: np.ndarray,
-        rng: np.random.Generator,
-        recipient: str | None = None,
-    ) -> np.ndarray | None:
-        """What this node actually sends (behaviour-transformed, or ``None``)."""
-        return self.behavior.transform_result(
-            self.field, self.node_id, true_result, rng, recipient=recipient
-        )
-
     def update_coded_state(self, decoded_next_states: np.ndarray) -> None:
         """``chi_i``: refresh the stored coded state from the decoded states."""
         self.field.attach_counter(self.counter)

@@ -38,9 +38,8 @@ from repro.intermix.committee import Committee
 from repro.intermix.worker import WorkerStrategy
 from repro.lcc.scheme import LagrangeScheme
 from repro.machine.interface import StateMachine
-from repro.replication.base import RoundResult
 from repro.rng import default_stream
-from repro.rounds import ProtocolRound, RoundProtocol
+from repro.rounds import ProtocolRound, RoundProtocol, RoundResult
 
 
 class DelegationRoundProtocol(RoundProtocol):

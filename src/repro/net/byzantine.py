@@ -24,6 +24,7 @@ Honest nodes use :class:`HonestBehavior`, which returns values unchanged.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Iterable
 
 import numpy as np
 
@@ -144,8 +145,10 @@ class WindowedBehavior(ByzantineBehavior):
     """Applies an ``inner`` behaviour only inside a round window.
 
     The window is ``[start_round, end_round)`` in 0-based rounds, counted
-    per :meth:`transform_result` call — i.e. per round under the engines'
-    single-representative decode.  ``end_round=None`` leaves the window
+    per :meth:`transform_result` call — i.e. per round under the coded
+    engine's single-representative decode and under partial replication,
+    but per replica (``K`` a round) under full replication, where a node
+    reports one row per machine.  ``end_round=None`` leaves the window
     open-ended (the onset shape); a bounded window is a fault *burst*; a
     window starting at 0 with a bound is the "until" shape.  Composing
     these three combinators with the base behaviours gives schedules and
@@ -210,6 +213,35 @@ class FaultOnsetBehavior(WindowedBehavior):
     def __init__(self, inner: ByzantineBehavior, onset_round: int) -> None:
         super().__init__(inner, start_round=onset_round)
         self.onset_round = self.start_round
+
+
+def faulty_reports(
+    field: Field,
+    senders: Iterable[tuple[int, str, ByzantineBehavior]],
+    true_rows: np.ndarray,
+    rng: np.random.Generator,
+    recipient: str | None = None,
+) -> dict[int, np.ndarray | None]:
+    """The fault-report rule: what each Byzantine sender puts on the wire.
+
+    ``senders`` lists ``(row, node_id, behavior)`` for the faulty rows of
+    ``true_rows`` only, in send order.  Each behaviour transforms its own
+    true row, so the rng stream is consumed in that order and honest rows
+    never touch it.  A row maps to ``None`` when its sender stays silent or
+    delays past the round deadline.  Both execution engines apply this one
+    rule: the coded engine with one row per node, the replication baselines
+    with one row per replica.
+    """
+    reports: dict[int, np.ndarray | None] = {}
+    for row, node_id, behavior in senders:
+        value = behavior.transform_result(
+            field, node_id, true_rows[row], rng, recipient=recipient
+        )
+        if value is None or behavior.delays_message():
+            reports[row] = None
+        else:
+            reports[row] = field.array(value).reshape(-1)
+    return reports
 
 
 _BEHAVIOR_FACTORIES = {

@@ -1,33 +1,30 @@
 """State machine replication baselines (Section 3 of the paper).
 
 Two classic schemes are implemented so the Table 1 comparison can be
-regenerated empirically:
+regenerated empirically, as two layouts of one array round
+(:mod:`repro.replication.engine`):
 
-* :class:`~repro.replication.full.FullReplicationSMR` — every node stores and
-  executes all ``K`` machines.  Security ``floor((N-1)/2)`` (majority of
+* :class:`~repro.replication.engine.FullReplicationSMR` — every node stores
+  and executes all ``K`` machines.  Security ``floor((N-1)/2)`` (majority of
   responses), storage efficiency 1, throughput ``Theta(1)``.
-* :class:`~repro.replication.partial.PartialReplicationSMR` — the nodes are
+* :class:`~repro.replication.engine.PartialReplicationSMR` — the nodes are
   partitioned into ``K`` groups of ``q = N / K`` nodes and each group
   replicates one machine.  Storage efficiency and throughput improve by a
   factor ``K``, but security drops to ``floor((q-1)/2)`` because an adversary
   can concentrate its corruptions on a single group.
 
-Both reuse the same consensus protocols as CSM and both deliver outputs to
-clients through the ``b+1`` matching-responses rule implemented in
-:mod:`repro.replication.client`.
+Both report faults through the coded engine's rule
+(:func:`~repro.net.byzantine.faulty_reports`) and deliver outputs to clients
+through the matching-responses rule of :mod:`repro.replication.client`.
 """
 
-from repro.replication.client import OutputCollector, majority_value
-from repro.replication.full import FullReplicationSMR
-from repro.replication.partial import PartialReplicationSMR
-from repro.replication.base import RoundResult
+from repro.replication.client import accept_matching
+from repro.replication.engine import FullReplicationSMR, PartialReplicationSMR
 from repro.replication.protocol import ReplicationProtocol
 
 __all__ = [
-    "OutputCollector",
-    "majority_value",
+    "accept_matching",
     "FullReplicationSMR",
     "PartialReplicationSMR",
     "ReplicationProtocol",
-    "RoundResult",
 ]

@@ -1,19 +1,19 @@
-"""Round-protocol facade over the replication baseline engines.
+"""Round-protocol facade over an execution engine without a consensus phase.
 
-The replication engines (:class:`~repro.replication.full.FullReplicationSMR`,
-:class:`~repro.replication.partial.PartialReplicationSMR`) execute rounds but
-keep no client-facing history — the experiment harnesses used to drive them
-directly and interpret the raw :class:`~repro.replication.base.RoundResult`
-records.  :class:`ReplicationProtocol` wraps any such engine in the shared
+The execution engines (:class:`~repro.replication.engine.FullReplicationSMR`,
+:class:`~repro.replication.engine.PartialReplicationSMR`, and the coded
+:class:`~repro.core.execution.CodedExecutionEngine`) execute rounds but keep
+no client-facing history; the measurement harnesses drive them directly and
+read the raw :class:`~repro.rounds.RoundResult` records.
+:class:`ReplicationProtocol` wraps any such engine in the shared
 :class:`~repro.rounds.RoundProtocol` surface, so the client-session service
-(:mod:`repro.service`) can serve ragged traffic over a replication backend
-exactly as it does over the coded :class:`~repro.core.protocol.CSMProtocol`:
-same command tickets, same verified-only delivery, same failure book-keeping.
+(:mod:`repro.service`) can serve ragged traffic over it exactly as it does
+over the coded :class:`~repro.core.protocol.CSMProtocol`: same command
+tickets, same verified-only delivery, same failure and retry book-keeping.
 
-The baselines have no consensus phase of their own in this harness (the
-paper runs the identical consensus protocol in front of every scheme, so the
-comparison isolates the execution phase); the facade therefore records every
-round with ``consensus_views = 0``.
+The facade runs no consensus phase (the paper puts the identical consensus
+protocol in front of every scheme, so the comparison isolates the execution
+phase); it records every round with ``consensus_views = 0``.
 """
 
 from __future__ import annotations
@@ -27,19 +27,19 @@ from repro.rounds import ProtocolRound, RoundProtocol
 
 
 class ReplicationProtocol(RoundProtocol):
-    """Drives a replication execution engine through the round-protocol API.
+    """Drives an execution engine through the round-protocol API.
 
     Parameters
     ----------
     engine:
-        Any engine exposing the :class:`~repro.replication.base.\
-BatchExecutionMixin` surface (``machine``, ``num_machines``,
-        ``execute_rounds``) — the full- and partial-replication baselines,
-        or the coded engine itself when consensus is out of scope.
+        Any engine with ``machine``, ``num_machines``, ``execute_rounds``
+        and a ``freeze_on_failure`` switch — the full- and
+        partial-replication baselines, or the coded engine itself when
+        consensus is out of scope.
     """
 
     def __init__(self, engine) -> None:
-        for attr in ("machine", "num_machines", "execute_rounds"):
+        for attr in ("machine", "num_machines", "execute_rounds", "freeze_on_failure"):
             if not hasattr(engine, attr):
                 raise ConfigurationError(
                     f"engine {type(engine).__name__} lacks the round-execution "
@@ -52,6 +52,10 @@ BatchExecutionMixin` surface (``machine``, ``num_machines``,
     @property
     def num_machines(self) -> int:
         return int(self.engine.num_machines)
+
+    def freeze_failed_rounds(self) -> None:
+        """Make failed rounds leave the engine's state unadvanced (retry support)."""
+        self.engine.freeze_on_failure = True
 
     def run_rounds_batched(
         self,

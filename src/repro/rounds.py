@@ -1,12 +1,13 @@
-"""Shared round-protocol surface: the per-round record and the driver interface.
+"""Shared round surface: the per-round records and the driver interface.
 
 The client-session service (:mod:`repro.service`) must be able to drive any
 round-executing backend — the coded :class:`~repro.core.protocol.CSMProtocol`
 and the replication baselines behind
 :class:`~repro.replication.protocol.ReplicationProtocol` — through one
-interface.  :class:`RoundProtocol` is that interface, extracted from the
-parts ``CSMProtocol`` and :mod:`repro.replication.base` used to duplicate:
+interface.  :class:`RoundProtocol` is that interface:
 
+* :class:`RoundResult` — what every execution engine (coded, full or
+  partial replication, delegated) reports for one round;
 * :class:`ProtocolRound` — the per-round history record (consensus decision
   plus execution result);
 * :class:`RoundHistory` — the reports read off the history, shared with the
@@ -14,16 +15,16 @@ parts ``CSMProtocol`` and :mod:`repro.replication.base` used to duplicate:
   failed, never as delivered.
 
 Backends implement :meth:`RoundProtocol.run_rounds_batched`, which accepts
-``B`` pre-grouped rounds of exactly one command per machine, plus (new in
-this interface) the per-round client identities, so the service can attribute
-each delivered output to the :class:`~repro.service.tickets.CommandTicket`
-that submitted it instead of relying on reused ``client:k`` labels.
+``B`` pre-grouped rounds of exactly one command per machine, plus the
+per-round client identities, so the service can attribute each delivered
+output to the :class:`~repro.service.tickets.CommandTicket` that submitted
+it instead of relying on reused ``client:k`` labels.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -32,7 +33,77 @@ from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
     from repro.machine.interface import StateMachine
-    from repro.replication.base import RoundResult
+
+
+@dataclass
+class RoundResult:
+    """Outcome of executing one round under some scheme.
+
+    Attributes
+    ----------
+    round_index:
+        Round number.
+    outputs:
+        Array of shape ``(K, output_dim)`` with the outputs accepted by the
+        clients (reference-correct outputs when ``correct`` is True).
+    states:
+        Array of shape ``(K, state_dim)`` with the true next states as
+        recovered by the scheme (for CSM, the decoded states).
+    correct:
+        True when every client accepted exactly the reference output and
+        every honest node's recovered state matches the reference execution.
+    ops_per_node:
+        Mapping from node id to the number of field operations that node
+        performed in the execution phase (the ``c(rho) + c(psi) + c(chi)`` of
+        the throughput definition).
+    diagnostics:
+        Free-form per-scheme details (decoded error positions, consensus
+        view numbers, delegation audit outcomes, ...).
+    """
+
+    round_index: int
+    outputs: np.ndarray
+    states: np.ndarray
+    correct: bool
+    ops_per_node: dict[str, int] = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def total_ops(self) -> int:
+        return int(sum(self.ops_per_node.values()))
+
+    @property
+    def mean_ops_per_node(self) -> float:
+        if not self.ops_per_node:
+            return 0.0
+        return self.total_ops / len(self.ops_per_node)
+
+    def throughput(self, num_machines: int) -> float:
+        """Commands processed per unit per-node operation (the paper's lambda).
+
+        ``lambda = K / (sum_i ops_i / N)``; larger is better.
+        """
+        if self.mean_ops_per_node == 0:
+            return float("inf")
+        return num_machines / self.mean_ops_per_node
+
+
+def command_batch(machine: StateMachine, num_machines: int, commands_batch) -> np.ndarray:
+    """Canonicalise an engine's command batch to ``(B, K, command_dim)``.
+
+    A single ``(K, command_dim)`` round is promoted to a batch of one.  The
+    one batch check of every execution engine's ``execute_rounds``.
+    """
+    arr = machine.field.array(commands_batch)
+    if arr.ndim == 2:
+        arr = arr[None, :, :]
+    expected = (num_machines, machine.command_dim)
+    if arr.ndim != 3 or arr.shape[1:] != expected:
+        raise ConfigurationError(
+            f"expected a command batch of shape (B, {expected[0]}, {expected[1]}), "
+            f"got {arr.shape}"
+        )
+    return arr
 
 
 @dataclass
@@ -232,8 +303,7 @@ class RoundProtocol(RoundHistory, ABC):
         whose failed rounds would otherwise advance state must freeze it so
         re-driving the same commands is idempotent.  The default is a no-op
         for backends where failed rounds already leave state untouched (the
-        delegated-verification backend voids the round at genesis;
-        replication baselines never fail verification).
+        delegated-verification backend voids the round at genesis).
         """
 
     # -- shared history -----------------------------------------------------------------

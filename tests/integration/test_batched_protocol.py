@@ -16,7 +16,7 @@ from repro.net.byzantine import (
     EquivocatingBehavior,
     RandomGarbageBehavior,
 )
-from repro.replication.base import RoundResult
+from repro.rounds import RoundResult
 
 
 def _protocol(big_field, num_nodes=8, num_machines=2, behaviors=None, num_faults=1):

@@ -17,7 +17,7 @@ from repro.net.byzantine import (
     RandomGarbageBehavior,
     SilentBehavior,
 )
-from repro.replication.full import FullReplicationSMR
+from repro.replication import FullReplicationSMR, PartialReplicationSMR
 
 
 class TestFullProtocolSynchronous:
@@ -94,8 +94,6 @@ class TestCSMvsReplicationEquivalence:
         assert csm_result.states.tolist() == rep_result.states.tolist()
 
     def test_csm_survives_fault_level_that_breaks_partial_replication(self, big_field, rng):
-        from repro.replication.partial import PartialReplicationSMR
-
         machine = bank_account_machine(big_field, num_accounts=1)
         num_nodes, num_machines = 12, 4
         commands = rng.integers(1, 50, size=(num_machines, 1))

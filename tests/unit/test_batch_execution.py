@@ -21,8 +21,7 @@ from repro.exceptions import ConfigurationError
 from repro.gf.matrix_cache import clear_matrix_cache, matrix_cache_info
 from repro.machine.library import bank_account_machine
 from repro.net.byzantine import RandomGarbageBehavior, SilentBehavior
-from repro.replication.full import FullReplicationSMR
-from repro.replication.partial import PartialReplicationSMR
+from repro.replication import FullReplicationSMR, PartialReplicationSMR
 
 
 def _coded_engine(field, num_nodes, num_machines, behaviors, seed=3, **config_kwargs):
@@ -128,7 +127,7 @@ class TestCodedBatchPipeline:
         assert info.get("transfer", 0) >= 1
 
 
-class TestReplicationBatchMixin:
+class TestReplicationBatches:
     def test_full_replication_execute_rounds(self, big_field):
         machine = bank_account_machine(big_field, num_accounts=2)
         node_ids = [f"node-{i}" for i in range(6)]

@@ -127,14 +127,6 @@ class TestCSMNode:
         alpha = scheme.alphas[2]
         assert result.tolist() == [h.evaluate(alpha) for h in composites]
 
-    def test_report_result_honest_vs_corrupt(self, big_field, rng):
-        node, *_ = self._node(big_field)
-        value = np.array([1, 2, 3, 4])
-        assert node.report_result(value, rng).tolist() == value.tolist()
-        faulty, *_ = self._node(big_field, behavior=CorruptResultBehavior())
-        assert faulty.report_result(value, rng).tolist() != value.tolist()
-        assert faulty.is_faulty
-
     def test_counter_accumulates_and_resets(self, big_field, rng):
         node, scheme, *_ = self._node(big_field)
         commands = rng.integers(0, 100, size=(3, 2))

@@ -13,6 +13,7 @@ from repro.net.byzantine import (
     RandomGarbageBehavior,
     SilentBehavior,
     behavior_from_name,
+    faulty_reports,
 )
 from repro.net.latency import PartiallySynchronousDelay, SynchronousDelay
 from repro.net.message import Message, MessageKind
@@ -283,3 +284,25 @@ class TestByzantineBehaviors:
     def test_fault_onset_behavior_rejects_negative_onset(self):
         with pytest.raises(ValueError):
             FaultOnsetBehavior(RandomGarbageBehavior(), onset_round=-1)
+
+    def test_faulty_reports_transform_only_faulty_rows(self, big_field):
+        rows = np.array([[1, 2], [3, 4], [5, 6], [7, 8]])
+        senders = [
+            (0, "a", CorruptResultBehavior(offset=1)),
+            (2, "c", SilentBehavior()),
+            (3, "d", DelayingBehavior()),
+        ]
+        reports = faulty_reports(big_field, senders, rows, np.random.default_rng(0))
+        assert reports.keys() == {0, 2, 3}
+        assert reports[0].tolist() == [2, 3]
+        assert reports[2] is None and reports[3] is None  # silent, too late
+
+    def test_faulty_reports_draw_in_sender_order(self, big_field):
+        rows = np.zeros((3, 2), dtype=np.int64)
+        senders = [(2, "c", RandomGarbageBehavior()), (0, "a", RandomGarbageBehavior())]
+        reports = faulty_reports(big_field, senders, rows, np.random.default_rng(5))
+        stream = np.random.default_rng(5)
+        first = big_field.random_array(stream, (2,))
+        second = big_field.random_array(stream, (2,))
+        assert reports[2].tolist() == first.tolist()
+        assert reports[0].tolist() == second.tolist()

@@ -3,55 +3,70 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError, SecurityViolation
+from repro.exceptions import ConfigurationError
 from repro.machine.library import bank_account_machine, quadratic_market_machine
-from repro.net.byzantine import RandomGarbageBehavior, SilentBehavior
-from repro.replication.client import OutputCollector, majority_value
-from repro.replication.full import FullReplicationSMR
-from repro.replication.partial import PartialReplicationSMR
+from repro.gf.field import OperationCounter
+from repro.net.byzantine import (
+    CorruptResultBehavior,
+    HonestBehavior,
+    RandomGarbageBehavior,
+    SilentBehavior,
+    WindowedBehavior,
+)
+from repro.replication import (
+    FullReplicationSMR,
+    PartialReplicationSMR,
+    accept_matching,
+)
 
 
-class TestOutputCollector:
-    def test_majority_value(self):
-        assert majority_value([(1,), (1,), (2,)]) == (1,)
-        assert majority_value([(1,), (2,)]) is None
-        assert majority_value([]) is None
+def _group(*values, missing=()):
+    """One machine's replica group of one-component reports."""
+    reports = np.array([[[v] for v in values]])
+    present = np.ones((1, len(values)), dtype=bool)
+    present[0, list(missing)] = False
+    return reports, present
 
+
+class TestAcceptMatching:
     def test_threshold_acceptance(self):
-        collector = OutputCollector(machine_index=0, round_index=0)
-        collector.add_response("a", np.array([5]))
-        collector.add_response("b", np.array([5]))
-        collector.add_response("c", np.array([9]))
-        assert collector.accept_with_threshold(2) == (5,)
-        assert collector.accept_with_threshold(3) is None
-        assert collector.accept_majority() == (5,)
+        reports, present = _group(5, 5, 9)
+        accepted, found = accept_matching(reports, present, 2)
+        assert found.tolist() == [True] and accepted.tolist() == [[5]]
+        accepted, found = accept_matching(reports, present, 3)
+        assert found.tolist() == [False] and accepted.tolist() == [[0]]
 
-    def test_verify_against_raises_on_wrong_accepted_value(self):
-        collector = OutputCollector(machine_index=0, round_index=0)
-        collector.add_response("a", np.array([9]))
-        collector.add_response("b", np.array([9]))
-        with pytest.raises(SecurityViolation):
-            collector.verify_against(np.array([5]), threshold=2)
+    def test_missing_replies_do_not_count(self):
+        reports, present = _group(5, 5, 9, missing=[1])
+        accepted, found = accept_matching(reports, present, 2)
+        assert found.tolist() == [False]
 
-    def test_verify_against_true_when_correct(self):
-        collector = OutputCollector(machine_index=0, round_index=0)
-        collector.add_response("a", np.array([5]))
-        assert collector.verify_against(np.array([5]), threshold=1)
+    def test_wrong_value_reaching_threshold_is_accepted(self):
+        # The client cannot tell a wrong majority from a right one: a value
+        # that reaches the threshold is accepted, and the engine records the
+        # round as incorrect against its reference.
+        reports, present = _group(9, 9, 5)
+        accepted, found = accept_matching(reports, present, 2)
+        assert found.tolist() == [True] and accepted.tolist() == [[9]]
 
-    def test_conflicting_threshold_values_raise(self):
+    def test_conflicting_threshold_values_accept_neither(self):
         # Two *distinct* values each backed by >= threshold nodes means at
         # least one honest node supported each — the fault bound is broken,
-        # and picking the Counter-insertion-order winner would be arbitrary.
-        collector = OutputCollector(machine_index=0, round_index=0)
-        collector.add_response("a", np.array([5]))
-        collector.add_response("b", np.array([5]))
-        collector.add_response("c", np.array([9]))
-        collector.add_response("d", np.array([9]))
-        with pytest.raises(SecurityViolation):
-            collector.accept_with_threshold(2)
+        # and picking either would be arbitrary.
+        reports, present = _group(5, 5, 9, 9)
+        accepted, found = accept_matching(reports, present, 2)
+        assert found.tolist() == [False] and accepted.tolist() == [[0]]
         # A threshold only one value reaches still accepts normally.
-        collector.add_response("e", np.array([5]))
-        assert collector.accept_with_threshold(3) == (5,)
+        reports, present = _group(5, 5, 9, 9, 5)
+        accepted, found = accept_matching(reports, present, 3)
+        assert found.tolist() == [True] and accepted.tolist() == [[5]]
+
+    def test_machines_accept_independently(self):
+        reports = np.array([[[1, 2], [1, 2], [7, 7]], [[3, 4], [8, 8], [9, 9]]])
+        present = np.ones((2, 3), dtype=bool)
+        accepted, found = accept_matching(reports, present, 2)
+        assert found.tolist() == [True, False]
+        assert accepted.tolist() == [[1, 2], [0, 0]]
 
 
 def _node_ids(n):
@@ -165,3 +180,140 @@ class TestPartialReplication:
         ).execute_round(commands)
         partial = PartialReplicationSMR(machine, k, _node_ids(n)).execute_round(commands)
         assert partial.throughput(k) > full.throughput(k)
+
+
+class TestOneArrayRound:
+    """Both baselines are layouts of one array round (``ReplicationEngine``)."""
+
+    @staticmethod
+    def _step_cost(machine, commands):
+        counter = OperationCounter()
+        machine.field.attach_counter(counter)
+        try:
+            machine.step(machine.initial_state, commands[0])
+        finally:
+            machine.field.attach_counter(None)
+        return counter.total
+
+    @pytest.mark.parametrize("layout, per_node", [("full", 3), ("partial", 1)])
+    def test_node_pays_one_step_per_hosted_replica(self, big_field, layout, per_node):
+        machine = quadratic_market_machine(big_field)
+        commands = np.array([[1, 2], [3, 4], [5, 6]])
+        engine_type = FullReplicationSMR if layout == "full" else PartialReplicationSMR
+        behaviors = {"node-1": RandomGarbageBehavior()}
+        engine = engine_type(machine, 3, _node_ids(6), behaviors, np.random.default_rng(0))
+        result = engine.execute_round(commands)
+        cost = self._step_cost(machine, commands)
+        assert result.ops_per_node == {n: per_node * cost for n in _node_ids(6)}
+
+    def test_forged_reports_are_not_charged(self, big_field):
+        # The shared fault-report rule runs uncounted, as in the coded
+        # engine: a corrupting node pays its honest step, not its forgery.
+        machine = bank_account_machine(big_field, num_accounts=2)
+        commands = np.array([[1, 1], [2, 2]])
+        honest = FullReplicationSMR(machine, 2, _node_ids(4)).execute_round(commands)
+        corrupt = FullReplicationSMR(
+            machine, 2, _node_ids(4), {"node-0": CorruptResultBehavior()}
+        ).execute_round(commands)
+        assert corrupt.correct
+        assert corrupt.ops_per_node == honest.ops_per_node
+
+    def test_only_honest_replicas_advance(self, big_field):
+        machine = bank_account_machine(big_field, num_accounts=1)
+        engine = PartialReplicationSMR(
+            machine, 2, _node_ids(4), {"node-1": SilentBehavior()},
+            np.random.default_rng(0),
+        )
+        engine.execute_rounds(np.full((3, 2, 1), 5))
+        assert engine.replicas[:, 0].tolist() == [15, 0, 15, 15]
+        assert engine.states[:, 0].tolist() == [15, 15]
+
+    def test_full_replication_storage_and_groups(self, big_field):
+        machine = bank_account_machine(big_field, num_accounts=1)
+        engine = FullReplicationSMR(machine, 3, _node_ids(5))
+        assert engine.group_size == 5
+        assert engine.replicas.shape == (15, 1)
+
+
+def _loop_reference(layout, machine, num_machines, node_ids, behaviors, rng, batch):
+    """The per-node, per-machine loop both baselines used to run, as a reference.
+
+    Returns ``(outputs, correct, ops_per_node)`` per round, plus the final
+    true states.  Forged reports are uncounted, as in the shared rule.
+    """
+    field, num_nodes = machine.field, len(node_ids)
+    group_size = num_nodes // num_machines
+    hosted = {
+        i: list(range(num_machines)) if layout == "full" else [i // group_size]
+        for i in range(num_nodes)
+    }
+    replicas = {(i, k): machine.initial_state.copy() for i in hosted for k in hosted[i]}
+    states = np.tile(machine.initial_state, (num_machines, 1))
+    rounds = []
+    for commands in batch:
+        faulty = [n for n in node_ids if behaviors.get(n, HonestBehavior()).is_faulty]
+        threshold = len(faulty) + 1 if layout == "full" else group_size // 2 + 1
+        reference = [machine.step(states[k], commands[k]) for k in range(num_machines)]
+        responses = [[] for _ in range(num_machines)]
+        ops = {}
+        for i, node_id in enumerate(node_ids):
+            behavior = behaviors.get(node_id, HonestBehavior())
+            counter = OperationCounter()
+            for k in hosted[i]:
+                field.attach_counter(counter)
+                try:
+                    next_state, output = machine.step(replicas[i, k], commands[k])
+                finally:
+                    field.attach_counter(None)
+                if not behavior.is_faulty:
+                    replicas[i, k] = next_state
+                    responses[k].append(tuple(output.tolist()))
+                    continue
+                sent = behavior.transform_result(field, node_id, output, rng)
+                if sent is not None and not behavior.delays_message():
+                    responses[k].append(tuple(np.asarray(sent).tolist()))
+            ops[node_id] = counter.total
+        outputs = np.zeros((num_machines, machine.output_dim), dtype=np.int64)
+        correct = True
+        for k, replies in enumerate(responses):
+            reaching = {v for v in replies if replies.count(v) >= threshold}
+            accepted = reaching.pop() if len(reaching) == 1 else None
+            if accepted is not None:
+                outputs[k] = accepted
+            correct &= accepted == tuple(reference[k][1].tolist())
+        states = np.array([step[0] for step in reference])
+        rounds.append((outputs.tolist(), correct, ops))
+    return rounds, states
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_array_round_matches_the_loop_reference(big_field, seed):
+    pick = np.random.default_rng(seed)
+    layout = ("full", "partial")[seed % 2]
+    num_machines = int(pick.integers(1, 4))
+    num_nodes = num_machines * int(pick.integers(1, 5))
+    machine = (bank_account_machine(big_field, 2), quadratic_market_machine(big_field))[
+        seed % 3 == 0
+    ]
+    kinds = (RandomGarbageBehavior, SilentBehavior, CorruptResultBehavior,
+             lambda: WindowedBehavior(SilentBehavior(), 1, 3))
+    node_ids = _node_ids(num_nodes)
+    chosen = pick.choice(num_nodes, size=int(pick.integers(0, num_nodes + 1)), replace=False)
+    behaviors = {node_ids[i]: kinds[int(pick.integers(0, 4))]() for i in chosen}
+    ref_behaviors = {n: type(b)() if not isinstance(b, WindowedBehavior)
+                     else WindowedBehavior(SilentBehavior(), 1, 3)
+                     for n, b in behaviors.items()}
+    batch = pick.integers(0, 100, size=(4, num_machines, machine.command_dim))
+    engine_type = FullReplicationSMR if layout == "full" else PartialReplicationSMR
+    engine = engine_type(
+        machine, num_machines, node_ids, behaviors, np.random.default_rng(seed)
+    )
+    results = engine.execute_rounds(batch)
+    ref_rng = np.random.default_rng(seed)
+    expected, states = _loop_reference(
+        layout, machine, num_machines, node_ids, ref_behaviors, ref_rng, batch
+    )
+    got = [(r.outputs.tolist(), r.correct, r.ops_per_node) for r in results]
+    assert got == expected
+    assert engine.states.tolist() == states.tolist()
+    assert engine.rng.bit_generator.state == ref_rng.bit_generator.state

@@ -15,7 +15,7 @@ from repro.core.config import CSMConfig
 from repro.core.protocol import CSMProtocol
 from repro.exceptions import ConfigurationError, ServiceError
 from repro.machine.library import affine_kv_machine, bank_account_machine
-from repro.net.byzantine import RandomGarbageBehavior
+from repro.net.byzantine import RandomGarbageBehavior, SilentBehavior, WindowedBehavior
 from repro.replication import FullReplicationSMR, PartialReplicationSMR, ReplicationProtocol
 from repro.rounds import RoundProtocol
 from repro.service import (
@@ -24,6 +24,7 @@ from repro.service import (
     CommandTicket,
     FailureReason,
     QosPolicy,
+    RetryPolicy,
     RoundScheduler,
     ThrottleReason,
     TicketState,
@@ -342,6 +343,30 @@ class TestReplicationFacade:
             )
         assert facade.run_rounds_batched([]) == []
 
+    def test_retry_replays_a_failed_round_against_frozen_state(self, big_field):
+        # node-0 and node-1 are silent in round 0 only, so group 0's lone
+        # honest reply misses the majority.  The retry must replay the
+        # command once against unadvanced state, not apply it twice.
+        machine = bank_account_machine(big_field, num_accounts=2)
+        behaviors = {
+            f"node-{i}": WindowedBehavior(SilentBehavior(), 0, 1) for i in (0, 1)
+        }
+        engine = PartialReplicationSMR(
+            machine, 2, [f"node-{i}" for i in range(6)], behaviors,
+            rng=np.random.default_rng(0),
+        )
+        service = CSMService(
+            ReplicationProtocol(engine),
+            retry=RetryPolicy(max_attempts=3, backoff_ticks=1),
+        )
+        ticket = service.connect("alice").submit(0, [3, 4])
+        service.drain()
+        assert ticket.state is TicketState.EXECUTED
+        assert ticket.result().tolist() == [3, 4]
+        assert [r.correct for r in service.history] == [False, True]
+        assert service.history[0].result.diagnostics["state_frozen"] is True
+        assert engine.states.tolist() == [[3, 4], [0, 0]]
+
     @pytest.mark.parametrize("width", [1, 4])
     def test_facade_rejects_client_rounds_of_the_wrong_width(self, big_field, width):
         # K = 3: a short round used to drop the unnamed machines' outputs
@@ -388,11 +413,12 @@ class TestNoopCommands:
                 clone.noop_command(), machine.noop_command()
             )
 
-    def test_engines_expose_noop_round(self, big_field):
+    def test_all_noop_round_leaves_states_unchanged(self, big_field):
         backend = _replication_backend(big_field)
-        round_ = backend.engine.noop_round()
-        assert round_.shape == (3, 2)
-        assert not round_.any()
+        noop_round = np.tile(backend.machine.noop_command(), (3, 1))
+        first, idle = backend.run_rounds_batched([np.ones((3, 2)), noop_round])
+        assert idle.correct
+        np.testing.assert_array_equal(idle.result.states, first.result.states)
 
 
 class TestPipelineFlag:
