@@ -48,7 +48,7 @@ def main() -> None:
     partial_result = partial.execute_round(commands)
     print("Partial replication (groups of", partial.group_size, "nodes):")
     for detail in partial_result.diagnostics["groups"]:
-        status = "OK " if detail["accepted_correct"] else "BROKEN"
+        status = "OK " if detail["accepted"] else "BROKEN"
         print(f"  ledger {detail['group']}: {status} "
               f"({detail['faulty']} corrupted replicas in its group)")
     print("  round correct overall:", partial_result.correct)

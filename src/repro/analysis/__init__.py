@@ -11,6 +11,9 @@
 * :mod:`repro.analysis.measurement` — drives the actual execution engines to
   *measure* security / storage / throughput so the experiments can put
   paper-formula and measured values side by side.
+* :mod:`repro.analysis.safety` — the replaying checker: the true machines
+  replayed over delivered rounds, flagging every wrong value a scheme
+  accepted (the engines themselves run no reference machine).
 """
 
 from repro.analysis.metrics import (
@@ -35,6 +38,7 @@ from repro.analysis.measurement import (
     measure_csm,
     find_breaking_faults,
 )
+from repro.analysis.safety import SafetyReport, replay_rounds
 
 __all__ = [
     "SchemeMetrics",
@@ -54,4 +58,6 @@ __all__ = [
     "measure_partial_replication",
     "measure_csm",
     "find_breaking_faults",
+    "SafetyReport",
+    "replay_rounds",
 ]

@@ -4,8 +4,9 @@ These helpers are the bridge between the library and the experiment /
 benchmark layer: each one builds a scheme (full replication, partial
 replication, or CSM), injects a chosen number of Byzantine nodes, runs a few
 rounds of a workload and reports measured security (did every client still
-obtain the correct output?), storage efficiency, and throughput (commands per
-unit per-node field operation).
+obtain the correct output?  the replaying checker of
+:mod:`repro.analysis.safety` decides), storage efficiency, and throughput
+(commands per unit per-node field operation).
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ import numpy as np
 
 from repro.exceptions import DecodingError, SecurityViolation
 from repro.core.config import CSMConfig
+from repro.analysis.safety import replay_rounds
 from repro.core.execution import CodedExecutionEngine
 from repro.machine.interface import StateMachine
 from repro.net.byzantine import ByzantineBehavior, RandomGarbageBehavior
 from repro.replication.engine import FullReplicationSMR, PartialReplicationSMR
 from repro.rng import default_stream
+from repro.rounds import RoundResult
 
 
 def wall_clock() -> float:
@@ -97,56 +100,47 @@ def _execute_workload(
 
     Returns ``(all_correct, mean_ops_per_node, failed_rounds)``.  A round is
     *failed* when its engine call raises (:class:`SecurityViolation` /
-    :class:`DecodingError`) or when it returns an incorrect result (wrong
-    accepted output, decoding failure past the radius).  Failed rounds stay
-    in the denominator: nodes spent the work whether or not the clients got
-    a correct answer, and dropping them used to bias ``mean_ops_per_node``
-    (and hence throughput) upward exactly when faults bite.  For rounds that
-    raise, per-node operations are recovered from the engine's node counters
-    when the engine keeps them (CSM); otherwise the round is reported in
-    ``failed_rounds`` but cannot contribute operations.
+    :class:`DecodingError`), when it fails (no output accepted, decoding
+    failure past the radius), or when the replaying checker
+    (:func:`~repro.analysis.safety.replay_rounds`) finds a wrong value among
+    what it delivered.  Failed rounds stay in the denominator: nodes spent
+    the work whether or not the clients got a correct answer, and dropping
+    them used to bias ``mean_ops_per_node`` (and hence throughput) upward
+    exactly when faults bite.  For rounds that raise, per-node operations
+    are recovered from the engine's node counters when the engine keeps them
+    (CSM); otherwise the round is reported in ``failed_rounds`` but cannot
+    contribute operations.
     """
-    all_correct = True
     ops: list[float] = []
-    failed_rounds = 0
+    raised = 0
+    executed: list[tuple[np.ndarray, RoundResult]] = []
+
+    def count_raised(rounds: int) -> None:
+        nonlocal raised
+        raised += rounds
+        nodes = getattr(engine, "nodes", None)
+        if nodes:
+            ops.append(float(np.mean([node.counter.total for node in nodes])))
+
     if batched:
         try:
-            results = engine.execute_rounds(np.stack(workload))
+            executed = list(zip(workload, engine.execute_rounds(np.stack(workload))))
         except (SecurityViolation, DecodingError):
             # Same contract as the scalar branch: a raising engine loses its
             # per-round records, but every requested round is still reported
             # as executed-and-failed (current engines record failures in the
             # RoundResult instead of raising, so this is a safety net).
-            all_correct = False
-            failed_rounds = len(workload)
-            nodes = getattr(engine, "nodes", None)
-            if nodes:
-                ops.append(float(np.mean([node.counter.total for node in nodes])))
-            results = []
-        for result in results:
-            if not result.correct:
-                failed_rounds += 1
-                all_correct = False
-            ops.append(result.mean_ops_per_node)
+            count_raised(len(workload))
     else:
         for commands in workload:
             try:
-                result = engine.execute_round(commands)
+                executed.append((commands, engine.execute_round(commands)))
             except (SecurityViolation, DecodingError):
-                failed_rounds += 1
-                all_correct = False
-                nodes = getattr(engine, "nodes", None)
-                if nodes:
-                    ops.append(
-                        float(np.mean([node.counter.total for node in nodes]))
-                    )
-                continue
-            if not result.correct:
-                failed_rounds += 1
-                all_correct = False
-            ops.append(result.mean_ops_per_node)
+                count_raised(1)
+    ops.extend(result.mean_ops_per_node for _, result in executed)
+    failed_rounds = raised + int((~replay_rounds(engine.machine, executed).right).sum())
     mean_ops = float(np.mean(ops)) if ops else 0.0
-    return all_correct, mean_ops, failed_rounds
+    return failed_rounds == 0, mean_ops, failed_rounds
 
 
 def measure_full_replication(

@@ -10,10 +10,10 @@ The package is organised around four classes:
   polynomial directly on coded data, and (optionally) decodes the results it
   receives from its peers.
 * :class:`~repro.core.execution.CodedExecutionEngine` — drives the execution
-  phase of one round across all nodes, injecting Byzantine behaviour, running
-  the Reed–Solomon decoding and verifying correctness against the reference
-  (uncoded) execution.  Supports the synchronous and the partially
-  synchronous (``N - b`` responses, erasure + error) decoding rules.
+  phase of one round across all nodes, injecting Byzantine behaviour and
+  running the Reed–Solomon decoding; a round is correct when it decodes.
+  Supports the synchronous and the partially synchronous (``N - b``
+  responses, erasure + error) decoding rules.
 * :class:`~repro.core.protocol.CSMProtocol` — the full protocol: client
   command submission, consensus phase over the simulated network, coded
   execution phase, and output delivery back to clients.

@@ -11,8 +11,15 @@ Given the commands agreed in the consensus phase, the engine:
    obtain every machine's true ``(S_k(t+1), Y_k(t))``;
 4. has every honest node update its coded state with its own coefficient
    row (equation (1));
-5. verifies the recovered values against the reference (uncoded) execution
-   and reports per-node operation counts for the throughput metric.
+5. reports per-node operation counts for the throughput metric.
+
+A round is ``correct`` when it decodes within the radius — what the nodes
+themselves can observe.  The engine runs no uncoded machine beside the coded
+one: a round that fails to decode advances nothing, and the engine keeps only
+the last decoded states.  Beyond the radius a crafted corruption can decode,
+and verify, to a wrong output that is then delivered; the paper promises
+nothing there, and the replaying checker of :mod:`repro.analysis.safety` is
+what flags it.
 
 Both the synchronous rule (decode from all ``N`` results, up to ``b`` wrong)
 and the partially synchronous rule (decode from ``N - b`` results, up to
@@ -55,7 +62,6 @@ class _SpeculativeRound:
     coded_commands: np.ndarray
     matrix: np.ndarray
     faulty_rows: dict
-    reference: np.ndarray
     ops: np.ndarray
     pivot_entry: tuple
 
@@ -82,7 +88,7 @@ class CodedExecutionEngine:
         self.field = config.field
         self.rng = rng if rng is not None else default_stream()
         self.decode_at_every_node = bool(decode_at_every_node)
-        self.node_ids = list(node_ids) if node_ids else [
+        self.node_ids = list(node_ids) if node_ids is not None else [
             f"node-{i}" for i in range(config.num_nodes)
         ]
         if len(self.node_ids) != config.num_nodes:
@@ -95,7 +101,9 @@ class CodedExecutionEngine:
         )
         self.encoder = CodedStateEncoder(self.scheme)
         self.decoder = CodedResultDecoder(self.scheme, transition_degree=config.degree)
-        # Reference (true) states; shape (K, state_dim).
+        # The last decoded states, shape (K, state_dim): what a failed round
+        # reports, what a resynced node re-encodes and what a pipelined
+        # rollback restores the honest rows to.
         self.states = np.tile(machine.initial_state, (config.num_machines, 1))
         # The one resident copy of the coded states, shape (N, state_dim):
         # row i *is* node i's storage (CodedStateStore adopts the canonical
@@ -122,18 +130,8 @@ class CodedExecutionEngine:
         self._suspects: set[int] = set()
         # pivot -> entry of _pipeline_pivot_cache.
         self._fused_refresh_cache: dict[tuple, tuple] = {}
-        # Rollback anchors of the pipelined call in flight: its first round
-        # index, the bank entering it, and the decoded states of the last
-        # resolved round that refreshed (None until one has).
+        # The first round index of the pipelined call in flight.
         self._pipeline_round_base = 0
-        self._pipeline_initial_bank: np.ndarray | None = None
-        self._pipeline_resolved_refresh: np.ndarray | None = None
-        # When True, a round that fails verification (or fails to decode)
-        # advances *nothing*: the reference states stay put and honest nodes
-        # keep their coded states, so resubmitting the same commands is
-        # idempotent.  The service retry path enables this; the default False
-        # preserves the legacy "the true machines move on regardless" rule.
-        self.freeze_on_failure = False
 
     # -- structural metrics --------------------------------------------------------------
     @property
@@ -163,12 +161,13 @@ class CodedExecutionEngine:
         raise ConfigurationError(f"unknown node id {node_id}")
 
     def resync_node(self, node_id: str) -> None:
-        """Re-install a node's coded state from the current reference states.
+        """Re-install a node's coded state from the last decoded states.
 
         The state-transfer step of crash recovery (and of a Byzantine burst
         ending): a node that sat out — or corrupted — rounds never refreshed
         its coded row, so before it can contribute to decoding again it must
-        re-encode the current true states.  Uncounted (out-of-band repair,
+        re-encode the states the honest nodes last decoded, as a replica's
+        state transfer would.  Uncounted (out-of-band repair,
         not part of the per-round cost model); also clears the node from the
         decoder's suspect set, since its row is now trustworthy.
         """
@@ -190,7 +189,7 @@ class CodedExecutionEngine:
         for node in self.nodes:
             coded_command = node.encode_command(commands_arr)
             true_results[node.node_index] = node.execute_coded(coded_command)
-        return self._complete_round(commands_arr, true_results)
+        return self._complete_round(true_results)
 
     def execute_rounds(self, commands_batch: np.ndarray) -> list[RoundResult]:
         """Run a batch of ``B`` rounds through the cached-matrix pipeline.
@@ -238,20 +237,13 @@ class CodedExecutionEngine:
         for b in range(batch_arr.shape[0]):
             ops = self._round_ops()
             true_results = self._coded_step(coded_commands[b], ops)
-            next_states, reference = self._reference_round(batch_arr[b])
             faulty_rows = self._draw_faulty_rows(true_results)
-            result = self._resolve_round(
-                self.round_index,
-                self._reported(true_results, faulty_rows),
-                reference,
-                ops,
+            results.append(
+                self._resolve_round(
+                    self.round_index, self._reported(true_results, faulty_rows), ops
+                )
             )
-            # The true machines move on regardless — unless the round is
-            # frozen for retry.
-            if "state_frozen" not in result.diagnostics:
-                self.states = next_states
             self.round_index += 1
-            results.append(result)
         return results
 
     # -- speculative pipelined execution -------------------------------------------------
@@ -281,8 +273,7 @@ class CodedExecutionEngine:
         On a verification mismatch the engine rolls back: the first
         unconfirmed round is decoded through the scalar-capable path, the
         honest coded states are restored from the last verified checkpoint
-        (the decoded states of the last resolved round that refreshed, or
-        the states this call started from), and the invalidated suffix of
+        (the last decoded states), and the invalidated suffix of
         the window is deterministically re-executed — honest results are
         recomputed from the repaired states while the Byzantine rows and
         the rng stream are replayed from the speculation-time cache.  The
@@ -309,29 +300,22 @@ class CodedExecutionEngine:
             )
         batch_arr = command_batch(self.machine, self.num_machines, commands_batch)
         batch_eval = getattr(self.machine.transition, "evaluate_result_vectors", None)
-        if self.decode_at_every_node or batch_eval is None or self.freeze_on_failure:
-            # Per-recipient decoding models equivocation, non-polynomial
-            # transitions have no stacked surface to speculate over, and
-            # freeze-on-failure contradicts speculation (which eagerly
-            # advances state every round): in all three cases the
-            # batched/scalar path runs unchanged.
+        if self.decode_at_every_node or batch_eval is None:
+            # Per-recipient decoding models equivocation, and non-polynomial
+            # transitions have no stacked surface to speculate over: in both
+            # cases the batched/scalar path runs unchanged.
             return self.execute_rounds(batch_arr)
         coded_commands = self.encoder.encode_batch(batch_arr)
         num_rounds = batch_arr.shape[0]
         results: list[RoundResult | None] = [None] * num_rounds
         window: list[_SpeculativeRound] = []
-        # Rollback anchors: the coded states entering this call, then the
-        # decoded states of the last resolved round that refreshed.
         self._pipeline_round_base = self.round_index
-        self._pipeline_initial_bank = self._bank.copy()
-        self._pipeline_resolved_refresh = None
         window_target = 1
         pivot_cache: tuple | None = None
         state_dim = self.machine.state_dim
         for b in range(num_rounds):
             ops = self._round_ops()
             true_results = self._coded_step(coded_commands[b], ops)
-            self.states, reference = self._reference_round(batch_arr[b])
             faulty_rows = self._draw_faulty_rows(true_results)
             if any(row is None for row in faulty_rows.values()):
                 # Partial presence: flush speculation, then resolve this
@@ -351,7 +335,6 @@ class CodedExecutionEngine:
                 results[b] = self._resolve_round(
                     self._pipeline_round_base + b,
                     self._reported(true_results, faulty_rows),
-                    reference,
                     ops,
                     "inline",
                 )
@@ -369,9 +352,7 @@ class CodedExecutionEngine:
             )
             self._charge_refresh(ops)
             window.append(
-                _SpeculativeRound(
-                    b, coded_commands[b], matrix, faulty_rows, reference, ops, pivot_cache
-                )
+                _SpeculativeRound(b, coded_commands[b], matrix, faulty_rows, ops, pivot_cache)
             )
             if len(window) >= min(window_target, verify_window):
                 next_target, rolled_back = self._resolve_pipeline_window(
@@ -432,14 +413,13 @@ class CodedExecutionEngine:
                 self._pipeline_round_base + entry.batch_index,
                 candidate,
                 error_nodes,
-                bool(np.array_equal(candidate, entry.reference)),
                 entry.ops,
                 spec_ops + verify_share,
                 {"batched": True, "pipelined": True, "speculation": "confirmed"},
             )
             for node in self.honest_nodes():
                 node.storage.note_refresh()
-            self._pipeline_resolved_refresh = candidate[:, :state_dim]
+            self.states = candidate[:, :state_dim]
         if rollback_at is None:
             window.clear()
             return min(window_target * 2, verify_window), False
@@ -454,7 +434,6 @@ class CodedExecutionEngine:
         results[entry.batch_index] = self._resolve_round(
             self._pipeline_round_base + entry.batch_index,
             entry.matrix,
-            entry.reference,
             entry.ops,
             "rollback",
         )
@@ -464,7 +443,6 @@ class CodedExecutionEngine:
             results[entry.batch_index] = self._resolve_round(
                 self._pipeline_round_base + entry.batch_index,
                 self._reported(true_results, entry.faulty_rows),
-                entry.reference,
                 ops,
                 "replayed",
             )
@@ -475,7 +453,6 @@ class CodedExecutionEngine:
         self,
         round_index: int,
         reported: "np.ndarray | list[np.ndarray | None]",
-        reference: np.ndarray,
         ops: np.ndarray,
         speculation: str | None = None,
     ) -> RoundResult:
@@ -487,8 +464,9 @@ class CodedExecutionEngine:
         suspect-learning fast path and refresh every honest row of the bank
         in one write.  ``ops`` is the round's per-node tally so far.  A
         rollback round's speculative refresh already charged ``chi_i`` (so
-        repairing the installed values must not charge it twice) and, when
-        it fails to decode, the last verified checkpoint is restored instead.
+        repairing the installed values must not charge it twice).  A round
+        that fails to decode advances nothing: the honest rows keep (a
+        rollback round restores) the encoding of the last decoded states.
         """
         extras: dict = {"batched": True}
         if speculation is not None:
@@ -502,41 +480,22 @@ class CodedExecutionEngine:
             extras["decoding_error"] = str(exc)
         finally:
             self.field.attach_counter(None)
-        state_dim = self.machine.state_dim
         if decoded is None:
-            # The true states stand in for book-keeping; no output is accepted.
-            outputs = np.zeros_like(reference)
-            outputs[:, :state_dim] = reference[:, :state_dim]
-            error_nodes: tuple[int, ...] = ()
-        else:
-            outputs, error_nodes = decoded.outputs, decoded.error_nodes
-        correct = decoded is not None and bool(np.array_equal(outputs, reference))
-        if self.freeze_on_failure and not correct:
-            # A frozen round (retry mode, verification or decode failed)
-            # must not advance anything — neither the honest coded states
-            # (a refresh from a wrong decode would desynchronise them from
-            # the frozen reference) nor the reference states — so the same
-            # commands can be re-driven later against identical state.
-            extras["state_frozen"] = True
-        elif decoded is not None:
-            self._refresh_honest_states(self._encode_states(outputs[:, :state_dim]))
-            for node in self.honest_nodes():
-                node.storage.note_refresh()
-            if speculation != "rollback":
-                self._charge_refresh(ops)
-            if speculation is not None:
-                self._pipeline_resolved_refresh = outputs[:, :state_dim]
-        elif speculation == "rollback":
-            self._restore_honest_states()
+            if speculation == "rollback":
+                self._restore_honest_states()
+            return self._round_result(
+                round_index, self._unadvanced(), (), ops, decode_counter.total, extras,
+                decoding_failed=True,
+            )
+        self.states = decoded.outputs[:, : self.machine.state_dim]
+        self._refresh_honest_states(self._encode_states(self.states))
+        for node in self.honest_nodes():
+            node.storage.note_refresh()
+        if speculation != "rollback":
+            self._charge_refresh(ops)
         return self._round_result(
-            round_index,
-            outputs,
-            error_nodes,
-            correct,
-            ops,
-            decode_counter.total,
+            round_index, decoded.outputs, decoded.error_nodes, ops, decode_counter.total,
             extras,
-            decoding_failed=decoded is None,
         )
 
     def _round_result(
@@ -544,13 +503,12 @@ class CodedExecutionEngine:
         round_index: int,
         decoded_outputs: np.ndarray,
         error_nodes: tuple[int, ...],
-        correct: bool,
         ops: np.ndarray,
         decode_ops: int,
         extras: dict,
         decoding_failed: bool = False,
     ) -> RoundResult:
-        """The record of one stacked round.
+        """The record of one stacked round, correct when it decoded.
 
         Every honest node performs the (identical) decoding, so a decode
         that succeeded is charged to each of them on top of the round's
@@ -563,7 +521,7 @@ class CodedExecutionEngine:
             round_index=round_index,
             outputs=decoded_outputs[:, state_dim:],
             states=decoded_outputs[:, :state_dim].copy(),
-            correct=correct,
+            correct=not decoding_failed,
             ops_per_node={
                 node.node_id: total for node, total in zip(self.nodes, ops.tolist())
             },
@@ -610,7 +568,7 @@ class CodedExecutionEngine:
         the one place the encode charging formula lives for the batched
         round loop, the speculative rounds and every replay.  The stacked
         paths tally in this vector; ``CSMNode.counter`` belongs to the
-        scalar reference path.
+        scalar path.
         """
         encode = self.machine.command_dim * (2 * self.num_machines - 1)
         return np.full(self.num_nodes, encode, dtype=np.int64)
@@ -710,12 +668,18 @@ faulty_reports`) over one row per node, in node order.  The rows are kept
         ops[self._honest_rows()] += self.machine.state_dim * (2 * self.num_machines - 1)
 
     def _restore_honest_states(self) -> None:
-        """Roll honest coded states back to the last verified checkpoint."""
-        if self._pipeline_resolved_refresh is None:
-            checkpoint = self._pipeline_initial_bank
-        else:
-            checkpoint = self._encode_states(self._pipeline_resolved_refresh)
-        self._refresh_honest_states(checkpoint)
+        """Roll honest coded states back to the last verified checkpoint:
+        the encoding of the last decoded states."""
+        self._refresh_honest_states(self._encode_states(self.states))
+
+    def _unadvanced(self) -> np.ndarray:
+        """A failed round's ``(K, result_dim)`` record: the last decoded
+        states, and no output."""
+        unadvanced = np.zeros(
+            (self.num_machines, self.machine.transition.result_dim), dtype=np.int64
+        )
+        unadvanced[:, : self.machine.state_dim] = self.states
+        return unadvanced
 
     def _check_commands(self, commands: np.ndarray) -> np.ndarray:
         commands_arr = self.field.array(commands)
@@ -726,14 +690,8 @@ faulty_reports`) over one row per node, in node order.  The rows are kept
             )
         return commands_arr
 
-    def _complete_round(
-        self, commands_arr: np.ndarray, true_results: np.ndarray
-    ) -> RoundResult:
-        """Steps 3-5 of the scalar reference round: decode, update, account."""
-        # Reference execution (ground truth used only for verification).
-        reference_states, reference_outputs = self._reference_step(commands_arr)
-        reference_results = np.concatenate([reference_states, reference_outputs], axis=1)
-
+    def _complete_round(self, true_results: np.ndarray) -> RoundResult:
+        """Steps 3-5 of the scalar round: decode, update, account."""
         # Step 3: gather what each node reports and decode.
         decode_counter = OperationCounter()
         diagnostics: dict = {}
@@ -743,32 +701,17 @@ faulty_reports`) over one row per node, in node order.  The rows are kept
             )
             decoding_failed = False
         except DecodingError as exc:
-            decoded_outputs = None
+            decoded_outputs = self._unadvanced()
             error_nodes = ()
             decoding_failed = True
             diagnostics["decoding_error"] = str(exc)
 
-        correct = False
-        decoded_states = reference_states  # fallback for book-keeping on failure
-        accepted_outputs = np.zeros_like(reference_outputs)
+        # Step 4: honest nodes refresh their coded states from the decoded
+        # states; a round that failed to decode advances nothing.
         if not decoding_failed:
-            decoded_states = decoded_outputs[:, : self.machine.state_dim]
-            accepted_outputs = decoded_outputs[:, self.machine.state_dim :]
-            correct = bool(
-                np.array_equal(decoded_outputs, reference_results)
-            )
-
-        # A frozen round (retry mode, verification or decode failed) must
-        # not advance anything — neither the honest coded states (a refresh
-        # from a wrong decode would desynchronise them from the frozen
-        # reference) nor the reference states below — so the same commands
-        # can be re-driven later against identical state.
-        frozen = self.freeze_on_failure and (decoding_failed or not correct)
-
-        # Step 4: honest nodes refresh their coded states from the decoded states.
-        if not decoding_failed and not frozen:
+            self.states = decoded_outputs[:, : self.machine.state_dim]
             for node in self.honest_nodes():
-                node.update_coded_state(decoded_states)
+                node.update_coded_state(self.states)
 
         # Operation accounting: every honest node performs the (identical)
         # decoding, so the decode cost is charged to each of them (per-node
@@ -780,12 +723,6 @@ faulty_reports`) over one row per node, in node order.  The rows are kept
                 ops += decode_counter.total if not self.decode_at_every_node else 0
             ops_per_node[node.node_id] = ops
 
-        # Advance the reference state (the true machines move on regardless
-        # — unless the round is frozen for retry).
-        if frozen:
-            diagnostics["state_frozen"] = True
-        else:
-            self.states = reference_states
         self.round_index += 1
         diagnostics.update(
             {
@@ -798,26 +735,14 @@ faulty_reports`) over one row per node, in node order.  The rows are kept
         )
         return RoundResult(
             round_index=self.round_index - 1,
-            outputs=accepted_outputs,
-            states=decoded_states.copy(),
-            correct=correct,
+            outputs=decoded_outputs[:, self.machine.state_dim :],
+            states=decoded_outputs[:, : self.machine.state_dim].copy(),
+            correct=not decoding_failed,
             ops_per_node=ops_per_node,
             diagnostics=diagnostics,
         )
 
     # -- internals ----------------------------------------------------------------------------
-    def _reference_step(self, commands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # One vectorised pass over the K reference machines; StateMachine
-        # falls back to scalar steps for transitions without a batched
-        # surface, so the values match the per-machine loop bit for bit.
-        return self.machine.step_batch(self.states, commands)
-
-    def _reference_round(self, commands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ground truth for one stacked round: the next true states, and the
-        ``(K, result_dim)`` matrix a correct decode must equal."""
-        states, outputs = self._reference_step(commands)
-        return states, np.concatenate([states, outputs], axis=1)
-
     def _reported_results(
         self, true_results: np.ndarray, recipient: str | None
     ) -> list[np.ndarray | None]:

@@ -330,7 +330,3 @@ class CSMProtocol(RoundProtocol):
         if target not in self.node_ids:
             raise ConfigurationError(f"unknown fault target node {target!r}")
         return target
-
-    def freeze_failed_rounds(self) -> None:
-        """Make failed rounds leave all state unadvanced (retry support)."""
-        self.engine.freeze_on_failure = True

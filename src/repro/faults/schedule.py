@@ -146,7 +146,7 @@ class FaultSchedule:
 
         A crashed node is silent in consensus *and* contributes no coded row
         until recovery, when a state transfer re-encodes its row from the
-        current reference states.  ``until=None`` leaves it down for good.
+        last decoded states.  ``until=None`` leaves it down for good.
         """
         self.add(FaultEvent(round_index=at, kind="crash", target=str(node)))
         if until is not None:

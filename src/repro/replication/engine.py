@@ -12,14 +12,20 @@ replicates which machine:
 steps:
 
 1. one :meth:`~repro.machine.interface.StateMachine.step_batch` over the
-   stack of every replica's state (honest replicas advance, faulty ones go
-   stale);
+   stack of every replica's state;
 2. the coded engine's fault-report rule
    (:func:`~repro.net.byzantine.faulty_reports`), one row per replica;
 3. one client acceptance over every machine's replica group
    (:func:`~repro.replication.client.accept_matching`);
 4. per-node operation counts in one ``int64`` tally: every replica row costs
    the same counted step, and a node pays for each replica it hosts.
+
+A round is ``correct`` when every client reached its matching-replies
+threshold; then the honest replicas advance (faulty ones go stale), and a
+failed round advances nothing.  The engine runs no reference machine, so a
+wrong value that colluding replicas push past a client's threshold is
+accepted and counts as correct: the replaying checker of
+:mod:`repro.analysis.safety` is what flags it.
 
 The layouts' Table 1 entries follow from the group size ``G`` (``N`` or
 ``q``) and the replicas per node (``K`` or 1): security is a minority of one
@@ -82,13 +88,9 @@ class ReplicationEngine(ABC):
         self._replicas_per_node = np.bincount(
             self._replica_node, minlength=self.num_nodes
         )
-        # Reference (true) states, and every replica's state.
-        self.states = np.tile(machine.initial_state, (self.num_machines, 1))
+        # Every replica's state.
         self.replicas = np.tile(machine.initial_state, (order.size, 1))
         self.round_index = 0
-        # When True (the retry-enabled service sets it), a round some client
-        # could not accept advances nothing, so re-driving it is idempotent.
-        self.freeze_on_failure = False
 
     # -- structural metrics --------------------------------------------------------------
     @property
@@ -114,14 +116,23 @@ class ReplicationEngine(ABC):
     def _faulty_nodes(self) -> np.ndarray:
         return np.array([self.behavior_of(n).is_faulty for n in self.node_ids])
 
+    @property
+    def states(self) -> np.ndarray:
+        """``(K, state_dim)``: each machine's state as its first honest replica
+        holds it (its first replica, when none of its group is honest)."""
+        honest = ~self._faulty_nodes()[self._replica_node][self._group_rows]
+        first = honest.argmax(axis=1)
+        return self.replicas[self._group_rows[np.arange(self.num_machines), first]]
+
     # -- layout rules -----------------------------------------------------------------
     @abstractmethod
     def _threshold(self) -> int:
         """Matching replies a client waits for before accepting an output."""
 
     @abstractmethod
-    def _diagnostics(self, threshold: int, accepted_correct: np.ndarray) -> dict:
-        """The round's layout-specific diagnostics."""
+    def _diagnostics(self, threshold: int, accepted: np.ndarray) -> dict:
+        """The round's layout-specific diagnostics (``accepted[k]``: machine
+        ``k``'s client reached its threshold)."""
 
     # -- execution -------------------------------------------------------------------------
     def execute_round(self, commands: np.ndarray) -> RoundResult:
@@ -135,8 +146,6 @@ class ReplicationEngine(ABC):
         return [self._round(commands) for commands in batch]
 
     def _round(self, commands: np.ndarray) -> RoundResult:
-        # Reference execution (ground truth used for verification only).
-        next_states, reference = self.machine.step_batch(self.states, commands)
         counter = OperationCounter()
         self.field.attach_counter(counter)
         try:
@@ -162,24 +171,19 @@ class ReplicationEngine(ABC):
         accepted, found = accept_matching(
             outputs[self._group_rows], present[self._group_rows], threshold
         )
-        accepted_correct = found & np.all(accepted == reference, axis=1)
-        correct = bool(accepted_correct.all())
-        diagnostics = self._diagnostics(threshold, accepted_correct)
-        if self.freeze_on_failure and not correct:
-            diagnostics["state_frozen"] = True
-        else:
+        correct = bool(found.all())
+        if correct:
             # Honest replicas advance; faulty ones keep their stale state.
             self.replicas[~faulty] = replica_states[~faulty]
-            self.states = next_states
         ops = counter.total // len(outputs) * self._replicas_per_node
         self.round_index += 1
         return RoundResult(
             round_index=self.round_index - 1,
             outputs=accepted,
-            states=next_states.copy(),
+            states=self.states,
             correct=correct,
             ops_per_node=dict(zip(self.node_ids, ops.tolist())),
-            diagnostics=diagnostics,
+            diagnostics=self._diagnostics(threshold, found),
         )
 
 
@@ -211,7 +215,7 @@ class FullReplicationSMR(ReplicationEngine):
     def _threshold(self) -> int:
         return self.num_faulty + 1
 
-    def _diagnostics(self, threshold: int, accepted_correct: np.ndarray) -> dict:
+    def _diagnostics(self, threshold: int, accepted: np.ndarray) -> dict:
         return {"threshold": threshold, "num_faulty": self.num_faulty}
 
 
@@ -251,10 +255,10 @@ class PartialReplicationSMR(ReplicationEngine):
     def _threshold(self) -> int:
         return self.group_size // 2 + 1
 
-    def _diagnostics(self, threshold: int, accepted_correct: np.ndarray) -> dict:
+    def _diagnostics(self, threshold: int, accepted: np.ndarray) -> dict:
         faulty = self._faulty_nodes().reshape(self.num_machines, -1).sum(axis=1)
         groups = [
-            {"group": k, "faulty": int(f), "accepted_correct": ok}
-            for k, (f, ok) in enumerate(zip(faulty, accepted_correct.tolist()))
+            {"group": k, "faulty": int(f), "accepted": ok}
+            for k, (f, ok) in enumerate(zip(faulty, accepted.tolist()))
         ]
         return {"groups": groups, "group_size": self.group_size}

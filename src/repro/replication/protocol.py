@@ -32,14 +32,15 @@ class ReplicationProtocol(RoundProtocol):
     Parameters
     ----------
     engine:
-        Any engine with ``machine``, ``num_machines``, ``execute_rounds``
-        and a ``freeze_on_failure`` switch — the full- and
-        partial-replication baselines, or the coded engine itself when
-        consensus is out of scope.
+        Any engine with ``machine``, ``num_machines`` and
+        ``execute_rounds`` — the full- and partial-replication baselines, or
+        the coded engine itself when consensus is out of scope.  Every such
+        engine leaves its state unadvanced when a round fails, so the
+        service can re-drive the round's commands.
     """
 
     def __init__(self, engine) -> None:
-        for attr in ("machine", "num_machines", "execute_rounds", "freeze_on_failure"):
+        for attr in ("machine", "num_machines", "execute_rounds"):
             if not hasattr(engine, attr):
                 raise ConfigurationError(
                     f"engine {type(engine).__name__} lacks the round-execution "
@@ -52,10 +53,6 @@ class ReplicationProtocol(RoundProtocol):
     @property
     def num_machines(self) -> int:
         return int(self.engine.num_machines)
-
-    def freeze_failed_rounds(self) -> None:
-        """Make failed rounds leave the engine's state unadvanced (retry support)."""
-        self.engine.freeze_on_failure = True
 
     def run_rounds_batched(
         self,

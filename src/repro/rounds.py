@@ -45,13 +45,20 @@ class RoundResult:
         Round number.
     outputs:
         Array of shape ``(K, output_dim)`` with the outputs accepted by the
-        clients (reference-correct outputs when ``correct`` is True).
+        clients (zeros when the round failed).
     states:
-        Array of shape ``(K, state_dim)`` with the true next states as
-        recovered by the scheme (for CSM, the decoded states).
+        Array of shape ``(K, state_dim)`` with the states the scheme's nodes
+        hold after the round (for CSM the decoded states, for replication
+        each machine's honest replica); a failed round reports them
+        unadvanced.
     correct:
-        True when every client accepted exactly the reference output and
-        every honest node's recovered state matches the reference execution.
+        True when every client could accept an output: the coded round
+        decoded within the decoding radius, or every replication client
+        reached its matching-replies threshold.  It is what the nodes and
+        clients observe, not a comparison with the true machines: past the
+        fault bound a wrong output can be accepted with ``correct`` True,
+        and :func:`repro.analysis.safety.replay_rounds` is what flags it.  A
+        failed round advances no state.
     ops_per_node:
         Mapping from node id to the number of field operations that node
         performed in the execution phase (the ``c(rho) + c(psi) + c(chi)`` of
@@ -295,16 +302,6 @@ class RoundProtocol(RoundHistory, ABC):
         ``pipeline=True`` against any backend.
         """
         return self.run_rounds_batched(command_batches, client_rounds)
-
-    def freeze_failed_rounds(self) -> None:
-        """Ask the backend to leave state unadvanced when a round fails.
-
-        The retry-enabled service calls this once at construction: a backend
-        whose failed rounds would otherwise advance state must freeze it so
-        re-driving the same commands is idempotent.  The default is a no-op
-        for backends where failed rounds already leave state untouched (the
-        delegated-verification backend voids the round at genesis).
-        """
 
     # -- shared history -----------------------------------------------------------------
     def _record_round(

@@ -32,9 +32,8 @@ clients" section):
 * :class:`~repro.service.retry.RetryPolicy` — the self-healing layer:
   rounds failing with a retryable cause re-enqueue their commands with
   backoff (``COMMITTED -> RETRYING -> COMMITTED``) instead of terminally
-  failing, against backends frozen via
-  :meth:`~repro.rounds.RoundProtocol.freeze_failed_rounds`; pairs with the
-  :mod:`repro.faults` injection plane and the per-shard
+  failing, replaying against backend state no failed round advanced;
+  pairs with the :mod:`repro.faults` injection plane and the per-shard
   :class:`~repro.service.service.ShardHealth` tracking;
 * :mod:`repro.service.traffic` — deterministic open-loop workloads
   (:class:`~repro.service.traffic.PoissonProcess`,

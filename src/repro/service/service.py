@@ -187,9 +187,10 @@ class CSMService(RoundHistory):
         When True, :meth:`drive` runs each tick's batches through the
         backend's :meth:`~repro.rounds.RoundProtocol.run_rounds_pipelined`
         (the speculative decode/execute overlap) instead of the plain
-        batched path.  The recorded history and every ticket outcome are
-        bit-identical either way; overlapping scheduler ticks simply spend
-        less wall-clock in the execution phase.
+        batched path — on shards with neither retry nor a fault schedule;
+        those run the batched path either way.  The recorded history and
+        every ticket outcome are bit-identical either way; overlapping
+        scheduler ticks simply spend less wall-clock in the execution phase.
     qos:
         Optional :class:`~repro.service.qos.QosPolicy`.  ``None`` (or a
         default-constructed, disabled policy) reproduces the plain service
@@ -200,9 +201,9 @@ class CSMService(RoundHistory):
         Optional :class:`~repro.service.retry.RetryPolicy`.  When enabled
         (``max_attempts > 1``) a round that fails with a retryable cause
         re-enqueues its commands after ``backoff_ticks`` logical ticks
-        instead of terminally failing the tickets; the backend is asked to
-        :meth:`~repro.rounds.RoundProtocol.freeze_failed_rounds` so the
-        retry replays against unadvanced state.  ``None`` or a disabled
+        instead of terminally failing the tickets.  A failed round advances
+        no backend state, so the retry replays against the state the round
+        started from.  ``None`` or a disabled
         policy is bit-identical to fail-fast behaviour.
     faults:
         Optional :class:`~repro.faults.FaultSchedule` applied to every
@@ -300,14 +301,6 @@ class CSMService(RoundHistory):
         for shard_index, backend in enumerate(backends):
             schedule = schedules.get(shard_index)
             injector = None if schedule is None else FaultInjector(backend, schedule)
-            if self.retry.enabled or injector is not None:
-                # Failed rounds must leave the backend's state unadvanced: a
-                # retry must replay against the same state, and an injected
-                # fault burst must not desync the honest coded rows from the
-                # reference states (which would leave every post-burst round
-                # undecodable).  With no failed rounds this is a no-op, so the
-                # empty-schedule path stays bit-identical.
-                backend.freeze_failed_rounds()
             pool = CommandPool(
                 num_machines=backend.num_machines, sequence_source=self.sequence_source
             )
@@ -594,7 +587,8 @@ class CSMService(RoundHistory):
     def _run(self, shard: _Shard, planned: list[ScheduledRound]) -> list[ProtocolRound]:
         """Run a shard's planned rounds and resolve their tickets."""
         backend = shard.backend
-        runner = backend.run_rounds_pipelined if self.pipeline else backend.run_rounds_batched
+        speculate = self.pipeline and not self.retry.enabled and shard.injector is None
+        runner = backend.run_rounds_pipelined if speculate else backend.run_rounds_batched
         try:
             commands = [round_.commands for round_ in planned]
             clients = [round_.clients for round_ in planned]

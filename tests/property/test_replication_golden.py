@@ -4,8 +4,8 @@ Fixed-seed :class:`FullReplicationSMR` / :class:`PartialReplicationSMR`
 scenarios driven through :class:`ReplicationProtocol`, each hashed over
 everything a refactor of the baselines could move: every round's commands,
 clients, accepted outputs, states, correctness, per-node operation counts
-and diagnostics, the engine's true states and round index, and the final
-rng state (garbage replicas draw from it).  A last scenario hashes the
+and diagnostics, the engine's states and round index, and the final rng
+state (garbage replicas draw from it).  A last scenario hashes the
 measured rows of Table 1, which run both baselines through
 :mod:`repro.analysis.measurement`.
 
@@ -16,6 +16,19 @@ that moves means observable behaviour moved.  Each scenario also asserts
 that it still reaches the branch it exists for (a tolerated minority, a
 too-silent majority, a broken group, a wrong value accepted from stale
 replicas), so a digest cannot stay green by silently leaving its path.
+
+Three were re-recorded once, when the engines stopped running reference
+machines.  A round is now correct when every client reaches its threshold,
+a failed round advances no replica, and ``engine.states`` reads the honest
+replicas.  The partial layout's ``accepted_correct`` diagnostic became
+``accepted``.  For ``full_silent_majority`` and
+``partial_garbage_breaks_one_group``, the same hash without the failed
+rounds' outputs and states, ``engine.states`` and that key was equal before
+and after.  ``partial_stale_replicas_outvote_honest`` was rewritten: its
+silent replicas now freeze every round, so its wrong value is now pushed
+through by two colluding corrupt replicas.  On the old engines that scenario
+had the same hash without the correctness flags, ``engine.states`` and the
+renamed key; every round was incorrect there and is correct now.
 """
 
 import hashlib
@@ -23,10 +36,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.analysis.safety import replay_rounds
 from repro.experiments import table1
 from repro.gf.prime_field import PrimeField
 from repro.machine.library import bank_account_machine, quadratic_market_machine
-from repro.net.byzantine import RandomGarbageBehavior, SilentBehavior, WindowedBehavior
+from repro.net.byzantine import CorruptResultBehavior, RandomGarbageBehavior, SilentBehavior
 from repro.replication import (
     FullReplicationSMR,
     PartialReplicationSMR,
@@ -36,9 +50,9 @@ from repro.rng import default_stream
 
 GOLDEN_DIGESTS = {
     "full_silent_and_garbage_minority": "39345b514d15c3bce2983847c7dc1151c02ac9788d9e09209a2254a74cd1dd2f",
-    "full_silent_majority": "a2a98f8b3cf2bdd46036dc5c6f3a63363c376a0b34125dfce4abbf026f3e712c",
-    "partial_garbage_breaks_one_group": "384a3fd7feccd4af904c3076a98e1dd0ee8a39af732f3be63a47a728f74e7b4e",
-    "partial_stale_replicas_outvote_honest": "2bb7a125340e8428c9aa91a217de4868b729857553704119ed24f76050e42c9e",
+    "full_silent_majority": "28abbcf8866389815e31c92f8453872938413ed4e7e9a5235feec25ff339ab6a",
+    "partial_garbage_breaks_one_group": "1f1db439f8ee31f40042a5623977d2d870d4e7d3b89f53f96775a575597a58fa",
+    "partial_stale_replicas_outvote_honest": "e55241ae77e80c1b46548e96903100800545f3fa2492fde9acc3e506b3b4cb70",
     "table1_measured_rows": "d4128631402601bf5717e3d27056bf9da58f8e8f6cf2520d21663da8820cad5e",
 }
 
@@ -144,28 +158,27 @@ def partial_garbage_breaks_one_group():
     )
     protocol = _drive(ReplicationProtocol(engine), 5)
     groups = protocol.history[0].result.diagnostics["groups"]
-    assert [g["accepted_correct"] for g in groups] == [False, True, True, True]
+    assert [g["accepted"] for g in groups] == [False, True, True, True]
     assert protocol.failed_rounds == 5
     return _digest_parts(protocol)
 
 
 def partial_stale_replicas_outvote_honest():
-    # node-0 and node-1 are silent for rounds 0-1, then report honestly —
-    # but from replicas that, being faulty, never advanced: both compute the
-    # same stale output and outvote node-2 in group 0 from round 2 on.
-    behaviors = {
-        f"node-{i}": WindowedBehavior(SilentBehavior(), 0, 2) for i in (0, 1)
-    }
+    # node-0 and node-1 corrupt by the same offset from replicas that, being
+    # faulty, never advance: both report the same wrong value and outvote
+    # node-2 in group 0.  Every client reaches its threshold, so every round
+    # is correct; only the replay of the true machines flags machine 0.
+    behaviors = {f"node-{i}": CorruptResultBehavior(offset=1) for i in (0, 1)}
     engine = PartialReplicationSMR(
         bank_account_machine(FIELD, num_accounts=2), 3, _node_ids(9), behaviors,
         default_stream(14),
     )
     protocol = _drive(ReplicationProtocol(engine), 5)
     records = protocol.history
-    assert [r.correct for r in records] == [False] * 5
-    assert not np.asarray(records[0].result.outputs[0]).any()
-    stale = np.asarray(records[2].result.outputs[0])
-    assert stale.any()
+    assert [r.correct for r in records] == [True] * 5
+    report = replay_rounds(engine.machine, [(r.commands, r.result) for r in records])
+    assert report.flagged_rounds == list(range(5))
+    assert report.wrong[:, 0].all() and not report.wrong[:, 1:].any()
     return _digest_parts(protocol)
 
 
@@ -182,7 +195,8 @@ def table1_measured_rows():
         if row["kind"] == "measured" and row["scheme"] != "coded-state-machine"
     ]
     # Full replication holds at b = N / 4; partial replication, with the
-    # same faults piled on group 0, does not.
+    # same faults piled on group 0, does not — as the replaying checker
+    # behind the "correct" column finds.
     assert {(row["scheme"], row["correct"]) for row in measured} == {
         ("full-replication", True),
         ("partial-replication", False),

@@ -11,7 +11,7 @@ moved to one resident coded-state bank and the consensus drivers were hoisted
 into ``ConsensusProtocol`` — so a digest that moves means observable
 behaviour moved, whichever sibling path the existing path-vs-path identity
 tests would have compared it with.  Each scenario also asserts that it still
-reaches the branch it exists for (rollback + replay, the freeze fallback, a
+reaches the branch it exists for (rollback + replay, a frozen failed round, a
 view change, the consensus slow path), so a digest cannot stay green by
 silently leaving its path.
 
@@ -21,6 +21,16 @@ rng state and the network counters.  The same hash with those fields left
 out was equal before and after that change, on the scenarios as written here
 (``broadcast_equivocating_leader_slow_path`` now drives three blocks so its
 equivocating and silent leaders each lead one).
+
+``freeze_burst_fallback`` was re-recorded once more, when the engine stopped
+running uncoded reference machines beside the coded ones.  A round is now
+correct when it decodes, and every failed round freezes, so the scenario runs
+on the batched driver with no freeze switch to set.  Its failed round reports
+the unadvanced states and carries no ``state_frozen`` flag.  The same hash
+with the failed round's states and outputs, that flag and ``engine.states``
+left out was equal before and after.  ``engine.states`` now holds the last
+decoded states rather than the reference states.  It is hashed unchanged in
+the other four digests, which did not move.
 """
 
 import hashlib
@@ -43,7 +53,7 @@ from repro.rng import default_stream
 GOLDEN_DIGESTS = {
     "fault_free_pipelined": "b9c33e04e59947df0c2ed85ed1a4ecc2ea38d286bd7fccb92b26a518f1931a16",
     "onset_rollback_replay": "c192ca60fd70436998a75cd64d6cf9701d88e22a9ed566ad94fad2ed018e0af7",
-    "freeze_burst_fallback": "18bd74f0bb8a40517c63b7820ab70965d1825105e1ebd49b3d76c0b21a861051",
+    "freeze_burst_fallback": "0b97a84daa5e1df97eb4786bbe8e24dc2c367b23c35be47d5765cc50a92f158a",
     "pbft_silent_primary": "c8209c1194ac2f2dc6fef25ed025a532f04ed1278bc345fff2e3562f700bd046",
     "broadcast_equivocating_leader_slow_path": "2c4a87321d7005a98429be46a3d53e46ae9e8898514ef9226ce262bcf9efe240",
 }
@@ -134,26 +144,48 @@ def onset_rollback_replay():
     return protocol
 
 
-def freeze_burst_fallback():
-    # Retry mode: the pipelined entry point falls back to the batched path,
-    # a one-round burst past the decoding radius fails and freezes its
+def _freeze_burst(run):
+    # A one-round burst past the decoding radius fails and freezes its
     # round, and resynced nodes carry the next rounds.
     protocol = _protocol(16, 4, 3)
-    protocol.freeze_failed_rounds()
     batches = _batches(protocol, 7)
-    protocol.run_rounds_pipelined(batches[:3])
+    run(protocol, batches[:3])
     burst = [f"node-{i}" for i in range(2, 11)]
     for node_id in burst:
         protocol.set_node_behavior(node_id, RandomGarbageBehavior())
-    protocol.run_rounds_pipelined(batches[3:4])
+    run(protocol, batches[3:4])
     for node_id in burst:
         protocol.set_node_behavior(node_id, None)
         protocol.resync_node(node_id)
-    protocol.run_rounds_pipelined(batches[3:])
+    run(protocol, batches[3:])
+    return protocol
+
+
+def _observed(record):
+    result = record.result
+    return (
+        record.commands.tolist(),
+        record.consensus_views,
+        result.correct,
+        np.asarray(result.outputs).tolist(),
+        np.asarray(result.states).tolist(),
+        result.diagnostics["error_nodes"],
+    )
+
+
+def freeze_burst_fallback():
+    protocol = _freeze_burst(CSMProtocol.run_rounds_batched)
     flags = [r.correct for r in protocol.history]
     assert flags == [True, True, True, False] + [True] * 4
-    assert protocol.history[3].result.diagnostics["state_frozen"] is True
-    assert all("pipelined" not in r.result.diagnostics for r in protocol.history)
+    frozen = protocol.history[3].result
+    assert frozen.diagnostics["decoding_failed"] is True
+    assert np.array_equal(frozen.states, protocol.history[2].result.states)
+    # Speculating through the same burst records the same rounds.
+    speculated = _freeze_burst(CSMProtocol.run_rounds_pipelined)
+    assert [_observed(r) for r in speculated.history] == [
+        _observed(r) for r in protocol.history
+    ]
+    assert "rollback" in _speculations(speculated)
     return protocol
 
 

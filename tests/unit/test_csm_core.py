@@ -215,7 +215,7 @@ class TestCodedExecutionEngine:
         engine, _ = self._engine(big_field)
         commands = rng.integers(1, 50, size=(4, 2))
         engine.execute_round(commands)
-        # every honest node's coded state equals re-encoding the true states
+        # every honest node's coded state equals re-encoding the decoded states
         expected = engine.encoder.encode(engine.states)
         for node in engine.honest_nodes():
             assert node.coded_state.tolist() == expected[node.node_index].tolist()
@@ -242,3 +242,8 @@ class TestCodedExecutionEngine:
         config = CSMConfig(big_field, 8, 2, degree=2, num_faults=1)
         with pytest.raises(ConfigurationError):
             CodedExecutionEngine(config, machine)
+        # The node ids must number N exactly: an empty list is not "absent".
+        config = CSMConfig(big_field, 8, 2, degree=1, num_faults=1)
+        for node_ids in ([], [f"node-{i}" for i in range(7)]):
+            with pytest.raises(ConfigurationError, match="expected 8 node ids"):
+                CodedExecutionEngine(config, machine, node_ids=node_ids)

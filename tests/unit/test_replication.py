@@ -43,8 +43,8 @@ class TestAcceptMatching:
 
     def test_wrong_value_reaching_threshold_is_accepted(self):
         # The client cannot tell a wrong majority from a right one: a value
-        # that reaches the threshold is accepted, and the engine records the
-        # round as incorrect against its reference.
+        # that reaches the threshold is accepted, and only a replay of the
+        # true machines (repro.analysis.safety) can tell it is wrong.
         reports, present = _group(9, 9, 5)
         accepted, found = accept_matching(reports, present, 2)
         assert found.tolist() == [True] and accepted.tolist() == [[9]]
@@ -220,13 +220,28 @@ class TestOneArrayRound:
 
     def test_only_honest_replicas_advance(self, big_field):
         machine = bank_account_machine(big_field, num_accounts=1)
+        engine = FullReplicationSMR(
+            machine, 2, _node_ids(4), {"node-1": SilentBehavior()},
+            np.random.default_rng(0),
+        )
+        results = engine.execute_rounds(np.full((3, 2, 1), 5))
+        assert all(result.correct for result in results)
+        assert engine.replicas[:, 0].tolist() == [15, 15, 0, 0, 15, 15, 15, 15]
+        assert engine.states[:, 0].tolist() == [15, 15]
+
+    def test_failed_round_advances_nothing(self, big_field):
+        # Group 0's client never hears two matching replies, so every round
+        # fails, and no replica moves — group 1's neither.
+        machine = bank_account_machine(big_field, num_accounts=1)
         engine = PartialReplicationSMR(
             machine, 2, _node_ids(4), {"node-1": SilentBehavior()},
             np.random.default_rng(0),
         )
-        engine.execute_rounds(np.full((3, 2, 1), 5))
-        assert engine.replicas[:, 0].tolist() == [15, 0, 15, 15]
-        assert engine.states[:, 0].tolist() == [15, 15]
+        results = engine.execute_rounds(np.full((3, 2, 1), 5))
+        assert [result.correct for result in results] == [False] * 3
+        assert [g["accepted"] for g in results[0].diagnostics["groups"]] == [False, True]
+        assert not engine.replicas.any()
+        assert all(not result.states.any() for result in results)
 
     def test_full_replication_storage_and_groups(self, big_field):
         machine = bank_account_machine(big_field, num_accounts=1)
@@ -239,7 +254,9 @@ def _loop_reference(layout, machine, num_machines, node_ids, behaviors, rng, bat
     """The per-node, per-machine loop both baselines used to run, as a reference.
 
     Returns ``(outputs, correct, ops_per_node)`` per round, plus the final
-    true states.  Forged reports are uncounted, as in the shared rule.
+    replica states in ``(node, machine)`` order.  A round is correct when
+    every client accepted a value; only then do the honest replicas advance.
+    Forged reports are uncounted, as in the shared rule.
     """
     field, num_nodes = machine.field, len(node_ids)
     group_size = num_nodes // num_machines
@@ -248,13 +265,12 @@ def _loop_reference(layout, machine, num_machines, node_ids, behaviors, rng, bat
         for i in range(num_nodes)
     }
     replicas = {(i, k): machine.initial_state.copy() for i in hosted for k in hosted[i]}
-    states = np.tile(machine.initial_state, (num_machines, 1))
     rounds = []
     for commands in batch:
         faulty = [n for n in node_ids if behaviors.get(n, HonestBehavior()).is_faulty]
         threshold = len(faulty) + 1 if layout == "full" else group_size // 2 + 1
-        reference = [machine.step(states[k], commands[k]) for k in range(num_machines)]
         responses = [[] for _ in range(num_machines)]
+        advanced = {}
         ops = {}
         for i, node_id in enumerate(node_ids):
             behavior = behaviors.get(node_id, HonestBehavior())
@@ -266,7 +282,7 @@ def _loop_reference(layout, machine, num_machines, node_ids, behaviors, rng, bat
                 finally:
                     field.attach_counter(None)
                 if not behavior.is_faulty:
-                    replicas[i, k] = next_state
+                    advanced[i, k] = next_state
                     responses[k].append(tuple(output.tolist()))
                     continue
                 sent = behavior.transform_result(field, node_id, output, rng)
@@ -280,10 +296,11 @@ def _loop_reference(layout, machine, num_machines, node_ids, behaviors, rng, bat
             accepted = reaching.pop() if len(reaching) == 1 else None
             if accepted is not None:
                 outputs[k] = accepted
-            correct &= accepted == tuple(reference[k][1].tolist())
-        states = np.array([step[0] for step in reference])
+            correct &= accepted is not None
+        if correct:
+            replicas.update(advanced)
         rounds.append((outputs.tolist(), correct, ops))
-    return rounds, states
+    return rounds, [replicas[key].tolist() for key in sorted(replicas)]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -310,10 +327,10 @@ def test_array_round_matches_the_loop_reference(big_field, seed):
     )
     results = engine.execute_rounds(batch)
     ref_rng = np.random.default_rng(seed)
-    expected, states = _loop_reference(
+    expected, replicas = _loop_reference(
         layout, machine, num_machines, node_ids, ref_behaviors, ref_rng, batch
     )
     got = [(r.outputs.tolist(), r.correct, r.ops_per_node) for r in results]
     assert got == expected
-    assert engine.states.tolist() == states.tolist()
+    assert engine.replicas.tolist() == replicas
     assert engine.rng.bit_generator.state == ref_rng.bit_generator.state

@@ -364,7 +364,7 @@ class TestReplicationFacade:
         assert ticket.state is TicketState.EXECUTED
         assert ticket.result().tolist() == [3, 4]
         assert [r.correct for r in service.history] == [False, True]
-        assert service.history[0].result.diagnostics["state_frozen"] is True
+        assert not service.history[0].result.states.any()
         assert engine.states.tolist() == [[3, 4], [0, 0]]
 
     @pytest.mark.parametrize("width", [1, 4])
