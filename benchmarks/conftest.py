@@ -42,8 +42,9 @@ def pytest_addoption(parser):
         default=False,
         help=(
             "Enable the INTERMIX engine benchmarks "
-            "(IntermixProtocol.run_batch vs the scalar run oracle: stacked "
-            "matrix products, committee reuse, bit-identical outcomes)."
+            "(one stacked IntermixProtocol.run_batch of 64 verifications "
+            "at K=256 per worker strategy, and with --json the "
+            "BENCH_intermix.json artifact)."
         ),
     )
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.exceptions import DecodingError
-from repro.gf.lagrange import lagrange_interpolate
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.reed_solomon import DecodingResult, ReedSolomonCode
 
@@ -73,41 +72,3 @@ class ErasureDecoder:
             codeword=codeword,
             error_positions=error_positions,
         )
-
-    def decode_erasures_only(self, received: Sequence[int | None]) -> DecodingResult:
-        """Decode assuming every present symbol is correct (pure erasures).
-
-        This needs only ``dimension`` surviving symbols and is the cheap path
-        used when the fault model is crash-only.
-        """
-        present = [(i, int(v)) for i, v in enumerate(received) if v is not None]
-        if len(present) < self.code.dimension:
-            raise DecodingError(
-                f"only {len(present)} symbols present, need {self.code.dimension}"
-            )
-        chosen = present[: self.code.dimension]
-        xs = [self.code.evaluation_points[i] for i, _ in chosen]
-        ys = [v for _, v in chosen]
-        polynomial = lagrange_interpolate(self.field, xs, ys)
-        if polynomial.degree >= self.code.dimension:
-            raise DecodingError("erasure-only decoding produced an invalid degree")
-        codeword = self.code.encode_polynomial(polynomial)
-        mismatches = tuple(
-            i
-            for i, v in enumerate(received)
-            if v is not None and int(v) != int(codeword[i])
-        )
-        if mismatches:
-            raise DecodingError(
-                "erasure-only decoding found inconsistent present symbols at "
-                f"positions {mismatches}; use decode_with_erasures instead"
-            )
-        return DecodingResult(polynomial=polynomial, codeword=codeword)
-
-
-def puncture(received: Sequence[int], missing: Sequence[int]) -> list[int | None]:
-    """Utility: mark the given positions of a received word as erased."""
-    word: list[int | None] = [int(v) for v in received]
-    for index in missing:
-        word[int(index)] = None
-    return word

@@ -299,11 +299,9 @@ class CodedExecutionEngine:
                 f"verify_window must be positive, got {verify_window}"
             )
         batch_arr = command_batch(self.machine, self.num_machines, commands_batch)
-        batch_eval = getattr(self.machine.transition, "evaluate_result_vectors", None)
-        if self.decode_at_every_node or batch_eval is None:
-            # Per-recipient decoding models equivocation, and non-polynomial
-            # transitions have no stacked surface to speculate over: in both
-            # cases the batched/scalar path runs unchanged.
+        if self.decode_at_every_node:
+            # Per-recipient decoding models equivocation: the scalar path
+            # runs unchanged.
             return self.execute_rounds(batch_arr)
         coded_commands = self.encoder.encode_batch(batch_arr)
         num_rounds = batch_arr.shape[0]
@@ -587,24 +585,12 @@ class CodedExecutionEngine:
         the counted field operations, which equals the scalar per-node cost
         because vectorised field ops count one scalar operation per element.
         """
-        batch_eval = getattr(self.machine.transition, "evaluate_result_vectors", None)
-        if batch_eval is None:
-            # Non-polynomial transitions have no stacked surface; keep the
-            # per-node loop (values and counts unchanged).
-            true_results = np.zeros(
-                (self.num_nodes, self.machine.transition.result_dim), dtype=np.int64
-            )
-            for node in self.nodes:
-                node.reset_counter()
-                true_results[node.node_index] = node.execute_coded(
-                    coded_commands[node.node_index]
-                )
-                ops[node.node_index] += node.counter.total
-            return true_results
         step_counter = OperationCounter()
         self.field.attach_counter(step_counter)
         try:
-            true_results = batch_eval(self._bank, coded_commands)
+            true_results = self.machine.transition.evaluate_result_vectors(
+                self._bank, coded_commands
+            )
         finally:
             self.field.attach_counter(None)
         ops += step_counter.additions // self.num_nodes

@@ -43,9 +43,10 @@ class CSMProtocol(RoundProtocol):
     The preferred client surface is the session/ticket API of
     :class:`~repro.service.service.CSMService`, which accepts ragged command
     streams and drives this protocol through the shared
-    :class:`~repro.rounds.RoundProtocol` interface; the lockstep entry
-    points below (``submit_round_of_commands`` + ``run_rounds*``) remain as
-    thin wrappers with their original bit-exact semantics.
+    :class:`~repro.rounds.RoundProtocol` interface.  Every driver here
+    decides a block of rounds with one consensus instance; the one-instance-
+    per-round lockstep loop they are compared against lives with the tests
+    (``tests/reference/lockstep.py``).
     """
 
     def __init__(
@@ -86,7 +87,7 @@ class CSMProtocol(RoundProtocol):
         # The consensus/network layer keeps consuming ``self.rng`` directly,
         # so the execution draws do not depend on how many consensus
         # instances decided the rounds (one block for B rounds in the batched
-        # driver, one per round in the sequential loop) — the basis of the
+        # driver, one per round in the lockstep loop) — the basis of the
         # bit-identity guarantee of :meth:`run_rounds_batched`.
         engine_rng = derived_stream(self.rng)
         self.engine = CodedExecutionEngine(
@@ -109,42 +110,13 @@ class CSMProtocol(RoundProtocol):
         self.network.register(client_id)
         self.pool.submit(machine_index, client_id, command)
 
-    def submit_round_of_commands(self, commands: np.ndarray, client_prefix: str = "client") -> None:
-        """Submit one command per machine from distinct synthetic clients.
-
-        .. note:: legacy wrapper.  This is the pre-service lockstep shape —
-           one pre-grouped command per machine under reused ``client:k``
-           labels.  New code should connect a
-           :class:`~repro.service.service.ClientSession` and submit command
-           tickets instead; this wrapper remains for the harnesses and the
-           bit-identity guarantees built on it.
-        """
-        arr = self.pool.canonical_round(commands)
-        self._submit_round(arr, [f"{client_prefix}:{k}" for k in range(arr.shape[0])])
-
     def _submit_round(self, commands: np.ndarray, clients: Sequence[str]) -> None:
         """Submit one round of commands under explicit client identities."""
         arr = self.pool.canonical_round(commands)
         for k in range(arr.shape[0]):
             self.submit_command(k, clients[k], arr[k])
 
-    # -- round driver -------------------------------------------------------------------
-    def run_round(self) -> ProtocolRound:
-        """Run one full round: consensus on commands, then coded execution."""
-        round_index = len(self.history)
-        decisions = self.consensus.decide_round(round_index)
-        sample = self._select_decision(decisions)
-        result = self.engine.execute_round(sample.commands)
-        return self._record_round(sample.commands, sample.clients, result, sample.view)
-
-    def run_rounds(self, command_batches: list[np.ndarray]) -> list[ProtocolRound]:
-        """Submit and execute several rounds of commands, one round at a time."""
-        records = []
-        for batch in command_batches:
-            self.submit_round_of_commands(batch)
-            records.append(self.run_round())
-        return records
-
+    # -- round drivers ------------------------------------------------------------------
     def run_rounds_batched(
         self,
         command_batches: Sequence[np.ndarray],
@@ -166,12 +138,14 @@ class CSMProtocol(RoundProtocol):
         client identities here.  Without it every round carries the
         historical ``client:k`` labels, so the recorded
         :class:`ProtocolRound` history (commands, clients, outputs, states,
-        correctness flags, flagged error nodes) stays bit-identical to
-        calling :meth:`run_rounds` on an identically-constructed protocol.
-        Only consensus-side records differ: the block decides in one view
-        where :meth:`run_rounds` runs one instance per round, so consensus
-        views and message counts move, and the execution-phase operation
-        counts drop, which is precisely what the batch buys.
+        correctness flags, flagged error nodes) stays bit-identical to the
+        lockstep loop (one consensus instance and one scalar
+        :meth:`CodedExecutionEngine.execute_round` per round) on an
+        identically-constructed protocol.  Only consensus-side records
+        differ: the block decides in one view where the lockstep loop runs
+        one instance per round, so consensus views and message counts move,
+        and the execution-phase operation counts drop, which is precisely
+        what the batch buys.
         """
         return self._run_rounds_fast(command_batches, client_rounds)
 

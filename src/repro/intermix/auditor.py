@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.gf.field import Field, OperationCounter
-from repro.gf.linalg import gf_matvec
 from repro.intermix.worker import Worker
 
 
@@ -81,8 +80,21 @@ class Auditor:
         vector: np.ndarray,
         claimed: np.ndarray | None,
         worker: Worker,
+        true_product: np.ndarray,
+        multiplications: int,
+        additions: int,
+        mismatches: np.ndarray | None = None,
     ) -> AuditTranscript:
-        """Run Algorithm 1 against the worker's claimed result."""
+        """Run Algorithm 1 against the worker's claimed result.
+
+        ``true_product`` is the auditor's recomputation ``Y = A X`` and
+        ``multiplications``/``additions`` its share of that cost (the protocol
+        computes every auditor's recomputation of a batch as one stacked
+        matrix product).  The auditor then accepts, raises a baseless alert
+        when dishonest, or bisects interactively against the worker.
+        ``mismatches`` optionally shares one precomputed comparison of
+        ``true_product`` against ``claimed`` across all auditors.
+        """
         matrix = self.field.array(matrix)
         vector = self.field.array(vector).reshape(-1)
         if claimed is None:
@@ -96,68 +108,10 @@ class Auditor:
             raise ConfigurationError(
                 f"claimed result has {claimed.shape[0]} rows, matrix has {matrix.shape[0]}"
             )
-        self.field.attach_counter(self.counter)
-        try:
-            true_product = gf_matvec(self.field, matrix, vector)
-        finally:
-            self.field.attach_counter(None)
-        return self._conclude(matrix, vector, claimed, worker, true_product)
-
-    def audit_precomputed(
-        self,
-        matrix: np.ndarray,
-        vector: np.ndarray,
-        claimed: np.ndarray | None,
-        worker: Worker,
-        true_product: np.ndarray,
-        multiplications: int,
-        additions: int,
-        mismatches: np.ndarray | None = None,
-    ) -> AuditTranscript:
-        """Algorithm 1 with the recomputation ``Y = A X`` supplied by the caller.
-
-        The batched protocol computes every auditor's recomputation as one
-        stacked matrix product; each auditor is charged its per-round share
-        of that product's cost (``multiplications``/``additions``) and then
-        concludes exactly as :meth:`audit` — acceptance, a baseless alert
-        when dishonest, or the interactive bisection against the worker.
-        ``mismatches`` optionally shares one precomputed comparison of
-        ``true_product`` against ``claimed`` across all auditors.
-        """
-        matrix = self.field.array(matrix)
-        vector = self.field.array(vector).reshape(-1)
-        if claimed is None:
-            return AuditTranscript(
-                auditor_id=self.node_id, accepted=False, failure_kind="no-response"
-            )
-        claimed = self.field.array(claimed).reshape(-1)
-        if claimed.shape[0] != matrix.shape[0]:
-            raise ConfigurationError(
-                f"claimed result has {claimed.shape[0]} rows, matrix has {matrix.shape[0]}"
-            )
         self.counter.mul(multiplications)
         self.counter.add(additions)
-        return self._conclude(
-            matrix,
-            vector,
-            claimed,
-            worker,
-            self.field.array(true_product).reshape(-1),
-            mismatches=mismatches,
-        )
-
-    def _conclude(
-        self,
-        matrix: np.ndarray,
-        vector: np.ndarray,
-        claimed: np.ndarray,
-        worker: Worker,
-        true_product: np.ndarray,
-        mismatches: np.ndarray | None = None,
-    ) -> AuditTranscript:
-        """Accept, raise a baseless alert, or bisect — given the recomputation."""
         if mismatches is None:
-            mismatches = np.nonzero(true_product != claimed)[0]
+            mismatches = np.nonzero(self.field.array(true_product).reshape(-1) != claimed)[0]
         if mismatches.shape[0] == 0:
             if self.dishonest:
                 # A dishonest auditor may raise a baseless alert; commoners
@@ -171,9 +125,7 @@ class Auditor:
                     leaf_range=(0, 1),
                 )
             return AuditTranscript(auditor_id=self.node_id, accepted=True)
-
-        row_index = int(mismatches[0])
-        return self._bisect(matrix, vector, claimed, worker, row_index)
+        return self._bisect(matrix, vector, claimed, worker, int(mismatches[0]))
 
     def _bisect(
         self,

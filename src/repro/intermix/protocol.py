@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import VerificationError
 from repro.gf.field import Field, OperationCounter
 from repro.intermix.auditor import Auditor, AuditTranscript
 from repro.intermix.commoner import Commoner, CommonerVerdict
@@ -97,12 +96,8 @@ class IntermixProtocol:
         vector: np.ndarray,
         committee: Committee | None = None,
     ) -> VerificationOutcome:
-        """Delegate ``A X`` to a worker and verify the result."""
-        committee = committee or self.election.elect()
-        strategy = self.worker_strategies.get(committee.worker, WorkerStrategy.HONEST)
-        worker = Worker(committee.worker, self.field, strategy=strategy, rng=self.rng)
-        claimed = worker.compute(matrix, vector)
-        return self._judge(matrix, vector, committee, worker, claimed)
+        """Delegate ``A X`` to a worker and verify the result (a batch of one)."""
+        return self.run_batch(matrix, vector, committee=committee)[0]
 
     def run_batch(
         self,
@@ -119,9 +114,9 @@ class IntermixProtocol:
         cost is shape-based and identical per column to
         :func:`~repro.gf.linalg.gf_matvec`).  The returned outcomes are
         bit-identical — verdicts, transcripts, per-role operation counts and
-        rng stream — to ``[run(matrix, vectors[:, r], committee=c) for r in
-        range(R)]`` with the same committee ``c``; the scalar :meth:`run`
-        stays the reference oracle.
+        rng stream — to every role recomputing its column with its own
+        ``gf_matvec``, one column after another (the property-tested
+        per-column reference in ``tests/reference/intermix.py``).
         """
         committee = committee or self.election.elect()
         matrix_arr = self.field.array(matrix)
@@ -132,48 +127,48 @@ class IntermixProtocol:
         if num_rounds == 0:
             return []
         strategy = self.worker_strategies.get(committee.worker, WorkerStrategy.HONEST)
-        if strategy is WorkerStrategy.SILENT:
-            # A silent worker never computes (and the scalar path charges
-            # nothing for it), so there is no product to batch.
-            true_products = None
-            per_muls = per_adds = 0
-        else:
-            batch_counter = OperationCounter()
-            self.field.attach_counter(batch_counter)
-            try:
-                true_products = self.field.matmul(matrix_arr, vectors_arr)
-            finally:
-                self.field.attach_counter(None)
-            per_muls = batch_counter.multiplications // num_rounds
-            per_adds = batch_counter.additions // num_rounds
+        batch_counter = OperationCounter()
+        self.field.attach_counter(batch_counter)
+        try:
+            true_products = self.field.matmul(matrix_arr, vectors_arr)
+        finally:
+            self.field.attach_counter(None)
+        per_muls = batch_counter.multiplications // num_rounds
+        per_adds = batch_counter.additions // num_rounds
         outcomes: list[VerificationOutcome] = []
         for index in range(num_rounds):
             column = np.ascontiguousarray(vectors_arr[:, index])
+            truth = np.ascontiguousarray(true_products[:, index])
             worker = Worker(
                 committee.worker, self.field, strategy=strategy, rng=self.rng
             )
-            if true_products is None:
-                claimed = worker.compute(matrix_arr, column)
-                truth = None
-                mismatches = None
-            else:
-                truth = np.ascontiguousarray(true_products[:, index])
-                claimed = worker.adopt_computation(
-                    matrix_arr, column, truth, per_muls, per_adds
+            claimed = worker.compute(matrix_arr, column, truth, per_muls, per_adds)
+            # One stacked comparison serves every auditor of this round.
+            mismatches = None if claimed is None else np.nonzero(truth != claimed)[0]
+            transcripts: list[AuditTranscript] = []
+            auditor_ops: dict[str, int] = {}
+            for auditor_id in committee.auditors:
+                auditor = Auditor(
+                    auditor_id,
+                    self.field,
+                    dishonest=auditor_id in self.dishonest_auditors,
                 )
-                # One stacked comparison serves every auditor of this round.
-                mismatches = np.nonzero(truth != claimed)[0]
+                transcripts.append(
+                    auditor.audit(
+                        matrix_arr,
+                        column,
+                        claimed,
+                        worker,
+                        truth,
+                        per_muls,
+                        per_adds,
+                        mismatches=mismatches,
+                    )
+                )
+                auditor_ops[auditor_id] = auditor.operations
             outcomes.append(
                 self._judge(
-                    matrix_arr,
-                    column,
-                    committee,
-                    worker,
-                    claimed,
-                    true_product=truth,
-                    per_muls=per_muls,
-                    per_adds=per_adds,
-                    mismatches=mismatches,
+                    matrix_arr, column, committee, worker, claimed, transcripts, auditor_ops
                 )
             )
         return outcomes
@@ -185,35 +180,10 @@ class IntermixProtocol:
         committee: Committee,
         worker: Worker,
         claimed: np.ndarray | None,
-        true_product: np.ndarray | None = None,
-        per_muls: int = 0,
-        per_adds: int = 0,
-        mismatches: np.ndarray | None = None,
+        transcripts: list[AuditTranscript],
+        auditor_ops: dict[str, int],
     ) -> VerificationOutcome:
-        """Audit, publish, and validate one delegated product's broadcast."""
-        transcripts: list[AuditTranscript] = []
-        auditor_ops: dict[str, int] = {}
-        for auditor_id in committee.auditors:
-            auditor = Auditor(
-                auditor_id, self.field, dishonest=auditor_id in self.dishonest_auditors
-            )
-            if true_product is None:
-                transcripts.append(auditor.audit(matrix, vector, claimed, worker))
-            else:
-                transcripts.append(
-                    auditor.audit_precomputed(
-                        matrix,
-                        vector,
-                        claimed,
-                        worker,
-                        true_product,
-                        per_muls,
-                        per_adds,
-                        mismatches=mismatches,
-                    )
-                )
-            auditor_ops[auditor_id] = auditor.operations
-
+        """Publish the auditors' transcripts and validate the accusations."""
         # Publish the worker's claims the accusations refer to (the commoners
         # "overhear the entire conversation" in the paper's model).
         public_transcripts = [
@@ -257,21 +227,6 @@ class IntermixProtocol:
             commoner_operations=commoner_ops,
             confirmed_fraud=fraud_confirmed or no_result,
         )
-
-    def run_or_raise(
-        self,
-        matrix: np.ndarray,
-        vector: np.ndarray,
-        committee: Committee | None = None,
-    ) -> np.ndarray:
-        """Like :meth:`run` but raises :class:`VerificationError` on rejection."""
-        outcome = self.run(matrix, vector, committee=committee)
-        if not outcome.accepted or outcome.result is None:
-            raise VerificationError(
-                f"INTERMIX rejected the worker '{outcome.committee.worker}' "
-                f"({len([v for v in outcome.verdicts if v.fraud_confirmed])} confirmed accusations)"
-            )
-        return outcome.result
 
     # -- internals --------------------------------------------------------------------------
     def _with_overheard_claims(

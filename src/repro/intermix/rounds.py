@@ -21,8 +21,9 @@ matrix product for the worker and all auditors per operation.
 
 A round whose verification confirms fraud is recorded with
 ``correct=False`` and ``diagnostics["confirmed_fraud"]=True``: no output is
-delivered, the coded states do not advance, and the service resolves the
-round's tickets ``FAILED`` with
+delivered, the coded states do not advance (the round reports the last
+decoded states, as every engine's failed round does), and the service
+resolves the round's tickets ``FAILED`` with
 :attr:`~repro.service.tickets.FailureReason.DELEGATION_FRAUD`.
 """
 
@@ -99,6 +100,8 @@ class DelegationRoundProtocol(RoundProtocol):
             machine.field.array(machine.initial_state).reshape(1, -1),
             (num_machines, 1),
         )
+        # The last decoded states: what a void round reports.
+        self._states = initial_states
         # The genesis encoding is public setup, not delegated round work.
         self._coded_states = self.scheme.encode_vectors(initial_states)
         # Workers convicted of fraud are banned from the worker role in
@@ -173,7 +176,6 @@ class DelegationRoundProtocol(RoundProtocol):
     ) -> ProtocolRound:
         state_dim = self.machine.state_dim
         outputs = np.zeros((self.num_machines, self.machine.output_dim), dtype=np.int64)
-        next_states = np.zeros((self.num_machines, state_dim), dtype=np.int64)
         coded_commands, report = self.delegation.encode_vectors_verified(
             commands, committee=committee
         )
@@ -197,15 +199,15 @@ class DelegationRoundProtocol(RoundProtocol):
                 report.merge(update_report)
                 if report.accepted:
                     self._coded_states = new_coded_states
+                    self._states = next_states
         if not report.accepted:
-            # The round is void: withhold everything and keep the coded
-            # states where they were so resubmission is safe.
+            # The round is void: withhold the outputs and keep the states
+            # where they were so resubmission is safe.
             outputs = np.zeros_like(outputs)
-            next_states = np.zeros_like(next_states)
         result = RoundResult(
             round_index=len(self.history),
             outputs=outputs,
-            states=next_states,
+            states=self._states.copy(),
             correct=report.accepted,
             ops_per_node=self._ops_per_node(report),
             diagnostics={

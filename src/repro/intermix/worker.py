@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.gf.field import Field, OperationCounter
-from repro.gf.linalg import gf_matvec
 from repro.rng import default_stream
 
 
@@ -75,27 +74,7 @@ class Worker:
         self._claims: dict[tuple[int, int, int], int] = {}
 
     # -- main computation ------------------------------------------------------------
-    def compute(self, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray | None:
-        """Compute (or mis-compute) ``Y^ = A X`` and remember the inputs.
-
-        Returns ``None`` for the silent strategy (no broadcast at all).
-        """
-        self._matrix = self.field.array(matrix)
-        self._vector = self.field.array(vector).reshape(-1)
-        if self._matrix.ndim != 2 or self._matrix.shape[1] != self._vector.shape[0]:
-            raise ConfigurationError(
-                f"matrix {self._matrix.shape} and vector {self._vector.shape} mismatch"
-            )
-        if self.strategy is WorkerStrategy.SILENT:
-            return None
-        self.field.attach_counter(self.counter)
-        try:
-            true_product = gf_matvec(self.field, self._matrix, self._vector)
-        finally:
-            self.field.attach_counter(None)
-        return self._finish_compute(true_product)
-
-    def adopt_computation(
+    def compute(
         self,
         matrix: np.ndarray,
         vector: np.ndarray,
@@ -103,13 +82,14 @@ class Worker:
         multiplications: int,
         additions: int,
     ) -> np.ndarray | None:
-        """Batched-path entry: adopt a precomputed ``A X`` with its cost.
+        """Broadcast (or mis-broadcast) ``Y^ = A X`` and remember the inputs.
 
-        The stacked batch path computes the products of many delegated rounds
-        in one matrix product; this hands the worker its round's column plus
-        the per-round share of the batch's operation counts, after which the
-        strategy branches (honest broadcast, corruption, claim caching) run
-        exactly as in :meth:`compute`.
+        ``true_product`` is ``A X`` and ``multiplications``/``additions`` the
+        worker's share of computing it: the protocol computes the products of
+        a whole batch in one stacked matrix product and hands each round's
+        worker its column and its per-column cost.  The strategy then decides
+        what is broadcast.  Returns ``None`` for the silent strategy (no
+        broadcast, nothing charged).
         """
         self._matrix = self.field.array(matrix)
         self._vector = self.field.array(vector).reshape(-1)
@@ -121,10 +101,7 @@ class Worker:
             return None
         self.counter.mul(multiplications)
         self.counter.add(additions)
-        return self._finish_compute(self.field.array(true_product).reshape(-1))
-
-    def _finish_compute(self, true_product: np.ndarray) -> np.ndarray:
-        """Apply the (possibly cheating) broadcast strategy to the true product."""
+        true_product = self.field.array(true_product).reshape(-1)
         if self.strategy is WorkerStrategy.HONEST:
             return true_product.copy()
         # Cheating strategies corrupt at least one output row.
@@ -134,7 +111,7 @@ class Worker:
         self._claims.clear()
         for row in range(corrupted.shape[0]):
             self._claims[(row, 0, self._vector.shape[0])] = int(corrupted[row])
-        return corrupted.copy()
+        return corrupted
 
     @property
     def vector_length(self) -> int | None:

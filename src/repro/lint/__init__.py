@@ -28,10 +28,10 @@ EXC001    No bare ``except`` and no silently swallowed
 ========  ==============================================================
 
 Findings can be suppressed per line with ``# csm-lint: disable=RULE`` (or
-``disable=RULE1,RULE2`` / ``disable=all``), and grandfathered violations
-live in a committed JSON baseline (``lint-baseline.json``).  Run it as::
+``disable=RULE1,RULE2`` / ``disable=all``); there is no baseline of
+grandfathered violations, so any finding fails the run.  Run it as::
 
-    python -m repro.lint src [--baseline lint-baseline.json] [--format json]
+    python -m repro.lint [paths] [--format json]
 
 Configuration is read from ``[tool.csm-lint]`` in ``pyproject.toml``.
 """

@@ -1,7 +1,7 @@
 """Command-line entry point: ``python -m repro.lint src [options]``.
 
-Exit status: 0 when no non-baselined findings remain, 1 when new findings
-were reported, 2 on usage errors.
+Exit status: 0 when there are no findings, 1 when any were reported, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import load_baseline, new_findings, write_baseline
 from repro.lint.config import load_config
 from repro.lint.engine import LintEngine
 from repro.lint.rules import RULE_REGISTRY
@@ -29,17 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
             "files or directories to analyze (default: the default-paths "
             "list from [tool.csm-lint])"
         ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="JSON baseline of grandfathered findings (only *new* findings fail)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the --baseline file from the current findings and exit 0",
     )
     parser.add_argument(
         "--format",
@@ -103,41 +91,22 @@ def main(argv: list[str] | None = None) -> int:
 
     findings = engine.check_paths(paths)
 
-    if args.write_baseline:
-        if not args.baseline:
-            parser.error("--write-baseline requires --baseline FILE")
-        write_baseline(args.baseline, findings)
-        print(
-            f"wrote {len(findings)} finding(s) to baseline {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baseline = load_baseline(args.baseline) if args.baseline else None
-    fresh = new_findings(findings, baseline) if baseline is not None else findings
-    baselined = len(findings) - len(fresh)
-
     if args.format == "json":
         print(
             json.dumps(
                 {
-                    "findings": [f.as_dict() for f in fresh],
-                    "baselined": baselined,
+                    "findings": [f.as_dict() for f in findings],
                     "checked_rules": sorted(r.rule_id for r in engine.rules),
                 },
                 indent=2,
             )
         )
     else:
-        for finding in fresh:
+        for finding in findings:
             print(finding.format_text())
-        summary = f"{len(fresh)} finding(s)"
-        if baselined:
-            summary += f" ({baselined} baselined finding(s) suppressed)"
-        print(summary, file=sys.stderr)
+        print(f"{len(findings)} finding(s)", file=sys.stderr)
 
-    return 1 if fresh else 0
-
+    return 1 if findings else 0
 
 if __name__ == "__main__":
     sys.exit(main())

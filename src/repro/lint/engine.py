@@ -1,8 +1,7 @@
 """csm-lint engine: file discovery, rule dispatch, suppression filtering.
 
 A :class:`Finding` is a rule hit attributed to a file/line, carrying the
-stripped source text of its line so the baseline can match findings robustly
-across unrelated line-number churn (see :mod:`repro.lint.baseline`).
+stripped source text of its line.
 
 Per-line suppression uses the comment ``# csm-lint: disable=RULE`` (comma
 list or ``all``) on the flagged line.
@@ -26,7 +25,7 @@ _SUPPRESS_RE = re.compile(r"#\s*csm-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 @dataclass(frozen=True)
 class Finding:
-    """One analyzer finding, ready for reporting and baseline matching."""
+    """One analyzer finding, ready for reporting."""
 
     rule_id: str
     path: str

@@ -25,7 +25,7 @@ __all__ = ["FileContext", "RawFinding", "Rule", "RULE_REGISTRY", "register_rule"
 
 @dataclass
 class RawFinding:
-    """A rule hit before suppression/baseline filtering."""
+    """A rule hit before suppression filtering."""
 
     rule_id: str
     line: int

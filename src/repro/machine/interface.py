@@ -4,67 +4,25 @@ A state machine is a tuple ``(X, Y, S, f)`` of input alphabet, output
 alphabet, state space and deterministic transition function.  In this
 reproduction the alphabets and state space are vector spaces over a finite
 field, represented as fixed-length numpy vectors of canonical field elements,
-and ``f`` is a :class:`~repro.machine.polynomial_machine.PolynomialTransition`.
+and ``f`` is a :class:`~repro.machine.polynomial_machine.PolynomialTransition`
+— the only kind of transition there is.  CSM executes polynomial machines
+(a node evaluates ``f`` on coded data); every library machine and the
+Appendix A Boolean compiler build one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.gf.field import Field
+from repro.machine.polynomial_machine import PolynomialTransition
 
 #: Type aliases used throughout the protocol layers.
 MachineState = np.ndarray
 TransitionOutput = tuple[np.ndarray, np.ndarray]
-
-
-def validate_step_batch(
-    field: Field,
-    states: np.ndarray,
-    commands: np.ndarray,
-    state_dim: int,
-    command_dim: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonicalise a batched step's inputs to ``(n, state_dim)``/``(n, command_dim)``.
-
-    Shared by :meth:`StateMachine.step_batch` and
-    :meth:`PolynomialTransition.step_batch` so both surfaces validate (and
-    convert) exactly once with identical error messages.
-    """
-    states_arr = field.array(states)
-    commands_arr = field.array(commands)
-    if states_arr.ndim != 2 or states_arr.shape[1] != state_dim:
-        raise ConfigurationError(
-            f"expected states of shape (n, {state_dim}), got {states_arr.shape}"
-        )
-    if commands_arr.ndim != 2 or commands_arr.shape[1] != command_dim:
-        raise ConfigurationError(
-            f"expected commands of shape (n, {command_dim}), got {commands_arr.shape}"
-        )
-    if states_arr.shape[0] != commands_arr.shape[0]:
-        raise ConfigurationError(
-            f"state batch of {states_arr.shape[0]} rows does not match "
-            f"command batch of {commands_arr.shape[0]} rows"
-        )
-    return states_arr, commands_arr
-
-
-@runtime_checkable
-class Transition(Protocol):
-    """Anything that can act as the transition function ``f``."""
-
-    state_dim: int
-    command_dim: int
-    output_dim: int
-    degree: int
-
-    def step(self, state: np.ndarray, command: np.ndarray) -> TransitionOutput:
-        """Return ``(next_state, output)`` for one execution step."""
-        ...
 
 
 @dataclass
@@ -76,7 +34,8 @@ class StateMachine:
     field:
         The field over which states, commands and outputs live.
     transition:
-        The transition function ``f`` (a polynomial transition for CSM).
+        The transition function ``f``: CSM executes polynomial machines
+        only, since a node evaluates ``f`` on coded data.
     initial_state:
         The state ``S(0)`` the machine starts from.
     name:
@@ -86,7 +45,7 @@ class StateMachine:
     """
 
     field: Field
-    transition: Transition
+    transition: PolynomialTransition
     initial_state: np.ndarray
     name: str = "state-machine"
     noop: np.ndarray | None = None
@@ -164,26 +123,12 @@ class StateMachine:
         """Apply ``f`` to ``n`` independent state/command rows at once.
 
         Returns ``(next_states, outputs)`` of shapes ``(n, state_dim)`` and
-        ``(n, output_dim)``.  When the transition provides its own vectorised
-        ``step_batch`` (as :class:`PolynomialTransition` does) the whole batch
-        is delegated to it — including canonicalisation and shape validation,
-        so the hot path converts each array exactly once; otherwise the rows
-        fall back to scalar :meth:`step` calls.  Values are bit-identical
-        either way.
+        ``(n, output_dim)``, through one vectorised
+        :meth:`PolynomialTransition.step_batch` (which canonicalises and
+        validates the inputs once); values equal ``n`` scalar :meth:`step`
+        calls.
         """
-        batch = getattr(self.transition, "step_batch", None)
-        if batch is not None:
-            return batch(states, commands)
-        states_arr, commands_arr = validate_step_batch(
-            self.field, states, commands, self.state_dim, self.command_dim
-        )
-        next_states = np.zeros_like(states_arr)
-        outputs = np.zeros((states_arr.shape[0], self.output_dim), dtype=np.int64)
-        for i in range(states_arr.shape[0]):
-            next_states[i], outputs[i] = self.transition.step(
-                states_arr[i], commands_arr[i]
-            )
-        return next_states, outputs
+        return self.transition.step_batch(states, commands)
 
     def run(self, commands: np.ndarray, initial_state: np.ndarray | None = None):
         """Execute a sequence of commands; returns ``(final_state, outputs)``.

@@ -24,7 +24,6 @@ from repro.exceptions import ConfigurationError
 from repro.gf.field import Field
 from repro.gf.multivariate import MultivariatePolynomial
 from repro.gf.polynomial import Poly
-from repro.machine.interface import validate_step_batch
 
 
 class PolynomialTransition:
@@ -139,9 +138,23 @@ class PolynomialTransition:
         return np.concatenate([next_states, outputs], axis=1)
 
     def _assignment_batch(self, states: np.ndarray, commands: np.ndarray) -> np.ndarray:
-        states_arr, commands_arr = validate_step_batch(
-            self.field, states, commands, self.state_dim, self.command_dim
-        )
+        """Canonical ``(n, state_dim + command_dim)`` rows of a batched step."""
+        states_arr = self.field.array(states)
+        commands_arr = self.field.array(commands)
+        if states_arr.ndim != 2 or states_arr.shape[1] != self.state_dim:
+            raise ConfigurationError(
+                f"expected states of shape (n, {self.state_dim}), got {states_arr.shape}"
+            )
+        if commands_arr.ndim != 2 or commands_arr.shape[1] != self.command_dim:
+            raise ConfigurationError(
+                f"expected commands of shape (n, {self.command_dim}), "
+                f"got {commands_arr.shape}"
+            )
+        if states_arr.shape[0] != commands_arr.shape[0]:
+            raise ConfigurationError(
+                f"state batch of {states_arr.shape[0]} rows does not match "
+                f"command batch of {commands_arr.shape[0]} rows"
+            )
         return np.concatenate([states_arr, commands_arr], axis=1)
 
     def _assignment(self, state: np.ndarray, command: np.ndarray) -> list[int]:

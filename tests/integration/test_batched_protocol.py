@@ -5,6 +5,7 @@ finite throughput on degenerate histories, and command-shape validation."""
 import numpy as np
 import pytest
 
+from reference import lockstep
 from repro.consensus.command_pool import CommandPool
 from repro.consensus.interface import ConsensusDecision
 from repro.core.config import CSMConfig
@@ -40,7 +41,7 @@ def _decision(commands, clients, view=0, leader="node-0"):
 
 
 class TestDecisionSelection:
-    """``run_round`` must not adopt whichever decision happens to come first."""
+    """A round must not adopt whichever decision happens to come first."""
 
     def test_byzantine_decision_listed_first_is_ignored(self, big_field):
         protocol = _protocol(
@@ -117,8 +118,7 @@ class TestVerifiedDelivery:
 
     def test_failed_round_outputs_not_delivered(self, big_field):
         protocol = self._failing_protocol(big_field)
-        protocol.submit_round_of_commands(np.arange(1, 9))
-        record = protocol.run_round()
+        (record,) = protocol.run_rounds_batched([np.arange(1, 9)])
         assert not record.correct
         assert protocol.delivered_outputs == {}
         assert protocol.failed_rounds == 1
@@ -239,12 +239,12 @@ class TestCommandShapeValidation:
     def test_flat_submission_with_indivisible_length_raises(self, big_field):
         protocol = _protocol(big_field, num_machines=2)
         with pytest.raises(ConfigurationError, match="cannot be split"):
-            protocol.submit_round_of_commands(np.array([1, 2, 3]))
+            protocol.run_rounds_batched([np.array([1, 2, 3])])
 
     def test_empty_flat_submission_raises(self, big_field):
         protocol = _protocol(big_field, num_machines=2)
         with pytest.raises(ConfigurationError, match="cannot be split"):
-            protocol.submit_round_of_commands(np.array([], dtype=np.int64))
+            protocol.run_rounds_batched([np.array([], dtype=np.int64)])
 
     def test_pool_submit_batch_rejects_indivisible_flat_array(self):
         pool = CommandPool(num_machines=3)
@@ -253,8 +253,9 @@ class TestCommandShapeValidation:
 
     def test_valid_flat_submission_still_accepted(self, big_field):
         protocol = _protocol(big_field, num_machines=2)
-        protocol.submit_round_of_commands(np.array([1, 2]))
-        assert protocol.pool.total_pending() == 2
+        (record,) = protocol.run_rounds_batched([np.array([1, 2])])
+        assert record.commands.tolist() == [[1], [2]]
+        assert record.correct
 
 
 class TestLazySubmissionBitIdentity:
@@ -277,7 +278,7 @@ class TestLazySubmissionBitIdentity:
         batched = CSMProtocol(
             config, machine, dict(behaviors), rng=np.random.default_rng(0)
         )
-        seq_records = sequential.run_rounds(batches)
+        seq_records = lockstep.run_rounds(sequential, batches)
         bat_records = batched.run_rounds_batched(batches)
         for seq, bat in zip(seq_records, bat_records):
             assert seq.consensus_views == bat.consensus_views

@@ -31,7 +31,7 @@ class TestFullProtocolSynchronous:
             np.array([[1, 1], [2, 2], [3, 3], [4, 4]]),
             np.array([[0, 9], [9, 0], [1, 1], [2, 2]]),
         ]
-        records = protocol.run_rounds(batches)
+        protocol.run_rounds_batched(batches)
         assert protocol.all_rounds_correct
         # The decoded trajectory matches running each machine uncoded.
         for k in range(4):
@@ -47,8 +47,7 @@ class TestFullProtocolSynchronous:
         machine = bank_account_machine(big_field, num_accounts=1)
         config = CSMConfig(big_field, num_nodes=8, num_machines=3, degree=1, num_faults=1)
         protocol = CSMProtocol(config, machine, rng=np.random.default_rng(1))
-        protocol.submit_round_of_commands(np.array([[7], [8], [9]]))
-        record = protocol.run_round()
+        (record,) = protocol.run_rounds_batched([np.array([[7], [8], [9]])])
         assert record.correct
         assert record.commands.tolist() == [[7], [8], [9]]
         assert record.result.outputs.tolist() == [[7], [8], [9]]
@@ -58,8 +57,7 @@ class TestFullProtocolSynchronous:
         config = CSMConfig(big_field, num_nodes=9, num_machines=3, degree=1, num_faults=2)
         behaviors = {"node-0": SilentBehavior(), "node-2": RandomGarbageBehavior()}
         protocol = CSMProtocol(config, machine, behaviors, rng=np.random.default_rng(2))
-        protocol.submit_round_of_commands(np.array([[1], [2], [3]]))
-        record = protocol.run_round()  # round 0's leader is the silent node-0
+        (record,) = protocol.run_rounds_batched([np.array([[1], [2], [3]])])  # round 0's leader is the silent node-0
         assert record.correct
         assert record.consensus_views >= 1
 
@@ -73,8 +71,7 @@ class TestFullProtocolPartiallySynchronous:
         )
         behaviors = {"node-4": SilentBehavior()}
         protocol = CSMProtocol(config, machine, behaviors, rng=np.random.default_rng(3))
-        protocol.submit_round_of_commands(np.array([[5], [6], [7]]))
-        record = protocol.run_round()
+        (record,) = protocol.run_rounds_batched([np.array([[5], [6], [7]])])
         assert record.correct
         assert record.result.outputs.tolist() == [[5], [6], [7]]
 

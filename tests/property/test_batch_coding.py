@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.coding.erasure import ErasureDecoder, puncture
+from repro.coding.erasure import ErasureDecoder
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.exceptions import DecodingError
 from repro.gf.prime_field import PrimeField
@@ -79,7 +79,7 @@ class TestErasureRadiusBoundary:
         decoder = ErasureDecoder(code)
         word = code.encode([1, 2, 3, 4])
         # Erase down to 6 survivors (budget e <= 1), then corrupt 2 survivors.
-        received = puncture(word, [0, 1, 2, 3])
+        received = [None] * 4 + [int(v) for v in word[4:]]
         received[4] = field.add(int(received[4]), 7)
         received[5] = field.add(int(received[5]), 9)
         with pytest.raises(DecodingError) as excinfo:

@@ -10,7 +10,10 @@ The ``GOLDEN_DIGESTS`` were recorded at commit eb41ac8 — *before* the
 backend lost its scalar per-column INTERMIX mode, in which every scenario
 hashed the same as in the stacked ``run_batch`` mode — so a digest that
 moves means observable behaviour moved.  The diagnostics key ``"batched"``
-that mode switch wrote is left out of the hash.  Each
+that mode switch wrote is left out of the hash.  One digest was re-recorded
+since: ``corrupt_decoder_with_dishonest_auditors``, when a void round began
+reporting the last decoded states instead of zeros (its round 4 is the only
+void round after the states have moved).  Each
 scenario also asserts that it still reaches the branch it exists for
 (honest delivery, a mid-batch conviction and re-election, a cheating
 decoder among dishonest auditors), so a digest cannot stay green by
@@ -31,7 +34,7 @@ from repro.rng import default_stream
 GOLDEN_DIGESTS = {
     "honest_n16_k4": "94c90878781192610cc5f678b2cd68e20ac6273c626fb0987f4809b2c6bc4f7c",
     "corrupt_worker_reelected_mid_batch": "96ecd814e793f08ff21444b014f7d3fe9cd4f35abbb39ea23689195a80d08dbe",
-    "corrupt_decoder_with_dishonest_auditors": "a54aa87cccffb5984e0e2ebc517800c2240f461ccc122144354ba166355b6e82",
+    "corrupt_decoder_with_dishonest_auditors": "07af371b93794a06e1e23101e70f95a853ddd01494c5f8bbcc07553380999f23",
 }
 
 FIELD = PrimeField()

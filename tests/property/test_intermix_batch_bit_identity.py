@@ -1,17 +1,20 @@
-"""Property tests: batched INTERMIX is bit-identical to the scalar oracle.
+"""Property tests: batched INTERMIX is bit-identical to the per-column oracle.
 
 :meth:`IntermixProtocol.run_batch` amortises a batch of verified
 matrix–vector products into one stacked matrix multiplication shared by the
-worker and every auditor; the scalar :meth:`IntermixProtocol.run` loop is
-the reference oracle.  Across random shapes, seeds, cheating-worker
-strategies and dishonest-auditor sets, the two paths must agree on
-*everything* observable: verdicts, accusation transcripts, per-role
-operation counts, and the position of the shared rng stream.
+worker and every auditor; the per-column loop of
+:func:`reference.intermix.scalar_run`, where every role recomputes its
+column with its own ``gf_matvec``, is the reference oracle.  Across random
+shapes, seeds, cheating-worker strategies and dishonest-auditor sets, the
+two paths must agree on *everything* observable: verdicts, accusation
+transcripts, per-role operation counts, and the position of the shared rng
+stream.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reference.intermix import scalar_run
 from repro.gf.prime_field import PrimeField
 from repro.intermix.protocol import IntermixProtocol
 from repro.intermix.worker import WorkerStrategy
@@ -104,7 +107,7 @@ def test_run_batch_bit_identical_to_scalar_run(
     )
     committee = scalar_protocol.election.elect()
     scalar_outcomes = [
-        scalar_protocol.run(matrix, vectors[:, c], committee=committee)
+        scalar_run(scalar_protocol, matrix, vectors[:, c], committee=committee)
         for c in range(columns)
     ]
 
@@ -118,6 +121,37 @@ def test_run_batch_bit_identical_to_scalar_run(
         batch_protocol.rng.bit_generator.state
         == scalar_protocol.rng.bit_generator.state
     )
+
+
+@relaxed
+@given(
+    field_index=st.integers(min_value=0, max_value=len(FIELDS) - 1),
+    length=st.integers(min_value=1, max_value=65),
+    strategy=st.sampled_from(STRATEGIES),
+    dishonest_count=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_run_is_one_verified_product_of_the_oracle(
+    field_index, length, strategy, dishonest_count, seed
+):
+    """``run`` elects its own committee and matches the oracle doing the same."""
+    field = FIELDS[field_index]
+    node_ids = [f"node-{i}" for i in range(12)]
+    data = default_stream(seed)
+    matrix = data.integers(0, field.order, size=(12, length))
+    vector = data.integers(0, field.order, size=length)
+    kwargs = dict(
+        fault_fraction=0.25,
+        worker_strategies={n: strategy for n in node_ids},
+        dishonest_auditors=set(node_ids[:dishonest_count]),
+    )
+    protocol = IntermixProtocol(field, node_ids, rng=default_stream(seed), **kwargs)
+    oracle = IntermixProtocol(field, node_ids, rng=default_stream(seed), **kwargs)
+    for _ in range(2):
+        assert_outcomes_identical(
+            protocol.run(matrix, vector), scalar_run(oracle, matrix, vector)
+        )
+    assert protocol.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
 @relaxed

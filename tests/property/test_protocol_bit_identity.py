@@ -5,7 +5,8 @@ layer — the whole batch decided by one consensus instance through
 ``decide_rounds`` on the message plane, coded execution through the
 cached-matrix ``execute_rounds`` pipeline with the stacked transition step —
 yet the recorded :class:`ProtocolRound` history must agree *bit for bit* with
-the sequential ``run_round`` loop (one instance per round), across both
+the lockstep loop of :mod:`reference.lockstep` (one instance and one scalar
+coded round per round), across both
 network models and arbitrary admissible Byzantine fault patterns, in
 everything but the consensus side: views and message counts depend on how
 many instances ran.
@@ -14,6 +15,7 @@ many instances ran.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reference import lockstep
 from repro.core.config import CSMConfig
 from repro.core.protocol import CSMProtocol
 from repro.exceptions import ConfigurationError
@@ -106,7 +108,7 @@ class TestBatchedProtocolBitIdentity:
         batched = CSMProtocol(
             config, machine, dict(behaviors), rng=np.random.default_rng(5)
         )
-        sequential_records = sequential.run_rounds(batches)
+        sequential_records = lockstep.run_rounds(sequential, batches)
         batched_records = batched.run_rounds_batched(batches)
 
         assert len(sequential_records) == len(batched_records) == num_rounds

@@ -1,0 +1,78 @@
+"""The per-column INTERMIX round: the oracle ``run_batch`` is compared against.
+
+:meth:`~repro.intermix.protocol.IntermixProtocol.run_batch` computes the
+worker's and every auditor's recomputation of a whole batch as one stacked
+matrix product and splits its cost evenly across the columns.  Here every
+role recomputes its one column ``A X`` itself with
+:func:`~repro.gf.linalg.gf_matvec` under its own operation counter, the way
+Section 6.1 describes a single verified product.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.gf.field import Field, OperationCounter
+from repro.gf.linalg import gf_matvec
+from repro.intermix.auditor import Auditor, AuditTranscript
+from repro.intermix.committee import Committee
+from repro.intermix.protocol import IntermixProtocol, VerificationOutcome
+from repro.intermix.worker import Worker, WorkerStrategy
+
+
+def matvec_with_cost(
+    field: Field, matrix: np.ndarray, vector: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """``A X`` by ``gf_matvec`` with its multiplication and addition counts."""
+    counter = OperationCounter()
+    field.attach_counter(counter)
+    try:
+        product = gf_matvec(field, matrix, vector)
+    finally:
+        field.attach_counter(None)
+    return product, counter.multiplications, counter.additions
+
+
+def compute(worker: Worker, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray | None:
+    """The worker's broadcast after recomputing ``A X`` on its own."""
+    return worker.compute(matrix, vector, *matvec_with_cost(worker.field, matrix, vector))
+
+
+def audit(
+    auditor: Auditor,
+    matrix: np.ndarray,
+    vector: np.ndarray,
+    claimed: np.ndarray | None,
+    worker: Worker,
+) -> AuditTranscript:
+    """Algorithm 1 after the auditor recomputes ``A X`` on its own."""
+    return auditor.audit(
+        matrix, vector, claimed, worker, *matvec_with_cost(auditor.field, matrix, vector)
+    )
+
+
+def scalar_run(
+    protocol: IntermixProtocol,
+    matrix: np.ndarray,
+    vector: np.ndarray,
+    committee: Committee | None = None,
+) -> VerificationOutcome:
+    """One verified product ``A X`` with a ``gf_matvec`` per role."""
+    field = protocol.field
+    committee = committee or protocol.election.elect()
+    matrix = field.array(matrix)
+    vector = field.array(vector).reshape(-1)
+    strategy = protocol.worker_strategies.get(committee.worker, WorkerStrategy.HONEST)
+    worker = Worker(committee.worker, field, strategy=strategy, rng=protocol.rng)
+    claimed = compute(worker, matrix, vector)
+    transcripts: list[AuditTranscript] = []
+    auditor_ops: dict[str, int] = {}
+    for auditor_id in committee.auditors:
+        auditor = Auditor(
+            auditor_id, field, dishonest=auditor_id in protocol.dishonest_auditors
+        )
+        transcripts.append(audit(auditor, matrix, vector, claimed, worker))
+        auditor_ops[auditor_id] = auditor.operations
+    return protocol._judge(
+        matrix, vector, committee, worker, claimed, transcripts, auditor_ops
+    )

@@ -1,0 +1,47 @@
+"""The lockstep CSM loop: one consensus instance and one scalar round per round.
+
+Before the block drivers, a :class:`~repro.core.protocol.CSMProtocol` ran
+each round on its own: the clients ``client:0..K-1`` submit one command per
+machine, one consensus instance
+(:meth:`~repro.consensus.interface.ConsensusProtocol.decide_round`) decides
+that round alone, and the scalar per-node coded round
+(:meth:`~repro.core.execution.CodedExecutionEngine.execute_round`) executes
+it.  The block drivers ``run_rounds_batched``/``run_rounds_pipelined`` must
+record the same commands, clients and outputs; only consensus-side fields
+(views, message counts) and operation counts may differ.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.core.protocol import CSMProtocol
+from repro.rounds import ProtocolRound
+
+
+def submit_round(protocol: CSMProtocol, commands: np.ndarray) -> None:
+    """Submit one command per machine under the ``client:k`` labels."""
+    protocol._submit_round(
+        commands, [f"client:{k}" for k in range(protocol.num_machines)]
+    )
+
+
+def run_round(protocol: CSMProtocol) -> ProtocolRound:
+    """Decide the next round alone, execute it, and record it."""
+    decisions = protocol.consensus.decide_round(len(protocol.history))
+    sample = protocol._select_decision(decisions)
+    result = protocol.engine.execute_round(sample.commands)
+    return protocol._record_round(sample.commands, sample.clients, result, sample.view)
+
+
+def run_rounds(
+    protocol: CSMProtocol, command_batches: Sequence[np.ndarray]
+) -> list[ProtocolRound]:
+    """Submit and run each round in turn."""
+    records = []
+    for batch in command_batches:
+        submit_round(protocol, batch)
+        records.append(run_round(protocol))
+    return records

@@ -139,6 +139,23 @@ class TestFraudulentRounds:
         # The coded states never advanced: resubmission is safe.
         assert np.array_equal(protocol._coded_states, genesis)
 
+    def test_void_round_reports_the_last_decoded_states(self, machine):
+        # Seed 7 elects an honest node-3 for the first batch and node-13,
+        # here a corrupt decoder, for the second.
+        protocol = _protocol(machine, seed=7, corrupt_decoder_workers={"node-13"})
+        commands = _commands(machine, 3)
+        protocol.run_rounds_batched(commands[:2])
+        protocol.run_rounds_batched(commands[2:])
+        flags = [record.correct for record in protocol.history]
+        workers = [r.result.diagnostics["worker"] for r in protocol.history]
+        assert flags == [True, True, False]
+        assert workers == ["node-3", "node-3", "node-13"]
+        decoded = protocol.history[1].result.states
+        assert decoded.any()
+        void = protocol.history[2].result
+        assert np.array_equal(void.states, decoded)
+        assert not void.outputs.any()
+
     def test_fraud_diagnostics_count_rejected_operations(self, machine):
         protocol = _protocol(
             machine,

@@ -1,9 +1,7 @@
-"""Fixture-snippet tests for the csm-lint rules, suppression, and baseline.
+"""Fixture-snippet tests for the csm-lint rules and suppression.
 
 Each rule gets at least one true-positive, one negative, and one
-suppression-comment case; the baseline tests cover the round-trip
-(write -> load -> filter) and the "new finding with identical text still
-trips" counting semantics.
+suppression-comment case.
 """
 
 import json
@@ -11,14 +9,9 @@ import textwrap
 
 import pytest
 
-from repro.lint.baseline import (
-    fingerprint,
-    load_baseline,
-    new_findings,
-    write_baseline,
-)
+from repro.lint.__main__ import main as lint_main
 from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import Finding, LintEngine, suppressed_rules
+from repro.lint.engine import LintEngine, suppressed_rules
 from repro.lint.rules import RULE_REGISTRY
 
 
@@ -589,44 +582,39 @@ class TestEngineAndOutput:
         assert json.dumps(data)  # JSON-serialisable
 
 
-class TestBaseline:
-    def _findings(self, n=2):
-        source = "import time\n" + "t = time.time()\n" * n
-        return run_lint(source, path="src/repro/clocky.py", rules=["DET002"])
+class TestCommandLine:
+    """Exit status of ``python -m repro.lint``: CI's lint step and its
+    seeded-canary self-gate rely on it."""
 
-    def test_round_trip(self, tmp_path):
-        findings = self._findings()
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, findings)
-        loaded = load_baseline(baseline_file)
-        assert sum(loaded.values()) == len(findings)
-        assert new_findings(findings, loaded) == []
+    def _write(self, tmp_path, source):
+        target = tmp_path / "sample.py"
+        target.write_text(textwrap.dedent(source))
+        return str(target)
 
-    def test_identical_text_beyond_count_trips(self, tmp_path):
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, self._findings(n=2))
-        loaded = load_baseline(baseline_file)
-        fresh = new_findings(self._findings(n=3), loaded)
-        assert len(fresh) == 1
-        assert fresh[0].rule_id == "DET002"
+    def test_finding_exits_one(self, tmp_path, capsys):
+        path = self._write(
+            tmp_path,
+            """
+            import numpy as np
 
-    def test_line_number_churn_does_not_trip(self, tmp_path):
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, self._findings(n=1))
-        loaded = load_baseline(baseline_file)
-        moved = run_lint(
-            "import time\n\n\n# padding\nt = time.time()\n",
-            path="src/repro/clocky.py",
-            rules=["DET002"],
+            def _lint_canary(rng=None):
+                return rng or np.random.default_rng(0)
+            """,
         )
-        assert new_findings(moved, loaded) == []
+        assert lint_main([path]) == 1
+        assert "DET001" in capsys.readouterr().out
 
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == {}
+    def test_clean_path_exits_zero(self, tmp_path, capsys):
+        path = self._write(tmp_path, "x = 1\n")
+        assert lint_main([path]) == 0
+        assert "0 finding(s)" in capsys.readouterr().err
 
-    def test_fingerprint_includes_path_rule_and_text(self):
-        finding = Finding("DET002", "a.py", 3, 0, "msg", "t = time.time()")
-        assert fingerprint(finding) == "a.py::DET002::t = time.time()"
+    @pytest.mark.parametrize("flag", ["--baseline", "--write-baseline"])
+    def test_baseline_flags_are_usage_errors(self, tmp_path, flag):
+        path = self._write(tmp_path, "x = 1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main([flag, str(tmp_path / "baseline.json"), path])
+        assert excinfo.value.code == 2
 
 
 class TestConfig:
@@ -664,7 +652,7 @@ class TestConfig:
 
 
 class TestRepositoryIsClean:
-    def test_default_paths_have_zero_non_baselined_findings(self):
+    def test_default_paths_have_zero_findings(self):
         """The acceptance criterion: `python -m repro.lint` runs clean over
         the configured default paths (src AND examples)."""
         import pathlib
@@ -676,6 +664,4 @@ class TestRepositoryIsClean:
         findings = engine.check_paths(
             [repo_root / path for path in config.default_paths]
         )
-        baseline = load_baseline(repo_root / "lint-baseline.json")
-        fresh = new_findings(findings, baseline)
-        assert fresh == [], "\n".join(f.format_text() for f in fresh)
+        assert findings == [], "\n".join(f.format_text() for f in findings)

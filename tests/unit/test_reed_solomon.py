@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import DecodingError, FieldError
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
-from repro.coding.erasure import ErasureDecoder, puncture
+from repro.coding.erasure import ErasureDecoder
 from repro.coding.gao import GaoDecoder
 from repro.coding.radius import (
     composite_degree,
@@ -129,12 +129,21 @@ class TestBerlekampWelchSpecifics:
         assert result.polynomial.coeffs == [42]
 
 
+def puncture(received, missing):
+    """Mark the given positions of a received word as erased."""
+    word = [int(v) for v in received]
+    for index in missing:
+        word[int(index)] = None
+    return word
+
+
 class TestErasureDecoder:
     def test_erasures_only(self, code, rng):
         message = [int(v) for v in rng.integers(0, 97, size=5)]
         word = puncture(code.encode(message), [0, 4, 8, 12])
-        result = ErasureDecoder(code).decode_erasures_only(word)
+        result = ErasureDecoder(code).decode_with_erasures(word)
         assert result.polynomial.coefficient_array(5).tolist() == message
+        assert result.error_positions == ()
 
     def test_erasures_plus_errors(self, code, rng):
         message = [int(v) for v in rng.integers(0, 97, size=5)]
@@ -146,16 +155,18 @@ class TestErasureDecoder:
         assert result.polynomial.coefficient_array(5).tolist() == message
         assert set(result.error_positions) == {3, 10}
 
+    def test_erasures_only_detects_inconsistency(self, code):
+        # 9 erasures leave 6 survivors at K=5: room to detect one error but
+        # not to correct it, so a corrupted survivor must raise.
+        word = puncture(code.encode([1, 2, 3, 4, 5]), list(range(9)))
+        word[12] = (int(word[12]) + 1) % 97
+        with pytest.raises(DecodingError):
+            ErasureDecoder(code).decode_with_erasures(word)
+
     def test_too_few_survivors_rejected(self, code):
         word = puncture(code.encode([1, 2, 3, 4, 5]), list(range(12)))
         with pytest.raises(DecodingError):
             ErasureDecoder(code).decode_with_erasures(word)
-
-    def test_erasures_only_detects_inconsistency(self, code):
-        word = puncture(code.encode([1, 2, 3, 4, 5]), [0])
-        word[5] = (int(word[5]) + 1) % 97
-        with pytest.raises(DecodingError):
-            ErasureDecoder(code).decode_erasures_only(word)
 
 
 class TestRadiusFormulas:
