@@ -4,9 +4,7 @@ Measures per-node execution-phase operation counts across network sizes and
 compares the distributed-coding path (every node decodes) against the
 delegated path (single worker, INTERMIX verification) and the paper's
 quasilinear model curve ``N log^2 N log log N``.  The measured rows run
-through the batched cached-matrix pipeline by default
-(``throughput_rows(batched=...)`` flips back to the scalar protocol); the
-batched path must charge far fewer decode operations per round.
+through the engine's cached-matrix ``execute_rounds`` pipeline.
 
 These are operation counts and model curves, the paper's own metric.
 Wall-clock serving throughput and latency are measured end to end by
@@ -22,7 +20,6 @@ def test_throughput_rows_distributed_vs_delegated(benchmark):
         scaling.throughput_rows,
         network_sizes=(8, 16, 24),
         fault_fraction=0.2,
-        batched=True,
     )
     for row in rows:
         # Non-worker nodes in the delegated path do asymptotically less work
@@ -31,23 +28,6 @@ def test_throughput_rows_distributed_vs_delegated(benchmark):
     # The distributed per-node cost grows super-linearly with N (it contains a
     # textbook RS decode), while the model curve stays quasilinear.
     assert rows[-1]["distributed_ops_per_node"] > rows[0]["distributed_ops_per_node"]
-
-
-def test_batched_amortises_ops_vs_scalar(benchmark):
-    """The batch path charges far fewer decode operations per round."""
-
-    def both():
-        batched = scaling.throughput_rows(
-            network_sizes=(16, 24), fault_fraction=0.2, batched=True
-        )
-        scalar = scaling.throughput_rows(
-            network_sizes=(16, 24), fault_fraction=0.2, batched=False
-        )
-        return batched, scalar
-
-    batched, scalar = benchmark(both)
-    for fast, slow in zip(batched, scalar):
-        assert fast["distributed_ops_per_node"] < slow["distributed_ops_per_node"] / 5
 
 
 def test_quasilinear_model_curve_shape(benchmark):

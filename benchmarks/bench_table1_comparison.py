@@ -8,11 +8,8 @@ storage 1, partial replication trades security for storage, CSM gets both.
 from repro.experiments import table1
 
 
-def _rows(batched: bool = True):
-    return table1.run(
-        num_nodes=16, fault_fraction=0.25, degree=1, rounds=1, measured=True,
-        batched=batched,
-    )
+def _rows():
+    return table1.run(num_nodes=16, fault_fraction=0.25, degree=1, rounds=1, measured=True)
 
 
 def test_table1_regeneration(benchmark):
@@ -40,29 +37,6 @@ def test_table1_regeneration(benchmark):
     ]["storage_efficiency"]
     # Partial replication collapses when the adversary concentrates its faults.
     assert not measured["partial-replication"]["correct"]
-
-
-def test_table1_batched_matches_scalar(benchmark):
-    """The batch flag changes amortised op counts, never measured outcomes."""
-    batched_rows = benchmark(_rows, batched=True)
-    scalar_rows = _rows(batched=False)
-    batched_measured = {
-        r["scheme"]: r for r in batched_rows if r["kind"] == "measured"
-    }
-    scalar_measured = {
-        r["scheme"]: r for r in scalar_rows if r["kind"] == "measured"
-    }
-    assert set(batched_measured) == set(scalar_measured)
-    for scheme, row in batched_measured.items():
-        assert row["correct"] == scalar_measured[scheme]["correct"]
-        assert row["failed_rounds"] == scalar_measured[scheme]["failed_rounds"]
-        assert row["storage_efficiency"] == scalar_measured[scheme]["storage_efficiency"]
-    # CSM is where batching amortises work: its measured per-node op count
-    # must strictly improve.
-    assert (
-        batched_measured["coded-state-machine"]["ops_per_node"]
-        < scalar_measured["coded-state-machine"]["ops_per_node"]
-    )
 
 
 def test_table1_degree_two_variant(benchmark):

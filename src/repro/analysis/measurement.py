@@ -52,7 +52,6 @@ class MeasuredPerformance:
     mean_ops_per_node: float
     throughput: float
     failed_rounds: int = 0
-    batched: bool = False
 
     def as_row(self) -> dict:
         return {
@@ -93,10 +92,8 @@ def _workload(machine: StateMachine, num_machines: int, rounds: int, rng: np.ran
     ]
 
 
-def _execute_workload(
-    engine, workload: list[np.ndarray], batched: bool
-) -> tuple[bool, float, int]:
-    """Run the workload; every executed round counts.
+def _execute_workload(engine, workload: list[np.ndarray]) -> tuple[bool, float, int]:
+    """Run the workload as one batch; every executed round counts.
 
     Returns ``(all_correct, mean_ops_per_node, failed_rounds)``.  A round is
     *failed* when its engine call raises (:class:`SecurityViolation` /
@@ -106,38 +103,18 @@ def _execute_workload(
     what it delivered.  Failed rounds stay in the denominator: nodes spent
     the work whether or not the clients got a correct answer, and dropping
     them used to bias ``mean_ops_per_node`` (and hence throughput) upward
-    exactly when faults bite.  For rounds that raise, per-node operations
-    are recovered from the engine's node counters when the engine keeps them
-    (CSM); otherwise the round is reported in ``failed_rounds`` but cannot
-    contribute operations.
+    exactly when faults bite.  A raising engine loses its per-round records,
+    so every requested round is reported as executed-and-failed, without
+    operations (current engines record failures in the
+    :class:`RoundResult` instead of raising, so this is a safety net).
     """
-    ops: list[float] = []
     raised = 0
     executed: list[tuple[np.ndarray, RoundResult]] = []
-
-    def count_raised(rounds: int) -> None:
-        nonlocal raised
-        raised += rounds
-        nodes = getattr(engine, "nodes", None)
-        if nodes:
-            ops.append(float(np.mean([node.counter.total for node in nodes])))
-
-    if batched:
-        try:
-            executed = list(zip(workload, engine.execute_rounds(np.stack(workload))))
-        except (SecurityViolation, DecodingError):
-            # Same contract as the scalar branch: a raising engine loses its
-            # per-round records, but every requested round is still reported
-            # as executed-and-failed (current engines record failures in the
-            # RoundResult instead of raising, so this is a safety net).
-            count_raised(len(workload))
-    else:
-        for commands in workload:
-            try:
-                executed.append((commands, engine.execute_round(commands)))
-            except (SecurityViolation, DecodingError):
-                count_raised(1)
-    ops.extend(result.mean_ops_per_node for _, result in executed)
+    try:
+        executed = list(zip(workload, engine.execute_rounds(np.stack(workload))))
+    except (SecurityViolation, DecodingError):
+        raised = len(workload)
+    ops = [result.mean_ops_per_node for _, result in executed]
     failed_rounds = raised + int((~replay_rounds(engine.machine, executed).right).sum())
     mean_ops = float(np.mean(ops)) if ops else 0.0
     return failed_rounds == 0, mean_ops, failed_rounds
@@ -150,7 +127,6 @@ def measure_full_replication(
     num_faults: int,
     rounds: int = 3,
     seed: int = 0,
-    batched: bool = False,
 ) -> MeasuredPerformance:
     """Run full replication and measure correctness / ops / throughput."""
     rng = default_stream(seed)
@@ -158,7 +134,7 @@ def measure_full_replication(
     behaviors = _fault_behaviors(node_ids, num_faults, rng)
     engine = FullReplicationSMR(machine, num_machines, node_ids, behaviors, rng)
     correct, mean_ops, failed_rounds = _execute_workload(
-        engine, _workload(machine, num_machines, rounds, rng), batched
+        engine, _workload(machine, num_machines, rounds, rng)
     )
     return MeasuredPerformance(
         scheme="full-replication",
@@ -171,7 +147,6 @@ def measure_full_replication(
         mean_ops_per_node=mean_ops,
         throughput=num_machines / mean_ops if mean_ops else float("inf"),
         failed_rounds=failed_rounds,
-        batched=batched,
     )
 
 
@@ -183,7 +158,6 @@ def measure_partial_replication(
     rounds: int = 3,
     seed: int = 0,
     concentrate_faults: bool = True,
-    batched: bool = False,
 ) -> MeasuredPerformance:
     """Run partial replication; faults are concentrated on group 0 by default.
 
@@ -206,7 +180,7 @@ def measure_partial_replication(
         behaviors = _fault_behaviors(node_ids, num_faults, rng)
     engine = PartialReplicationSMR(machine, num_machines, node_ids, behaviors, rng)
     correct, mean_ops, failed_rounds = _execute_workload(
-        engine, _workload(machine, num_machines, rounds, rng), batched
+        engine, _workload(machine, num_machines, rounds, rng)
     )
     return MeasuredPerformance(
         scheme="partial-replication",
@@ -219,7 +193,6 @@ def measure_partial_replication(
         mean_ops_per_node=mean_ops,
         throughput=num_machines / mean_ops if mean_ops else float("inf"),
         failed_rounds=failed_rounds,
-        batched=batched,
     )
 
 
@@ -232,7 +205,6 @@ def measure_csm(
     seed: int = 0,
     partially_synchronous: bool = False,
     behavior_factory=RandomGarbageBehavior,
-    batched: bool = False,
 ) -> MeasuredPerformance:
     """Run CSM's coded execution and measure correctness / ops / throughput.
 
@@ -241,10 +213,9 @@ def measure_csm(
     the faults are injected anyway — measuring what actually happens past the
     bound (decoding failures) is part of the Table 2 experiment.
 
-    ``batched=True`` drives the engine through the cached-matrix
-    ``execute_rounds`` pipeline (bit-identical outputs, amortised
-    encode/decode cost); the default keeps the scalar round-by-round path so
-    existing experiments measure the textbook protocol.
+    The rounds run as one ``execute_rounds`` batch: the engine's only round,
+    with the per-node operation charges of the textbook protocol and one
+    suspect-learning decode per round.
     """
     rng = default_stream(seed)
     config_faults = num_faults
@@ -270,7 +241,7 @@ def measure_csm(
     behaviors = _fault_behaviors(node_ids, num_faults, rng, behavior_factory)
     engine = CodedExecutionEngine(config, machine, node_ids, behaviors, rng)
     correct, mean_ops, failed_rounds = _execute_workload(
-        engine, _workload(machine, num_machines, rounds, rng), batched
+        engine, _workload(machine, num_machines, rounds, rng)
     )
     return MeasuredPerformance(
         scheme="coded-state-machine",
@@ -283,7 +254,6 @@ def measure_csm(
         mean_ops_per_node=mean_ops,
         throughput=num_machines / mean_ops if mean_ops else float("inf"),
         failed_rounds=failed_rounds,
-        batched=batched,
     )
 
 

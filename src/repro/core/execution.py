@@ -45,6 +45,12 @@ from repro.rng import default_stream
 from repro.rounds import RoundResult, command_batch
 
 
+def check_verify_window(verify_window: int) -> None:
+    """A speculative verification window holds at least one round."""
+    if verify_window < 1:
+        raise ConfigurationError(f"verify_window must be positive, got {verify_window}")
+
+
 @dataclass
 class _SpeculativeRound:
     """A round executed speculatively, awaiting its deferred verification.
@@ -76,7 +82,6 @@ class CodedExecutionEngine:
         node_ids: list[str] | None = None,
         behaviors: dict[str, ByzantineBehavior] | None = None,
         rng: np.random.Generator | None = None,
-        decode_at_every_node: bool = False,
     ) -> None:
         if machine.degree != config.degree:
             raise ConfigurationError(
@@ -87,7 +92,6 @@ class CodedExecutionEngine:
         self.machine = machine
         self.field = config.field
         self.rng = rng if rng is not None else default_stream()
-        self.decode_at_every_node = bool(decode_at_every_node)
         self.node_ids = list(node_ids) if node_ids is not None else [
             f"node-{i}" for i in range(config.num_nodes)
         ]
@@ -108,8 +112,7 @@ class CodedExecutionEngine:
         # The one resident copy of the coded states, shape (N, state_dim):
         # row i *is* node i's storage (CodedStateStore adopts the canonical
         # row it is given), so the stacked rounds evaluate and refresh the
-        # bank directly while the scalar per-node path reads and writes the
-        # same memory.
+        # bank directly and a node's store always reads the current row.
         self._bank = self.encoder.encode(self.states)
         self.nodes: list[CSMNode] = [
             CSMNode(
@@ -178,25 +181,16 @@ class CodedExecutionEngine:
 
     # -- round execution ------------------------------------------------------------------
     def execute_round(self, commands: np.ndarray) -> RoundResult:
-        """Run the coded execution phase for one agreed command vector."""
-        commands_arr = self._check_commands(commands)
-        for node in self.nodes:
-            node.reset_counter()
-        # Step 1-2: every node encodes its command and computes on coded data.
-        true_results = np.zeros(
-            (self.num_nodes, self.machine.transition.result_dim), dtype=np.int64
-        )
-        for node in self.nodes:
-            coded_command = node.encode_command(commands_arr)
-            true_results[node.node_index] = node.execute_coded(coded_command)
-        return self._complete_round(true_results)
+        """One round of ``(K, command_dim)`` agreed commands: a batch of one."""
+        (result,) = self.execute_rounds(np.asarray(commands)[None])
+        return result
 
     def execute_rounds(self, commands_batch: np.ndarray) -> list[RoundResult]:
         """Run a batch of ``B`` rounds through the cached-matrix pipeline.
 
         ``commands_batch`` has shape ``(B, K, command_dim)`` (a single
-        ``(K, command_dim)`` round is promoted to a batch of one).  Compared
-        with calling :meth:`execute_round` ``B`` times:
+        ``(K, command_dim)`` round is promoted to a batch of one).  Per
+        batch:
 
         * all ``B * N`` coded commands come from **one** ``GF(p)``
           matrix–matrix product with the cached coefficient matrix;
@@ -205,17 +199,15 @@ class CodedExecutionEngine:
           Berlekamp–Welch decode for the whole batch instead of one per
           component per round;
         * the honest nodes' coded-state refresh is one matrix product per
-          round instead of ``N - b`` per-node inner-product loops.
+          round.
 
-        The coded execution itself stays sequential — round ``t + 1``
-        operates on coded states refreshed from round ``t``'s decode, exactly
-        as in the scalar path — and every returned ``RoundResult`` carries
-        outputs, states and correctness flags bit-identical to the scalar
-        path (operation *counts* are lower on the decode side: that cost
-        reduction is precisely what the batched pipeline buys).
-
-        Per-node decoding (``decode_at_every_node=True``) models per-receiver
-        equivocation and falls back to the scalar path unchanged.
+        The coded execution itself stays sequential: round ``t + 1``
+        operates on coded states refreshed from round ``t``'s decode.  Every
+        node is charged the encode, transition and refresh operations it
+        would spend doing its own part of the round, and every honest node
+        the one decode all honest nodes perform; the per-node round of
+        ``tests/reference/coded_round.py`` is the oracle for both the
+        records and those charges.
 
         Rounds need not carry one *real* command per machine: the service
         scheduler pads idle machines' rows with
@@ -225,8 +217,6 @@ class CodedExecutionEngine:
         in this pipeline.
         """
         batch_arr = command_batch(self.machine, self.num_machines, commands_batch)
-        if self.decode_at_every_node:
-            return [self.execute_round(batch_arr[b]) for b in range(batch_arr.shape[0])]
         # Stage 1: encode every round's commands in one matrix product.  The
         # product itself is uncounted; each node is charged the operations it
         # would have spent encoding its own coded command (the batched
@@ -271,7 +261,8 @@ class CodedExecutionEngine:
           bit.
 
         On a verification mismatch the engine rolls back: the first
-        unconfirmed round is decoded through the scalar-capable path, the
+        unconfirmed round is decoded through the suspect-learning
+        :meth:`~repro.lcc.decoder.CodedResultDecoder.decode_fast`, the
         honest coded states are restored from the last verified checkpoint
         (the last decoded states), and the invalidated suffix of
         the window is deterministically re-executed — honest results are
@@ -294,15 +285,8 @@ class CodedExecutionEngine:
         stacked verification instead of a full per-round decode, which is
         precisely the cost the pipeline removes.
         """
-        if verify_window < 1:
-            raise ConfigurationError(
-                f"verify_window must be positive, got {verify_window}"
-            )
+        check_verify_window(verify_window)
         batch_arr = command_batch(self.machine, self.num_machines, commands_batch)
-        if self.decode_at_every_node:
-            # Per-recipient decoding models equivocation: the scalar path
-            # runs unchanged.
-            return self.execute_rounds(batch_arr)
         coded_commands = self.encoder.encode_batch(batch_arr)
         num_rounds = batch_arr.shape[0]
         results: list[RoundResult | None] = [None] * num_rounds
@@ -421,8 +405,8 @@ class CodedExecutionEngine:
         if rollback_at is None:
             window.clear()
             return min(window_target * 2, verify_window), False
-        # Rollback: the offending round decodes through the scalar-capable
-        # path (repairing or restoring honest state), then the invalidated
+        # Rollback: the offending round decodes through decode_fast
+        # (repairing or restoring honest state), then the invalidated
         # suffix re-executes deterministically on the repaired states:
         # honest results are recomputed (their speculative inputs were
         # wrong) while Byzantine rows come from the speculation-time cache,
@@ -564,9 +548,7 @@ class CodedExecutionEngine:
         Every node is charged the ``K`` multiplications and ``K - 1``
         additions per command component of forming its own coded command —
         the one place the encode charging formula lives for the batched
-        round loop, the speculative rounds and every replay.  The stacked
-        paths tally in this vector; ``CSMNode.counter`` belongs to the
-        scalar path.
+        round loop, the speculative rounds and every replay.
         """
         encode = self.machine.command_dim * (2 * self.num_machines - 1)
         return np.full(self.num_nodes, encode, dtype=np.int64)
@@ -578,12 +560,12 @@ class CodedExecutionEngine:
         """Evaluate every node's coded transition in one stacked pass.
 
         Evaluates each component polynomial once over the whole bank (faulty
-        nodes keep computing on their — possibly stale — row, exactly as in
-        the scalar path) against the round's coded commands.  The values are
-        bit-identical to ``N`` per-node :meth:`CSMNode.execute_coded` calls;
-        every node's entry of ``ops`` is charged its exact per-node share of
-        the counted field operations, which equals the scalar per-node cost
-        because vectorised field ops count one scalar operation per element.
+        nodes keep computing on their — possibly stale — row) against the
+        round's coded commands.  The values are bit-identical to ``N``
+        per-node ``evaluate_result_vector`` calls; every node's entry of
+        ``ops`` is charged its exact per-node share of the counted field
+        operations, which equals the per-node cost because vectorised field
+        ops count one scalar operation per element.
         """
         step_counter = OperationCounter()
         self.field.attach_counter(step_counter)
@@ -597,9 +579,7 @@ class CodedExecutionEngine:
         ops += step_counter.multiplications // self.num_nodes
         return true_results
 
-    def _draw_faulty_rows(
-        self, true_results: np.ndarray, recipient: str | None = None
-    ) -> dict:
+    def _draw_faulty_rows(self, true_results: np.ndarray) -> dict:
         """What each Byzantine node reports this round (``None``: nothing).
 
         The shared fault-report rule (:func:`~repro.net.byzantine.\
@@ -612,7 +592,7 @@ faulty_reports`) over one row per node, in node order.  The rows are kept
             for node in self.nodes
             if node.is_faulty
         ]
-        return faulty_reports(self.field, senders, true_results, self.rng, recipient)
+        return faulty_reports(self.field, senders, true_results, self.rng)
 
     def _reported(
         self, true_results: np.ndarray, faulty_rows: dict
@@ -666,129 +646,3 @@ faulty_reports`) over one row per node, in node order.  The rows are kept
         )
         unadvanced[:, : self.machine.state_dim] = self.states
         return unadvanced
-
-    def _check_commands(self, commands: np.ndarray) -> np.ndarray:
-        commands_arr = self.field.array(commands)
-        expected_shape = (self.num_machines, self.machine.command_dim)
-        if commands_arr.shape != expected_shape:
-            raise ConfigurationError(
-                f"expected commands of shape {expected_shape}, got {commands_arr.shape}"
-            )
-        return commands_arr
-
-    def _complete_round(self, true_results: np.ndarray) -> RoundResult:
-        """Steps 3-5 of the scalar round: decode, update, account."""
-        # Step 3: gather what each node reports and decode.
-        decode_counter = OperationCounter()
-        diagnostics: dict = {}
-        try:
-            decoded_outputs, error_nodes = self._decode_phase(
-                true_results, decode_counter, diagnostics
-            )
-            decoding_failed = False
-        except DecodingError as exc:
-            decoded_outputs = self._unadvanced()
-            error_nodes = ()
-            decoding_failed = True
-            diagnostics["decoding_error"] = str(exc)
-
-        # Step 4: honest nodes refresh their coded states from the decoded
-        # states; a round that failed to decode advances nothing.
-        if not decoding_failed:
-            self.states = decoded_outputs[:, : self.machine.state_dim]
-            for node in self.honest_nodes():
-                node.update_coded_state(self.states)
-
-        # Operation accounting: every honest node performs the (identical)
-        # decoding, so the decode cost is charged to each of them (per-node
-        # decode counters were already merged inside _decode_phase).
-        ops_per_node: dict[str, int] = {}
-        for node in self.nodes:
-            ops = node.counter.total
-            if not node.is_faulty and not decoding_failed:
-                ops += decode_counter.total if not self.decode_at_every_node else 0
-            ops_per_node[node.node_id] = ops
-
-        self.round_index += 1
-        diagnostics.update(
-            {
-                "error_nodes": tuple(error_nodes),
-                "num_faulty": self.num_faulty,
-                "decoding_failed": decoding_failed,
-                "decode_ops": decode_counter.total,
-                "batched": False,
-            }
-        )
-        return RoundResult(
-            round_index=self.round_index - 1,
-            outputs=decoded_outputs[:, self.machine.state_dim :],
-            states=decoded_outputs[:, : self.machine.state_dim].copy(),
-            correct=not decoding_failed,
-            ops_per_node=ops_per_node,
-            diagnostics=diagnostics,
-        )
-
-    # -- internals ----------------------------------------------------------------------------
-    def _reported_results(
-        self, true_results: np.ndarray, recipient: str | None
-    ) -> list[np.ndarray | None]:
-        """The per-sender results as seen by ``recipient`` (or by 'the network')."""
-        faulty_rows = self._draw_faulty_rows(true_results, recipient)
-        return [faulty_rows.get(i, true_results[i]) for i in range(self.num_nodes)]
-
-    def _decode_phase(
-        self,
-        true_results: np.ndarray,
-        decode_counter: OperationCounter,
-        diagnostics: dict,
-    ) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Decode the round; returns (decoded K x result_dim, error node indices)."""
-        if self.decode_at_every_node:
-            return self._decode_at_each_honest_node(true_results, diagnostics)
-        # Single representative decode: all honest nodes receive the same
-        # broadcast values (no equivocation), so one decode stands for all.
-        reported = self._reported_results(true_results, recipient=None)
-        self.field.attach_counter(decode_counter)
-        try:
-            if any(entry is None for entry in reported):
-                decoded = self.decoder.decode_partial(reported)
-            else:
-                stacked = np.vstack([entry for entry in reported])
-                decoded = self.decoder.decode(stacked)
-        finally:
-            self.field.attach_counter(None)
-        return decoded.outputs, decoded.error_nodes
-
-    def _decode_at_each_honest_node(
-        self, true_results: np.ndarray, diagnostics: dict
-    ) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Faithful per-node decoding (handles equivocating senders).
-
-        Every honest node decodes the set of results *it* received; the
-        engine then checks that all honest nodes recovered identical values
-        (the paper's claim that equivocation cannot cause divergence) and
-        charges each node its own decoding cost.
-        """
-        per_node_outputs: dict[str, np.ndarray] = {}
-        union_errors: set[int] = set()
-        for node in self.honest_nodes():
-            reported = self._reported_results(true_results, recipient=node.node_id)
-            self.field.attach_counter(node.counter)
-            try:
-                if any(entry is None for entry in reported):
-                    decoded = self.decoder.decode_partial(reported)
-                else:
-                    stacked = np.vstack([entry for entry in reported])
-                    decoded = self.decoder.decode(stacked)
-            finally:
-                self.field.attach_counter(None)
-            per_node_outputs[node.node_id] = decoded.outputs
-            union_errors.update(decoded.error_nodes)
-        values = list(per_node_outputs.values())
-        for other in values[1:]:
-            if not np.array_equal(values[0], other):
-                raise DecodingError(
-                    "honest nodes decoded different results despite valid decoding"
-                )
-        diagnostics["per_node_decode"] = True
-        return values[0], tuple(sorted(union_errors))

@@ -31,7 +31,7 @@ from repro.net.latency import PartiallySynchronousDelay, SynchronousDelay
 from repro.net.network import SimulatedNetwork
 from repro.rounds import ProtocolRound, RoundProtocol
 from repro.core.config import CSMConfig
-from repro.core.execution import CodedExecutionEngine
+from repro.core.execution import CodedExecutionEngine, check_verify_window
 from repro.rng import default_stream, derived_stream
 
 __all__ = ["CSMProtocol", "ProtocolRound"]
@@ -56,7 +56,6 @@ class CSMProtocol(RoundProtocol):
         behaviors: dict[str, ByzantineBehavior] | None = None,
         rng: np.random.Generator | None = None,
         network: SimulatedNetwork | None = None,
-        decode_at_every_node: bool = False,
     ) -> None:
         self.config = config
         self.machine = machine
@@ -96,7 +95,6 @@ class CSMProtocol(RoundProtocol):
             node_ids=self.node_ids,
             behaviors=self.behaviors,
             rng=engine_rng,
-            decode_at_every_node=decode_at_every_node,
         )
         self._init_round_state()
 
@@ -139,8 +137,8 @@ class CSMProtocol(RoundProtocol):
         historical ``client:k`` labels, so the recorded
         :class:`ProtocolRound` history (commands, clients, outputs, states,
         correctness flags, flagged error nodes) stays bit-identical to the
-        lockstep loop (one consensus instance and one scalar
-        :meth:`CodedExecutionEngine.execute_round` per round) on an
+        lockstep loop of ``tests/reference/lockstep.py`` (one consensus
+        instance and one per-node coded round per round) on an
         identically-constructed protocol.  Only consensus-side records
         differ: the block decides in one view where the lockstep loop runs
         one instance per round, so consensus views and message counts move,
@@ -180,10 +178,12 @@ class CSMProtocol(RoundProtocol):
         """Consensus + execution shared by the batched and pipelined drivers
         (pipelined when a ``verify_window`` is given; ``client:k`` labels
         when ``client_rounds`` is ``None``)."""
-        # Canonicalised before any consensus runs: a malformed batch or
-        # client round must fail fast, not discard earlier rounds the
+        # Validated before any consensus runs: a malformed batch, client round
+        # or verification window must fail fast, not consume a block the
         # consensus already decided (validation is pure, so this cannot
         # perturb the pool the bit-identity guarantee depends on).
+        if verify_window is not None:
+            check_verify_window(verify_window)
         batches, client_rounds = self._canonical_batches(command_batches, client_rounds)
         if not batches:
             return []

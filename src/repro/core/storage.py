@@ -2,10 +2,9 @@
 
 Each CSM node stores exactly one coded state vector ``S~_i(t)`` whose size
 equals a single machine's state (this is what gives ``gamma = K``).  The
-store keeps the vector, knows how to refresh it after a round — either by
-re-encoding the decoded next states locally (``chi_i`` in the paper, eq. (1))
-or by accepting a coded state transferred on resync — and records a
-small amount of history for the audit tests.
+store keeps the vector, which the execution engine refreshes in place after
+every decoded round (``chi_i`` in the paper, eq. (1)) or replaces on a
+resync's state transfer, and counts the rounds it has been refreshed.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ class CodedStateStore:
         place, so the bank and the per-node stores are one copy of the coded
         states: the engine's stacked rounds read the bank directly and
         refresh it in bulk (:meth:`note_refresh` counts the round), state
-        transfer goes through :meth:`replace` and the scalar path through
-        :meth:`update_from_decoded`, and none ever synchronises with another.
+        transfer goes through :meth:`replace`, and neither ever synchronises
+        with the other.
         Any other input is stored as a canonical copy.
         """
         self.field = field
@@ -74,33 +73,5 @@ class CodedStateStore:
             raise ConfigurationError(
                 f"coded state dimension changed from {self.state_dim} to {new_state.shape[0]}"
             )
-        self._coded_state[:] = new_state
-        self._round += 1
-
-    def update_from_decoded(
-        self, coefficient_row: np.ndarray, decoded_states: np.ndarray
-    ) -> None:
-        """Recompute ``S~_i(t+1) = sum_k c_ik S^_k(t+1)`` from decoded states.
-
-        This is the local update ``chi_i`` of equation (1): the node has just
-        decoded all ``K`` next states and re-encodes them with its own fixed
-        coefficient row.
-        """
-        states = self.field.array(decoded_states)
-        if states.ndim != 2:
-            raise ConfigurationError("decoded states must be a (K, state_dim) array")
-        if states.shape[1] != self.state_dim:
-            raise ConfigurationError(
-                f"decoded state dimension {states.shape[1]} does not match stored "
-                f"dimension {self.state_dim}"
-            )
-        row = self.field.array(coefficient_row).reshape(-1)
-        if row.shape[0] != states.shape[0]:
-            raise ConfigurationError(
-                f"coefficient row length {row.shape[0]} does not match K={states.shape[0]}"
-            )
-        new_state = np.zeros(self.state_dim, dtype=np.int64)
-        for component in range(self.state_dim):
-            new_state[component] = self.field.dot(row, states[:, component])
         self._coded_state[:] = new_state
         self._round += 1

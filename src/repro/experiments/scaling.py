@@ -79,14 +79,11 @@ def throughput_rows(
     fault_fraction: float = 0.2,
     seed: int = 0,
     rounds: int = 1,
-    batched: bool = True,
 ) -> list[dict]:
     """Per-node execution-phase cost: distributed coding vs delegated coding.
 
-    ``batched`` selects the cached-matrix ``execute_rounds`` pipeline (the
-    production path); ``batched=False`` measures the scalar round-by-round
-    protocol for comparison.  Outputs are bit-identical either way — only the
-    operation counts (encode/decode amortisation) differ.
+    The distributed rows run ``rounds`` rounds through the engine's
+    ``execute_rounds``.
     """
     field = PrimeField()
     machine = bank_account_machine(field, num_accounts=2)
@@ -104,10 +101,7 @@ def throughput_rows(
         )
         engine = CodedExecutionEngine(config, machine, rng=default_stream(seed))
         commands = rng.integers(1, 100, size=(rounds, k, machine.command_dim))
-        if batched:
-            results = engine.execute_rounds(commands)
-        else:
-            results = [engine.execute_round(commands[b]) for b in range(rounds)]
+        results = engine.execute_rounds(commands)
         distributed_ops = float(np.mean([r.mean_ops_per_node for r in results]))
 
         scheme = LagrangeScheme(field, k, num_nodes)
@@ -202,7 +196,7 @@ def run(**kwargs) -> dict:
         "scaling_laws": scaling_law_rows(**{k: v for k, v in kwargs.items() if k in (
             "network_sizes", "fault_fraction", "degree", "seed")}),
         "throughput": throughput_rows(**{k: v for k, v in kwargs.items() if k in (
-            "network_sizes", "fault_fraction", "seed", "rounds", "batched")}),
+            "network_sizes", "fault_fraction", "seed", "rounds")}),
         "delegation": delegation_rows(**{k: v for k, v in kwargs.items() if k in (
             "network_sizes", "fault_fraction", "seed", "rounds",
             "failure_probability")}),

@@ -40,13 +40,11 @@ def run(
     rounds: int = 2,
     seed: int = 0,
     measured: bool = True,
-    batched: bool = False,
 ) -> list[dict]:
     """Produce the Table 1 rows (formula and, optionally, measured).
 
-    ``batched=True`` runs the measured rows through every engine's
-    ``execute_rounds`` batch pipeline; the results are bit-identical to the
-    scalar path, only the amortised operation counts (and wall-clock) change.
+    The measured rows run each engine's ``execute_rounds`` over ``rounds``
+    random rounds (:mod:`repro.analysis.measurement`).
     """
     field = PrimeField()
     machine = (
@@ -77,18 +75,14 @@ def run(
 
     if measured:
         full = measure_full_replication(
-            machine, num_nodes, partial_k, num_faults, rounds=rounds, seed=seed,
-            batched=batched,
+            machine, num_nodes, partial_k, num_faults, rounds=rounds, seed=seed
         )
         partial = measure_partial_replication(
             machine, num_nodes, partial_k, min(num_faults, num_nodes // partial_k),
-            rounds=rounds, seed=seed, batched=batched,
+            rounds=rounds, seed=seed,
         )
         csm_b = min(num_faults, max((num_nodes - degree * (csm_k - 1) - 1) // 2, 0))
-        csm = measure_csm(
-            machine, num_nodes, csm_k, csm_b, rounds=rounds, seed=seed,
-            batched=batched,
-        )
+        csm = measure_csm(machine, num_nodes, csm_k, csm_b, rounds=rounds, seed=seed)
         for measured_perf in (full, partial, csm):
             row = measured_perf.as_row()
             row["kind"] = "measured"

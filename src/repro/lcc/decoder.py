@@ -77,41 +77,16 @@ class CodedResultDecoder:
         """Errors correctable when all results are present."""
         return self.code.correction_radius
 
-    def decode(self, coded_results: np.ndarray) -> DecodedRound:
-        """Decode a full set of ``N`` coded results (synchronous setting).
-
-        ``coded_results`` has shape ``(N, result_dim)``; up to
-        ``max_errors`` rows may be arbitrary garbage.
-        """
-        results = self.field.array(coded_results)
-        if results.ndim == 1:
-            results = results.reshape(-1, 1)
-        if results.shape[0] != self.scheme.num_nodes:
-            raise DecodingError(
-                f"expected {self.scheme.num_nodes} coded results, got {results.shape[0]}"
-            )
-        polynomials: list[Poly] = []
-        error_nodes: set[int] = set()
-        outputs = np.zeros(
-            (self.scheme.num_machines, results.shape[1]), dtype=np.int64
-        )
-        for component in range(results.shape[1]):
-            decoded = self._error_decoder.decode(results[:, component])
-            polynomials.append(decoded.polynomial)
-            error_nodes.update(decoded.error_positions)
-            outputs[:, component] = decoded.polynomial.evaluate_many(self.scheme.omegas)
-        return DecodedRound(
-            outputs=outputs,
-            polynomials=polynomials,
-            error_nodes=tuple(sorted(error_nodes)),
-        )
-
     def decode_fast(
         self,
         coded_results: "np.ndarray | list[np.ndarray | None]",
         suspects: set[int] | None = None,
     ) -> DecodedRound:
         """Decode one round through the cached-matrix fast path.
+
+        ``coded_results`` is an ``(N, result_dim)`` matrix (synchronous: all
+        results present, up to ``max_errors`` of them garbage) or a length-``N``
+        list with ``None`` at the missing senders (partially synchronous).
 
         Instead of solving a Berlekamp–Welch system per component, the fast
         path interpolates a candidate polynomial through ``dimension`` pivot
@@ -121,8 +96,9 @@ class CodedResultDecoder:
         by the uniqueness of the codeword within that radius the candidate
         *is* the Berlekamp–Welch answer.  Components that exceed the budget
         (e.g. because a faulty node sat among the pivots) fall back to the
-        scalar decoders, so results are always bit-identical to
-        :meth:`decode` / :meth:`decode_partial`.
+        scalar decoders — Berlekamp–Welch at full presence, the erasure
+        decoder otherwise — so results are always bit-identical to decoding
+        every component on its own.
 
         ``suspects`` is the engine's persistent set of node indices caught
         erring in earlier components or rounds; pivots avoid them, which is
@@ -285,47 +261,3 @@ class CodedResultDecoder:
         if isinstance(rounds, np.ndarray) and rounds.ndim == 2:
             rounds = rounds[None, :, :]
         return [self.decode_fast(entry, suspects) for entry in rounds]
-
-    def decode_partial(
-        self, coded_results: list[np.ndarray | None]
-    ) -> DecodedRound:
-        """Decode when some results are missing (partially synchronous setting).
-
-        ``coded_results`` is a length-``N`` list whose missing entries are
-        ``None``; present entries are result vectors.  Decoding succeeds as
-        long as ``2 * errors <= present - dimension`` for every component,
-        which matches the paper's ``3b + 1 <= N - d(K - 1)`` bound when
-        ``b`` nodes are silent and ``b`` present results are wrong.
-        """
-        if len(coded_results) != self.scheme.num_nodes:
-            raise DecodingError(
-                f"expected {self.scheme.num_nodes} result slots, got {len(coded_results)}"
-            )
-        present = [r for r in coded_results if r is not None]
-        if not present:
-            raise DecodingError("no coded results available to decode")
-        result_dim = self.field.array(present[0]).reshape(-1).shape[0]
-        polynomials: list[Poly] = []
-        error_nodes: set[int] = set()
-        outputs = np.zeros((self.scheme.num_machines, result_dim), dtype=np.int64)
-        for component in range(result_dim):
-            column: list[int | None] = []
-            for entry in coded_results:
-                if entry is None:
-                    column.append(None)
-                else:
-                    vec = self.field.array(entry).reshape(-1)
-                    if vec.shape[0] != result_dim:
-                        raise DecodingError(
-                            "all coded results must share the same dimension"
-                        )
-                    column.append(int(vec[component]))
-            decoded = self._erasure_decoder.decode_with_erasures(column)
-            polynomials.append(decoded.polynomial)
-            error_nodes.update(decoded.error_positions)
-            outputs[:, component] = decoded.polynomial.evaluate_many(self.scheme.omegas)
-        return DecodedRound(
-            outputs=outputs,
-            polynomials=polynomials,
-            error_nodes=tuple(sorted(error_nodes)),
-        )

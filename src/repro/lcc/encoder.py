@@ -39,10 +39,6 @@ class CodedStateEncoder:
         """
         return self.scheme.encode_vectors(values)
 
-    def encode_for_node(self, node_index: int, values: np.ndarray) -> np.ndarray:
-        """Encode the input for a single node (one row of the matrix path)."""
-        return self.scheme.encode_for_node(node_index, values)
-
     def encode_batch(self, values: np.ndarray) -> np.ndarray:
         """Encode ``B`` rounds at once: ``(B, K, dim) -> (B, N, dim)``.
 

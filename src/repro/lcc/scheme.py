@@ -129,18 +129,6 @@ class LagrangeScheme:
             )
         return self.field.matmul(self.coefficient_matrix, arr)
 
-    def encode_for_node(self, node_index: int, values: np.ndarray) -> np.ndarray:
-        """Encode ``K`` vectors into the single coded vector of one node."""
-        self._check_node_index(node_index)
-        arr = self.field.array(values)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        row = self.coefficient_row(node_index)
-        out = np.zeros(arr.shape[1], dtype=np.int64)
-        for component in range(arr.shape[1]):
-            out[component] = self.field.dot(row, arr[:, component])
-        return out
-
     # -- geometry ------------------------------------------------------------------------
     def composite_degree(self, transition_degree: int) -> int:
         """Degree of ``h(z) = f(u(z), v(z))``: ``d * (K - 1)``."""

@@ -294,9 +294,7 @@ class RoundProtocol(RoundHistory, ABC):
 
         The coded :class:`~repro.core.protocol.CSMProtocol` overrides this to
         overlap the verified decode of round ``t`` with the execution of
-        round ``t + 1`` (its engine speculates for every polynomial machine
-        and runs the batched path only when it decodes at every node); the
-        recorded history must stay bit-identical to
+        round ``t + 1``; the recorded history must stay bit-identical to
         :meth:`run_rounds_batched`.  The default simply delegates to the
         batched path, so replication baselines and other backends satisfy
         the contract trivially and the service layer can request

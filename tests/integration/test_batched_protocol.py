@@ -165,6 +165,23 @@ class TestVerifiedDelivery:
         assert [r.clients for r in records] == [["a", "b"], ["c", "d"]]
 
 
+    def test_bad_verify_window_fails_before_any_consensus(self, big_field):
+        """A non-positive verification window fails before the block is
+        submitted: no consensus runs, so no decided block is lost from both
+        the pool and the history."""
+        protocol = _protocol(big_field, num_machines=2)
+        rng_state = protocol.rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="verify_window"):
+            protocol.run_rounds_pipelined([np.array([1, 2])], verify_window=0)
+        assert protocol.history == []
+        assert protocol.pool.total_pending() == 0
+        assert protocol.pool.sequence_source.issued == 0  # nothing was submitted
+        assert protocol.network.messages_sent == 0  # no consensus ran
+        assert protocol.rng.bit_generator.state == rng_state
+        (record,) = protocol.run_rounds_pipelined([np.array([1, 2])], verify_window=1)
+        assert record.correct and record.clients == ["client:0", "client:1"]
+
+
 class TestMeasuredThroughput:
     def test_degenerate_history_yields_zero_not_inf(self, big_field):
         protocol = _protocol(big_field)

@@ -1,8 +1,10 @@
 """Property tests for the batched encode/decode pipeline.
 
 Every batch API must agree *element for element* with the scalar path it
-amortises — across random fields, batch sizes, and erasure/error mixes sat
-exactly on the decoding-radius boundary from :mod:`repro.coding.radius`.
+amortises (for decoding, the per-component decode of
+:mod:`reference.coded_round`) — across random fields, batch sizes, and
+erasure/error mixes sat exactly on the decoding-radius boundary from
+:mod:`repro.coding.radius`.
 The batched fast paths take a different route through the linear algebra
 (cached Vandermonde products instead of per-round interpolation /
 Berlekamp–Welch systems), so these tests pin the bit-identity contract the
@@ -12,6 +14,8 @@ execution engine and the benchmarks rely on.
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+
+from reference import coded_round
 
 from repro.coding.erasure import ErasureDecoder
 from repro.coding.reed_solomon import ReedSolomonCode
@@ -118,7 +122,7 @@ class TestDecodeFastAgainstScalarRounds:
         corrupted = results.copy()
         for node in bad:
             corrupted[node] = rng.integers(0, field.order, size=result_dim)
-        scalar = decoder.decode(corrupted)
+        scalar = coded_round.decode(decoder, corrupted)
         fast = decoder.decode_fast(corrupted, set())
         np.testing.assert_array_equal(scalar.outputs, fast.outputs)
         assert scalar.error_nodes == fast.error_nodes
@@ -136,7 +140,7 @@ class TestDecodeFastAgainstScalarRounds:
             reported = [
                 None if i in silent else corrupted[i] for i in range(num_nodes)
             ]
-            scalar_partial = decoder.decode_partial(reported)
+            scalar_partial = coded_round.decode(decoder, reported)
             fast_partial = decoder.decode_fast(reported, set())
             np.testing.assert_array_equal(
                 scalar_partial.outputs, fast_partial.outputs
@@ -174,7 +178,7 @@ class TestDecodeFastAgainstScalarRounds:
             np.stack(rounds) if rounds else rounds, suspects
         )
         for matrix, fast in zip(rounds, fast_rounds):
-            scalar = decoder.decode(matrix)
+            scalar = coded_round.decode(decoder, matrix)
             np.testing.assert_array_equal(scalar.outputs, fast.outputs)
             assert scalar.error_nodes == fast.error_nodes
         # Every node caught erring must have been learnt as a suspect.
@@ -201,7 +205,7 @@ class TestDecodeFastAgainstScalarRounds:
             rounds.append(results)
         suspects: set[int] = set()
         stacked = decoder.decode_batch(rounds, suspects)
-        reference = [decoder.decode(matrix) for matrix in rounds]
+        reference = [coded_round.decode(decoder, matrix) for matrix in rounds]
         for a, b in zip(reference, stacked):
             np.testing.assert_array_equal(a.outputs, b.outputs)
             assert a.error_nodes == b.error_nodes

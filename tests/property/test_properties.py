@@ -172,7 +172,7 @@ class TestCSMPipelineProperties:
         )
         for i in faulty:
             results[i] = rng.integers(0, FIELD.order, size=results.shape[1])
-        decoded = decoder.decode(results)
+        decoded = decoder.decode_fast(results)
         for k in range(num_machines):
             expected = machine.transition.evaluate_result_vector(states[k], commands[k])
             assert decoded.outputs[k].tolist() == expected.tolist()

@@ -204,6 +204,34 @@ class TestExperimentModules:
         for row in intermix_report.committee_rows():
             assert row["actual_failure_probability"] <= row["eps_target"]
 
+    def test_package_import_leaves_the_clis_unloaded(self):
+        """``import repro.experiments`` loads none of its CLI modules.
+
+        Otherwise ``python -m repro.experiments.table1`` finds its own module
+        already imported, runpy warns, and ``-W error::RuntimeWarning`` exits 1.
+        """
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.experiments; "
+                "print(sorted(m for m in sys.modules if m.startswith('repro.experiments.')))",
+            ],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
+
     def test_format_table_renders_all_rows(self):
         text = format_table([{"a": 1, "b": True}, {"a": 2.5, "b": False}])
         assert "yes" in text and "no" in text and "2.5" in text

@@ -1,13 +1,17 @@
 """Unit tests for the batched round pipeline and the measurement bugfixes.
 
-Covers the contract the benchmarks rely on — ``execute_rounds`` is
-bit-identical to the scalar round loop for every engine — plus the
+Covers the contract the benchmarks rely on — the coded engine's round is
+bit-identical to the per-node round of :mod:`reference.coded_round` and
+charges each node the same local work, and ``execute_rounds`` matches the
+round-at-a-time loop for the replication engines — plus the
 measurement-harness fixes: ``failed_rounds`` accounting and the
 ``num_faults > N`` guard.
 """
 
 import numpy as np
 import pytest
+
+from reference import coded_round
 
 from repro.analysis.measurement import (
     _fault_behaviors,
@@ -20,7 +24,7 @@ from repro.core.execution import CodedExecutionEngine
 from repro.exceptions import ConfigurationError
 from repro.gf.matrix_cache import clear_matrix_cache, matrix_cache_info
 from repro.machine.library import bank_account_machine
-from repro.net.byzantine import RandomGarbageBehavior, SilentBehavior
+from repro.net.byzantine import FaultOnsetBehavior, RandomGarbageBehavior, SilentBehavior
 from repro.replication import FullReplicationSMR, PartialReplicationSMR
 
 
@@ -40,6 +44,48 @@ def _coded_engine(field, num_nodes, num_machines, behaviors, seed=3, **config_kw
     return engine, machine
 
 
+def _assert_matches_reference(reference_engine, engine, commands, run):
+    """``run(engine, commands)`` against the per-node round, round by round.
+
+    Records, coded states and each node's encode + transition + refresh
+    charge must be equal; a decode the honest nodes are charged may only
+    cost the engine less.
+    """
+    reference = [coded_round.execute_round(reference_engine, c) for c in commands]
+    results = run(engine, commands)
+    assert len(results) == len(reference)
+    for expected, result in zip(reference, results):
+        assert expected.round_index == result.round_index
+        np.testing.assert_array_equal(expected.outputs, result.outputs)
+        np.testing.assert_array_equal(expected.states, result.states)
+        assert expected.correct == result.correct
+        assert expected.diagnostics["error_nodes"] == result.diagnostics["error_nodes"]
+        for node in engine.nodes:
+            charged = result.correct and not node.is_faulty
+            local = [
+                record.ops_per_node[node.node_id]
+                - (record.diagnostics["decode_ops"] if charged else 0)
+                for record in (expected, result)
+            ]
+            assert local[0] == local[1], node.node_id
+        if result.correct:
+            assert result.diagnostics["decode_ops"] <= expected.diagnostics["decode_ops"]
+    for expected_node, node in zip(reference_engine.nodes, engine.nodes):
+        np.testing.assert_array_equal(expected_node.coded_state, node.coded_state)
+        assert expected_node.storage.round_index == node.storage.round_index
+    np.testing.assert_array_equal(reference_engine.states, engine.states)
+    assert reference_engine.round_index == engine.round_index
+    return reference, results
+
+
+def _execute_rounds(engine, commands):
+    return engine.execute_rounds(commands)
+
+
+def _execute_round_each(engine, commands):
+    return [engine.execute_round(c) for c in commands]
+
+
 class TestCodedBatchPipeline:
     @pytest.mark.parametrize("num_garbage,num_silent", [(0, 0), (2, 0), (1, 1)])
     def test_execute_rounds_bit_identical_to_scalar(
@@ -53,30 +99,56 @@ class TestCodedBatchPipeline:
                 chosen[node_ids[num_garbage + j]] = SilentBehavior()
             return chosen
 
-        scalar_engine, machine = _coded_engine(
+        reference_engine, machine = _coded_engine(
             big_field, 12, 4, behaviors, num_faults=1
         )
         batch_engine, _ = _coded_engine(big_field, 12, 4, behaviors, num_faults=1)
         commands = np.random.default_rng(9).integers(
             1, 1000, size=(5, 4, machine.command_dim)
         )
-        scalar_results = [scalar_engine.execute_round(c) for c in commands]
-        batch_results = batch_engine.execute_rounds(commands)
-        assert len(batch_results) == 5
-        for scalar_round, batch_round in zip(scalar_results, batch_results):
-            np.testing.assert_array_equal(scalar_round.outputs, batch_round.outputs)
-            np.testing.assert_array_equal(scalar_round.states, batch_round.states)
-            assert scalar_round.correct == batch_round.correct
-            assert (
-                scalar_round.diagnostics["error_nodes"]
-                == batch_round.diagnostics["error_nodes"]
-            )
-            assert batch_round.diagnostics["batched"] is True
-        # The engines end the batch with identical coded node states.
-        for scalar_node, batch_node in zip(scalar_engine.nodes, batch_engine.nodes):
-            np.testing.assert_array_equal(
-                scalar_node.coded_state, batch_node.coded_state
-            )
+        _, batch_results = _assert_matches_reference(
+            reference_engine, batch_engine, commands, _execute_rounds
+        )
+        assert all(r.diagnostics["batched"] is True for r in batch_results)
+
+    @pytest.mark.parametrize(
+        "run", [_execute_rounds, _execute_round_each], ids=["batch", "one_by_one"]
+    )
+    @pytest.mark.parametrize(
+        "num_machines,behaviors",
+        [
+            pytest.param(
+                3,
+                lambda ids: {
+                    ids[0]: FaultOnsetBehavior(RandomGarbageBehavior(), onset_round=1),
+                    ids[7]: FaultOnsetBehavior(SilentBehavior(), onset_round=2),
+                },
+                id="onset",
+            ),
+            pytest.param(
+                6,
+                lambda ids: {ids[i]: RandomGarbageBehavior() for i in range(5)},
+                id="beyond_radius",
+            ),
+        ],
+    )
+    def test_execute_round_matches_reference(
+        self, big_field, num_machines, behaviors, run
+    ):
+        """Onsets that change the fault pattern mid-run and corruption past
+        the radius: the engine's round — a batch of one, or the whole run as
+        one batch — still matches the per-node round, failed rounds
+        included."""
+        reference_engine, machine = _coded_engine(
+            big_field, 12, num_machines, behaviors, num_faults=1
+        )
+        engine, _ = _coded_engine(big_field, 12, num_machines, behaviors, num_faults=1)
+        commands = np.random.default_rng(13).integers(
+            1, 1000, size=(5, num_machines, machine.command_dim)
+        )
+        reference, _ = _assert_matches_reference(reference_engine, engine, commands, run)
+        correct = [r.correct for r in reference]
+        assert all(correct) if num_machines == 3 else not any(correct)
 
     def test_single_round_promoted_to_batch(self, big_field):
         engine, machine = _coded_engine(big_field, 9, 3, lambda ids: {})
@@ -93,27 +165,18 @@ class TestCodedBatchPipeline:
             engine.execute_rounds(np.zeros((2, 4, 2), dtype=np.int64))
 
     def test_batch_charges_scalar_encode_and_update_ops(self, big_field):
-        """Per-node encode/update op counts match the scalar protocol model."""
-        scalar_engine, machine = _coded_engine(big_field, 9, 3, lambda ids: {})
+        """Per-node encode/update op counts match the per-node protocol model;
+        the decode costs the batch less (that is the optimisation)."""
+        reference_engine, machine = _coded_engine(big_field, 9, 3, lambda ids: {})
         batch_engine, _ = _coded_engine(big_field, 9, 3, lambda ids: {})
         commands = np.random.default_rng(4).integers(
             1, 100, size=(2, 3, machine.command_dim)
         )
-        scalar_results = [scalar_engine.execute_round(c) for c in commands]
-        batch_results = batch_engine.execute_rounds(commands)
-        for scalar_round, batch_round in zip(scalar_results, batch_results):
-            for node in scalar_engine.nodes:
-                scalar_ops = scalar_round.ops_per_node[node.node_id]
-                batch_ops = batch_round.ops_per_node[node.node_id]
-                # The decode share differs (that is the optimisation); the
-                # local encode + transition + update share must not.
-                scalar_local = scalar_ops - scalar_round.diagnostics["decode_ops"]
-                batch_local = batch_ops - batch_round.diagnostics["decode_ops"]
-                assert scalar_local == batch_local
-            assert (
-                batch_round.diagnostics["decode_ops"]
-                < scalar_round.diagnostics["decode_ops"]
-            )
+        reference, results = _assert_matches_reference(
+            reference_engine, batch_engine, commands, _execute_rounds
+        )
+        for expected, result in zip(reference, results):
+            assert result.diagnostics["decode_ops"] < expected.diagnostics["decode_ops"]
 
     def test_matrix_cache_populated_by_batch(self, big_field):
         clear_matrix_cache()
@@ -203,18 +266,6 @@ class TestMeasurementBugfixes:
         outcome = measure_partial_replication(machine, 8, 4, num_faults=1, rounds=2)
         assert not outcome.all_correct
         assert outcome.failed_rounds == 2
-
-    @pytest.mark.parametrize(
-        "measure", [measure_full_replication, measure_partial_replication, measure_csm]
-    )
-    def test_batched_measurement_matches_scalar(self, big_field, measure):
-        machine = bank_account_machine(big_field, num_accounts=2)
-        scalar = measure(machine, 8, 2, num_faults=1, rounds=3, batched=False)
-        batched = measure(machine, 8, 2, num_faults=1, rounds=3, batched=True)
-        assert batched.batched and not scalar.batched
-        assert batched.all_correct == scalar.all_correct
-        assert batched.failed_rounds == scalar.failed_rounds
-        assert batched.storage_efficiency == scalar.storage_efficiency
 
 
 class TestSpeculativePipeline:

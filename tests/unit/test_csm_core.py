@@ -4,6 +4,8 @@ coded execution engine."""
 import numpy as np
 import pytest
 
+from reference import coded_round
+
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.core.config import CSMConfig
 from repro.core.execution import CodedExecutionEngine
@@ -17,6 +19,7 @@ from repro.net.byzantine import (
     EquivocatingBehavior,
     RandomGarbageBehavior,
     SilentBehavior,
+    faulty_reports,
 )
 
 
@@ -72,24 +75,6 @@ class TestCodedStateStore:
         with pytest.raises(ConfigurationError):
             store.replace(np.array([1, 2, 3]))
 
-    def test_update_from_decoded_matches_fresh_encoding(self, big_field, rng):
-        scheme = LagrangeScheme(big_field, num_machines=3, num_nodes=8)
-        encoder = CodedStateEncoder(scheme)
-        states = rng.integers(0, 1000, size=(3, 2))
-        coded = encoder.encode(states)
-        node_index = 5
-        store = CodedStateStore(big_field, node_index, coded[node_index])
-        new_states = rng.integers(0, 1000, size=(3, 2))
-        store.update_from_decoded(scheme.coefficient_row(node_index), new_states)
-        assert store.coded_state.tolist() == encoder.encode(new_states)[node_index].tolist()
-
-    def test_update_validation(self, big_field):
-        store = CodedStateStore(big_field, 0, np.array([1, 2]))
-        with pytest.raises(ConfigurationError):
-            store.update_from_decoded(np.array([1, 2, 3]), np.ones((2, 2), dtype=int))
-        with pytest.raises(ConfigurationError):
-            store.update_from_decoded(np.array([1, 2]), np.ones((2, 3), dtype=int))
-
 
 class TestCSMNode:
     def _node(self, big_field, behavior=None):
@@ -111,8 +96,8 @@ class TestCSMNode:
     def test_encode_command_matches_scheme(self, big_field, rng):
         node, scheme, machine, _ = self._node(big_field)
         commands = rng.integers(0, 100, size=(3, 2))
-        assert node.encode_command(commands).tolist() == (
-            scheme.encode_for_node(2, commands).tolist()
+        assert coded_round.combine(node, commands).tolist() == (
+            scheme.encode_vectors(commands)[2].tolist()
         )
 
     def test_execute_coded_is_composite_evaluation(self, big_field, rng):
@@ -122,18 +107,9 @@ class TestCSMNode:
         state_polys = encoder.interpolation_polynomials(states)
         command_polys = encoder.interpolation_polynomials(commands)
         composites = machine.transition.compose(state_polys, command_polys)
-        coded_command = node.encode_command(commands)
-        result = node.execute_coded(coded_command)
+        result = coded_round.execute_coded(node, coded_round.combine(node, commands))
         alpha = scheme.alphas[2]
         assert result.tolist() == [h.evaluate(alpha) for h in composites]
-
-    def test_counter_accumulates_and_resets(self, big_field, rng):
-        node, scheme, *_ = self._node(big_field)
-        commands = rng.integers(0, 100, size=(3, 2))
-        node.encode_command(commands)
-        assert node.counter.total > 0
-        node.reset_counter()
-        assert node.counter.total == 0
 
     def test_dimension_mismatch_rejected(self, big_field):
         machine = quadratic_market_machine(big_field)
@@ -201,15 +177,53 @@ class TestCodedExecutionEngine:
         result = engine.execute_round(rng.integers(1, 50, size=(4, 2)))
         assert result.correct
 
-    def test_equivocation_does_not_split_honest_nodes(self, big_field, rng):
+    @pytest.mark.parametrize(
+        "silent", [(), ("node-0", "node-5")], ids=["synchronous", "partial_presence"]
+    )
+    def test_equivocation_does_not_split_honest_nodes(self, big_field, rng, silent):
+        """Every honest recipient decodes its own view alike.
+
+        Equivocators within the radius send each recipient a different
+        corruption; decoding each honest node's view yields the same
+        outputs, and those are the engine's (one decode stands for all).
+        With silent nodes every view is decoded from partial presence.
+        """
         behaviors = {"node-3": EquivocatingBehavior(), "node-9": EquivocatingBehavior()}
-        engine, _ = self._engine(
-            big_field, behaviors=behaviors, decode_at_every_node=True
+        behaviors.update({node_id: SilentBehavior() for node_id in silent})
+        engine, machine = self._engine(big_field, behaviors=behaviors)
+        commands = rng.integers(1, 50, size=(4, 2))
+        true_results = machine.transition.evaluate_result_vectors(
+            np.stack([node.coded_state for node in engine.nodes]),
+            engine.encoder.encode(commands),
         )
-        result = engine.execute_round(rng.integers(1, 50, size=(4, 2)))
+        senders = [
+            (node.node_index, node.node_id, node.behavior)
+            for node in engine.nodes
+            if node.is_faulty
+        ]
+        views = {}
+        for node in engine.honest_nodes():
+            reports = faulty_reports(
+                big_field, senders, true_results, engine.rng, recipient=node.node_id
+            )
+            views[node.node_id] = [
+                reports.get(i, row) for i, row in enumerate(true_results)
+            ]
+        first, *others = views.values()
+        assert any(not np.array_equal(first[3], view[3]) for view in others)
+        assert sum(row is None for row in first) == len(silent)
+        decoded = [engine.decoder.decode_fast(view, set()) for view in views.values()]
+        result = engine.execute_round(commands)
         assert result.correct
-        assert result.diagnostics.get("per_node_decode")
         assert set(result.diagnostics["error_nodes"]) == {3, 9}
+        for view in decoded:
+            assert view.error_nodes == (3, 9)
+            np.testing.assert_array_equal(
+                view.outputs[:, machine.state_dim :], result.outputs
+            )
+            np.testing.assert_array_equal(
+                view.outputs[:, : machine.state_dim], result.states
+            )
 
     def test_honest_coded_states_stay_consistent(self, big_field, rng):
         engine, _ = self._engine(big_field)

@@ -47,12 +47,6 @@ class TestScheme:
                 scheme.encode_scalars(values[:, component])
             )
 
-    def test_encode_for_node(self, scheme, rng):
-        values = rng.integers(0, 1000, size=(4, 2))
-        full = scheme.encode_vectors(values)
-        for node in (0, 7, 15):
-            assert list(scheme.encode_for_node(node, values)) == list(full[node])
-
     def test_invalid_configurations_rejected(self, big_field):
         with pytest.raises(ConfigurationError):
             LagrangeScheme(big_field, num_machines=0, num_nodes=4)
@@ -135,7 +129,7 @@ class TestDecoder:
         states, commands, polys = workload
         decoder = CodedResultDecoder(scheme, transition_degree=2)
         results = self._coded_results(scheme, states, commands, polys)
-        decoded = decoder.decode(results)
+        decoded = decoder.decode_fast(results)
         assert np.array_equal(decoded.outputs, self._expected(states, commands, polys))
         assert decoded.error_nodes == ()
 
@@ -146,7 +140,7 @@ class TestDecoder:
         bad = list(rng.choice(scheme.num_nodes, size=decoder.max_errors, replace=False))
         for i in bad:
             results[i] = rng.integers(0, 10_000, size=results.shape[1])
-        decoded = decoder.decode(results)
+        decoded = decoder.decode_fast(results)
         assert np.array_equal(decoded.outputs, self._expected(states, commands, polys))
         assert set(decoded.error_nodes) <= set(int(b) for b in bad)
 
@@ -157,7 +151,7 @@ class TestDecoder:
         for i in range(decoder.max_errors + 1):
             results[i] = (results[i] + 1 + i)
         with pytest.raises(DecodingError):
-            decoder.decode(results)
+            decoder.decode_fast(results)
 
     def test_decode_partial_with_silent_and_wrong_nodes(self, scheme, workload, rng):
         states, commands, polys = workload
@@ -172,11 +166,11 @@ class TestDecoder:
         entries[5] = rng.integers(0, 100, size=results.shape[1])
         entries[6] = rng.integers(0, 100, size=results.shape[1])
         entries[7] = rng.integers(0, 100, size=results.shape[1])
-        decoded = decoder.decode_partial(entries)
+        decoded = decoder.decode_fast(entries)
         assert np.array_equal(decoded.outputs, self._expected(states, commands, polys))
         assert set(decoded.error_nodes) == {5, 6, 7}
 
     def test_wrong_result_count_rejected(self, scheme):
         decoder = CodedResultDecoder(scheme, transition_degree=1)
         with pytest.raises(DecodingError):
-            decoder.decode(np.zeros((3, 1), dtype=np.int64))
+            decoder.decode_fast(np.zeros((3, 1), dtype=np.int64))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from reference import coded_round
+
 from repro.analysis.measurement import _execute_workload
 from repro.analysis.safety import replay_rounds
 from repro.core.config import CSMConfig
@@ -17,14 +19,15 @@ def _node_ids(n):
     return [f"node-{i}" for i in range(n)]
 
 
-@pytest.mark.parametrize("batched", [False, True])
-def test_crafted_miscorrection_is_delivered_and_flagged(big_field, rng, batched):
+@pytest.mark.parametrize("per_node", [False, True], ids=["engine", "reference"])
+def test_crafted_miscorrection_is_delivered_and_flagged(big_field, rng, per_node):
     # N=16, K=4, d=1: dimension 4, radius 6.  p has degree 3 < dimension and
     # vanishes on the first three evaluation points, so adding p(alpha_i) at
     # the radius + 1 nodes 3-9 turns the honest codeword h into the codeword
     # h + p, which agrees with ten reports and misses only the six honest
-    # nodes 10-15.  The decoder cannot tell: past the radius the paper
-    # promises nothing, and the round is delivered.
+    # nodes 10-15.  No decoder can tell, neither the engine's nor the
+    # per-node Berlekamp-Welch round: past the radius the paper promises
+    # nothing, and the round is delivered.
     machine = bank_account_machine(big_field, num_accounts=2)
     config = CSMConfig(big_field, 16, 4, degree=machine.degree, num_faults=6)
     engine = CodedExecutionEngine(config, machine, rng=np.random.default_rng(0))
@@ -36,8 +39,8 @@ def test_crafted_miscorrection_is_delivered_and_flagged(big_field, rng, batched)
             offset=p(engine.scheme.alphas[i])
         )
     commands = rng.integers(1, 50, size=(4, 2))
-    if batched:
-        (result,) = engine.execute_rounds(commands[None])
+    if per_node:
+        result = coded_round.execute_round(engine, commands)
     else:
         result = engine.execute_round(commands)
     assert result.correct is True
@@ -67,7 +70,7 @@ def test_colluding_replicas_are_accepted_and_flagged(big_field):
     engine = PartialReplicationSMR(
         machine, 3, _node_ids(9), behaviors, np.random.default_rng(0)
     )
-    correct, _, failed_rounds = _execute_workload(engine, workload, batched=True)
+    correct, _, failed_rounds = _execute_workload(engine, workload)
     assert (correct, failed_rounds) == (False, 3)
 
 
