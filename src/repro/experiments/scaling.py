@@ -146,7 +146,9 @@ def delegation_rows(
     :class:`~repro.intermix.rounds.DelegationRoundProtocol`, which verifies
     every delegated coding operation through
     :meth:`IntermixProtocol.run_batch` (one stacked matrix product shared by
-    the worker and all auditors).  Rows report delegated rounds and commands
+    the worker and all auditors, and one verdict table per batch: with an
+    honest committee no column is disputed, so no auditor bisects and no
+    commoner checks anything).  Rows report delegated rounds and commands
     per wall-clock second and the paper-metric throughput.
     """
     from repro.intermix.committee import required_committee_size

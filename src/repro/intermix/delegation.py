@@ -30,49 +30,78 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.exceptions import DecodingError
+from repro.exceptions import ConfigurationError, DecodingError
 from repro.gf.field import Field, OperationCounter
-from repro.gf.vandermonde import vandermonde_matrix
+from repro.gf.matrix_cache import cached_vandermonde
 from repro.lcc.decoder import CodedResultDecoder
 from repro.lcc.scheme import LagrangeScheme
 from repro.intermix.committee import Committee
-from repro.intermix.protocol import IntermixProtocol, VerificationOutcome
+from repro.intermix.protocol import IntermixProtocol, VerificationBatch
 from repro.intermix.worker import WorkerStrategy
 from repro.rng import default_stream
 
 
 @dataclass
 class DelegatedRoundReport:
-    """Complexity and audit outcome of one delegated coding operation."""
+    """Complexity and audit outcome of one delegated coding operation.
+
+    The per-role operation counts are the committee's vectors:
+    ``auditor_operations[j]`` is what ``committee.auditors[j]`` paid and
+    ``commoner_operations`` what *each* commoner paid (every commoner checks
+    the same public accusations).
+    """
 
     operation: str
     accepted: bool
-    worker_id: str
+    committee: Committee
     worker_operations: int = 0
-    auditor_operations: dict[str, int] = field(default_factory=dict)
-    commoner_operations: dict[str, int] = field(default_factory=dict)
-    outcomes: list[VerificationOutcome] = field(default_factory=list)
+    auditor_operations: np.ndarray = field(init=False)
+    commoner_operations: int = 0
+    #: Verified products (batch columns) whose worker stands convicted.
+    rejected_operations: int = 0
+
+    def __post_init__(self) -> None:
+        self.auditor_operations = np.zeros(len(self.committee.auditors), dtype=np.int64)
+
+    @property
+    def worker_id(self) -> str:
+        return self.committee.worker
 
     @property
     def max_non_worker_operations(self) -> int:
         """Worst per-node cost outside the worker — the quantity that must stay flat."""
-        costs = list(self.auditor_operations.values()) + list(
-            self.commoner_operations.values()
-        )
-        return max(costs) if costs else 0
+        costs = self.auditor_operations.tolist()
+        if self.committee.commoners:
+            costs.append(self.commoner_operations)
+        return max(costs, default=0)
 
     @property
     def max_commoner_operations(self) -> int:
-        return max(self.commoner_operations.values()) if self.commoner_operations else 0
+        return self.commoner_operations if self.committee.commoners else 0
 
     def merge(self, other: "DelegatedRoundReport") -> None:
+        self._check_committee(other.committee)
         self.accepted = self.accepted and other.accepted
         self.worker_operations += other.worker_operations
-        for key, value in other.auditor_operations.items():
-            self.auditor_operations[key] = self.auditor_operations.get(key, 0) + value
-        for key, value in other.commoner_operations.items():
-            self.commoner_operations[key] = self.commoner_operations.get(key, 0) + value
-        self.outcomes.extend(other.outcomes)
+        self.auditor_operations += other.auditor_operations
+        self.commoner_operations += other.commoner_operations
+        self.rejected_operations += other.rejected_operations
+
+    def add_batch(self, batch: VerificationBatch) -> None:
+        """Charge one ``run_batch``'s per-role operation vectors to this report."""
+        self._check_committee(batch.committee)
+        rejected = batch.rejected
+        self.accepted = self.accepted and rejected == 0
+        self.worker_operations += int(batch.worker_operations.sum())
+        self.auditor_operations += batch.auditor_operations.sum(axis=1)
+        self.commoner_operations += int(batch.commoner_operations.sum())
+        self.rejected_operations += rejected
+
+    def _check_committee(self, committee: Committee) -> None:
+        if committee != self.committee:
+            raise ConfigurationError(
+                "a delegated report only adds up work of its own committee"
+            )
 
 
 class DelegatedCodingService:
@@ -106,7 +135,17 @@ class DelegatedCodingService:
         )
         self.corrupt_decoder_workers = set(corrupt_decoder_workers or set())
         self._decoder = CodedResultDecoder(scheme, transition_degree)
-        self._omega_matrix_cache: dict[int, np.ndarray] = {}
+        # Equations (9) and (8) evaluate the decoded polynomials at the alphas
+        # and at the omegas: both Vandermonde matrices come from the shared
+        # matrix cache, and eq. (9) takes the agreement set's rows of the
+        # first, so the cache holds one entry per scheme whatever tau is.
+        num_coefficients = scheme.composite_degree(self.transition_degree) + 1
+        self._alpha_vandermonde = cached_vandermonde(
+            self.field, scheme.alphas, num_coefficients
+        )
+        self._omega_vandermonde = cached_vandermonde(
+            self.field, scheme.omegas, num_coefficients
+        )
 
     # -- committee handling ---------------------------------------------------------------
     def elect_committee(
@@ -133,20 +172,14 @@ class DelegatedCodingService:
         arr = self.field.array(values)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
-        matrix = self.scheme.coefficient_matrix
-        coded = np.zeros((self.scheme.num_nodes, arr.shape[1]), dtype=np.int64)
         report = DelegatedRoundReport(
-            operation=operation, accepted=True, worker_id=committee.worker
+            operation=operation, accepted=True, committee=committee
         )
-        for component, outcome in enumerate(
-            self.intermix.run_batch(matrix, arr, committee=committee)
-        ):
-            self._merge_outcome(report, outcome)
-            if not outcome.accepted or outcome.result is None:
-                report.accepted = False
-                continue
-            coded[:, component] = outcome.result
-        return coded, report
+        batch = self.intermix.run_batch(
+            self.scheme.coefficient_matrix, arr, committee=committee
+        )
+        report.add_batch(batch)
+        return self._accepted_columns(batch, self.scheme.num_nodes), report
 
     # -- operation 3: decoding results ----------------------------------------------------------
     def decode_results_verified_fast(
@@ -174,7 +207,7 @@ class DelegatedCodingService:
         if results.ndim == 1:
             results = results.reshape(-1, 1)
         report = DelegatedRoundReport(
-            operation="decode-results", accepted=True, worker_id=committee.worker
+            operation="decode-results", accepted=True, committee=committee
         )
         composite_degree = self.scheme.composite_degree(self.transition_degree)
         num_coefficients = composite_degree + 1
@@ -200,49 +233,26 @@ class DelegatedCodingService:
             )
         # Equation (9): the received results on tau match V_tau @ b — every
         # component against the one shared agreement set.
-        tau_points = [self.scheme.alphas[i] for i in agreement_set]
-        tau_matrix = vandermonde_matrix(self.field, tau_points, num_coefficients)
-        outputs = np.zeros(
-            (self.scheme.num_machines, results.shape[1]), dtype=np.int64
+        batch9 = self.intermix.run_batch(
+            self._alpha_vandermonde[agreement_set], coefficients, committee=committee
         )
-        for component, outcome9 in enumerate(
-            self.intermix.run_batch(tau_matrix, coefficients, committee=committee)
-        ):
-            self._merge_outcome(report, outcome9)
-            if outcome9.accepted and outcome9.result is not None:
-                received_tau = results[agreement_set, component]
-                if not np.array_equal(
-                    self.field.array(outcome9.result), self.field.array(received_tau)
-                ):
-                    report.accepted = False
-            else:
-                report.accepted = False
+        report.add_batch(batch9)
+        report.accepted = report.accepted and np.array_equal(
+            batch9.results, results[agreement_set]
+        )
         # Equation (8): evaluate the decoded polynomials at the omegas.
-        omega_matrix = self._omega_matrix(num_coefficients)
-        for component, outcome8 in enumerate(
-            self.intermix.run_batch(omega_matrix, coefficients, committee=committee)
-        ):
-            self._merge_outcome(report, outcome8)
-            if outcome8.accepted and outcome8.result is not None:
-                outputs[:, component] = outcome8.result
-            else:
-                report.accepted = False
+        batch8 = self.intermix.run_batch(
+            self._omega_vandermonde, coefficients, committee=committee
+        )
+        report.add_batch(batch8)
         report.worker_operations += worker_counter.total
-        return outputs, report
+        return self._accepted_columns(batch8, self.scheme.num_machines), report
 
     # -- internals ----------------------------------------------------------------------------------
-    def _omega_matrix(self, num_coefficients: int) -> np.ndarray:
-        if num_coefficients not in self._omega_matrix_cache:
-            self._omega_matrix_cache[num_coefficients] = vandermonde_matrix(
-                self.field, self.scheme.omegas, num_coefficients
-            )
-        return self._omega_matrix_cache[num_coefficients]
-
     @staticmethod
-    def _merge_outcome(report: DelegatedRoundReport, outcome: VerificationOutcome) -> None:
-        report.outcomes.append(outcome)
-        report.worker_operations += outcome.worker_operations
-        for node, ops in outcome.auditor_operations.items():
-            report.auditor_operations[node] = report.auditor_operations.get(node, 0) + ops
-        for node, ops in outcome.commoner_operations.items():
-            report.commoner_operations[node] = report.commoner_operations.get(node, 0) + ops
+    def _accepted_columns(batch: VerificationBatch, num_rows: int) -> np.ndarray:
+        """The batch's results, with every rejected column left at zero."""
+        values = np.zeros((num_rows, len(batch)), dtype=np.int64)
+        if batch.results is not None:
+            values[:, batch.accepted] = batch.results[:, batch.accepted]
+        return values

@@ -1,18 +1,27 @@
-"""Orchestration of one INTERMIX verification round.
+"""Orchestration of INTERMIX verification rounds.
 
-The protocol ties the roles together for a single delegated product
-``Y = A X``:
+The protocol ties the roles together for a batch of delegated products
+``Y = A X`` (one column of ``X`` per product):
 
 1. elect a worker and ``J`` auditors (the caller may also fix the roles, as
    CSM's delegation layer does when it re-uses a committee across rounds);
 2. the worker broadcasts its claimed ``Y^``;
-3. every auditor runs Algorithm 1; auditors that accept broadcast an
-   acknowledgement, the others broadcast their accusation transcripts;
+3. every auditor recomputes ``A X`` and compares it with the claim; auditors
+   that agree broadcast an acknowledgement, the others run Algorithm 1 and
+   broadcast their accusation transcripts;
 4. the commoners validate each accusation in constant time (the interaction
    between the worker and the auditors is public, so the worker's claims the
-   commoners check against are re-read from the worker itself);
-5. the outcome is *accepted* iff no validated accusation exists **and** the
+   commoners check against are the ones the worker itself broadcast);
+5. a product is *accepted* iff no validated accusation exists **and** the
    worker actually broadcast a result.
+
+Steps 2 and 3 are one verdict table per batch: a single stacked matrix
+product serves the worker and every auditor, and one array comparison of the
+claims against it tells which columns anyone disputes.  Role objects —
+:class:`~repro.intermix.worker.Worker` query answering, the auditors'
+bisection, the commoners' checks — exist only for those columns, which is
+the protocol's own accuse branch; an undisputed column costs every commoner
+nothing and is acknowledged by every auditor.
 
 The outcome also carries the complexity accounting used to reproduce the
 worst-case overhead formula of Section 6.1:
@@ -21,7 +30,9 @@ worst-case overhead formula of Section 6.1:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -67,6 +78,58 @@ class VerificationOutcome:
         return self.commoner_operations.get(node_id, 0)
 
 
+@dataclass
+class VerificationBatch:
+    """The verdict table of one :meth:`IntermixProtocol.run_batch`.
+
+    Column ``c`` is the verified product ``A @ vectors[:, c]``.  The
+    per-role operation counts are arrays over the columns: ``auditor_operations``
+    has one row per auditor (in ``committee.auditors`` order) and
+    ``commoner_operations[c]`` is what *each* commoner paid for column ``c``
+    (every commoner checks the same public accusations).  Transcripts and
+    verdicts exist only for the disputed columns, as full per-column
+    outcomes in ``disputes``; indexing or iterating the batch yields a
+    :class:`VerificationOutcome` per column either way, an undisputed column
+    being ``J`` acknowledgements and no verdicts.
+    """
+
+    committee: Committee
+    accepted: np.ndarray
+    results: np.ndarray | None
+    worker_operations: np.ndarray
+    auditor_operations: np.ndarray
+    commoner_operations: np.ndarray
+    disputes: dict[int, VerificationOutcome] = field(default_factory=dict)
+
+    @property
+    def rejected(self) -> int:
+        """Columns whose worker stands convicted (fraud or no broadcast)."""
+        return int(np.count_nonzero(~self.accepted))
+
+    def __len__(self) -> int:
+        return int(self.accepted.shape[0])
+
+    def __iter__(self) -> Iterator[VerificationOutcome]:
+        return (self[column] for column in range(len(self)))
+
+    def __getitem__(self, column: int) -> VerificationOutcome:
+        column = range(len(self))[column]
+        if column in self.disputes:
+            return self.disputes[column]
+        auditors = self.committee.auditors
+        return VerificationOutcome(
+            accepted=True,
+            result=self.results[:, column].copy(),
+            committee=self.committee,
+            transcripts=[AuditTranscript(auditor_id=a, accepted=True) for a in auditors],
+            worker_operations=int(self.worker_operations[column]),
+            auditor_operations={
+                a: int(ops) for a, ops in zip(auditors, self.auditor_operations[:, column])
+            },
+            commoner_operations={c: 0 for c in self.committee.commoners},
+        )
+
+
 class IntermixProtocol:
     """Runs verified matrix-vector multiplications over a fixed node set."""
 
@@ -104,16 +167,22 @@ class IntermixProtocol:
         matrix: np.ndarray,
         vectors: np.ndarray,
         committee: Committee | None = None,
-    ) -> list[VerificationOutcome]:
-        """Verify many delegated products ``A @ vectors[:, r]`` in one batch.
+    ) -> VerificationBatch:
+        """Verify many delegated products ``A @ vectors[:, c]`` as one verdict table.
 
         One committee serves every column (elected here when not supplied),
         and the worker's — and all auditors' — recomputations collapse into a
         single stacked :meth:`~repro.gf.field.Field.matmul` whose operation
         count is split evenly across the columns (exact, because the matmul
         cost is shape-based and identical per column to
-        :func:`~repro.gf.linalg.gf_matvec`).  The returned outcomes are
-        bit-identical — verdicts, transcripts, per-role operation counts and
+        :func:`~repro.gf.linalg.gf_matvec`).  The worker's claims are one
+        ``(rows, columns)`` array; comparing it with the stacked truth gives
+        the disputed columns, and only the ``(column, auditor)`` pairs that
+        accuse — a mismatching or missing claim, or a dishonest auditor's
+        baseless alert — run Algorithm 1 and the commoners' checks.
+
+        Every column of the returned :class:`VerificationBatch` is
+        bit-identical — verdict, transcripts, per-role operation counts and
         rng stream — to every role recomputing its column with its own
         ``gf_matvec``, one column after another (the property-tested
         per-column reference in ``tests/reference/intermix.py``).
@@ -123,55 +192,116 @@ class IntermixProtocol:
         vectors_arr = self.field.array(vectors)
         if vectors_arr.ndim == 1:
             vectors_arr = vectors_arr.reshape(-1, 1)
-        num_rounds = vectors_arr.shape[1]
-        if num_rounds == 0:
-            return []
-        strategy = self.worker_strategies.get(committee.worker, WorkerStrategy.HONEST)
+        num_columns = vectors_arr.shape[1]
         batch_counter = OperationCounter()
         self.field.attach_counter(batch_counter)
         try:
-            true_products = self.field.matmul(matrix_arr, vectors_arr)
+            truth = self.field.matmul(matrix_arr, vectors_arr)
         finally:
             self.field.attach_counter(None)
-        per_muls = batch_counter.multiplications // num_rounds
-        per_adds = batch_counter.additions // num_rounds
-        outcomes: list[VerificationOutcome] = []
-        for index in range(num_rounds):
-            column = np.ascontiguousarray(vectors_arr[:, index])
-            truth = np.ascontiguousarray(true_products[:, index])
-            worker = Worker(
-                committee.worker, self.field, strategy=strategy, rng=self.rng
+        per_muls = batch_counter.multiplications // max(num_columns, 1)
+        per_adds = batch_counter.additions // max(num_columns, 1)
+
+        # The worker's broadcast.  A cheating worker corrupts each column on
+        # its own (one rng draw per column, in column order); its per-column
+        # state answers the auditors' queries.
+        strategy = self.worker_strategies.get(committee.worker, WorkerStrategy.HONEST)
+        workers: dict[int, Worker] = {}
+        claims: np.ndarray | None = truth.copy()
+        if strategy is not WorkerStrategy.HONEST:
+            for index in range(num_columns):
+                worker = workers[index] = Worker(
+                    committee.worker, self.field, strategy=strategy, rng=self.rng
+                )
+                claim = worker.compute(
+                    matrix_arr, vectors_arr[:, index], truth[:, index], per_muls, per_adds
+                )
+                if claim is None:
+                    claims = None
+                elif claims is not None:
+                    claims[:, index] = claim
+
+        # The verdict table.  An undisputed column is acknowledged by every
+        # auditor: the worker and each auditor paid their share of the
+        # product, the commoners nothing.  A column is disputed when its claim
+        # is missing or wrong, or when a dishonest auditor sits on the
+        # committee (it raises a baseless alert on every column it agrees with).
+        share = per_muls + per_adds
+        worker_ops = np.full(num_columns, share, dtype=np.int64)
+        auditor_ops = np.full((len(committee.auditors), num_columns), share, dtype=np.int64)
+        commoner_ops = np.zeros(num_columns, dtype=np.int64)
+        accepted = np.ones(num_columns, dtype=bool)
+        mismatch = np.ones(truth.shape, dtype=bool) if claims is None else truth != claims
+        disputed = mismatch.any(axis=0)
+        if not self.dishonest_auditors.isdisjoint(committee.auditors):
+            disputed[:] = True
+        disputes: dict[int, VerificationOutcome] = {}
+        for index in np.flatnonzero(disputed).tolist():
+            outcome = self._dispute(
+                matrix_arr,
+                vectors_arr[:, index],
+                truth[:, index],
+                None if claims is None else claims[:, index],
+                np.flatnonzero(mismatch[:, index]),
+                committee,
+                workers.get(index),
+                per_muls,
+                per_adds,
             )
-            claimed = worker.compute(matrix_arr, column, truth, per_muls, per_adds)
-            # One stacked comparison serves every auditor of this round.
-            mismatches = None if claimed is None else np.nonzero(truth != claimed)[0]
-            transcripts: list[AuditTranscript] = []
-            auditor_ops: dict[str, int] = {}
-            for auditor_id in committee.auditors:
-                auditor = Auditor(
-                    auditor_id,
-                    self.field,
-                    dishonest=auditor_id in self.dishonest_auditors,
-                )
-                transcripts.append(
-                    auditor.audit(
-                        matrix_arr,
-                        column,
-                        claimed,
-                        worker,
-                        truth,
-                        per_muls,
-                        per_adds,
-                        mismatches=mismatches,
-                    )
-                )
-                auditor_ops[auditor_id] = auditor.operations
-            outcomes.append(
-                self._judge(
-                    matrix_arr, column, committee, worker, claimed, transcripts, auditor_ops
+            disputes[index] = outcome
+            accepted[index] = outcome.accepted
+            worker_ops[index] = outcome.worker_operations
+            auditor_ops[:, index] = [
+                outcome.auditor_operations[a] for a in committee.auditors
+            ]
+            # Every commoner checked the same accusations at the same cost.
+            commoner_ops[index] = next(iter(outcome.commoner_operations.values()), 0)
+        return VerificationBatch(
+            committee=committee,
+            accepted=accepted,
+            results=claims,
+            worker_operations=worker_ops,
+            auditor_operations=auditor_ops,
+            commoner_operations=commoner_ops,
+            disputes=disputes,
+        )
+
+    def _dispute(
+        self,
+        matrix: np.ndarray,
+        vector: np.ndarray,
+        truth: np.ndarray,
+        claimed: np.ndarray | None,
+        mismatches: np.ndarray,
+        committee: Committee,
+        worker: Worker | None,
+        per_muls: int,
+        per_adds: int,
+    ) -> VerificationOutcome:
+        """The accuse branch for one disputed column: Algorithm 1 and the checks."""
+        if worker is None:
+            # An honest worker only answers queries when someone accuses it.
+            worker = Worker(committee.worker, self.field, rng=self.rng)
+            worker.compute(matrix, vector, truth, per_muls, per_adds)
+        transcripts: list[AuditTranscript] = []
+        auditor_ops: dict[str, int] = {}
+        for auditor_id in committee.auditors:
+            dishonest = auditor_id in self.dishonest_auditors
+            if claimed is not None and mismatches.shape[0] == 0 and not dishonest:
+                transcripts.append(AuditTranscript(auditor_id=auditor_id, accepted=True))
+                auditor_ops[auditor_id] = per_muls + per_adds
+                continue
+            auditor = Auditor(auditor_id, self.field, dishonest=dishonest)
+            transcripts.append(
+                auditor.audit(
+                    matrix, vector, claimed, worker, truth, per_muls, per_adds,
+                    mismatches=mismatches,
                 )
             )
-        return outcomes
+            auditor_ops[auditor_id] = auditor.operations
+        return self._judge(
+            matrix, vector, committee, worker, claimed, transcripts, auditor_ops
+        )
 
     def _judge(
         self,
@@ -183,48 +313,44 @@ class IntermixProtocol:
         transcripts: list[AuditTranscript],
         auditor_ops: dict[str, int],
     ) -> VerificationOutcome:
-        """Publish the auditors' transcripts and validate the accusations."""
+        """Publish the auditors' transcripts and validate the accusations.
+
+        The accusations are public and every commoner runs the same
+        constant-time check on each, so each accusation is checked once and
+        its verdict recorded for every commoner.  The accept/reject decision
+        is taken by every node for itself; the auditors validate the same
+        public accusations (at no extra cost — they already hold the data),
+        so a committee with no commoners still rejects a convicted worker.
+        """
         # Publish the worker's claims the accusations refer to (the commoners
         # "overhear the entire conversation" in the paper's model).
-        public_transcripts = [
-            transcript
-            if transcript.accepted
-            else self._with_overheard_claims(transcript, worker, claimed)
+        accusations = [
+            self._with_overheard_claims(transcript, worker, claimed)
             for transcript in transcripts
+            if not transcript.accepted
         ]
-        verdicts: list[CommonerVerdict] = []
-        commoner_ops: dict[str, int] = {}
-        for commoner_id in committee.commoners:
-            commoner = Commoner(commoner_id, self.field)
-            for transcript in public_transcripts:
-                if transcript.accepted:
-                    continue
-                verdicts.append(
-                    commoner.verify_transcript(transcript, matrix, vector, claimed)
-                )
-            commoner_ops[commoner_id] = commoner.operations
-
-        # The accept/reject decision is taken by every node for itself; the
-        # auditors validated the same public accusations (at no extra cost —
-        # they already hold the data), so a committee with no commoners still
-        # rejects a convicted worker.
-        validator = Commoner("__validator__", self.field)
-        fraud_confirmed = any(
-            validator.verify_transcript(t, matrix, vector, claimed).fraud_confirmed
-            for t in public_transcripts
-            if not t.accepted
-        )
+        checker = Commoner("__validator__", self.field)
+        checks = [
+            checker.verify_transcript(transcript, matrix, vector, claimed)
+            for transcript in accusations
+        ]
+        verdicts = [
+            dataclasses.replace(check, commoner_id=commoner_id)
+            for commoner_id in committee.commoners
+            for check in checks
+        ]
+        commoner_cost = checker.operations
+        fraud_confirmed = any(check.fraud_confirmed for check in checks)
         no_result = claimed is None
-        accepted = not fraud_confirmed and not no_result
         return VerificationOutcome(
-            accepted=accepted,
+            accepted=not fraud_confirmed and not no_result,
             result=None if claimed is None else claimed.copy(),
             committee=committee,
             transcripts=transcripts,
             verdicts=verdicts,
             worker_operations=worker.operations,
             auditor_operations=auditor_ops,
-            commoner_operations=commoner_ops,
+            commoner_operations={c: commoner_cost for c in committee.commoners},
             confirmed_fraud=fraud_confirmed or no_result,
         )
 

@@ -17,7 +17,10 @@ service (:mod:`repro.service`) can serve like any other.  One round is:
 A committee is elected once per batch and reused across its rounds; every
 INTERMIX verification inside a round runs through
 :meth:`~repro.intermix.protocol.IntermixProtocol.run_batch` — one stacked
-matrix product for the worker and all auditors per operation.
+matrix product for the worker and all auditors per operation, and one
+verdict table whose per-role operation vectors the round's
+:class:`~repro.intermix.delegation.DelegatedRoundReport` adds up; auditor
+bisections and commoner checks run only for the columns someone disputes.
 
 A round whose verification confirms fraud is recorded with
 ``correct=False`` and ``diagnostics["confirmed_fraud"]=True``: no output is
@@ -214,19 +217,18 @@ class DelegationRoundProtocol(RoundProtocol):
                 "scheme": "delegated",
                 "worker": committee.worker,
                 "confirmed_fraud": not report.accepted,
-                "rejected_operations": sum(
-                    1 for outcome in report.outcomes if outcome.confirmed_fraud
-                ),
+                "rejected_operations": report.rejected_operations,
                 "max_non_worker_operations": report.max_non_worker_operations,
             },
         )
         return self._record_round(commands, clients, result)
 
     def _ops_per_node(self, report: DelegatedRoundReport) -> dict[str, int]:
+        committee = report.committee
         ops = {node: 0 for node in self.node_ids}
-        ops[report.worker_id] = ops.get(report.worker_id, 0) + report.worker_operations
-        for node, count in report.auditor_operations.items():
-            ops[node] = ops.get(node, 0) + count
-        for node, count in report.commoner_operations.items():
-            ops[node] = ops.get(node, 0) + count
+        ops[committee.worker] += report.worker_operations
+        for node, count in zip(committee.auditors, report.auditor_operations.tolist()):
+            ops[node] += count
+        for node in committee.commoners:
+            ops[node] += report.commoner_operations
         return ops

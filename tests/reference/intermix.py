@@ -2,10 +2,16 @@
 
 :meth:`~repro.intermix.protocol.IntermixProtocol.run_batch` computes the
 worker's and every auditor's recomputation of a whole batch as one stacked
-matrix product and splits its cost evenly across the columns.  Here every
+matrix product, splits its cost evenly across the columns, and finds the
+disputed columns by one array comparison: role objects exist only where an
+auditor accuses, and every other column is acknowledged without one.  Here
+every column has its own :class:`~repro.intermix.worker.Worker`, and every
 role recomputes its one column ``A X`` itself with
-:func:`~repro.gf.linalg.gf_matvec` under its own operation counter, the way
-Section 6.1 describes a single verified product.
+:func:`~repro.gf.linalg.gf_matvec` under its own operation counter, every
+auditor running :meth:`~repro.intermix.auditor.Auditor.audit` whatever the
+claim — the way Section 6.1 describes a single verified product.  Only the
+final publication and validation of the transcripts
+(``IntermixProtocol._judge``) is shared with the batch.
 """
 
 from __future__ import annotations

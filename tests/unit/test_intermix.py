@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from reference.intermix import audit, compute
+from repro.analysis.complexity import intermix_worst_case_overhead
 from repro.exceptions import ConfigurationError
 from repro.gf.linalg import gf_matvec
+from repro.gf.matrix_cache import clear_matrix_cache, matrix_cache_info
 from repro.intermix.auditor import Auditor
 from repro.intermix.commoner import Commoner
 from repro.intermix.committee import Committee, CommitteeElection, required_committee_size
@@ -203,6 +205,31 @@ class TestIntermixProtocol:
         assert total == outcome.total_operations
 
 
+    @pytest.mark.parametrize("dishonest_count", [0, 3])
+    @pytest.mark.parametrize("strategy", list(WorkerStrategy))
+    @pytest.mark.parametrize("length", [16, 64, 256])
+    def test_worst_case_bound_holds_under_every_adversary(
+        self, big_field, length, strategy, dishonest_count
+    ):
+        """Section 6.1: ``(J + 1) c(AX) + 8JK + 3J log K + N - J - 1`` bounds a run."""
+        node_ids = [f"node-{i}" for i in range(16)]
+        data = np.random.default_rng(length)
+        matrix = data.integers(0, big_field.order, size=(16, length))
+        vector = data.integers(0, big_field.order, size=length)
+        committee = CommitteeElection(node_ids, 0.25, rng=np.random.default_rng(5)).elect()
+        protocol = IntermixProtocol(
+            big_field, node_ids, 0.25, rng=np.random.default_rng(7),
+            worker_strategies={committee.worker: strategy},
+            dishonest_auditors=set(committee.auditors[:dishonest_count]),
+        )
+        outcome = protocol.run(matrix, vector, committee=committee)
+        assert outcome.accepted == (strategy is WorkerStrategy.HONEST)
+        bound = intermix_worst_case_overhead(
+            16, length, len(committee.auditors), 2 * 16 * length
+        )
+        assert outcome.total_operations <= bound
+
+
 class TestDelegatedCoding:
     @pytest.fixture
     def scheme(self, big_field):
@@ -292,3 +319,27 @@ class TestDelegatedCoding:
             _, report = service.encode_vectors_verified(commands)
             costs.append(report.max_commoner_operations)
         assert max(costs) <= 2
+
+    def test_decode_matrices_cached_and_bounded(self, scheme, big_field, rng):
+        """Eqs. (9)/(8) read the cached Vandermonde matrices, whatever tau is."""
+        clear_matrix_cache()
+        service = DelegatedCodingService(
+            scheme, transition_degree=2,
+            node_ids=[f"node-{i}" for i in range(14)],
+            fault_fraction=0.2, rng=np.random.default_rng(4),
+        )
+        values = rng.integers(0, 1000, size=(3, 2))
+        clean = CodedStateEncoder(scheme).encode(values)
+        expected, report = service.decode_results_verified_fast(clean)
+        assert report.accepted
+        assert expected.tolist() == values.tolist()
+        cached = []
+        # Three agreement sets, each corruption within the decoding radius.
+        for corrupted in ([1], [2, 7], [0, 5, 9, 13]):
+            results = clean.copy()
+            results[corrupted] = big_field.add(results[corrupted], 1)
+            decoded, report = service.decode_results_verified_fast(results)
+            assert report.accepted
+            assert decoded.tolist() == expected.tolist()
+            cached.append(matrix_cache_info()["vandermonde"])
+        assert cached == [2, 2, 2]
