@@ -364,7 +364,10 @@ class IntermixProtocol:
         channel, so a dishonest auditor cannot attribute fabricated claims to
         an honest worker.  For a leaf mismatch we re-read the worker's claim
         for the single disputed entry; for a sum mismatch we re-read the two
-        half claims.
+        half claims.  Re-reading is not re-asking: a range the worker already
+        answered is read from its broadcast log (see
+        :meth:`~repro.intermix.worker.Worker.broadcast_answer`), so the
+        worker pays for each answer once.
         """
         if transcript.accepted or claimed is None:
             return transcript
@@ -378,7 +381,7 @@ class IntermixProtocol:
             """The worker's public claim for a sub-range of the disputed row."""
             if (range_start, range_stop) == (0, vector_length):
                 return int(claimed[row])
-            return worker.answer_query(row, range_start, range_stop)
+            return worker.broadcast_answer(row, range_start, range_stop)
 
         if transcript.failure_kind == "leaf-mismatch":
             if stop - start != 1:
@@ -391,8 +394,8 @@ class IntermixProtocol:
         else:  # sum-mismatch
             midpoint = start + (stop - start) // 2
             parent_claim = worker_claim_for(start, stop)
-            left = worker.answer_query(row, start, midpoint)
-            right = worker.answer_query(row, midpoint, stop)
+            left = worker.broadcast_answer(row, start, midpoint)
+            right = worker.broadcast_answer(row, midpoint, stop)
             if parent_claim is None or left is None or right is None:
                 failure_kind, parent, halves = "no-response", 0, (0, 0)
             else:

@@ -143,6 +143,19 @@ class Worker:
         )
         return answer
 
+    def broadcast_answer(self, row_index: int, start: int, stop: int) -> int | None:
+        """The worker's public answer for a sub-range, as the commoners overhear it.
+
+        Every answer goes out on the broadcast channel, so a range the worker
+        already answered is read from its log; only a range nobody has asked
+        yet (a dishonest auditor's baseless alert, say) is answered — and
+        charged — now, once.
+        """
+        for record in self.query_log:
+            if (record.row_index, record.start, record.stop) == (row_index, start, stop):
+                return record.answer
+        return self.answer_query(row_index, start, stop)
+
     def _true_subproduct(self, row_index: int, start: int, stop: int) -> int:
         self.field.attach_counter(self.counter)
         try:

@@ -13,7 +13,12 @@ moves means observable behaviour moved.  The diagnostics key ``"batched"``
 that mode switch wrote is left out of the hash.  One digest was re-recorded
 since: ``corrupt_decoder_with_dishonest_auditors``, when a void round began
 reporting the last decoded states instead of zeros (its round 4 is the only
-void round after the states have moved).  Each
+void round after the states have moved).  Later, overhearing stopped
+re-asking the worker for answers it had already broadcast, which moved
+``corrupt_worker_reelected_mid_batch`` and, again,
+``corrupt_decoder_with_dishonest_auditors``: their accused workers used to
+be charged each overheard answer twice.  With every round's worker
+operation count masked out, both hash the same before and after.  Each
 scenario also asserts that it still reaches the branch it exists for
 (honest delivery, a mid-batch conviction and re-election, a cheating
 decoder among dishonest auditors), so a digest cannot stay green by
@@ -33,8 +38,8 @@ from repro.rng import default_stream
 
 GOLDEN_DIGESTS = {
     "honest_n16_k4": "94c90878781192610cc5f678b2cd68e20ac6273c626fb0987f4809b2c6bc4f7c",
-    "corrupt_worker_reelected_mid_batch": "96ecd814e793f08ff21444b014f7d3fe9cd4f35abbb39ea23689195a80d08dbe",
-    "corrupt_decoder_with_dishonest_auditors": "07af371b93794a06e1e23101e70f95a853ddd01494c5f8bbcc07553380999f23",
+    "corrupt_worker_reelected_mid_batch": "1270d45318fdd9b6203724d0d64647c5d0420ccfee84732ff9d66b1f67bb230c",
+    "corrupt_decoder_with_dishonest_auditors": "d231f0e4699144a48dd414353031ca00bb172eb5585d6cc5f6616124af50ba63",
 }
 
 FIELD = PrimeField()

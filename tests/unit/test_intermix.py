@@ -159,6 +159,36 @@ class TestAuditorAndCommoner:
         verdict = Commoner("c", big_field).verify_transcript(public, matrix, vector, claimed)
         assert not verdict.fraud_confirmed
 
+    @pytest.mark.parametrize(
+        "strategy", [WorkerStrategy.CORRUPT_RESULT, WorkerStrategy.CONSISTENT_LIAR]
+    )
+    def test_overhearing_reads_answers_instead_of_asking_again(
+        self, big_field, rng, strategy
+    ):
+        matrix, vector = self._inputs(big_field, rng)
+        worker = Worker("w", big_field, strategy, rng=rng)
+        claimed = compute(worker, matrix, vector)
+        transcript = audit(Auditor("a", big_field), matrix, vector, claimed, worker)
+        charged = worker.operations
+        protocol = IntermixProtocol(big_field, NODE_IDS, 0.25)
+        public = protocol._with_overheard_claims(transcript, worker, claimed)
+        assert (public.parent_claim, public.half_claims) == (
+            transcript.parent_claim, transcript.half_claims
+        )
+        assert worker.operations == charged
+        asked = [(q.row_index, q.start, q.stop) for q in worker.query_log]
+        assert len(asked) == len(set(asked)) == transcript.queries_issued
+
+    def test_baseless_alert_range_is_answered_once(self, big_field, rng):
+        matrix, vector = self._inputs(big_field, rng)
+        worker = Worker("w", big_field, WorkerStrategy.HONEST)
+        claimed = compute(worker, matrix, vector)
+        protocol = IntermixProtocol(big_field, NODE_IDS, 0.25)
+        for name in ("a", "b"):
+            alert = audit(Auditor(name, big_field, dishonest=True), matrix, vector, claimed, worker)
+            protocol._with_overheard_claims(alert, worker, claimed)
+        assert [(q.row_index, q.start, q.stop) for q in worker.query_log] == [(0, 0, 1)]
+
 
 class TestIntermixProtocol:
     def _inputs(self, big_field, rng, rows=12, cols=16):
@@ -195,6 +225,20 @@ class TestIntermixProtocol:
         max_commoner_large = max(large.commoner_operations.values() or [0])
         assert max_commoner_large <= max_commoner_small + 2  # O(1) verification
         assert sum(large.auditor_operations.values()) > sum(small.auditor_operations.values())
+
+    def test_worker_pays_its_share_and_each_answered_query_once(self, big_field, rng):
+        """A worker caught at the first bisection level pays ``c(AX)`` + 2J half-products."""
+        matrix, vector = self._inputs(big_field, rng)
+        protocol = IntermixProtocol(
+            big_field, NODE_IDS, 0.25, rng=rng,
+            worker_strategies={n: WorkerStrategy.CORRUPT_RESULT for n in NODE_IDS},
+        )
+        outcome = protocol.run(matrix, vector)
+        queries = sum(t.queries_issued for t in outcome.transcripts)
+        assert queries == 2 * len(outcome.committee.auditors) == 20
+        share = 12 * 16 + 12 * 15  # the 12 x 16 product
+        half_product = 8 + 7  # one 8-entry inner product
+        assert outcome.worker_operations == share + queries * half_product == 672
 
     def test_operations_for_lookup(self, big_field, rng):
         matrix, vector = self._inputs(big_field, rng)
