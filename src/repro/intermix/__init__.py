@@ -24,7 +24,11 @@ from repro.intermix.committee import CommitteeElection, Committee
 from repro.intermix.worker import Worker, WorkerStrategy
 from repro.intermix.auditor import Auditor, AuditTranscript
 from repro.intermix.commoner import Commoner, CommonerVerdict
-from repro.intermix.protocol import IntermixProtocol, VerificationOutcome
+from repro.intermix.protocol import (
+    IntermixProtocol,
+    VerificationBatch,
+    VerificationOutcome,
+)
 from repro.intermix.delegation import DelegatedCodingService, DelegatedRoundReport
 from repro.intermix.rounds import DelegationRoundProtocol
 
@@ -38,6 +42,7 @@ __all__ = [
     "Commoner",
     "CommonerVerdict",
     "IntermixProtocol",
+    "VerificationBatch",
     "VerificationOutcome",
     "DelegatedCodingService",
     "DelegatedRoundReport",

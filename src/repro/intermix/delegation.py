@@ -64,10 +64,6 @@ class DelegatedRoundReport:
         self.auditor_operations = np.zeros(len(self.committee.auditors), dtype=np.int64)
 
     @property
-    def worker_id(self) -> str:
-        return self.committee.worker
-
-    @property
     def max_non_worker_operations(self) -> int:
         """Worst per-node cost outside the worker — the quantity that must stay flat."""
         costs = self.auditor_operations.tolist()

@@ -30,7 +30,6 @@ worst-case overhead formula of Section 6.1:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -335,7 +334,9 @@ class IntermixProtocol:
             for transcript in accusations
         ]
         verdicts = [
-            dataclasses.replace(check, commoner_id=commoner_id)
+            CommonerVerdict(
+                commoner_id, check.transcript_author, check.fraud_confirmed, check.operations
+            )
             for commoner_id in committee.commoners
             for check in checks
         ]

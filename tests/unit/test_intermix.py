@@ -364,6 +364,14 @@ class TestDelegatedCoding:
             costs.append(report.max_commoner_operations)
         assert max(costs) <= 2
 
+    def test_reports_add_up_only_their_own_committee(self, service, rng):
+        commands = rng.integers(0, 1000, size=(3, 2))
+        _, first = service.encode_vectors_verified(commands)
+        _, second = service.encode_vectors_verified(commands)  # a fresh election
+        assert first.committee != second.committee
+        with pytest.raises(ConfigurationError):
+            first.merge(second)
+
     def test_decode_matrices_cached_and_bounded(self, scheme, big_field, rng):
         """Eqs. (9)/(8) read the cached Vandermonde matrices, whatever tau is."""
         clear_matrix_cache()
