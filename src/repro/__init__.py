@@ -5,10 +5,10 @@ under Byzantine Faults* (Li et al., PODC 2019).  It provides:
 
 ``repro.gf``
     Finite-field substrate: prime fields, binary extension fields, univariate
-    and multivariate polynomial arithmetic, Lagrange interpolation.
+    and multivariate polynomial arithmetic, the Lagrange coefficient matrix.
 ``repro.coding``
-    Reed–Solomon codes in the evaluation view, with Berlekamp–Welch and Gao
-    decoders for noisy polynomial interpolation.
+    Reed–Solomon codes in the evaluation view, with the Berlekamp–Welch
+    decoder for noisy polynomial interpolation and an erasure decoder.
 ``repro.lcc``
     Lagrange coded computing: the encoder/decoder pair CSM uses for coded
     states and coded commands.

@@ -6,20 +6,16 @@ contribute correct evaluations of the composite polynomial
 contribute garbage, and the decoder must recover ``h`` as long as the number
 of errors ``b`` satisfies ``2b <= N - deg(h) - 1`` (Table 2).
 
-Two decoders are provided:
-
-* :class:`~repro.coding.berlekamp_welch.BerlekampWelchDecoder` — the classic
-  linear-system decoder the paper cites.
-* :class:`~repro.coding.gao.GaoDecoder` — an extended-Euclidean decoder, used
-  as an ablation / cross-check.
-
-Both share the :class:`~repro.coding.reed_solomon.ReedSolomonCode` container
-which fixes the evaluation points and dimension.
+The decoder is :class:`~repro.coding.berlekamp_welch.BerlekampWelchDecoder`,
+the linear-system decoder the paper names (Section 6.2); the
+:class:`~repro.coding.erasure.ErasureDecoder` runs it on the survivors when
+some results are missing.  Both share the
+:class:`~repro.coding.reed_solomon.ReedSolomonCode` container, which fixes
+the evaluation points and dimension.
 """
 
 from repro.coding.reed_solomon import ReedSolomonCode, DecodingResult
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
-from repro.coding.gao import GaoDecoder
 from repro.coding.erasure import ErasureDecoder
 from repro.coding.radius import (
     max_errors_correctable,
@@ -31,7 +27,6 @@ __all__ = [
     "ReedSolomonCode",
     "DecodingResult",
     "BerlekampWelchDecoder",
-    "GaoDecoder",
     "ErasureDecoder",
     "max_errors_correctable",
     "max_dimension_for_errors",

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exceptions import DecodingError
+from repro.exceptions import DecodingError, FieldError
 from repro.gf.field import Field
 from repro.gf.linalg import gf_solve
 from repro.gf.polynomial import Poly
@@ -104,7 +104,7 @@ class BerlekampWelchDecoder:
             rhs[i] = field.mul(y, field.pow(x, e))
         try:
             solution = gf_solve(field, matrix, rhs, allow_underdetermined=True)
-        except Exception as exc:  # inconsistent system
+        except FieldError as exc:  # inconsistent system
             raise DecodingError(f"Berlekamp-Welch system unsolvable for e={e}") from exc
         q_poly = Poly(field, solution[:q_len])
         e_coeffs = list(solution[q_len:]) + [1]

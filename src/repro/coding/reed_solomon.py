@@ -141,16 +141,6 @@ class ReedSolomonCode:
         codeword = self.encode_polynomial(polynomial)
         return tuple(int(i) for i in np.nonzero(word != codeword)[0])
 
-    def is_codeword(self, word: Sequence[int]) -> bool:
-        """True when ``word`` is a valid codeword (fits a degree < k polynomial)."""
-        received = self.check_received_length(word)
-        from repro.gf.lagrange import lagrange_interpolate
-
-        poly = lagrange_interpolate(
-            self.field, self.evaluation_points, [int(v) for v in received]
-        )
-        return poly.degree < self.dimension
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"ReedSolomonCode(n={self.length}, k={self.dimension}, "

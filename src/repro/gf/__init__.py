@@ -12,9 +12,10 @@ network size ``N``.  Two constructions are provided:
 On top of the fields the package provides dense univariate polynomials
 (:class:`~repro.gf.polynomial.Poly`), sparse multivariate polynomials
 (:class:`~repro.gf.multivariate.MultivariatePolynomial`, the representation of
-state-transition functions), Lagrange/barycentric interpolation, Vandermonde
-helpers, finite-field linear algebra and subproduct-tree fast multi-point
-evaluation.
+state-transition functions), the Lagrange coefficient matrix ``C`` of
+equation (7), Vandermonde matrices, finite-field linear algebra (solve,
+inverse, matrix-vector product) and the process-wide cache of the encode and
+decode matrices built from them.
 """
 
 from repro.gf.field import Field, OperationCounter
@@ -22,15 +23,9 @@ from repro.gf.prime_field import PrimeField, DEFAULT_PRIME
 from repro.gf.extension_field import BinaryExtensionField
 from repro.gf.polynomial import Poly
 from repro.gf.multivariate import MultivariatePolynomial, Monomial
-from repro.gf.lagrange import (
-    lagrange_basis_row,
-    lagrange_coefficient_matrix,
-    lagrange_interpolate,
-    barycentric_weights,
-    barycentric_evaluate,
-)
-from repro.gf.vandermonde import vandermonde_matrix, vandermonde_solve
-from repro.gf.linalg import gf_matmul, gf_matvec, gf_solve, gf_inverse_matrix, gf_rank
+from repro.gf.lagrange import lagrange_basis_row, lagrange_coefficient_matrix
+from repro.gf.vandermonde import vandermonde_matrix
+from repro.gf.linalg import gf_matvec, gf_solve, gf_inverse_matrix
 from repro.gf.matrix_cache import (
     cached_interpolation_matrix,
     cached_lagrange_coefficient_matrix,
@@ -39,7 +34,6 @@ from repro.gf.matrix_cache import (
     clear_matrix_cache,
     matrix_cache_info,
 )
-from repro.gf.fast_eval import SubproductTree, multi_point_evaluate
 
 __all__ = [
     "Field",
@@ -52,22 +46,14 @@ __all__ = [
     "Monomial",
     "lagrange_basis_row",
     "lagrange_coefficient_matrix",
-    "lagrange_interpolate",
-    "barycentric_weights",
-    "barycentric_evaluate",
     "vandermonde_matrix",
-    "vandermonde_solve",
-    "gf_matmul",
     "gf_matvec",
     "gf_solve",
     "gf_inverse_matrix",
-    "gf_rank",
     "cached_interpolation_matrix",
     "cached_lagrange_coefficient_matrix",
     "cached_transfer_matrix",
     "cached_vandermonde",
     "clear_matrix_cache",
     "matrix_cache_info",
-    "SubproductTree",
-    "multi_point_evaluate",
 ]

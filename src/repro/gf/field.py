@@ -162,36 +162,6 @@ class Field(ABC):
         """Element-wise division ``a / b``."""
         return self.mul(a, self.inv(b))
 
-    # -- batch helpers -------------------------------------------------------
-    def batch_inv(self, values: np.ndarray) -> np.ndarray:
-        """Invert many elements with a single inversion (Montgomery's trick).
-
-        Computes prefix products, inverts the full product once and unwinds.
-        Requires every entry to be non-zero.
-        """
-        arr = self.array(values)
-        flat = arr.reshape(-1)
-        n = flat.shape[0]
-        if n == 0:
-            return arr.copy()
-        prefix = np.empty(n, dtype=flat.dtype)
-        acc = self.one
-        for i in range(n):
-            value = int(flat[i])
-            if value == 0:
-                raise FieldError("cannot batch-invert an array containing zero")
-            acc = self.mul(acc, value)
-            prefix[i] = acc
-        inv_acc = self.inv(acc)
-        out = np.empty(n, dtype=flat.dtype)
-        for i in range(n - 1, -1, -1):
-            if i == 0:
-                out[i] = inv_acc
-            else:
-                out[i] = self.mul(inv_acc, int(prefix[i - 1]))
-            inv_acc = self.mul(inv_acc, int(flat[i]))
-        return out.reshape(arr.shape)
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix–matrix product over the field.
 

@@ -11,10 +11,9 @@ This module provides:
 * :func:`lagrange_basis_row` — the row ``(c_i1, ..., c_iK)`` for one
   evaluation point.
 * :func:`lagrange_coefficient_matrix` — the full ``N x K`` matrix ``C``.
-* :func:`lagrange_interpolate` — the interpolating :class:`Poly` through
-  ``(x_j, y_j)`` pairs.
-* barycentric evaluation, which avoids materialising the coefficient form
-  when only evaluations are needed.
+
+Encoding never forms the interpolant itself: a coded value is row ``i`` of
+``C`` applied to the true values.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from repro.exceptions import FieldError
 from repro.gf.field import Field
-from repro.gf.polynomial import Poly
 
 
 def _require_distinct(field: Field, points: Sequence[int], label: str) -> list[int]:
@@ -73,73 +71,3 @@ def lagrange_coefficient_matrix(
     for i, alpha in enumerate(alphas):
         matrix[i, :] = lagrange_basis_row(field, omegas, alpha)
     return matrix
-
-
-def lagrange_interpolate(
-    field: Field, xs: Sequence[int], ys: Sequence[int]
-) -> Poly:
-    """Return the unique polynomial of degree < len(xs) through ``(x_j, y_j)``."""
-    xs = _require_distinct(field, xs, "interpolation abscissae")
-    ys = [field.element(int(y)) for y in ys]
-    if len(xs) != len(ys):
-        raise FieldError(
-            f"interpolation needs matching point counts, got {len(xs)} and {len(ys)}"
-        )
-    result = Poly.zero(field)
-    for j, (xj, yj) in enumerate(zip(xs, ys)):
-        if yj == 0:
-            continue
-        numerator = Poly.one(field)
-        denominator = 1
-        for m, xm in enumerate(xs):
-            if m == j:
-                continue
-            numerator = numerator * Poly(field, [field.neg(xm), 1])
-            denominator = field.mul(denominator, field.sub(xj, xm))
-        scale = field.mul(yj, field.inv(denominator))
-        result = result + numerator.scale(scale)
-    return result
-
-
-def barycentric_weights(field: Field, xs: Sequence[int]) -> np.ndarray:
-    """Barycentric weights ``w_j = 1 / prod_{m != j} (x_j - x_m)``."""
-    xs = _require_distinct(field, xs, "interpolation abscissae")
-    weights = np.zeros(len(xs), dtype=np.int64)
-    for j, xj in enumerate(xs):
-        denom = 1
-        for m, xm in enumerate(xs):
-            if m == j:
-                continue
-            denom = field.mul(denom, field.sub(xj, xm))
-        weights[j] = field.inv(denom)
-    return weights
-
-
-def barycentric_evaluate(
-    field: Field,
-    xs: Sequence[int],
-    ys: Sequence[int],
-    weights: np.ndarray,
-    point: int,
-) -> int:
-    """Evaluate the interpolant through ``(xs, ys)`` at ``point``.
-
-    Uses the first barycentric form ``L(z) = l(z) * sum_j w_j y_j / (z - x_j)``
-    where ``l(z) = prod_j (z - x_j)``.  If ``point`` coincides with an
-    abscissa the corresponding ``y`` value is returned directly.
-    """
-    xs = [field.element(int(x)) for x in xs]
-    ys = [field.element(int(y)) for y in ys]
-    point = field.element(point)
-    for xj, yj in zip(xs, ys):
-        if xj == point:
-            return yj
-    node_poly_value = 1
-    for xj in xs:
-        node_poly_value = field.mul(node_poly_value, field.sub(point, xj))
-    total = 0
-    for xj, yj, wj in zip(xs, ys, weights):
-        term = field.mul(int(wj), yj)
-        term = field.mul(term, field.inv(field.sub(point, xj)))
-        total = field.add(total, term)
-    return field.mul(node_poly_value, total)

@@ -1,9 +1,9 @@
 """Dense linear algebra over a finite field.
 
-The Berlekamp–Welch decoder, Vandermonde solves and several INTERMIX
-verification checks reduce to solving (possibly singular) linear systems over
-``GF(p)``.  Matrices are numpy ``int64`` arrays of canonical field elements;
-all elimination is carried out with the field's own arithmetic so the same
+The Berlekamp–Welch decoder solves a (possibly singular) linear system over
+``GF(p)``, and the matrix cache inverts square Vandermonde matrices.
+Matrices are numpy ``int64`` arrays of canonical field elements; all
+elimination is carried out with the field's own arithmetic so the same
 routines work for prime and extension fields.
 """
 
@@ -27,11 +27,6 @@ def gf_matvec(field: Field, matrix: np.ndarray, vector: np.ndarray) -> np.ndarra
     for i in range(mat.shape[0]):
         out[i] = field.dot(mat[i, :], vec)
     return out
-
-
-def gf_matmul(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix-matrix product over the field (delegates to :meth:`Field.matmul`)."""
-    return field.matmul(a, b)
 
 
 def _row_reduce(
@@ -63,12 +58,6 @@ def _row_reduce(
         pivot_cols.append(col)
         pivot_row += 1
     return mat, pivot_cols
-
-
-def gf_rank(field: Field, matrix: np.ndarray) -> int:
-    """Rank of a matrix over the field."""
-    _, pivots = _row_reduce(field, field.array(matrix))
-    return len(pivots)
 
 
 def gf_solve(
@@ -110,22 +99,3 @@ def gf_inverse_matrix(field: Field, matrix: np.ndarray) -> np.ndarray:
     if pivots != list(range(n)):
         raise FieldError("matrix is singular over the field")
     return reduced[:, n:]
-
-
-def gf_nullspace_vector(field: Field, matrix: np.ndarray) -> np.ndarray | None:
-    """Return one non-zero vector in the nullspace of ``matrix``, or ``None``.
-
-    Used by tests to probe singular Vandermonde-like systems.
-    """
-    mat = field.array(matrix)
-    reduced, pivots = _row_reduce(field, mat)
-    num_cols = mat.shape[1]
-    free_cols = [c for c in range(num_cols) if c not in pivots]
-    if not free_cols:
-        return None
-    free = free_cols[0]
-    vector = np.zeros(num_cols, dtype=np.int64)
-    vector[free] = 1
-    for row_index, col in enumerate(pivots):
-        vector[col] = field.neg(int(reduced[row_index, free]))
-    return vector

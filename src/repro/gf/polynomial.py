@@ -242,32 +242,12 @@ class Poly:
             result = result * inner + Poly.constant(self.field, c)
         return result
 
-    # -- gcd / euclid (needed by the Gao decoder) ------------------------------------------
+    # -- gcd ------------------------------------------------------------------------------------
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
         while not b.is_zero:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
-
-    @staticmethod
-    def partial_extended_gcd(
-        a: "Poly", b: "Poly", degree_bound: int
-    ) -> tuple["Poly", "Poly", "Poly"]:
-        """Run the extended Euclidean algorithm until ``deg(r) < degree_bound``.
-
-        Returns ``(r, s, t)`` with ``r = s*a + t*b`` and ``deg(r) < degree_bound``.
-        This is the core step of Gao's Reed–Solomon decoder.
-        """
-        field = a.field
-        r_prev, r_curr = a, b
-        s_prev, s_curr = Poly.one(field), Poly.zero(field)
-        t_prev, t_curr = Poly.zero(field), Poly.one(field)
-        while r_curr.degree >= degree_bound and not r_curr.is_zero:
-            quotient, remainder = r_prev.divmod(r_curr)
-            r_prev, r_curr = r_curr, remainder
-            s_prev, s_curr = s_curr, s_prev - quotient * s_curr
-            t_prev, t_curr = t_curr, t_prev - quotient * t_curr
-        return r_curr, s_curr, t_curr
 
     # -- dunder conveniences --------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -8,7 +8,7 @@ representatives below ``2**31``, the product of two elements fits in a signed
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -174,9 +174,9 @@ class PrimeField(Field):
         terms per block without overflow.  Wider inner dimensions are
         accumulated block by block with a reduction in between.  Results are
         the canonical representatives (bit-identical to the rank-1-update
-        formulation this replaces, kept as :meth:`_matmul_rank1` for the
-        micro-benchmarks) and the operation counts charged match the generic
-        row-by-column path exactly.
+        formulation this replaced, which ``tests/reference/interpolation.py``
+        keeps as the oracle) and the operation counts charged match the
+        generic row-by-column path exactly.
         """
         a_arr = self.array(a)
         b_arr = self.array(b)
@@ -197,47 +197,6 @@ class PrimeField(Field):
             out += (hi << _LIMB_BITS) + lo
             out %= self._p
         return out
-
-    def _matmul_rank1(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The previous rank-1-update matmul, kept as the reference the
-        micro-benchmark compares :meth:`matmul` against."""
-        a_arr = self.array(a)
-        b_arr = self.array(b)
-        if a_arr.ndim != 2 or b_arr.ndim != 2 or a_arr.shape[1] != b_arr.shape[0]:
-            raise FieldError(
-                f"shape mismatch for matmul: {a_arr.shape} @ {b_arr.shape}"
-            )
-        rows, inner = a_arr.shape
-        cols = b_arr.shape[1]
-        self._count_mul(rows * inner * cols)
-        self._count_add(rows * max(inner - 1, 0) * cols)
-        out = np.zeros((rows, cols), dtype=np.int64)
-        for t in range(inner):
-            out += a_arr[:, t, None] * b_arr[None, t, :] % self._p
-            out %= self._p
-        return out
-
-    # -- extras ------------------------------------------------------------------------
-    def powers(self, base: int, count: int) -> np.ndarray:
-        """Return ``[base**0, base**1, ..., base**(count-1)]`` as an array."""
-        base = self.element(base)
-        out = np.empty(count, dtype=np.int64)
-        acc = 1
-        for i in range(count):
-            out[i] = acc
-            acc = (acc * base) % self._p
-        self._count_mul(max(count - 1, 0))
-        return out
-
-    def geometric_column(self, points: np.ndarray, degree: int) -> np.ndarray:
-        """Return the matrix ``[points_i ** j]`` for ``j = 0..degree`` (Vandermonde)."""
-        pts = self.array(points).reshape(-1)
-        matrix = np.empty((pts.shape[0], degree + 1), dtype=np.int64)
-        matrix[:, 0] = 1
-        for j in range(1, degree + 1):
-            matrix[:, j] = np.mod(matrix[:, j - 1] * pts, self._p)
-        self._count_mul(pts.shape[0] * degree)
-        return matrix
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"PrimeField(p={self._p})"

@@ -1,10 +1,11 @@
-"""Vandermonde-matrix helpers.
+"""The Vandermonde matrix ``V[i, j] = x_i ** j``.
 
 The centralised decoding path of Section 6.2 expresses both the multi-point
 evaluation of the decoded polynomial (equation (8)) and the consistency check
 of the decoded coefficients (equation (9)) as matrix–vector products with
 Vandermonde matrices ``[x_i ** j]``.  INTERMIX verifies exactly these
-products, so the experiments need explicit access to the matrices.
+products, and :mod:`repro.gf.matrix_cache` builds the Reed–Solomon encode,
+interpolation and transfer matrices from them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from repro.exceptions import FieldError
 from repro.gf.field import Field
-from repro.gf.linalg import gf_matvec, gf_solve
 
 
 def vandermonde_matrix(
@@ -32,58 +32,3 @@ def vandermonde_matrix(
             matrix[i, j] = acc
             acc = field.mul(acc, point)
     return matrix
-
-
-def vandermonde_apply(
-    field: Field, points: Sequence[int], coefficients: np.ndarray
-) -> np.ndarray:
-    """Evaluate the polynomial with the given coefficient vector at ``points``.
-
-    Equivalent to ``vandermonde_matrix(...) @ coefficients`` but computed with
-    Horner's rule, which is how an individual node would evaluate it.
-    """
-    coeffs = field.array(coefficients).reshape(-1)
-    out = np.zeros(len(points), dtype=np.int64)
-    for i, point in enumerate(points):
-        acc = 0
-        for c in coeffs[::-1]:
-            acc = field.add(field.mul(acc, field.element(int(point))), int(c))
-        out[i] = acc
-    return out
-
-
-def vandermonde_solve(
-    field: Field, points: Sequence[int], values: np.ndarray
-) -> np.ndarray:
-    """Solve ``V @ coeffs = values`` for the coefficient vector.
-
-    ``points`` must be distinct and ``len(points)`` equals the number of
-    unknown coefficients; this is interpolation phrased as a linear solve and
-    is used as a cross-check of the Lagrange interpolation path.
-    """
-    pts = [field.element(int(p)) for p in points]
-    if len(set(pts)) != len(pts):
-        raise FieldError("Vandermonde solve requires distinct points")
-    vals = field.array(values).reshape(-1)
-    if vals.shape[0] != len(pts):
-        raise FieldError(
-            f"point/value count mismatch: {len(pts)} points, {vals.shape[0]} values"
-        )
-    matrix = vandermonde_matrix(field, pts, len(pts))
-    return gf_solve(field, matrix, vals)
-
-
-def vandermonde_residual(
-    field: Field,
-    points: Sequence[int],
-    coefficients: np.ndarray,
-    values: np.ndarray,
-) -> np.ndarray:
-    """Return ``V @ coefficients - values`` (zero where consistent).
-
-    Auditors use the non-zero positions of this residual to decide which row
-    of a claimed product to challenge.
-    """
-    matrix = vandermonde_matrix(field, points, field.array(coefficients).reshape(-1).shape[0])
-    predicted = gf_matvec(field, matrix, coefficients)
-    return field.sub(predicted, field.array(values).reshape(-1))

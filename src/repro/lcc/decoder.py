@@ -70,6 +70,9 @@ class CodedResultDecoder:
         )
         self._error_decoder = BerlekampWelchDecoder(self.code)
         self._erasure_decoder = ErasureDecoder(self.code)
+        self._pivot_matrices: dict[
+            tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
 
     # -- public API -------------------------------------------------------------------
     @property
@@ -204,15 +207,24 @@ class CodedResultDecoder:
     def pivot_matrices(
         self, pivot: "list[int]"
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached ``(to_all, to_omegas, to_coeffs)`` maps for one pivot set."""
-        pivot_points = tuple(int(self.scheme.alphas[i]) for i in pivot)
-        all_points = tuple(int(a) for a in self.scheme.alphas)
-        omega_points = tuple(int(w) for w in self.scheme.omegas)
-        return (
-            cached_transfer_matrix(self.field, pivot_points, all_points),
-            cached_transfer_matrix(self.field, pivot_points, omega_points),
-            cached_interpolation_matrix(self.field, pivot_points),
-        )
+        """Cached ``(to_all, to_omegas, to_coeffs)`` maps for one pivot set.
+
+        The scheme's points never change, so the decoder keeps the three
+        matrices per pivot after the first lookup in the process-wide cache.
+        """
+        key = tuple(pivot)
+        matrices = self._pivot_matrices.get(key)
+        if matrices is None:
+            pivot_points = tuple(int(self.scheme.alphas[i]) for i in pivot)
+            all_points = tuple(int(a) for a in self.scheme.alphas)
+            omega_points = tuple(int(w) for w in self.scheme.omegas)
+            matrices = (
+                cached_transfer_matrix(self.field, pivot_points, all_points),
+                cached_transfer_matrix(self.field, pivot_points, omega_points),
+                cached_interpolation_matrix(self.field, pivot_points),
+            )
+            self._pivot_matrices[key] = matrices
+        return matrices
 
     def stacked_verification(
         self, stacked: np.ndarray, reencoded: np.ndarray, width: int

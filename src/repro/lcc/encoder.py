@@ -1,15 +1,12 @@
 """Encoding of states and commands into their coded counterparts.
 
-Two equivalent paths are provided, mirroring Sections 5 and 6 of the paper:
-
-* **Distributed path** (:meth:`CodedStateEncoder.encode`): apply the
-  coefficient matrix row by row — what every node does for itself in the
-  baseline CSM protocol.  Cost ``Theta(N * K)`` field operations in total.
-* **Centralised path** (:meth:`CodedStateEncoder.encode_via_interpolation`):
-  interpolate the Lagrange polynomial through ``(omega_k, value_k)`` and then
-  evaluate it at all ``alpha_i`` with a subproduct tree — the single-worker
-  path of Section 6.2 whose cost is quasilinear in ``N``.  INTERMIX verifies
-  that both paths agree (they are the same linear map ``C``).
+Encoding is the linear map ``C`` of equation (7): coded value ``i`` is row
+``i`` of the cached Lagrange coefficient matrix applied to the ``K`` true
+values, which is what every node does for itself in the baseline CSM
+protocol (``Theta(N * K)`` field operations in total).  A batch of rounds is
+one matrix–matrix product with ``C``.  The delegated path of Section 6.2
+computes the same map on a worker and has INTERMIX verify it
+(:mod:`repro.intermix.delegation`).
 """
 
 from __future__ import annotations
@@ -17,8 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import FieldError
-from repro.gf.fast_eval import SubproductTree
-from repro.gf.lagrange import lagrange_interpolate
 from repro.lcc.scheme import LagrangeScheme
 
 
@@ -28,9 +23,7 @@ class CodedStateEncoder:
     def __init__(self, scheme: LagrangeScheme) -> None:
         self.scheme = scheme
         self.field = scheme.field
-        self._alpha_tree: SubproductTree | None = None
 
-    # -- distributed path ------------------------------------------------------------
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Encode ``K`` vectors (shape ``(K, dim)``) into ``N`` coded vectors.
 
@@ -61,54 +54,3 @@ class CodedStateEncoder:
         flat = arr.transpose(1, 0, 2).reshape(self.scheme.num_machines, batch * dim)
         coded = self.field.matmul(self.scheme.coefficient_matrix, flat)
         return coded.reshape(self.scheme.num_nodes, batch, dim).transpose(1, 0, 2)
-
-    # -- centralised (worker) path ------------------------------------------------------
-    def encode_via_interpolation(self, values: np.ndarray) -> np.ndarray:
-        """Encode by polynomial interpolation + multi-point evaluation.
-
-        Step 1 of Section 6.2 interpolates ``v_t(z)`` through
-        ``(omega_k, X_k(t))``; step 2 evaluates it at every ``alpha_i``.  The
-        result is numerically identical to :meth:`encode` — the benchmark
-        suite compares their operation counts.
-        """
-        arr = self.field.array(values)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.shape[0] != self.scheme.num_machines:
-            raise FieldError(
-                f"expected {self.scheme.num_machines} rows, got {arr.shape[0]}"
-            )
-        tree = self._get_alpha_tree()
-        out = np.zeros((self.scheme.num_nodes, arr.shape[1]), dtype=np.int64)
-        for component in range(arr.shape[1]):
-            poly = lagrange_interpolate(
-                self.field, self.scheme.omegas, [int(v) for v in arr[:, component]]
-            )
-            out[:, component] = tree.evaluate(poly)
-        return out
-
-    def interpolation_polynomials(self, values: np.ndarray) -> list:
-        """Return the interpolants ``[p_component(z)]`` through the omegas.
-
-        The coded execution analysis needs these polynomials explicitly: the
-        state polynomial ``u_t(z)`` and command polynomial ``v_t(z)`` are the
-        interpolants of the state/command components.
-        """
-        arr = self.field.array(values)
-        if arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        if arr.shape[0] != self.scheme.num_machines:
-            raise FieldError(
-                f"expected {self.scheme.num_machines} rows, got {arr.shape[0]}"
-            )
-        return [
-            lagrange_interpolate(
-                self.field, self.scheme.omegas, [int(v) for v in arr[:, component]]
-            )
-            for component in range(arr.shape[1])
-        ]
-
-    def _get_alpha_tree(self) -> SubproductTree:
-        if self._alpha_tree is None:
-            self._alpha_tree = SubproductTree(self.field, self.scheme.alphas)
-        return self._alpha_tree

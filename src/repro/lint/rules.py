@@ -305,7 +305,6 @@ ARITHMETIC_METHODS = frozenset(
         "matmul",
         "matvec",
         "sum",
-        "batch_inv",
         "evaluate",
         "evaluate_many",
         "evaluate_batch",

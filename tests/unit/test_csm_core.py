@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from reference import coded_round
+from reference.interpolation import interpolation_polynomials
 
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.core.config import CSMConfig
@@ -103,9 +104,8 @@ class TestCSMNode:
     def test_execute_coded_is_composite_evaluation(self, big_field, rng):
         node, scheme, machine, states = self._node(big_field)
         commands = rng.integers(0, 100, size=(3, 2))
-        encoder = CodedStateEncoder(scheme)
-        state_polys = encoder.interpolation_polynomials(states)
-        command_polys = encoder.interpolation_polynomials(commands)
+        state_polys = interpolation_polynomials(scheme, states)
+        command_polys = interpolation_polynomials(scheme, commands)
         composites = machine.transition.compose(state_polys, command_polys)
         result = coded_round.execute_coded(node, coded_round.combine(node, commands))
         alpha = scheme.alphas[2]

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from reference.interpolation import interpolation_polynomials
 from repro.exceptions import ConfigurationError, DecodingError, FieldError
+from repro.gf.field import OperationCounter
 from repro.gf.multivariate import MultivariatePolynomial
 from repro.gf.prime_field import PrimeField
+from repro.lcc import decoder as decoder_module
 from repro.lcc.decoder import CodedResultDecoder
 from repro.lcc.encoder import CodedStateEncoder
 from repro.lcc.scheme import LagrangeScheme
@@ -72,17 +75,17 @@ class TestScheme:
 
 class TestEncoder:
     def test_matrix_and_interpolation_paths_agree(self, scheme, rng):
+        # Coded value i is the interpolant through (omega_k, value_k) at alpha_i.
         encoder = CodedStateEncoder(scheme)
         values = rng.integers(0, 10_000, size=(4, 5))
-        assert np.array_equal(
-            encoder.encode(values), encoder.encode_via_interpolation(values)
-        )
+        polys = interpolation_polynomials(scheme, values)
+        expected = [[poly.evaluate(alpha) for poly in polys] for alpha in scheme.alphas]
+        assert encoder.encode(values).tolist() == expected
 
     def test_coded_value_at_omega_recovers_original(self, scheme, rng):
         # Evaluating the interpolant at omega_k gives back machine k's value.
-        encoder = CodedStateEncoder(scheme)
         values = rng.integers(0, 10_000, size=(4, 2))
-        polys = encoder.interpolation_polynomials(values)
+        polys = interpolation_polynomials(scheme, values)
         for k, omega in enumerate(scheme.omegas):
             assert polys[0].evaluate(omega) == int(values[k, 0])
             assert polys[1].evaluate(omega) == int(values[k, 1])
@@ -169,6 +172,38 @@ class TestDecoder:
         decoded = decoder.decode_fast(entries)
         assert np.array_equal(decoded.outputs, self._expected(states, commands, polys))
         assert set(decoded.error_nodes) == {5, 6, 7}
+
+    def test_repeated_pivot_reuses_its_matrices(self, scheme, workload, monkeypatch):
+        # The second decode with the same pivot takes the three matrices from
+        # the decoder itself: no further transfer-matrix lookup, while its
+        # outputs and the operations it charges are those of the first.
+        states, commands, polys = workload
+        decoder = CodedResultDecoder(scheme, transition_degree=2)
+        results = self._coded_results(scheme, states, commands, polys)
+        lookups = []
+        real_lookup = decoder_module.cached_transfer_matrix
+
+        def counted(*args):
+            lookups.append(args[1:])
+            return real_lookup(*args)
+
+        monkeypatch.setattr(decoder_module, "cached_transfer_matrix", counted)
+
+        def decode():
+            counter = OperationCounter()
+            scheme.field.attach_counter(counter)
+            try:
+                decoded = decoder.decode_fast(results)
+            finally:
+                scheme.field.attach_counter(None)
+            return decoded.outputs.tolist(), counter.snapshot()
+
+        first = decode()
+        assert len(lookups) == 2  # to_all and to_omegas
+        second = decode()
+        assert len(lookups) == 2
+        assert second == first
+        assert first[0] == self._expected(states, commands, polys).tolist()
 
     def test_wrong_result_count_rejected(self, scheme):
         decoder = CodedResultDecoder(scheme, transition_degree=1)

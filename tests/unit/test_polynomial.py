@@ -131,10 +131,3 @@ class TestEuclid:
         gcd = a.gcd(b)
         assert (a % gcd).is_zero and (b % gcd).is_zero
         assert gcd.degree >= g.degree
-
-    def test_partial_extended_gcd_invariant(self, small_field, rng):
-        a = Poly.random(small_field, 8, rng)
-        b = Poly.random(small_field, 6, rng)
-        r, s, t = Poly.partial_extended_gcd(a, b, 4)
-        assert r == s * a + t * b
-        assert r.degree < 4
