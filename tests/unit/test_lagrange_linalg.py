@@ -1,13 +1,22 @@
 """Unit tests for the Lagrange coefficient matrix, finite-field linear
-algebra and the Vandermonde matrix."""
+algebra, the Vandermonde matrix and the encode/decode matrix cache."""
 
 import numpy as np
 import pytest
 
 from reference.interpolation import lagrange_interpolate
 from repro.exceptions import FieldError
+from repro.gf.field import OperationCounter
 from repro.gf.lagrange import lagrange_basis_row, lagrange_coefficient_matrix
 from repro.gf.linalg import gf_inverse_matrix, gf_matvec, gf_solve
+from repro.gf.matrix_cache import (
+    cached_interpolation_matrix,
+    cached_lagrange_coefficient_matrix,
+    cached_transfer_matrix,
+    cached_vandermonde,
+    clear_matrix_cache,
+    matrix_cache_info,
+)
 from repro.gf.polynomial import Poly
 from repro.gf.vandermonde import vandermonde_matrix
 
@@ -54,6 +63,18 @@ class TestLagrange:
         encoded = gf_matvec(small_field, matrix, np.array(values))
         assert list(encoded) == [poly.evaluate(a) for a in alphas]
 
+    def test_coefficient_matrix_at_omegas_is_identity(self, small_field):
+        # A node placed at omega_k holds exactly the k-th true value.
+        omegas = [3, 8, 20, 41]
+        matrix = lagrange_coefficient_matrix(small_field, omegas, omegas)
+        assert matrix.tolist() == np.eye(4, dtype=int).tolist()
+
+    def test_coefficient_matrix_rejects_duplicate_points(self, small_field):
+        with pytest.raises(FieldError):
+            lagrange_coefficient_matrix(small_field, [1, 2, 1], [10, 11])
+        with pytest.raises(FieldError):
+            lagrange_coefficient_matrix(small_field, [1, 2], [10, 10 + 97])
+
 
 class TestLinalg:
     def test_matvec_matches_numpy_mod_p(self, small_field, rng):
@@ -96,8 +117,111 @@ class TestLinalg:
         with pytest.raises(FieldError):
             gf_inverse_matrix(small_field, np.array([[1, 2], [2, 4]]))
 
+    def test_matvec_shape_mismatch_raises(self, small_field):
+        with pytest.raises(FieldError):
+            gf_matvec(small_field, np.ones((2, 3), dtype=np.int64), np.ones(2, dtype=np.int64))
+
+    def test_solve_shape_mismatch_raises(self, small_field):
+        with pytest.raises(FieldError):
+            gf_solve(small_field, np.eye(3, dtype=np.int64), np.ones(2, dtype=np.int64))
+
+    def test_inverse_requires_square_matrix(self, small_field):
+        with pytest.raises(FieldError):
+            gf_inverse_matrix(small_field, np.ones((2, 3), dtype=np.int64))
+
+    def test_solve_over_binary_extension_field(self, gf256, rng):
+        matrix = _invertible(gf256, rng, 4)
+        x = rng.integers(0, 256, size=4)
+        rhs = gf_matvec(gf256, matrix, x)
+        assert list(gf_solve(gf256, matrix, rhs)) == list(gf256.array(x))
+
+    def test_inverse_over_binary_extension_field(self, gf256, rng):
+        matrix = _invertible(gf256, rng, 3)
+        inverse = gf_inverse_matrix(gf256, matrix)
+        assert gf256.matmul(matrix, inverse).tolist() == np.eye(3, dtype=int).tolist()
+
 
 class TestVandermonde:
     def test_matrix_entries(self, small_field):
         matrix = vandermonde_matrix(small_field, [2, 3], 3)
         assert matrix.tolist() == [[1, 2, 4], [1, 3, 9]]
+
+    def test_zero_columns_rejected(self, small_field):
+        with pytest.raises(FieldError):
+            vandermonde_matrix(small_field, [2, 3], 0)
+
+    def test_matvec_evaluates_polynomial(self, small_field, rng):
+        poly = Poly.random(small_field, 4, rng)
+        points = small_field.distinct_points(9)
+        matrix = vandermonde_matrix(small_field, points, 5)
+        evaluations = gf_matvec(small_field, matrix, poly.coefficient_array(5))
+        assert list(evaluations) == list(poly.evaluate_many(points))
+
+    def test_square_matrix_of_repeated_points_is_singular(self, small_field):
+        matrix = vandermonde_matrix(small_field, [4, 7, 4], 3)
+        with pytest.raises(FieldError):
+            gf_inverse_matrix(small_field, matrix)
+
+
+class TestMatrixCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        clear_matrix_cache()
+        yield
+        clear_matrix_cache()
+
+    def test_vandermonde_entry_is_shared_and_read_only(self, small_field):
+        points = [2, 3, 5]
+        matrix = cached_vandermonde(small_field, points, 3)
+        assert matrix.tolist() == vandermonde_matrix(small_field, points, 3).tolist()
+        assert not matrix.flags.writeable
+        # Non-canonical representatives of the same points share the entry.
+        assert cached_vandermonde(small_field, [2 + 97, 3, 5 - 97], 3) is matrix
+        assert matrix_cache_info() == {"vandermonde": 1}
+
+    def test_interpolation_matrix_recovers_coefficients(self, small_field, rng):
+        poly = Poly.random(small_field, 5, rng)
+        points = small_field.distinct_points(6, start=10)
+        inverse = cached_interpolation_matrix(small_field, points)
+        coefficients = gf_matvec(small_field, inverse, poly.evaluate_many(points))
+        assert list(coefficients) == list(poly.coefficient_array(6))
+
+    def test_transfer_matrix_re_evaluates_polynomial(self, small_field, rng):
+        poly = Poly.random(small_field, 3, rng)
+        from_points = [1, 2, 3, 4]
+        to_points = [30, 31, 32, 33, 34, 35, 36]
+        transfer = cached_transfer_matrix(small_field, from_points, to_points)
+        assert transfer.shape == (7, 4)
+        moved = gf_matvec(small_field, transfer, poly.evaluate_many(from_points))
+        assert list(moved) == list(poly.evaluate_many(to_points))
+
+    def test_lagrange_coefficient_matrix_matches_direct_build(self, small_field):
+        omegas, alphas = [1, 2, 3], [10, 11, 12, 13, 14]
+        cached = cached_lagrange_coefficient_matrix(small_field, omegas, alphas)
+        direct = lagrange_coefficient_matrix(small_field, omegas, alphas)
+        assert cached.tolist() == direct.tolist()
+        assert matrix_cache_info() == {"lagrange-C": 1}
+
+    def test_builds_are_not_charged_to_the_attached_counter(self, small_field):
+        counter = OperationCounter()
+        small_field.attach_counter(counter)
+        try:
+            cached_transfer_matrix(small_field, [1, 2, 3], [7, 8, 9, 10])
+            cached_interpolation_matrix(small_field, [1, 2, 3])
+            assert small_field.counter is counter
+        finally:
+            small_field.attach_counter(None)
+        assert counter.total == 0 and counter.inversions == 0
+
+    def test_info_counts_kinds_and_clear_empties(self, small_field):
+        cached_vandermonde(small_field, [1, 2], 2)
+        cached_vandermonde(small_field, [1, 2], 1)
+        cached_interpolation_matrix(small_field, [1, 2])
+        cached_transfer_matrix(small_field, [1, 2], [3, 4])
+        assert matrix_cache_info() == {
+            "vandermonde": 2,
+            "interpolation": 1,
+            "transfer": 1,
+        }
+        clear_matrix_cache()
+        assert matrix_cache_info() == {}

@@ -82,6 +82,11 @@ class TestVectorArithmetic:
         inverses = small_field.inv(values)
         assert list(small_field.mul(values, inverses)) == [1, 1, 1, 1]
 
+    def test_vector_inverse_matches_scalar_inverse(self, big_field, rng):
+        values = big_field.array(rng.integers(1, big_field.order, size=16))
+        inverses = big_field.inv(values)
+        assert [int(v) for v in inverses] == [big_field.inv(int(v)) for v in values]
+
     def test_vector_inverse_with_zero_raises(self, small_field):
         with pytest.raises(FieldError):
             small_field.inv(small_field.array([1, 0, 3]))

@@ -64,26 +64,52 @@ class TestCodeContainer:
         word[7] = (word[7] + 5) % 97
         assert code.errors_against(poly, word) == (3, 7)
 
+    def test_encoding_matrix_matches_encode(self, code, small_field):
+        message = [9, 8, 7, 6, 5]
+        matrix = code.encoding_matrix
+        assert matrix.shape == (code.length, code.dimension)
+        encoded = small_field.matmul(matrix, np.array(message).reshape(-1, 1)).ravel()
+        assert encoded.tolist() == code.encode(message).tolist()
 
+
+class _ErasureFreeDecoder:
+    """The erasure decoder fed a word with nothing erased.
+
+    With no erasures the punctured code is the code itself, so the erasure
+    path must reach the full error radius of the plain decoder.
+    """
+
+    def __init__(self, code):
+        self.decoder = ErasureDecoder(code)
+
+    def decode(self, received):
+        return self.decoder.decode_with_erasures([int(v) for v in received])
+
+
+@pytest.mark.parametrize(
+    "decoder_cls",
+    [BerlekampWelchDecoder, _ErasureFreeDecoder],
+    ids=["BerlekampWelchDecoder", "ErasureDecoder"],
+)
 class TestErrorDecoders:
-    def test_decodes_clean_codeword(self, code):
+    def test_decodes_clean_codeword(self, code, decoder_cls):
         message = [3, 1, 4, 1, 5]
-        result = BerlekampWelchDecoder(code).decode(code.encode(message))
+        result = decoder_cls(code).decode(code.encode(message))
         assert result.polynomial.coefficient_array(5).tolist() == message
         assert result.num_errors == 0
 
-    def test_corrects_up_to_radius(self, code, rng):
+    def test_corrects_up_to_radius(self, code, decoder_cls, rng):
         message = [int(v) for v in rng.integers(0, 97, size=5)]
         codeword = code.encode(message)
         corrupted = codeword.copy()
         error_positions = rng.choice(code.length, size=code.correction_radius, replace=False)
         for pos in error_positions:
             corrupted[pos] = (corrupted[pos] + int(rng.integers(1, 97))) % 97
-        result = BerlekampWelchDecoder(code).decode(corrupted)
+        result = decoder_cls(code).decode(corrupted)
         assert result.polynomial.coefficient_array(5).tolist() == message
         assert set(result.error_positions) <= set(int(p) for p in error_positions)
 
-    def test_fails_beyond_radius(self, code, rng):
+    def test_fails_beyond_radius(self, code, decoder_cls, rng):
         message = [int(v) for v in rng.integers(0, 97, size=5)]
         codeword = code.encode(message)
         corrupted = codeword.copy()
@@ -91,19 +117,19 @@ class TestErrorDecoders:
         for pos in range(code.correction_radius + 1):
             corrupted[pos] = (corrupted[pos] + 1 + pos) % 97
         with pytest.raises(DecodingError):
-            BerlekampWelchDecoder(code).decode(corrupted)
+            decoder_cls(code).decode(corrupted)
 
-    def test_error_positions_reported(self, code):
+    def test_error_positions_reported(self, code, decoder_cls):
         codeword = code.encode([1, 2, 3, 4, 5])
         corrupted = codeword.copy()
         corrupted[2] = (corrupted[2] + 11) % 97
         corrupted[9] = (corrupted[9] + 22) % 97
-        result = BerlekampWelchDecoder(code).decode(corrupted)
+        result = decoder_cls(code).decode(corrupted)
         assert set(result.error_positions) == {2, 9}
 
-    def test_wrong_length_rejected(self, code):
+    def test_wrong_length_rejected(self, code, decoder_cls):
         with pytest.raises(DecodingError):
-            BerlekampWelchDecoder(code).decode([1, 2, 3])
+            decoder_cls(code).decode([1, 2, 3])
 
 
 class TestBerlekampWelchSpecifics:
@@ -113,6 +139,18 @@ class TestBerlekampWelchSpecifics:
         corrupted[1] = (corrupted[1] + 3) % 97
         result = BerlekampWelchDecoder(code).decode(corrupted, num_errors=1)
         assert result.polynomial.coefficient_array(5).tolist() == message
+
+    def test_decodes_over_binary_extension_field(self, gf256):
+        # The Appendix A Boolean machines run over GF(2**8); Berlekamp-Welch
+        # must correct errors there with the same elimination routines.
+        code = ReedSolomonCode(gf256, gf256.distinct_points(12), 4)
+        message = [0x57, 0x83, 0x01, 0xC1]
+        corrupted = code.encode(message).copy()
+        corrupted[0] ^= 0x10
+        corrupted[5] ^= 0xFF
+        result = BerlekampWelchDecoder(code).decode(corrupted)
+        assert result.polynomial.coefficient_array(4).tolist() == message
+        assert set(result.error_positions) == {0, 5}
 
     def test_trivial_code(self, small_field):
         code = ReedSolomonCode(small_field, [5], 1)
