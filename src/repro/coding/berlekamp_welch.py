@@ -9,6 +9,11 @@ an error-locator polynomial ``E`` (degree ``e``, monic) and a polynomial
 every received pair.  The system is linear in the unknown coefficients and is
 solved by Gaussian elimination over the field; ``P = Q / E`` whenever a valid
 codeword within the radius exists.
+
+One solve at ``e`` equal to the correction radius decides every word: that
+system is solvable exactly when a codeword lies within the radius, and any of
+its solutions divides to that codeword (fewer actual errors only leave the
+system underdetermined).
 """
 
 from __future__ import annotations
@@ -20,8 +25,7 @@ import numpy as np
 from repro.exceptions import DecodingError, FieldError
 from repro.gf.field import Field
 from repro.gf.linalg import gf_solve
-from repro.gf.polynomial import Poly
-from repro.coding.reed_solomon import DecodingResult, ReedSolomonCode
+from repro.coding.reed_solomon import DecodingResult, ReedSolomonCode, long_division
 
 
 class BerlekampWelchDecoder:
@@ -31,17 +35,8 @@ class BerlekampWelchDecoder:
         self.code = code
         self.field: Field = code.field
 
-    def decode(self, received: Sequence[int], num_errors: int | None = None) -> DecodingResult:
-        """Decode a received word.
-
-        Parameters
-        ----------
-        received:
-            ``n`` field elements (possibly corrupted evaluations).
-        num_errors:
-            Assumed number of errors ``e``.  When omitted the decoder tries
-            the maximum radius first and falls back to smaller values, which
-            handles received words with fewer errors than the worst case.
+    def decode(self, received: Sequence[int]) -> DecodingResult:
+        """Decode a received word of ``n`` (possibly corrupted) field elements.
 
         Raises
         ------
@@ -50,43 +45,41 @@ class BerlekampWelchDecoder:
             radius of the received word.
         """
         word = self.code.check_received_length(received)
-        if num_errors is not None:
-            attempt_orders = [int(num_errors)]
-        else:
-            attempt_orders = list(range(self.code.correction_radius, -1, -1))
-        last_error: Exception | None = None
-        for e in attempt_orders:
-            try:
-                poly = self._decode_with_error_count(word, e)
-            except DecodingError as exc:
-                last_error = exc
-                continue
-            error_positions = self.code.errors_against(poly, word)
-            if len(error_positions) <= self.code.correction_radius:
-                return DecodingResult(
-                    polynomial=poly,
-                    codeword=self.code.encode_polynomial(poly),
-                    error_positions=error_positions,
-                )
-        raise DecodingError(
+        radius = self.code.correction_radius
+        failure = DecodingError(
             "Berlekamp-Welch decoding failed: received word is not within the "
-            f"correction radius {self.code.correction_radius} of any codeword"
-        ) from last_error
+            f"correction radius {radius} of any codeword"
+        )
+        try:
+            coefficients = self._solve_key_equation(word, radius)
+        except FieldError as exc:  # inconsistent system
+            raise failure from exc
+        if coefficients is None:
+            raise failure
+        codeword = self.code.encode(coefficients)
+        error_positions = tuple(int(i) for i in np.nonzero(word != codeword)[0])
+        if len(error_positions) > radius:
+            raise failure
+        # The codeword is charged as its own Horner pass: the per-node op
+        # counts that the round digests pin include it.
+        return DecodingResult(
+            coefficients=coefficients,
+            codeword=self.code.encode(coefficients),
+            error_positions=error_positions,
+        )
 
-    def _decode_with_error_count(self, word: np.ndarray, e: int) -> Poly:
-        """Solve the Berlekamp–Welch linear system assuming exactly ``e`` errors."""
+    def _solve_key_equation(self, word: np.ndarray, e: int) -> np.ndarray | None:
+        """``P = Q / E`` from the ``e``-error system, zero-padded to length ``k``.
+
+        ``None`` when the division leaves a remainder or ``P`` has degree
+        ``k`` or more: no codeword lies within ``e`` errors of ``word``.
+        """
         field = self.field
         n = self.code.length
         k = self.code.dimension
-        if e < 0 or 2 * e > n - k:
-            raise DecodingError(f"error count {e} outside decodable range for [n={n}, k={k}]")
         q_len = k + e          # unknown coefficients of Q (degree < k + e)
         e_len = e              # unknown coefficients of E below the leading monic term
-        num_unknowns = q_len + e_len
-        if num_unknowns == 0:
-            # Trivial code (k = n = 1, e = 0): the single value is the constant poly.
-            return Poly(field, [int(word[0])])
-        matrix = np.zeros((n, num_unknowns), dtype=np.int64)
+        matrix = np.zeros((n, q_len + e_len), dtype=np.int64)
         rhs = np.zeros(n, dtype=np.int64)
         for i, x in enumerate(self.code.evaluation_points):
             y = int(word[i])
@@ -102,21 +95,11 @@ class BerlekampWelchDecoder:
                 acc = field.mul(acc, x)
             # Right-hand side: y_i * x_i^e (from the monic leading term of E)
             rhs[i] = field.mul(y, field.pow(x, e))
-        try:
-            solution = gf_solve(field, matrix, rhs, allow_underdetermined=True)
-        except FieldError as exc:  # inconsistent system
-            raise DecodingError(f"Berlekamp-Welch system unsolvable for e={e}") from exc
-        q_poly = Poly(field, solution[:q_len])
-        e_coeffs = list(solution[q_len:]) + [1]
-        e_poly = Poly(field, e_coeffs)
-        quotient, remainder = q_poly.divmod(e_poly)
-        if not remainder.is_zero:
-            raise DecodingError(
-                f"Berlekamp-Welch division left a remainder (e={e}); no codeword "
-                "within this error count"
-            )
-        if quotient.degree >= k:
-            raise DecodingError(
-                f"decoded polynomial degree {quotient.degree} exceeds dimension {k}"
-            )
-        return quotient
+        solution = gf_solve(field, matrix, rhs, allow_underdetermined=True)
+        locator = np.append(solution[q_len:], 1)
+        quotient, remainder = long_division(field, solution[:q_len], locator)
+        if remainder.size or quotient.size > k:
+            return None
+        coefficients = np.zeros(k, dtype=np.int64)
+        coefficients[: quotient.size] = quotient
+        return coefficients

@@ -62,13 +62,11 @@ class ErasureDecoder:
                 f"correctable errors e must satisfy 2e <= survivors - K = {budget} "
                 f"(e <= {max(budget, 0) // 2}); underlying failure: {exc}"
             ) from exc
-        polynomial = sub_result.polynomial
-        codeword = self.code.encode_polynomial(polynomial)
         error_positions = tuple(
             present_indices[j] for j in sub_result.error_positions
         )
         return DecodingResult(
-            polynomial=polynomial,
-            codeword=codeword,
+            coefficients=sub_result.coefficients,
+            codeword=self.code.encode(sub_result.coefficients),
             error_positions=error_positions,
         )

@@ -6,6 +6,11 @@ never encodes "messages" explicitly — the codewords arise naturally as the
 broadcast coded computation results — but the code object is the convenient
 place to keep the evaluation points, the dimension and the decoding radius
 together.
+
+A polynomial is its int64 coefficient array, low degree first.  The scalar
+decoders need two operations on such arrays, both here: :func:`horner`
+evaluation and :func:`long_division`.  Each charges only up to the degree:
+trailing zero coefficients cost nothing, however long the array.
 """
 
 from __future__ import annotations
@@ -18,7 +23,59 @@ import numpy as np
 from repro.exceptions import DecodingError, FieldError
 from repro.gf.field import Field
 from repro.gf.matrix_cache import cached_vandermonde
-from repro.gf.polynomial import Poly
+
+
+def _trimmed(coefficients: "np.ndarray | Sequence[int]") -> np.ndarray:
+    """The coefficients up to the degree (empty for the zero polynomial)."""
+    arr = np.asarray(coefficients, dtype=np.int64).reshape(-1)
+    nonzero = np.flatnonzero(arr)
+    return arr[: nonzero[-1] + 1] if nonzero.size else arr[:0]
+
+
+def horner(
+    field: Field, coefficients: "np.ndarray | Sequence[int]", points: Sequence[int]
+) -> np.ndarray:
+    """Evaluate the polynomial with canonical ``coefficients`` at every point.
+
+    One vectorised multiply-add per coefficient up to the degree, so the
+    charge is ``2 * len(points) * (degree + 1)`` operations.
+    """
+    pts = field.array(points).reshape(-1)
+    acc = np.zeros_like(pts)
+    for c in _trimmed(coefficients)[::-1]:
+        acc = field.add(field.mul(acc, pts), np.full_like(pts, c))
+    return acc
+
+
+def long_division(
+    field: Field,
+    numerator: "np.ndarray | Sequence[int]",
+    divisor: "np.ndarray | Sequence[int]",
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(quotient, remainder)`` of two canonical coefficient arrays, trimmed.
+
+    Schoolbook division: one inversion of the divisor's leading coefficient,
+    then per nonzero leading remainder term one multiply for the quotient
+    coefficient and one multiply-subtract per divisor coefficient.  A
+    remainder term that is already zero is skipped uncharged.
+    """
+    div = [int(c) for c in _trimmed(divisor)]
+    if not div:
+        raise FieldError("polynomial division by zero")
+    remainder = [int(c) for c in _trimmed(numerator)]
+    quotient = [0] * max(len(remainder) - len(div) + 1, 0)
+    inv_lead = field.inv(div[-1])
+    while True:
+        while remainder and remainder[-1] == 0:
+            remainder.pop()
+        if len(remainder) < len(div):
+            break
+        shift = len(remainder) - len(div)
+        factor = field.mul(remainder[-1], inv_lead)
+        quotient[shift] = factor
+        for i, c in enumerate(div):
+            remainder[shift + i] = field.sub(remainder[shift + i], field.mul(factor, c))
+    return np.array(quotient, dtype=np.int64), np.array(remainder, dtype=np.int64)
 
 
 @dataclass
@@ -27,8 +84,9 @@ class DecodingResult:
 
     Attributes
     ----------
-    polynomial:
-        The recovered message polynomial (degree < dimension).
+    coefficients:
+        The recovered message polynomial, ``dimension`` coefficients low
+        degree first (zero-padded above its degree).
     codeword:
         Re-encoded evaluations of the recovered polynomial at the code's
         evaluation points.
@@ -37,7 +95,7 @@ class DecodingResult:
         codeword, i.e. the positions the decoder corrected.
     """
 
-    polynomial: Poly
+    coefficients: np.ndarray
     codeword: np.ndarray
     error_positions: tuple[int, ...] = dataclass_field(default_factory=tuple)
 
@@ -96,23 +154,14 @@ class ReedSolomonCode:
         return (self.length - self.dimension) // 2
 
     # -- encoding ---------------------------------------------------------------------
-    def encode_polynomial(self, poly: Poly) -> np.ndarray:
-        """Evaluate a message polynomial at all code points."""
-        if poly.degree >= self.dimension:
-            raise FieldError(
-                f"message polynomial degree {poly.degree} too large for dimension "
-                f"{self.dimension}"
-            )
-        return poly.evaluate_many(self.evaluation_points)
-
     def encode(self, message: Sequence[int]) -> np.ndarray:
-        """Encode a coefficient vector of length ``dimension``."""
-        coeffs = list(message)
-        if len(coeffs) != self.dimension:
+        """Encode a coefficient vector of length ``dimension`` (Horner at every point)."""
+        coeffs = self.field.array(message).reshape(-1)
+        if coeffs.shape[0] != self.dimension:
             raise FieldError(
-                f"message length {len(coeffs)} does not match dimension {self.dimension}"
+                f"message length {coeffs.shape[0]} does not match dimension {self.dimension}"
             )
-        return self.encode_polynomial(Poly(self.field, coeffs))
+        return horner(self.field, coeffs, self.evaluation_points)
 
     # -- matrix view (cached-matrix pipeline) ------------------------------------------
     @property
@@ -134,12 +183,6 @@ class ReedSolomonCode:
                 f"{self.length}"
             )
         return word
-
-    def errors_against(self, polynomial: Poly, received: Sequence[int]) -> tuple[int, ...]:
-        """Positions where ``received`` disagrees with ``polynomial``'s codeword."""
-        word = self.check_received_length(received)
-        codeword = self.encode_polynomial(polynomial)
-        return tuple(int(i) for i in np.nonzero(word != codeword)[0])
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

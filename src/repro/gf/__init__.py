@@ -9,26 +9,23 @@ network size ``N``.  Two constructions are provided:
 * :class:`~repro.gf.extension_field.BinaryExtensionField` — ``GF(2**m)``,
   used by the Appendix A embedding of Boolean state machines.
 
-On top of the fields the package provides dense univariate polynomials
-(:class:`~repro.gf.polynomial.Poly`), sparse multivariate polynomials
+On top of the fields the package provides sparse multivariate polynomials
 (:class:`~repro.gf.multivariate.MultivariatePolynomial`, the representation of
-state-transition functions), the Lagrange coefficient matrix ``C`` of
-equation (7), Vandermonde matrices, finite-field linear algebra (solve,
-inverse, matrix-vector product) and the process-wide cache of the encode and
-decode matrices built from them.
+state-transition functions), Vandermonde matrices, finite-field linear algebra
+(solve, inverse, matrix-vector product) and the process-wide cache of the
+encode and decode matrices built from them, among them the Lagrange
+coefficient matrix ``C`` of equation (7).  A univariate polynomial is never an
+object: it is its coefficient array, low degree first.
 """
 
 from repro.gf.field import Field, OperationCounter
 from repro.gf.prime_field import PrimeField, DEFAULT_PRIME
 from repro.gf.extension_field import BinaryExtensionField
-from repro.gf.polynomial import Poly
 from repro.gf.multivariate import MultivariatePolynomial, Monomial
-from repro.gf.lagrange import lagrange_basis_row, lagrange_coefficient_matrix
 from repro.gf.vandermonde import vandermonde_matrix
 from repro.gf.linalg import gf_matvec, gf_solve, gf_inverse_matrix
 from repro.gf.matrix_cache import (
     cached_interpolation_matrix,
-    cached_lagrange_coefficient_matrix,
     cached_transfer_matrix,
     cached_vandermonde,
     clear_matrix_cache,
@@ -41,17 +38,13 @@ __all__ = [
     "PrimeField",
     "DEFAULT_PRIME",
     "BinaryExtensionField",
-    "Poly",
     "MultivariatePolynomial",
     "Monomial",
-    "lagrange_basis_row",
-    "lagrange_coefficient_matrix",
     "vandermonde_matrix",
     "gf_matvec",
     "gf_solve",
     "gf_inverse_matrix",
     "cached_interpolation_matrix",
-    "cached_lagrange_coefficient_matrix",
     "cached_transfer_matrix",
     "cached_vandermonde",
     "clear_matrix_cache",

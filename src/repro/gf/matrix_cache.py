@@ -1,15 +1,19 @@
-"""Cached encode/decode matrices for the batched coded-round pipeline.
+"""Cached point-set matrices: the coded round's encode and decode maps.
 
-Every Reed–Solomon encode is the linear map ``codeword = V @ coeffs`` with
-``V[i, j] = x_i ** j`` (a Vandermonde matrix over the evaluation points), and
-every erasure decode of a clean word is the inverse map restricted to a set of
-survivor points.  The scalar paths rebuild these structures implicitly on
-every call (Horner evaluation, Lagrange interpolation, Berlekamp–Welch
-systems); when many rounds are processed the matrices are identical from
-round to round, so this module memoises them per
-``(field, points, dimension)`` key.  With the matrices cached, encoding a
-batch of ``B`` rounds collapses to one ``GF(p)`` matrix–matrix product and
-erasure-decoding a clean batch to two.
+Every linear map of the coded round is a matrix over fixed point sets, built
+once per ``(field, points)`` key and shared by every engine and round:
+
+* ``vandermonde`` — ``V[i, j] = x_i ** j``, the Reed–Solomon encoding matrix
+  ``codeword = V @ coeffs``;
+* ``interpolation`` — ``V**-1`` of a square Vandermonde, values to
+  coefficients;
+* ``transfer`` — ``V_to @ V_from**-1``, values at one point set to values at
+  another.  The Lagrange matrix ``C`` of equation (7) is the ω→α transfer;
+  the decoder's pivot maps are pivot→α and pivot→ω transfers.
+
+With the matrices cached, encoding a batch of ``B`` rounds is one ``GF(p)``
+matrix–matrix product and decoding a clean batch is a few more; only the
+Berlekamp–Welch fallback works on scalars.
 
 All builders detach the field's operation counter while constructing a
 matrix: cache construction is a one-off cost that must not be charged to
@@ -17,9 +21,8 @@ whichever round happens to trigger it (the amortised per-round cost is what
 the throughput experiments measure).
 
 The cache is process-global and unbounded; entries are small
-(``O(N * K)`` int64) and the number of distinct ``(field, points,
-dimension)`` combinations in any experiment is tiny.  ``clear_matrix_cache``
-exists for tests and long-lived services.
+(``O(N * K)`` int64) and the number of distinct point sets in any experiment
+is tiny.  ``clear_matrix_cache`` exists for tests and long-lived services.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.gf.field import Field
-from repro.gf.lagrange import lagrange_coefficient_matrix
 from repro.gf.linalg import gf_inverse_matrix
 from repro.gf.vandermonde import vandermonde_matrix
 
@@ -96,9 +98,10 @@ def cached_transfer_matrix(
 
     For polynomials of degree ``< len(from_points)`` the evaluations at any
     other point set are a fixed linear map
-    ``T = V_to @ V_from**-1``; this is the matrix the batched decoder applies
-    to re-encode candidate codewords and to evaluate decoded polynomials at
-    the ``omega_k`` without materialising coefficient-form polynomials.
+    ``T = V_to @ V_from**-1``.  From the ``omega_k`` to the ``alpha_i`` it
+    is the Lagrange coefficient matrix ``C`` the scheme encodes with; from a
+    decoder pivot it re-encodes candidate codewords and evaluates decoded
+    polynomials at the ``omega_k``.
     """
     src = _canonical_points(field, from_points)
     dst = _canonical_points(field, to_points)
@@ -112,24 +115,6 @@ def cached_transfer_matrix(
         return field.matmul(target, inverse)
 
     return _cached(field, key, build)
-
-
-def cached_lagrange_coefficient_matrix(
-    field: Field, omegas: Sequence[int], alphas: Sequence[int]
-) -> np.ndarray:
-    """The (read-only) ``N x K`` Lagrange coefficient matrix ``C``, memoised.
-
-    Row ``i`` holds the coefficients node ``i`` applies to encode the ``K``
-    true values into its coded value (equation (7) of the paper).
-    """
-    src = _canonical_points(field, omegas)
-    dst = _canonical_points(field, alphas)
-    key = ("lagrange-C", _field_key(field), src, dst)
-    return _cached(
-        field,
-        key,
-        lambda: lagrange_coefficient_matrix(field, list(src), list(dst)),
-    )
 
 
 def clear_matrix_cache() -> None:

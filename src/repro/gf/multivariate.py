@@ -2,10 +2,9 @@
 
 CSM supports state-transition functions that are multivariate polynomials of
 constant total degree ``d`` in the components of the state and the input
-command.  This module provides the representation of such functions, plus the
-operation CSM's correctness proof relies on: substituting a univariate
-polynomial for every variable (``h(z) = f(u(z), v(z))``) and obtaining a
-univariate polynomial of degree at most ``d * (K - 1)``.
+command.  This module provides the representation of such functions and
+their evaluation at many points at once, the operation every coded node runs
+on its coded state and command.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 
 from repro.exceptions import FieldError
 from repro.gf.field import Field
-from repro.gf.polynomial import Poly
 
 
 @dataclass(frozen=True)
@@ -264,31 +262,6 @@ class MultivariatePolynomial:
                     field._count_mul(2 * max(exponent.bit_length(), 1) * n)
                 term = field.mul(term, values)
             result = field.add(result, term)
-        return result
-
-    def compose_univariate(self, inner: Sequence[Poly]) -> Poly:
-        """Substitute a univariate polynomial for every variable.
-
-        Given ``inner = [p_0(z), ..., p_{arity-1}(z)]``, returns the univariate
-        polynomial ``self(p_0(z), ..., p_{arity-1}(z))``.  This is exactly the
-        composite polynomial ``h(z) = f(u(z), v(z))`` that CSM's decoding step
-        interpolates, with degree at most ``total_degree * max_i deg(p_i)``.
-        """
-        if len(inner) != self.arity:
-            raise FieldError(
-                f"expected {self.arity} inner polynomials, got {len(inner)}"
-            )
-        field = self.field
-        for poly in inner:
-            if poly.field != field:
-                raise FieldError("inner polynomial over a different field")
-        result = Poly.zero(field)
-        for exps, coeff in self.terms.items():
-            term = Poly.constant(field, coeff)
-            for poly, exponent in zip(inner, exps):
-                for _ in range(exponent):
-                    term = term * poly
-            result = result + term
         return result
 
     def partial_degree(self, index: int) -> int:

@@ -206,7 +206,6 @@ class DelegatedCodingService:
             operation="decode-results", accepted=True, committee=committee
         )
         composite_degree = self.scheme.composite_degree(self.transition_degree)
-        num_coefficients = composite_degree + 1
         agreement_threshold = (self.scheme.num_nodes + composite_degree + 1 + 1) // 2
         worker_counter = OperationCounter()
         self.field.attach_counter(worker_counter)
@@ -214,9 +213,7 @@ class DelegatedCodingService:
             decoded = self._decoder.decode_fast(results)
         finally:
             self.field.attach_counter(None)
-        coefficients = np.zeros((num_coefficients, results.shape[1]), dtype=np.int64)
-        for component, polynomial in enumerate(decoded.polynomials):
-            coefficients[:, component] = polynomial.coefficient_array(num_coefficients)
+        coefficients = decoded.coefficients
         if committee.worker in self.corrupt_decoder_workers:
             coefficients[0, :] = self.field.add(coefficients[0, :], 1)
         agreement_set = [

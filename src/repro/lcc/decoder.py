@@ -6,6 +6,7 @@ After the execution step every node has broadcast its coded result
 runs noisy interpolation (Reed–Solomon decoding) independently on each
 component, then evaluates the recovered polynomials at the ``omega_k`` to
 obtain ``(S_k(t+1), Y_k(t)) = f(S_k(t), X_k(t))`` for every machine ``k``.
+A recovered polynomial is its coefficient column, low degree first.
 
 Both the synchronous case (all ``N`` results present, up to ``b`` wrong) and
 the partially synchronous case (``b`` results missing *and* up to ``b`` of the
@@ -21,9 +22,8 @@ import numpy as np
 from repro.exceptions import DecodingError, FieldError
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.erasure import ErasureDecoder
-from repro.coding.reed_solomon import ReedSolomonCode
+from repro.coding.reed_solomon import ReedSolomonCode, horner
 from repro.gf.matrix_cache import cached_interpolation_matrix, cached_transfer_matrix
-from repro.gf.polynomial import Poly
 from repro.lcc.scheme import LagrangeScheme
 
 
@@ -36,15 +36,17 @@ class DecodedRound:
     outputs:
         Array of shape ``(K, result_dim)``: row ``k`` is the true result
         ``f(S_k, X_k)`` for machine ``k``.
-    polynomials:
-        The recovered composite polynomial for each result component.
+    coefficients:
+        Array of shape ``(D, result_dim)``, ``D = d(K - 1) + 1``: column ``j``
+        holds the coefficients, low degree first, of the recovered composite
+        polynomial ``h_j`` of result component ``j``.
     error_nodes:
         Node indices whose contributed results were found to be erroneous in
         at least one component (the set the protocol may flag as suspects).
     """
 
     outputs: np.ndarray
-    polynomials: list[Poly]
+    coefficients: np.ndarray
     error_nodes: tuple[int, ...]
 
 
@@ -150,9 +152,9 @@ class CodedResultDecoder:
 
         pivot: list[int] | None = None
         reencoded = candidate_outputs = candidate_coeffs = None
-        polynomials: list[Poly] = []
         error_nodes: set[int] = set()
         outputs = np.zeros((self.scheme.num_machines, matrix.shape[1]), dtype=np.int64)
+        coefficients = np.zeros((dimension, matrix.shape[1]), dtype=np.int64)
         for component in range(matrix.shape[1]):
             if pivot is None:
                 pivot = self.pivot_rows(present, suspects)
@@ -165,7 +167,7 @@ class CodedResultDecoder:
             errors = [int(present_arr[j]) for j in np.nonzero(row_mismatch)[0]]
             if 2 * len(errors) <= budget:
                 outputs[:, component] = candidate_outputs[:, component]
-                polynomials.append(Poly(self.field, candidate_coeffs[:, component]))
+                coefficients[:, component] = candidate_coeffs[:, component]
                 error_nodes.update(errors)
                 suspects.update(errors)
                 continue
@@ -178,15 +180,17 @@ class CodedResultDecoder:
                 for i in present:
                     column[i] = int(matrix[i, component])
                 decoded = self._erasure_decoder.decode_with_erasures(column)
-            polynomials.append(decoded.polynomial)
+            coefficients[:, component] = decoded.coefficients
             error_nodes.update(decoded.error_positions)
             suspects.update(decoded.error_positions)
-            outputs[:, component] = decoded.polynomial.evaluate_many(self.scheme.omegas)
+            outputs[:, component] = horner(
+                self.field, decoded.coefficients, self.scheme.omegas
+            )
             if any(index in suspects for index in pivot):
                 pivot = None  # re-pivot away from the newly learnt suspects
         return DecodedRound(
             outputs=outputs,
-            polynomials=polynomials,
+            coefficients=coefficients,
             error_nodes=tuple(sorted(error_nodes)),
         )
 

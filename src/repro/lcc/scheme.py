@@ -8,6 +8,10 @@ Equation (7) of the paper defines the coded state stored at node ``i`` as
 i.e. a fixed linear combination of the ``K`` true states whose coefficients
 depend only on the evaluation points — not on the round or on the transition
 function (Remark 4).  The same coefficients encode the input commands.
+
+``C`` is the map from a polynomial's values at the ``omega_k`` to its values
+at the ``alpha_i``, ``C = V_alpha @ V_omega**-1``: the cached transfer matrix
+the decoder uses for its own point sets.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, FieldError
 from repro.gf.field import Field
 from repro.gf.linalg import gf_matvec
-from repro.gf.matrix_cache import cached_lagrange_coefficient_matrix
+from repro.gf.matrix_cache import cached_transfer_matrix
 
 
 class LagrangeScheme:
@@ -88,12 +92,13 @@ class LagrangeScheme:
     def coefficient_matrix(self) -> np.ndarray:
         """The ``N x K`` matrix ``C`` with ``coded = C @ true``.
 
-        Served from the process-wide matrix cache so that many engines (and
-        many batches) over the same point geometry share one build.  The
-        returned array is read-only; ``coefficient_row`` hands out copies.
+        The ω→α transfer matrix, served from the process-wide matrix cache
+        so that many engines (and many batches) over the same point geometry
+        share one build.  The returned array is read-only;
+        ``coefficient_row`` hands out copies.
         """
         if self._coefficient_matrix is None:
-            self._coefficient_matrix = cached_lagrange_coefficient_matrix(
+            self._coefficient_matrix = cached_transfer_matrix(
                 self.field, self.omegas, self.alphas
             )
         return self._coefficient_matrix

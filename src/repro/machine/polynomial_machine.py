@@ -8,10 +8,11 @@ components.  The total degree ``d`` of the transition is the maximum total
 degree across all component polynomials — the quantity that enters every
 bound in the paper (``K <= (1 - 2*mu) N / d + 1 - 1/d`` etc.).
 
-The method :meth:`compose` builds the univariate composite polynomials
-``h_j(z) = f_j(u_1(z), ..., u_s(z), v_1(z), ..., v_c(z))`` used by the
-correctness argument of the coded execution phase, so tests can check that a
-node's coded computation really is an evaluation of ``h_j`` at its point.
+Feeding a node's coded state and command to ``f`` evaluates the composite
+polynomial ``h_j(z) = f_j(u_1(z), ..., u_s(z), v_1(z), ..., v_c(z))`` at the
+node's point, of degree at most ``d * (K - 1)``: the correctness argument of
+the coded execution phase.  Nothing here builds ``h_j`` itself; the decoder
+recovers its coefficients from the nodes' results.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.gf.field import Field
 from repro.gf.multivariate import MultivariatePolynomial
-from repro.gf.polynomial import Poly
 
 
 class PolynomialTransition:
@@ -169,30 +169,6 @@ class PolynomialTransition:
                 f"command dimension {command_vec.shape[0]} does not match {self.command_dim}"
             )
         return [int(v) for v in state_vec] + [int(v) for v in command_vec]
-
-    # -- composite polynomials ------------------------------------------------------------
-    def compose(
-        self, state_polys: Sequence[Poly], command_polys: Sequence[Poly]
-    ) -> list[Poly]:
-        """Build the composite polynomials ``h_j(z) = f_j(u(z), v(z))``.
-
-        ``state_polys`` are the per-component interpolants ``u(z)`` of the true
-        states, ``command_polys`` those of the commands.  The returned list has
-        ``result_dim`` entries (next-state components followed by outputs); each
-        has degree at most ``degree * (K - 1)``.
-        """
-        if len(state_polys) != self.state_dim:
-            raise ConfigurationError(
-                f"expected {self.state_dim} state polynomials, got {len(state_polys)}"
-            )
-        if len(command_polys) != self.command_dim:
-            raise ConfigurationError(
-                f"expected {self.command_dim} command polynomials, got {len(command_polys)}"
-            )
-        inner = list(state_polys) + list(command_polys)
-        composites = [p.compose_univariate(inner) for p in self.next_state_polys]
-        composites += [p.compose_univariate(inner) for p in self.output_polys]
-        return composites
 
     def split_result(self, result: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split a concatenated result vector back into ``(next_state, output)``."""

@@ -31,6 +31,12 @@ with the failed round's states and outputs, that flag and ``engine.states``
 left out was equal before and after.  ``engine.states`` now holds the last
 decoded states rather than the reference states.  It is hashed unchanged in
 the other four digests, which did not move.
+
+``freeze_burst_fallback`` was re-recorded a third time when Berlekamp–Welch
+began deciding every word with one key-equation solve at the correction
+radius, instead of retrying each smaller error count after a failure.  Only
+the frozen round's ``decode_ops`` moved (36,938 -> 10,744); the same hash
+with that one diagnostic left out was equal before and after.
 """
 
 import hashlib
@@ -53,7 +59,7 @@ from repro.rng import default_stream
 GOLDEN_DIGESTS = {
     "fault_free_pipelined": "b9c33e04e59947df0c2ed85ed1a4ecc2ea38d286bd7fccb92b26a518f1931a16",
     "onset_rollback_replay": "c192ca60fd70436998a75cd64d6cf9701d88e22a9ed566ad94fad2ed018e0af7",
-    "freeze_burst_fallback": "0b97a84daa5e1df97eb4786bbe8e24dc2c367b23c35be47d5765cc50a92f158a",
+    "freeze_burst_fallback": "5bd1182748117db52fd4e15d9e25b450cee5031b6e674589fc313281e3459893",
     "pbft_silent_primary": "c8209c1194ac2f2dc6fef25ed025a532f04ed1278bc345fff2e3562f700bd046",
     "broadcast_equivocating_leader_slow_path": "2c4a87321d7005a98429be46a3d53e46ae9e8898514ef9226ce262bcf9efe240",
 }

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.erasure import ErasureDecoder
+from repro.coding.reed_solomon import horner
 from repro.core.execution import CodedExecutionEngine
 from repro.core.node import CSMNode
 from repro.exceptions import DecodingError
@@ -88,7 +89,7 @@ def decode(
     error_decoder = BerlekampWelchDecoder(decoder.code)
     erasure_decoder = ErasureDecoder(decoder.code)
     width = present[0].shape[0]
-    polynomials = []
+    coefficients = np.zeros((decoder.code.dimension, width), dtype=np.int64)
     error_nodes: set[int] = set()
     outputs = np.zeros((scheme.num_machines, width), dtype=np.int64)
     for component in range(width):
@@ -97,10 +98,10 @@ def decode(
             decoded = error_decoder.decode(column)
         else:
             decoded = erasure_decoder.decode_with_erasures(column)
-        polynomials.append(decoded.polynomial)
+        coefficients[:, component] = decoded.coefficients
         error_nodes.update(decoded.error_positions)
-        outputs[:, component] = decoded.polynomial.evaluate_many(scheme.omegas)
-    return DecodedRound(outputs, polynomials, tuple(sorted(error_nodes)))
+        outputs[:, component] = horner(decoder.field, decoded.coefficients, scheme.omegas)
+    return DecodedRound(outputs, coefficients, tuple(sorted(error_nodes)))
 
 
 def execute_round(engine: CodedExecutionEngine, commands: np.ndarray) -> RoundResult:

@@ -1,15 +1,23 @@
-"""Coefficient-form interpolation and the rank-1 matmul: oracles for the tests.
+"""Coefficient-form interpolation, the scalar Lagrange matrix and the rank-1
+matmul: oracles for the tests.
 
 The shipped coding path never materialises an interpolant: encoding is the
-cached Lagrange coefficient matrix ``C`` (equation (7)) and decoding is a
-cached transfer-matrix product with a Berlekamp–Welch fallback.  The tests
-still check those maps against the textbook objects they stand for:
+Lagrange coefficient matrix ``C`` (equation (7)), served by the matrix cache
+as the ω→α transfer matrix ``V_alpha @ V_omega**-1``, and decoding is a
+cached transfer-matrix product with a Berlekamp–Welch fallback on coefficient
+arrays.  The tests still check those maps against the textbook objects they
+stand for:
 
 * :func:`lagrange_interpolate` — the unique polynomial of degree
-  ``< len(xs)`` through ``(x_j, y_j)``, built term by term;
+  ``< len(xs)`` through ``(x_j, y_j)``, built term by term as a
+  :class:`~reference.polynomial.Poly`;
 * :func:`interpolation_polynomials` — one interpolant per component of the
   ``K`` values a scheme encodes: the state polynomial ``u_t(z)`` and command
   polynomial ``v_t(z)`` of Section 5.1;
+* :func:`lagrange_coefficient_matrix` — ``C`` entry by entry from equation
+  (7), ``c_ik = prod_{l != k} (alpha_i - omega_l)/(omega_k - omega_l)``,
+  with scalar field calls; ``LagrangeScheme.coefficient_matrix`` must equal
+  it bit for bit;
 * :func:`matmul_rank1` — ``GF(p)`` matrix product as one rank-1 update per
   inner index, charging the counts :meth:`PrimeField.matmul` charges; the
   split-limb product must match it bit for bit.
@@ -23,9 +31,10 @@ import numpy as np
 
 from repro.exceptions import FieldError
 from repro.gf.field import Field
-from repro.gf.polynomial import Poly
 from repro.gf.prime_field import PrimeField
 from repro.lcc.scheme import LagrangeScheme
+
+from reference.polynomial import Poly
 
 
 def lagrange_interpolate(field: Field, xs: Sequence[int], ys: Sequence[int]) -> Poly:
@@ -69,6 +78,31 @@ def interpolation_polynomials(scheme: LagrangeScheme, values: np.ndarray) -> lis
         lagrange_interpolate(scheme.field, scheme.omegas, [int(v) for v in arr[:, component]])
         for component in range(arr.shape[1])
     ]
+
+
+def lagrange_coefficient_matrix(
+    field: Field, omegas: Sequence[int], alphas: Sequence[int]
+) -> np.ndarray:
+    """The ``N x K`` matrix ``C = [c_ik]`` of equation (7), one scalar at a time.
+
+    Row ``i`` holds the Lagrange basis polynomials at ``alphas[i]``: K
+    inversions and ``O(K**2)`` multiplications per row.
+    """
+    omegas = [field.element(int(w)) for w in omegas]
+    alphas = [field.element(int(a)) for a in alphas]
+    k = len(omegas)
+    matrix = np.zeros((len(alphas), k), dtype=np.int64)
+    for i, alpha in enumerate(alphas):
+        for idx in range(k):
+            numerator = 1
+            denominator = 1
+            for other in range(k):
+                if other == idx:
+                    continue
+                numerator = field.mul(numerator, field.sub(alpha, omegas[other]))
+                denominator = field.mul(denominator, field.sub(omegas[idx], omegas[other]))
+            matrix[i, idx] = field.mul(numerator, field.inv(denominator))
+    return matrix
 
 
 def matmul_rank1(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -191,6 +191,20 @@ class TestExperimentModules:
             assert row["K_measured"] == row["K_formula"]
             assert row["csm_storage"] >= row["full_replication_storage"]
 
+    def test_scaling_cli_prints_the_same_bytes_twice(self, capsys, monkeypatch):
+        # The delegation rows time themselves; the printed table leaves the
+        # wall-clock fields out, so two runs print identical output.
+        real_run = scaling.run
+        monkeypatch.setattr(scaling, "run", lambda: real_run(network_sizes=(8,), rounds=2))
+        outputs = []
+        for _ in range(2):
+            scaling.main()
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        for column in ("rounds_per_sec", "commands_per_sec", "wall_seconds"):
+            assert column not in outputs[0]
+        assert "failed_rounds" in outputs[0]
+
     def test_intermix_report_soundness(self):
         rows = intermix_report.soundness_rows(vector_lengths=(8,), num_nodes=8, trials=2)
         for row in rows:

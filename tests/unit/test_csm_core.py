@@ -6,6 +6,7 @@ import pytest
 
 from reference import coded_round
 from reference.interpolation import interpolation_polynomials
+from reference.polynomial import composite_polynomials
 
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.core.config import CSMConfig
@@ -106,7 +107,7 @@ class TestCSMNode:
         commands = rng.integers(0, 100, size=(3, 2))
         state_polys = interpolation_polynomials(scheme, states)
         command_polys = interpolation_polynomials(scheme, commands)
-        composites = machine.transition.compose(state_polys, command_polys)
+        composites = composite_polynomials(machine.transition, state_polys, command_polys)
         result = coded_round.execute_coded(node, coded_round.combine(node, commands))
         alpha = scheme.alphas[2]
         assert result.tolist() == [h.evaluate(alpha) for h in composites]

@@ -4,21 +4,20 @@ algebra, the Vandermonde matrix and the encode/decode matrix cache."""
 import numpy as np
 import pytest
 
-from reference.interpolation import lagrange_interpolate
+from reference.interpolation import lagrange_coefficient_matrix, lagrange_interpolate
+from reference.polynomial import Poly
 from repro.exceptions import FieldError
 from repro.gf.field import OperationCounter
-from repro.gf.lagrange import lagrange_basis_row, lagrange_coefficient_matrix
 from repro.gf.linalg import gf_inverse_matrix, gf_matvec, gf_solve
 from repro.gf.matrix_cache import (
     cached_interpolation_matrix,
-    cached_lagrange_coefficient_matrix,
     cached_transfer_matrix,
     cached_vandermonde,
     clear_matrix_cache,
     matrix_cache_info,
 )
-from repro.gf.polynomial import Poly
 from repro.gf.vandermonde import vandermonde_matrix
+from repro.lcc.scheme import LagrangeScheme
 
 
 def _invertible(field, rng, size):
@@ -48,32 +47,44 @@ class TestLagrange:
         with pytest.raises(FieldError):
             lagrange_interpolate(small_field, [1, 1], [2, 3])
 
-    def test_basis_row_is_partition_of_unity_at_omega(self, small_field):
-        omegas = [1, 2, 3, 4]
-        row = lagrange_basis_row(small_field, omegas, 2)
-        # Evaluating at an interpolation point gives the indicator row.
-        assert list(row) == [0, 1, 0, 0]
+    def test_alpha_at_omega_gives_identity_rows(self, small_field):
+        # A node placed at an interpolation point gets the indicator row:
+        # it stores that machine's true value.
+        scheme = LagrangeScheme(
+            small_field, 4, 6, omegas=[1, 2, 3, 4], alphas=[30, 2, 31, 4, 1, 32]
+        )
+        matrix = scheme.coefficient_matrix
+        assert matrix[1].tolist() == [0, 1, 0, 0]
+        assert matrix[3].tolist() == [0, 0, 0, 1]
+        assert matrix[4].tolist() == [1, 0, 0, 0]
 
     def test_coefficient_matrix_encodes_interpolant(self, small_field, rng):
         omegas = [1, 2, 3]
         alphas = [10, 11, 12, 13, 14]
-        matrix = lagrange_coefficient_matrix(small_field, omegas, alphas)
+        scheme = LagrangeScheme(small_field, 3, 5, omegas=omegas, alphas=alphas)
         values = [5, 9, 21]
         poly = lagrange_interpolate(small_field, omegas, values)
-        encoded = gf_matvec(small_field, matrix, np.array(values))
+        encoded = gf_matvec(small_field, scheme.coefficient_matrix, np.array(values))
         assert list(encoded) == [poly.evaluate(a) for a in alphas]
 
     def test_coefficient_matrix_at_omegas_is_identity(self, small_field):
         # A node placed at omega_k holds exactly the k-th true value.
         omegas = [3, 8, 20, 41]
-        matrix = lagrange_coefficient_matrix(small_field, omegas, omegas)
-        assert matrix.tolist() == np.eye(4, dtype=int).tolist()
+        scheme = LagrangeScheme(small_field, 4, 4, omegas=omegas, alphas=omegas)
+        assert scheme.coefficient_matrix.tolist() == np.eye(4, dtype=int).tolist()
 
-    def test_coefficient_matrix_rejects_duplicate_points(self, small_field):
-        with pytest.raises(FieldError):
-            lagrange_coefficient_matrix(small_field, [1, 2, 1], [10, 11])
-        with pytest.raises(FieldError):
-            lagrange_coefficient_matrix(small_field, [1, 2], [10, 10 + 97])
+    @pytest.mark.parametrize("num_nodes, num_machines", [(5, 3), (32, 9), (64, 38)])
+    def test_coefficient_matrix_matches_scalar_oracle(
+        self, big_field, num_nodes, num_machines
+    ):
+        scheme = LagrangeScheme(big_field, num_machines, num_nodes)
+        expected = lagrange_coefficient_matrix(big_field, scheme.omegas, scheme.alphas)
+        assert scheme.coefficient_matrix.tolist() == expected.tolist()
+
+    def test_coefficient_matrix_matches_scalar_oracle_over_gf256(self, gf256):
+        scheme = LagrangeScheme(gf256, 5, 17)
+        expected = lagrange_coefficient_matrix(gf256, scheme.omegas, scheme.alphas)
+        assert scheme.coefficient_matrix.tolist() == expected.tolist()
 
 
 class TestLinalg:
@@ -195,12 +206,14 @@ class TestMatrixCache:
         moved = gf_matvec(small_field, transfer, poly.evaluate_many(from_points))
         assert list(moved) == list(poly.evaluate_many(to_points))
 
-    def test_lagrange_coefficient_matrix_matches_direct_build(self, small_field):
+    def test_scheme_matrix_is_the_omega_to_alpha_transfer(self, small_field):
         omegas, alphas = [1, 2, 3], [10, 11, 12, 13, 14]
-        cached = cached_lagrange_coefficient_matrix(small_field, omegas, alphas)
-        direct = lagrange_coefficient_matrix(small_field, omegas, alphas)
-        assert cached.tolist() == direct.tolist()
-        assert matrix_cache_info() == {"lagrange-C": 1}
+        scheme = LagrangeScheme(small_field, 3, 5, omegas=omegas, alphas=alphas)
+        assert scheme.coefficient_matrix is cached_transfer_matrix(
+            small_field, omegas, alphas
+        )
+        assert not scheme.coefficient_matrix.flags.writeable
+        assert matrix_cache_info() == {"transfer": 1}
 
     def test_builds_are_not_charged_to_the_attached_counter(self, small_field):
         counter = OperationCounter()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference.interpolation import interpolation_polynomials
+from reference.polynomial import compose
 from repro.exceptions import ConfigurationError, DecodingError, FieldError
 from repro.gf.field import OperationCounter
 from repro.gf.multivariate import MultivariatePolynomial
@@ -59,9 +60,16 @@ class TestScheme:
         with pytest.raises(ConfigurationError):
             LagrangeScheme(small, num_machines=3, num_nodes=5)
 
-    def test_custom_points_must_be_distinct(self, big_field):
+    def test_custom_points_must_be_distinct(self, big_field, small_field):
         with pytest.raises(ConfigurationError):
             LagrangeScheme(big_field, 2, 4, omegas=[1, 1])
+        with pytest.raises(ConfigurationError):
+            LagrangeScheme(big_field, 2, 4, alphas=[10, 11, 10, 12])
+        # Equal mod p is equal: GF(97) sees one point twice.
+        with pytest.raises(ConfigurationError):
+            LagrangeScheme(small_field, 2, 2, alphas=[10, 10 + 97])
+        with pytest.raises(ConfigurationError):
+            LagrangeScheme(small_field, 2, 2, omegas=[1, 1 + 97])
 
     def test_degree_bookkeeping(self, scheme):
         assert scheme.composite_degree(2) == 6
@@ -204,6 +212,27 @@ class TestDecoder:
         assert len(lookups) == 2
         assert second == first
         assert first[0] == self._expected(states, commands, polys).tolist()
+
+    def test_coefficients_are_the_composite_polynomials(self, scheme, workload, rng):
+        # Node 0 sits in the first pivot: component 0 falls back to
+        # Berlekamp-Welch, component 1 re-pivots and decodes fast.  Both
+        # columns of the one (D, width) array are the coefficients of
+        # h_j(z) = f_j(u(z), v(z)), zero-padded to D = d(K - 1) + 1.
+        states, commands, polys = workload
+        decoder = CodedResultDecoder(scheme, transition_degree=2)
+        results = self._coded_results(scheme, states, commands, polys)
+        results[0] = rng.integers(0, 10_000, size=results.shape[1])
+        decoded = decoder.decode_fast(results)
+        inner = interpolation_polynomials(scheme, states) + interpolation_polynomials(
+            scheme, commands
+        )
+        dimension = decoder.code.dimension
+        expected = np.stack(
+            [compose(poly, inner).coefficient_array(dimension) for poly in polys], axis=1
+        )
+        assert decoded.coefficients.shape == (dimension, len(polys))
+        assert decoded.coefficients.tolist() == expected.tolist()
+        assert decoded.error_nodes == (0,)
 
     def test_wrong_result_count_rejected(self, scheme):
         decoder = CodedResultDecoder(scheme, transition_degree=1)

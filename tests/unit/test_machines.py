@@ -4,10 +4,10 @@ Appendix A Boolean-function compiler."""
 import numpy as np
 import pytest
 
+from reference.polynomial import Poly, composite_polynomials
 from repro.exceptions import ConfigurationError
 from repro.gf.extension_field import BinaryExtensionField
 from repro.gf.multivariate import MultivariatePolynomial
-from repro.gf.polynomial import Poly
 from repro.machine.boolean import (
     BooleanTransitionCompiler,
     boolean_function_to_polynomial,
@@ -101,7 +101,8 @@ class TestPolynomialTransition:
         machine = quadratic_market_machine(big_field)
         state_polys = [Poly.random(big_field, 3, rng) for _ in range(2)]
         command_polys = [Poly.random(big_field, 3, rng) for _ in range(2)]
-        composites = machine.transition.compose(state_polys, command_polys)
+        composites = composite_polynomials(machine.transition, state_polys, command_polys)
+        assert max(h.degree for h in composites) <= machine.degree * 3
         for z in range(5, 12):
             coded_state = np.array([p.evaluate(z) for p in state_polys])
             coded_command = np.array([p.evaluate(z) for p in command_polys])

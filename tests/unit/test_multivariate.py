@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import FieldError
 from repro.gf.multivariate import Monomial, MultivariatePolynomial
-from repro.gf.polynomial import Poly
 
 
 class TestConstruction:
@@ -40,6 +39,9 @@ class TestConstruction:
         for degree in (1, 2, 4):
             poly = MultivariatePolynomial.random(small_field, 3, degree, rng)
             assert poly.total_degree == degree
+
+    def test_monomial_total_degree(self):
+        assert Monomial((1, 2, 0), 5).total_degree == 3
 
 
 class TestArithmeticAndEvaluation:
@@ -89,30 +91,3 @@ class TestArithmeticAndEvaluation:
         poly = MultivariatePolynomial(small_field, 1, {(1,): 2})
         assert poly.scale(3).coefficient([1]) == 6
         assert poly.scale(0).is_zero
-
-
-class TestComposition:
-    def test_compose_univariate_degree_bound(self, small_field, rng):
-        # f of total degree d composed with inner polys of degree K-1 gives
-        # a univariate polynomial of degree at most d*(K-1).
-        d, inner_degree = 2, 4
-        poly = MultivariatePolynomial.random(small_field, 2, d, rng)
-        inner = [Poly.random(small_field, inner_degree, rng) for _ in range(2)]
-        composed = poly.compose_univariate(inner)
-        assert composed.degree <= d * inner_degree
-
-    def test_compose_univariate_agrees_pointwise(self, small_field, rng):
-        poly = MultivariatePolynomial.random(small_field, 3, 2, rng)
-        inner = [Poly.random(small_field, 3, rng) for _ in range(3)]
-        composed = poly.compose_univariate(inner)
-        for point in range(10):
-            assignment = [p.evaluate(point) for p in inner]
-            assert composed.evaluate(point) == poly.evaluate(assignment)
-
-    def test_compose_wrong_count_raises(self, small_field, rng):
-        poly = MultivariatePolynomial.random(small_field, 2, 1, rng)
-        with pytest.raises(FieldError):
-            poly.compose_univariate([Poly.one(small_field)])
-
-    def test_monomial_total_degree(self):
-        assert Monomial((1, 2, 0), 5).total_degree == 3

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference.polynomial import Poly
 from repro.exceptions import DecodingError, FieldError
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.erasure import ErasureDecoder
@@ -17,7 +18,7 @@ from repro.coding.radius import (
     required_length,
 )
 from repro.coding.reed_solomon import ReedSolomonCode
-from repro.gf.polynomial import Poly
+from repro.gf.linalg import gf_solve
 
 
 @pytest.fixture
@@ -53,17 +54,6 @@ class TestCodeContainer:
         with pytest.raises(FieldError):
             code.encode([1, 2, 3])
 
-    def test_encode_polynomial_degree_too_high_rejected(self, code, small_field):
-        with pytest.raises(FieldError):
-            code.encode_polynomial(Poly.monomial(small_field, 5))
-
-    def test_errors_against(self, code, small_field):
-        poly = Poly(small_field, [1, 0, 0, 0, 1])
-        word = code.encode_polynomial(poly).copy()
-        word[3] = (word[3] + 5) % 97
-        word[7] = (word[7] + 5) % 97
-        assert code.errors_against(poly, word) == (3, 7)
-
     def test_encoding_matrix_matches_encode(self, code, small_field):
         message = [9, 8, 7, 6, 5]
         matrix = code.encoding_matrix
@@ -95,7 +85,7 @@ class TestErrorDecoders:
     def test_decodes_clean_codeword(self, code, decoder_cls):
         message = [3, 1, 4, 1, 5]
         result = decoder_cls(code).decode(code.encode(message))
-        assert result.polynomial.coefficient_array(5).tolist() == message
+        assert result.coefficients.tolist() == message
         assert result.num_errors == 0
 
     def test_corrects_up_to_radius(self, code, decoder_cls, rng):
@@ -106,7 +96,7 @@ class TestErrorDecoders:
         for pos in error_positions:
             corrupted[pos] = (corrupted[pos] + int(rng.integers(1, 97))) % 97
         result = decoder_cls(code).decode(corrupted)
-        assert result.polynomial.coefficient_array(5).tolist() == message
+        assert result.coefficients.tolist() == message
         assert set(result.error_positions) <= set(int(p) for p in error_positions)
 
     def test_fails_beyond_radius(self, code, decoder_cls, rng):
@@ -118,6 +108,19 @@ class TestErrorDecoders:
             corrupted[pos] = (corrupted[pos] + 1 + pos) % 97
         with pytest.raises(DecodingError):
             decoder_cls(code).decode(corrupted)
+
+    def test_coefficients_zero_padded_to_dimension(self, code, decoder_cls):
+        # A message of degree 1 still comes back as all k coefficients.
+        result = decoder_cls(code).decode(code.encode([3, 1, 0, 0, 0]))
+        assert result.coefficients.tolist() == [3, 1, 0, 0, 0]
+        assert result.coefficients.dtype == np.int64
+
+    def test_word_of_degree_k_rejected(self, code, decoder_cls, small_field):
+        # z**k is one degree too many: its word is no codeword of the code,
+        # nor within the radius of one.
+        word = Poly(small_field, [0, 0, 0, 0, 0, 1]).evaluate_many(code.evaluation_points)
+        with pytest.raises(DecodingError):
+            decoder_cls(code).decode(word)
 
     def test_error_positions_reported(self, code, decoder_cls):
         codeword = code.encode([1, 2, 3, 4, 5])
@@ -133,12 +136,37 @@ class TestErrorDecoders:
 
 
 class TestBerlekampWelchSpecifics:
-    def test_explicit_error_count(self, code, rng):
+    def test_fewer_errors_than_radius(self, code, rng):
+        # One error at radius 5: the radius-sized key equation is
+        # underdetermined, and any of its solutions divides to the message.
         message = [int(v) for v in rng.integers(0, 97, size=5)]
         corrupted = code.encode(message)
         corrupted[1] = (corrupted[1] + 3) % 97
-        result = BerlekampWelchDecoder(code).decode(corrupted, num_errors=1)
-        assert result.polynomial.coefficient_array(5).tolist() == message
+        result = BerlekampWelchDecoder(code).decode(corrupted)
+        assert result.coefficients.tolist() == message
+        assert result.error_positions == (1,)
+
+    @pytest.mark.parametrize("num_errors", [0, 2, 5, 6, 9])
+    def test_one_key_equation_solve_per_decode(self, code, rng, monkeypatch, num_errors):
+        # Within the radius and past it alike, one solve at e = radius decides
+        # the word; a failing decode does not retry smaller error counts.
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[1].shape)
+            return gf_solve(*args, **kwargs)
+
+        monkeypatch.setattr("repro.coding.berlekamp_welch.gf_solve", counting_solve)
+        corrupted = code.encode([int(v) for v in rng.integers(0, 97, size=5)])
+        for pos in range(num_errors):
+            corrupted[pos] = (corrupted[pos] + 1 + pos) % 97
+        if num_errors <= code.correction_radius:
+            assert BerlekampWelchDecoder(code).decode(corrupted).num_errors == num_errors
+        else:
+            with pytest.raises(DecodingError):
+                BerlekampWelchDecoder(code).decode(corrupted)
+        radius = code.correction_radius
+        assert calls == [(code.length, code.dimension + 2 * radius)]
 
     def test_decodes_over_binary_extension_field(self, gf256):
         # The Appendix A Boolean machines run over GF(2**8); Berlekamp-Welch
@@ -149,13 +177,13 @@ class TestBerlekampWelchSpecifics:
         corrupted[0] ^= 0x10
         corrupted[5] ^= 0xFF
         result = BerlekampWelchDecoder(code).decode(corrupted)
-        assert result.polynomial.coefficient_array(4).tolist() == message
+        assert result.coefficients.tolist() == message
         assert set(result.error_positions) == {0, 5}
 
     def test_trivial_code(self, small_field):
         code = ReedSolomonCode(small_field, [5], 1)
         result = BerlekampWelchDecoder(code).decode([42])
-        assert result.polynomial.coeffs == [42]
+        assert result.coefficients.tolist() == [42]
 
     def test_programming_error_in_solver_propagates(self, code, monkeypatch):
         # Only an inconsistent system (FieldError) means "no codeword at this
@@ -182,7 +210,7 @@ class TestErasureDecoder:
         message = [int(v) for v in rng.integers(0, 97, size=5)]
         word = puncture(code.encode(message), [0, 4, 8, 12])
         result = ErasureDecoder(code).decode_with_erasures(word)
-        assert result.polynomial.coefficient_array(5).tolist() == message
+        assert result.coefficients.tolist() == message
         assert result.error_positions == ()
 
     def test_erasures_plus_errors(self, code, rng):
@@ -192,7 +220,7 @@ class TestErasureDecoder:
         word[3] = (int(word[3]) + 7) % 97            # plus errors within radius
         word[10] = (int(word[10]) + 7) % 97
         result = ErasureDecoder(code).decode_with_erasures(word)
-        assert result.polynomial.coefficient_array(5).tolist() == message
+        assert result.coefficients.tolist() == message
         assert set(result.error_positions) == {3, 10}
 
     def test_erasures_only_detects_inconsistency(self, code):
@@ -202,6 +230,23 @@ class TestErasureDecoder:
         word[12] = (int(word[12]) + 1) % 97
         with pytest.raises(DecodingError):
             ErasureDecoder(code).decode_with_erasures(word)
+
+    def test_solves_once_on_the_survivors(self, code, monkeypatch):
+        # 2 erasures leave 13 survivors at k=5, radius 4: five errors are one
+        # too many, and the punctured system is solved once, at e = 4.
+        shapes = []
+
+        def counting_solve(*args, **kwargs):
+            shapes.append(args[1].shape)
+            return gf_solve(*args, **kwargs)
+
+        monkeypatch.setattr("repro.coding.berlekamp_welch.gf_solve", counting_solve)
+        word = puncture(code.encode([1, 2, 3, 4, 5]), [0, 1])
+        for pos in range(2, 7):
+            word[pos] = (word[pos] + pos) % 97
+        with pytest.raises(DecodingError):
+            ErasureDecoder(code).decode_with_erasures(word)
+        assert shapes == [(13, 5 + 2 * 4)]
 
     def test_too_few_survivors_rejected(self, code):
         word = puncture(code.encode([1, 2, 3, 4, 5]), list(range(12)))

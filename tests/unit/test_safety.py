@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from reference import coded_round
+from reference.polynomial import Poly
 
 from repro.analysis.measurement import _execute_workload
 from repro.analysis.safety import replay_rounds
 from repro.core.config import CSMConfig
 from repro.core.execution import CodedExecutionEngine
-from repro.gf.polynomial import Poly
 from repro.machine.library import bank_account_machine
 from repro.net.byzantine import CorruptResultBehavior, SilentBehavior
 from repro.replication import FullReplicationSMR, PartialReplicationSMR
@@ -36,7 +36,7 @@ def test_crafted_miscorrection_is_delivered_and_flagged(big_field, rng, per_node
     for i in range(3, 10):
         node = engine.nodes[i]
         node.behavior = engine.behaviors[node.node_id] = CorruptResultBehavior(
-            offset=p(engine.scheme.alphas[i])
+            offset=p.evaluate(engine.scheme.alphas[i])
         )
     commands = rng.integers(1, 50, size=(4, 2))
     if per_node:
