@@ -54,7 +54,13 @@ def entry_points() -> list[list[str]]:
         for name in WORKLOADS
         for trace in (0, 1)
     ]  # fmt: skip
-    runs += [["-m", f"repro.experiments.{name}"] for name in EXPERIMENTS]
+    return runs + program_entry_points()
+
+
+def program_entry_points() -> list[list[str]]:
+    """The experiment CLIs, then the examples, as ``python`` argument lists
+    (``tests/integration/test_examples.py`` pins each one's output)."""
+    runs = [["-m", f"repro.experiments.{name}"] for name in EXPERIMENTS]
     runs += [[str(path)] for path in sorted((ROOT / "examples").glob("*.py"))]
     return runs
 
