@@ -20,6 +20,7 @@ from repro.machine.boolean import (
     embed_bits,
     project_bits,
 )
+from repro.machine.polynomial_machine import PolynomialTransition
 from repro.net.byzantine import RandomGarbageBehavior
 
 
@@ -34,9 +35,10 @@ def test_boolean_compiler_agrees_with_truth_table(benchmark, rng):
 
     poly = benchmark(boolean_function_to_polynomial, field, n, function)
     assert poly.total_degree <= n
-    for i in range(2**n):
-        bits = [int(b) for b in np.binary_repr(i, n)]
-        assert poly.evaluate(bits) == table[i]
+    cube = np.array([[int(b) for b in np.binary_repr(i, n)] for i in range(2**n)])
+    transition = PolynomialTransition(field, 1, n - 1, [poly], [poly])
+    values = transition.evaluate_result_vectors(cube[:, :1], cube[:, 1:])
+    assert values[:, 0].tolist() == [table[i] for i in range(2**n)]
 
 
 def test_boolean_machine_round_under_csm(benchmark):

@@ -5,9 +5,9 @@
   information-theoretic limits, and CSM.
 * :mod:`repro.analysis.bounds` — the Table 2 fault bounds per phase and
   network model.
-* :mod:`repro.analysis.complexity` — operation-count models: ``c(f)`` for a
-  polynomial transition, naive vs quasilinear coding cost, and helpers to fit
-  measured counts against the model.
+* :mod:`repro.analysis.complexity` — operation-count models: naive vs
+  quasilinear coding cost, and helpers to fit measured counts against the
+  model (``c(f)`` is the transition's own ``row_cost``).
 * :mod:`repro.analysis.measurement` — drives the actual execution engines to
   *measure* security / storage / throughput so the experiments can put
   paper-formula and measured values side by side.
@@ -26,7 +26,6 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.bounds import table2_rows, phase_bounds
 from repro.analysis.complexity import (
-    transition_operation_count,
     naive_coding_cost,
     quasilinear_coding_cost,
     intermix_worst_case_overhead,
@@ -49,7 +48,6 @@ __all__ = [
     "table1_rows",
     "table2_rows",
     "phase_bounds",
-    "transition_operation_count",
     "naive_coding_cost",
     "quasilinear_coding_cost",
     "intermix_worst_case_overhead",

@@ -4,9 +4,9 @@ The paper expresses throughput in units of field operations per node:
 
 * ``c(f)`` — cost of evaluating the transition polynomial once; for a
   polynomial with ``T`` terms of total degree ``<= d`` this is ``O(T * d)``
-  multiplications plus ``T`` additions, which
-  :func:`transition_operation_count` computes exactly from the polynomial's
-  term structure.
+  multiplications plus ``T`` additions.  The transition computes it once,
+  exactly as the nodes are charged, as its ``row_cost``
+  (:class:`~repro.machine.polynomial_machine.PolynomialTransition`).
 * ``c(coding)`` — the per-node coding cost.  Without delegation every node
   multiplies its coefficient row into the commands (``Theta(K)``) and decodes
   a length-``N`` Reed–Solomon code (``Theta(N^2)`` with the textbook decoder,
@@ -19,20 +19,6 @@ The paper expresses throughput in units of field operations per node:
 from __future__ import annotations
 
 import math
-
-from repro.machine.polynomial_machine import PolynomialTransition
-
-
-def transition_operation_count(transition: PolynomialTransition) -> int:
-    """Exact add/mul count for one evaluation of every component polynomial."""
-    total = 0
-    for poly in transition.next_state_polys + transition.output_polys:
-        for exponents, _coefficient in poly.terms.items():
-            # one multiplication per unit of degree (power-by-repeated-squaring
-            # is cheaper but this matches the naive evaluation the nodes do),
-            # one multiplication by the coefficient, one addition to the sum.
-            total += sum(exponents) + 2
-    return total
 
 
 def naive_coding_cost(num_nodes: int, num_machines: int) -> float:

@@ -60,13 +60,7 @@ class BerlekampWelchDecoder:
         error_positions = tuple(int(i) for i in np.nonzero(word != codeword)[0])
         if len(error_positions) > radius:
             raise failure
-        # The codeword is charged as its own Horner pass: the per-node op
-        # counts that the round digests pin include it.
-        return DecodingResult(
-            coefficients=coefficients,
-            codeword=self.code.encode(coefficients),
-            error_positions=error_positions,
-        )
+        return DecodingResult(coefficients=coefficients, error_positions=error_positions)
 
     def _solve_key_equation(self, word: np.ndarray, e: int) -> np.ndarray | None:
         """``P = Q / E`` from the ``e``-error system, zero-padded to length ``k``.

@@ -66,7 +66,5 @@ class ErasureDecoder:
             present_indices[j] for j in sub_result.error_positions
         )
         return DecodingResult(
-            coefficients=sub_result.coefficients,
-            codeword=self.code.encode(sub_result.coefficients),
-            error_positions=error_positions,
+            coefficients=sub_result.coefficients, error_positions=error_positions
         )

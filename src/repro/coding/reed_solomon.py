@@ -87,16 +87,12 @@ class DecodingResult:
     coefficients:
         The recovered message polynomial, ``dimension`` coefficients low
         degree first (zero-padded above its degree).
-    codeword:
-        Re-encoded evaluations of the recovered polynomial at the code's
-        evaluation points.
     error_positions:
-        Indices where the received word differed from the re-encoded
-        codeword, i.e. the positions the decoder corrected.
+        Indices where the received word differed from the codeword of the
+        recovered polynomial, i.e. the positions the decoder corrected.
     """
 
     coefficients: np.ndarray
-    codeword: np.ndarray
     error_positions: tuple[int, ...] = dataclass_field(default_factory=tuple)
 
     @property

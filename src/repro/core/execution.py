@@ -559,25 +559,14 @@ class CodedExecutionEngine:
     def _coded_step(self, coded_commands: np.ndarray, ops: np.ndarray) -> np.ndarray:
         """Evaluate every node's coded transition in one stacked pass.
 
-        Evaluates each component polynomial once over the whole bank (faulty
-        nodes keep computing on their — possibly stale — row) against the
-        round's coded commands.  The values are bit-identical to ``N``
-        per-node ``evaluate_result_vector`` calls; every node's entry of
-        ``ops`` is charged its exact per-node share of the counted field
-        operations, which equals the per-node cost because vectorised field
-        ops count one scalar operation per element.
+        One :meth:`~repro.machine.polynomial_machine.PolynomialTransition.\
+evaluate_result_vectors` over the whole bank (faulty nodes keep computing on
+        their — possibly stale — row) against the round's coded commands; row
+        ``i`` is node ``i``'s coded result, and every node's entry of ``ops``
+        is charged one evaluation of ``f`` (the transition's ``row_cost``).
         """
-        step_counter = OperationCounter()
-        self.field.attach_counter(step_counter)
-        try:
-            true_results = self.machine.transition.evaluate_result_vectors(
-                self._bank, coded_commands
-            )
-        finally:
-            self.field.attach_counter(None)
-        ops += step_counter.additions // self.num_nodes
-        ops += step_counter.multiplications // self.num_nodes
-        return true_results
+        ops += sum(self.machine.transition.row_cost)
+        return self.machine.transition.evaluate_result_vectors(self._bank, coded_commands)
 
     def _draw_faulty_rows(self, true_results: np.ndarray) -> dict:
         """What each Byzantine node reports this round (``None``: nothing).

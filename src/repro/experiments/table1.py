@@ -18,10 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.complexity import (
-    per_node_delegated_coding_cost,
-    transition_operation_count,
-)
+from repro.analysis.complexity import per_node_delegated_coding_cost
 from repro.analysis.measurement import (
     measure_csm,
     measure_full_replication,
@@ -52,7 +49,7 @@ def run(
         if degree == 1
         else quadratic_market_machine(field)
     )
-    transition_cost = transition_operation_count(machine.transition)
+    transition_cost = sum(machine.transition.row_cost)
     coding_cost = per_node_delegated_coding_cost(num_nodes)
     num_faults = int(fault_fraction * num_nodes)
     # K for the replication baselines: as many machines as CSM supports, so

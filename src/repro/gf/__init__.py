@@ -10,10 +10,11 @@ network size ``N``.  Two constructions are provided:
   used by the Appendix A embedding of Boolean state machines.
 
 On top of the fields the package provides sparse multivariate polynomials
-(:class:`~repro.gf.multivariate.MultivariatePolynomial`, the representation of
-state-transition functions), Vandermonde matrices, finite-field linear algebra
-(solve, inverse, matrix-vector product) and the process-wide cache of the
-encode and decode matrices built from them, among them the Lagrange
+(:class:`~repro.gf.multivariate.MultivariatePolynomial`, the algebra
+state-transition functions are built with; a transition compiles them into
+the monomial table it evaluates), Vandermonde matrices, finite-field linear
+algebra (solve, inverse, matrix-vector product) and the process-wide cache of
+the encode and decode matrices built from them, among them the Lagrange
 coefficient matrix ``C`` of equation (7).  A univariate polynomial is never an
 object: it is its coefficient array, low degree first.
 """
@@ -21,7 +22,7 @@ object: it is its coefficient array, low degree first.
 from repro.gf.field import Field, OperationCounter
 from repro.gf.prime_field import PrimeField, DEFAULT_PRIME
 from repro.gf.extension_field import BinaryExtensionField
-from repro.gf.multivariate import MultivariatePolynomial, Monomial
+from repro.gf.multivariate import MultivariatePolynomial
 from repro.gf.vandermonde import vandermonde_matrix
 from repro.gf.linalg import gf_matvec, gf_solve, gf_inverse_matrix
 from repro.gf.matrix_cache import (
@@ -39,7 +40,6 @@ __all__ = [
     "DEFAULT_PRIME",
     "BinaryExtensionField",
     "MultivariatePolynomial",
-    "Monomial",
     "vandermonde_matrix",
     "gf_matvec",
     "gf_solve",

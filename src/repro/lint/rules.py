@@ -431,9 +431,9 @@ class UnchargedFieldOpRule(Rule):
                 for stmt in node.body
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
-            # Fixpoint over within-class delegation: ``evaluate_batch`` that
-            # only calls ``self._evaluate_batch_canonical`` charges iff the
-            # helper does.
+            # Fixpoint over within-class delegation: an arithmetic method
+            # that only calls a private ``self._kernel`` helper charges iff
+            # the helper does.
             charging = {
                 name
                 for name, fn in methods.items()

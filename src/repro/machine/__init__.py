@@ -5,10 +5,13 @@ The paper restricts the state-transition function
 total degree ``d``; this package provides:
 
 * :class:`~repro.machine.interface.StateMachine` — the deterministic machine
-  abstraction (state/command/output dimensions plus a transition).
+  abstraction (state/command/output dimensions plus a transition), applied to
+  ``n`` independent rows at once by ``step_batch``.
 * :class:`~repro.machine.polynomial_machine.PolynomialTransition` — a
   transition given as one multivariate polynomial per next-state component
-  and per output component.
+  and per output component, compiled into one monomial table: evaluating it
+  on ``n`` rows is one feature build and one field matrix product, charged
+  ``n`` times its per-row cost ``c(f)``.  It is the only evaluator of ``f``.
 * :mod:`~repro.machine.library` — concrete machines used by the examples and
   benchmarks (bank ledger, counters, an order-book style quadratic machine,
   affine key-value machines).

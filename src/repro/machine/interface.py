@@ -103,69 +103,14 @@ class StateMachine:
         return np.zeros(self.command_dim, dtype=np.int64)
 
     # -- execution ---------------------------------------------------------------------
-    def step(self, state: np.ndarray, command: np.ndarray) -> TransitionOutput:
-        """One application of ``f``: returns ``(next_state, output)``."""
-        state_vec = self.field.array(state).reshape(-1)
-        command_vec = self.field.array(command).reshape(-1)
-        if state_vec.shape[0] != self.state_dim:
-            raise ConfigurationError(
-                f"state has dimension {state_vec.shape[0]}, expected {self.state_dim}"
-            )
-        if command_vec.shape[0] != self.command_dim:
-            raise ConfigurationError(
-                f"command has dimension {command_vec.shape[0]}, expected {self.command_dim}"
-            )
-        return self.transition.step(state_vec, command_vec)
-
     def step_batch(
         self, states: np.ndarray, commands: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Apply ``f`` to ``n`` independent state/command rows at once.
 
         Returns ``(next_states, outputs)`` of shapes ``(n, state_dim)`` and
-        ``(n, output_dim)``, through one vectorised
-        :meth:`PolynomialTransition.step_batch` (which canonicalises and
-        validates the inputs once); values equal ``n`` scalar :meth:`step`
-        calls.
+        ``(n, output_dim)``, through the transition's compiled evaluation
+        (:meth:`PolynomialTransition.step_batch`), which canonicalises and
+        validates the inputs.  One row is a batch of one.
         """
         return self.transition.step_batch(states, commands)
-
-    def run(self, commands: np.ndarray, initial_state: np.ndarray | None = None):
-        """Execute a sequence of commands; returns ``(final_state, outputs)``.
-
-        ``commands`` has shape ``(T, command_dim)``; the returned outputs have
-        shape ``(T, output_dim)``.  This reference (uncoded, single-machine)
-        execution is what every protocol's result is checked against.
-        """
-        state = (
-            self.initial_state.copy()
-            if initial_state is None
-            else self.field.array(initial_state).reshape(-1)
-        )
-        commands_arr = self.field.array(commands)
-        if commands_arr.ndim == 1:
-            commands_arr = commands_arr.reshape(1, -1)
-        outputs = np.zeros((commands_arr.shape[0], self.output_dim), dtype=np.int64)
-        for t in range(commands_arr.shape[0]):
-            state, output = self.step(state, commands_arr[t])
-            outputs[t, :] = output
-        return state, outputs
-
-    def replicate(self, count: int) -> list["StateMachine"]:
-        """Return ``count`` machines sharing this transition and initial state.
-
-        CSM operates ``K`` *identical* machines (same ``f``) with independent
-        states; this helper builds such a bank of machines.
-        """
-        if count < 1:
-            raise ConfigurationError(f"replicate count must be positive, got {count}")
-        return [
-            StateMachine(
-                field=self.field,
-                transition=self.transition,
-                initial_state=self.initial_state.copy(),
-                name=f"{self.name}[{k}]",
-                noop=None if self.noop is None else self.noop.copy(),
-            )
-            for k in range(count)
-        ]

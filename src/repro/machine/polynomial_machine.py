@@ -8,6 +8,14 @@ components.  The total degree ``d`` of the transition is the maximum total
 degree across all component polynomials — the quantity that enters every
 bound in the paper (``K <= (1 - 2*mu) N / d + 1 - 1/d`` etc.).
 
+The components are compiled once into a table of their distinct monomials
+and a ``(monomials, result_dim)`` coefficient matrix, so evaluating ``f`` on
+``n`` rows is one feature build (each monomial at each row) and one field
+matrix product.  Its cost is charged by the paper's count of ``c(f)``, not by
+how the product is computed: per row, one addition per term and
+``2 * bitlen(e) + 1`` multiplications per factor ``x_v ** e`` (a
+square-and-multiply power times the running term).
+
 Feeding a node's coded state and command to ``f`` evaluates the composite
 polynomial ``h_j(z) = f_j(u_1(z), ..., u_s(z), v_1(z), ..., v_c(z))`` at the
 node's point, of degree at most ``d * (K - 1)``: the correctness argument of
@@ -61,12 +69,29 @@ class PolynomialTransition:
         self.next_state_polys = list(next_state_polys)
         self.output_polys = list(output_polys)
         self.output_dim = len(self.output_polys)
+        components = self.next_state_polys + self.output_polys
+        terms = [exps for poly in components for exps in poly.terms]
+        monomials = sorted(set(terms))
+        row_of = {exps: row for row, exps in enumerate(monomials)}
+        self._coefficients = np.zeros((len(monomials), len(components)), dtype=np.int64)
+        for column, poly in enumerate(components):
+            for exps, coeff in poly.terms.items():
+                self._coefficients[row_of[exps], column] = coeff
+        self._coefficients.setflags(write=False)
+        # Each monomial as its factors ``(variable, exponent)``, and every
+        # distinct factor once: a power is computed once per batch.
+        self._factors = [
+            tuple((v, e) for v, e in enumerate(exps) if e) for exps in monomials
+        ]
+        self._powers = sorted({factor for factors in self._factors for factor in factors})
+        #: Field operations of one evaluation of ``f``, ``(additions,
+        #: multiplications)``: the paper's ``c(f)``, charged per row.
+        self.row_cost = (
+            len(terms),
+            sum(2 * e.bit_length() + 1 for exps in terms for e in exps if e),
+        )
 
     # -- properties -----------------------------------------------------------------
-    @property
-    def arity(self) -> int:
-        return self.state_dim + self.command_dim
-
     @property
     def degree(self) -> int:
         """Total degree ``d`` of the transition (at least 1)."""
@@ -79,63 +104,53 @@ class PolynomialTransition:
         return self.state_dim + self.output_dim
 
     # -- execution ---------------------------------------------------------------------
-    def step(self, state: np.ndarray, command: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Apply ``f`` to a plain (uncoded) state/command pair."""
-        assignment = self._assignment(state, command)
-        next_state = np.array(
-            [p.evaluate(assignment) for p in self.next_state_polys], dtype=np.int64
-        )
-        output = np.array(
-            [p.evaluate(assignment) for p in self.output_polys], dtype=np.int64
-        )
-        return next_state, output
-
-    def evaluate_result_vector(self, state: np.ndarray, command: np.ndarray) -> np.ndarray:
-        """Return the concatenated result ``(next_state || output)``.
-
-        This is exactly what a CSM node computes on its *coded* state and
-        command: because ``f`` is a polynomial, feeding coded inputs produces
-        the evaluation of the composite polynomial at the node's point.
-        """
-        next_state, output = self.step(state, command)
-        return np.concatenate([next_state, output])
-
     def step_batch(
         self, states: np.ndarray, commands: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Apply ``f`` to ``n`` state/command rows in one vectorised pass.
+        """Apply ``f`` to ``n`` state/command rows: ``(next_states, outputs)``.
 
         ``states`` has shape ``(n, state_dim)`` and ``commands`` shape
-        ``(n, command_dim)``; returns ``(next_states, outputs)`` of shapes
-        ``(n, state_dim)`` and ``(n, output_dim)``.  Each component polynomial
-        is evaluated once over the stacked assignment matrix, so the per-row
-        values — and, when an operation counter is attached, the per-row
-        operation counts — are identical to ``n`` scalar :meth:`step` calls.
+        ``(n, command_dim)``; the results have shapes ``(n, state_dim)`` and
+        ``(n, output_dim)``.
         """
-        # The assignment matrix is canonical after validation; the internal
-        # evaluation entry skips each component's redundant re-reduction.
-        assignments = self._assignment_batch(states, commands)
-        next_states = np.stack(
-            [p._evaluate_batch_canonical(assignments) for p in self.next_state_polys],
-            axis=1,
-        )
-        outputs = np.stack(
-            [p._evaluate_batch_canonical(assignments) for p in self.output_polys],
-            axis=1,
-        )
-        return next_states, outputs
+        results = self.evaluate_result_vectors(states, commands)
+        return results[:, : self.state_dim], results[:, self.state_dim :]
 
     def evaluate_result_vectors(
         self, states: np.ndarray, commands: np.ndarray
     ) -> np.ndarray:
-        """Vectorised :meth:`evaluate_result_vector`: ``(n, result_dim)`` rows.
+        """The ``(n, result_dim)`` rows ``(next_state || output)`` of ``f``.
 
-        Row ``i`` is what node ``i`` computes on its coded state/command pair;
-        the coded execution engine uses this to evaluate every node's coded
-        transition in one stacked pass instead of a per-node Python loop.
+        Row ``i`` is what node ``i`` computes on its coded state/command
+        pair.  The monomials are built once per row (each distinct power of
+        a variable once per batch) and multiplied into the coefficient
+        matrix in one product; both run with the operation counter
+        detached, and then ``n`` times :attr:`row_cost` is charged to it.
         """
-        next_states, outputs = self.step_batch(states, commands)
-        return np.concatenate([next_states, outputs], axis=1)
+        points = self._assignment_batch(states, commands)
+        rows = points.shape[0]
+        field = self.field
+        counter = field.counter
+        field.attach_counter(None)
+        try:
+            powers = {
+                (v, e): points[:, v] if e == 1 else field.pow(points[:, v], e)
+                for v, e in self._powers
+            }
+            features = np.ones((rows, len(self._factors)), dtype=np.int64)
+            for column, factors in enumerate(self._factors):
+                if factors:
+                    feature = powers[factors[0]]
+                    for factor in factors[1:]:
+                        feature = field.mul(feature, powers[factor])
+                    features[:, column] = feature
+            results = field.matmul(features, self._coefficients)
+        finally:
+            field.attach_counter(counter)
+        if counter is not None:
+            counter.add(rows * self.row_cost[0])
+            counter.mul(rows * self.row_cost[1])
+        return results
 
     def _assignment_batch(self, states: np.ndarray, commands: np.ndarray) -> np.ndarray:
         """Canonical ``(n, state_dim + command_dim)`` rows of a batched step."""
@@ -156,28 +171,6 @@ class PolynomialTransition:
                 f"command batch of {commands_arr.shape[0]} rows"
             )
         return np.concatenate([states_arr, commands_arr], axis=1)
-
-    def _assignment(self, state: np.ndarray, command: np.ndarray) -> list[int]:
-        state_vec = self.field.array(state).reshape(-1)
-        command_vec = self.field.array(command).reshape(-1)
-        if state_vec.shape[0] != self.state_dim:
-            raise ConfigurationError(
-                f"state dimension {state_vec.shape[0]} does not match {self.state_dim}"
-            )
-        if command_vec.shape[0] != self.command_dim:
-            raise ConfigurationError(
-                f"command dimension {command_vec.shape[0]} does not match {self.command_dim}"
-            )
-        return [int(v) for v in state_vec] + [int(v) for v in command_vec]
-
-    def split_result(self, result: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a concatenated result vector back into ``(next_state, output)``."""
-        vec = self.field.array(result).reshape(-1)
-        if vec.shape[0] != self.result_dim:
-            raise ConfigurationError(
-                f"result vector has dimension {vec.shape[0]}, expected {self.result_dim}"
-            )
-        return vec[: self.state_dim].copy(), vec[self.state_dim :].copy()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

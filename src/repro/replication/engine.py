@@ -18,7 +18,8 @@ steps:
 3. one client acceptance over every machine's replica group
    (:func:`~repro.replication.client.accept_matching`);
 4. per-node operation counts in one ``int64`` tally: every replica row costs
-   the same counted step, and a node pays for each replica it hosts.
+   one evaluation of ``f`` (the transition's ``row_cost``), and a node pays
+   for each replica it hosts.
 
 A round is ``correct`` when every client reached its matching-replies
 threshold; then the honest replicas advance (faulty ones go stale), and a
@@ -39,7 +40,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.gf.field import OperationCounter
 from repro.machine.interface import StateMachine
 from repro.net.byzantine import HONEST, ByzantineBehavior, faulty_reports
 from repro.replication.client import accept_matching
@@ -146,14 +146,9 @@ class ReplicationEngine(ABC):
         return [self._round(commands) for commands in batch]
 
     def _round(self, commands: np.ndarray) -> RoundResult:
-        counter = OperationCounter()
-        self.field.attach_counter(counter)
-        try:
-            replica_states, outputs = self.machine.step_batch(
-                self.replicas, commands[self._replica_machine]
-            )
-        finally:
-            self.field.attach_counter(None)
+        replica_states, outputs = self.machine.step_batch(
+            self.replicas, commands[self._replica_machine]
+        )
         faulty = self._faulty_nodes()[self._replica_node]
         senders = [
             (row, self.node_ids[node], self.behavior_of(self.node_ids[node]))
@@ -175,7 +170,7 @@ class ReplicationEngine(ABC):
         if correct:
             # Honest replicas advance; faulty ones keep their stale state.
             self.replicas[~faulty] = replica_states[~faulty]
-        ops = counter.total // len(outputs) * self._replicas_per_node
+        ops = sum(self.machine.transition.row_cost) * self._replicas_per_node
         self.round_index += 1
         return RoundResult(
             round_index=self.round_index - 1,

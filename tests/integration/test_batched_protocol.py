@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reference import lockstep
+from reference.machine import step
 from repro.consensus.command_pool import CommandPool
 from repro.consensus.interface import ConsensusDecision
 from repro.core.config import CSMConfig
@@ -328,7 +329,7 @@ class TestBatchedProtocolAgainstByzantineExecution:
         for k in range(4):
             state = machine.initial_state.copy()
             for batch in batches:
-                state, _ = machine.step(state, batch[k])
+                state, _ = step(machine, state, batch[k])
             assert protocol.engine.states[k].tolist() == state.tolist()
         assert records[-1].round_index == 2
 

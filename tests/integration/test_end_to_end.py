@@ -5,6 +5,7 @@ round, and the Appendix A Boolean machine running under CSM."""
 import numpy as np
 import pytest
 
+from reference.machine import result_vector, step
 from repro.core.config import CSMConfig
 from repro.core.execution import CodedExecutionEngine
 from repro.core.protocol import CSMProtocol
@@ -37,7 +38,7 @@ class TestFullProtocolSynchronous:
         for k in range(4):
             state = machine.initial_state.copy()
             for batch in batches:
-                state, _ = machine.step(state, batch[k])
+                state, _ = step(machine, state, batch[k])
             assert protocol.engine.states[k].tolist() == state.tolist()
         # Every client got exactly one output per round it submitted in.
         assert all(len(v) == 3 for v in protocol.delivered_outputs.values())
@@ -133,8 +134,8 @@ class TestDelegatedCSMRound:
         # Every node computes its transition locally on coded data (cheap).
         results = np.zeros((num_nodes, machine.transition.result_dim), dtype=np.int64)
         for i in range(num_nodes):
-            results[i] = machine.transition.evaluate_result_vector(
-                coded_states[i], coded_commands[i]
+            results[i] = result_vector(
+                machine.transition, coded_states[i], coded_commands[i]
             )
         # Two Byzantine nodes corrupt their results.
         results[0] = (results[0] + 13) % big_field.order
@@ -144,7 +145,7 @@ class TestDelegatedCSMRound:
         assert report_d.accepted
         expected = np.zeros_like(decoded)
         for k in range(num_machines):
-            expected[k] = machine.transition.evaluate_result_vector(states[k], commands[k])
+            expected[k] = result_vector(machine.transition, states[k], commands[k])
         assert decoded.tolist() == expected.tolist()
         # Commoners did constant work; the worker did the heavy lifting.
         assert report_d.max_commoner_operations <= 5

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reference.interpolation import lagrange_interpolate
+from reference.machine import result_vector
 from reference.polynomial import Poly
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.reed_solomon import ReedSolomonCode, horner, long_division
@@ -138,7 +139,8 @@ class TestReedSolomonProperties:
         code = ReedSolomonCode(FIELD, FIELD.distinct_points(9), 3)
         codeword = code.encode(message)
         result = BerlekampWelchDecoder(code).decode(codeword)
-        assert result.codeword.tolist() == codeword.tolist()
+        assert code.encode(result.coefficients).tolist() == codeword.tolist()
+        assert result.error_positions == ()
 
 
 class TestCSMPipelineProperties:
@@ -167,8 +169,8 @@ class TestCSMPipelineProperties:
             (num_nodes, machine.transition.result_dim), dtype=np.int64
         )
         for i in range(num_nodes):
-            results[i] = machine.transition.evaluate_result_vector(
-                coded_states[i], coded_commands[i]
+            results[i] = result_vector(
+                machine.transition, coded_states[i], coded_commands[i]
             )
         faulty = data.draw(
             st.sets(st.integers(0, num_nodes - 1), min_size=0, max_size=2)
@@ -177,7 +179,7 @@ class TestCSMPipelineProperties:
             results[i] = rng.integers(0, FIELD.order, size=results.shape[1])
         decoded = decoder.decode_fast(results)
         for k in range(num_machines):
-            expected = machine.transition.evaluate_result_vector(states[k], commands[k])
+            expected = result_vector(machine.transition, states[k], commands[k])
             assert decoded.outputs[k].tolist() == expected.tolist()
 
     @relaxed

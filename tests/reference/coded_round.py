@@ -32,6 +32,7 @@ import numpy as np
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.erasure import ErasureDecoder
 from repro.coding.reed_solomon import horner
+from reference.machine import result_vector
 from repro.core.execution import CodedExecutionEngine
 from repro.core.node import CSMNode
 from repro.exceptions import DecodingError
@@ -65,7 +66,7 @@ def combine(node: CSMNode, values: np.ndarray) -> np.ndarray:
 
 def execute_coded(node: CSMNode, coded_command: np.ndarray) -> np.ndarray:
     """The honest coded result ``g_i = f(S~_i, X~_i)`` on the node's own state."""
-    return node.transition.evaluate_result_vector(node.coded_state, coded_command)
+    return result_vector(node.transition, node.coded_state, coded_command)
 
 
 def decode(

@@ -13,7 +13,6 @@ from repro.analysis.complexity import (
     naive_coding_cost,
     per_node_delegated_coding_cost,
     quasilinear_coding_cost,
-    transition_operation_count,
 )
 from repro.analysis.measurement import (
     find_breaking_faults,
@@ -109,12 +108,15 @@ class TestTable2Bounds:
 
 class TestComplexityModels:
     def test_transition_operation_count_positive_and_monotone(self, big_field):
-        linear = bank_account_machine(big_field, num_accounts=2)
-        quadratic = quadratic_market_machine(big_field)
-        assert transition_operation_count(linear.transition) > 0
-        assert transition_operation_count(quadratic.transition) > transition_operation_count(
-            counter.transition
-        ) if (counter := bank_account_machine(big_field, 1)) else True
+        """``c(f)`` is the transition's compiled per-row cost, the count every
+        node is charged per evaluation (32 for the two-account ledger)."""
+        one_account = bank_account_machine(big_field, 1).transition
+        linear = bank_account_machine(big_field, num_accounts=2).transition
+        quadratic = quadratic_market_machine(big_field).transition
+        assert sum(one_account.row_cost) > 0
+        assert sum(linear.row_cost) > sum(one_account.row_cost)
+        assert sum(quadratic.row_cost) > sum(one_account.row_cost)
+        assert linear.row_cost == (8, 24)
 
     def test_quasilinear_cost_between_linear_and_quadratic(self):
         # Above the (small-N) crossover the fast-arithmetic model sits strictly

@@ -6,6 +6,7 @@ import pytest
 
 from reference import coded_round
 from reference.interpolation import interpolation_polynomials
+from reference.machine import step
 from reference.polynomial import composite_polynomials
 
 from repro.exceptions import ConfigurationError, DecodingError
@@ -13,6 +14,7 @@ from repro.core.config import CSMConfig
 from repro.core.execution import CodedExecutionEngine
 from repro.core.node import CSMNode
 from repro.core.storage import CodedStateStore
+from repro.gf.prime_field import PrimeField
 from repro.lcc.encoder import CodedStateEncoder
 from repro.lcc.scheme import LagrangeScheme
 from repro.machine.library import bank_account_machine, quadratic_market_machine
@@ -139,7 +141,7 @@ class TestCodedExecutionEngine:
         expected_outputs = []
         state = np.tile(machine.initial_state, (4, 1))
         for k in range(4):
-            _, out = machine.step(state[k], commands[k])
+            _, out = step(machine, state[k], commands[k])
             expected_outputs.append(out.tolist())
         result = engine.execute_round(commands)
         assert result.correct
@@ -154,7 +156,7 @@ class TestCodedExecutionEngine:
         # the coded execution tracked the same trajectory as direct execution
         state = machine.initial_state.copy()
         for _ in range(2):
-            state, _ = machine.step(state, commands[0])
+            state, _ = step(machine, state, commands[0])
         assert second.states[0].tolist() == state.tolist()
 
     def test_tolerates_faults_up_to_decoding_bound(self, big_field, rng):
@@ -246,6 +248,21 @@ class TestCodedExecutionEngine:
         result = engine.execute_round(rng.integers(1, 50, size=(4, 2)))
         assert set(result.ops_per_node) == set(engine.node_ids)
         assert all(ops > 0 for ops in result.ops_per_node.values())
+
+    def test_transition_charged_when_machine_field_is_another_instance(self, rng):
+        """Every node pays ``c(f)`` per round even when the machine was built
+        over its own (equal, not identical) field object, as the e2e
+        workloads build it."""
+        machine = quadratic_market_machine(PrimeField())
+        commands = rng.integers(1, 50, size=(4, 2))
+        ops = []
+        for field in (machine.field, PrimeField()):
+            config = CSMConfig(field, 16, 4, degree=2, num_faults=2)
+            engine = CodedExecutionEngine(config, machine, rng=np.random.default_rng(7))
+            ops.append(engine.execute_round(commands).ops_per_node)
+        assert ops[0] == ops[1]
+        encode = machine.command_dim * (2 * 4 - 1)
+        assert min(ops[1].values()) >= encode + sum(machine.transition.row_cost)
 
     def test_command_shape_validation(self, big_field):
         engine, _ = self._engine(big_field)

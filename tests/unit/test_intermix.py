@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from reference.intermix import audit, compute
+from reference.machine import evaluate
 from repro.analysis.complexity import intermix_worst_case_overhead
 from repro.exceptions import ConfigurationError
 from repro.gf.linalg import gf_matvec
@@ -311,14 +312,15 @@ class TestDelegatedCoding:
         coded_commands = encoder.encode(commands)
         results = np.zeros((14, 1), dtype=np.int64)
         for i in range(14):
-            results[i, 0] = poly.evaluate(
+            results[i, 0] = evaluate(
+                poly,
                 [int(coded_states[i, 0]), int(coded_states[i, 1]),
-                 int(coded_commands[i, 0]), int(coded_commands[i, 1])]
+                 int(coded_commands[i, 0]), int(coded_commands[i, 1])],
             )
         results[1, 0] = 999  # one Byzantine result
         decoded, report = service.decode_results_verified_fast(results)
         expected = [
-            [poly.evaluate([int(s[0]), int(s[1]), int(x[0]), int(x[1])])]
+            [evaluate(poly, [int(s[0]), int(s[1]), int(x[0]), int(x[1])])]
             for s, x in zip(states, commands)
         ]
         assert report.accepted

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reference.interpolation import interpolation_polynomials
+from reference.machine import evaluate
 from reference.polynomial import compose
 from repro.exceptions import ConfigurationError, DecodingError, FieldError
 from repro.gf.field import OperationCounter
@@ -115,7 +116,7 @@ class TestDecoder:
                 int(v) for v in coded_commands[i]
             ]
             for j, poly in enumerate(polys):
-                results[i, j] = poly.evaluate(assignment)
+                results[i, j] = evaluate(poly, assignment)
         return results
 
     def _expected(self, states, commands, polys):
@@ -123,7 +124,7 @@ class TestDecoder:
         for k in range(states.shape[0]):
             assignment = [int(v) for v in states[k]] + [int(v) for v in commands[k]]
             for j, poly in enumerate(polys):
-                out[k, j] = poly.evaluate(assignment)
+                out[k, j] = evaluate(poly, assignment)
         return out
 
     @pytest.fixture

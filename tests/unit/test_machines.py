@@ -4,6 +4,7 @@ Appendix A Boolean-function compiler."""
 import numpy as np
 import pytest
 
+from reference.machine import evaluate, result_vector, run, step
 from reference.polynomial import Poly, composite_polynomials
 from repro.exceptions import ConfigurationError
 from repro.gf.extension_field import BinaryExtensionField
@@ -36,18 +37,16 @@ class TestPolynomialTransition:
 
     def test_step_and_result_vector_agree(self, big_field):
         machine = quadratic_market_machine(big_field)
-        state = np.array([5, 3])
-        command = np.array([2, 4])
-        next_state, output = machine.transition.step(state, command)
-        combined = machine.transition.evaluate_result_vector(state, command)
-        assert list(combined[:2]) == list(next_state)
-        assert list(combined[2:]) == list(output)
-
-    def test_split_result_roundtrip(self, big_field):
-        machine = quadratic_market_machine(big_field)
-        vector = np.array([1, 2, 3, 4])
-        state, output = machine.transition.split_result(vector)
-        assert list(state) == [1, 2] and list(output) == [3, 4]
+        state = np.array([[5, 3]])
+        command = np.array([[2, 4]])
+        next_state, output = machine.transition.step_batch(state, command)
+        combined = machine.transition.evaluate_result_vectors(state, command)
+        assert combined.shape == (1, machine.transition.result_dim)
+        assert list(combined[0, :2]) == list(next_state[0])
+        assert list(combined[0, 2:]) == list(output[0])
+        assert combined[0].tolist() == result_vector(
+            machine.transition, state[0], command[0]
+        ).tolist()
 
     def test_step_batch_matches_per_row_steps(self, big_field, rng):
         machine = quadratic_market_machine(big_field)
@@ -55,14 +54,14 @@ class TestPolynomialTransition:
         commands = rng.integers(0, 1000, size=(7, 2))
         batch_states, batch_outputs = machine.transition.step_batch(states, commands)
         for i in range(7):
-            next_state, output = machine.transition.step(states[i], commands[i])
+            next_state, output = step(machine, states[i], commands[i])
             assert batch_states[i].tolist() == next_state.tolist()
             assert batch_outputs[i].tolist() == output.tolist()
         stacked = machine.transition.evaluate_result_vectors(states, commands)
         assert stacked.shape == (7, machine.transition.result_dim)
         for i in range(7):
-            assert stacked[i].tolist() == machine.transition.evaluate_result_vector(
-                states[i], commands[i]
+            assert stacked[i].tolist() == result_vector(
+                machine.transition, states[i], commands[i]
             ).tolist()
 
     def test_step_batch_validates_shapes(self, big_field):
@@ -83,7 +82,7 @@ class TestPolynomialTransition:
         scalar_counter = OperationCounter()
         big_field.attach_counter(scalar_counter)
         try:
-            machine.transition.step(states[0], commands[0])
+            step(machine, states[0], commands[0])
         finally:
             big_field.attach_counter(None)
         batch_counter = OperationCounter()
@@ -103,12 +102,12 @@ class TestPolynomialTransition:
         command_polys = [Poly.random(big_field, 3, rng) for _ in range(2)]
         composites = composite_polynomials(machine.transition, state_polys, command_polys)
         assert max(h.degree for h in composites) <= machine.degree * 3
-        for z in range(5, 12):
-            coded_state = np.array([p.evaluate(z) for p in state_polys])
-            coded_command = np.array([p.evaluate(z) for p in command_polys])
-            direct = machine.transition.evaluate_result_vector(coded_state, coded_command)
-            via_composite = [h.evaluate(z) for h in composites]
-            assert list(direct) == via_composite
+        points = range(5, 12)
+        coded_states = np.array([[p.evaluate(z) for p in state_polys] for z in points])
+        coded_commands = np.array([[p.evaluate(z) for p in command_polys] for z in points])
+        direct = machine.transition.evaluate_result_vectors(coded_states, coded_commands)
+        via_composite = [[h.evaluate(z) for h in composites] for z in points]
+        assert direct.tolist() == via_composite
 
     def test_dimension_validation(self, big_field):
         linear = MultivariatePolynomial(big_field, 2, {(1, 0): 1})
@@ -131,9 +130,11 @@ class TestStateMachine:
     def test_step_validates_dimensions(self, big_field):
         machine = bank_account_machine(big_field, num_accounts=2)
         with pytest.raises(ConfigurationError):
-            machine.step(np.array([1]), np.array([1, 2]))
+            machine.step_batch(np.array([[1]]), np.array([[1, 2]]))
         with pytest.raises(ConfigurationError):
-            machine.step(np.array([1, 2]), np.array([1]))
+            machine.step_batch(np.array([[1, 2]]), np.array([[1]]))
+        with pytest.raises(ConfigurationError):
+            machine.step_batch(np.array([1, 2]), np.array([1, 2]))
 
     def test_machine_step_batch_delegates_and_validates(self, big_field, rng):
         machine = bank_account_machine(big_field, num_accounts=2)
@@ -141,7 +142,7 @@ class TestStateMachine:
         commands = rng.integers(0, 100, size=(4, 2))
         next_states, outputs = machine.step_batch(states, commands)
         for i in range(4):
-            expected_state, expected_output = machine.step(states[i], commands[i])
+            expected_state, expected_output = step(machine, states[i], commands[i])
             assert next_states[i].tolist() == expected_state.tolist()
             assert outputs[i].tolist() == expected_output.tolist()
         with pytest.raises(ConfigurationError):
@@ -149,43 +150,36 @@ class TestStateMachine:
 
     def test_run_sequence(self, big_field):
         machine = counter_machine(big_field)
-        final_state, outputs = machine.run(np.array([[1], [2], [3]]))
+        final_state, outputs = run(machine, np.array([[1], [2], [3]]))
         assert final_state.tolist() == [6]
         assert outputs.reshape(-1).tolist() == [1, 3, 6]
-
-    def test_replicate_creates_independent_machines(self, big_field):
-        machines = counter_machine(big_field).replicate(3)
-        assert len(machines) == 3
-        assert all(m.transition is machines[0].transition for m in machines)
-        machines[0].initial_state[0] = 99
-        assert machines[1].initial_state[0] == 0
 
 
 class TestLibraryMachines:
     def test_bank_account_is_linear(self, big_field):
         machine = bank_account_machine(big_field, num_accounts=3)
         assert machine.degree == 1
-        state, output = machine.step(np.array([10, 20, 30]), np.array([1, 2, 3]))
+        state, output = step(machine, np.array([10, 20, 30]), np.array([1, 2, 3]))
         assert state.tolist() == [11, 22, 33]
         assert output.tolist() == [11, 22, 33]
 
     def test_bank_account_withdrawal_uses_additive_inverse(self, big_field):
         machine = bank_account_machine(big_field, num_accounts=1)
         withdrawal = big_field.neg(5)
-        state, _ = machine.step(np.array([20]), np.array([withdrawal]))
+        state, _ = step(machine, np.array([20]), np.array([withdrawal]))
         assert state.tolist() == [15]
 
     def test_affine_kv(self, big_field):
         machine = affine_kv_machine(big_field, num_keys=2, scale=3)
         assert machine.degree == 1
-        state, output = machine.step(np.array([4, 5]), np.array([1, 2]))
+        state, output = step(machine, np.array([4, 5]), np.array([1, 2]))
         assert state.tolist() == [13, 17]
         assert output.tolist() == [4, 5]  # outputs report the old values
 
     def test_quadratic_market_degree_and_semantics(self, big_field):
         machine = quadratic_market_machine(big_field)
         assert machine.degree == 2
-        state, output = machine.step(np.array([100, 7]), np.array([3, 2]))
+        state, output = step(machine, np.array([100, 7]), np.array([3, 2]))
         assert state.tolist() == [103, 13]          # inventory+q, price+q*a
         assert output.tolist() == [21, 13]          # trade value = price*q
 
@@ -194,7 +188,7 @@ class TestLibraryMachines:
         assert machine.degree == 2
         state = np.array([0, 2, 3, 4])              # acc=0, weights (2,3,4)
         command = np.array([1, 1, 1])
-        next_state, output = machine.step(state, command)
+        next_state, output = step(machine, state, command)
         assert output.tolist() == [9]
         assert next_state.tolist() == [9, 2, 3, 4]
 
@@ -215,7 +209,7 @@ class TestBooleanCompiler:
         poly = boolean_function_to_polynomial(field, 2, lambda bits: bits[0] & bits[1])
         for a in (0, 1):
             for b in (0, 1):
-                assert poly.evaluate([a, b]) == (a & b)
+                assert evaluate(poly, [a, b]) == (a & b)
 
     def test_xor_and_majority_functions(self):
         field = BinaryExtensionField(4)
@@ -225,9 +219,9 @@ class TestBooleanCompiler:
         )
         for a in (0, 1):
             for b in (0, 1):
-                assert xor.evaluate([a, b]) == (a ^ b)
+                assert evaluate(xor, [a, b]) == (a ^ b)
                 for c in (0, 1):
-                    assert majority.evaluate([a, b, c]) == (1 if a + b + c >= 2 else 0)
+                    assert evaluate(majority, [a, b, c]) == (1 if a + b + c >= 2 else 0)
 
     def test_degree_at_most_num_inputs(self, rng):
         field = BinaryExtensionField(8)
@@ -274,7 +268,7 @@ class TestBooleanCompiler:
             expected_state, expected_output = compiler.reference_step(
                 state_bits, command_bits
             )
-            state, output = machine.step(state, embed_bits(field, command_bits))
+            state, output = step(machine, state, embed_bits(field, command_bits))
             assert project_bits(field, state).tolist() == expected_state
             assert project_bits(field, output).tolist() == expected_output
             state_bits = expected_state

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference.machine import step
 from repro.exceptions import ConfigurationError
 from repro.machine.library import bank_account_machine, quadratic_market_machine
 from repro.gf.field import OperationCounter
@@ -190,7 +191,7 @@ class TestOneArrayRound:
         counter = OperationCounter()
         machine.field.attach_counter(counter)
         try:
-            machine.step(machine.initial_state, commands[0])
+            step(machine, machine.initial_state, commands[0])
         finally:
             machine.field.attach_counter(None)
         return counter.total
@@ -278,7 +279,7 @@ def _loop_reference(layout, machine, num_machines, node_ids, behaviors, rng, bat
             for k in hosted[i]:
                 field.attach_counter(counter)
                 try:
-                    next_state, output = machine.step(replicas[i, k], commands[k])
+                    next_state, output = step(machine, replicas[i, k], commands[k])
                 finally:
                     field.attach_counter(None)
                 if not behavior.is_faulty:
