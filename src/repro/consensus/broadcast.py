@@ -64,10 +64,12 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
 
     # -- one view on the vectorised message plane ----------------------------------------
     # Each propose/echo phase of the block's instance is dispatched and
-    # tallied as a struct-of-arrays PhaseBatch instead of per-copy messages.
-    # _attempt_view below stays the per-copy reference oracle; decisions, rng
-    # stream, counters and per-copy deliveries are bit-identical between the
-    # two.
+    # tallied as a struct-of-arrays PhaseBatch instead of per-copy messages;
+    # live link faults (drops, partitions, added delay) apply to the batch's
+    # copy grid, so this body decides every block, faulty network or not.
+    # _attempt_view below is only the per-copy reference oracle the tests
+    # compare against; decisions, rng stream, counters and per-copy
+    # deliveries and drops are bit-identical between the two.
     def _attempt_view_vectorised(
         self,
         round_index: int,

@@ -101,10 +101,10 @@ class ConsensusProtocol(ABC):
     proposal a leader — honest or Byzantine — puts on the wire, proposal
     validity and the decision records.  A protocol supplies its fault
     tolerance, its view budget, how a default-Byzantine leader forges a
-    proposal, and the two bodies of one view: :meth:`_attempt_view`
-    (per-copy — the reference oracle, and the path under a live link fault)
-    and :meth:`_attempt_view_vectorised` (one struct-of-arrays batch per
-    phase on the message plane).
+    proposal, and the two bodies of one view: :meth:`_attempt_view_vectorised`
+    (one struct-of-arrays batch per phase on the message plane — the shipped
+    path, link faults included) and :meth:`_attempt_view` (per copy — the
+    reference oracle the plane is tested against).
 
     Parameters
     ----------
@@ -120,9 +120,9 @@ class ConsensusProtocol(ABC):
         are honest.
     """
 
-    #: Rounds :meth:`decide_rounds` decided on the slow path (the per-copy
-    #: oracle) because a link fault was live.  The counter makes the slow
-    #: path observable in experiment reports.
+    #: Rounds decided while a link fault (drop, partition or added delay)
+    #: was live.  Such rounds run on the message plane like any other; the
+    #: counter keeps them observable in experiment reports.
     fast_path_disabled: int = 0
 
     #: Views a block may try before the driver gives up.
@@ -182,8 +182,7 @@ class ConsensusProtocol(ABC):
 
         This per-copy path — every message through ``send``/``broadcast`` and
         a mailbox drain — is the *reference oracle* for the vectorised
-        plane, and the path :meth:`decide_rounds` takes under a live link
-        fault.
+        plane that :meth:`decide_rounds` runs; nothing else takes it.
         """
         return self._decide_block(round_index, 1, None)[0]
 
@@ -206,31 +205,28 @@ class ConsensusProtocol(ABC):
         (:class:`~repro.net.network.MessagePlane`): one struct-of-arrays
         batch per phase, batch signing/verification, one vectorised delay
         draw per phase and array quorum tallies instead of per-copy messages
-        and mailbox drains.  While a link-fault state (drops, partitions,
-        added latency from the fault-injection plane — honoured only by
-        ``send``/``broadcast``) is live, the block takes the per-copy oracle
-        instead — bit-identical to the plane on the same block (decisions,
-        rng stream, counters, per-copy deliveries), and healing back to the
-        fast path when the fault state clears — and
-        :attr:`fast_path_disabled` is advanced by ``count`` so the slow path
-        is observable instead of silent.
+        and mailbox drains.  The plane applies live link faults (drops,
+        partitions, added latency from the fault-injection plane) to each
+        phase's copy grid itself, so this is the one path: it is
+        bit-identical to the per-copy oracle on the same block (decisions,
+        rng stream, counters, per-copy deliveries and drops) with or without
+        a fault.  :attr:`fast_path_disabled` counts the rounds decided while
+        a link fault was live.
         """
-        if self.network.faults.active:
-            self.fast_path_disabled += count
-            on_plane = None
-        else:
-            honest = [not self.behavior_of(n).is_faulty for n in self.node_ids]
-            on_plane = PlaneRounds(
-                plane=MessagePlane(self.network, self.node_ids),
-                honest=np.array(honest, dtype=bool),
-                honest_ids=[n for n, ok in zip(self.node_ids, honest) if ok],
-            )
+        honest = [not self.behavior_of(n).is_faulty for n in self.node_ids]
+        on_plane = PlaneRounds(
+            plane=MessagePlane(self.network, self.node_ids),
+            honest=np.array(honest, dtype=bool),
+            honest_ids=[n for n, ok in zip(self.node_ids, honest) if ok],
+        )
         return self._decide_block(first_round_index, count, on_plane)
 
     def _decide_block(
         self, round_index: int, count: int, on_plane: PlaneRounds | None
     ) -> list[dict[str, ConsensusDecision]]:
         """Try views until one decides the block — on the plane, or per copy without."""
+        if self.network.faults.active:
+            self.fast_path_disabled += count
         selected = self.pool.peek_block(count)
         for view in range(self.max_views):
             leader = self.leader_for(round_index, view)

@@ -87,9 +87,10 @@ class PBFTConsensus(ConsensusProtocol):
     # -- one view on the vectorised message plane ----------------------------------------
     # Each pre-prepare/prepare/commit phase of the block's instance is
     # dispatched and quorum-tallied as a struct-of-arrays PhaseBatch instead
-    # of per-copy messages and mailbox drains.  _attempt_view below stays the
-    # per-copy reference oracle; decisions, rng stream, counters and per-copy
-    # deliveries are bit-identical between the two.
+    # of per-copy messages and mailbox drains, live link faults included.
+    # _attempt_view below is only the per-copy reference oracle the tests
+    # compare against; decisions, rng stream, counters and per-copy
+    # deliveries and drops are bit-identical between the two.
     def _attempt_view_vectorised(
         self,
         round_index: int,

@@ -165,12 +165,18 @@ class Field(ABC):
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix–matrix product over the field.
 
-        The generic implementation runs row-by-column :meth:`dot` products;
-        subclasses with vectorised arithmetic (see
-        :meth:`repro.gf.prime_field.PrimeField.matmul`) override it with a
-        numpy formulation that performs the identical field operations (and
-        charges the identical operation counts) without per-element Python
-        dispatch.  This is the workhorse of the batched coded-round pipeline.
+        The generic implementation is a sum of rank-1 updates: one
+        element-wise :meth:`mul` of column ``k`` of ``a`` against row ``k``
+        of ``b`` per inner index, accumulated with one :meth:`add` each.
+        That is every row-by-column :meth:`dot` at once, with the same
+        terms summed in the same order, so it charges the identical
+        ``rows * inner * cols`` multiplications and
+        ``rows * (inner - 1) * cols`` additions.  Subclasses with vectorised
+        arithmetic (see :meth:`repro.gf.prime_field.PrimeField.matmul`)
+        override it with a numpy formulation that performs the identical
+        field operations (and charges the identical operation counts)
+        without per-element Python dispatch.  This is the workhorse of the
+        batched coded-round pipeline.
         """
         a_arr = self.array(a)
         b_arr = self.array(b)
@@ -178,11 +184,17 @@ class Field(ABC):
             raise FieldError(
                 f"shape mismatch for matmul: {a_arr.shape} @ {b_arr.shape}"
             )
-        out = np.zeros((a_arr.shape[0], b_arr.shape[1]), dtype=np.int64)
-        for i in range(a_arr.shape[0]):
-            for j in range(b_arr.shape[1]):
-                out[i, j] = self.dot(a_arr[i, :], b_arr[:, j])
-        return out
+        shape = (a_arr.shape[0], b_arr.shape[1])
+        out = np.zeros(shape, dtype=np.int64)
+        for k in range(a_arr.shape[1]):
+            # Broadcast both factors to the full grid so the charge is one
+            # multiplication per output element.
+            term = self.mul(
+                np.broadcast_to(a_arr[:, k : k + 1], shape),
+                np.broadcast_to(b_arr[k : k + 1, :], shape),
+            )
+            out = term if k == 0 else self.add(out, term)
+        return np.asarray(out, dtype=np.int64)
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> int:
         """Inner product of two equal-length vectors of field elements."""

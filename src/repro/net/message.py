@@ -128,6 +128,11 @@ class PhaseBatch:
     delivery_time:
         ``(A, N)`` — per-copy delivery times; the sender's own copy is
         delivered at ``send_time`` without consuming an rng draw.
+    delivered:
+        Per-copy verdict, broadcasting against ``(A, N)``: ``valid`` and not
+        severed by a live link fault.  ``valid[:, None]`` (shape ``(A, 1)``)
+        while no link fault is live.  Link faults never sever a sender's own
+        copy, which lands whatever its verdict.
     """
 
     kind: "MessageKind"
@@ -139,6 +144,7 @@ class PhaseBatch:
     payload_ref: np.ndarray
     valid: np.ndarray
     delivery_time: np.ndarray
+    delivered: np.ndarray
 
     @property
     def num_actions(self) -> int:

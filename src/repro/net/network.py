@@ -84,10 +84,13 @@ class NetworkFaultState:
 
     The fault-injection plane (:mod:`repro.faults`) flips these fields at
     round boundaries to model message-drop bursts, added-latency bursts and
-    group partitions.  The network consults the state *after* sampling each
-    copy's delay from the shared rng stream, so activating or clearing
-    faults never shifts the stream: a run whose fault state stays inactive
-    is bit-identical to one without the switchboard at all.
+    group partitions.  Both dispatch paths honour them: per copy in
+    :meth:`SimulatedNetwork.send`/``broadcast``, and as a drop mask
+    (:meth:`drop_mask`) plus a delay offset on a whole phase's copy grid in
+    :meth:`MessagePlane.broadcast_phase`.  Either consults the state *after*
+    sampling the delays from the shared rng stream, so activating or
+    clearing faults never shifts the stream: a run whose fault state stays
+    inactive is bit-identical to one without the switchboard at all.
 
     Partition semantics: ``partition`` holds disjoint node groups; a copy
     whose sender and recipient sit in *different* groups is dropped, while
@@ -151,6 +154,33 @@ class NetworkFaultState:
             ):
                 return True
         return False
+
+    def drop_mask(self, node_ids: list[str]) -> np.ndarray:
+        """``(N, N)`` bool — :meth:`should_drop` for every (sender, recipient) pair.
+
+        Rows are senders and columns recipients, both in ``node_ids`` order.
+        Built from node indices in one pass over the configured faults;
+        endpoints outside ``node_ids`` cannot sever a link among them.
+        """
+        index = {node_id: j for j, node_id in enumerate(node_ids)}
+        num_nodes = len(node_ids)
+        down = np.zeros(num_nodes, dtype=bool)
+        down[[index[n] for n in self.dropped_nodes if n in index]] = True
+        mask = down[:, None] | down[None, :]
+        for sender, recipient in self.dropped_links:
+            if sender in index and recipient in index:
+                mask[index[sender], index[recipient]] = True
+        if self.partition is not None:
+            # A node sits in the last group naming it, as in should_drop.
+            group = np.full(num_nodes, -1, dtype=np.int64)
+            for g, members in enumerate(self.partition):
+                group[[index[n] for n in members if n in index]] = g
+            grouped = group >= 0
+            mask |= (
+                grouped[:, None] & grouped[None, :] & (group[:, None] != group[None, :])
+            )
+        np.fill_diagonal(mask, False)
+        return mask
 
 
 class SimulatedNetwork:
@@ -495,9 +525,10 @@ class MessagePlane:
     bytes per ref) that lets a whole phase — up to ``N`` broadcasts,
     ``N x N`` copies — be signed, verified, delayed and tallied as columns
     instead of objects.  Everything observable (rng stream, counters,
-    per-copy delivery times and verdicts, mailbox residue, simulated time)
-    is bit-identical to routing the same broadcasts through
-    :meth:`SimulatedNetwork.broadcast` and :meth:`SimulatedNetwork.collect_all`.
+    per-copy delivery times and verdicts, mailbox residue, simulated time,
+    link-fault drops) is bit-identical to routing the same broadcasts through
+    :meth:`SimulatedNetwork.broadcast` and :meth:`SimulatedNetwork.collect_all`,
+    with or without a live :class:`NetworkFaultState`.
 
     Targeted sends (the equivocation path) do not go through the plane:
     Byzantine senders keep calling :meth:`SimulatedNetwork.send`, whose
@@ -551,6 +582,12 @@ class MessagePlane:
         in-window copies are tallied straight off the batch arrays at
         collection.
 
+        Live link faults apply after the delay draw, as in
+        :meth:`SimulatedNetwork._deliver`: ``extra_delay`` offsets every
+        non-self delivery time, the :meth:`NetworkFaultState.drop_mask` rows
+        of the senders take severed copies out of ``delivered``, and
+        ``dropped_messages`` counts the valid copies they sever.
+
         Each action is MAC-signed with its sender's key and MAC-verified
         against its claimed sender's; the phase shares only the canonical
         bytes of each distinct payload, through the plane's table — which
@@ -574,10 +611,19 @@ class MessagePlane:
         self_mask = np.zeros((num_actions, num_nodes), dtype=bool)
         self_mask[np.arange(num_actions), sender_index] = True
         draws = net.delay_model.sample_delays(now, net.rng, num_actions * (num_nodes - 1))
+        offsets = now + draws
+        valid = np.array(verdicts, dtype=bool)
+        delivered = valid[:, None]
+        faults = net.faults
+        if faults.active:
+            offsets += faults.extra_delay
+            dropped = faults.drop_mask(self.node_ids)[sender_index]
+            delivered = delivered & ~dropped
+            faults.dropped_messages += int(np.count_nonzero(dropped[valid]))
         # Row-major boolean assignment fills exactly in action-major,
         # recipient-ascending order skipping the sender — the draw order of
         # the sequential per-copy loop.
-        delivery_time[~self_mask] = now + draws
+        delivery_time[~self_mask] = offsets
         batch = PhaseBatch(
             kind=templates[0].kind,
             round_index=int(templates[0].round_index),
@@ -586,8 +632,9 @@ class MessagePlane:
             sender_index=sender_index,
             views=views,
             payload_ref=np.asarray(payload_refs, dtype=np.int64),
-            valid=np.array(verdicts, dtype=bool),
+            valid=valid,
             delivery_time=delivery_time,
+            delivered=delivered,
         )
         net.messages_sent += num_actions * (num_nodes - 1)
         net.rejected_signatures += verdicts.count(False) * (num_nodes - 1)
@@ -606,9 +653,11 @@ class MessagePlane:
         In-window batch copies become a visibility mask (no mailbox round
         trip); copies landing *after* the deadline are pushed into the real
         mailboxes, stamped with their delivery times exactly as ``broadcast``
-        would have put them, so later windows drain them as usual.  The
-        node's own copy is visible even for an invalid broadcast, matching
-        the unconditional self-push of ``broadcast``.
+        would have put them, so later windows drain them as usual.  Both
+        read the batch's per-copy ``delivered`` verdict, so rejected and
+        severed copies never surface.  The node's own copy is visible even
+        for an invalid broadcast, matching the unconditional self-push of
+        ``broadcast``.
         """
         net = self.network
         deadline = net._close_window(timeout)
@@ -616,9 +665,9 @@ class MessagePlane:
         if batch is not None and batch.num_actions:
             self_mask = batch.self_mask()
             in_window = batch.delivery_time <= deadline
-            visible = (self_mask | batch.valid[:, None]) & in_window
+            visible = (self_mask | batch.delivered) & in_window
             if not in_window.all():
-                late = batch.valid[:, None] & ~in_window & ~self_mask
+                late = batch.delivered & ~in_window & ~self_mask
                 for a, j in zip(*np.nonzero(late)):
                     node_id = self.node_ids[j]
                     net._mailboxes[node_id].push(

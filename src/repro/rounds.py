@@ -324,15 +324,14 @@ class RoundProtocol(RoundHistory, ABC):
     # -- reporting ----------------------------------------------------------------------
     @property
     def consensus_fast_path_disabled(self) -> int:
-        """Rounds this backend decided on a consensus slow path.
+        """Rounds this backend decided while a network link fault was live.
 
         Backends driven by a :class:`~repro.consensus.interface.\
 ConsensusProtocol` surface its ``fast_path_disabled`` counter here (rounds
-        that fell back from the vectorised message plane to the sequential
-        oracle under a live link fault); backends without a consensus layer
-        report ``0``.  Experiment reports include the value so a silently
-        disabled fast path shows up in the rows instead of only in the
-        wall-clock.
+        decided under a live drop, partition or added delay; the message
+        plane applies those faults itself); backends without a consensus
+        layer report ``0``.  Experiment reports include the value so rounds
+        run over a faulty network show up in the rows.
         """
         consensus = getattr(self, "consensus", None)
         return int(getattr(consensus, "fast_path_disabled", 0))

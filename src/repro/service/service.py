@@ -476,7 +476,7 @@ class CSMService(RoundHistory):
     # each round charged at its own shard's width.
     @property
     def consensus_fast_path_disabled(self) -> int:
-        """Backend rounds decided on a consensus slow path, over every shard
+        """Backend rounds decided under a live link fault, over every shard
         (see :attr:`repro.rounds.RoundProtocol.consensus_fast_path_disabled`)."""
         return sum(shard.backend.consensus_fast_path_disabled for shard in self.shards)
 

@@ -47,9 +47,10 @@ def rng() -> np.random.Generator:
 def _phase_records(batch: PhaseBatch, node_ids: list[str]) -> list[DeliveryRecord]:
     """One phase's non-self copies, in the order ``broadcast`` returns them."""
     out: list[DeliveryRecord] = []
+    # The per-copy verdict: a copy a live link fault severed is not delivered.
+    delivered = np.broadcast_to(batch.delivered, batch.delivery_time.shape)
     for a, message in enumerate(batch.templates):
         sender = int(batch.sender_index[a])
-        delivered = bool(batch.valid[a])
         times = batch.delivery_time[a]
         for j, node_id in enumerate(node_ids):
             if j == sender:
@@ -59,7 +60,7 @@ def _phase_records(batch: PhaseBatch, node_ids: list[str]) -> list[DeliveryRecor
                     message.with_recipient(node_id),
                     batch.send_time,
                     float(times[j]),
-                    delivered=delivered,
+                    delivered=bool(delivered[a, j]),
                 )
             )
     return out

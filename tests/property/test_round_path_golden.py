@@ -12,8 +12,8 @@ into ``ConsensusProtocol`` — so a digest that moves means observable
 behaviour moved, whichever sibling path the existing path-vs-path identity
 tests would have compared it with.  Each scenario also asserts that it still
 reaches the branch it exists for (rollback + replay, a frozen failed round, a
-view change, the consensus slow path), so a digest cannot stay green by
-silently leaving its path.
+view change, rounds decided under a live link fault), so a digest cannot stay
+green by silently leaving its path.
 
 All five were re-recorded once, when one consensus instance began deciding a
 whole block of rounds: fewer instances move the consensus views, the protocol
@@ -215,7 +215,9 @@ def pbft_silent_primary():
 
 
 def broadcast_equivocating_leader_slow_path():
-    # A live link fault keeps every block on the per-copy oracle.  Three
+    # A live link fault: every block is decided on the message plane with
+    # the link severed (the digest predates that and was recorded on the
+    # per-copy oracle, which is bit-identical; the name keeps it).  Three
     # calls decide the blocks {0}, {1, 2} and {3, 4}: node-1 leads the second
     # and equivocates (the echo step exposes the forged half, so the genuine
     # proposal still decides in view 0); node-3 leads the third and stays

@@ -14,7 +14,7 @@ The ``GOLDEN_DIGESTS`` were recorded at commit a87152c, while
 used to be whole per-shard reports and became per-shard views of the one
 service report.  Each scenario also asserts that it still reaches the branch
 it exists for (both throttle causes, weighted-fair selection, a failed and
-recovered round, a view change, the consensus slow path, a global session cap
+recovered round, a view change, rounds decided under a live link fault, a global session cap
 hit across shards, a degraded shard shedding and probing back to health), so
 a digest cannot stay green by silently leaving its path.
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import FieldError
 from repro.gf.extension_field import BinaryExtensionField
+from repro.gf.field import OperationCounter
 
 
 class TestConstruction:
@@ -78,6 +79,43 @@ class TestArithmetic:
             left = gf256.mul(a, gf256.add(b, c))
             right = gf256.add(gf256.mul(a, b), gf256.mul(a, c))
             assert left == right
+
+
+class TestMatmul:
+    """The generic rank-1 ``Field.matmul`` against its per-element definition."""
+
+    @staticmethod
+    def _per_element(field, a, b):
+        # Output (i, j) is the dot product of row i of a and column j of b.
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+        for i in range(a.shape[0]):
+            for j in range(b.shape[1]):
+                out[i, j] = field.dot(a[i, :], b[:, j])
+        return out
+
+    @pytest.mark.parametrize("degree", [4, 8])
+    @pytest.mark.parametrize(
+        "rows, inner, cols",
+        [(3, 5, 4), (1, 1, 1), (4, 1, 3), (2, 7, 1), (0, 3, 2), (2, 0, 3)],
+    )
+    def test_matches_per_element_values_and_counts(self, degree, rows, inner, cols, rng):
+        field = BinaryExtensionField(degree)
+        a = field.random_array(rng, (rows, inner))
+        b = field.random_array(rng, (inner, cols))
+        expected_counter, counter = OperationCounter(), OperationCounter()
+        field.attach_counter(expected_counter)
+        expected = self._per_element(field, a, b)
+        field.attach_counter(counter)
+        got = field.matmul(a, b)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+        assert counter.snapshot() == expected_counter.snapshot()
+        assert counter.multiplications == rows * inner * cols
+        assert counter.additions == rows * max(inner - 1, 0) * cols
+
+    def test_shape_mismatch_raises(self, gf256):
+        with pytest.raises(FieldError):
+            gf256.matmul(np.ones((2, 3), dtype=np.int64), np.ones((2, 3), dtype=np.int64))
 
 
 class TestEmbedding:

@@ -113,14 +113,31 @@ class TestBatchSignatures:
         assert len(table) == 1
 
 
-def _network(seed=9, num_nodes=5, delay=None):
+def _network(seed=9, num_nodes=5, delay=None, keys=None):
     net = SimulatedNetwork(
-        delay_model=delay or SynchronousDelay(), rng=np.random.default_rng(seed)
+        delay_model=delay or SynchronousDelay(),
+        rng=np.random.default_rng(seed),
+        key_registry=keys,
     )
     node_ids = [f"node-{i}" for i in range(num_nodes)]
     for node_id in node_ids:
         net.register(node_id)
     return net, node_ids
+
+
+class _RejectingRegistry(KeyRegistry):
+    """Verifies honestly, except that ``rejected``'s MACs never verify."""
+
+    def __init__(self, rejected):
+        super().__init__()
+        self.rejected = rejected
+
+    def verify(self, message):
+        return message.sender != self.rejected and super().verify(message)
+
+    def verify_batch(self, messages, table=None):
+        verdicts = super().verify_batch(messages, table)
+        return [m.sender != self.rejected and ok for m, ok in zip(messages, verdicts)]
 
 
 class TestMessagePlaneParity:
@@ -178,6 +195,61 @@ class TestMessagePlaneParity:
             ]
             assert sorted(scalar_view) == sorted(plane_view)
 
+    def test_broadcast_phase_applies_live_link_faults(self, record_deliveries):
+        """Drops, a partition and added delay sever and delay the same copies.
+
+        ``node-0``'s MAC never verifies: its severed copies count as rejected,
+        not dropped, exactly as in ``broadcast``.
+        """
+
+        def faulty_network():
+            net, node_ids = _network(num_nodes=6, keys=_RejectingRegistry("node-0"))
+            faults = net.faults
+            faults.dropped_nodes.add("node-5")
+            faults.dropped_links.update({("node-0", "node-1"), ("node-2", "node-3")})
+            # node-3 and node-4 sit outside every group.
+            faults.set_partition([["node-0", "node-2"], ["node-1", "client:0"]])
+            # Pushes the slowest copies past the window, into the mailboxes.
+            faults.extra_delay = 0.4
+            return net, node_ids
+
+        scalar_net, node_ids = faulty_network()
+        plane_net, _ = faulty_network()
+        payloads = [{"commands": [i]} for i in range(4)]
+        with record_deliveries() as scalar_log:
+            for template in self._templates(node_ids[:4], payloads):
+                scalar_net.broadcast(template, node_ids)
+        scalar_collected = scalar_net.collect_all(
+            node_ids, MessageKind.CONSENSUS_PROPOSAL, 3
+        )
+        plane = MessagePlane(plane_net, node_ids)
+        templates = self._templates(node_ids[:4], payloads)
+        refs = [plane.register(t.payload) for t in templates]
+        with record_deliveries() as plane_log:
+            batch = plane.broadcast_phase(templates, refs)
+        view = plane.collect_phase(batch, MessageKind.CONSENSUS_PROPOSAL, 3)
+
+        assert plane_net.faults.dropped_messages == scalar_net.faults.dropped_messages
+        assert plane_net.faults.dropped_messages > 0
+        assert scalar_net.rejected_signatures == plane_net.rejected_signatures == 5
+        assert batch.delivered.shape == batch.delivery_time.shape
+        assert len(scalar_log) == len(plane_log) == plane_net.messages_sent
+        assert any(r.delivered for r in plane_log)
+        assert any(r.delivery_time > plane_net.now for r in plane_log)
+        for a, b in zip(scalar_log, plane_log):
+            assert a.message.sender == b.message.sender
+            assert a.message.recipient == b.message.recipient
+            assert a.delivery_time == b.delivery_time
+            assert a.delivered == b.delivered
+        for j, node_id in enumerate(node_ids):
+            scalar_view = [m.sender for m in scalar_collected[node_id]]
+            plane_view = [m.sender for m, _ in view.messages_for(j)]
+            assert sorted(scalar_view) == sorted(plane_view)
+            # Late copies wait in the same mailboxes, stamped alike.
+            assert [
+                (time, m.sender) for time, m in scalar_net._mailboxes[node_id].messages
+            ] == [(time, m.sender) for time, m in plane_net._mailboxes[node_id].messages]
+
     def test_empty_phase_is_a_noop(self):
         net, node_ids = _network()
         plane = MessagePlane(net, node_ids)
@@ -220,7 +292,7 @@ class TestMessagePlaneParity:
 
 
 class TestFastPathCounter:
-    """Rounds decided under a live link fault take the oracle, and count."""
+    """Rounds decided under a live link fault stay on the plane, and count."""
 
     def _protocol(self, dropped_link=False):
         from repro.core.config import CSMConfig
@@ -245,16 +317,30 @@ class TestFastPathCounter:
             for _ in range(3)
         ]
 
-    def test_disabled_plane_counts_fallback_rounds(self):
+    def test_live_link_fault_counts_rounds(self):
         protocol, machine = self._protocol(dropped_link=True)
         protocol.run_rounds_batched(self._batches(machine))
         assert protocol.consensus.fast_path_disabled == 3
         assert protocol.consensus_fast_path_disabled == 3
         assert protocol.network.faults.dropped_messages > 0
-        # Healing the link heals the fast path: later rounds do not count.
+        # Once the link heals, later rounds do not count.
         protocol.network.faults.clear()
         protocol.run_rounds_batched(self._batches(machine))
         assert protocol.consensus_fast_path_disabled == 3
+        assert protocol.all_rounds_correct
+
+    def test_live_link_fault_never_takes_the_per_copy_path(self):
+        protocol, machine = self._protocol(dropped_link=True)
+
+        def per_copy_view(*args, **kwargs):
+            raise AssertionError("a live link fault sent a view down the per-copy path")
+
+        # One instance only: the class keeps its per-copy oracle.
+        protocol.consensus._attempt_view = per_copy_view
+        records = protocol.run_rounds_batched(self._batches(machine))
+        assert [r.round_index for r in records] == [0, 1, 2]
+        assert protocol.consensus_fast_path_disabled == 3
+        assert protocol.network.faults.dropped_messages > 0
         assert protocol.all_rounds_correct
 
     def test_enabled_plane_never_counts(self):
@@ -315,6 +401,7 @@ def _random_phase(rng, plane, pool, num_actions):
             payload_ref=np.array([plane.register(m.payload) for m in templates]),
             valid=np.ones(num_actions, dtype=bool),
             delivery_time=np.zeros((num_actions, num_nodes)),
+            delivered=np.ones((num_actions, 1), dtype=bool),
         )
         visible = rng.random((num_actions, num_nodes)) < 0.6
     stragglers = []
