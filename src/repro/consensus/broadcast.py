@@ -62,15 +62,13 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
         bogus["clients"] = ["client:forged"] * len(payload["clients"])
         return bogus
 
-    # -- one view on the vectorised message plane ----------------------------------------
+    # -- one view on the message plane ---------------------------------------------------
     # Each propose/echo phase of the block's instance is dispatched and
     # tallied as a struct-of-arrays PhaseBatch instead of per-copy messages;
     # live link faults (drops, partitions, added delay) apply to the batch's
-    # copy grid, so this body decides every block, faulty network or not.
-    # _attempt_view below is only the per-copy reference oracle the tests
-    # compare against; decisions, rng stream, counters and per-copy
-    # deliveries and drops are bit-identical between the two.
-    def _attempt_view_vectorised(
+    # copy grid, and an equivocating leader's targeted proposals arrive as
+    # stragglers, so this body decides every block, faulty network or not.
+    def _attempt_view(
         self,
         round_index: int,
         view: int,
@@ -145,73 +143,6 @@ class AuthenticatedBroadcastConsensus(ConsensusProtocol):
             selected,
             zip(on_plane.honest_ids, map(plane.payload, decided)),
         )
-
-    # -- internals ----------------------------------------------------------------------
-    def _attempt_view(
-        self,
-        round_index: int,
-        view: int,
-        leader: str,
-        selected: list[SubmittedCommand],
-    ) -> list[dict[str, ConsensusDecision]]:
-        self._propose(round_index, view, leader, selected)
-        # Step 1 timeout: collect the leader's proposal at every node.
-        received = self.network.collect_all(
-            self.node_ids, kind=MessageKind.CONSENSUS_PROPOSAL, round_index=round_index
-        )
-        # Step 2: every honest node echoes what it received.
-        for node_id in self.node_ids:
-            if self.behavior_of(node_id).is_faulty:
-                continue  # faulty echoers at worst withhold; they cannot forge
-            for message in received.get(node_id, []):
-                if message.metadata.get("view") != view:
-                    continue
-                echo = Message(
-                    sender=node_id,
-                    recipient="*",
-                    kind=MessageKind.CONSENSUS_VOTE,
-                    round_index=round_index,
-                    payload=message.payload,
-                    metadata={"view": view, "leader_signature": message.signature,
-                              "leader": message.sender},
-                )
-                self.network.broadcast(echo, recipients=self.node_ids)
-        echoes = self.network.collect_all(
-            self.node_ids, kind=MessageKind.CONSENSUS_VOTE, round_index=round_index
-        )
-        # Step 3: decision at each honest node.
-        decided: list[tuple[str, dict]] = []
-        for node_id in self.honest_nodes():
-            proposals = self._distinct_proposals(
-                view, leader, received.get(node_id, []), echoes.get(node_id, [])
-            )
-            valid = [p for p in proposals if self._is_valid_proposal(p, selected)]
-            if len(valid) != 1:
-                # zero proposals (silent leader) or several (equivocation):
-                # the node votes for a view change.
-                return []
-            decided.append((node_id, valid[0]))
-        if not decided:
-            return []
-        return self._decisions(round_index, view, leader, selected, decided)
-
-    def _distinct_proposals(
-        self, view: int, leader: str, direct: list[Message], echoes: list[Message]
-    ) -> list[dict]:
-        seen: dict[tuple, dict] = {}
-        for message in direct:
-            if message.sender != leader or message.metadata.get("view") != view:
-                continue
-            key = self._payload_key(message.payload)
-            seen[key] = message.payload
-        for message in echoes:
-            if message.metadata.get("view") != view:
-                continue
-            if message.metadata.get("leader") != leader:
-                continue
-            key = self._payload_key(message.payload)
-            seen.setdefault(key, message.payload)
-        return list(seen.values())
 
     @staticmethod
     def _payload_key(payload: dict) -> tuple:

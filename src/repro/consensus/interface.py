@@ -101,10 +101,9 @@ class ConsensusProtocol(ABC):
     proposal a leader — honest or Byzantine — puts on the wire, proposal
     validity and the decision records.  A protocol supplies its fault
     tolerance, its view budget, how a default-Byzantine leader forges a
-    proposal, and the two bodies of one view: :meth:`_attempt_view_vectorised`
-    (one struct-of-arrays batch per phase on the message plane — the shipped
-    path, link faults included) and :meth:`_attempt_view` (per copy — the
-    reference oracle the plane is tested against).
+    proposal, and the body of one view, :meth:`_attempt_view`: one
+    struct-of-arrays batch per phase on the message plane, link faults
+    included.
 
     Parameters
     ----------
@@ -164,28 +163,11 @@ class ConsensusProtocol(ABC):
     def behavior_of(self, node_id: str) -> ByzantineBehavior:
         return self.behaviors.get(node_id, HONEST)
 
-    def honest_nodes(self) -> list[str]:
-        return [n for n in self.node_ids if not self.behavior_of(n).is_faulty]
-
     def leader_for(self, round_index: int, view: int) -> str:
         """The node leading ``view`` of ``round_index`` (round-robin rotation)."""
         return self.node_ids[(round_index + view) % self.num_nodes]
 
-    # -- block drivers ------------------------------------------------------------------
-    def decide_round(self, round_index: int) -> dict[str, ConsensusDecision]:
-        """Run consensus on a block of one round, per copy.
-
-        Returns a mapping from *honest* node id to that node's decision.
-        Byzantine nodes do not produce meaningful decisions.  Tests check
-        the paper's consistency property by asserting all returned decisions
-        have equal :meth:`ConsensusDecision.command_tuple`.
-
-        This per-copy path — every message through ``send``/``broadcast`` and
-        a mailbox drain — is the *reference oracle* for the vectorised
-        plane that :meth:`decide_rounds` runs; nothing else takes it.
-        """
-        return self._decide_block(round_index, 1, None)[0]
-
+    # -- the block driver ---------------------------------------------------------------
     def decide_rounds(
         self, first_round_index: int, count: int
     ) -> list[dict[str, ConsensusDecision]]:
@@ -199,19 +181,19 @@ class ConsensusProtocol(ABC):
         command of the block must already sit in the pool — validity binds
         each row to its pool *position*, so later rounds' entries cannot
         stand in for earlier ones.  The result is one decision map per round,
-        in round order, every decision carrying the block's view.
+        in round order, each mapping every *honest* node id to its decision
+        and carrying the block's view; tests check the paper's consistency
+        property on the equal :meth:`ConsensusDecision.command_tuple` of
+        those decisions.
 
-        The phases run on the **vectorised message plane**
-        (:class:`~repro.net.network.MessagePlane`): one struct-of-arrays
-        batch per phase, batch signing/verification, one vectorised delay
-        draw per phase and array quorum tallies instead of per-copy messages
-        and mailbox drains.  The plane applies live link faults (drops,
-        partitions, added latency from the fault-injection plane) to each
-        phase's copy grid itself, so this is the one path: it is
-        bit-identical to the per-copy oracle on the same block (decisions,
-        rng stream, counters, per-copy deliveries and drops) with or without
-        a fault.  :attr:`fast_path_disabled` counts the rounds decided while
-        a link fault was live.
+        Views are tried in turn until one decides the block.  Every phase
+        runs on the **message plane** (:class:`~repro.net.network.MessagePlane`):
+        one struct-of-arrays batch per phase, batch signing/verification,
+        one vectorised delay draw per phase and array quorum tallies instead
+        of per-copy messages and mailbox drains.  The plane applies live link
+        faults (drops, partitions, added latency from the fault-injection
+        plane) to each phase's copies itself; :attr:`fast_path_disabled`
+        counts the rounds decided while a link fault was live.
         """
         honest = [not self.behavior_of(n).is_faulty for n in self.node_ids]
         on_plane = PlaneRounds(
@@ -219,23 +201,14 @@ class ConsensusProtocol(ABC):
             honest=np.array(honest, dtype=bool),
             honest_ids=[n for n, ok in zip(self.node_ids, honest) if ok],
         )
-        return self._decide_block(first_round_index, count, on_plane)
-
-    def _decide_block(
-        self, round_index: int, count: int, on_plane: PlaneRounds | None
-    ) -> list[dict[str, ConsensusDecision]]:
-        """Try views until one decides the block — on the plane, or per copy without."""
         if self.network.faults.active:
             self.fast_path_disabled += count
         selected = self.pool.peek_block(count)
         for view in range(self.max_views):
-            leader = self.leader_for(round_index, view)
-            if on_plane is None:
-                decisions = self._attempt_view(round_index, view, leader, selected)
-            else:
-                decisions = self._attempt_view_vectorised(
-                    round_index, view, leader, selected, on_plane
-                )
+            leader = self.leader_for(first_round_index, view)
+            decisions = self._attempt_view(
+                first_round_index, view, leader, selected, on_plane
+            )
             if decisions:
                 # Remove the decided commands from the pool exactly once.
                 for round_decisions in decisions:
@@ -243,16 +216,17 @@ class ConsensusProtocol(ABC):
                         self.pool.mark_executed(entry.machine_index, entry)
                 # Copies of this block still in a mailbox (late ones, losing
                 # views') can never be collected again: drop the dead letters.
-                self.network.discard_through(round_index + count - 1, self.node_ids)
+                self.network.discard_through(
+                    first_round_index + count - 1, self.node_ids
+                )
                 return decisions
         raise ConsensusError(
             self._views_exhausted_text.format(
-                round_index=round_index, count=count, max_views=self.max_views
+                round_index=first_round_index, count=count, max_views=self.max_views
             )
         )
 
-    # -- one view: the two implementations each protocol supplies -------------------------
-    # Both bodies decide the block whose first round is ``round_index`` and
+    # One view decides the block whose first round is ``round_index`` and
     # whose pending entries are ``selected`` (round-major, see peek_block);
     # every message of the instance carries ``round_index``.
     @abstractmethod
@@ -262,19 +236,9 @@ class ConsensusProtocol(ABC):
         view: int,
         leader: str,
         selected: list[SubmittedCommand],
-    ) -> list[dict[str, ConsensusDecision]]:
-        """One view, per copy; per-round decision maps, ``[]`` when it fails."""
-
-    @abstractmethod
-    def _attempt_view_vectorised(
-        self,
-        round_index: int,
-        view: int,
-        leader: str,
-        selected: list[SubmittedCommand],
         on_plane: PlaneRounds,
     ) -> list[dict[str, ConsensusDecision]]:
-        """The same view on the message plane; bit-identical to the oracle."""
+        """One view on the message plane; per-round decision maps, ``[]`` when it fails."""
 
     # -- the leader's proposal ------------------------------------------------------------
     @staticmethod
@@ -298,9 +262,8 @@ class ConsensusProtocol(ABC):
     ) -> tuple[list[Message], list[Message]]:
         """The leader's proposal step as ``(broadcasts, targeted sends)``.
 
-        Shared by the per-copy oracle and the vectorised plane so the
-        two paths dispatch identical messages by construction; a behavior
-        either broadcasts or equivocates via sends, never both.
+        A behavior either broadcasts or equivocates via targeted sends, never
+        both.
         """
 
         def proposal(recipient: str, body: dict) -> Message:
@@ -330,16 +293,6 @@ class ConsensusProtocol(ABC):
             ]
         return [proposal("*", self._forged_payload(payload))], []
 
-    def _propose(
-        self, round_index: int, view: int, leader: str, selected: list[SubmittedCommand]
-    ) -> None:
-        """Put the leader's proposal on the wire, one copy at a time."""
-        broadcasts, sends = self._proposal_actions(round_index, view, leader, selected)
-        for message in sends:
-            self.network.send(message)
-        for message in broadcasts:
-            self.network.broadcast(message, recipients=self.node_ids)
-
     def _propose_on_plane(
         self,
         round_index: int,
@@ -347,16 +300,16 @@ class ConsensusProtocol(ABC):
         leader: str,
         selected: list[SubmittedCommand],
         plane: MessagePlane,
-    ) -> PhaseBatch:
-        """Dispatch the leader's proposal as one phase batch.
+    ) -> PhaseBatch | None:
+        """Dispatch the leader's proposal on the plane.
 
-        Equivocation stays on the scalar path: targeted sends go through
-        ``network.send`` (consuming the rng exactly as the oracle does) and
-        surface at collection as stragglers.
+        A broadcast proposal is the phase batch returned; targeted sends go
+        out through :meth:`MessagePlane.send_targeted` and surface at
+        collection as stragglers.
         """
         broadcasts, sends = self._proposal_actions(round_index, view, leader, selected)
-        for message in sends:
-            self.network.send(message)
+        if sends:
+            plane.send_targeted(sends)
         refs = [plane.register(message.payload) for message in broadcasts]
         return plane.broadcast_phase(broadcasts, refs)
 

@@ -84,14 +84,12 @@ class PBFTConsensus(ConsensusProtocol):
         bogus["clients"] = ["client:forged"] * len(payload["clients"])
         return bogus
 
-    # -- one view on the vectorised message plane ----------------------------------------
+    # -- one view on the message plane ---------------------------------------------------
     # Each pre-prepare/prepare/commit phase of the block's instance is
     # dispatched and quorum-tallied as a struct-of-arrays PhaseBatch instead
-    # of per-copy messages and mailbox drains, live link faults included.
-    # _attempt_view below is only the per-copy reference oracle the tests
-    # compare against; decisions, rng stream, counters and per-copy
-    # deliveries and drops are bit-identical between the two.
-    def _attempt_view_vectorised(
+    # of per-copy messages and mailbox drains, live link faults included; an
+    # equivocating primary's targeted pre-prepares arrive as stragglers.
+    def _attempt_view(
         self,
         round_index: int,
         view: int,
@@ -186,107 +184,13 @@ class PBFTConsensus(ConsensusProtocol):
         """The interned ``{"digest": ...}`` vote payload for a proposal digest.
 
         One shared dict per digest means the canonical signed bytes and the
-        batch payload-ref column collapse across all voters; the oracle
-        builds a fresh but content-equal dict per vote, so signatures match.
+        batch payload-ref column collapse across all voters.
         """
         vote_cache = plane.scratch.setdefault("pbft_vote_payloads", {})
         vote_payload = vote_cache.get(digest)
         if vote_payload is None:
             vote_payload = vote_cache[digest] = {"digest": digest}
         return vote_payload
-
-    # -- internals ----------------------------------------------------------------------
-    def _attempt_view(
-        self,
-        round_index: int,
-        view: int,
-        primary: str,
-        selected: list[SubmittedCommand],
-    ) -> list[dict[str, ConsensusDecision]]:
-        timeout = self.view_timeout or self.network.delay_model.synchronous_bound
-        self._propose(round_index, view, primary, selected)
-        pre_prepares = self.network.collect_all(
-            self.node_ids,
-            kind=MessageKind.CONSENSUS_PROPOSAL,
-            round_index=round_index,
-            timeout=timeout,
-        )
-        # Prepare phase: honest nodes vote for the digest they received from
-        # the primary, provided the proposal is valid.
-        accepted_payloads: dict[str, dict] = {}
-        for node_id in self.honest_nodes():
-            proposals = [
-                m for m in pre_prepares.get(node_id, [])
-                if m.sender == primary and m.metadata.get("view") == view
-            ]
-            if len(proposals) != 1:
-                continue  # silent or equivocating primary: no prepare vote
-            proposal_payload = proposals[0].payload
-            if not self._is_valid_proposal(proposal_payload, selected):
-                continue
-            accepted_payloads[node_id] = proposal_payload
-            vote = Message(
-                sender=node_id,
-                recipient="*",
-                kind=MessageKind.CONSENSUS_PREPARE,
-                round_index=round_index,
-                payload={"digest": self._digest(proposal_payload)},
-                metadata={"view": view},
-            )
-            self.network.broadcast(vote, recipients=self.node_ids)
-        prepares = self.network.collect_all(
-            self.node_ids,
-            kind=MessageKind.CONSENSUS_PREPARE,
-            round_index=round_index,
-            timeout=timeout,
-        )
-        # Commit phase.
-        for node_id in self.honest_nodes():
-            if node_id not in accepted_payloads:
-                continue
-            digest = self._digest(accepted_payloads[node_id])
-            supporting = {
-                m.sender
-                for m in prepares.get(node_id, [])
-                if m.metadata.get("view") == view and m.payload.get("digest") == digest
-            }
-            if len(supporting) >= self.quorum:
-                commit = Message(
-                    sender=node_id,
-                    recipient="*",
-                    kind=MessageKind.CONSENSUS_COMMIT,
-                    round_index=round_index,
-                    payload={"digest": digest},
-                    metadata={"view": view},
-                )
-                self.network.broadcast(commit, recipients=self.node_ids)
-        commits = self.network.collect_all(
-            self.node_ids,
-            kind=MessageKind.CONSENSUS_COMMIT,
-            round_index=round_index,
-            timeout=timeout,
-        )
-        decided: list[tuple[str, dict]] = []
-        for node_id in self.honest_nodes():
-            if node_id not in accepted_payloads:
-                continue
-            digest = self._digest(accepted_payloads[node_id])
-            supporting = {
-                m.sender
-                for m in commits.get(node_id, [])
-                if m.metadata.get("view") == view and m.payload.get("digest") == digest
-            }
-            if len(supporting) >= self.quorum:
-                decided.append((node_id, accepted_payloads[node_id]))
-        if not decided:
-            return []
-        decisions = self._decisions(round_index, view, primary, selected, decided)
-        # A view only "succeeds" for the block when every honest node decided;
-        # otherwise the stragglers would need the (simplified-away) checkpoint
-        # sync, so we conservatively run another view for everyone.
-        if len(decided) != len(self.honest_nodes()):
-            return []
-        return decisions
 
     @staticmethod
     def _digest(payload: dict) -> str:

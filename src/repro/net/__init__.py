@@ -9,20 +9,21 @@ authenticated (signed) messages and one of two timing models:
 
 This package provides a simulated network with both delay models, signed
 messages (simulated authentication: forging another node's signature is
-detectable, exactly the "authenticated Byzantine fault" assumption), node
-mailboxes holding each copy under its delivery time, and a library of
-Byzantine behaviours that the protocol layers inject into faulty nodes
-(wrong results, silence, equivocation, delays, consensus misbehaviour).
+detectable, exactly the "authenticated Byzantine fault" assumption), the
+message plane every consensus copy is sent and collected through, node
+mailboxes holding each late or targeted copy under its delivery time, and a
+library of Byzantine behaviours that the protocol layers inject into faulty
+nodes (wrong results, silence, equivocation, delays, consensus misbehaviour).
 """
 
 from repro.net.message import Message, MessageKind
-from repro.net.signatures import KeyRegistry, SignatureError
+from repro.net.signatures import KeyRegistry
 from repro.net.latency import (
     DelayModel,
     SynchronousDelay,
     PartiallySynchronousDelay,
 )
-from repro.net.network import SimulatedNetwork, DeliveryRecord
+from repro.net.network import SimulatedNetwork
 from repro.net.byzantine import (
     ByzantineBehavior,
     HonestBehavior,
@@ -38,12 +39,10 @@ __all__ = [
     "Message",
     "MessageKind",
     "KeyRegistry",
-    "SignatureError",
     "DelayModel",
     "SynchronousDelay",
     "PartiallySynchronousDelay",
     "SimulatedNetwork",
-    "DeliveryRecord",
     "ByzantineBehavior",
     "HonestBehavior",
     "CorruptResultBehavior",

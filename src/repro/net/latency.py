@@ -134,12 +134,10 @@ class PartiallySynchronousDelay(DelayModel):
             return np.empty(0, dtype=float)
         if send_time >= self.gst:
             return rng.uniform(self.min_delay, self.max_delay, size=count)
-        # Pre-GST the scalar path interleaves one uniform and one exponential
-        # draw per message; a two-pass vectorised draw would consume the
-        # stream in a different order, so bit-identity forces the loop here.
-        return np.array(
-            [self.sample_delay(send_time, rng) for _ in range(count)], dtype=float
-        )
+        # Pre-GST each message interleaves one uniform and one exponential
+        # draw; a two-pass vectorised draw would consume the stream in a
+        # different order, so bit-identity forces the per-message loop.
+        return super().sample_delays(send_time, rng, count)
 
     @property
     def synchronous_bound(self) -> float:

@@ -46,7 +46,7 @@ class Message:
         Arbitrary JSON-like content (numpy arrays are allowed; they are
         normalised to tuples when the signature digest is computed).
     signature:
-        Filled in by :class:`~repro.net.signatures.KeyRegistry.sign`.
+        Filled in by :meth:`~repro.net.signatures.KeyRegistry.sign_batch`.
     """
 
     sender: str
@@ -57,30 +57,20 @@ class Message:
     signature: str | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
-    def signing_view(self) -> tuple:
-        """The canonical tuple covered by the signature.
-
-        The recipient is deliberately *excluded* so that a broadcast message
-        carries one signature valid for every copy; equivocation (sending
-        different payloads to different recipients) therefore produces two
-        validly-signed but conflicting messages — which is exactly what the
-        protocols must tolerate or detect, as in the paper.
-        """
-        return (
-            self.sender,
-            self.kind.value,
-            int(self.round_index),
-            _normalise(self.payload),
-        )
-
     def signing_head(self) -> bytes:
         """The signed bytes that precede the payload.
 
-        ``signing_head() + canonical_payload(payload)`` is byte-equal to
-        ``repr(signing_view()).encode()``: the repr of a tuple is its
-        elements' reprs joined by ``", "``, and UTF-8 encoding distributes
-        over concatenation.  Splitting it here lets the payload's share be
-        computed once per distinct payload (:class:`PayloadTable`).
+        A message signs ``repr((sender, kind, round_index, payload))`` with
+        the payload normalised: the recipient is deliberately *excluded*, so
+        a broadcast carries one signature valid for every copy, and
+        equivocation (different payloads to different recipients) produces
+        validly-signed but conflicting messages — exactly what the protocols
+        must tolerate or detect, as in the paper.  ``signing_head() +
+        canonical_payload(payload)`` is those bytes: the repr of a tuple is
+        its elements' reprs joined by ``", "``, and UTF-8 encoding
+        distributes over concatenation.  Splitting it here lets the
+        payload's share be computed once per distinct payload
+        (:class:`PayloadTable`).
         """
         return (
             f"({self.sender!r}, {self.kind._value_!r}, {int(self.round_index)!r}, "
@@ -149,10 +139,6 @@ class PhaseBatch:
     @property
     def num_actions(self) -> int:
         return len(self.templates)
-
-    @property
-    def num_nodes(self) -> int:
-        return int(self.delivery_time.shape[1]) if self.num_actions else 0
 
     def self_mask(self) -> np.ndarray:
         """``(A, N)`` bool — True at each action's own-sender copy."""

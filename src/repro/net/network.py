@@ -1,34 +1,42 @@
-"""The simulated fully-connected network.
+"""The simulated fully-connected network and its message plane.
 
-The network owns the simulated clock, the delay model and the key registry.
-Protocol layers interact with it through three operations:
+The network owns the simulated clock, the delay model, the key registry,
+the link-fault switchboard and one mailbox per registered identity.  Every
+consensus copy goes out through a :class:`MessagePlane` over it, in one of
+two shapes:
 
-* :meth:`SimulatedNetwork.send` — sign and dispatch a message to one node;
-* :meth:`SimulatedNetwork.broadcast` — dispatch one copy to every node
-  (a Byzantine sender that wants to equivocate simply calls ``send`` with
-  different payloads instead);
-* :meth:`SimulatedNetwork.collect` — advance simulated time by a timeout and
-  return the (signature-verified) messages a node received in that window.
+* :meth:`MessagePlane.broadcast_phase` — one phase of broadcasts (at most one
+  per node), signed, verified, delayed and fault-masked as a
+  struct-of-arrays :class:`~repro.net.message.PhaseBatch`;
+* :meth:`MessagePlane.send_targeted` — point-to-point copies (a Byzantine
+  leader equivocating with a different payload per recipient), settled as
+  one list and pushed into the recipients' mailboxes.
+
+:meth:`MessagePlane.collect_phase` then closes one collection window: it
+moves the clock to the window's deadline and exposes what each node received
+as a :class:`PhaseView` — the batch copies that landed in time, plus the
+*stragglers* it drains from the mailboxes (late copies of earlier phases and
+targeted sends).
 
 Every copy is settled when it is sent: its MAC is verified, its delay drawn,
-the link faults applied and the counters updated, and a surviving copy is
-pushed into its recipient's mailbox stamped with its delivery time.  A
-collection window only returns copies stamped at or before its deadline, so
-whether a message arrived before the receiver's timeout is one comparison.
-Messages whose signatures do not verify are dropped and counted, modelling
-the "impersonation is easily detectable" clause of the fault model.
+the link faults applied and the counters updated, and a surviving copy that
+is not tallied straight off its batch waits in its recipient's mailbox
+stamped with its delivery time.  A collection window only returns copies
+stamped at or before its deadline, so whether a message arrived before the
+receiver's timeout is one comparison.  Messages whose signatures do not
+verify are dropped and counted, modelling the "impersonation is easily
+detectable" clause of the fault model.
 
 The network keeps counters (``messages_sent``, ``rejected_signatures``,
-``faults.dropped_messages``), not a journal: a :class:`DeliveryRecord` is the
-value a send returns, and nothing keeps it once the copy is delivered.
-Memory therefore stays flat however many rounds run.
+``faults.dropped_messages``), not a journal, so memory stays flat however
+many rounds run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -36,16 +44,6 @@ from repro.net.latency import DelayModel, SynchronousDelay
 from repro.net.message import Message, MessageKind, PayloadTable, PhaseBatch
 from repro.net.signatures import KeyRegistry
 from repro.rng import default_stream
-
-
-@dataclass
-class DeliveryRecord:
-    """One attempted message delivery, as returned by a send."""
-
-    message: Message
-    send_time: float
-    delivery_time: float
-    delivered: bool = True
 
 
 @dataclass
@@ -80,17 +78,15 @@ class _Mailbox:
 
 
 class NetworkFaultState:
-    """Mutable link-fault switchboard consulted by :class:`SimulatedNetwork`.
+    """Mutable link-fault switchboard consulted by the :class:`MessagePlane`.
 
     The fault-injection plane (:mod:`repro.faults`) flips these fields at
     round boundaries to model message-drop bursts, added-latency bursts and
-    group partitions.  Both dispatch paths honour them: per copy in
-    :meth:`SimulatedNetwork.send`/``broadcast``, and as a drop mask
-    (:meth:`drop_mask`) plus a delay offset on a whole phase's copy grid in
-    :meth:`MessagePlane.broadcast_phase`.  Either consults the state *after*
-    sampling the delays from the shared rng stream, so activating or
-    clearing faults never shifts the stream: a run whose fault state stays
-    inactive is bit-identical to one without the switchboard at all.
+    group partitions.  The plane applies them to every copy it sends, as a
+    drop mask (:meth:`drop_mask`) plus a delay offset, *after* sampling the
+    delays from the shared rng stream, so activating or clearing faults never
+    shifts the stream: a run whose fault state stays inactive is
+    bit-identical to one without the switchboard at all.
 
     Partition semantics: ``partition`` holds disjoint node groups; a copy
     whose sender and recipient sit in *different* groups is dropped, while
@@ -132,35 +128,15 @@ class NetworkFaultState:
             None if groups is None else [frozenset(map(str, g)) for g in groups]
         )
 
-    def should_drop(self, sender: str, recipient: str) -> bool:
-        """Whether the configured faults sever this (directed) link."""
-        if sender == recipient:
-            return False
-        if sender in self.dropped_nodes or recipient in self.dropped_nodes:
-            return True
-        if (sender, recipient) in self.dropped_links:
-            return True
-        if self.partition is not None:
-            sender_group = recipient_group = None
-            for group in self.partition:
-                if sender in group:
-                    sender_group = group
-                if recipient in group:
-                    recipient_group = group
-            if (
-                sender_group is not None
-                and recipient_group is not None
-                and sender_group is not recipient_group
-            ):
-                return True
-        return False
-
     def drop_mask(self, node_ids: list[str]) -> np.ndarray:
-        """``(N, N)`` bool — :meth:`should_drop` for every (sender, recipient) pair.
+        """``(N, N)`` bool — whether the faults sever each directed link.
 
         Rows are senders and columns recipients, both in ``node_ids`` order.
-        Built from node indices in one pass over the configured faults;
-        endpoints outside ``node_ids`` cannot sever a link among them.
+        A link is severed when either endpoint is a dropped node, when it is
+        a dropped link, or when its endpoints sit in different partition
+        groups; a node's copy to itself never is.  Built from node indices in
+        one pass over the configured faults; endpoints outside ``node_ids``
+        cannot sever a link among them.
         """
         index = {node_id: j for j, node_id in enumerate(node_ids)}
         num_nodes = len(node_ids)
@@ -171,7 +147,7 @@ class NetworkFaultState:
             if sender in index and recipient in index:
                 mask[index[sender], index[recipient]] = True
         if self.partition is not None:
-            # A node sits in the last group naming it, as in should_drop.
+            # A node sits in the last group naming it.
             group = np.full(num_nodes, -1, dtype=np.int64)
             for g, members in enumerate(self.partition):
                 group[[index[n] for n in members if n in index]] = g
@@ -184,7 +160,13 @@ class NetworkFaultState:
 
 
 class SimulatedNetwork:
-    """Fully connected message-passing network with signed messages."""
+    """Fully connected message-passing network with signed messages.
+
+    The state every copy is settled against: the clock, the delay model and
+    its rng stream, the keys, the link faults, the mailboxes and the
+    counters.  Copies are dispatched and collected through a
+    :class:`MessagePlane` over the network.
+    """
 
     def __init__(
         self,
@@ -211,89 +193,15 @@ class SimulatedNetwork:
             self._mailboxes[node_id] = _Mailbox()
         self.keys.register(node_id)
 
-    @property
-    def participants(self) -> list[str]:
-        return sorted(self._mailboxes)
-
-    def _mailbox(self, recipient: str) -> _Mailbox:
+    def mailbox(self, recipient: str) -> _Mailbox:
+        """The mailbox of a registered identity (``KeyError`` for an unknown one)."""
         mailbox = self._mailboxes.get(recipient)
         if mailbox is None:
             raise KeyError(f"unknown recipient '{recipient}'")
         return mailbox
 
-    # -- sending -----------------------------------------------------------------
-    def send(self, message: Message, sign: bool = True) -> DeliveryRecord:
-        """Sign (unless pre-signed) and dispatch a message to its recipient."""
-        self._mailbox(message.recipient)
-        if sign or message.signature is None:
-            self.keys.sign(message)
-        valid = self.keys.verify(message)
-        delay = self.delay_model.sample_delay(self.now, self.rng)
-        return self._deliver(message, valid, self.now + delay)
-
-    def broadcast(
-        self, message: Message, recipients: Iterable[str] | None = None, sign: bool = True
-    ) -> list[DeliveryRecord]:
-        """Send a copy of the message to every recipient (default: every participant).
-
-        A single signature covers all copies (the recipient is not part of
-        the signed view), so this models a true broadcast: it is signed once
-        and verified once.  The sender's own copy lands at once without a
-        delay draw; the other copies draw their delays, in recipient order,
-        in one :meth:`DelayModel.sample_delays` call.  Every recipient is
-        checked before anything is signed or drawn, so an unknown one leaves
-        no trace.  Byzantine equivocation is modelled by *not* using this
-        helper and calling :meth:`send` with different payloads per recipient
-        instead.
-        """
-        targets = list(recipients) if recipients is not None else self.participants
-        for recipient in targets:
-            self._mailbox(recipient)
-        if sign or message.signature is None:
-            self.keys.sign(message)
-        valid = self.keys.verify(message)
-        now = self.now
-        num_others = sum(1 for recipient in targets if recipient != message.sender)
-        delivery_times = iter(
-            (now + self.delay_model.sample_delays(now, self.rng, num_others)).tolist()
-        )
-        records = []
-        for recipient in targets:
-            copy = message.with_recipient(recipient)
-            if recipient == message.sender:
-                self._mailboxes[recipient].push(now, copy)
-                records.append(DeliveryRecord(copy, now, now))
-            else:
-                records.append(self._deliver(copy, valid, next(delivery_times)))
-        return records
-
-    def _deliver(self, copy: Message, valid: bool, delivery_time: float) -> DeliveryRecord:
-        """Settle one sent copy: count it, then reject, drop or deliver it.
-
-        The verdict comes first — a copy whose MAC did not verify is rejected
-        whatever the links say — then the link faults, which apply *after*
-        the delay draw so (de)activating them never shifts the rng stream.
-        A surviving copy is pushed into the mailbox stamped with its delivery
-        time; :meth:`_Mailbox.drain` keeps it invisible until a collection
-        deadline passes that time.
-        """
-        self.messages_sent += 1
-        dropped = False
-        if self.faults.active:
-            delivery_time += self.faults.extra_delay
-            dropped = self.faults.should_drop(copy.sender, copy.recipient)
-        if not valid:
-            self.rejected_signatures += 1
-        elif dropped:
-            self.faults.dropped_messages += 1
-        else:
-            self._mailboxes[copy.recipient].push(delivery_time, copy)
-        return DeliveryRecord(
-            copy, self.now, delivery_time, delivered=valid and not dropped
-        )
-
-    # -- receiving -----------------------------------------------------------------
-    def _close_window(self, timeout: float | None) -> float:
+    # -- collection windows --------------------------------------------------------
+    def close_window(self, timeout: float | None) -> float:
         """Move the clock to the end of a collection window; return its deadline.
 
         With ``timeout=None`` the window is the synchronous bound of the delay
@@ -304,32 +212,6 @@ class SimulatedNetwork:
         deadline = self.now + window
         self.now = max(self.now, deadline)
         return deadline
-
-    def collect(
-        self,
-        recipient: str,
-        kind: MessageKind | None = None,
-        round_index: int | None = None,
-        timeout: float | None = None,
-    ) -> list[Message]:
-        """Advance time by ``timeout`` and return matching delivered messages."""
-        mailbox = self._mailbox(recipient)
-        return mailbox.drain(kind, round_index, self._close_window(timeout))
-
-    def collect_all(
-        self,
-        recipients: Iterable[str],
-        kind: MessageKind | None = None,
-        round_index: int | None = None,
-        timeout: float | None = None,
-    ) -> dict[str, list[Message]]:
-        """Collect for many recipients over a single shared timeout window."""
-        mailboxes = {recipient: self._mailbox(recipient) for recipient in recipients}
-        deadline = self._close_window(timeout)
-        return {
-            recipient: mailbox.drain(kind, round_index, deadline)
-            for recipient, mailbox in mailboxes.items()
-        }
 
     def discard_through(self, round_index: int, recipients: Iterable[str]) -> None:
         """Drop the ``recipients``' mailbox entries of rounds ``<= round_index``.
@@ -345,33 +227,21 @@ class SimulatedNetwork:
                     entry for entry in box.messages if entry[1].round_index > round_index
                 ]
 
-    # -- statistics ------------------------------------------------------------------
-    def stats(self) -> dict[str, float]:
-        return {
-            "messages_sent": self.messages_sent,
-            "rejected_signatures": self.rejected_signatures,
-            "simulated_time": self.now,
-        }
-
 
 class PhaseView:
     """What one consensus phase's collection window made visible.
 
     Pairs the phase's :class:`~repro.net.message.PhaseBatch` (with a per-copy
-    visibility mask) with the *stragglers* drained from the real mailboxes —
-    late copies of earlier phases and targeted (equivocation) sends, which
-    go through :meth:`SimulatedNetwork.send`.  Every node's view is the batch
-    actions visible to it in action (dispatch) order, then its stragglers in
-    mailbox order — within every filter the protocols apply (sender / view /
-    leader) the order the per-copy collect would have produced.
+    visibility mask) with the *stragglers* drained from the mailboxes — late
+    copies of earlier phases and targeted (equivocation) sends.  Every node's
+    view is the batch actions visible to it in action (dispatch) order, then
+    its stragglers in mailbox order.
 
     Protocols read the view through array queries that answer for all nodes
     at once: each is a handful of reductions over the ``(A, N)`` visibility
     grid selected by an ``(A,)`` action mask (:meth:`actions`), and walks
     messages one by one only for the nodes that actually drained stragglers,
-    with ``straggler_match`` standing in for the mask.  :meth:`messages_for`
-    is the literal per-node walk the queries are defined (and tested)
-    against.
+    with ``straggler_match`` standing in for the mask.
     """
 
     def __init__(
@@ -405,20 +275,13 @@ class PhaseView:
             mask &= self.senders == sender
         return mask
 
-    def messages_for(self, node_index: int) -> Iterator[tuple[Message, int]]:
-        """Yield ``(message, payload_ref)`` visible at ``node_index``."""
-        for a in np.nonzero(self.visible[:, node_index])[0]:
-            yield self.templates[a], int(self.payload_ref[a])
-        for message in self.stragglers[node_index]:
-            yield message, self.plane.register(message.payload)
-
     def sightings(
         self, action_mask: np.ndarray, straggler_match, nodes: np.ndarray
     ) -> list[tuple[int, Message, int]]:
         """Every matching ``(node index, message, payload_ref)``, node-major.
 
         Restricted to the nodes set in the ``(N,)`` mask ``nodes``; each
-        node's sightings come in :meth:`messages_for` order.
+        node's sightings come in view order (batch actions, then stragglers).
         """
         hits = self.visible & action_mask[:, None] & nodes
         node_of, action_of = np.nonzero(hits.T)  # row-major over (N, A): node-major
@@ -497,7 +360,8 @@ class PhaseView:
         The batch part is a pure column sum (every batch action has a
         distinct sender within a phase); when stragglers exist the affected
         nodes fall back to exact sender-set semantics, so the counts equal
-        the oracle's ``len({m.sender for m in received if ...})``.
+        ``len({m.sender for m in received if ...})`` over what each node
+        received.
         """
         action_mask = self.actions(view) & (self.payload_ref == payload_ref)
         counts = self.visible[action_mask].sum(axis=0, dtype=np.int64)
@@ -520,25 +384,26 @@ class PhaseView:
 class MessagePlane:
     """Vectorised dispatch/collect surface over a :class:`SimulatedNetwork`.
 
-    One plane serves one batch of consensus rounds: it owns the payload
-    table (payload object -> small integer ref, and the canonical signed
-    bytes per ref) that lets a whole phase — up to ``N`` broadcasts,
-    ``N x N`` copies — be signed, verified, delayed and tallied as columns
-    instead of objects.  Everything observable (rng stream, counters,
-    per-copy delivery times and verdicts, mailbox residue, simulated time,
-    link-fault drops) is bit-identical to routing the same broadcasts through
-    :meth:`SimulatedNetwork.broadcast` and :meth:`SimulatedNetwork.collect_all`,
-    with or without a live :class:`NetworkFaultState`.
-
-    Targeted sends (the equivocation path) do not go through the plane:
-    Byzantine senders keep calling :meth:`SimulatedNetwork.send`, whose
-    copies surface here as collection *stragglers*.
+    Every consensus copy goes out through a plane.  One plane serves one
+    batch of consensus rounds: it owns the payload table (payload object ->
+    small integer ref, and the canonical signed bytes per ref) that lets a
+    whole phase — up to ``N`` broadcasts, ``N x N`` copies — be signed,
+    verified, delayed and tallied as columns instead of objects, and it
+    settles targeted sends (the equivocation path) as one list whose copies
+    surface at collection as *stragglers*.  The per-copy semantics it
+    reproduces — one delay draw per non-self copy of a broadcast and per
+    targeted copy, in dispatch order; the verdict before the link faults;
+    link faults after the draw — are spelled out on each method, and a
+    live :class:`NetworkFaultState` applies on every path.  Building a
+    plane has no side effect on the network.
     """
 
     def __init__(self, network: SimulatedNetwork, node_ids: list[str]) -> None:
         self.network = network
         self.node_ids = list(node_ids)
         self.node_index = {node_id: j for j, node_id in enumerate(self.node_ids)}
+        # Mailbox objects live as long as the network: resolve them once.
+        self._mailboxes = [network.mailbox(node_id) for node_id in self.node_ids]
         self.table = PayloadTable()
         self._content_keys: dict[int, Any] = {}
         # Free-form per-plane storage for protocol-level memoisation (interned
@@ -573,20 +438,22 @@ class MessagePlane:
     ) -> PhaseBatch | None:
         """Sign, verify and dispatch one phase of broadcasts as a batch.
 
-        Equivalent to calling ``network.broadcast(template, self.node_ids)``
-        for each template in order: same rng draws (one per non-self copy, in
-        action-major recipient order), same ``messages_sent`` /
-        ``rejected_signatures`` accounting, and the batch carries every
-        copy's delivery time and verdict (what ``broadcast`` returns as
-        records), but no per-copy message objects or mailbox pushes —
+        Each template is one broadcast to every node of the plane, signed
+        once and verified once.  The sender's own copy lands at once, at
+        ``send_time`` and whatever its verdict, without a delay draw; every
+        other copy draws its delay — one :meth:`DelayModel.sample_delays`
+        call for the phase, in action-major, recipient-ascending order — and
+        counts in ``messages_sent``, and in ``rejected_signatures`` when its
+        broadcast did not verify.  The batch carries every copy's delivery
+        time and verdict but no per-copy message objects or mailbox pushes:
         in-window copies are tallied straight off the batch arrays at
         collection.
 
-        Live link faults apply after the delay draw, as in
-        :meth:`SimulatedNetwork._deliver`: ``extra_delay`` offsets every
-        non-self delivery time, the :meth:`NetworkFaultState.drop_mask` rows
-        of the senders take severed copies out of ``delivered``, and
-        ``dropped_messages`` counts the valid copies they sever.
+        Live link faults apply after the delay draw, so they never shift the
+        rng stream: ``extra_delay`` offsets every non-self delivery time, the
+        :meth:`NetworkFaultState.drop_mask` rows of the senders take severed
+        copies out of ``delivered``, and ``dropped_messages`` counts the
+        valid copies they sever (an invalid copy counts as rejected only).
 
         Each action is MAC-signed with its sender's key and MAC-verified
         against its claimed sender's; the phase shares only the canonical
@@ -621,8 +488,7 @@ class MessagePlane:
             delivered = delivered & ~dropped
             faults.dropped_messages += int(np.count_nonzero(dropped[valid]))
         # Row-major boolean assignment fills exactly in action-major,
-        # recipient-ascending order skipping the sender — the draw order of
-        # the sequential per-copy loop.
+        # recipient-ascending order skipping the sender — the draw order.
         delivery_time[~self_mask] = offsets
         batch = PhaseBatch(
             kind=templates[0].kind,
@@ -640,6 +506,40 @@ class MessagePlane:
         net.rejected_signatures += verdicts.count(False) * (num_nodes - 1)
         return batch
 
+    def send_targeted(self, messages: list[Message]) -> tuple[np.ndarray, np.ndarray]:
+        """Sign, verify and dispatch point-to-point copies among the plane's nodes.
+
+        The equivocation path: each message goes to its own ``recipient``.
+        Every copy, one a sender addresses to itself included, draws one
+        delay (one :meth:`DelayModel.sample_delays` call, in list order) and
+        takes the link faults and the counters as a broadcast copy does; a
+        survivor waits in its recipient's mailbox, pushed in list order,
+        until a collection drains it as a straggler.  Every endpoint is
+        checked before anything is signed or drawn.  Returns each copy's
+        delivery time and whether it was delivered.
+        """
+        net = self.network
+        senders = [self.node_index[m.sender] for m in messages]
+        recipients = [self.node_index[m.recipient] for m in messages]
+        net.keys.sign_batch(messages, self.table)
+        delivered = np.array(net.keys.verify_batch(messages, self.table), dtype=bool)
+        now = net.now
+        delivery_time = now + net.delay_model.sample_delays(now, net.rng, len(messages))
+        net.messages_sent += len(messages)
+        net.rejected_signatures += int(np.count_nonzero(~delivered))
+        faults = net.faults
+        if faults.active:
+            delivery_time += faults.extra_delay
+            dropped = faults.drop_mask(self.node_ids)[senders, recipients]
+            faults.dropped_messages += int(np.count_nonzero(delivered & dropped))
+            delivered &= ~dropped
+        for message, j, time, ok in zip(
+            messages, recipients, delivery_time.tolist(), delivered.tolist()
+        ):
+            if ok:
+                self._mailboxes[j].push(time, message)
+        return delivery_time, delivered
+
     # -- phase collection ---------------------------------------------------------
     def collect_phase(
         self,
@@ -651,16 +551,14 @@ class MessagePlane:
         """Advance one collection window and expose what each node received.
 
         In-window batch copies become a visibility mask (no mailbox round
-        trip); copies landing *after* the deadline are pushed into the real
-        mailboxes, stamped with their delivery times exactly as ``broadcast``
-        would have put them, so later windows drain them as usual.  Both
-        read the batch's per-copy ``delivered`` verdict, so rejected and
-        severed copies never surface.  The node's own copy is visible even
-        for an invalid broadcast, matching the unconditional self-push of
-        ``broadcast``.
+        trip); delivered copies landing *after* the deadline are pushed into
+        the mailboxes, stamped with their delivery times, so later windows
+        drain them as stragglers.  Both read the batch's per-copy
+        ``delivered`` verdict, so rejected and severed copies never surface.
+        A node's own copy is visible even for an invalid broadcast: it lands
+        whatever its verdict.
         """
-        net = self.network
-        deadline = net._close_window(timeout)
+        deadline = self.network.close_window(timeout)
         visible = None
         if batch is not None and batch.num_actions:
             self_mask = batch.self_mask()
@@ -669,15 +567,12 @@ class MessagePlane:
             if not in_window.all():
                 late = batch.delivered & ~in_window & ~self_mask
                 for a, j in zip(*np.nonzero(late)):
-                    node_id = self.node_ids[j]
-                    net._mailboxes[node_id].push(
+                    self._mailboxes[j].push(
                         float(batch.delivery_time[a, j]),
-                        batch.templates[a].with_recipient(node_id),
+                        batch.templates[a].with_recipient(self.node_ids[j]),
                     )
-        stragglers: list[list[Message]] = []
-        for node_id in self.node_ids:
-            box = net._mailboxes[node_id]
-            stragglers.append(
-                box.drain(kind, round_index, deadline) if box.messages else []
-            )
+        stragglers = [
+            box.drain(kind, round_index, deadline) if box.messages else []
+            for box in self._mailboxes
+        ]
         return PhaseView(self, batch, visible, stragglers)

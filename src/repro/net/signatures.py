@@ -20,23 +20,19 @@ import hmac
 from hashlib import sha256
 from typing import Iterable, Sequence
 
-from repro.exceptions import CSMError
-from repro.net.message import Message, PayloadTable, canonical_payload
+from repro.net.message import Message, PayloadTable
 
 _BLOCK_SIZE = 64  # SHA-256 block size: HMAC pads the key to it
 _INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
 _OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
 
 
-class SignatureError(CSMError):
-    """A message failed signature verification."""
-
-
 class KeyRegistry:
     """Issues per-node keys and signs/verifies messages with them.
 
     A signature is the HMAC-SHA256 hex digest, under the signer's key, of
-    the message's canonical bytes (:meth:`Message.signing_view`).  What is a
+    the message's canonical bytes (:meth:`Message.signing_head` followed by
+    :func:`~repro.net.message.canonical_payload`).  What is a
     pure function of its input is computed once: the HMAC key schedule once
     per identity (a pair of keyed SHA-256 states, copied per MAC), the
     payload's canonical bytes once per distinct payload when the caller
@@ -67,45 +63,7 @@ class KeyRegistry:
             )
         return self._keys[node_id]
 
-    # -- signing ------------------------------------------------------------------
-    def sign(self, message: Message) -> Message:
-        """Sign a message in place (and return it) using the sender's key."""
-        self.register(message.sender)
-        message.signature = self._mac(
-            message.sender, message, canonical_payload(message.payload)
-        )
-        return message
-
-    def sign_as(self, message: Message, forged_identity: str) -> Message:
-        """Simulate a forgery attempt: sign with ``forged_identity``'s *claimed* name
-        but with the actual key of the message sender.
-
-        The resulting message will fail verification, demonstrating why the
-        authenticated-fault model rules impersonation out.
-        """
-        self.register(message.sender)
-        forged = Message(
-            sender=forged_identity,
-            recipient=message.recipient,
-            kind=message.kind,
-            round_index=message.round_index,
-            payload=message.payload,
-        )
-        forged.signature = self._mac(
-            message.sender, forged, canonical_payload(forged.payload)
-        )
-        return forged
-
-    def verify(self, message: Message) -> bool:
-        """Return ``True`` iff the signature matches the claimed sender."""
-        if message.signature is None or message.sender not in self._keys:
-            return False
-        expected = self._mac(
-            message.sender, message, canonical_payload(message.payload)
-        )
-        return hmac.compare_digest(expected, message.signature)
-
-    # -- batch operations ----------------------------------------------------------
+    # -- signing and verification ----------------------------------------------------
     def sign_batch(
         self, messages: Iterable[Message], table: PayloadTable | None = None
     ) -> None:
@@ -113,8 +71,7 @@ class KeyRegistry:
 
         The payload's canonical bytes are built once per distinct payload
         object in ``table`` (a table private to this call when none is
-        shared) instead of once per message; the signatures are
-        byte-identical to per-message :meth:`sign`.
+        shared) instead of once per message.
         """
         table = PayloadTable() if table is None else table
         for message in messages:
@@ -143,22 +100,13 @@ class KeyRegistry:
             for message in messages
         ]
 
-    def require_valid(self, message: Message) -> Message:
-        """Raise :class:`SignatureError` unless the message verifies."""
-        if not self.verify(message):
-            raise SignatureError(
-                f"message from '{message.sender}' ({message.kind.value}) failed "
-                "signature verification"
-            )
-        return message
-
     # -- internals ------------------------------------------------------------------
     def _mac(self, identity: str, message: Message, payload_bytes: bytes) -> str:
         """HMAC-SHA256, under ``identity``'s key, of ``message``'s canonical bytes.
 
-        ``payload_bytes`` is :func:`canonical_payload` of the message's
-        payload, which the caller may hold from an earlier MAC of the same
-        payload object.
+        ``payload_bytes`` is :func:`~repro.net.message.canonical_payload` of
+        the message's payload, which the caller may hold from an earlier MAC
+        of the same payload object.
         """
         inner, outer = self._keyed[identity]
         inner = inner.copy()

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from reference import consensus as consensus_oracle
+from reference import network as wire
+from reference.network import DeliveryRecord
 from repro.gf.prime_field import PrimeField
 from repro.gf.extension_field import BinaryExtensionField
 from repro.net.message import PhaseBatch
-from repro.net.network import DeliveryRecord, MessagePlane, SimulatedNetwork
+from repro.net.network import MessagePlane
 
 # Tier-1 gives the same answer twice: every property test draws a fixed,
 # derandomised example sequence and no example database replays old
@@ -69,19 +72,15 @@ def _phase_records(batch: PhaseBatch, node_ids: list[str]) -> list[DeliveryRecor
 @contextmanager
 def _recording_deliveries() -> Iterator[list[DeliveryRecord]]:
     log: list[DeliveryRecord] = []
-    send = SimulatedNetwork.send
-    broadcast = SimulatedNetwork.broadcast
+    deliver = wire._deliver
     broadcast_phase = MessagePlane.broadcast_phase
+    send_targeted = MessagePlane.send_targeted
 
-    def recording_send(self, message, sign=True):
-        record = send(self, message, sign)
+    def recording_deliver(net, copy, valid, delivery_time):
+        # Every non-self copy the oracle's send/broadcast settle passes here.
+        record = deliver(net, copy, valid, delivery_time)
         log.append(record)
         return record
-
-    def recording_broadcast(self, message, recipients=None, sign=True):
-        records = broadcast(self, message, recipients, sign)
-        log.extend(r for r in records if r.message.recipient != message.sender)
-        return records
 
     def recording_broadcast_phase(self, templates, payload_refs):
         batch = broadcast_phase(self, templates, payload_refs)
@@ -89,15 +88,26 @@ def _recording_deliveries() -> Iterator[list[DeliveryRecord]]:
             log.extend(_phase_records(batch, self.node_ids))
         return batch
 
-    SimulatedNetwork.send = recording_send
-    SimulatedNetwork.broadcast = recording_broadcast
+    def recording_send_targeted(self, messages):
+        send_time = self.network.now
+        delivery_time, delivered = send_targeted(self, messages)
+        log.extend(
+            DeliveryRecord(message, send_time, time, delivered=ok)
+            for message, time, ok in zip(
+                messages, delivery_time.tolist(), delivered.tolist()
+            )
+        )
+        return delivery_time, delivered
+
+    wire._deliver = recording_deliver
     MessagePlane.broadcast_phase = recording_broadcast_phase
+    MessagePlane.send_targeted = recording_send_targeted
     try:
         yield log
     finally:
-        SimulatedNetwork.send = send
-        SimulatedNetwork.broadcast = broadcast
+        wire._deliver = deliver
         MessagePlane.broadcast_phase = broadcast_phase
+        MessagePlane.send_targeted = send_targeted
 
 
 @pytest.fixture(scope="session")
@@ -105,23 +115,20 @@ def record_deliveries():
     """Context-manager factory: every attempted copy sent inside the block.
 
     ``with record_deliveries() as log:`` appends one
-    :class:`~repro.net.network.DeliveryRecord` per non-self copy that any
-    network dispatches in the block — sends, broadcasts and message-plane
-    phases alike, in dispatch order — so two runs that must
-    make the same sends can be compared copy for copy.  The network itself
-    keeps only counters; ``len(log)`` equals the ``messages_sent`` the block
-    added.  Session-scoped so Hypothesis tests can take it.
+    :class:`reference.network.DeliveryRecord` per non-self broadcast copy and
+    per targeted copy that is sent in the block — the per-copy ``send`` and
+    ``broadcast`` of :mod:`reference.network` (through its ``_deliver``) and
+    the message plane's phases and targeted sends alike, in dispatch order —
+    so two runs that must make the same sends can be compared copy for copy.
+    The network itself keeps only counters; ``len(log)`` equals the
+    ``messages_sent`` the block added.  Session-scoped so Hypothesis tests
+    can take it.
     """
     return _recording_deliveries
 
 
 def _pin_oracle(protocol):
-    consensus = getattr(protocol, "consensus", protocol)
-
-    def decide_rounds(first_round_index, count):
-        return consensus._decide_block(first_round_index, count, None)
-
-    consensus.decide_rounds = decide_rounds
+    consensus_oracle.pin(getattr(protocol, "consensus", protocol))
     return protocol
 
 
@@ -130,10 +137,11 @@ def pin_oracle():
     """``pin_oracle(protocol)``: that protocol decides every block per copy.
 
     ``protocol`` is a round protocol with a ``consensus`` or a consensus
-    protocol itself.  Replaces that one consensus protocol's
-    ``decide_rounds`` (an instance attribute, so no other protocol is
-    touched) with the per-copy driver on the *same block* — the reference
-    oracle the message plane must match bit for bit.  Returns the protocol.
-    Session-scoped so Hypothesis tests can take it.
+    protocol itself.  Binds the per-copy view of
+    :mod:`reference.consensus` onto that one consensus protocol's
+    ``_attempt_view`` (an instance attribute, so no other protocol is
+    touched): the same driver decides the *same blocks* per copy — the
+    reference oracle the message plane must match bit for bit.  Returns the
+    protocol.  Session-scoped so Hypothesis tests can take it.
     """
     return _pin_oracle

@@ -4,7 +4,7 @@ The network keeps counters, not a journal, and dead letters are dropped at
 decision, so the number of live :class:`~repro.net.message.Message` objects
 must not grow with the number of rounds run: it is the same after 10
 pipelined batches as after 20, for both consensus protocols, fault-free and
-under an equivocating leader (whose targeted sends take the scheduled path).
+under an equivocating leader (whose targeted sends wait in the mailboxes).
 """
 
 import gc

@@ -1,10 +1,10 @@
 """Property tests for the vectorised consensus message plane.
 
 A consensus instance — one block of rounds — has two implementations: the
-per-copy oracle (``network.send``/``broadcast`` and mailbox drains, the
-reference semantics; :meth:`ConsensusProtocol.decide_round` runs it on a
-block of one, and the ``pin_oracle`` fixture makes one protocol decide every
-block through it) and the vectorised message plane that
+per-copy oracle (:mod:`reference.consensus` over :mod:`reference.network`:
+``send``/``broadcast`` and mailbox drains, the reference semantics; the
+``pin_oracle`` fixture makes one protocol decide every block through it) and
+the vectorised message plane that
 :meth:`ConsensusProtocol.decide_rounds` always runs (struct-of-arrays phase
 batches, one-shot batch signing/verification, array-level delay sampling,
 link faults as a drop mask and a delay offset on each phase's copy grid).
@@ -33,12 +33,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reference.network import NetworkFaultState
 from repro.core.config import CSMConfig
 from repro.core.protocol import CSMProtocol
 from repro.exceptions import ConfigurationError, ConsensusError
 from repro.gf.prime_field import PrimeField
 from repro.machine.library import bank_account_machine
-from repro.net.network import NetworkFaultState
 from repro.net.byzantine import (
     CorruptResultBehavior,
     DelayingBehavior,

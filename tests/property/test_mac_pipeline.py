@@ -3,7 +3,7 @@
 The pipeline computes what is a pure function of its input once — the
 canonical bytes of a payload per interned ref, the HMAC key schedule per
 identity — and nothing else: every signature is still the HMAC-SHA256 hex
-digest of ``repr(message.signing_view())`` under the signer's key, and every
+digest of ``repr(signing_view(message))`` under the signer's key, and every
 verification still recomputes that MAC under the *claimed* sender's key.
 These tests pin both halves for arbitrary payloads, senders, kinds and
 rounds: the batch and scalar entry points agree with each other and with the
@@ -13,12 +13,10 @@ rejected — also when the shared table already holds the honest entry the
 forgery imitates.
 """
 
-import hashlib
-import hmac
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from reference.network import mac, sign, sign_as, signing_view, verify
 from repro.net.latency import SynchronousDelay
 from repro.net.message import Message, MessageKind, PayloadTable, canonical_payload
 from repro.net.network import MessagePlane, SimulatedNetwork
@@ -70,12 +68,6 @@ def _message(sender, kind, round_index, payload, signature=None):
     )
 
 
-def _reference_mac(keys, signer, message):
-    """The signature formula, literally: HMAC-SHA256 over the view's repr."""
-    canonical = repr(message.signing_view()).encode()
-    return hmac.new(keys.register(signer), canonical, hashlib.sha256).hexdigest()
-
-
 class TestSignaturesAreTheSameBytes:
     @relaxed
     @given(sender=senders, kind=kinds, round_index=rounds, payload=payloads)
@@ -85,7 +77,7 @@ class TestSignaturesAreTheSameBytes:
         message = _message(sender, kind, round_index, payload)
         assert (
             message.signing_head() + canonical_payload(payload)
-            == repr(message.signing_view()).encode()
+            == repr(signing_view(message)).encode()
         )
 
     @relaxed
@@ -102,11 +94,11 @@ class TestSignaturesAreTheSameBytes:
         scalar = [_message(*action) for action in actions]
         keys.sign_batch(batch, table)
         for message in scalar:
-            keys.sign(message)
+            sign(keys, message)
         for a, b in zip(batch, scalar):
-            assert a.signature == b.signature == _reference_mac(keys, a.sender, a)
+            assert a.signature == b.signature == mac(keys, a.sender, a)
         assert keys.verify_batch(batch, table) == [True] * len(batch)
-        assert [keys.verify(m) for m in batch] == [True] * len(batch)
+        assert [verify(keys, m) for m in batch] == [True] * len(batch)
         if shared:
             assert len(table) == 1
 
@@ -138,7 +130,7 @@ class TestForgeriesAreRejected:
             _message(sender, kind, round_index + 1, payload, signature),  # wrong round
             _message(sender, other_kind, round_index, payload, signature),  # wrong kind
             # ``other`` signs with its own key while claiming to be ``sender``.
-            keys.sign_as(_message(other, kind, round_index, payload), sender),
+            sign_as(keys, _message(other, kind, round_index, payload), sender),
             _message(sender, kind, round_index, payload, None),  # unsigned
             _message(f"{sender}-unregistered", kind, round_index, payload, signature),
         ]
@@ -157,7 +149,7 @@ class TestForgeriesAreRejected:
         # forgery above imitates; sharing it must not share the verdict.
         assert keys.verify_batch(tampered, table) == expected
         assert keys.verify_batch(tampered) == expected
-        assert [keys.verify(m) for m in tampered] == expected
+        assert [verify(keys, m) for m in tampered] == expected
 
     @relaxed
     @given(payload=payloads, replacement=payloads)
@@ -186,7 +178,7 @@ class _ForgingRegistry(KeyRegistry):
         for message in messages:
             if message.sender == self.victim:
                 message.sender = self.attacker
-                message.signature = self.sign_as(message, self.victim).signature
+                message.signature = sign_as(self, message, self.victim).signature
                 message.sender = self.victim
 
 

@@ -2,10 +2,10 @@
 
 Before the block drivers, a :class:`~repro.core.protocol.CSMProtocol` ran
 each round on its own: the clients ``client:0..K-1`` submit one command per
-machine, one consensus instance
-(:meth:`~repro.consensus.interface.ConsensusProtocol.decide_round`) decides
-that round alone, and the per-node coded round of
-:mod:`reference.coded_round` executes it on the protocol's engine.  The
+machine, one per-copy consensus instance
+(:func:`reference.consensus.decide_round`) decides that round alone, and the
+per-node coded round of :mod:`reference.coded_round` executes it on the
+protocol's engine.  The
 block drivers ``run_rounds_batched``/``run_rounds_pipelined`` must record the
 same commands, clients and outputs; only consensus-side fields (views,
 message counts) and operation counts may differ.
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from reference import coded_round
+from reference import coded_round, consensus
 from repro.core.protocol import CSMProtocol
 from repro.rounds import ProtocolRound
 
@@ -31,7 +31,7 @@ def submit_round(protocol: CSMProtocol, commands: np.ndarray) -> None:
 
 def run_round(protocol: CSMProtocol) -> ProtocolRound:
     """Decide the next round alone, execute it, and record it."""
-    decisions = protocol.consensus.decide_round(len(protocol.history))
+    decisions = consensus.decide_round(protocol.consensus, len(protocol.history))
     sample = protocol._select_decision(decisions)
     result = coded_round.execute_round(protocol.engine, sample.commands)
     return protocol._record_round(sample.commands, sample.clients, result, sample.view)

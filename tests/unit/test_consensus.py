@@ -4,6 +4,7 @@ and the simplified PBFT."""
 import numpy as np
 import pytest
 
+from reference.consensus import decide_round, honest_nodes
 from repro.exceptions import ConfigurationError, ConsensusError, LivenessError
 from repro.consensus.broadcast import AuthenticatedBroadcastConsensus
 from repro.consensus.command_pool import CommandPool
@@ -154,7 +155,7 @@ def _sync_setup(
 class TestAuthenticatedBroadcast:
     def test_honest_round_reaches_consistent_decision(self):
         protocol, pool = _sync_setup(5, 3)
-        decisions = protocol.decide_round(0)
+        decisions = decide_round(protocol, 0)
         assert len(decisions) == 5
         tuples = {d.command_tuple() for d in decisions.values()}
         assert len(tuples) == 1
@@ -182,7 +183,7 @@ class TestAuthenticatedBroadcast:
     def test_validity_decided_commands_were_submitted(self):
         protocol, pool = _sync_setup(4, 2)
         submitted = pool.peek_block(1)
-        decisions = protocol.decide_round(0)
+        decisions = decide_round(protocol, 0)
         # The decision is exactly the entries the setup submitted: same
         # command, client and sequence per machine.
         assert decisions["node-0"].selected == submitted
@@ -190,7 +191,7 @@ class TestAuthenticatedBroadcast:
     def test_silent_leader_triggers_view_change(self):
         behaviors = {"node-0": SilentBehavior()}
         protocol, _ = _sync_setup(5, 2, behaviors)
-        decisions = protocol.decide_round(0)  # leader for round 0 is node-0
+        decisions = decide_round(protocol, 0)  # leader for round 0 is node-0
         assert all(d.view >= 1 for d in decisions.values())
         assert all(d.leader != "node-0" for d in decisions.values())
         tuples = {d.command_tuple() for d in decisions.values()}
@@ -199,7 +200,7 @@ class TestAuthenticatedBroadcast:
     def test_equivocating_leader_cannot_split_honest_nodes(self):
         behaviors = {"node-0": EquivocatingBehavior()}
         protocol, _ = _sync_setup(6, 2, behaviors)
-        decisions = protocol.decide_round(0)
+        decisions = decide_round(protocol, 0)
         # Whatever the equivocating leader does, all honest nodes decide the
         # same, valid (i.e. actually submitted) command vector.
         assert len({d.command_tuple() for d in decisions.values()}) == 1
@@ -209,7 +210,7 @@ class TestAuthenticatedBroadcast:
         behaviors = {"node-0": RandomGarbageBehavior()}
         protocol, pool = _sync_setup(5, 2, behaviors)
         submitted = pool.peek_block(1)
-        decisions = protocol.decide_round(0)
+        decisions = decide_round(protocol, 0)
         decision = next(iter(decisions.values()))
         assert decision.view >= 1
         # decided commands are the honest (originally submitted) ones
@@ -222,7 +223,7 @@ class TestAuthenticatedBroadcast:
         pool = CommandPool(num_machines=1)
         protocol = AuthenticatedBroadcastConsensus(network, ["a", "b"], pool, rng=rng)
         with pytest.raises(LivenessError):
-            protocol.decide_round(0)
+            decide_round(protocol, 0)
 
     def test_unconfigured_nodes_share_one_honest_behavior(self):
         behaviors = {"node-0": SilentBehavior()}
@@ -230,7 +231,7 @@ class TestAuthenticatedBroadcast:
         assert protocol.behavior_of("node-1") is protocol.behavior_of("node-2")
         assert not protocol.behavior_of("node-1").is_faulty
         assert protocol.behavior_of("node-0") is behaviors["node-0"]
-        assert protocol.honest_nodes() == ["node-1", "node-2", "node-3"]
+        assert honest_nodes(protocol) == ["node-1", "node-2", "node-3"]
 
     def test_fault_tolerance_property(self):
         protocol, _ = _sync_setup(7, 1)
@@ -262,7 +263,7 @@ def _pbft_setup(
 class TestPBFT:
     def test_honest_round_after_gst(self):
         protocol = _pbft_setup(4, 2, gst=0.0)
-        decisions = protocol.decide_round(0)
+        decisions = decide_round(protocol, 0)
         assert set(decisions) == {f"node-{i}" for i in range(4)}
         assert len({d.command_tuple() for d in decisions.values()}) == 1
         assert decisions["node-0"].commands.tolist() == [[5], [10]]
@@ -270,7 +271,7 @@ class TestPBFT:
     def test_tolerates_one_fault_with_four_nodes(self):
         behaviors = {"node-3": RandomGarbageBehavior()}
         protocol = _pbft_setup(4, 1, behaviors, gst=0.0)
-        decisions = protocol.decide_round(0)
+        decisions = decide_round(protocol, 0)
         honest = {f"node-{i}" for i in range(3)}
         assert honest <= set(decisions)
         assert len({d.command_tuple() for d in decisions.values()}) == 1
@@ -278,20 +279,20 @@ class TestPBFT:
     def test_silent_primary_view_change(self):
         behaviors = {"node-0": SilentBehavior()}
         protocol = _pbft_setup(4, 1, behaviors, gst=0.0)
-        decisions = protocol.decide_round(0)
+        decisions = decide_round(protocol, 0)
         assert all(d.view >= 1 for d in decisions.values())
 
     def test_equivocating_primary_cannot_split_decision(self):
         behaviors = {"node-0": EquivocatingBehavior()}
         protocol = _pbft_setup(7, 1, behaviors, gst=0.0)
-        decisions = protocol.decide_round(0)
+        decisions = decide_round(protocol, 0)
         assert len({d.command_tuple() for d in decisions.values()}) == 1
 
     def test_liveness_after_gst(self):
         # With GST strictly positive some views may fail, but the protocol
         # keeps retrying views and eventually decides.
         protocol = _pbft_setup(4, 1, gst=3.0, seed=3)
-        decisions = protocol.decide_round(0)
+        decisions = decide_round(protocol, 0)
         assert len(decisions) == 4
 
     def test_fault_tolerance_formula(self):
@@ -334,7 +335,7 @@ class TestDecideRounds:
         batched, bat_pool = _sync_setup(5, 2, behaviors)
         _submit_rounds(seq_pool, 2, 3)
         _submit_rounds(bat_pool, 2, 3)
-        seq_decisions = [sequential.decide_round(r) for r in range(3)]
+        seq_decisions = [decide_round(sequential, r) for r in range(3)]
         bat_decisions = batched.decide_rounds(0, 3)
         _assert_same_decided_commands(seq_decisions, bat_decisions)
         assert seq_pool.total_pending() == bat_pool.total_pending() == 0
@@ -344,7 +345,7 @@ class TestDecideRounds:
         batched = _pbft_setup(4, 2, gst=0.0)
         _submit_rounds(sequential.pool, 2, 2)
         _submit_rounds(batched.pool, 2, 2)
-        seq_decisions = [sequential.decide_round(r) for r in range(2)]
+        seq_decisions = [decide_round(sequential, r) for r in range(2)]
         bat_decisions = batched.decide_rounds(0, 2)
         _assert_same_decided_commands(seq_decisions, bat_decisions)
         assert sequential.pool.total_pending() == batched.pool.total_pending() == 0
@@ -696,6 +697,6 @@ class TestDeadLetters:
         protocol = _pbft_setup(7, 2, gst=4.0, seed=1)
         _submit_rounds(protocol.pool, 2, 4)
         for round_index in range(4):
-            protocol.decide_round(round_index)
+            decide_round(protocol, round_index)
         for box in protocol.network._mailboxes.values():
             assert [m.round_index for _, m in box.messages if m.round_index <= 3] == []

@@ -11,6 +11,7 @@ targets and the fault report's books.
 import numpy as np
 import pytest
 
+from reference.network import NetworkFaultState, collect, send
 from repro.core.config import CSMConfig
 from repro.core.protocol import CSMProtocol
 from repro.exceptions import ConfigurationError
@@ -25,7 +26,7 @@ from repro.net.byzantine import (
     behavior_from_name,
 )
 from repro.net.message import Message, MessageKind
-from repro.net.network import NetworkFaultState, SimulatedNetwork
+from repro.net.network import SimulatedNetwork
 from repro.rng import default_stream
 from repro.service import CSMService
 
@@ -207,18 +208,19 @@ class TestNetworkFaultState:
         network.register("node-0")
         network.register("node-1")
         network.faults.dropped_nodes.add("node-1")
-        record = network.send(
+        record = send(
+            network,
             Message(
                 sender="node-0",
                 recipient="node-1",
                 kind=MessageKind.CODED_RESULT,
                 round_index=0,
                 payload={"v": 1},
-            )
+            ),
         )
         assert not record.delivered
         assert network.faults.dropped_messages == 1
-        assert network.collect("node-1", timeout=record.delivery_time + 1.0) == []
+        assert collect(network, "node-1", timeout=record.delivery_time + 1.0) == []
 
     def test_extra_delay_applies_after_the_rng_draw(self):
         plain = SimulatedNetwork(rng=default_stream(5))
@@ -230,8 +232,8 @@ class TestNetworkFaultState:
         message = dict(
             kind=MessageKind.CODED_RESULT, round_index=0, payload={"v": 1}
         )
-        a = plain.send(Message(sender="node-0", recipient="node-1", **message))
-        b = delayed.send(Message(sender="node-0", recipient="node-1", **message))
+        a = send(plain, Message(sender="node-0", recipient="node-1", **message))
+        b = send(delayed, Message(sender="node-0", recipient="node-1", **message))
         assert b.delivery_time == pytest.approx(a.delivery_time + 2.5)
         # the rng stream is untouched by the fault state
         assert (

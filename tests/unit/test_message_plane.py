@@ -1,17 +1,23 @@
 """Unit tests for the vectorised message-plane primitives.
 
-The plane's correctness contract is *bit-identity with the scalar paths*:
+The plane's correctness contract is *bit-identity with the per-copy paths*:
 ``DelayModel.sample_delays`` must consume the rng stream exactly as repeated
 ``sample_delay`` calls, ``KeyRegistry.sign_batch``/``verify_batch`` must
-produce the signatures the scalar ``sign``/``verify`` would, and
-``MessagePlane.broadcast_phase`` must leave the network (counters, rng,
-collected messages) in the state ``SimulatedNetwork.broadcast`` would have,
-having made the same per-copy deliveries.
+produce the signatures and verdicts the per-message ``sign``/``verify`` of
+:mod:`reference.network` would, and ``MessagePlane.broadcast_phase`` and
+``MessagePlane.send_targeted`` must leave the network (counters, rng,
+collected messages, mailbox residue) in the state the per-copy
+``broadcast`` and ``send`` of :mod:`reference.network` would have, having
+made the same per-copy deliveries.
 """
 
 import numpy as np
 import pytest
 
+from reference.network import broadcast, collect_all, messages_for, send, sign
+from repro.consensus.broadcast import AuthenticatedBroadcastConsensus
+from repro.consensus.command_pool import CommandPool
+from repro.net.byzantine import EquivocatingBehavior
 from repro.net.latency import PartiallySynchronousDelay, SynchronousDelay
 from repro.net.message import Message, MessageKind, PayloadTable, PhaseBatch
 from repro.net.network import MessagePlane, PhaseView, SimulatedNetwork
@@ -84,7 +90,7 @@ class TestBatchSignatures:
         scalar = [_message(f"node-{i}", payloads[i]) for i in range(4)]
         batch = [_message(f"node-{i}", payloads[i]) for i in range(4)]
         for message in scalar:
-            scalar_keys.sign(message)
+            sign(scalar_keys, message)
         batch_keys.sign_batch(batch, PayloadTable())
         for a, b in zip(scalar, batch):
             assert a.signature == b.signature
@@ -132,9 +138,6 @@ class _RejectingRegistry(KeyRegistry):
         super().__init__()
         self.rejected = rejected
 
-    def verify(self, message):
-        return message.sender != self.rejected and super().verify(message)
-
     def verify_batch(self, messages, table=None):
         verdicts = super().verify_batch(messages, table)
         return [m.sender != self.rejected and ok for m, ok in zip(messages, verdicts)]
@@ -155,9 +158,9 @@ class TestMessagePlaneParity:
 
         with record_deliveries() as scalar_log:
             for template in self._templates(node_ids[:3], payloads):
-                scalar_net.broadcast(template, node_ids)
-        scalar_collected = scalar_net.collect_all(
-            node_ids, MessageKind.CONSENSUS_PROPOSAL, 3
+                broadcast(scalar_net, template, node_ids)
+        scalar_collected = collect_all(
+            scalar_net, node_ids, MessageKind.CONSENSUS_PROPOSAL, 3
         )
 
         plane = MessagePlane(plane_net, node_ids)
@@ -191,7 +194,7 @@ class TestMessagePlaneParity:
             ]
             plane_view = [
                 (m.sender, tuple(plane.payload(ref)["commands"]))
-                for m, ref in view.messages_for(j)
+                for m, ref in messages_for(view, j)
             ]
             assert sorted(scalar_view) == sorted(plane_view)
 
@@ -218,9 +221,9 @@ class TestMessagePlaneParity:
         payloads = [{"commands": [i]} for i in range(4)]
         with record_deliveries() as scalar_log:
             for template in self._templates(node_ids[:4], payloads):
-                scalar_net.broadcast(template, node_ids)
-        scalar_collected = scalar_net.collect_all(
-            node_ids, MessageKind.CONSENSUS_PROPOSAL, 3
+                broadcast(scalar_net, template, node_ids)
+        scalar_collected = collect_all(
+            scalar_net, node_ids, MessageKind.CONSENSUS_PROPOSAL, 3
         )
         plane = MessagePlane(plane_net, node_ids)
         templates = self._templates(node_ids[:4], payloads)
@@ -243,12 +246,105 @@ class TestMessagePlaneParity:
             assert a.delivered == b.delivered
         for j, node_id in enumerate(node_ids):
             scalar_view = [m.sender for m in scalar_collected[node_id]]
-            plane_view = [m.sender for m, _ in view.messages_for(j)]
+            plane_view = [m.sender for m, _ in messages_for(view, j)]
             assert sorted(scalar_view) == sorted(plane_view)
             # Late copies wait in the same mailboxes, stamped alike.
             assert [
-                (time, m.sender) for time, m in scalar_net._mailboxes[node_id].messages
-            ] == [(time, m.sender) for time, m in plane_net._mailboxes[node_id].messages]
+                (time, m.sender) for time, m in scalar_net.mailbox(node_id).messages
+            ] == [(time, m.sender) for time, m in plane_net.mailbox(node_id).messages]
+
+    @pytest.mark.parametrize(
+        "scenario", ["sync", "pre-gst", "link-faults", "rejected-under-link-faults"]
+    )
+    def test_send_targeted_matches_a_send_loop(self, scenario, record_deliveries):
+        """An equivocating leader's proposal, as one list or one ``send`` per copy.
+
+        The leader addresses a copy to itself as well: it draws a delay and
+        takes the extra delay like every other copy, and link faults never
+        sever it.
+        """
+
+        def leader_proposal():
+            delay = (
+                PartiallySynchronousDelay(gst=10.0)
+                if scenario == "pre-gst"
+                else SynchronousDelay()
+            )
+            keys = _RejectingRegistry("node-0") if scenario.startswith("rejected") else None
+            net, node_ids = _network(num_nodes=8, delay=delay, keys=keys)
+            if scenario.endswith("link-faults"):
+                faults = net.faults
+                faults.dropped_nodes.add("node-7")
+                faults.dropped_links.update({("node-0", "node-1"), ("node-2", "node-0")})
+                # node-4..6 sit outside every group.
+                faults.set_partition([["node-0", "node-2"], ["node-3", "client:0"]])
+                # Pushes some copies past the synchronous bound.
+                faults.extra_delay = 0.4
+            pool = CommandPool(num_machines=2)
+            for k in range(2):
+                pool.submit(k, f"client:{k}", [10 * (k + 1)])
+            leader = AuthenticatedBroadcastConsensus(
+                net, node_ids, pool, {"node-0": EquivocatingBehavior()}, net.rng
+            )
+            broadcasts, sends = leader._proposal_actions(0, 0, "node-0", pool.peek_block(1))
+            assert broadcasts == [] and len(sends) == len(node_ids)
+            return net, node_ids, sends
+
+        scalar_net, node_ids, scalar_sends = leader_proposal()
+        plane_net, _, plane_sends = leader_proposal()
+        with record_deliveries() as scalar_log:
+            for message in scalar_sends:
+                send(scalar_net, message)
+        with record_deliveries() as plane_log:
+            MessagePlane(plane_net, node_ids).send_targeted(plane_sends)
+
+        assert (
+            scalar_net.rng.bit_generator.state["state"]
+            == plane_net.rng.bit_generator.state["state"]
+        )
+        assert (
+            scalar_net.messages_sent,
+            scalar_net.rejected_signatures,
+            scalar_net.faults.dropped_messages,
+        ) == (
+            plane_net.messages_sent,
+            plane_net.rejected_signatures,
+            plane_net.faults.dropped_messages,
+        )
+        assert plane_net.messages_sent == len(node_ids)
+        assert len(scalar_log) == len(plane_log) == len(node_ids)
+        for a, b in zip(scalar_log, plane_log):
+            assert (a.message.sender, a.message.recipient) == (
+                b.message.sender,
+                b.message.recipient,
+            )
+            assert a.message.signature == b.message.signature
+            assert a.message.payload == b.message.payload
+            assert (a.send_time, a.delivery_time, a.delivered) == (
+                b.send_time,
+                b.delivery_time,
+                b.delivered,
+            )
+        # The self copy drew a delay like the rest.
+        assert plane_log[0].message.recipient == "node-0"
+        assert plane_log[0].delivery_time > plane_net.now
+        for node_id in node_ids:
+            assert [
+                (time, m.recipient, m.signature, m.payload)
+                for time, m in scalar_net.mailbox(node_id).messages
+            ] == [
+                (time, m.recipient, m.signature, m.payload)
+                for time, m in plane_net.mailbox(node_id).messages
+            ]
+        if scenario == "link-faults":
+            assert plane_net.faults.dropped_messages > 0
+            assert any(r.delivered for r in plane_log)
+        if scenario == "rejected-under-link-faults":
+            # The verdict comes first: a rejected copy never counts as dropped.
+            assert plane_net.rejected_signatures == len(node_ids)
+            assert plane_net.faults.dropped_messages == 0
+        if scenario == "pre-gst":
+            assert max(r.delivery_time for r in plane_log) > 1.0
 
     def test_empty_phase_is_a_noop(self):
         net, node_ids = _network()
@@ -263,7 +359,7 @@ class TestMessagePlaneParity:
         view = plane.collect_phase(batch, MessageKind.CONSENSUS_PROPOSAL, 0)
         assert net.now == net.delay_model.synchronous_bound
         for j in range(len(node_ids)):
-            assert list(view.messages_for(j)) == []
+            assert list(messages_for(view, j)) == []
 
     def test_payload_table_interns_by_identity(self):
         net, node_ids = _network()
@@ -329,16 +425,22 @@ class TestFastPathCounter:
         assert protocol.consensus_fast_path_disabled == 3
         assert protocol.all_rounds_correct
 
-    def test_live_link_fault_never_takes_the_per_copy_path(self):
+    def test_live_link_fault_never_takes_the_per_copy_path(self, monkeypatch):
         protocol, machine = self._protocol(dropped_link=True)
+        plane_copies = []
+        broadcast_phase = MessagePlane.broadcast_phase
 
-        def per_copy_view(*args, **kwargs):
-            raise AssertionError("a live link fault sent a view down the per-copy path")
+        def counting_broadcast_phase(plane, templates, payload_refs):
+            batch = broadcast_phase(plane, templates, payload_refs)
+            if batch is not None:
+                plane_copies.append(batch.num_actions * (len(plane.node_ids) - 1))
+            return batch
 
-        # One instance only: the class keeps its per-copy oracle.
-        protocol.consensus._attempt_view = per_copy_view
+        monkeypatch.setattr(MessagePlane, "broadcast_phase", counting_broadcast_phase)
         records = protocol.run_rounds_batched(self._batches(machine))
         assert [r.round_index for r in records] == [0, 1, 2]
+        # Every copy the faulty network carried went out as a plane phase.
+        assert sum(plane_copies) == protocol.network.messages_sent > 0
         assert protocol.consensus_fast_path_disabled == 3
         assert protocol.network.faults.dropped_messages > 0
         assert protocol.all_rounds_correct
@@ -429,7 +531,7 @@ class TestPhaseViewQueries:
 
     def _walk_first_refs(self, view, node, match, seen):
         """What the per-node loops did: first ref per content key, in walk order."""
-        for message, ref in view.messages_for(node):
+        for message, ref in messages_for(view, node):
             if match(message):
                 seen.setdefault(view.plane.content_key(ref, self._key), ref)
         return seen
@@ -468,7 +570,7 @@ class TestPhaseViewQueries:
                 second, j, match, self._walk_first_refs(first, j, match, {})
             )
             assert {k: int(r[j]) for k, r in chained.items() if r[j] >= 0} == walked
-            matching = [(m, ref) for m, ref in second.messages_for(j) if match(m)]
+            matching = [(m, ref) for m, ref in messages_for(second, j) if match(m)]
             assert counts[j] == len(matching)
             if nodes[j]:
                 expected_sightings += [(j, id(m), ref) for m, ref in matching]
@@ -496,5 +598,5 @@ class TestPhaseViewQueries:
 
         counts = view.supporter_counts(1, ref, match)
         for j in range(num_nodes):
-            senders = {m.sender for m, r in view.messages_for(j) if match(m)}
+            senders = {m.sender for m, r in messages_for(view, j) if match(m)}
             assert counts[j] == len(senders)

@@ -1,9 +1,22 @@
 """Unit tests for the network substrate: messages, signatures, delay models,
-the simulated network, and the Byzantine behaviours."""
+the per-copy network the message plane is matched against, and the Byzantine
+behaviours."""
 
 import numpy as np
 import pytest
 
+from reference.network import (
+    SignatureError,
+    broadcast,
+    collect,
+    collect_all,
+    require_valid,
+    send,
+    sign,
+    sign_as,
+    stats,
+    verify,
+)
 from repro.net.byzantine import (
     CorruptResultBehavior,
     DelayingBehavior,
@@ -33,46 +46,46 @@ class TestMessagesAndSignatures:
 
     def test_sign_and_verify(self):
         keys = KeyRegistry()
-        message = keys.sign(self._message())
-        assert keys.verify(message)
+        message = sign(keys, self._message())
+        assert verify(keys, message)
 
     def test_unsigned_message_fails_verification(self):
         keys = KeyRegistry()
         keys.register("node-1")
-        assert not keys.verify(self._message())
+        assert not verify(keys, self._message())
 
     def test_tampered_payload_fails_verification(self):
         keys = KeyRegistry()
-        message = keys.sign(self._message({"value": 7}))
+        message = sign(keys, self._message({"value": 7}))
         message.payload = {"value": 8}
-        assert not keys.verify(message)
+        assert not verify(keys, message)
 
     def test_forgery_is_detected(self):
         keys = KeyRegistry()
         keys.register("node-1")
         keys.register("victim")
-        forged = keys.sign_as(self._message(), "victim")
+        forged = sign_as(keys, self._message(), "victim")
         assert forged.sender == "victim"
-        assert not keys.verify(forged)
+        assert not verify(keys, forged)
 
     def test_signature_covers_numpy_payloads(self):
         keys = KeyRegistry()
         message = self._message(np.array([1, 2, 3]))
-        keys.sign(message)
-        assert keys.verify(message)
+        sign(keys, message)
+        assert verify(keys, message)
         message.payload = np.array([1, 2, 4])
-        assert not keys.verify(message)
+        assert not verify(keys, message)
 
     def test_broadcast_copy_keeps_signature_valid(self):
         keys = KeyRegistry()
-        message = keys.sign(self._message())
+        message = sign(keys, self._message())
         copy = message.with_recipient("node-9")
-        assert keys.verify(copy)
+        assert verify(keys, copy)
 
     def test_require_valid_raises(self):
         keys = KeyRegistry()
-        with pytest.raises(Exception):
-            keys.require_valid(self._message())
+        with pytest.raises(SignatureError):
+            require_valid(keys, self._message())
 
 
 class TestDelayModels:
@@ -110,48 +123,48 @@ class TestSimulatedNetwork:
 
     def test_send_and_collect(self):
         network = self._network()
-        network.send(
-            Message("a", "b", MessageKind.CODED_RESULT, 0, {"x": 1})
-        )
-        received = network.collect("b", kind=MessageKind.CODED_RESULT, round_index=0)
+        send(network, Message("a", "b", MessageKind.CODED_RESULT, 0, {"x": 1}))
+        received = collect(network, "b", kind=MessageKind.CODED_RESULT, round_index=0)
         assert len(received) == 1
         assert received[0].payload == {"x": 1}
 
     def test_collect_filters_round_and_kind(self):
         network = self._network()
-        network.send(Message("a", "b", MessageKind.CODED_RESULT, 0, 1))
-        network.send(Message("a", "b", MessageKind.CODED_RESULT, 1, 2))
-        network.send(Message("a", "b", MessageKind.CONSENSUS_VOTE, 0, 3))
-        received = network.collect("b", kind=MessageKind.CODED_RESULT, round_index=0)
+        send(network, Message("a", "b", MessageKind.CODED_RESULT, 0, 1))
+        send(network, Message("a", "b", MessageKind.CODED_RESULT, 1, 2))
+        send(network, Message("a", "b", MessageKind.CONSENSUS_VOTE, 0, 3))
+        received = collect(network, "b", kind=MessageKind.CODED_RESULT, round_index=0)
         assert [m.payload for m in received] == [1]
 
     def test_broadcast_reaches_everyone(self):
         network = self._network()
-        network.broadcast(Message("a", "*", MessageKind.CONSENSUS_PROPOSAL, 0, "p"))
-        received = network.collect_all(["a", "b", "c"], kind=MessageKind.CONSENSUS_PROPOSAL)
+        broadcast(network, Message("a", "*", MessageKind.CONSENSUS_PROPOSAL, 0, "p"))
+        received = collect_all(
+            network, ["a", "b", "c"], kind=MessageKind.CONSENSUS_PROPOSAL
+        )
         assert all(len(msgs) == 1 for msgs in received.values())
 
     def test_unknown_recipient_rejected(self):
         network = self._network()
         with pytest.raises(KeyError):
-            network.send(Message("a", "zzz", MessageKind.CODED_RESULT, 0, 1))
+            send(network, Message("a", "zzz", MessageKind.CODED_RESULT, 0, 1))
 
     def test_forged_messages_dropped(self):
         network = self._network()
-        forged = network.keys.sign_as(
-            Message("a", "b", MessageKind.CODED_RESULT, 0, 1), "c"
+        forged = sign_as(
+            network.keys, Message("a", "b", MessageKind.CODED_RESULT, 0, 1), "c"
         )
-        network.send(forged, sign=False)
-        received = network.collect("b", kind=MessageKind.CODED_RESULT)
+        send(network, forged, sign=False)
+        received = collect(network, "b", kind=MessageKind.CODED_RESULT)
         assert received == []
         assert network.rejected_signatures == 1
 
     def test_stats(self):
         network = self._network()
-        network.send(Message("a", "b", MessageKind.CODED_RESULT, 0, 1))
-        stats = network.stats()
-        assert stats["messages_sent"] == 1
-        assert stats["rejected_signatures"] == 0
+        send(network, Message("a", "b", MessageKind.CODED_RESULT, 0, 1))
+        counters = stats(network)
+        assert counters["messages_sent"] == 1
+        assert counters["rejected_signatures"] == 0
 
     def test_deliver_all_respects_collection_deadline(self):
         """A broadcast copy stays invisible until a deadline passes its delivery time."""
@@ -161,28 +174,28 @@ class TestSimulatedNetwork:
         )
         for node in ("a", "b"):
             network.register(node)
-        network.broadcast(Message("a", "*", MessageKind.CODED_RESULT, 0, 1), ["b"])
+        broadcast(network, Message("a", "*", MessageKind.CODED_RESULT, 0, 1), ["b"])
         # Delay is at least 4.0: a 1.0-window collect must not see the copy...
-        assert network.collect("b", timeout=1.0) == []
+        assert collect(network, "b", timeout=1.0) == []
         # ...but a later collect past the delivery time must.
-        assert len(network.collect("b", timeout=5.0)) == 1
+        assert len(collect(network, "b", timeout=5.0)) == 1
 
     def test_deliver_all_drops_forged_messages(self):
         """A forged broadcast reaches nobody, and every copy counts as rejected."""
         network = self._network()
-        forged = network.keys.sign_as(
-            Message("a", "*", MessageKind.CODED_RESULT, 0, 1), "c"
+        forged = sign_as(
+            network.keys, Message("a", "*", MessageKind.CODED_RESULT, 0, 1), "c"
         )
-        network.broadcast(forged, ["a", "b"], sign=False)
-        assert network.collect("a") == [] and network.collect("b") == []
+        broadcast(network, forged, ["a", "b"], sign=False)
+        assert collect(network, "a") == [] and collect(network, "b") == []
         assert network.rejected_signatures == 2
 
     def test_send_settles_its_verdict_when_it_is_sent(self):
         network = self._network()
-        forged = network.keys.sign_as(
-            Message("a", "b", MessageKind.CODED_RESULT, 0, 1), "c"
+        forged = sign_as(
+            network.keys, Message("a", "b", MessageKind.CODED_RESULT, 0, 1), "c"
         )
-        record = network.send(forged, sign=False)
+        record = send(network, forged, sign=False)
         # No collection has run yet: the verdict is already in.
         assert not record.delivered
         assert network.rejected_signatures == 1
@@ -193,13 +206,13 @@ class TestSimulatedNetwork:
         for path in ("send", "broadcast"):
             network = self._network()
             network.faults.dropped_links.add(("c", "b"))
-            forged = network.keys.sign_as(
-                Message("a", "b", MessageKind.CODED_RESULT, 0, 1), "c"
+            forged = sign_as(
+                network.keys, Message("a", "b", MessageKind.CODED_RESULT, 0, 1), "c"
             )
             if path == "send":
-                record = network.send(forged, sign=False)
+                record = send(network, forged, sign=False)
             else:
-                (record,) = network.broadcast(forged, ["b"], sign=False)
+                (record,) = broadcast(network, forged, ["b"], sign=False)
             assert not record.delivered
             counts[path] = (
                 network.messages_sent,
@@ -214,11 +227,11 @@ class TestSimulatedNetwork:
         rng_state = network.rng.bit_generator.state
         message = Message("a", "*", MessageKind.CONSENSUS_PROPOSAL, 0, "p")
         with pytest.raises(KeyError):
-            network.broadcast(message, ["a", "b", "zzz"])
+            broadcast(network, message, ["a", "b", "zzz"])
         assert network.rng.bit_generator.state == rng_state
         assert (network.messages_sent, network.rejected_signatures) == (0, 0)
         assert message.signature is None
-        received = network.collect_all(["a", "b", "c"], timeout=100.0)
+        received = collect_all(network, ["a", "b", "c"], timeout=100.0)
         assert all(messages == [] for messages in received.values())
 
 
