@@ -10,6 +10,8 @@ nodes counted in the partially synchronous model) and fails beyond it.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.analysis.bounds import phase_bounds, table2_rows
 from repro.analysis.measurement import measure_csm
 from repro.experiments.report import format_table
@@ -53,14 +55,14 @@ def run(
         )
     # Partially synchronous: each fault is "silent + one wrong result" in the
     # worst case; we model the erasure part with SilentBehavior on b nodes and
-    # the error part with garbage on b further nodes.
+    # the error part with garbage on b further nodes, alternating over the
+    # 2b chosen nodes.
     for b in range(0, min(partial_bound + 2, num_nodes // 3) + 1):
+        kinds = itertools.cycle((SilentBehavior, RandomGarbageBehavior))
         outcome = measure_csm(
             machine, num_nodes, num_machines, 2 * b, rounds=rounds, seed=seed,
             partially_synchronous=True,
-            behavior_factory=lambda: (
-                SilentBehavior() if hash(object()) % 2 else RandomGarbageBehavior()
-            ),
+            behavior_factory=lambda: next(kinds)(),
         )
         sweep_rows.append(
             {
