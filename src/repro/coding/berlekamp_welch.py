@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import DecodingError, FieldError
+from repro.gf import charges
 from repro.gf.field import Field
 from repro.gf.linalg import gf_solve
 from repro.coding.reed_solomon import DecodingResult, ReedSolomonCode, long_division
@@ -38,35 +39,47 @@ class BerlekampWelchDecoder:
     def decode(self, received: Sequence[int]) -> DecodingResult:
         """Decode a received word of ``n`` (possibly corrupted) field elements.
 
+        The result carries the decode's charge: the key equation's system
+        build, its elimination, the division ``Q / E`` and the re-encode.
+
         Raises
         ------
         DecodingError
             If no polynomial of degree < ``k`` lies within the decoding
-            radius of the received word.
+            radius of the received word; its ``ops`` is the charge spent.
         """
         word = self.code.check_received_length(received)
         radius = self.code.correction_radius
-        failure = DecodingError(
-            "Berlekamp-Welch decoding failed: received word is not within the "
-            f"correction radius {radius} of any codeword"
-        )
+
+        def failure(ops: int) -> DecodingError:
+            return DecodingError(
+                "Berlekamp-Welch decoding failed: received word is not within the "
+                f"correction radius {radius} of any codeword",
+                ops=ops,
+            )
+
         try:
-            coefficients = self._solve_key_equation(word, radius)
+            coefficients, ops = self._solve_key_equation(word, radius)
         except FieldError as exc:  # inconsistent system
-            raise failure from exc
+            raise failure(exc.ops) from exc
         if coefficients is None:
-            raise failure
-        codeword = self.code.encode(coefficients)
+            raise failure(ops)
+        codeword, encode_ops = self.code.encode(coefficients)
+        ops += encode_ops
         error_positions = tuple(int(i) for i in np.nonzero(word != codeword)[0])
         if len(error_positions) > radius:
-            raise failure
-        return DecodingResult(coefficients=coefficients, error_positions=error_positions)
+            raise failure(ops)
+        return DecodingResult(coefficients, error_positions, ops)
 
-    def _solve_key_equation(self, word: np.ndarray, e: int) -> np.ndarray | None:
+    def _solve_key_equation(
+        self, word: np.ndarray, e: int
+    ) -> tuple[np.ndarray | None, int]:
         """``P = Q / E`` from the ``e``-error system, zero-padded to length ``k``.
 
         ``None`` when the division leaves a remainder or ``P`` has degree
         ``k`` or more: no codeword lies within ``e`` errors of ``word``.
+        Either way with the charge spent; an inconsistent system raises
+        :class:`FieldError` carrying it.
         """
         field = self.field
         n = self.code.length
@@ -89,11 +102,19 @@ class BerlekampWelchDecoder:
                 acc = field.mul(acc, x)
             # Right-hand side: y_i * x_i^e (from the monic leading term of E)
             rhs[i] = field.mul(y, field.pow(x, e))
-        solution = gf_solve(field, matrix, rhs, allow_underdetermined=True)
+        # Per point: q_len powers, e_len (multiply, negate, power) triples,
+        # x_i^e and its product with y_i.
+        ops = n * (q_len + 3 * e_len + charges.power(e) + 1)
+        try:
+            solution, solve_ops = gf_solve(field, matrix, rhs, allow_underdetermined=True)
+        except FieldError as exc:
+            exc.ops += ops
+            raise
         locator = np.append(solution[q_len:], 1)
-        quotient, remainder = long_division(field, solution[:q_len], locator)
+        quotient, remainder, division_ops = long_division(field, solution[:q_len], locator)
+        ops += solve_ops + division_ops
         if remainder.size or quotient.size > k:
-            return None
+            return None, ops
         coefficients = np.zeros(k, dtype=np.int64)
         coefficients[: quotient.size] = quotient
-        return coefficients
+        return coefficients, ops

@@ -34,7 +34,8 @@ class ErasureDecoder:
 
         The surviving positions form a punctured Reed–Solomon code of the same
         dimension; errors among the survivors are corrected with
-        Berlekamp–Welch as long as ``2*errors <= survivors - dimension``.
+        Berlekamp–Welch as long as ``2*errors <= survivors - dimension``,
+        at that decode's charge.
         """
         if len(received) != self.code.length:
             raise DecodingError(
@@ -60,11 +61,10 @@ class ErasureDecoder:
                 f"erasure decoding failed: {survivors} survivors of "
                 f"{self.code.length} positions at dimension K={self.code.dimension}; "
                 f"correctable errors e must satisfy 2e <= survivors - K = {budget} "
-                f"(e <= {max(budget, 0) // 2}); underlying failure: {exc}"
+                f"(e <= {max(budget, 0) // 2}); underlying failure: {exc}",
+                ops=exc.ops,
             ) from exc
         error_positions = tuple(
             present_indices[j] for j in sub_result.error_positions
         )
-        return DecodingResult(
-            coefficients=sub_result.coefficients, error_positions=error_positions
-        )
+        return DecodingResult(sub_result.coefficients, error_positions, sub_result.ops)

@@ -9,8 +9,9 @@ together.
 
 A polynomial is its int64 coefficient array, low degree first.  The scalar
 decoders need two operations on such arrays, both here: :func:`horner`
-evaluation and :func:`long_division`.  Each charges only up to the degree:
-trailing zero coefficients cost nothing, however long the array.
+evaluation and :func:`long_division`.  Each returns its field-operation
+charge with its result, counted only up to the degree: trailing zero
+coefficients cost nothing, however long the array.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import DecodingError, FieldError
+from repro.gf import charges
 from repro.gf.field import Field
 from repro.gf.matrix_cache import cached_vandermonde
 
@@ -34,25 +36,26 @@ def _trimmed(coefficients: "np.ndarray | Sequence[int]") -> np.ndarray:
 
 def horner(
     field: Field, coefficients: "np.ndarray | Sequence[int]", points: Sequence[int]
-) -> np.ndarray:
-    """Evaluate the polynomial with canonical ``coefficients`` at every point.
+) -> tuple[np.ndarray, int]:
+    """The polynomial with canonical ``coefficients`` at every point, and its charge.
 
     One vectorised multiply-add per coefficient up to the degree, so the
     charge is ``2 * len(points) * (degree + 1)`` operations.
     """
     pts = field.array(points).reshape(-1)
     acc = np.zeros_like(pts)
-    for c in _trimmed(coefficients)[::-1]:
+    terms = _trimmed(coefficients)
+    for c in terms[::-1]:
         acc = field.add(field.mul(acc, pts), np.full_like(pts, c))
-    return acc
+    return acc, charges.horner(terms.size, pts.size)
 
 
 def long_division(
     field: Field,
     numerator: "np.ndarray | Sequence[int]",
     divisor: "np.ndarray | Sequence[int]",
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(quotient, remainder)`` of two canonical coefficient arrays, trimmed.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(quotient, remainder, charge)`` of two canonical coefficient arrays, trimmed.
 
     Schoolbook division: one inversion of the divisor's leading coefficient,
     then per nonzero leading remainder term one multiply for the quotient
@@ -65,6 +68,7 @@ def long_division(
     remainder = [int(c) for c in _trimmed(numerator)]
     quotient = [0] * max(len(remainder) - len(div) + 1, 0)
     inv_lead = field.inv(div[-1])
+    ops = field.inversion_cost
     while True:
         while remainder and remainder[-1] == 0:
             remainder.pop()
@@ -75,7 +79,8 @@ def long_division(
         quotient[shift] = factor
         for i, c in enumerate(div):
             remainder[shift + i] = field.sub(remainder[shift + i], field.mul(factor, c))
-    return np.array(quotient, dtype=np.int64), np.array(remainder, dtype=np.int64)
+        ops += 1 + charges.multiply_subtract(len(div))
+    return np.array(quotient, dtype=np.int64), np.array(remainder, dtype=np.int64), ops
 
 
 @dataclass
@@ -90,10 +95,13 @@ class DecodingResult:
     error_positions:
         Indices where the received word differed from the codeword of the
         recovered polynomial, i.e. the positions the decoder corrected.
+    ops:
+        The field operations the decode charged.
     """
 
     coefficients: np.ndarray
     error_positions: tuple[int, ...] = dataclass_field(default_factory=tuple)
+    ops: int = 0
 
     @property
     def num_errors(self) -> int:
@@ -150,8 +158,9 @@ class ReedSolomonCode:
         return (self.length - self.dimension) // 2
 
     # -- encoding ---------------------------------------------------------------------
-    def encode(self, message: Sequence[int]) -> np.ndarray:
-        """Encode a coefficient vector of length ``dimension`` (Horner at every point)."""
+    def encode(self, message: Sequence[int]) -> tuple[np.ndarray, int]:
+        """A coefficient vector of length ``dimension`` encoded by Horner at
+        every point: ``(codeword, charge)``."""
         coeffs = self.field.array(message).reshape(-1)
         if coeffs.shape[0] != self.dimension:
             raise FieldError(

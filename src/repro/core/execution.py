@@ -3,7 +3,7 @@
 Given the commands agreed in the consensus phase, the engine:
 
 1. has every node form its coded command ``X~_i`` and compute the coded
-   result ``g_i = f(S~_i, X~_i)`` (operation-counted per node);
+   result ``g_i = f(S~_i, X~_i)`` (each node charged its share by shape);
 2. collects the results each (honest) node would receive — Byzantine nodes
    may corrupt, equivocate, delay, or stay silent;
 3. runs noisy polynomial interpolation (Reed–Solomon decoding) to recover
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DecodingError
-from repro.gf.field import OperationCounter
+from repro.gf import charges
 from repro.lcc.decoder import CodedResultDecoder
 from repro.lcc.encoder import CodedStateEncoder
 from repro.lcc.scheme import LagrangeScheme
@@ -218,7 +218,7 @@ class CodedExecutionEngine:
         """
         batch_arr = command_batch(self.machine, self.num_machines, commands_batch)
         # Stage 1: encode every round's commands in one matrix product.  The
-        # product itself is uncounted; each node is charged the operations it
+        # product itself is charged to no one; each node is charged the operations it
         # would have spent encoding its own coded command (the batched
         # pipeline changes who *performs* the multiply, not the per-node
         # protocol cost model).
@@ -374,18 +374,16 @@ class CodedExecutionEngine:
             else np.hstack([entry.matrix for entry in window])
         )
         sub = stacked[pivot, :]
-        window_counter = OperationCounter()
-        self.field.attach_counter(window_counter)
-        try:
-            reencoded = self.field.matmul(to_all, sub)
-            candidates = self.field.matmul(to_omegas, sub)
-        finally:
-            self.field.attach_counter(None)
+        reencoded = self.field.matmul(to_all, sub)
+        candidates = self.field.matmul(to_omegas, sub)
         width = window[0].matrix.shape[1]
         confirmed, rollback_at = self.decoder.stacked_verification(
             stacked, reencoded, width
         )
-        verify_share = window_counter.total // len(window)
+        verify_share = sum(
+            charges.matmul(rows, sub.shape[0], sub.shape[1])
+            for rows in (self.num_nodes, self.num_machines)
+        ) // len(window)
         for offset, error_nodes in enumerate(confirmed):
             entry = window[offset]
             columns = slice(offset * width, (offset + 1) * width)
@@ -453,20 +451,14 @@ class CodedExecutionEngine:
         extras: dict = {"batched": True}
         if speculation is not None:
             extras.update(pipelined=True, speculation=speculation)
-        decode_counter = OperationCounter()
-        self.field.attach_counter(decode_counter)
         try:
             decoded = self.decoder.decode_fast(reported, self._suspects)
         except DecodingError as exc:
-            decoded = None
-            extras["decoding_error"] = str(exc)
-        finally:
-            self.field.attach_counter(None)
-        if decoded is None:
             if speculation == "rollback":
                 self._restore_honest_states()
+            extras["decoding_error"] = str(exc)
             return self._round_result(
-                round_index, self._unadvanced(), (), ops, decode_counter.total, extras,
+                round_index, self._unadvanced(), (), ops, exc.ops, extras,
                 decoding_failed=True,
             )
         self.states = decoded.outputs[:, : self.machine.state_dim]
@@ -476,8 +468,7 @@ class CodedExecutionEngine:
         if speculation != "rollback":
             self._charge_refresh(ops)
         return self._round_result(
-            round_index, decoded.outputs, decoded.error_nodes, ops, decode_counter.total,
-            extras,
+            round_index, decoded.outputs, decoded.error_nodes, ops, decoded.ops, extras
         )
 
     def _round_result(
@@ -532,10 +523,8 @@ class CodedExecutionEngine:
         if entry is None:
             to_all, to_omegas, _ = self.decoder.pivot_matrices(pivot)
             fused = self.field.matmul(self.scheme.coefficient_matrix, to_omegas)
-            dimension = self.decoder.code.dimension
-            state_dim = self.machine.state_dim
-            spec_ops = self.num_machines * dimension * state_dim + (
-                self.num_machines * max(dimension - 1, 0) * state_dim
+            spec_ops = charges.matmul(
+                self.num_machines, self.decoder.code.dimension, self.machine.state_dim
             )
             entry = self._fused_refresh_cache[key] = (
                 pivot, fused, spec_ops, to_all, to_omegas
@@ -550,7 +539,7 @@ class CodedExecutionEngine:
         the one place the encode charging formula lives for the batched
         round loop, the speculative rounds and every replay.
         """
-        encode = self.machine.command_dim * (2 * self.num_machines - 1)
+        encode = self.machine.command_dim * charges.dot(self.num_machines)
         return np.full(self.num_nodes, encode, dtype=np.int64)
 
     def _honest_rows(self) -> list[int]:
@@ -620,7 +609,7 @@ faulty_reports`) over one row per node, in node order.  The rows are kept
 
     def _charge_refresh(self, ops: np.ndarray) -> None:
         """Each honest node pays the ``chi_i`` re-encoding a refresh replaces."""
-        ops[self._honest_rows()] += self.machine.state_dim * (2 * self.num_machines - 1)
+        ops[self._honest_rows()] += self.machine.state_dim * charges.dot(self.num_machines)
 
     def _restore_honest_states(self) -> None:
         """Roll honest coded states back to the last verified checkpoint:

@@ -10,7 +10,15 @@ from __future__ import annotations
 
 
 class CSMError(Exception):
-    """Base class for all errors raised by the ``repro`` package."""
+    """Base class for all errors raised by the ``repro`` package.
+
+    ``ops`` is the field-operation charge spent before the failure: a decode
+    that fails past the radius still cost its nodes that work.
+    """
+
+    def __init__(self, *args: object, ops: int = 0) -> None:
+        super().__init__(*args)
+        self.ops = ops
 
 
 class ConfigurationError(CSMError):

@@ -16,10 +16,11 @@ the monomial table it evaluates), Vandermonde matrices, finite-field linear
 algebra (solve, inverse, matrix-vector product) and the process-wide cache of
 the encode and decode matrices built from them, among them the Lagrange
 coefficient matrix ``C`` of equation (7).  A univariate polynomial is never an
-object: it is its coefficient array, low degree first.
+object: it is its coefficient array, low degree first.  :mod:`repro.gf.charges`
+states the field-operation charge of each kind of work once.
 """
 
-from repro.gf.field import Field, OperationCounter
+from repro.gf.field import Field
 from repro.gf.prime_field import PrimeField, DEFAULT_PRIME
 from repro.gf.extension_field import BinaryExtensionField
 from repro.gf.multivariate import MultivariatePolynomial
@@ -35,7 +36,6 @@ from repro.gf.matrix_cache import (
 
 __all__ = [
     "Field",
-    "OperationCounter",
     "PrimeField",
     "DEFAULT_PRIME",
     "BinaryExtensionField",

@@ -53,7 +53,6 @@ class BinaryExtensionField(Field):
     """
 
     def __init__(self, degree: int) -> None:
-        super().__init__()
         degree = int(degree)
         if degree not in IRREDUCIBLE_POLYNOMIALS:
             raise FieldError(
@@ -138,7 +137,6 @@ class BinaryExtensionField(Field):
 
     # -- arithmetic -------------------------------------------------------------------
     def add(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
-        self._count_add(self._size_of(a, b))
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return np.bitwise_xor(self.array(a), self.array(b))
         return self.element(a) ^ self.element(b)
@@ -148,13 +146,11 @@ class BinaryExtensionField(Field):
         return self.add(a, b)
 
     def neg(self, a: ArrayLike) -> ArrayLike:
-        self._count_add(self._size_of(a))
         if isinstance(a, np.ndarray):
             return self.array(a)
         return self.element(a)
 
     def mul(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
-        self._count_mul(self._size_of(a, b))
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             a_arr = np.broadcast_to(self.array(a), np.broadcast_shapes(np.shape(a), np.shape(b)))
             b_arr = np.broadcast_to(self.array(b), a_arr.shape)
@@ -166,12 +162,9 @@ class BinaryExtensionField(Field):
         return self._mul_scalar(int(a), int(b))
 
     def inv(self, a: ArrayLike) -> ArrayLike:
-        bits = self._m
         if isinstance(a, np.ndarray):
-            self._count_inv(a.size, mul_equivalent=2 * bits * a.size)
             flat = [self._inv_scalar(int(x)) for x in self.array(a).reshape(-1)]
             return np.asarray(flat, dtype=np.int64).reshape(np.shape(a))
-        self._count_inv(1, mul_equivalent=2 * bits)
         return self._inv_scalar(int(a))
 
     def pow(self, a: ArrayLike, exponent: int) -> ArrayLike:
@@ -179,10 +172,8 @@ class BinaryExtensionField(Field):
         if exponent < 0:
             return self.pow(self.inv(a), -exponent)
         if isinstance(a, np.ndarray):
-            self._count_mul(2 * max(exponent.bit_length(), 1) * a.size)
             flat = [self._pow_scalar(int(x), exponent) for x in self.array(a).reshape(-1)]
             return np.asarray(flat, dtype=np.int64).reshape(np.shape(a))
-        self._count_mul(2 * max(exponent.bit_length(), 1))
         return self._pow_scalar(int(a), exponent)
 
     # -- helpers ------------------------------------------------------------------------

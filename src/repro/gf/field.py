@@ -1,16 +1,16 @@
-"""Abstract finite-field interface and field-operation accounting.
+"""Abstract finite-field interface.
 
-The throughput metric of the paper (Section 2.2) is defined directly in terms
-of the number of additions and multiplications performed in the field ``F``.
-To reproduce it we thread an optional :class:`OperationCounter` through every
-field so that higher layers (execution phase, coding, INTERMIX) can report
-exactly how many field operations each node performed.
+A field does arithmetic only.  The throughput metric of the paper (Section
+2.2) counts the additions and multiplications performed in ``F``, but no
+field records them: each piece of work computes its charge from the shapes
+it ran on, by the rules of :mod:`repro.gf.charges`, and returns it with its
+result.  The one charge that depends on the field, the cost of an inversion,
+is a constant of the field (:attr:`Field.inversion_cost`).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TypeAlias
 
 import numpy as np
@@ -22,69 +22,6 @@ from repro.exceptions import FieldError
 ArrayLike: TypeAlias = "np.ndarray | int | Sequence[int]"
 
 
-@dataclass
-class OperationCounter:
-    """Counts field additions and multiplications.
-
-    Vectorised operations on arrays of ``n`` elements count as ``n`` scalar
-    operations, matching the paper's "operation counts in F" convention.
-    Inversions are counted separately; when an inversion is implemented via
-    Fermat exponentiation it is *also* reported as ``2 * log2(p)``
-    multiplications so complexity comparisons remain honest.
-    """
-
-    additions: int = 0
-    multiplications: int = 0
-    inversions: int = 0
-    labels: dict[str, int] = field(default_factory=dict)
-
-    def add(self, n: int = 1) -> None:
-        self.additions += int(n)
-
-    def mul(self, n: int = 1) -> None:
-        self.multiplications += int(n)
-
-    def inv(self, n: int = 1, mul_equivalent: int = 0) -> None:
-        self.inversions += int(n)
-        self.multiplications += int(mul_equivalent)
-
-    def tag(self, label: str, n: int = 1) -> None:
-        """Attribute ``n`` operations to a named phase (for reporting only)."""
-        self.labels[label] = self.labels.get(label, 0) + int(n)
-
-    @property
-    def total(self) -> int:
-        """Total additions plus multiplications (the paper's ``c(.)``)."""
-        return self.additions + self.multiplications
-
-    def reset(self) -> None:
-        self.additions = 0
-        self.multiplications = 0
-        self.inversions = 0
-        self.labels = {}
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "additions": self.additions,
-            "multiplications": self.multiplications,
-            "inversions": self.inversions,
-            "total": self.total,
-        }
-
-    def merge(self, other: "OperationCounter") -> None:
-        self.additions += other.additions
-        self.multiplications += other.multiplications
-        self.inversions += other.inversions
-        for key, value in other.labels.items():
-            self.labels[key] = self.labels.get(key, 0) + value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"OperationCounter(add={self.additions}, mul={self.multiplications}, "
-            f"inv={self.inversions})"
-        )
-
-
 class Field(ABC):
     """Abstract interface shared by :class:`PrimeField` and ``GF(2**m)``.
 
@@ -93,17 +30,6 @@ class Field(ABC):
     and return these canonical representations; they never wrap elements in
     per-element objects, which keeps the vectorised paths fast.
     """
-
-    #: Optional counter; when set, arithmetic methods record operation counts.
-    counter: OperationCounter | None
-
-    def __init__(self) -> None:
-        self.counter = None
-
-    # -- construction -----------------------------------------------------
-    def attach_counter(self, counter: OperationCounter | None) -> None:
-        """Attach (or detach, with ``None``) an operation counter."""
-        self.counter = counter
 
     # -- basic properties --------------------------------------------------
     @property
@@ -115,6 +41,13 @@ class Field(ABC):
     @abstractmethod
     def characteristic(self) -> int:
         """The field characteristic (``p`` for ``GF(p)``, ``2`` for ``GF(2**m)``)."""
+
+    @property
+    def inversion_cost(self) -> int:
+        """Multiplications charged per inversion: Fermat's ``a ** (order - 2)``
+        by square-and-multiply, ``2 * (bitlen(order) - 1)`` (``2 * m`` in
+        ``GF(2**m)``)."""
+        return 2 * max(self.order.bit_length() - 1, 1)
 
     @property
     def zero(self) -> int:
@@ -169,12 +102,12 @@ class Field(ABC):
         element-wise :meth:`mul` of column ``k`` of ``a`` against row ``k``
         of ``b`` per inner index, accumulated with one :meth:`add` each.
         That is every row-by-column :meth:`dot` at once, with the same
-        terms summed in the same order, so it charges the identical
-        ``rows * inner * cols`` multiplications and
-        ``rows * (inner - 1) * cols`` additions.  Subclasses with vectorised
-        arithmetic (see :meth:`repro.gf.prime_field.PrimeField.matmul`)
-        override it with a numpy formulation that performs the identical
-        field operations (and charges the identical operation counts)
+        terms summed in the same order: ``rows * inner * cols``
+        multiplications and ``rows * (inner - 1) * cols`` additions, the
+        charge :func:`repro.gf.charges.matmul` states.  Subclasses with
+        vectorised arithmetic (see
+        :meth:`repro.gf.prime_field.PrimeField.matmul`) override it with a
+        numpy formulation that performs the identical field operations
         without per-element Python dispatch.  This is the workhorse of the
         batched coded-round pipeline.
         """
@@ -187,8 +120,8 @@ class Field(ABC):
         shape = (a_arr.shape[0], b_arr.shape[1])
         out = np.zeros(shape, dtype=np.int64)
         for k in range(a_arr.shape[1]):
-            # Broadcast both factors to the full grid so the charge is one
-            # multiplication per output element.
+            # Broadcast both factors to the full grid: one multiplication
+            # per output element.
             term = self.mul(
                 np.broadcast_to(a_arr[:, k : k + 1], shape),
                 np.broadcast_to(b_arr[k : k + 1, :], shape),
@@ -242,26 +175,6 @@ class Field(ABC):
                 f"points starting at {start}"
             )
         return [self.element(start + i) for i in range(count)]
-
-    # -- counting hooks --------------------------------------------------------
-    def _count_add(self, n: int) -> None:
-        if self.counter is not None:
-            self.counter.add(n)
-
-    def _count_mul(self, n: int) -> None:
-        if self.counter is not None:
-            self.counter.mul(n)
-
-    def _count_inv(self, n: int, mul_equivalent: int = 0) -> None:
-        if self.counter is not None:
-            self.counter.inv(n, mul_equivalent=mul_equivalent)
-
-    @staticmethod
-    def _size_of(a: ArrayLike, b: ArrayLike | None = None) -> int:
-        """Number of scalar operations represented by an element-wise op."""
-        size_a = a.size if isinstance(a, np.ndarray) else 1
-        size_b = b.size if isinstance(b, np.ndarray) else 1
-        return max(size_a, size_b)
 
     # -- misc -------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -15,10 +15,10 @@ With the matrices cached, encoding a batch of ``B`` rounds is one ``GF(p)``
 matrix–matrix product and decoding a clean batch is a few more; only the
 Berlekamp–Welch fallback works on scalars.
 
-All builders detach the field's operation counter while constructing a
-matrix: cache construction is a one-off cost that must not be charged to
-whichever round happens to trigger it (the amortised per-round cost is what
-the throughput experiments measure).
+Building a matrix charges nothing: cache construction is a one-off cost,
+not part of any round (the amortised per-round cost is what the throughput
+experiments measure), and the rounds charge the products they run with the
+cached matrices by :mod:`repro.gf.charges`.
 
 The cache is process-global and unbounded; entries are small
 (``O(N * K)`` int64) and the number of distinct point sets in any experiment
@@ -46,15 +46,10 @@ def _canonical_points(field: Field, points: Sequence[int]) -> tuple[int, ...]:
     return tuple(field.element(int(p)) for p in points)
 
 
-def _cached(field: Field, key: tuple, builder: Callable[[], np.ndarray]) -> np.ndarray:
+def _cached(key: tuple, builder: Callable[[], np.ndarray]) -> np.ndarray:
     cached = _CACHE.get(key)
     if cached is None:
-        saved_counter = field.counter
-        field.attach_counter(None)
-        try:
-            cached = builder()
-        finally:
-            field.attach_counter(saved_counter)
+        cached = builder()
         cached.setflags(write=False)
         _CACHE[key] = cached
     return cached
@@ -71,7 +66,7 @@ def cached_vandermonde(
     pts = _canonical_points(field, points)
     key = ("vandermonde", _field_key(field), pts, int(num_columns))
     return _cached(
-        field, key, lambda: vandermonde_matrix(field, list(pts), int(num_columns))
+        key, lambda: vandermonde_matrix(field, list(pts), int(num_columns))
     )
 
 
@@ -85,7 +80,6 @@ def cached_interpolation_matrix(field: Field, points: Sequence[int]) -> np.ndarr
     pts = _canonical_points(field, points)
     key = ("interpolation", _field_key(field), pts)
     return _cached(
-        field,
         key,
         lambda: gf_inverse_matrix(field, vandermonde_matrix(field, list(pts), len(pts))),
     )
@@ -114,7 +108,7 @@ def cached_transfer_matrix(
         target = vandermonde_matrix(field, list(dst), len(src))
         return field.matmul(target, inverse)
 
-    return _cached(field, key, build)
+    return _cached(key, build)
 
 
 def clear_matrix_cache() -> None:

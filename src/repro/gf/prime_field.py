@@ -73,7 +73,6 @@ class PrimeField(Field):
     """
 
     def __init__(self, modulus: int = DEFAULT_PRIME) -> None:
-        super().__init__()
         modulus = int(modulus)
         if not _is_probable_prime(modulus):
             raise FieldError(f"PrimeField modulus must be prime, got {modulus}")
@@ -107,40 +106,33 @@ class PrimeField(Field):
 
     # -- arithmetic ----------------------------------------------------------------
     def add(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
-        self._count_add(self._size_of(a, b))
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return np.mod(np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64), self._p)
         return (int(a) + int(b)) % self._p
 
     def sub(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
-        self._count_add(self._size_of(a, b))
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return np.mod(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64), self._p)
         return (int(a) - int(b)) % self._p
 
     def mul(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
-        self._count_mul(self._size_of(a, b))
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             return np.mod(np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64), self._p)
         return (int(a) * int(b)) % self._p
 
     def neg(self, a: ArrayLike) -> ArrayLike:
-        self._count_add(self._size_of(a))
         if isinstance(a, np.ndarray):
             return np.mod(-np.asarray(a, dtype=np.int64), self._p)
         return (-int(a)) % self._p
 
     def inv(self, a: ArrayLike) -> ArrayLike:
-        bits = max(self._p.bit_length() - 1, 1)
         if isinstance(a, np.ndarray):
             if np.any(np.mod(a, self._p) == 0):
                 raise FieldError("cannot invert zero element of GF(p)")
-            self._count_inv(a.size, mul_equivalent=2 * bits * a.size)
             return self._vector_pow(np.asarray(a, dtype=np.int64), self._p - 2)
         value = int(a) % self._p
         if value == 0:
             raise FieldError("cannot invert zero element of GF(p)")
-        self._count_inv(1, mul_equivalent=2 * bits)
         return pow(value, self._p - 2, self._p)
 
     def pow(self, a: ArrayLike, exponent: int) -> ArrayLike:
@@ -148,9 +140,7 @@ class PrimeField(Field):
         if exponent < 0:
             return self.pow(self.inv(a), -exponent)
         if isinstance(a, np.ndarray):
-            self._count_mul(2 * max(exponent.bit_length(), 1) * a.size)
             return self._vector_pow(np.asarray(a, dtype=np.int64), exponent)
-        self._count_mul(2 * max(exponent.bit_length(), 1))
         return pow(int(a) % self._p, exponent, self._p)
 
     def _vector_pow(self, base: np.ndarray, exponent: int) -> np.ndarray:
@@ -175,8 +165,8 @@ class PrimeField(Field):
         accumulated block by block with a reduction in between.  Results are
         the canonical representatives (bit-identical to the rank-1-update
         formulation this replaced, which ``tests/reference/interpolation.py``
-        keeps as the oracle) and the operation counts charged match the
-        generic row-by-column path exactly.
+        keeps as the oracle): the same field operations as the generic
+        row-by-column path, so the same :func:`repro.gf.charges.matmul`.
         """
         a_arr = self.array(a)
         b_arr = self.array(b)
@@ -186,8 +176,6 @@ class PrimeField(Field):
             )
         rows, inner = a_arr.shape
         cols = b_arr.shape[1]
-        self._count_mul(rows * inner * cols)
-        self._count_add(rows * max(inner - 1, 0) * cols)
         out = np.zeros((rows, cols), dtype=np.int64)
         for start in range(0, inner, _MATMUL_BLOCK):
             a_blk = a_arr[:, start : start + _MATMUL_BLOCK]

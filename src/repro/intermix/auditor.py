@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.gf.field import Field, OperationCounter
+from repro.gf import charges
+from repro.gf.field import Field
 from repro.intermix.worker import Worker
 
 
@@ -71,7 +72,8 @@ class Auditor:
         self.node_id = str(node_id)
         self.field = field
         self.dishonest = bool(dishonest)
-        self.counter = OperationCounter()
+        #: Field operations this auditor has been charged.
+        self.operations = 0
 
     # -- the audit -------------------------------------------------------------------
     def audit(
@@ -81,14 +83,13 @@ class Auditor:
         claimed: np.ndarray | None,
         worker: Worker,
         true_product: np.ndarray,
-        multiplications: int,
-        additions: int,
+        operations: int,
         mismatches: np.ndarray | None = None,
     ) -> AuditTranscript:
         """Run Algorithm 1 against the worker's claimed result.
 
         ``true_product`` is the auditor's recomputation ``Y = A X`` and
-        ``multiplications``/``additions`` its share of that cost (the protocol
+        ``operations`` its share of that cost (the protocol
         computes every auditor's recomputation of a batch as one stacked
         matrix product).  The auditor then accepts, raises a baseless alert
         when dishonest, or bisects interactively against the worker.
@@ -108,8 +109,7 @@ class Auditor:
             raise ConfigurationError(
                 f"claimed result has {claimed.shape[0]} rows, matrix has {matrix.shape[0]}"
             )
-        self.counter.mul(multiplications)
-        self.counter.add(additions)
+        self.operations += operations
         if mismatches is None:
             mismatches = np.nonzero(self.field.array(true_product).reshape(-1) != claimed)[0]
         if mismatches.shape[0] == 0:
@@ -154,27 +154,25 @@ class Auditor:
                     parent_claim=parent_claim,
                     queries_issued=queries,
                 )
-            self.field.attach_counter(self.counter)
-            try:
-                claimed_sum = self.field.add(int(left_claim), int(right_claim))
-                if claimed_sum != parent_claim:
-                    return AuditTranscript(
-                        auditor_id=self.node_id,
-                        accepted=False,
-                        row_index=row_index,
-                        path=path,
-                        failure_kind="sum-mismatch",
-                        parent_claim=parent_claim,
-                        half_claims=(int(left_claim), int(right_claim)),
-                        leaf_range=(start, stop),
-                        queries_issued=queries,
-                    )
-                # The halves add up: at least one of them is wrong; find it.
-                left_truth = int(
-                    self.field.dot(matrix[row_index, start:midpoint], vector[start:midpoint])
-                ) if midpoint > start else 0
-            finally:
-                self.field.attach_counter(None)
+            claimed_sum = self.field.add(int(left_claim), int(right_claim))
+            self.operations += 1
+            if claimed_sum != parent_claim:
+                return AuditTranscript(
+                    auditor_id=self.node_id,
+                    accepted=False,
+                    row_index=row_index,
+                    path=path,
+                    failure_kind="sum-mismatch",
+                    parent_claim=parent_claim,
+                    half_claims=(int(left_claim), int(right_claim)),
+                    leaf_range=(start, stop),
+                    queries_issued=queries,
+                )
+            # The halves add up: at least one of them is wrong; find it.
+            left_truth = int(
+                self.field.dot(matrix[row_index, start:midpoint], vector[start:midpoint])
+            )
+            self.operations += charges.dot(midpoint - start)
             if left_truth != int(left_claim):
                 stop = midpoint
                 parent_claim = int(left_claim)
@@ -193,7 +191,3 @@ class Auditor:
             leaf_range=(start, stop),
             queries_issued=queries,
         )
-
-    @property
-    def operations(self) -> int:
-        return self.counter.total

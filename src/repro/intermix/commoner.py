@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gf.field import Field, OperationCounter
+from repro.gf.field import Field
 from repro.intermix.auditor import AuditTranscript
 
 
@@ -40,7 +40,8 @@ class Commoner:
     def __init__(self, node_id: str, field: Field) -> None:
         self.node_id = str(node_id)
         self.field = field
-        self.counter = OperationCounter()
+        #: Field operations this commoner has been charged.
+        self.operations = 0
 
     def verify_transcript(
         self,
@@ -55,19 +56,16 @@ class Commoner:
         *single* disputed entry for a leaf mismatch; it never touches more
         than one row element and one vector element.
         """
-        before = self.counter.total
         fraud = False
+        cost = 0
         if transcript.accepted:
             fraud = False
         elif transcript.failure_kind == "no-response" or claimed is None:
             # Missing broadcast/answers are directly observable misbehaviour.
             fraud = True
         elif transcript.failure_kind == "sum-mismatch":
-            self.field.attach_counter(self.counter)
-            try:
-                total = self.field.add(*transcript.half_claims)
-            finally:
-                self.field.attach_counter(None)
+            total = self.field.add(*transcript.half_claims)
+            cost = 1
             fraud = int(total) != int(transcript.parent_claim)
         elif transcript.failure_kind == "leaf-mismatch":
             start, stop = transcript.leaf_range
@@ -76,22 +74,16 @@ class Commoner:
             else:
                 matrix_arr = self.field.array(matrix)
                 vector_arr = self.field.array(vector).reshape(-1)
-                self.field.attach_counter(self.counter)
-                try:
-                    product = self.field.mul(
-                        int(matrix_arr[transcript.row_index, start]),
-                        int(vector_arr[start]),
-                    )
-                finally:
-                    self.field.attach_counter(None)
+                product = self.field.mul(
+                    int(matrix_arr[transcript.row_index, start]),
+                    int(vector_arr[start]),
+                )
+                cost = 1
                 fraud = int(product) != int(transcript.parent_claim)
+        self.operations += cost
         return CommonerVerdict(
             commoner_id=self.node_id,
             transcript_author=transcript.auditor_id,
             fraud_confirmed=fraud,
-            operations=self.counter.total - before,
+            operations=cost,
         )
-
-    @property
-    def operations(self) -> int:
-        return self.counter.total

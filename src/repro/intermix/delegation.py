@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DecodingError
-from repro.gf.field import Field, OperationCounter
+from repro.gf.field import Field
 from repro.gf.matrix_cache import cached_vandermonde
 from repro.lcc.decoder import CodedResultDecoder
 from repro.lcc.scheme import LagrangeScheme
@@ -207,12 +207,8 @@ class DelegatedCodingService:
         )
         composite_degree = self.scheme.composite_degree(self.transition_degree)
         agreement_threshold = (self.scheme.num_nodes + composite_degree + 1 + 1) // 2
-        worker_counter = OperationCounter()
-        self.field.attach_counter(worker_counter)
-        try:
-            decoded = self._decoder.decode_fast(results)
-        finally:
-            self.field.attach_counter(None)
+        decoded = self._decoder.decode_fast(results)
+        report.worker_operations += decoded.ops
         coefficients = decoded.coefficients
         if committee.worker in self.corrupt_decoder_workers:
             coefficients[0, :] = self.field.add(coefficients[0, :], 1)
@@ -238,7 +234,6 @@ class DelegatedCodingService:
             self._omega_vandermonde, coefficients, committee=committee
         )
         report.add_batch(batch8)
-        report.worker_operations += worker_counter.total
         return self._accepted_columns(batch8, self.scheme.num_machines), report
 
     # -- internals ----------------------------------------------------------------------------------

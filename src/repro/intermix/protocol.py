@@ -35,7 +35,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.gf.field import Field, OperationCounter
+from repro.gf import charges
+from repro.gf.field import Field
 from repro.intermix.auditor import Auditor, AuditTranscript
 from repro.intermix.commoner import Commoner, CommonerVerdict
 from repro.intermix.committee import Committee, CommitteeElection
@@ -171,14 +172,13 @@ class IntermixProtocol:
 
         One committee serves every column (elected here when not supplied),
         and the worker's — and all auditors' — recomputations collapse into a
-        single stacked :meth:`~repro.gf.field.Field.matmul` whose operation
-        count is split evenly across the columns (exact, because the matmul
-        cost is shape-based and identical per column to
-        :func:`~repro.gf.linalg.gf_matvec`).  The worker's claims are one
-        ``(rows, columns)`` array; comparing it with the stacked truth gives
-        the disputed columns, and only the ``(column, auditor)`` pairs that
-        accuse — a mismatching or missing claim, or a dishonest auditor's
-        baseless alert — run Algorithm 1 and the commoners' checks.
+        single stacked :meth:`~repro.gf.field.Field.matmul`; each role is
+        charged :func:`repro.gf.charges.matmul` of one column, what
+        :func:`~repro.gf.linalg.gf_matvec` performs.  The worker's claims
+        are one ``(rows, columns)`` array; comparing it with the stacked
+        truth gives the disputed columns, and only the ``(column, auditor)``
+        pairs that accuse — a mismatching or missing claim, or a dishonest
+        auditor's baseless alert — run Algorithm 1 and the commoners' checks.
 
         Every column of the returned :class:`VerificationBatch` is
         bit-identical — verdict, transcripts, per-role operation counts and
@@ -192,14 +192,8 @@ class IntermixProtocol:
         if vectors_arr.ndim == 1:
             vectors_arr = vectors_arr.reshape(-1, 1)
         num_columns = vectors_arr.shape[1]
-        batch_counter = OperationCounter()
-        self.field.attach_counter(batch_counter)
-        try:
-            truth = self.field.matmul(matrix_arr, vectors_arr)
-        finally:
-            self.field.attach_counter(None)
-        per_muls = batch_counter.multiplications // max(num_columns, 1)
-        per_adds = batch_counter.additions // max(num_columns, 1)
+        truth = self.field.matmul(matrix_arr, vectors_arr)
+        share = charges.matmul(matrix_arr.shape[0], matrix_arr.shape[1], 1)
 
         # The worker's broadcast.  A cheating worker corrupts each column on
         # its own (one rng draw per column, in column order); its per-column
@@ -213,7 +207,7 @@ class IntermixProtocol:
                     committee.worker, self.field, strategy=strategy, rng=self.rng
                 )
                 claim = worker.compute(
-                    matrix_arr, vectors_arr[:, index], truth[:, index], per_muls, per_adds
+                    matrix_arr, vectors_arr[:, index], truth[:, index], share
                 )
                 if claim is None:
                     claims = None
@@ -225,7 +219,6 @@ class IntermixProtocol:
         # product, the commoners nothing.  A column is disputed when its claim
         # is missing or wrong, or when a dishonest auditor sits on the
         # committee (it raises a baseless alert on every column it agrees with).
-        share = per_muls + per_adds
         worker_ops = np.full(num_columns, share, dtype=np.int64)
         auditor_ops = np.full((len(committee.auditors), num_columns), share, dtype=np.int64)
         commoner_ops = np.zeros(num_columns, dtype=np.int64)
@@ -244,8 +237,7 @@ class IntermixProtocol:
                 np.flatnonzero(mismatch[:, index]),
                 committee,
                 workers.get(index),
-                per_muls,
-                per_adds,
+                share,
             )
             disputes[index] = outcome
             accepted[index] = outcome.accepted
@@ -274,27 +266,25 @@ class IntermixProtocol:
         mismatches: np.ndarray,
         committee: Committee,
         worker: Worker | None,
-        per_muls: int,
-        per_adds: int,
+        share: int,
     ) -> VerificationOutcome:
         """The accuse branch for one disputed column: Algorithm 1 and the checks."""
         if worker is None:
             # An honest worker only answers queries when someone accuses it.
             worker = Worker(committee.worker, self.field, rng=self.rng)
-            worker.compute(matrix, vector, truth, per_muls, per_adds)
+            worker.compute(matrix, vector, truth, share)
         transcripts: list[AuditTranscript] = []
         auditor_ops: dict[str, int] = {}
         for auditor_id in committee.auditors:
             dishonest = auditor_id in self.dishonest_auditors
             if claimed is not None and mismatches.shape[0] == 0 and not dishonest:
                 transcripts.append(AuditTranscript(auditor_id=auditor_id, accepted=True))
-                auditor_ops[auditor_id] = per_muls + per_adds
+                auditor_ops[auditor_id] = share
                 continue
             auditor = Auditor(auditor_id, self.field, dishonest=dishonest)
             transcripts.append(
                 auditor.audit(
-                    matrix, vector, claimed, worker, truth, per_muls, per_adds,
-                    mismatches=mismatches,
+                    matrix, vector, claimed, worker, truth, share, mismatches=mismatches
                 )
             )
             auditor_ops[auditor_id] = auditor.operations

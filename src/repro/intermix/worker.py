@@ -30,7 +30,8 @@ from enum import Enum
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.gf.field import Field, OperationCounter
+from repro.gf import charges
+from repro.gf.field import Field
 from repro.rng import default_stream
 
 
@@ -66,7 +67,8 @@ class Worker:
         self.field = field
         self.strategy = WorkerStrategy(strategy)
         self.rng = rng if rng is not None else default_stream()
-        self.counter = OperationCounter()
+        #: Field operations this worker has been charged.
+        self.operations = 0
         self.query_log: list[QueryRecord] = []
         self._matrix: np.ndarray | None = None
         self._vector: np.ndarray | None = None
@@ -79,17 +81,16 @@ class Worker:
         matrix: np.ndarray,
         vector: np.ndarray,
         true_product: np.ndarray,
-        multiplications: int,
-        additions: int,
+        operations: int,
     ) -> np.ndarray | None:
         """Broadcast (or mis-broadcast) ``Y^ = A X`` and remember the inputs.
 
-        ``true_product`` is ``A X`` and ``multiplications``/``additions`` the
-        worker's share of computing it: the protocol computes the products of
-        a whole batch in one stacked matrix product and hands each round's
-        worker its column and its per-column cost.  The strategy then decides
-        what is broadcast.  Returns ``None`` for the silent strategy (no
-        broadcast, nothing charged).
+        ``true_product`` is ``A X`` and ``operations`` the worker's share of
+        computing it: the protocol computes the products of a whole batch in
+        one stacked matrix product and hands each round's worker its column
+        and its per-column cost.  The strategy then decides what is
+        broadcast.  Returns ``None`` for the silent strategy (no broadcast,
+        nothing charged).
         """
         self._matrix = self.field.array(matrix)
         self._vector = self.field.array(vector).reshape(-1)
@@ -99,8 +100,7 @@ class Worker:
             )
         if self.strategy is WorkerStrategy.SILENT:
             return None
-        self.counter.mul(multiplications)
-        self.counter.add(additions)
+        self.operations += operations
         true_product = self.field.array(true_product).reshape(-1)
         if self.strategy is WorkerStrategy.HONEST:
             return true_product.copy()
@@ -157,15 +157,13 @@ class Worker:
         return self.answer_query(row_index, start, stop)
 
     def _true_subproduct(self, row_index: int, start: int, stop: int) -> int:
-        self.field.attach_counter(self.counter)
-        try:
-            segment_a = self._matrix[row_index, start:stop]
-            segment_x = self._vector[start:stop]
-            if segment_a.shape[0] == 0:
-                return 0
-            return int(self.field.dot(segment_a, segment_x))
-        finally:
-            self.field.attach_counter(None)
+        segment_a = self._matrix[row_index, start:stop]
+        segment_x = self._vector[start:stop]
+        if segment_a.shape[0] == 0:
+            return 0
+        value = int(self.field.dot(segment_a, segment_x))
+        self.operations += charges.dot(segment_a.shape[0])
+        return value
 
     def _consistent_lie(
         self, row_index: int, start: int, stop: int, truthful_answer: int
@@ -215,8 +213,3 @@ class Worker:
         if c_start == p_start:
             return (row, midpoint, p_stop)
         return (row, p_start, midpoint)
-
-    # -- accounting -----------------------------------------------------------------------
-    @property
-    def operations(self) -> int:
-        return self.counter.total

@@ -23,6 +23,7 @@ from repro.exceptions import DecodingError, FieldError
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.erasure import ErasureDecoder
 from repro.coding.reed_solomon import ReedSolomonCode, horner
+from repro.gf import charges
 from repro.gf.matrix_cache import cached_interpolation_matrix, cached_transfer_matrix
 from repro.lcc.scheme import LagrangeScheme
 
@@ -43,11 +44,15 @@ class DecodedRound:
     error_nodes:
         Node indices whose contributed results were found to be erroneous in
         at least one component (the set the protocol may flag as suspects).
+    ops:
+        The field operations the decode charged: what every node that
+        performs it pays.
     """
 
     outputs: np.ndarray
     coefficients: np.ndarray
     error_nodes: tuple[int, ...]
+    ops: int = 0
 
 
 class CodedResultDecoder:
@@ -109,6 +114,11 @@ class CodedResultDecoder:
         erring in earlier components or rounds; pivots avoid them, which is
         what reduces a faulty batch to a single scalar decode per new fault
         pattern.  The set is updated in place with every error found.
+
+        The result's ``ops`` charges the three pivot products per pivot
+        choice, and each fallback's scalar decode and evaluation at the
+        ``omega_k``; a :class:`DecodingError` raised by a fallback carries
+        everything spent up to it.
         """
         if suspects is None:
             suspects = set()
@@ -153,9 +163,11 @@ class CodedResultDecoder:
         pivot: list[int] | None = None
         reencoded = candidate_outputs = candidate_coeffs = None
         error_nodes: set[int] = set()
-        outputs = np.zeros((self.scheme.num_machines, matrix.shape[1]), dtype=np.int64)
-        coefficients = np.zeros((dimension, matrix.shape[1]), dtype=np.int64)
-        for component in range(matrix.shape[1]):
+        num_machines, width = self.scheme.num_machines, matrix.shape[1]
+        outputs = np.zeros((num_machines, width), dtype=np.int64)
+        coefficients = np.zeros((dimension, width), dtype=np.int64)
+        ops = 0
+        for component in range(width):
             if pivot is None:
                 pivot = self.pivot_rows(present, suspects)
                 to_all, to_omegas, to_coeffs = self.pivot_matrices(pivot)
@@ -163,6 +175,10 @@ class CodedResultDecoder:
                 reencoded = self.field.matmul(to_all, sub)
                 candidate_outputs = self.field.matmul(to_omegas, sub)
                 candidate_coeffs = self.field.matmul(to_coeffs, sub)
+                ops += sum(
+                    charges.matmul(rows, dimension, width)
+                    for rows in (num_nodes, num_machines, dimension)
+                )
             row_mismatch = reencoded[present_arr, component] != matrix[present_arr, component]
             errors = [int(present_arr[j]) for j in np.nonzero(row_mismatch)[0]]
             if 2 * len(errors) <= budget:
@@ -173,26 +189,27 @@ class CodedResultDecoder:
                 continue
             # Fast path inconclusive for this component (errors among the
             # pivots, or genuinely past the radius): scalar decode decides.
-            if full_presence:
-                decoded = self._error_decoder.decode(matrix[:, component])
-            else:
-                column: list[int | None] = [None] * num_nodes
-                for i in present:
-                    column[i] = int(matrix[i, component])
-                decoded = self._erasure_decoder.decode_with_erasures(column)
+            try:
+                if full_presence:
+                    decoded = self._error_decoder.decode(matrix[:, component])
+                else:
+                    column: list[int | None] = [None] * num_nodes
+                    for i in present:
+                        column[i] = int(matrix[i, component])
+                    decoded = self._erasure_decoder.decode_with_erasures(column)
+            except DecodingError as exc:
+                exc.ops += ops
+                raise
             coefficients[:, component] = decoded.coefficients
             error_nodes.update(decoded.error_positions)
             suspects.update(decoded.error_positions)
-            outputs[:, component] = horner(
+            outputs[:, component], evaluate_ops = horner(
                 self.field, decoded.coefficients, self.scheme.omegas
             )
+            ops += decoded.ops + evaluate_ops
             if any(index in suspects for index in pivot):
                 pivot = None  # re-pivot away from the newly learnt suspects
-        return DecodedRound(
-            outputs=outputs,
-            coefficients=coefficients,
-            error_nodes=tuple(sorted(error_nodes)),
-        )
+        return DecodedRound(outputs, coefficients, tuple(sorted(error_nodes)), ops)
 
     def pivot_rows(self, present: "list[int]", suspects: set[int]) -> list[int]:
         """The interpolation pivot the fast path derives from ``suspects``.

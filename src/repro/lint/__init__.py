@@ -1,11 +1,12 @@
 """csm-lint: AST-based determinism and protocol-invariant analysis.
 
-Every performance PR in this repository is certified by *bit-identity*
-oracles — identical rng streams, identical :class:`~repro.gf.field.
-OperationCounter` charges, identical per-copy deliveries.  Those invariants are
-easy to break silently: an ambient ``np.random.default_rng(0)`` fallback, a
-stray ``time.time()`` in a hot path, or a GF fast path that forgets to
-charge the counter only surfaces when a property suite happens to catch it.
+Every performance change in this repository is certified by *bit-identity*
+oracles — identical rng streams, identical per-node charges, identical
+per-copy deliveries.  Some of those invariants are easy to break silently:
+an ambient ``np.random.default_rng(0)`` fallback or a stray ``time.time()``
+in a hot path only surfaces when a property suite happens to catch it.
+(Charges are values each piece of work computes and returns, so they are
+checked by value, against the counting oracle of the tests, not here.)
 
 ``repro.lint`` shifts those checks left.  It is a small rule-driven static
 analyzer over the repository's own invariants:
@@ -18,9 +19,6 @@ DET001    RNG streams are constructed only at allowlisted sites
 DET002    Wall-clock reads live only in the measurement/benchmark layer.
 DET003    No iteration over ``set``s (or unsorted ``dict.keys()`` feeding
           accumulation) — replay order must be deterministic.
-CNT001    Arithmetic methods on gf field/polynomial/decoder classes charge
-          the attached ``OperationCounter`` (or are allowlisted as
-          count-parity verified).
 RNG001    A function that *accepts* an ``rng`` parameter never constructs
           a second stream of its own.
 EXC001    No bare ``except`` and no silently swallowed

@@ -30,16 +30,6 @@ DEFAULT_RNG_ALLOWED = ("repro/rng.py",)
 #: Default locations allowed to read the wall clock (DET002).
 DEFAULT_CLOCK_ALLOWED = ("repro/analysis/measurement.py", "benchmarks/")
 
-#: Default scope of the OperationCounter charging rule (CNT001).
-DEFAULT_COUNT_PATHS = ("repro/gf/",)
-
-#: Class-name pattern CNT001 applies to within its scope.
-DEFAULT_COUNT_CLASS_PATTERN = r"(?:Field|Poly|Polynomial|Evaluator|Decoder|Code|Scheme)$"
-
-#: ``Class.method`` entries exempt from CNT001 because their operation-count
-#: parity is verified by tests rather than by an inline charge.
-DEFAULT_COUNT_PARITY_ALLOWLIST = ()
-
 
 @dataclass
 class LintConfig:
@@ -50,9 +40,6 @@ class LintConfig:
     default_paths: tuple[str, ...] = DEFAULT_LINT_PATHS
     rng_allowed_paths: tuple[str, ...] = DEFAULT_RNG_ALLOWED
     clock_allowed_paths: tuple[str, ...] = DEFAULT_CLOCK_ALLOWED
-    count_paths: tuple[str, ...] = DEFAULT_COUNT_PATHS
-    count_class_pattern: str = DEFAULT_COUNT_CLASS_PATTERN
-    count_parity_allowlist: tuple[str, ...] = DEFAULT_COUNT_PARITY_ALLOWLIST
     extra: dict = field(default_factory=dict)
 
     def path_matches(self, path: str, patterns: tuple[str, ...]) -> bool:
@@ -81,8 +68,6 @@ _TUPLE_KEYS = {
     "default-paths": "default_paths",
     "rng-allowed-paths": "rng_allowed_paths",
     "clock-allowed-paths": "clock_allowed_paths",
-    "count-paths": "count_paths",
-    "count-parity-allowlist": "count_parity_allowlist",
 }
 
 
@@ -108,12 +93,5 @@ def load_config(pyproject_path: str | Path | None = None) -> LintConfig:
         value = table.get(toml_key)
         if isinstance(value, list):
             setattr(config, attr, tuple(str(v) for v in value))
-    pattern = table.get("count-class-pattern")
-    if isinstance(pattern, str):
-        config.count_class_pattern = pattern
-    config.extra = {
-        k: v
-        for k, v in table.items()
-        if k not in _TUPLE_KEYS and k != "count-class-pattern"
-    }
+    config.extra = {k: v for k, v in table.items() if k not in _TUPLE_KEYS}
     return config

@@ -1,4 +1,4 @@
-"""The csm-lint rule registry and the six repository-invariant rules.
+"""The csm-lint rule registry and the five repository-invariant rules.
 
 Each rule is a class with a ``rule_id``, a one-line ``description`` and a
 ``check(module: FileContext) -> list[RawFinding]`` method.  Rules operate on
@@ -14,7 +14,6 @@ default_rng`` followed by a bare ``default_rng(...)`` call.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 
@@ -290,187 +289,6 @@ class UnorderedIterationRule(Rule):
         return findings
 
 
-# -- CNT001: uncharged field arithmetic ----------------------------------------------
-
-ARITHMETIC_METHODS = frozenset(
-    {
-        "add",
-        "sub",
-        "mul",
-        "neg",
-        "inv",
-        "div",
-        "pow",
-        "dot",
-        "matmul",
-        "matvec",
-        "sum",
-        "evaluate",
-        "evaluate_many",
-        "evaluate_batch",
-        "interpolate",
-    }
-)
-
-_CHARGE_ATTRS = ("_count_add", "_count_mul", "_count_inv")
-
-
-def _is_abstract(func: ast.FunctionDef) -> bool:
-    for deco in func.decorator_list:
-        name = deco.attr if isinstance(deco, ast.Attribute) else (
-            deco.id if isinstance(deco, ast.Name) else None
-        )
-        if name in {"abstractmethod", "abstractproperty"}:
-            return True
-    body = [s for s in func.body if not _is_docstring(s)]
-    if not body:
-        return True
-    if all(isinstance(s, (ast.Pass,)) or _is_ellipsis(s) for s in body):
-        return True
-    if len(body) == 1 and isinstance(body[0], ast.Raise):
-        exc = body[0].exc
-        name = None
-        if isinstance(exc, ast.Call):
-            exc = exc.func
-        if isinstance(exc, ast.Name):
-            name = exc.id
-        return name == "NotImplementedError"
-    return False
-
-
-def _is_docstring(stmt: ast.stmt) -> bool:
-    return (
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Constant)
-        and isinstance(stmt.value.value, str)
-    )
-
-
-def _is_ellipsis(stmt: ast.stmt) -> bool:
-    return (
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Constant)
-        and stmt.value.value is Ellipsis
-    )
-
-
-#: Receivers whose arithmetic methods do *not* charge a field counter.
-_NON_CHARGING_ROOTS = frozenset({"numpy", "math", "operator", "functools", "itertools"})
-
-
-def _charges_directly(module: FileContext, func: ast.FunctionDef) -> bool:
-    """Does the body charge a counter or delegate to charging arithmetic?"""
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            attr = node.func.attr
-            if attr in _CHARGE_ATTRS:
-                return True
-            if attr in ARITHMETIC_METHODS or (
-                attr in {"add", "mul", "inv", "tag"}
-                and _mentions_counter(node.func.value)
-            ):
-                # Delegation: ``self.mul(...)``, ``field.add(...)``,
-                # ``self.field.dot(...)``, ``counter.tag(...)`` — the callee
-                # charges.  numpy/math receivers do not.
-                resolved = module.resolve(node.func.value) or ""
-                if resolved.split(".")[0] in _NON_CHARGING_ROOTS:
-                    continue
-                return True
-    return False
-
-
-def _mentions_counter(node: ast.expr) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and "counter" in sub.attr:
-            return True
-        if isinstance(sub, ast.Name) and "counter" in sub.id:
-            return True
-    return False
-
-
-def _self_calls(func: ast.FunctionDef) -> set[str]:
-    out = set()
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "self"
-        ):
-            out.add(node.func.attr)
-    return out
-
-
-@register_rule
-class UnchargedFieldOpRule(Rule):
-    """CNT001 — gf arithmetic must charge the attached OperationCounter.
-
-    The paper's throughput metric *is* the operation count; a fast path that
-    forgets to charge silently inflates measured throughput.  A method
-    satisfies the rule by charging (``self._count_*`` / ``counter.*``),
-    by delegating to arithmetic that charges, or by appearing in the
-    ``count-parity-allowlist`` (parity then verified by tests instead).
-    """
-
-    rule_id = "CNT001"
-    description = "gf arithmetic method does not charge the OperationCounter"
-
-    def check(self, module: FileContext) -> list[RawFinding]:
-        if not module.config.path_matches(module.path, module.config.count_paths):
-            return []
-        class_pattern = re.compile(module.config.count_class_pattern)
-        allow = set(module.config.count_parity_allowlist)
-        findings = []
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not class_pattern.search(node.name):
-                continue
-            methods = {
-                stmt.name: stmt
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            # Fixpoint over within-class delegation: an arithmetic method
-            # that only calls a private ``self._kernel`` helper charges iff
-            # the helper does.
-            charging = {
-                name
-                for name, fn in methods.items()
-                if not isinstance(fn, ast.AsyncFunctionDef)
-                and _charges_directly(module, fn)
-            }
-            changed = True
-            while changed:
-                changed = False
-                for name, fn in methods.items():
-                    if name in charging or isinstance(fn, ast.AsyncFunctionDef):
-                        continue
-                    if _self_calls(fn) & charging:
-                        charging.add(name)
-                        changed = True
-            for name, fn in methods.items():
-                if name not in ARITHMETIC_METHODS:
-                    continue
-                if isinstance(fn, ast.AsyncFunctionDef):
-                    continue
-                if f"{node.name}.{name}" in allow:
-                    continue
-                if _is_abstract(fn) or name in charging:
-                    continue
-                findings.append(
-                    RawFinding(
-                        self.rule_id,
-                        fn.lineno,
-                        fn.col_offset,
-                        f"{node.name}.{name} performs field arithmetic without "
-                        "charging the attached OperationCounter (add it to "
-                        "count-parity-allowlist only with a parity test)",
-                    )
-                )
-        return findings
-
-
 # -- RNG001: rng parameter shadowed by a fresh stream --------------------------------
 
 
@@ -515,6 +333,23 @@ class ShadowedRngParamRule(Rule):
 
 
 # -- EXC001: swallowed protocol exceptions -------------------------------------------
+
+
+def _is_docstring(stmt: ast.stmt) -> bool:
+    return (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Constant)
+        and isinstance(stmt.value.value, str)
+    )
+
+
+def _is_ellipsis(stmt: ast.stmt) -> bool:
+    return (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Constant)
+        and stmt.value.value is Ellipsis
+    )
+
 
 PROTECTED_EXCEPTIONS = frozenset({"ConsensusError", "SecurityViolation"})
 BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})

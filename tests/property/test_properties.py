@@ -80,7 +80,7 @@ class TestPolynomialProperties:
         b = Poly(SMALL, list(reversed(coeffs)))
 
         def at(poly):
-            return int(horner(SMALL, poly.coefficient_array(), [point])[0])
+            return int(horner(SMALL, poly.coefficient_array(), [point])[0][0])
 
         assert at(a + b) == SMALL.add(at(a), at(b))
         assert at(a * b) == SMALL.mul(at(a), at(b))
@@ -103,7 +103,7 @@ class TestPolynomialProperties:
         b = Poly(SMALL, divisor)
         if b.is_zero:
             return
-        q, r = long_division(SMALL, coeffs, divisor)
+        q, r, _ = long_division(SMALL, coeffs, divisor)
         assert Poly(SMALL, q) * b + Poly(SMALL, r) == a
         assert r.size - 1 < b.degree
 
@@ -119,7 +119,7 @@ class TestReedSolomonProperties:
     )
     def test_any_error_pattern_within_radius_is_corrected(self, message, error_data):
         code = ReedSolomonCode(FIELD, FIELD.distinct_points(15), 4)
-        codeword = code.encode(message)
+        codeword = code.encode(message)[0]
         corrupted = codeword.copy()
         positions = {}
         for pos, offset in error_data:
@@ -137,9 +137,9 @@ class TestReedSolomonProperties:
     @given(message=st.lists(big_elements, min_size=3, max_size=3))
     def test_reencoding_decoded_word_is_idempotent(self, message):
         code = ReedSolomonCode(FIELD, FIELD.distinct_points(9), 3)
-        codeword = code.encode(message)
+        codeword = code.encode(message)[0]
         result = BerlekampWelchDecoder(code).decode(codeword)
-        assert code.encode(result.coefficients).tolist() == codeword.tolist()
+        assert code.encode(result.coefficients)[0].tolist() == codeword.tolist()
         assert result.error_positions == ()
 
 

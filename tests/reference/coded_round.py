@@ -3,8 +3,10 @@
 :meth:`~repro.core.execution.CodedExecutionEngine.execute_round` runs a round
 as a batch of one: one encode product, one stacked evaluation of the
 transition over the whole coded-state bank, the suspect-learning
-``decode_fast`` and one write refreshing every honest row.  Here every node
-does its own part of Section 5.2's round under its own operation counter:
+``decode_fast`` and one write refreshing every honest row, and computes each
+node's charge from those shapes.  Here every node does its own part of
+Section 5.2's round, and its field operations are overheard by the counting
+oracle (:mod:`reference.counting`):
 
 1. form its coded command ``X~_i = sum_k c_ik X_k`` (``rho_i``);
 2. evaluate the transition on its own coded state, ``g_i = f(S~_i, X~_i)``;
@@ -32,23 +34,14 @@ import numpy as np
 from repro.coding.berlekamp_welch import BerlekampWelchDecoder
 from repro.coding.erasure import ErasureDecoder
 from repro.coding.reed_solomon import horner
+from reference.counting import counted
 from reference.machine import result_vector
 from repro.core.execution import CodedExecutionEngine
 from repro.core.node import CSMNode
 from repro.exceptions import DecodingError
-from repro.gf.field import Field, OperationCounter
 from repro.lcc.decoder import CodedResultDecoder, DecodedRound
 from repro.net.byzantine import faulty_reports
 from repro.rounds import RoundResult
-
-
-def counted(field: Field, counter: OperationCounter, function, *args):
-    """``function(*args)`` with ``field``'s operations tallied in ``counter``."""
-    field.attach_counter(counter)
-    try:
-        return function(*args)
-    finally:
-        field.attach_counter(None)
 
 
 def combine(node: CSMNode, values: np.ndarray) -> np.ndarray:
@@ -101,7 +94,7 @@ def decode(
             decoded = erasure_decoder.decode_with_erasures(column)
         coefficients[:, component] = decoded.coefficients
         error_nodes.update(decoded.error_positions)
-        outputs[:, component] = horner(decoder.field, decoded.coefficients, scheme.omegas)
+        outputs[:, component] = horner(decoder.field, decoded.coefficients, scheme.omegas)[0]
     return DecodedRound(outputs, coefficients, tuple(sorted(error_nodes)))
 
 
@@ -110,14 +103,16 @@ def execute_round(engine: CodedExecutionEngine, commands: np.ndarray) -> RoundRe
     field = engine.field
     commands = field.array(commands)
     state_dim = engine.machine.state_dim
-    counters = {node.node_id: OperationCounter() for node in engine.nodes}
+    ops = {node.node_id: 0 for node in engine.nodes}
 
     def own_result(node: CSMNode) -> np.ndarray:
-        return execute_coded(node, combine(node, commands))
+        result, count = counted(
+            field, lambda: execute_coded(node, combine(node, commands))
+        )
+        ops[node.node_id] += count.total
+        return result
 
-    true_results = np.stack(
-        [counted(field, counters[node.node_id], own_result, node) for node in engine.nodes]
-    )
+    true_results = np.stack([own_result(node) for node in engine.nodes])
     senders = [
         (node.node_index, node.node_id, node.behavior)
         for node in engine.nodes
@@ -125,12 +120,11 @@ def execute_round(engine: CodedExecutionEngine, commands: np.ndarray) -> RoundRe
     ]
     faulty_rows = faulty_reports(field, senders, true_results, engine.rng)
     reported = [faulty_rows.get(i, row) for i, row in enumerate(true_results)]
-    decode_counter = OperationCounter()
     diagnostics: dict = {}
     try:
-        decoded = counted(field, decode_counter, decode, engine.decoder, reported)
+        decoded, decode_count = counted(field, decode, engine.decoder, reported)
     except DecodingError as exc:
-        decoded = None
+        decoded, decode_count = None, exc.count
         diagnostics["decoding_error"] = str(exc)
     outputs = np.zeros((engine.num_machines, true_results.shape[1]), dtype=np.int64)
     outputs[:, :state_dim] = engine.states
@@ -139,9 +133,10 @@ def execute_round(engine: CodedExecutionEngine, commands: np.ndarray) -> RoundRe
         outputs, error_nodes = decoded.outputs, decoded.error_nodes
         engine.states = outputs[:, :state_dim]
         for node in engine.honest_nodes():
-            refreshed = counted(field, counters[node.node_id], combine, node, engine.states)
+            refreshed, count = counted(field, combine, node, engine.states)
+            ops[node.node_id] += count.total
             node.storage.replace(refreshed)
-    decode_charged = decode_counter.total if decoded is not None else 0
+    decode_charged = decode_count.total if decoded is not None else 0
     engine.round_index += 1
     return RoundResult(
         round_index=engine.round_index - 1,
@@ -149,15 +144,14 @@ def execute_round(engine: CodedExecutionEngine, commands: np.ndarray) -> RoundRe
         states=outputs[:, :state_dim].copy(),
         correct=decoded is not None,
         ops_per_node={
-            node.node_id: counters[node.node_id].total
-            + (0 if node.is_faulty else decode_charged)
+            node.node_id: ops[node.node_id] + (0 if node.is_faulty else decode_charged)
             for node in engine.nodes
         },
         diagnostics={
             "error_nodes": error_nodes,
             "num_faulty": engine.num_faulty,
             "decoding_failed": decoded is None,
-            "decode_ops": decode_counter.total,
+            "decode_ops": decode_count.total,
             **diagnostics,
         },
     )

@@ -7,7 +7,8 @@ disputed columns by one array comparison: role objects exist only where an
 auditor accuses, and every other column is acknowledged without one.  Here
 every column has its own :class:`~repro.intermix.worker.Worker`, and every
 role recomputes its one column ``A X`` itself with
-:func:`~repro.gf.linalg.gf_matvec` under its own operation counter, every
+:func:`~repro.gf.linalg.gf_matvec`, charged what the counting oracle
+(:mod:`reference.counting`) overhears it spend, every
 auditor running :meth:`~repro.intermix.auditor.Auditor.audit` whatever the
 claim — the way Section 6.1 describes a single verified product.  Only the
 final publication and validation of the transcripts
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gf.field import Field, OperationCounter
+from reference.counting import counted
+from repro.gf.field import Field
 from repro.gf.linalg import gf_matvec
 from repro.intermix.auditor import Auditor, AuditTranscript
 from repro.intermix.committee import Committee
@@ -28,15 +30,10 @@ from repro.intermix.worker import Worker, WorkerStrategy
 
 def matvec_with_cost(
     field: Field, matrix: np.ndarray, vector: np.ndarray
-) -> tuple[np.ndarray, int, int]:
-    """``A X`` by ``gf_matvec`` with its multiplication and addition counts."""
-    counter = OperationCounter()
-    field.attach_counter(counter)
-    try:
-        product = gf_matvec(field, matrix, vector)
-    finally:
-        field.attach_counter(None)
-    return product, counter.multiplications, counter.additions
+) -> tuple[np.ndarray, int]:
+    """``A X`` by ``gf_matvec`` with its overheard operation count."""
+    product, count = counted(field, gf_matvec, field, matrix, vector)
+    return product, count.total
 
 
 def compute(worker: Worker, matrix: np.ndarray, vector: np.ndarray) -> np.ndarray | None:

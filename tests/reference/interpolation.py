@@ -19,8 +19,7 @@ stand for:
   with scalar field calls; ``LagrangeScheme.coefficient_matrix`` must equal
   it bit for bit;
 * :func:`matmul_rank1` — ``GF(p)`` matrix product as one rank-1 update per
-  inner index, charging the counts :meth:`PrimeField.matmul` charges; the
-  split-limb product must match it bit for bit.
+  inner index; the split-limb product must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -106,16 +105,13 @@ def lagrange_coefficient_matrix(
 
 
 def matmul_rank1(field: PrimeField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over ``GF(p)`` as ``inner`` rank-1 updates, counted like ``matmul``."""
+    """``a @ b`` over ``GF(p)`` as ``inner`` rank-1 updates."""
     a_arr = field.array(a)
     b_arr = field.array(b)
     if a_arr.ndim != 2 or b_arr.ndim != 2 or a_arr.shape[1] != b_arr.shape[0]:
         raise FieldError(f"shape mismatch for matmul: {a_arr.shape} @ {b_arr.shape}")
     rows, inner = a_arr.shape
-    cols = b_arr.shape[1]
-    field._count_mul(rows * inner * cols)
-    field._count_add(rows * max(inner - 1, 0) * cols)
-    out = np.zeros((rows, cols), dtype=np.int64)
+    out = np.zeros((rows, b_arr.shape[1]), dtype=np.int64)
     for t in range(inner):
         out += a_arr[:, t, None] * b_arr[None, t, :] % field.modulus
         out %= field.modulus

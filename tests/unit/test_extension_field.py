@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import FieldError
+from reference.counting import counted
+from repro.gf import charges
 from repro.gf.extension_field import BinaryExtensionField
-from repro.gf.field import OperationCounter
 
 
 class TestConstruction:
@@ -102,16 +103,14 @@ class TestMatmul:
         field = BinaryExtensionField(degree)
         a = field.random_array(rng, (rows, inner))
         b = field.random_array(rng, (inner, cols))
-        expected_counter, counter = OperationCounter(), OperationCounter()
-        field.attach_counter(expected_counter)
-        expected = self._per_element(field, a, b)
-        field.attach_counter(counter)
-        got = field.matmul(a, b)
+        expected, expected_count = counted(field, self._per_element, field, a, b)
+        got, count = counted(field, lambda: field.matmul(a, b))
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
-        assert counter.snapshot() == expected_counter.snapshot()
-        assert counter.multiplications == rows * inner * cols
-        assert counter.additions == rows * max(inner - 1, 0) * cols
+        assert count == expected_count
+        assert count.multiplications == rows * inner * cols
+        assert count.additions == rows * max(inner - 1, 0) * cols
+        assert count.total == charges.matmul(rows, inner, cols)
 
     def test_shape_mismatch_raises(self, gf256):
         with pytest.raises(FieldError):

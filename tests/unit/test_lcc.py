@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from reference.counting import counted as overheard
 from reference.interpolation import interpolation_polynomials
 from reference.machine import evaluate
 from reference.polynomial import compose
 from repro.exceptions import ConfigurationError, DecodingError, FieldError
-from repro.gf.field import OperationCounter
 from repro.gf.multivariate import MultivariatePolynomial
 from repro.gf.prime_field import PrimeField
 from repro.lcc import decoder as decoder_module
@@ -199,13 +199,9 @@ class TestDecoder:
         monkeypatch.setattr(decoder_module, "cached_transfer_matrix", counted)
 
         def decode():
-            counter = OperationCounter()
-            scheme.field.attach_counter(counter)
-            try:
-                decoded = decoder.decode_fast(results)
-            finally:
-                scheme.field.attach_counter(None)
-            return decoded.outputs.tolist(), counter.snapshot()
+            decoded, count = overheard(scheme.field, decoder.decode_fast, results)
+            assert decoded.ops == count.total
+            return decoded.outputs.tolist(), count
 
         first = decode()
         assert len(lookups) == 2  # to_all and to_omegas

@@ -25,15 +25,14 @@ def rule_ids(findings):
 
 
 class TestRegistry:
-    def test_all_six_rules_registered(self):
+    def test_all_five_rules_registered(self):
         assert {
             "DET001",
             "DET002",
             "DET003",
-            "CNT001",
             "RNG001",
             "EXC001",
-        } <= set(RULE_REGISTRY)
+        } == set(RULE_REGISTRY)
 
     def test_unknown_rule_id_rejected(self):
         with pytest.raises(ValueError, match="unknown rule"):
@@ -242,133 +241,6 @@ class TestDET003UnorderedIteration:
 
 
 GF_PATH = "src/repro/gf/sample_field.py"
-
-
-class TestCNT001UnchargedFieldOp:
-    def test_flags_uncharged_arithmetic(self):
-        findings = run_lint(
-            """
-            class SampleField:
-                def mul(self, a, b):
-                    return (a * b) % self.modulus
-            """,
-            path=GF_PATH,
-            rules=["CNT001"],
-        )
-        assert rule_ids(findings) == ["CNT001"]
-        assert "SampleField.mul" in findings[0].message
-
-    def test_charging_via_count_hook_is_clean(self):
-        findings = run_lint(
-            """
-            class SampleField:
-                def mul(self, a, b):
-                    self._count_mul(1)
-                    return (a * b) % self.modulus
-            """,
-            path=GF_PATH,
-            rules=["CNT001"],
-        )
-        assert findings == []
-
-    def test_delegation_to_charging_method_is_clean(self):
-        findings = run_lint(
-            """
-            class SampleField:
-                def mul(self, a, b):
-                    self._count_mul(1)
-                    return (a * b) % self.modulus
-
-                def div(self, a, b):
-                    return self.mul(a, self.inv(b))
-            """,
-            path=GF_PATH,
-            rules=["CNT001"],
-        )
-        assert findings == []
-
-    def test_numpy_receiver_is_not_delegation(self):
-        findings = run_lint(
-            """
-            import numpy as np
-
-            class SampleField:
-                def add(self, a, b):
-                    return np.add(a, b) % self.modulus
-            """,
-            path=GF_PATH,
-            rules=["CNT001"],
-        )
-        assert rule_ids(findings) == ["CNT001"]
-
-    def test_within_class_helper_fixpoint(self):
-        findings = run_lint(
-            """
-            class SamplePoly:
-                def evaluate_batch(self, points):
-                    return self._evaluate_canonical(points)
-
-                def _evaluate_canonical(self, points):
-                    self.field._count_mul(len(points))
-                    return points
-            """,
-            path=GF_PATH,
-            rules=["CNT001"],
-        )
-        assert findings == []
-
-    def test_abstract_method_is_skipped(self):
-        findings = run_lint(
-            """
-            from abc import abstractmethod
-
-            class SampleField:
-                @abstractmethod
-                def mul(self, a, b):
-                    \"\"\"Element-wise multiplication.\"\"\"
-            """,
-            path=GF_PATH,
-            rules=["CNT001"],
-        )
-        assert findings == []
-
-    def test_parity_allowlist(self):
-        config = LintConfig(count_parity_allowlist=("SampleField.mul",))
-        findings = run_lint(
-            """
-            class SampleField:
-                def mul(self, a, b):
-                    return (a * b) % self.modulus
-            """,
-            path=GF_PATH,
-            config=config,
-            rules=["CNT001"],
-        )
-        assert findings == []
-
-    def test_outside_gf_is_out_of_scope(self):
-        findings = run_lint(
-            """
-            class SampleField:
-                def mul(self, a, b):
-                    return a * b
-            """,
-            path="src/repro/service/sample.py",
-            rules=["CNT001"],
-        )
-        assert findings == []
-
-    def test_suppression_comment(self):
-        findings = run_lint(
-            """
-            class SampleField:
-                def mul(self, a, b):  # csm-lint: disable=CNT001
-                    return (a * b) % self.modulus
-            """,
-            path=GF_PATH,
-            rules=["CNT001"],
-        )
-        assert findings == []
 
 
 class TestRNG001ShadowedRngParam:

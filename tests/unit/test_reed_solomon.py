@@ -47,7 +47,7 @@ class TestCodeContainer:
 
     def test_encode_matches_polynomial_evaluation(self, code, small_field):
         poly = Poly(small_field, [1, 2, 3, 4, 5])
-        codeword = code.encode([1, 2, 3, 4, 5])
+        codeword = code.encode([1, 2, 3, 4, 5])[0]
         assert list(codeword) == [poly.evaluate(x) for x in code.evaluation_points]
 
     def test_encode_wrong_length_rejected(self, code):
@@ -59,7 +59,7 @@ class TestCodeContainer:
         matrix = code.encoding_matrix
         assert matrix.shape == (code.length, code.dimension)
         encoded = small_field.matmul(matrix, np.array(message).reshape(-1, 1)).ravel()
-        assert encoded.tolist() == code.encode(message).tolist()
+        assert encoded.tolist() == code.encode(message)[0].tolist()
 
 
 class _ErasureFreeDecoder:
@@ -84,13 +84,13 @@ class _ErasureFreeDecoder:
 class TestErrorDecoders:
     def test_decodes_clean_codeword(self, code, decoder_cls):
         message = [3, 1, 4, 1, 5]
-        result = decoder_cls(code).decode(code.encode(message))
+        result = decoder_cls(code).decode(code.encode(message)[0])
         assert result.coefficients.tolist() == message
         assert result.num_errors == 0
 
     def test_corrects_up_to_radius(self, code, decoder_cls, rng):
         message = [int(v) for v in rng.integers(0, 97, size=5)]
-        codeword = code.encode(message)
+        codeword = code.encode(message)[0]
         corrupted = codeword.copy()
         error_positions = rng.choice(code.length, size=code.correction_radius, replace=False)
         for pos in error_positions:
@@ -101,7 +101,7 @@ class TestErrorDecoders:
 
     def test_fails_beyond_radius(self, code, decoder_cls, rng):
         message = [int(v) for v in rng.integers(0, 97, size=5)]
-        codeword = code.encode(message)
+        codeword = code.encode(message)[0]
         corrupted = codeword.copy()
         # radius + 1 structured errors that do not form another codeword
         for pos in range(code.correction_radius + 1):
@@ -111,7 +111,7 @@ class TestErrorDecoders:
 
     def test_coefficients_zero_padded_to_dimension(self, code, decoder_cls):
         # A message of degree 1 still comes back as all k coefficients.
-        result = decoder_cls(code).decode(code.encode([3, 1, 0, 0, 0]))
+        result = decoder_cls(code).decode(code.encode([3, 1, 0, 0, 0])[0])
         assert result.coefficients.tolist() == [3, 1, 0, 0, 0]
         assert result.coefficients.dtype == np.int64
 
@@ -123,7 +123,7 @@ class TestErrorDecoders:
             decoder_cls(code).decode(word)
 
     def test_error_positions_reported(self, code, decoder_cls):
-        codeword = code.encode([1, 2, 3, 4, 5])
+        codeword = code.encode([1, 2, 3, 4, 5])[0]
         corrupted = codeword.copy()
         corrupted[2] = (corrupted[2] + 11) % 97
         corrupted[9] = (corrupted[9] + 22) % 97
@@ -140,7 +140,7 @@ class TestBerlekampWelchSpecifics:
         # One error at radius 5: the radius-sized key equation is
         # underdetermined, and any of its solutions divides to the message.
         message = [int(v) for v in rng.integers(0, 97, size=5)]
-        corrupted = code.encode(message)
+        corrupted = code.encode(message)[0]
         corrupted[1] = (corrupted[1] + 3) % 97
         result = BerlekampWelchDecoder(code).decode(corrupted)
         assert result.coefficients.tolist() == message
@@ -157,7 +157,7 @@ class TestBerlekampWelchSpecifics:
             return gf_solve(*args, **kwargs)
 
         monkeypatch.setattr("repro.coding.berlekamp_welch.gf_solve", counting_solve)
-        corrupted = code.encode([int(v) for v in rng.integers(0, 97, size=5)])
+        corrupted = code.encode([int(v) for v in rng.integers(0, 97, size=5)])[0]
         for pos in range(num_errors):
             corrupted[pos] = (corrupted[pos] + 1 + pos) % 97
         if num_errors <= code.correction_radius:
@@ -173,7 +173,7 @@ class TestBerlekampWelchSpecifics:
         # must correct errors there with the same elimination routines.
         code = ReedSolomonCode(gf256, gf256.distinct_points(12), 4)
         message = [0x57, 0x83, 0x01, 0xC1]
-        corrupted = code.encode(message).copy()
+        corrupted = code.encode(message)[0].copy()
         corrupted[0] ^= 0x10
         corrupted[5] ^= 0xFF
         result = BerlekampWelchDecoder(code).decode(corrupted)
@@ -194,7 +194,7 @@ class TestBerlekampWelchSpecifics:
 
         monkeypatch.setattr("repro.coding.berlekamp_welch.gf_solve", broken_solve)
         with pytest.raises(TypeError, match="solver bug"):
-            BerlekampWelchDecoder(code).decode(code.encode([1, 2, 3, 4, 5]))
+            BerlekampWelchDecoder(code).decode(code.encode([1, 2, 3, 4, 5])[0])
 
 
 def puncture(received, missing):
@@ -208,14 +208,14 @@ def puncture(received, missing):
 class TestErasureDecoder:
     def test_erasures_only(self, code, rng):
         message = [int(v) for v in rng.integers(0, 97, size=5)]
-        word = puncture(code.encode(message), [0, 4, 8, 12])
+        word = puncture(code.encode(message)[0], [0, 4, 8, 12])
         result = ErasureDecoder(code).decode_with_erasures(word)
         assert result.coefficients.tolist() == message
         assert result.error_positions == ()
 
     def test_erasures_plus_errors(self, code, rng):
         message = [int(v) for v in rng.integers(0, 97, size=5)]
-        codeword = code.encode(message)
+        codeword = code.encode(message)[0]
         word = puncture(codeword, [1, 6])          # 2 erasures -> 13 survivors
         word[3] = (int(word[3]) + 7) % 97            # plus errors within radius
         word[10] = (int(word[10]) + 7) % 97
@@ -226,7 +226,7 @@ class TestErasureDecoder:
     def test_erasures_only_detects_inconsistency(self, code):
         # 9 erasures leave 6 survivors at K=5: room to detect one error but
         # not to correct it, so a corrupted survivor must raise.
-        word = puncture(code.encode([1, 2, 3, 4, 5]), list(range(9)))
+        word = puncture(code.encode([1, 2, 3, 4, 5])[0], list(range(9)))
         word[12] = (int(word[12]) + 1) % 97
         with pytest.raises(DecodingError):
             ErasureDecoder(code).decode_with_erasures(word)
@@ -241,7 +241,7 @@ class TestErasureDecoder:
             return gf_solve(*args, **kwargs)
 
         monkeypatch.setattr("repro.coding.berlekamp_welch.gf_solve", counting_solve)
-        word = puncture(code.encode([1, 2, 3, 4, 5]), [0, 1])
+        word = puncture(code.encode([1, 2, 3, 4, 5])[0], [0, 1])
         for pos in range(2, 7):
             word[pos] = (word[pos] + pos) % 97
         with pytest.raises(DecodingError):
@@ -249,7 +249,7 @@ class TestErasureDecoder:
         assert shapes == [(13, 5 + 2 * 4)]
 
     def test_too_few_survivors_rejected(self, code):
-        word = puncture(code.encode([1, 2, 3, 4, 5]), list(range(12)))
+        word = puncture(code.encode([1, 2, 3, 4, 5])[0], list(range(12)))
         with pytest.raises(DecodingError):
             ErasureDecoder(code).decode_with_erasures(word)
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from reference.counting import counted
 from reference.machine import step
 from repro.exceptions import ConfigurationError
 from repro.machine.library import bank_account_machine, quadratic_market_machine
-from repro.gf.field import OperationCounter
 from repro.net.byzantine import (
     CorruptResultBehavior,
     HonestBehavior,
@@ -188,13 +188,7 @@ class TestOneArrayRound:
 
     @staticmethod
     def _step_cost(machine, commands):
-        counter = OperationCounter()
-        machine.field.attach_counter(counter)
-        try:
-            step(machine, machine.initial_state, commands[0])
-        finally:
-            machine.field.attach_counter(None)
-        return counter.total
+        return counted(machine.field, step, machine, machine.initial_state, commands[0])[1].total
 
     @pytest.mark.parametrize("layout, per_node", [("full", 3), ("partial", 1)])
     def test_node_pays_one_step_per_hosted_replica(self, big_field, layout, per_node):
@@ -275,13 +269,12 @@ def _loop_reference(layout, machine, num_machines, node_ids, behaviors, rng, bat
         ops = {}
         for i, node_id in enumerate(node_ids):
             behavior = behaviors.get(node_id, HonestBehavior())
-            counter = OperationCounter()
+            ops[node_id] = 0
             for k in hosted[i]:
-                field.attach_counter(counter)
-                try:
-                    next_state, output = step(machine, replicas[i, k], commands[k])
-                finally:
-                    field.attach_counter(None)
+                (next_state, output), count = counted(
+                    field, step, machine, replicas[i, k], commands[k]
+                )
+                ops[node_id] += count.total
                 if not behavior.is_faulty:
                     advanced[i, k] = next_state
                     responses[k].append(tuple(output.tolist()))
@@ -289,7 +282,6 @@ def _loop_reference(layout, machine, num_machines, node_ids, behaviors, rng, bat
                 sent = behavior.transform_result(field, node_id, output, rng)
                 if sent is not None and not behavior.delays_message():
                     responses[k].append(tuple(np.asarray(sent).tolist()))
-            ops[node_id] = counter.total
         outputs = np.zeros((num_machines, machine.output_dim), dtype=np.int64)
         correct = True
         for k, replies in enumerate(responses):
